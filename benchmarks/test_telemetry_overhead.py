@@ -68,7 +68,6 @@ def _pipelined_append_run(seed, with_flight=False):
     cluster = Cluster(
         ClusterConfig(
             pods=2, racks_per_pod=2, hosts_per_rack=2, seed=seed,
-            write_pipeline=True,
         )
     )
     tel = instrument.TELEMETRY

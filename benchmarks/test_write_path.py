@@ -53,7 +53,6 @@ def _build_cluster(scheme, fanout, seed, db_dir, retry=None, replica_manager=Fal
             scheme=scheme,
             seed=seed,
             db_directory=db_dir,
-            write_pipeline=True,
             fanout=fanout,
             retry=retry,
             enable_replica_manager=replica_manager,
@@ -220,7 +219,7 @@ def _run_all(seed):
 
 
 def _render(result):
-    lines = ["Write pipeline — contention throughput and storm survival"]
+    lines = ["Write path — contention throughput and storm survival"]
     for label, row in result["contention"].items():
         plans = row["fanout_plans"]
         lines.append(
@@ -240,7 +239,7 @@ def _render(result):
     return "\n".join(lines)
 
 
-def test_write_pipeline_throughput_and_storm(benchmark, bench_scale):
+def test_write_path_throughput_and_storm(benchmark, bench_scale):
     seed = bench_scale["seed"]
     result = benchmark.pedantic(_run_all, args=(seed,), iterations=1, rounds=1)
     attach_report(benchmark, _render(result))

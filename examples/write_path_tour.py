@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The lease-guarded write pipeline, from a grant to a failover.
+"""The lease-guarded write path, from a grant to a failover.
 
 Walks the whole write path on one small cluster (DESIGN.md §10):
 
@@ -12,7 +12,7 @@ Walks the whole write path on one small cluster (DESIGN.md §10):
    fail over, and every acknowledged append lands exactly once;
 4. the fenced old primary demonstrably cannot commit again.
 
-Run:  python examples/write_pipeline_tour.py
+Run:  python examples/write_path_tour.py
 """
 
 import shutil
@@ -48,8 +48,6 @@ def main():
             store_payload=True,
             seed=SEED,
             db_directory=db_dir,
-            write_pipeline=True,        # leases + two-phase appends
-            fanout="auto",              # Flowserver plans chain vs. tree
             lease_duration=10.0,
             retry=RetryPolicy(max_attempts=40),
             enable_replica_manager=True,
@@ -59,11 +57,11 @@ def main():
         )
     )
     print(f"cluster up: {len(cluster.topology.hosts)} hosts, "
-          f"write pipeline armed (leases on {cluster.nameserver_host})")
+          f"lease service on {cluster.nameserver_host}")
 
     client = cluster.client("pod1-rack1-h1")
 
-    # --- 1+2: pipelined appends under a lease -------------------------
+    # --- 1+2: two-phase appends under a lease -------------------------
     def setup():
         meta = yield from client.create("tour.bin", chunk_bytes=64 * MB)
         for _ in range(3):

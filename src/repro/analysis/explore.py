@@ -289,9 +289,9 @@ _NEW_ID = "ap:explore:new"
 class FailoverScenario:
     """2-dataserver primary failover with racing writers.
 
-    Every :meth:`run` builds a fresh 3-host cluster (replication 2, the
-    write pipeline on, zero RPC latency so control messages collide at
-    one timestamp), commits one append under epoch 1, then races:
+    Every :meth:`run` builds a fresh 3-host cluster (replication 2, zero
+    RPC latency so control messages collide at one timestamp), commits
+    one append under epoch 1, then races:
 
     * a *stale* writer appending through whatever primary its lookup
       returns (usually the deposed one),
@@ -339,7 +339,6 @@ class FailoverScenario:
                 rpc_latency=0.0,
                 seed=self.seed,
                 db_directory=tmpdir,
-                write_pipeline=True,
                 fanout="chain",
                 lease_duration=5.0,
             )

@@ -17,7 +17,11 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
 from repro.baselines.selectors import NearestReplicaSelector
 from repro.cluster.dataplane import SimulatedDataPlane
-from repro.cluster.planners import FlowserverReadPlanner, SelectorReadPlanner
+from repro.cluster.planners import (
+    FlowserverFanoutPlanner,
+    FlowserverReadPlanner,
+    SelectorReadPlanner,
+)
 from repro.core.flowserver import Flowserver, FlowserverConfig
 from repro.fs.client import MayflowerClient, ReadPlanner
 from repro.fs.consistency import ConsistencyMode
@@ -87,16 +91,14 @@ class ClusterConfig:
     heartbeat_interval: float = 5.0
     heartbeat_timeout: float = 15.0
     repair_interval: float = 10.0
-    #: Lease-guarded two-phase write pipeline (push_data + commit_append
-    #: with epoch fencing and SDN-planned replication fan-out).  Off by
-    #: default: the legacy one-shot append path stays bit-identical.
-    write_pipeline: bool = False
-    #: Primary-lease term in simulated seconds (write pipeline only).
+    #: Primary-lease term in simulated seconds.  Appends are fenced by
+    #: a lease service beside a single or partitioned nameserver; beside
+    #: a Paxos-replicated one, metadata primaryship is the authority.
     lease_duration: float = 30.0
-    #: Fan-out shape policy for pipelined appends: "auto" asks the
-    #: Flowserver per append (chain vs. tree from live link estimates;
-    #: only meaningful under a flowserver scheme), "chain" always relays
-    #: down the static metadata chain (the ECMP-era baseline).
+    #: Append fan-out shape: "auto" asks the Flowserver per append
+    #: (chain vs. tree from live link estimates) when the scheme has
+    #: one, "chain" always relays down the static metadata chain — which
+    #: is also what a scheme without a Flowserver does.
     fanout: str = "auto"
     #: Sharded control plane: 1 (default) runs the paper's monolithic
     #: Flowserver, bit-identical to previous HEAD; a value equal to
@@ -255,46 +257,38 @@ class Cluster:
                 "nameserver_replicas must be 1 or >= 3 (Paxos needs a majority)"
             )
 
-        # --- write pipeline: lease service ------------------------------
+        # --- lease service (append fencing) -----------------------------
+        if self.config.fanout not in ("auto", "chain"):
+            raise ValueError(
+                f"unknown fanout policy {self.config.fanout!r}; "
+                f"expected 'auto' or 'chain'"
+            )
         self.lease_manager = None
         self.lease_managers = []
-        if self.config.write_pipeline:
-            if self.config.fanout not in ("auto", "chain"):
-                raise ValueError(
-                    f"unknown fanout policy {self.config.fanout!r}; "
-                    f"expected 'auto' or 'chain'"
-                )
-            if self._ns_replicas is not None:
-                raise ValueError(
-                    "write_pipeline requires nameserver_replicas=1 "
-                    "(the lease manager is co-located with the single "
-                    "nameserver)"
-                )
+        if self._ns_replicas is None:
             from repro.fs.leases import LEASE_SERVICE, LeaseManager
 
-            if self.config.metadata_partitions > 1:
-                # One lease manager per partition, co-located with that
-                # partition's nameserver; dataservers route lease traffic
-                # by file name exactly like other metadata ops.
-                assert self.shard_map is not None
-                for index, partition_ns in enumerate(self._partition_nameservers):
-                    manager = LeaseManager(
-                        self.loop, duration=self.config.lease_duration
+            # One lease manager per metadata partition (a single
+            # nameserver is one partition), co-located with that
+            # partition's nameserver; dataservers route lease traffic by
+            # file name exactly like other metadata ops.
+            if self.shard_map is not None:
+                partitions = [
+                    (group[0], partition_ns)
+                    for group, partition_ns in zip(
+                        self.shard_map.partitions, self._partition_nameservers
                     )
-                    endpoint = self.shard_map.partitions[index][0]
-                    self.fabric.register(endpoint, LEASE_SERVICE, manager)
-                    partition_ns.lease_manager = manager
-                    self.lease_managers.append(manager)
-                self.lease_manager = self.lease_managers[0]
+                ]
             else:
-                self.lease_manager = LeaseManager(
+                partitions = [(self.nameserver_host, self.nameserver)]
+            for endpoint, partition_ns in partitions:
+                manager = LeaseManager(
                     self.loop, duration=self.config.lease_duration
                 )
-                self.fabric.register(
-                    self.nameserver_host, LEASE_SERVICE, self.lease_manager
-                )
-                self.nameserver.lease_manager = self.lease_manager
-                self.lease_managers.append(self.lease_manager)
+                self.fabric.register(endpoint, LEASE_SERVICE, manager)
+                partition_ns.lease_manager = manager
+                self.lease_managers.append(manager)
+            self.lease_manager = self.lease_managers[0]
 
         ns_router = None
         if self.shard_map is not None:
@@ -494,7 +488,6 @@ class Cluster:
             consistency=self.config.consistency,
             retry=self.config.retry,
             retry_rng=retry_rng,
-            write_pipeline=self.config.write_pipeline,
             fanout_planner=self._fanout_planner(),
             shard_router=shard_router,
         )
@@ -529,20 +522,16 @@ class Cluster:
             )
         return SelectorReadPlanner(self._nearest_selector)
 
-    def _fanout_planner(self):
-        """Write fan-out strategy for pipelined appends (or ``None``)."""
-        if not self.config.write_pipeline:
-            return None
-        from repro.cluster.planners import (
-            FlowserverFanoutPlanner,
-            StaticChainFanoutPlanner,
-        )
+    def _fanout_planner(self) -> Optional[FlowserverFanoutPlanner]:
+        """Flowserver-planned append fan-out, where there is a Flowserver.
 
+        ``None`` leaves the client on the static metadata chain.
+        """
         if self.config.fanout == "auto" and (
             self.flowserver is not None or self.coordinator is not None
         ):
             return FlowserverFanoutPlanner(self.fabric, CONTROLLER_ENDPOINT)
-        return StaticChainFanoutPlanner()
+        return None
 
     # ------------------------------------------------------------------
     # Process helpers

@@ -7,10 +7,10 @@
   :class:`~repro.baselines.selectors.ReplicaSelector`; the path is either
   left to ECMP (``flowserver_endpoint=None``) or asked of the Flowserver
   in path-only mode (the "HDFS-Mayflower" configuration);
-* :class:`FlowserverFanoutPlanner` / :class:`StaticChainFanoutPlanner` —
-  write-pipeline fan-out shapes: the former asks the Flowserver to pick
-  chain vs. tree per append from live link estimates, the latter always
-  relays down the static metadata chain (the ECMP-era baseline).
+* :class:`FlowserverFanoutPlanner` — append fan-out shape: asks the
+  Flowserver to pick chain vs. tree per append from live link estimates
+  (a client given no fan-out planner relays down the static metadata
+  chain).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Generator, Optional, Sequence
 
 from repro.baselines.selectors import ReplicaSelector
-from repro.core.fanout import static_chain_plan
 from repro.fs.chunks import FileMetadata
 from repro.fs.client import PlannedTransfer, ReadPlanner, WriteFanoutPlanner
 
@@ -154,19 +153,3 @@ class FlowserverFanoutPlanner(WriteFanoutPlanner):
             job_id,
         )
         return plan
-
-
-class StaticChainFanoutPlanner(WriteFanoutPlanner):
-    """Baseline write path: always the static chain, no controller RPC."""
-
-    def plan(
-        self,
-        client_host: str,
-        metadata: FileMetadata,
-        size_bytes: int,
-        job_id: Optional[str] = None,
-    ) -> Generator:
-        return static_chain_plan(
-            client_host, metadata.primary, metadata.replicas[1:]
-        )
-        yield  # pragma: no cover - keeps this a generator

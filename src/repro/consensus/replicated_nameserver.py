@@ -136,7 +136,20 @@ class ReplicatedNameserver:
             raise FileNotFoundFsError(f"no file named {src_name!r}")
         return result
 
-    def record_append(self, name: str, new_size_bytes: int) -> Generator:
+    def record_append(
+        self,
+        name: str,
+        new_size_bytes: int,
+        epoch: Optional[int] = None,
+        primary: Optional[str] = None,
+    ) -> Generator:
+        """Replicate a committed append's size.
+
+        ``epoch``/``primary`` are what the committing dataserver stamps
+        on every report; there is no lease service beside a Paxos group
+        (metadata primaryship is the ordering authority), so they are
+        not validated here.
+        """
         result = yield from self._propose(
             {"op": "record_append", "name": name, "size_bytes": new_size_bytes}
         )

@@ -21,7 +21,7 @@ Completion-time model for ``d`` bits with per-edge estimated shares
   ``B = max_i b_i`` (the best single-flow share out of the primary
   bounds what the uplink can offer) and ``t = max_i d / min(b_i, B/k)``.
 
-Ties break toward the chain (the shape legacy appends effectively used),
+Ties break toward the chain (the shape a client with no planner uses),
 then lexicographically on the relay order — planning is a pure function
 of its inputs, so the same flow state always yields the same plan.
 """
@@ -243,7 +243,7 @@ def plan_fanout(
         orders = [tuple(uniq)]
 
     # (relay time, kind rank, deterministic order key, kind, children).
-    # Chain ranks before tree so exact ties keep the legacy-like shape.
+    # Chain ranks before tree so exact ties keep the static-chain shape.
     candidates: List[
         Tuple[float, int, Tuple[str, ...], str, Tuple[RelayNode, ...]]
     ] = []

@@ -1,7 +1,7 @@
-"""Seeded write-path workload: pipelined appends under observation.
+"""Seeded write-path workload: appends under observation.
 
 The ``writes`` experiment target drives the two-phase, lease-guarded
-append pipeline (push_data + commit_append over an SDN-planned fan-out)
+append path (push_data + commit_append over an SDN-planned fan-out)
 on a small 3-replica cluster — the workload the causal-tracing stack is
 exercised against.  Run with ``--trace`` it produces one trace tree per
 append (client → rpc → push/commit → relay hops) for
@@ -35,8 +35,8 @@ def run_writes(
 ) -> dict:
     """Run the seeded append workload; returns the report payload.
 
-    A 2x2x2 Mayflower cluster (8 hosts, 3-replica files, write pipeline
-    on, retrying clients), ``num_files`` files created up front, then
+    A 2x2x2 Mayflower cluster (8 hosts, 3-replica files, retrying
+    clients), ``num_files`` files created up front, then
     ``num_appends`` sequential appends from seeded writer hosts.  Each
     append's client-observed latency is measured on the simulated clock.
     """
@@ -52,7 +52,6 @@ def run_writes(
             hosts_per_rack=2,
             seed=seed,
             replication=3,
-            write_pipeline=True,
             retry=RetryPolicy(),
         )
     )
@@ -87,9 +86,6 @@ def run_writes(
     cluster.run(create_all(), name="writes-create")
 
     appends: List[dict] = []
-    # One client per writer host: append ids are client-scoped, so the
-    # same host writing twice must reuse its client (fresh clients would
-    # restart the id sequence and dedup genuinely-new appends).
     clients = {hosts[0]: creator}
     for i in range(num_appends):
         writer = hosts[rng.randrange(len(hosts))]

@@ -57,8 +57,8 @@ class FaultInjector:
         ``nameserver_failover`` events.
     lease_manager:
         Optional :class:`repro.fs.leases.LeaseManager` (``lease_expire``
-        faults); ``None`` for clusters without the write pipeline, where
-        those events no-op.
+        faults); ``None`` beside a Paxos-replicated nameserver (appends
+        are un-leased there), where those events no-op.
     dataservers:
         Optional mapping of host id to dataserver.  ``lease_expire``
         additionally drops the target host's locally-cached grants, so
@@ -277,7 +277,7 @@ class FaultInjector:
 
     def _do_lease_expire(self, event: FaultEvent) -> str:
         if self._lease_manager is None:
-            return "no lease manager (write pipeline off); no-op"
+            return "no lease manager (appends are un-leased); no-op"
         expired = self._lease_manager.expire_host(event.target)
         dataserver = self._dataservers.get(event.target)
         revoked = dataserver.revoke_leases() if dataserver is not None else 0

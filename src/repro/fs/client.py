@@ -131,7 +131,6 @@ class MayflowerClient:
         max_read_attempts: int = 3,
         retry: Optional[RetryPolicy] = None,
         retry_rng: Optional[Random] = None,
-        write_pipeline: bool = False,
         fanout_planner: Optional[WriteFanoutPlanner] = None,
         shard_router: Optional[ShardRouter] = None,
     ) -> None:
@@ -155,18 +154,17 @@ class MayflowerClient:
         #: bit-for-bit, since no delays or RNG draws are ever introduced).
         self._retry = retry
         self._retry_rng = retry_rng
-        #: Use the two-phase lease-guarded append path (push_data +
-        #: commit_append) instead of the legacy one-shot append RPC.
-        self.write_pipeline = write_pipeline
-        #: Fan-out shape strategy for pipelined appends; ``None`` makes
-        #: the primary relay over the static metadata chain.
+        #: Fan-out shape strategy for appends; ``None`` makes the primary
+        #: relay over the static metadata chain.
         self._fanout_planner = fanout_planner
         #: Cached shard map for a partitioned nameserver; ``None`` (the
         #: monolithic default) routes every call over ``_ns_endpoints``
         #: exactly as before, with zero extra RPCs or draws.
         self._shard_router = shard_router
-        #: Monotonic source of client-unique append ids — the idempotence
-        #: tokens the primary dedups retried appends with.
+        #: Append ids — the idempotence tokens the primary dedups retried
+        #: appends with — are ``<prefix>:<seq>``; the fabric-unique caller
+        #: id in the prefix keeps two clients on one host from colliding.
+        self._append_prefix = f"ap:{host_id}.{fabric.new_caller_id()}"
         self._append_seq = itertools.count()
         self._cache: Dict[str, _CacheEntry] = {}
         self.cache_hits = 0
@@ -265,16 +263,15 @@ class MayflowerClient:
         Every append carries a client-unique ``append_id`` the primary
         dedups against, so retries after an ``RpcTimeout`` (which may
         have committed before the ack was lost) can never double-commit.
-        With ``write_pipeline`` enabled the append runs the two-phase
-        push/commit protocol over the planned fan-out topology;
-        otherwise the legacy one-shot append RPC is used — in both
-        cases, with the same retry/failover discipline reads already
-        have: transient failures (host down, timeout, fenced or demoted
-        primary) refresh the metadata and retry after backoff.
+        The append runs the two-phase push/commit protocol over the
+        planned fan-out topology, with the same retry/failover
+        discipline reads have: transient failures (host down, timeout,
+        fenced or demoted primary) refresh the metadata and retry after
+        backoff.
         """
         if size_bytes <= 0:
             raise InvalidRequestError(f"append size must be positive: {size_bytes}")
-        append_id = f"ap:{self.host_id}:{next(self._append_seq)}"
+        append_id = f"{self._append_prefix}:{next(self._append_seq)}"
         tel = instrument.TELEMETRY
         append_ctx: Optional[instrument.TraceContext] = None
         previous_ctx: Optional[instrument.TraceContext] = None
@@ -289,14 +286,9 @@ class MayflowerClient:
             )
             previous_ctx = instrument.set_context(append_ctx)
         try:
-            if self.write_pipeline:
-                new_size = yield from self._append_pipelined(
-                    name, size_bytes, data, append_id, job_id
-                )
-            else:
-                new_size = yield from self._append_legacy(
-                    name, size_bytes, data, append_id, job_id
-                )
+            new_size = yield from self._push_and_commit(
+                name, size_bytes, data, append_id, job_id
+            )
         except BaseException as err:
             tel = instrument.TELEMETRY
             if tel is not None and append_ctx is not None:
@@ -314,58 +306,7 @@ class MayflowerClient:
                             new_size=new_size)
         return new_size
 
-    def _append_legacy(
-        self,
-        name: str,
-        size_bytes: int,
-        data: Optional[bytes],
-        append_id: str,
-        job_id: Optional[str],
-    ) -> Generator:
-        """One-shot append with retry parity to the read path."""
-        policy = self._retry
-        rpc_timeout = policy.rpc_timeout if policy is not None else None
-        attempts = policy.max_attempts if policy is not None else 1
-        deadline = (
-            self._loop.now + policy.operation_deadline
-            if policy is not None and policy.operation_deadline is not None
-            else None
-        )
-        last_error: Optional[Exception] = None
-        metadata = yield from self._metadata(name)
-        for attempt_index in range(attempts):
-            if attempt_index > 0:
-                yield from self._append_backoff(attempt_index, name, deadline, last_error)
-                previous_primary = metadata.primary
-                metadata = yield from self.stat(name)
-                self._note_append_failover(previous_primary, metadata.primary)
-            try:
-                new_size = yield from self._fabric.invoke(
-                    self.host_id,
-                    metadata.primary,
-                    "dataserver",
-                    "append",
-                    metadata.file_id,
-                    size_bytes,
-                    self.host_id,
-                    data,
-                    job_id,
-                    append_id,
-                    rpc_timeout=rpc_timeout,
-                )
-                self._remember(name, metadata.with_size(new_size))
-                return new_size
-            except Exception as err:
-                if policy is None or not self._append_error_is_transient(err):
-                    raise
-                last_error = err
-        from repro.fs.errors import ReplicaUnavailableError
-
-        raise ReplicaUnavailableError(
-            f"append to {name!r} failed after {attempts} attempt(s): {last_error}"
-        )
-
-    def _append_pipelined(
+    def _push_and_commit(
         self,
         name: str,
         size_bytes: int,

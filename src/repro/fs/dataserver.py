@@ -153,9 +153,9 @@ class Dataserver:
         self._dataplane = dataplane
         self.store_payload = store_payload
         self._nameserver = nameserver_endpoint
-        #: Where the lease service lives; ``None`` leaves the write
-        #: pipeline un-leased (metadata primaryship is trusted, as in the
-        #: legacy single-phase append).
+        #: Where the lease service lives; ``None`` leaves appends
+        #: un-leased (metadata primaryship is the ordering authority, as
+        #: beside a Paxos-replicated nameserver).
         self._lease_endpoint = lease_endpoint
         #: Partitioned-nameserver routing: map a file *name* to the
         #: endpoint of its owning metadata partition (and that
@@ -168,7 +168,6 @@ class Dataserver:
         self.appends_served = 0
         self.reads_served = 0
         self.pushes_staged = 0
-        self.pipelined_appends_served = 0
         self.appends_deduplicated = 0
         self.catch_ups_served = 0
         self.relays_caught_up = 0
@@ -222,137 +221,24 @@ class Dataserver:
         return sorted(result, key=lambda m: m["file_id"])
 
     # ------------------------------------------------------------------
-    # Appends (data plane; primary orders and relays)
+    # Appends: two-phase, lease-guarded (primary orders and relays)
     # ------------------------------------------------------------------
-
-    def append(
-        self,
-        file_id: str,
-        size_bytes: int,
-        from_host: str,
-        data: Optional[bytes] = None,
-        job_id: Optional[str] = None,
-        append_id: Optional[str] = None,
-    ) -> Generator:
-        """Primary-side append: receive, commit locally, relay to replicas.
-
-        Appends to the same file are serialized (atomic append); the reply
-        is the file's new size after this append commits on every replica.
-
-        ``append_id`` is the client's idempotence token: a retry of an
-        append this primary already applied skips the re-commit (and a
-        retry of one it already fully acknowledged returns the recorded
-        size immediately), so an append resent after an ``RpcTimeout``
-        can never double-commit.
-        """
-        stored = self._stored(file_id)
-        if size_bytes <= 0:
-            raise InvalidRequestError(f"append size must be positive, got {size_bytes}")
-        if data is not None and len(data) != size_bytes:
-            raise InvalidRequestError("append data length does not match size")
-        if append_id is not None and append_id in stored.acked_ids:
-            self.appends_deduplicated += 1
-            self._count("ds_appends_deduplicated_total")
-            return stored.acked_ids[append_id]
-        if stored.metadata.primary != self.host_id:
-            raise NotPrimaryError(
-                f"append sent to non-primary {self.host_id} "
-                f"(primary is {stored.metadata.primary})"
-            )
-
-        yield from self._acquire_append_lock(stored)
-        try:
-            already = append_id is not None and append_id in stored.applied_ids
-            if already:
-                self.appends_deduplicated += 1
-                self._count("ds_appends_deduplicated_total")
-            else:
-                # 1. Pull the data from the writer.
-                yield from self._dataplane.transfer(
-                    from_host, self.host_id, size_bytes, job_id=job_id
-                )
-                # 2. Commit locally.
-                offset = stored.size_bytes
-                self._commit_append(stored, size_bytes, data)
-                if append_id is not None:
-                    entry = LedgerEntry(
-                        append_id=append_id, offset=offset,
-                        length=size_bytes, epoch=stored.epoch,
-                    )
-                    stored.ledger.append(entry)
-                    stored.applied_ids[append_id] = (offset, size_bytes)
-            # 3. Relay to the secondary replicas (in parallel).
-            relays = []
-            for replica in stored.metadata.replicas[1:]:
-                relays.append(
-                    self._spawn_relay(
-                        replica, stored, size_bytes, data, job_id, append_id
-                    )
-                )
-            for proc in relays:
-                yield proc
-            # 4. Report the committed size to the nameserver so lookups see
-            #    the new length (§3.3.1).
-            ns_endpoint = self._ns_endpoint_for(stored.metadata.name)
-            if ns_endpoint is not None:
-                yield from self._fabric.invoke(
-                    self.host_id,
-                    ns_endpoint,
-                    "nameserver",
-                    "record_append",
-                    stored.metadata.name,
-                    stored.size_bytes,
-                )
-            if append_id is not None:
-                stored.acked_ids[append_id] = stored.size_bytes
-            self.appends_served += 1
-            tel = instrument.TELEMETRY
-            if tel is not None:
-                tel.instant(self._loop.now, "ds.append", "ds",
-                            host=self.host_id, file=stored.metadata.name,
-                            size=stored.size_bytes)
-                tel.count("ds_appends_served_total")
-            return stored.size_bytes
-        finally:
-            self._release_append_lock(stored)
-
-    @protocheck.fenced(
-        reason="legacy (non-pipelined) relay: the metadata primary is "
-        "trusted as ordering authority; epoch fencing for relays lives "
-        "on the pipelined relay_append path"
-    )
-    def replica_append(
-        self,
-        file_id: str,
-        size_bytes: int,
-        from_host: str,
-        data: Optional[bytes] = None,
-        job_id: Optional[str] = None,
-        append_id: Optional[str] = None,
-    ) -> Generator:
-        """Secondary-side append: receive relayed data and commit."""
-        stored = self._stored(file_id)
-        yield from self._acquire_append_lock(stored)
-        try:
-            if append_id is not None and append_id in stored.applied_ids:
-                self.appends_deduplicated += 1
-                self._count("ds_appends_deduplicated_total")
-                return stored.size_bytes
-            yield from self._dataplane.transfer(
-                from_host, self.host_id, size_bytes, job_id=job_id
-            )
-            offset = stored.size_bytes
-            self._commit_append(stored, size_bytes, data)
-            if append_id is not None:
-                entry = LedgerEntry(
-                    append_id=append_id, offset=offset,
-                    length=size_bytes, epoch=stored.epoch,
-                )
-                stored.ledger.append(entry)
-                stored.applied_ids[append_id] = (offset, size_bytes)
-            return stored.size_bytes
-        finally:
-            self._release_append_lock(stored)
+    #
+    #   1. ``push_data``   — the writer streams the bytes to the primary,
+    #      which *stages* them under the client's append id (no ordering,
+    #      no lock, no visibility to readers);
+    #   2. ``commit_append`` — the primary validates its lease (fencing),
+    #      serializes the append under the per-file lock, stamps the
+    #      current lease epoch, fans the commit out over the planned
+    #      relay topology, reports the epoch-stamped size to the
+    #      nameserver, and only then acknowledges.
+    #
+    # Secondaries (``relay_append``) fence stale epochs, repair
+    # themselves before applying — catching up missed commits from the
+    # relay parent (``serve_catch_up``) and truncating diverged tails a
+    # fenced-out primary left behind — and forward down chain topologies.
+    # Every applied append lands in the replica's :class:`LedgerEntry`
+    # list, the audit trail exactly-once verification checks.
 
     @contextmanager
     def _stage_span(
@@ -387,28 +273,6 @@ class Dataserver:
             tel = instrument.TELEMETRY
             if tel is not None:
                 tel.finish_span(self._loop.now, ctx, name, "ds", track="ds")
-
-    # ------------------------------------------------------------------
-    # Two-phase, lease-guarded write pipeline
-    # ------------------------------------------------------------------
-    #
-    # The pipelined append splits the legacy one-shot ``append`` into
-    #
-    #   1. ``push_data``   — the writer streams the bytes to the primary,
-    #      which *stages* them under the client's append id (no ordering,
-    #      no lock, no visibility to readers);
-    #   2. ``commit_append`` — the primary validates its lease (fencing),
-    #      serializes the append under the per-file lock, stamps the
-    #      current lease epoch, fans the commit out over the relay
-    #      topology the Flowserver planned, reports the epoch-stamped
-    #      size to the nameserver, and only then acknowledges.
-    #
-    # Secondaries (``relay_append``) fence stale epochs, repair
-    # themselves before applying — catching up missed commits from the
-    # relay parent (``serve_catch_up``) and truncating diverged tails a
-    # fenced-out primary left behind — and forward down chain topologies.
-    # Every applied append lands in the replica's :class:`LedgerEntry`
-    # list, the audit trail exactly-once verification checks.
 
     def push_data(
         self,
@@ -470,7 +334,12 @@ class Dataserver:
             return stored.acked_ids[append_id]
         with self._stage_span("ds.commit_append", append_id,
                               file=stored.metadata.name):
-            epoch = yield from self._ensure_lease(stored)
+            try:
+                epoch = yield from self._ensure_lease(stored)
+            except BaseException:
+                # Fenced: the retry re-pushes wherever it commits next.
+                stored.staged.pop(append_id, None)
+                raise
             yield from self._acquire_append_lock(stored)
             try:
                 if append_id in stored.applied_ids:
@@ -529,17 +398,18 @@ class Dataserver:
                         raise
                 new_size = stored.size_bytes
                 stored.acked_ids[append_id] = new_size
-                stored.staged.pop(append_id, None)
-                self.pipelined_appends_served += 1
                 self.appends_served += 1
                 tel = instrument.TELEMETRY
                 if tel is not None:
                     tel.instant(self._loop.now, "ds.commit_append", "ds",
                                 host=self.host_id, file=stored.metadata.name,
                                 append=append_id, epoch=epoch, size=new_size)
-                    tel.count("ds_pipelined_appends_total")
+                    tel.count("ds_appends_served_total")
                 return new_size
             finally:
+                # Acked or failed, this attempt is over: a retry re-pushes
+                # before it commits, so its staging is never needed again.
+                stored.staged.pop(append_id, None)
                 self._release_append_lock(stored)
 
     def relay_append(
@@ -555,7 +425,7 @@ class Dataserver:
         children: Sequence["RelayNode"] = (),
         job_id: Optional[str] = None,
     ) -> Generator:
-        """Secondary-side pipelined commit: fence, repair, apply, forward.
+        """Secondary-side commit: fence, repair, apply, forward.
 
         ``expected_offset`` is where the parent committed this append.
         A replica that is *behind* (missed earlier commits, e.g. a relay
@@ -607,6 +477,9 @@ class Dataserver:
                         ),
                         data,
                     )
+                # Ordered here by someone else's commit: whatever a client
+                # staged under this id will never be committed from it.
+                stored.staged.pop(append_id, None)
                 # Forward down the chain even when we deduped: our children
                 # may have missed the commit we already have.
                 entry = LedgerEntry(
@@ -674,8 +547,8 @@ class Dataserver:
         """Refresh local metadata after the replica manager rewrote it.
 
         Keeps the dataserver's notion of the replica set (and thus its
-        metadata-primaryship fallback and legacy relay targets) in sync
-        with the nameserver after failover promotion or re-replication.
+        metadata-primaryship fallback) in sync with the nameserver after
+        failover promotion or re-replication.
         """
         stored = self._files.get(file_id)
         if stored is None:
@@ -1102,36 +975,6 @@ class Dataserver:
         waiters, stored.append_waiters = stored.append_waiters, []
         for waiter in waiters:
             waiter.fire()
-
-    def _spawn_relay(
-        self,
-        replica: str,
-        stored: StoredFile,
-        size_bytes: int,
-        data: Optional[bytes],
-        job_id: Optional[str],
-        append_id: Optional[str] = None,
-    ) -> "Process":
-        from repro.sim.process import Process
-
-        def relay() -> Generator:
-            result = yield from self._fabric.invoke(
-                self.host_id,
-                replica,
-                "dataserver",
-                "replica_append",
-                stored.metadata.file_id,
-                size_bytes,
-                self.host_id,
-                data,
-                job_id,
-                append_id,
-            )
-            return result
-
-        return Process(
-            self._loop, relay(), name=f"relay:{stored.metadata.file_id}->{replica}"
-        )
 
     def _count(self, name: str, amount: float = 1.0) -> None:
         tel = instrument.TELEMETRY

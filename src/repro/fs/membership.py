@@ -239,8 +239,8 @@ class ReplicaManager:
             self._lease_manager.promote(metadata.file_id, new_replicas[0])
             self.promotions += 1
         # Tell the surviving replicas about the rewritten set so their
-        # local metadata (primaryship fallback, legacy relay targets)
-        # matches the nameserver's.  Best-effort: a host that is briefly
+        # local metadata (the primaryship fallback) matches the
+        # nameserver's.  Best-effort: a host that is briefly
         # unreachable will learn the set on its next catch-up/relay.
         from repro.rpc.errors import RpcError
 

@@ -64,9 +64,9 @@ class Nameserver:
         self._db = KVStore(Path(db_directory), KVStoreConfig(sync_wal=False))
         self._placement = placement
         self._rng = rng or seeded_rng(0)
-        #: When the lease-guarded write pipeline is armed, the cluster
-        #: attaches its :class:`repro.fs.leases.LeaseManager` here so
-        #: epoch-stamped ``record_append`` reports can be fenced.
+        #: The cluster attaches the :class:`repro.fs.leases.LeaseManager`
+        #: co-located with this nameserver here so epoch-stamped
+        #: ``record_append`` reports can be fenced.
         self.lease_manager = None
         #: Optional simulated clock (the cluster attaches its event loop)
         #: so nameserver-side telemetry instants carry sim timestamps;
@@ -192,8 +192,7 @@ class Nameserver:
     ) -> int:
         """Primary dataserver reports a committed append; size is monotonic.
 
-        Pipelined appends additionally carry the primary's lease
-        ``epoch`` and identity: with a :class:`LeaseManager` attached,
+        Appends carry the primary's lease ``epoch`` and identity: with a :class:`LeaseManager` attached,
         the report is validated against the current lease before the
         size moves — the nameserver-side half of write fencing.  A
         fenced-out primary's report raises

@@ -9,6 +9,7 @@ paper's clients reach the Flowserver inside Floodlight.
 from __future__ import annotations
 
 import inspect
+import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional, Set, Tuple
 
@@ -79,6 +80,16 @@ class RpcFabric:
         self.calls_sent = 0
         self.calls_failed = 0
         self.calls_timed_out = 0
+        self._caller_ids = itertools.count()
+
+    def new_caller_id(self) -> int:
+        """A fabric-unique number for one caller instance.
+
+        Two clients on the same host share an endpoint name; tokens they
+        mint for server-side deduplication (append ids) must still never
+        collide, so each takes its own id from the fabric they share.
+        """
+        return next(self._caller_ids)
 
     def _one_way_delay(self) -> float:
         if self.jitter <= 0:

@@ -378,7 +378,6 @@ def test_dataserver_annotations_are_load_bearing():
         if f.rule == "FENCE001"
     }
     assert flagged == {
-        "Dataserver.replica_append",
         "Dataserver.update_replica_set",
         "Dataserver.install_replica",
         "Dataserver._commit_append",

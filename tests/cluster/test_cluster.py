@@ -61,6 +61,54 @@ def test_end_to_end_file_lifecycle(tmp_path):
     cluster.shutdown()
 
 
+@pytest.mark.parametrize("scheme", ["mayflower", "hdfs-mayflower", "hdfs-ecmp"])
+@pytest.mark.parametrize(
+    "nameserver_replicas, metadata_partitions", [(1, 1), (3, 1), (1, 2), (3, 2)]
+)
+def test_append_is_one_protocol_in_every_deployment(
+    tmp_path, scheme, nameserver_replicas, metadata_partitions
+):
+    """Whatever the scheme and nameserver shape, an append is one push
+    and one ordered commit at the primary, leaving identical contiguous
+    ledgers on every replica: leased beside a single or partitioned
+    nameserver, un-leased beside a Paxos group, Flowserver-planned
+    fan-out exactly where there is a Flowserver."""
+    cluster = Cluster(
+        small_config(
+            scheme,
+            tmp_path=tmp_path,
+            nameserver_replicas=nameserver_replicas,
+            metadata_partitions=metadata_partitions,
+        )
+    )
+    client = cluster.client(sorted(cluster.topology.hosts)[7])
+    blobs = [b"a" * MB, b"b" * (2 * MB)]
+
+    def scenario():
+        meta = yield from client.create("f", chunk_bytes=4 * MB)
+        for blob in blobs:
+            yield from client.append("f", len(blob), blob)
+        fresh = yield from client.stat("f")
+        return meta, fresh.size_bytes
+
+    meta, size = cluster.run(scenario())
+    assert size == 3 * MB
+    primary = cluster.dataservers[meta.primary]
+    assert (primary.pushes_staged, primary.appends_served) == (2, 2)
+    reference = primary.append_ledger(meta.file_id)
+    assert [(e.offset, e.length) for e in reference] == [(0, MB), (MB, 2 * MB)]
+    for replica in meta.replicas:
+        ds = cluster.dataservers[replica]
+        assert ds.append_ledger(meta.file_id) == reference, replica
+        assert bytes(ds._files[meta.file_id].payload) == b"".join(blobs)
+    leased = nameserver_replicas == 1
+    assert len(cluster.lease_managers) == (metadata_partitions if leased else 0)
+    assert (primary.held_lease(meta.file_id) is not None) == leased
+    if cluster.flowserver is not None:
+        assert cluster.flowserver.fanout_requests == 2
+    cluster.shutdown()
+
+
 def test_mayflower_cluster_read_uses_flowserver(tmp_path):
     cluster = Cluster(small_config(tmp_path=tmp_path))
     host = sorted(cluster.topology.hosts)[1]

@@ -50,18 +50,32 @@ def test_file_lifecycle_through_replicated_ns(tmp_path):
 def test_client_survives_nameserver_replica_failure(tmp_path):
     cluster = build(tmp_path)
     client = cluster.client("pod1-rack1-h1")
+    payload = b"paxos" * 1000
 
     def scenario():
-        yield from client.create("before-crash", chunk_bytes=4 * MB)
+        before = yield from client.create("before-crash", chunk_bytes=4 * MB)
+        # un-leased push/commit: metadata primaryship orders the append
+        # and the epoch-stamped size report goes through the Paxos log
+        yield from client.append("before-crash", len(payload), payload)
+        yield from client.append("before-crash", len(payload), payload)
         # crash the first nameserver replica *process* (its host — which
         # also runs a dataserver — stays up); the client fails over
         cluster.fabric.unregister(cluster.nameserver_endpoints[0], "nameserver")
         meta = yield from client.create("after-crash", chunk_bytes=4 * MB)
-        return meta
+        return before, meta
 
-    meta = cluster.run(scenario())
+    before, meta = cluster.run(scenario())
     assert meta.name == "after-crash"
     surviving = cluster._ns_replicas[cluster.nameserver_endpoints[1]]
-    assert surviving.exists("before-crash")
+    assert surviving.lookup("before-crash")["size_bytes"] == 2 * len(payload)
     assert surviving.exists("after-crash")
+    assert cluster.lease_manager is None
+    ledgers = [
+        cluster.dataservers[r].append_ledger(before.file_id)
+        for r in before.replicas
+    ]
+    assert [(e.offset, e.length) for e in ledgers[0]] == [
+        (0, len(payload)), (len(payload), len(payload)),
+    ]
+    assert all(ledger == ledgers[0] for ledger in ledgers)
     cluster.shutdown()

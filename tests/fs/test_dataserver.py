@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.core.fanout import static_chain_plan
 from repro.fs.chunks import FileMetadata
-from repro.fs.errors import FileNotFoundFsError, InvalidRequestError
+from repro.fs.errors import (
+    FileNotFoundFsError,
+    InvalidRequestError,
+    NotPrimaryError,
+)
+from repro.rpc.errors import RemoteInvocationError
 from repro.sim import Process
 
 MB = 1024 * 1024
@@ -21,6 +27,33 @@ def other_host(mini_cluster, meta):
     return next(
         h for h in sorted(mini_cluster.dataservers) if h not in meta.replicas
     )
+
+
+def push(mini_cluster, meta, writer, size, data=None, target=None):
+    """Phase one of an append at ``target`` (the primary by default)."""
+    append_id = f"ap:test:{mini_cluster.fabric.new_caller_id()}"
+    yield from mini_cluster.fabric.invoke(
+        writer, target or meta.primary, "dataserver", "push_data",
+        meta.file_id, append_id, size, writer, data,
+    )
+    return append_id
+
+
+def commit(mini_cluster, meta, writer, append_id, target=None):
+    """Phase two: order at ``target`` and relay down the static chain."""
+    plan = static_chain_plan(writer, meta.primary, meta.replicas[1:])
+    new_size = yield from mini_cluster.fabric.invoke(
+        writer, target or meta.primary, "dataserver", "commit_append",
+        meta.file_id, append_id, writer, plan.children,
+    )
+    return new_size
+
+
+def append(mini_cluster, meta, writer, size, data=None):
+    """One whole append, as the client library issues it."""
+    append_id = yield from push(mini_cluster, meta, writer, size, data)
+    new_size = yield from commit(mini_cluster, meta, writer, append_id)
+    return new_size
 
 
 def test_create_is_idempotent(mini_cluster):
@@ -43,14 +76,9 @@ def test_append_commits_on_all_replicas(mini_cluster):
     writer = other_host(mini_cluster, meta)
     payload = b"x" * (1 * MB)
 
-    def client():
-        new_size = yield from mini_cluster.fabric.invoke(
-            writer, meta.primary, "dataserver", "append",
-            meta.file_id, len(payload), writer, payload,
-        )
-        return new_size
-
-    new_size = mini_cluster.run(client())
+    new_size = mini_cluster.run(
+        append(mini_cluster, meta, writer, len(payload), payload)
+    )
     assert new_size == 1 * MB
     for replica in meta.replicas:
         assert mini_cluster.dataservers[replica].file_size(meta.file_id) == 1 * MB
@@ -60,24 +88,28 @@ def test_append_updates_nameserver_size(mini_cluster):
     meta = create_everywhere(mini_cluster)
     writer = other_host(mini_cluster, meta)
 
-    def client():
-        yield from mini_cluster.fabric.invoke(
-            writer, meta.primary, "dataserver", "append",
-            meta.file_id, 2 * MB, writer, None,
-        )
-
-    mini_cluster.run(client())
+    mini_cluster.run(append(mini_cluster, meta, writer, 2 * MB))
     assert mini_cluster.nameserver.lookup("f1")["size_bytes"] == 2 * MB
 
 
 def test_append_to_non_primary_rejected(mini_cluster):
     meta = create_everywhere(mini_cluster)
+    writer = other_host(mini_cluster, meta)
     secondary = meta.replicas[1]
-    ds = mini_cluster.dataservers[secondary]
-    with pytest.raises(InvalidRequestError):
-        # the validation happens before any yielding
-        gen = ds.append(meta.file_id, 1 * MB, "someone")
-        next(gen)
+
+    def client():
+        # staging is unordered and open to any replica; ordering is not
+        append_id = yield from push(
+            mini_cluster, meta, writer, 1 * MB, target=secondary
+        )
+        yield from commit(mini_cluster, meta, writer, append_id, target=secondary)
+
+    with pytest.raises(RemoteInvocationError) as exc_info:
+        mini_cluster.run(client())
+    assert isinstance(exc_info.value.remote_error, NotPrimaryError)
+    assert isinstance(exc_info.value.remote_error, InvalidRequestError)
+    for replica in meta.replicas:
+        assert mini_cluster.dataservers[replica].file_size(meta.file_id) == 0
 
 
 def test_appends_fill_chunks_sequentially(mini_cluster):
@@ -86,10 +118,7 @@ def test_appends_fill_chunks_sequentially(mini_cluster):
 
     def client():
         for size in (3 * MB, 3 * MB, 3 * MB):
-            yield from mini_cluster.fabric.invoke(
-                writer, meta.primary, "dataserver", "append",
-                meta.file_id, size, writer, None,
-            )
+            yield from append(mini_cluster, meta, writer, size)
 
     mini_cluster.run(client())
     ds = mini_cluster.dataservers[meta.primary]
@@ -104,9 +133,8 @@ def test_concurrent_appends_serialized_and_atomic(mini_cluster):
     results = []
 
     def client(writer, payload):
-        new_size = yield from mini_cluster.fabric.invoke(
-            writer, meta.primary, "dataserver", "append",
-            meta.file_id, len(payload), writer, payload,
+        new_size = yield from append(
+            mini_cluster, meta, writer, len(payload), payload
         )
         results.append(new_size)
 
@@ -132,10 +160,7 @@ def test_read_returns_data_and_size(mini_cluster):
     payload = bytes(range(256)) * 4096  # 1 MB
 
     def client():
-        yield from mini_cluster.fabric.invoke(
-            writer, meta.primary, "dataserver", "append",
-            meta.file_id, len(payload), writer, payload,
-        )
+        yield from append(mini_cluster, meta, writer, len(payload), payload)
         reply = yield from mini_cluster.fabric.invoke(
             writer, meta.primary, "dataserver", "serve_read",
             meta.file_id, 1000, 5000, writer,
@@ -158,7 +183,6 @@ def test_read_past_end_rejected(mini_cluster):
             meta.file_id, 50, 100, meta.primary,
         )
 
-    from repro.rpc.errors import RemoteInvocationError
     with pytest.raises(RemoteInvocationError, match="past end"):
         mini_cluster.run(client())
 
@@ -170,19 +194,24 @@ def test_read_of_unknown_file(mini_cluster):
 
 
 def test_read_waits_for_append_touching_last_chunk(mini_cluster):
-    """A read of the last chunk issued mid-append completes only after the
-    append commits, and observes the appended bytes."""
+    """A read of the last chunk issued while an append is being ordered
+    completes only after the append commits, and observes the appended
+    bytes.  (Staging takes no lock: only the commit phase blocks reads.)"""
     meta = create_everywhere(mini_cluster, chunk_bytes=4 * MB)
     writer = other_host(mini_cluster, meta)
     ds = mini_cluster.dataservers[meta.primary]
     ds.load_preexisting(meta.file_id, 1 * MB)
+    for replica in meta.replicas[1:]:
+        mini_cluster.dataservers[replica].load_preexisting(meta.file_id, 1 * MB)
     order = []
 
     def appender():
-        yield from mini_cluster.fabric.invoke(
-            writer, meta.primary, "dataserver", "append",
-            meta.file_id, 1 * MB, writer, None,
+        append_id = yield from push(mini_cluster, meta, writer, 1 * MB)
+        # reader starts shortly after the commit is in flight
+        mini_cluster.loop.call_at(
+            mini_cluster.loop.now + 0.001, Process, mini_cluster.loop, reader()
         )
+        yield from commit(mini_cluster, meta, writer, append_id)
         order.append(("append-done", mini_cluster.loop.now))
 
     def reader():
@@ -190,15 +219,13 @@ def test_read_waits_for_append_touching_last_chunk(mini_cluster):
             writer, meta.primary, "dataserver", "serve_read",
             meta.file_id, 0, 1 * MB, writer,
         )
-        order.append(("read-done", mini_cluster.loop.now))
+        order.append(("read-done", mini_cluster.loop.now, reply.file_size))
         return reply
 
     Process(mini_cluster.loop, appender())
-    # reader starts shortly after the append is in flight
-    mini_cluster.loop.call_at(0.001, Process, mini_cluster.loop, reader())
     mini_cluster.loop.run()
-    labels = [label for label, _ in order]
-    assert labels == ["append-done", "read-done"]
+    assert [entry[0] for entry in order] == ["append-done", "read-done"]
+    assert order[1][2] == 2 * MB
 
 
 def test_list_files_reports_committed_sizes(mini_cluster):

@@ -83,7 +83,6 @@ def build_drain_cluster(tmp_path):
             store_payload=True,
             seed=23,
             db_directory=tmp_path / "ns",
-            write_pipeline=True,
             lease_duration=30.0,
             # fencing errors (stale epoch on the drained primary) must
             # resolve by metadata refresh + retry, never surface
@@ -142,6 +141,12 @@ def test_drain_hands_off_primaries_without_client_visible_errors(tmp_path):
     assert updated["replicas"][0] == successor  # successor is primary now
     assert old_primary in updated["replicas"]  # still a secondary
     assert updated["size_bytes"] == 5 * len(payload)
+    # the append pushed to the drained primary was fenced there and
+    # committed by the successor; its abandoned staging is gone
+    assert cluster.dataservers[old_primary].lease_fencings >= 1
+    for replica in updated["replicas"]:
+        stored = cluster.dataservers[replica]._files[meta.file_id]
+        assert stored.staged == {}, replica
 
     # the drained host's cached grant is fenced: its stale epoch can
     # never commit again, while the successor keeps serving

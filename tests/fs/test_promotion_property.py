@@ -59,7 +59,6 @@ def test_failover_interleavings_preserve_append_ledger(
                 store_payload=True,
                 seed=seed,
                 db_directory=Path(scratch) / "ns",
-                write_pipeline=True,
                 lease_duration=12.0,
                 retry=DEEP_RETRY,
                 enable_replica_manager=True,

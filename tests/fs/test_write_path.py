@@ -1,6 +1,6 @@
-"""The lease-guarded two-phase write pipeline, end to end.
+"""The lease-guarded two-phase write path, end to end.
 
-Covers the pipelined append protocol (push_data + commit_append over a
+Covers the append protocol (push_data + commit_append over a
 planned fan-out), epoch fencing on both the dataserver and nameserver
 sides, secondary self-repair (catch-up and truncation), retry
 idempotence, epoch-preferring nameserver rebuild, and lease-expiry fault
@@ -48,7 +48,6 @@ def build_wp_cluster(
             store_payload=True,
             seed=seed,
             db_directory=tmp_path / f"ns-{tag}",
-            write_pipeline=True,
             fanout=fanout,
             lease_duration=12.0,
             retry=retry,
@@ -101,10 +100,10 @@ class TestPipelinedAppend:
         assert all(e.epoch == 1 for e in reference)
         for replica, ledger in ledgers.items():
             assert ledger == reference, replica
-        # the two-phase path (not the legacy one) served these
+        # one push and one ordered commit per append, at the primary
         primary_ds = cluster.dataservers[meta.primary]
         assert primary_ds.pushes_staged == len(payloads)
-        assert primary_ds.pipelined_appends_served == len(payloads)
+        assert primary_ds.appends_served == len(payloads)
         # nameserver sees the committed size
         assert cluster.nameserver.lookup("f")["size_bytes"] == total
         cluster.shutdown()
@@ -184,6 +183,66 @@ class TestPipelinedAppend:
         cluster.shutdown()
 
 
+    def test_two_clients_on_one_host_never_share_append_ids(self, tmp_path):
+        """Append ids are the dedup key: a second client on the same host
+        restarting the sequence at 0 had its first append "deduplicated"
+        against the first client's — acked, never written."""
+        cluster = build_wp_cluster(tmp_path)
+        first = cluster.client("pod1-rack1-h1")
+        second = cluster.client("pod1-rack1-h1")
+
+        def scenario():
+            meta = yield from first.create("f", chunk_bytes=4 * MB)
+            sizes = []
+            for client, byte in ((first, b"1"), (second, b"2"), (first, b"3")):
+                size = yield from client.append("f", 100, byte * 100)
+                sizes.append(size)
+            return meta, sizes
+
+        meta, sizes = cluster.run(scenario())
+        assert sizes == [100, 200, 300]
+        for replica in meta.replicas:
+            stored = cluster.dataservers[replica]._files[meta.file_id]
+            assert bytes(stored.payload) == b"1" * 100 + b"2" * 100 + b"3" * 100
+            assert len({e.append_id for e in stored.ledger}) == 3
+        assert cluster.nameserver.lookup("f")["size_bytes"] == 300
+        cluster.shutdown()
+
+    def test_relayed_append_drops_its_abandoned_staging(self, tmp_path):
+        """A push the client abandoned (it failed over before committing)
+        is purged when the same append arrives by relay instead."""
+        cluster = build_wp_cluster(tmp_path)
+        client = cluster.client("pod1-rack1-h1")
+        blob = b"r" * MB
+
+        def scenario():
+            meta = yield from client.create("f", chunk_bytes=4 * MB)
+            abandoned = meta.replicas[1]
+            children = tuple(
+                RelayNode(host=r, path=None, est_bw_bps=0.0)
+                for r in meta.replicas[1:]
+            )
+            for target in (abandoned, meta.primary):
+                yield from cluster.fabric.invoke(
+                    client.host_id, target, "dataserver", "push_data",
+                    meta.file_id, "ap:moved:0", len(blob), client.host_id, blob,
+                )
+            stored = cluster.dataservers[abandoned]._files[meta.file_id]
+            assert list(stored.staged) == ["ap:moved:0"]
+            yield from cluster.fabric.invoke(
+                client.host_id, meta.primary, "dataserver", "commit_append",
+                meta.file_id, "ap:moved:0", client.host_id, children,
+            )
+            return meta
+
+        meta = cluster.run(scenario())
+        for replica in meta.replicas:
+            stored = cluster.dataservers[replica]._files[meta.file_id]
+            assert stored.staged == {}, replica
+            assert [e.append_id for e in stored.ledger] == ["ap:moved:0"]
+        cluster.shutdown()
+
+
 class TestFencing:
     def test_fenced_primary_cannot_commit(self, tmp_path):
         cluster = build_wp_cluster(tmp_path)
@@ -217,9 +276,11 @@ class TestFencing:
         with pytest.raises(RemoteInvocationError) as exc_info:
             cluster.run(stale_commit())
         assert isinstance(exc_info.value.remote_error, LeaseExpiredError)
-        # nothing committed under the stale authority
+        # nothing committed under the stale authority, and the fenced
+        # push is not left staged (the client's retry re-pushes)
         assert old_primary_ds.file_size(meta.file_id) == len(blob)
         assert old_primary_ds.lease_fencings >= 1
+        assert old_primary_ds._files[meta.file_id].staged == {}
         cluster.shutdown()
 
     def test_nameserver_rejects_stale_epoch_record(self, tmp_path):

@@ -25,7 +25,6 @@ def pipelined_cluster(seed=5, fanout="chain"):
             racks_per_pod=2,
             hosts_per_rack=2,
             seed=seed,
-            write_pipeline=True,
             fanout=fanout,
             retry=RetryPolicy(),
         )

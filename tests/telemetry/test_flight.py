@@ -55,7 +55,6 @@ def crashed_append_run(seed=3):
                 racks_per_pod=2,
                 hosts_per_rack=2,
                 seed=seed,
-                write_pipeline=True,
             )
         )
         hosts = sorted(cluster.topology.hosts)
