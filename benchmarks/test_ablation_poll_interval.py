@@ -76,10 +76,8 @@ def _run_monitoring_mode(poll_mode, topo, workload, seed):
         counters.update(
             poll_messages=sum(collector.poll_messages.values()),
             poll_bytes=sum(collector.poll_bytes.values()),
-            push_messages=sum(
-                getattr(collector, "push_messages", {}).values()
-            ),
-            push_bytes=sum(getattr(collector, "push_bytes", {}).values()),
+            push_messages=sum(collector.push_messages.values()),
+            push_bytes=sum(collector.push_bytes.values()),
         )
 
     stats = summarize(

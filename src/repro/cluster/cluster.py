@@ -11,7 +11,7 @@ scheduling) and ``hdfs-ecmp`` (rack-aware selection + ECMP).
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
@@ -40,6 +40,7 @@ from repro.sim.randomness import RandomStreams
 
 if TYPE_CHECKING:
     from repro.core.coordinator import GlobalCoordinator
+    from repro.core.stats import FlowStatsCollector
     from repro.core.domains import DomainFlowserver
     from repro.fs.shardmap import PartitionGuard, ShardMap
 
@@ -69,11 +70,6 @@ class ClusterConfig:
     rpc_latency: float = 0.0005
     rpc_jitter: float = 0.0
     flowserver: FlowserverConfig = field(default_factory=FlowserverConfig)
-    #: Convenience override for ``flowserver.poll_mode`` ("fixed" or
-    #: "adaptive") so experiment sweeps can toggle the monitoring
-    #: strategy without constructing a whole FlowserverConfig.  ``None``
-    #: leaves ``flowserver.poll_mode`` as given.
-    poll_mode: Optional[str] = None
     seed: int = 0
     db_directory: Optional[Path] = None
     #: 1 = the paper's centralized nameserver; >= 3 = Paxos-replicated
@@ -142,8 +138,6 @@ class Cluster:
         self.controller = Controller(self.network)
         needs_flowserver = self.config.scheme in ("mayflower", "hdfs-mayflower")
         fs_config = self.config.flowserver
-        if self.config.poll_mode is not None:
-            fs_config = replace(fs_config, poll_mode=self.config.poll_mode)
         self.domain_flowservers: Dict[str, "DomainFlowserver"] = {}
         self.coordinator: Optional["GlobalCoordinator"] = None
         if self.config.controller_domains <= 1:
@@ -491,6 +485,17 @@ class Cluster:
             fanout_planner=self._fanout_planner(),
             shard_router=shard_router,
         )
+
+    @property
+    def collectors(self) -> List["FlowStatsCollector"]:
+        """Every stats collector of the control plane: the monolith's
+        one, one per domain when sharded, none without a Flowserver."""
+        if self.flowserver is not None:
+            return [self.flowserver.collector]
+        return [
+            self.domain_flowservers[pod].collector
+            for pod in sorted(self.domain_flowservers)
+        ]
 
     # ------------------------------------------------------------------
     # Fault injection

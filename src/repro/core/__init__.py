@@ -14,9 +14,10 @@ route the read over).  This package implements:
   (replica, shortest-path) pair and commit the cheapest;
 * :mod:`repro.core.multireplica` — §4.3: split a read across two replicas
   when the combined share beats the single best flow;
-* :mod:`repro.core.stats` — the periodic flow-stats collector that refreshes
-  bandwidth/remaining-size estimates from edge-switch counters;
-* :mod:`repro.core.adaptive_stats` — the opt-in adaptive collector:
+* :mod:`repro.core.stats` — the flow-stats collector that refreshes
+  bandwidth/remaining-size estimates from switch counters, and the
+  paper's schedule for it (every tick, every edge switch);
+* :mod:`repro.core.adaptive_stats` — the collector's other schedule:
   balanced per-flow polling points, per-flow fast/slow cadence, and
   switch-side delta push (``poll_mode="adaptive"``);
 * :mod:`repro.core.flowserver` — the service tying it all together;
@@ -26,7 +27,7 @@ route the read over).  This package implements:
   places inter-pod reads from per-domain capacity summaries.
 """
 
-from repro.core.adaptive_stats import AdaptiveStatsCollector, AdaptiveStatsConfig
+from repro.core.adaptive_stats import AdaptiveSchedule, AdaptiveStatsConfig
 from repro.core.coordinator import GlobalCoordinator
 from repro.core.cost import CostBreakdown, estimate_path_share, flow_cost
 from repro.core.domains import (
@@ -38,16 +39,17 @@ from repro.core.flow_state import FlowStateTable, TrackedFlow
 from repro.core.flowserver import Assignment, Flowserver, FlowserverConfig, SelectionResult
 from repro.core.multireplica import MultiReplicaPlanner
 from repro.core.selection import PathChoice, select_replica_and_path
-from repro.core.stats import FlowStatsCollector
+from repro.core.stats import FixedSchedule, FlowStatsCollector
 from repro.core.write_placement import FlowserverWritePlacement
 
 __all__ = [
-    "AdaptiveStatsCollector",
+    "AdaptiveSchedule",
     "AdaptiveStatsConfig",
     "Assignment",
     "CostBreakdown",
     "DomainFlowserver",
     "DomainSummary",
+    "FixedSchedule",
     "FlowStateTable",
     "FlowStatsCollector",
     "Flowserver",

@@ -1,10 +1,11 @@
-"""Adaptive, push-assisted flow monitoring (``poll_mode="adaptive"``).
+"""The adaptive, push-assisted monitoring schedule (``poll_mode="adaptive"``).
 
-The paper's collector (:mod:`repro.core.stats`) polls *every* edge switch
-on a fixed interval, so monitoring cost grows linearly with switch count
-whether or not anything interesting is happening.  This module replaces
-that loop — behind an off-by-default config knob — with three co-designed
-mechanisms, following Floware's balanced-monitoring insight (PAPERS.md):
+The paper's schedule (:class:`repro.core.stats.FixedSchedule`) polls
+*every* edge switch on every tick, so monitoring cost grows linearly with
+switch count whether or not anything interesting is happening.
+:class:`AdaptiveSchedule` drives the same
+:class:`~repro.core.stats.FlowStatsCollector` on a different schedule,
+following Floware's balanced-monitoring insight (PAPERS.md):
 
 1. **Per-flow polling-point assignment.**  Every switch on a flow's
    installed path carries its table entry and sees the same cumulative
@@ -23,42 +24,28 @@ mechanisms, following Floware's balanced-monitoring insight (PAPERS.md):
 
 3. **Switch-side delta push.**  Slow flows register a byte-delta
    threshold with their switch (:class:`repro.sdn.push.DeltaPushService`);
-   the switch proactively pushes counters that moved beyond it.  The
-   collector reconciles pushes against its poll schedule idempotently
-   (per-subscription sequence numbers; cumulative-counter differencing)
-   and defers the flow's next poll, so a pushed observation *replaces* a
+   the switch proactively pushes counters that moved beyond it, and a
+   pushed observation defers the flow's next poll, so it *replaces* a
    polled one instead of adding to it.
 
-Degraded-mode semantics are preserved: failed targeted polls bump the
-same per-switch miss counters the Flowserver's ``stale_poll_threshold``
-reads, stale switches keep being re-probed so recovery re-promotes them,
-and a global monitoring outage (``suppress_polls``) stales every edge
-switch exactly as in fixed mode.  Unseen-flow expiry counts *missed
-observations* — polls that could have seen the flow but did not — never
-raw ticks, so slow-cadence flows are not falsely expired.
+Miss counting, outage handling and unseen-flow expiry are the
+collector's and therefore shared with fixed polling.  What this schedule
+adds is recovery: a stale switch with no flow due keeps being re-probed
+so it is re-promoted when it answers again, and the flows of a switch
+that went silent move to another switch on their path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Final, List, Optional, Set, Tuple, Union
+from collections import Counter
+from dataclasses import dataclass
+from typing import Dict, Final, List, Optional
 
 from repro.core.flow_state import FlowStateTable, TrackedFlow
-from repro.core.stats import (
-    POLL_REPLY_BASE_BYTES,
-    POLL_REPLY_PER_FLOW_BYTES,
-    POLL_REQUEST_BYTES,
-    FlowStatsCollector,
-    PollRecord,
-)
-from repro.sdn.controller import Controller, SwitchUnreachableError
-from repro.sdn.openflow import CounterPush, CounterPushBatch
-from repro.sdn.push import (
-    PUSH_MESSAGE_BYTES,
-    PUSH_REPORT_BYTES,
-    DeltaPushService,
-)
+from repro.core.stats import FixedSchedule, FlowStatsCollector, StatsRequest
+from repro.sdn.controller import Controller
+from repro.sdn.push import DeltaPushService
 from repro.sim import instrument
 from repro.sim.engine import EventLoop
 
@@ -68,14 +55,28 @@ from repro.sim.engine import EventLoop
 CADENCE_FAST: Final[str] = "fast"
 CADENCE_SLOW: Final[str] = "slow"
 
+#: Relative bandwidth change below which a measurement counts as
+#: "stable"; :data:`STABLE_AFTER` consecutive stable measurements demote
+#: the flow to slow cadence.
+HYSTERESIS: Final[float] = 0.15
+STABLE_AFTER: Final[int] = 2
+
 #: Relative-change floor (bps) for the hysteresis comparison, so
 #: near-zero measurements do not flap the cadence class on noise.
 _HYSTERESIS_FLOOR_BPS: Final[float] = 1e6
 
+#: Flows within this many base intervals of freeze expiry are polled
+#: fast so the first post-expiry measurement lands promptly.
+FREEZE_GUARD_INTERVALS: Final[float] = 2.0
+
+#: Counter delta (bytes) beyond which a slow flow's switch pushes.
+PUSH_THRESHOLD_BYTES: Final[float] = 16e6
+
 
 @dataclass
 class AdaptiveStatsConfig:
-    """Tunables for adaptive monitoring (see module docstring).
+    """Tunables of the adaptive schedule; the constants above are the
+    rest of its policy, which nothing ever varied.
 
     Attributes
     ----------
@@ -84,18 +85,6 @@ class AdaptiveStatsConfig:
         Also the flow's *cadence ceiling*: no tracked flow goes
         unobserved longer than ``slow_factor`` base intervals (plus one
         tick of scheduling granularity) while its switch is answering.
-    hysteresis:
-        Relative bandwidth change below which a measurement counts as
-        "stable"; ``stable_after`` consecutive stable measurements demote
-        the flow to slow cadence.
-    freeze_guard_s:
-        Flows within this many seconds of freeze expiry are polled fast
-        so the first post-expiry measurement lands promptly.  ``None``
-        defaults to two base intervals.
-    enable_push:
-        Register switch-side delta push for slow-cadence flows.
-    push_threshold_bytes:
-        Counter delta beyond which the switch pushes proactively.
     push_check_interval:
         Switch-local counter check period; ``None`` defaults to the base
         poll interval.
@@ -106,104 +95,54 @@ class AdaptiveStatsConfig:
     """
 
     slow_factor: float = 8.0
-    hysteresis: float = 0.15
-    stable_after: int = 2
-    freeze_guard_s: Optional[float] = None
-    enable_push: bool = True
-    push_threshold_bytes: float = 16e6
     push_check_interval: Optional[float] = None
     probe_failed_every: int = 4
 
     def __post_init__(self) -> None:
         if self.slow_factor < 1.0:
             raise ValueError(f"slow_factor must be >= 1, got {self.slow_factor}")
-        if self.hysteresis < 0.0:
-            raise ValueError(f"hysteresis must be >= 0, got {self.hysteresis}")
-        if self.stable_after < 1:
-            raise ValueError(f"stable_after must be >= 1, got {self.stable_after}")
-        if self.push_threshold_bytes <= 0:
-            raise ValueError(
-                f"push_threshold_bytes must be positive, got "
-                f"{self.push_threshold_bytes}"
-            )
         if self.probe_failed_every < 1:
             raise ValueError(
                 f"probe_failed_every must be >= 1, got {self.probe_failed_every}"
             )
 
 
-class AdaptiveStatsCollector(FlowStatsCollector):
-    """Floware-style adaptive collector; drop-in for the fixed poller.
+class AdaptiveSchedule(FixedSchedule):
+    """Observe exactly the flows that are due: a tick's requests track
+    the *flow schedule*, not the switch count, and may be none at all."""
 
-    The base class's counters, miss tracking and lifecycle are reused
-    unchanged — the Flowserver's degraded-mode logic cannot tell the two
-    apart.  Only the *schedule* differs: the periodic timer becomes a
-    tick that visits exactly the flows whose next observation is due.
-    """
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        controller: Controller,
-        state: FlowStateTable,
-        poll_interval: float = 1.0,
-        auto_start: bool = True,
-        expire_unseen_polls: int = 10,
-        config: Optional[AdaptiveStatsConfig] = None,
-    ):
-        # Defer the base class's auto-start: it would invoke our start()
-        # override before the adaptive fields below exist.
-        super().__init__(
-            loop,
-            controller,
-            state,
-            poll_interval=poll_interval,
-            auto_start=False,
-            expire_unseen_polls=expire_unseen_polls,
-        )
+    def __init__(self, config: Optional[AdaptiveStatsConfig] = None) -> None:
         self.config = config or AdaptiveStatsConfig()
-        self.slow_interval = poll_interval * self.config.slow_factor
-        self._freeze_guard = (
-            self.config.freeze_guard_s
-            if self.config.freeze_guard_s is not None
-            else 2.0 * poll_interval
-        )
-        # Per-flow monitoring schedule.
         self._assignment: Dict[str, str] = {}
-        self._point_load: Dict[str, int] = {}
         self._next_due: Dict[str, float] = {}
         self._cadence: Dict[str, str] = {}
         self._streak: Dict[str, int] = {}
         self._last_measured: Dict[str, float] = {}
-        #: Sim time each flow was last observed (poll or push); the
-        #: cadence-ceiling property tests read this.
-        self.last_observed: Dict[str, float] = {}
-        self.tracked_since: Dict[str, float] = {}
         self._tick_index = 0
         self._probe_after: Dict[str, int] = {}
-        # Push reconciliation.
-        self._push_seq_seen: Dict[Tuple[str, str], int] = {}
-        self.push_messages: Dict[str, int] = {}
-        self.push_bytes: Dict[str, int] = {}
-        self.pushes_applied = 0
-        self.pushes_duplicate = 0
-        self.pushes_stale = 0
-        self.pushes_ignored = 0
-        self.observations_total = 0
-        self.push: Optional[DeltaPushService] = None
-        if self.config.enable_push:
-            self.push = DeltaPushService(
-                loop,
-                controller,
-                sink=self.on_push,
-                check_interval=(
-                    self.config.push_check_interval
-                    if self.config.push_check_interval is not None
-                    else poll_interval
-                ),
-            )
-        if auto_start:
-            self.start()
+
+    def bind(
+        self,
+        collector: FlowStatsCollector,
+        loop: EventLoop,
+        controller: Controller,
+        state: FlowStateTable,
+    ) -> None:
+        super().bind(collector, loop, controller, state)
+        self._collector = collector
+        self.poll_interval = collector.poll_interval
+        self.slow_interval = self.poll_interval * self.config.slow_factor
+        #: The switch-side push channel; it belongs to this schedule.
+        self.push = DeltaPushService(
+            loop,
+            controller,
+            sink=collector.on_push,
+            check_interval=(
+                self.config.push_check_interval
+                if self.config.push_check_interval is not None
+                else self.poll_interval
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -222,73 +161,44 @@ class AdaptiveStatsCollector(FlowStatsCollector):
         (one slow interval plus one tick of scheduling granularity)."""
         return self.slow_interval + self.poll_interval
 
-    def cadence_counts(self) -> Tuple[int, int]:
-        """(fast, slow) flow counts."""
-        fast = sum(1 for fid in sorted(self._cadence)
-                   if self._cadence[fid] == CADENCE_FAST)
-        return fast, len(self._cadence) - fast
-
-    def total_push_messages(self) -> int:
-        return sum(self.push_messages.values())
-
-    def total_push_bytes(self) -> int:
-        return sum(self.push_bytes.values())
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def stop(self) -> None:
-        super().stop()
-        if self.push is not None:
-            self.push.stop()
-
     def start(self) -> None:
-        super().start()
-        if self.push is not None and self.push.registered_flows() > 0:
+        if self.push.registered_flows() > 0:
             self.push._ensure_running()
 
+    def stop(self) -> None:
+        self.push.stop()
+
     def forget(self, flow_id: str) -> None:
-        super().forget(flow_id)
-        self._forget_flow(flow_id)
+        self._assignment.pop(flow_id, None)
+        self._next_due.pop(flow_id, None)
+        self._cadence.pop(flow_id, None)
+        self._streak.pop(flow_id, None)
+        self._last_measured.pop(flow_id, None)
+        self.push.unregister(flow_id)
 
     # ------------------------------------------------------------------
-    # The adaptive tick
+    # Who is due, where
     # ------------------------------------------------------------------
 
-    def poll_once(self) -> None:
-        """One scheduling tick: observe exactly the flows that are due.
+    def due(self, now: float) -> List[StatsRequest]:
+        """One targeted request per switch with flows due, then an empty
+        one (the cheapest possible liveness check) per stale switch.
 
-        Runs every base interval, but a tick with nothing due sends no
-        messages at all — the controller-channel cost tracks the *flow
-        schedule*, not the switch count.
+        Without the probes, a switch whose flows were all reassigned
+        away (or aborted) would keep a frozen miss counter forever and
+        never re-promote after recovery.
         """
-        now = self._loop.now
         self._tick_index += 1
-        applied_before = self.measurements_applied
-        suppressed_before = self.measurements_suppressed
-        cycle_messages = 0
-        cycle_bytes = 0
-
-        self._sync_assignments(now)
-
-        if self.suppress_polls:
-            # Global monitoring outage: every edge switch's counters go
-            # stale together, exactly as under fixed polling, so the
-            # Flowserver's demotion logic sees the same signal.
-            self.polls_lost += 1
-            for switch_id in self._controller.edge_switch_ids():
-                self.switch_missed_polls[switch_id] = (
-                    self.switch_missed_polls.get(switch_id, 0) + 1
-                )
-            self._finish_tick(now, seen=0, due=0,
-                              applied_before=applied_before,
-                              suppressed_before=suppressed_before,
-                              cycle_messages=0, cycle_bytes=0)
-            return
-
         due: Dict[str, List[str]] = {}
         for flow_id in sorted(self._state.flows):
+            if flow_id not in self._assignment:
+                self._assign(flow_id)
+                self._next_due[flow_id] = now
+                self._cadence[flow_id] = CADENCE_FAST
             when = self._next_due.get(flow_id)
             if when is None or when > now:
                 continue
@@ -296,130 +206,41 @@ class AdaptiveStatsCollector(FlowStatsCollector):
             if point is None:
                 continue
             due.setdefault(point, []).append(flow_id)
-
-        seen: Set[str] = set()
-        for switch_id in sorted(due):
-            flow_ids = due[switch_id]
-            try:
-                reply = self._controller.query_flow_stats_for(
-                    switch_id, flow_ids
-                )
-            except SwitchUnreachableError:
-                self.poll_errors += 1
-                self.switch_missed_polls[switch_id] = (
-                    self.switch_missed_polls.get(switch_id, 0) + 1
-                )
-                # The request left the controller even with no reply.
-                self._account_poll(switch_id, 1, POLL_REQUEST_BYTES)
-                cycle_messages += 1
-                cycle_bytes += POLL_REQUEST_BYTES
-                self._probe_after[switch_id] = (
-                    self._tick_index + self.config.probe_failed_every
-                )
-                # Move the orphaned flows to another switch on their
-                # path (when one is healthy) and retry promptly.
-                for flow_id in flow_ids:
-                    self._assign(flow_id, avoid=switch_id)
-                    self._next_due[flow_id] = now + self.poll_interval
-                continue
-            self.switch_missed_polls[switch_id] = 0
-            self._probe_after.pop(switch_id, None)
-            exchanged = (
-                POLL_REQUEST_BYTES + POLL_REPLY_BASE_BYTES
-                + POLL_REPLY_PER_FLOW_BYTES * len(reply.flows)
-            )
-            self._account_poll(switch_id, 2, exchanged)
-            cycle_messages += 2
-            cycle_bytes += exchanged
-            for stat in reply.flows:
-                if stat.flow_id not in self._state:
-                    continue
-                seen.add(stat.flow_id)
-                self._observe(
-                    stat.flow_id, stat.bytes_sent, stat.remaining_bits,
-                    now, origin="poll",
-                )
-            for flow_id in flow_ids:
-                if flow_id not in seen and flow_id in self._state:
-                    self._note_unobserved(flow_id, now)
-
-        cycle_messages, cycle_bytes = self._probe_stale_switches(
-            now, due, cycle_messages, cycle_bytes
-        )
-
-        # Drop poll history for flows that left the state table between
-        # ticks (FlowRemoved already cleaned the schedule via forget()).
-        for flow_id in list(self._previous):
+        for flow_id in sorted(self._assignment):
             if flow_id not in self._state:
-                del self._previous[flow_id]
+                self._collector.forget(flow_id)
+        requests = [
+            StatsRequest(switch_id, due[switch_id], False)
+            for switch_id in sorted(due)
+        ]
+        missed = self._collector.switch_missed_polls
+        for switch_id in sorted(missed):
+            if (
+                missed[switch_id] > 0
+                and switch_id not in due
+                and self._tick_index >= self._probe_after.get(switch_id, 0)
+            ):
+                requests.append(StatsRequest(switch_id, [], False))
+        return requests
 
-        self._finish_tick(now, seen=len(seen), due=sum(map(len, due.values())),
-                          applied_before=applied_before,
-                          suppressed_before=suppressed_before,
-                          cycle_messages=cycle_messages,
-                          cycle_bytes=cycle_bytes)
+    def unreachable(self, switch_id: str, flow_ids: List[str], now: float) -> None:
+        self._probe_after[switch_id] = self._tick_index + self.config.probe_failed_every
+        # Move the orphaned flows to another switch on their path (when
+        # one is healthy) and retry promptly.
+        for flow_id in flow_ids:
+            self._assign(flow_id, avoid=switch_id)
+            self._next_due[flow_id] = now + self.poll_interval
 
-    def _finish_tick(
-        self,
-        now: float,
-        seen: int,
-        due: int,
-        applied_before: int,
-        suppressed_before: int,
-        cycle_messages: int,
-        cycle_bytes: int,
-    ) -> None:
-        self.polls_completed += 1
-        tel = instrument.TELEMETRY
-        if tel is not None:
-            fast, slow = self.cadence_counts()
-            tel.instant(
-                now, "collector.poll", "poll",
-                tracked=len(self._state), seen=seen, due=due,
-                lost=self.suppress_polls, mode="adaptive",
-                fast=fast, slow=slow, origin="poll",
-            )
-            tel.count("collector_polls_total")
-            tel.metrics.counter("collector_measurements_applied_total").inc(
-                float(self.measurements_applied - applied_before)
-            )
-            tel.metrics.counter("collector_measurements_suppressed_total").inc(
-                float(self.measurements_suppressed - suppressed_before)
-            )
-            if cycle_messages:
-                tel.tracer.counter(
-                    now, "flowserver.poll.messages",
-                    {"messages": float(cycle_messages),
-                     "bytes": float(cycle_bytes)},
-                    track="poll",
-                )
-        if not self._state.flows:
-            self.stop()
+    def unobserved(self, flow_id: str, now: float) -> None:
+        # Look again next tick.  Slow-cadence flows accrue misses only
+        # as fast as they are actually looked for, so a stable elephant
+        # is never expired just because ticks went by.
+        self._next_due[flow_id] = now + self.poll_interval
+        self._set_cadence(flow_id, CADENCE_FAST)
 
     # ------------------------------------------------------------------
     # Polling-point assignment (Floware-style balancing)
     # ------------------------------------------------------------------
-
-    def _sync_assignments(self, now: float) -> None:
-        for flow_id in sorted(self._state.flows):
-            if flow_id not in self._assignment:
-                self._assign(flow_id)
-                self._next_due[flow_id] = now
-                self._cadence[flow_id] = CADENCE_FAST
-                self.tracked_since[flow_id] = now
-        for flow_id in sorted(self._assignment):
-            if flow_id not in self._state:
-                self._forget_flow(flow_id)
-
-    def _candidate_points(self, flow: TrackedFlow) -> List[str]:
-        topo = self._controller.network.topology
-        candidates: List[str] = []
-        for link_id in flow.path_link_ids:
-            link = topo.links[link_id]
-            for node in (link.src, link.dst):
-                if node in topo.switches and node not in candidates:
-                    candidates.append(node)
-        return candidates
 
     def _assign(self, flow_id: str, avoid: Optional[str] = None) -> None:
         """(Re)assign a flow to the least-loaded switch on its path.
@@ -431,145 +252,70 @@ class AdaptiveStatsCollector(FlowStatsCollector):
         flow = self._state.get(flow_id)
         if flow is None:
             return
-        candidates = self._candidate_points(flow)
+        candidates = self._controller.switches_on_path(flow.path_link_ids)
         if not candidates:
             return
-        preferred = [
-            c for c in candidates
-            if c != avoid and self.switch_missed_polls.get(c, 0) == 0
-        ]
+        missed = self._collector.switch_missed_polls
+        preferred = [c for c in candidates if c != avoid and missed.get(c, 0) == 0]
         pool = preferred or candidates
-        # Load ties break toward the source edge switch: that is the
-        # switch the Flowserver's `stale_poll_threshold` trust check keys
-        # on, so monitoring it keeps degraded-mode demotion as prompt as
-        # under fixed polling while load balancing still wins under load.
-        source_edge = (
-            self._controller.network.topology.links[flow.path_link_ids[0]].dst
-            if flow.path_link_ids
-            else ""
-        )
+        # Load ties break toward the source edge switch (the first on
+        # the path): that is the switch the Flowserver's
+        # `stale_poll_threshold` trust check keys on, so monitoring it
+        # keeps degraded-mode demotion as prompt as under fixed polling
+        # while load balancing still wins under load.
+        load = Counter(self._assignment.values())
         chosen = min(
-            pool,
-            key=lambda c: (
-                self._point_load.get(c, 0),
-                0 if c == source_edge else 1,
-                c,
-            ),
+            pool, key=lambda c: (load[c], 0 if c == candidates[0] else 1, c)
         )
         previous = self._assignment.get(flow_id)
         if previous == chosen:
             return
         if previous is not None:
-            self._point_load[previous] = max(
-                0, self._point_load.get(previous, 1) - 1
-            )
-            if self.push is not None:
-                self.push.unregister(flow_id, previous)
+            self.push.unregister(flow_id, previous)
         self._assignment[flow_id] = chosen
-        self._point_load[chosen] = self._point_load.get(chosen, 0) + 1
-        if self.push is not None and self._cadence.get(flow_id) == CADENCE_SLOW:
+        if self._cadence.get(flow_id) == CADENCE_SLOW:
             self._register_push(chosen, flow_id)
 
     def _register_push(self, switch_id: str, flow_id: str) -> None:
-        """Subscribe the flow's counter, starting a fresh seq window.
-
-        A re-subscription starts its sequence numbers over from 1, so the
-        collector's last-seen seq for the pair must reset with it —
-        otherwise every push from the new subscription would be mistaken
-        for a duplicate of the old one.
-        """
-        assert self.push is not None
-        self._push_seq_seen.pop((switch_id, flow_id), None)
-        record = self._previous.get(flow_id)
+        """Subscribe the flow's counter, starting a fresh seq window."""
+        self._collector.reset_push_window(switch_id, flow_id)
         self.push.register(
-            switch_id, flow_id, self.config.push_threshold_bytes,
-            baseline_bytes=record.bytes_sent if record else 0.0,
+            switch_id, flow_id, PUSH_THRESHOLD_BYTES,
+            baseline_bytes=self._collector.last_counter(flow_id),
         )
 
-    def _forget_flow(self, flow_id: str) -> None:
-        point = self._assignment.pop(flow_id, None)
-        if point is not None:
-            self._point_load[point] = max(0, self._point_load.get(point, 1) - 1)
-        self._next_due.pop(flow_id, None)
-        self._cadence.pop(flow_id, None)
-        self._streak.pop(flow_id, None)
-        self._last_measured.pop(flow_id, None)
-        self.last_observed.pop(flow_id, None)
-        self.tracked_since.pop(flow_id, None)
-        if self.push is not None:
-            self.push.unregister(flow_id)
-
     # ------------------------------------------------------------------
-    # Observations (shared by polls and pushes)
+    # What an observation does to the flow's cadence
     # ------------------------------------------------------------------
 
-    def _observe(
-        self,
-        flow_id: str,
-        bytes_sent: float,
-        remaining_bits: float,
-        now: float,
-        origin: str,
-    ) -> None:
-        flow = self._state.get(flow_id)
-        if flow is None:
-            return
-        previous = self._previous.get(flow_id)
-        if previous is not None and bytes_sent < previous.bytes_sent:
-            # Reordered behind a fresher report; cumulative counters
-            # never regress, so this carries no new information.
-            self.pushes_stale += 1
-            return
-        self.observations_total += 1
-        self.last_observed[flow_id] = now
-        self._unseen_polls.pop(flow_id, None)
-        self._state.update_remaining(flow_id, remaining_bits)
-        measured: Optional[float] = None
-        if previous is not None and now > previous.timestamp:
-            measured = (
-                (bytes_sent - previous.bytes_sent)
-                * 8.0
-                / (now - previous.timestamp)
-            )
-            applied = self._state.update_bw_from_stats(flow_id, measured, now)
-            if applied:
-                self.measurements_applied += 1
-            else:
-                self.measurements_suppressed += 1
-        self._previous[flow_id] = PollRecord(
-            bytes_sent=bytes_sent, timestamp=now
-        )
-        if origin == "poll" and self.push is not None:
-            self.push.note_reported(flow_id, bytes_sent)
-        self._classify(flow, measured, now, origin)
-
-    def _classify(
+    def observed(
         self,
         flow: TrackedFlow,
-        measured: Optional[float],
+        bytes_sent: float,
+        measured_bps: Optional[float],
         now: float,
         origin: str,
     ) -> None:
         """Update the flow's cadence class and schedule its next poll."""
         flow_id = flow.flow_id
-        if measured is None:
+        if origin == "poll":
+            self.push.note_reported(flow_id, bytes_sent)
+        if measured_bps is None:
             # No baseline yet: keep fast until bandwidth can be derived.
             self._streak[flow_id] = 0
             cadence = CADENCE_FAST
         else:
             last = self._last_measured.get(flow_id)
-            if last is None:
-                self._streak[flow_id] = 0
-            elif abs(measured - last) > self.config.hysteresis * max(
+            if last is None or abs(measured_bps - last) > HYSTERESIS * max(
                 abs(last), _HYSTERESIS_FLOOR_BPS
             ):
                 self._streak[flow_id] = 0
             else:
                 self._streak[flow_id] = self._streak.get(flow_id, 0) + 1
-            self._last_measured[flow_id] = measured
+            self._last_measured[flow_id] = measured_bps
             cadence = (
                 CADENCE_SLOW
-                if self._streak[flow_id] >= self.config.stable_after
+                if self._streak[flow_id] >= STABLE_AFTER
                 else CADENCE_FAST
             )
         frozen = (
@@ -578,7 +324,10 @@ class AdaptiveStatsCollector(FlowStatsCollector):
             and flow.freeze_until > now
         )
         if frozen:
-            if flow.freeze_until - now <= self._freeze_guard:
+            if (
+                flow.freeze_until - now
+                <= FREEZE_GUARD_INTERVALS * self.poll_interval
+            ):
                 # Near expiry: the next measurement is the one that
                 # re-estimates the flow — make sure it lands promptly.
                 cadence = CADENCE_FAST
@@ -612,155 +361,11 @@ class AdaptiveStatsCollector(FlowStatsCollector):
             )
 
     def _set_cadence(self, flow_id: str, cadence: str) -> None:
-        old = self._cadence.get(flow_id)
-        if old == cadence:
+        if self._cadence.get(flow_id) == cadence:
             return
         self._cadence[flow_id] = cadence
-        if self.push is None:
-            return
         point = self._assignment.get(flow_id)
         if cadence == CADENCE_SLOW and point is not None:
             self._register_push(point, flow_id)
         elif cadence == CADENCE_FAST:
             self.push.unregister(flow_id)
-
-    def _note_unobserved(self, flow_id: str, now: float) -> None:
-        """The flow's switch answered but the flow was absent.
-
-        One *missed observation* — the currency unseen-flow expiry is
-        counted in.  Slow-cadence flows accrue misses only as fast as
-        they are actually looked for, so a stable elephant is never
-        expired just because ticks went by.
-        """
-        self._next_due[flow_id] = now + self.poll_interval
-        self._set_cadence(flow_id, CADENCE_FAST)
-        if self.expire_unseen_polls <= 0:
-            return
-        misses = self._unseen_polls.get(flow_id, 0) + 1
-        if misses >= self.expire_unseen_polls:
-            self._state.remove(flow_id)
-            self._unseen_polls.pop(flow_id, None)
-            self._forget_flow(flow_id)
-            self.flows_expired += 1
-        else:
-            self._unseen_polls[flow_id] = misses
-
-    # ------------------------------------------------------------------
-    # Staleness probes (degraded-mode recovery)
-    # ------------------------------------------------------------------
-
-    def _probe_stale_switches(
-        self,
-        now: float,
-        polled: Dict[str, List[str]],
-        cycle_messages: int,
-        cycle_bytes: int,
-    ) -> Tuple[int, int]:
-        """Re-probe switches whose stats channel went stale.
-
-        Without this, a switch whose flows were all reassigned away (or
-        aborted) would keep a frozen miss counter forever and never
-        re-promote after recovery.  An empty targeted request is the
-        cheapest possible liveness check.
-        """
-        for switch_id in sorted(self.switch_missed_polls):
-            if self.switch_missed_polls[switch_id] <= 0:
-                continue
-            if switch_id in polled:
-                continue
-            if self._tick_index < self._probe_after.get(switch_id, 0):
-                continue
-            try:
-                self._controller.query_flow_stats_for(switch_id, [])
-            except SwitchUnreachableError:
-                self.poll_errors += 1
-                self.switch_missed_polls[switch_id] += 1
-                self._account_poll(switch_id, 1, POLL_REQUEST_BYTES)
-                cycle_messages += 1
-                cycle_bytes += POLL_REQUEST_BYTES
-                self._probe_after[switch_id] = (
-                    self._tick_index + self.config.probe_failed_every
-                )
-                continue
-            self.switch_missed_polls[switch_id] = 0
-            self._probe_after.pop(switch_id, None)
-            exchanged = POLL_REQUEST_BYTES + POLL_REPLY_BASE_BYTES
-            self._account_poll(switch_id, 2, exchanged)
-            cycle_messages += 2
-            cycle_bytes += exchanged
-        return cycle_messages, cycle_bytes
-
-    # ------------------------------------------------------------------
-    # Push reconciliation
-    # ------------------------------------------------------------------
-
-    def on_push(self, push: Union[CounterPush, CounterPushBatch]) -> None:
-        """Reconcile switch-initiated counter report(s).
-
-        Idempotent by construction: a duplicate or reordered report
-        (stale sequence number) is dropped before any state is touched,
-        and a fresh one advances the same cumulative-counter record
-        polls use, so the same byte delta can never be measured twice.
-        A :class:`CounterPushBatch` counts as *one* message (that is the
-        whole point of coalescing) but each of its reports reconciles
-        through the same per-subscription sequence window.
-        """
-        if isinstance(push, CounterPushBatch):
-            fresh: List[CounterPush] = []
-            for report in push.reports:
-                key = (report.switch_id, report.flow_id)
-                if report.seq <= self._push_seq_seen.get(key, 0):
-                    self.pushes_duplicate += 1
-                    continue
-                self._push_seq_seen[key] = report.seq
-                fresh.append(report)
-            if not fresh:
-                return
-            size = (
-                PUSH_MESSAGE_BYTES
-                + (len(push.reports) - 1) * PUSH_REPORT_BYTES
-            )
-            self._account_push_message(push.switch_id, size)
-            for report in fresh:
-                self._apply_push(report)
-            return
-        key = (push.switch_id, push.flow_id)
-        if push.seq <= self._push_seq_seen.get(key, 0):
-            self.pushes_duplicate += 1
-            return
-        self._push_seq_seen[key] = push.seq
-        self._account_push_message(push.switch_id, PUSH_MESSAGE_BYTES)
-        self._apply_push(push)
-
-    def _account_push_message(self, switch_id: str, size_bytes: int) -> None:
-        """Count one channel crossing from ``switch_id``."""
-        self.push_messages[switch_id] = (
-            self.push_messages.get(switch_id, 0) + 1
-        )
-        self.push_bytes[switch_id] = (
-            self.push_bytes.get(switch_id, 0) + size_bytes
-        )
-        tel = instrument.TELEMETRY
-        if tel is not None:
-            labels = {"switch": switch_id}
-            tel.count("flowserver_push_messages_total", labels=labels)
-            tel.count("flowserver_push_bytes_total", float(size_bytes),
-                      labels=labels)
-
-    def _apply_push(self, push: CounterPush) -> None:
-        """Apply one seq-fresh report to the observation pipeline."""
-        if push.flow_id not in self._state:
-            self.pushes_ignored += 1
-            return
-        record = self._previous.get(push.flow_id)
-        if record is not None and push.timestamp < record.timestamp:
-            self.pushes_stale += 1
-            return
-        self.pushes_applied += 1
-        # A fresh push is a full observation: it refreshes the counter
-        # record and *defers* the flow's next poll via _classify, so the
-        # poll schedule and the push channel never double-report.
-        self._observe(
-            push.flow_id, push.bytes_sent, push.remaining_bits,
-            push.timestamp, origin="push",
-        )

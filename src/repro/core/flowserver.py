@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from types import TracebackType
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.core.adaptive_stats import AdaptiveStatsCollector, AdaptiveStatsConfig
+from repro.core.adaptive_stats import AdaptiveSchedule, AdaptiveStatsConfig
 from repro.core.cost import LinkShareCache, estimate_path_share
 from repro.core.fanout import (
     EdgeEstimate,
@@ -31,7 +31,7 @@ from repro.core.fanout import (
 from repro.core.flow_state import FlowStateTable, TrackedFlow
 from repro.core.multireplica import MultiReplicaPlanner, SubflowPlan
 from repro.core.selection import PathChoice, select_replica_and_path
-from repro.core.stats import FlowStatsCollector
+from repro.core.stats import FixedSchedule, FlowStatsCollector
 from repro.net.ecmp import EcmpHasher
 from repro.net.routing import Path, RoutingTable
 from repro.sdn.controller import Controller
@@ -94,9 +94,9 @@ class FlowserverConfig:
     """
 
     poll_interval: float = 1.0
-    #: Monitoring strategy: ``"fixed"`` is the paper's poll-everything
-    #: loop (default; fingerprint-stable), ``"adaptive"`` enables the
-    #: Floware-style balanced, cadence-aware, push-assisted collector
+    #: The stats collector's schedule: ``"fixed"`` is the paper's (every
+    #: tick, every edge switch), ``"adaptive"`` the Floware-style
+    #: balanced, cadence-aware, push-assisted one
     #: (:mod:`repro.core.adaptive_stats`), tuned by ``adaptive``.
     poll_mode: str = "fixed"
     adaptive: AdaptiveStatsConfig = field(default_factory=AdaptiveStatsConfig)
@@ -159,25 +159,21 @@ class Flowserver:
         }
         self._planner = MultiReplicaPlanner(self.config.split_improvement_factor)
         if self.config.poll_mode == "fixed":
-            self.collector: FlowStatsCollector = FlowStatsCollector(
-                self._loop,
-                controller,
-                self.state,
-                poll_interval=self.config.poll_interval,
-            )
+            schedule = FixedSchedule()
         elif self.config.poll_mode == "adaptive":
-            self.collector = AdaptiveStatsCollector(
-                self._loop,
-                controller,
-                self.state,
-                poll_interval=self.config.poll_interval,
-                config=self.config.adaptive,
-            )
+            schedule = AdaptiveSchedule(self.config.adaptive)
         else:
             raise ValueError(
                 f"poll_mode must be 'fixed' or 'adaptive', "
                 f"got {self.config.poll_mode!r}"
             )
+        self.collector = FlowStatsCollector(
+            self._loop,
+            controller,
+            self.state,
+            poll_interval=self.config.poll_interval,
+            schedule=schedule,
+        )
         controller.add_flow_removed_listener(self._on_flow_removed)
         self._flow_seq = itertools.count()
         self._request_seq = itertools.count()

@@ -1,31 +1,41 @@
-"""Periodic flow-stats collection (§3.3.3, §4).
+"""Flow-stats collection (§3.3.3, §4): one collector, two schedules.
 
-Every ``poll_interval`` seconds the collector fetches flow stats from each
-edge switch, derives each flow's measured bandwidth from the byte-counter
-delta since the previous poll, refreshes remaining sizes, and feeds the
-measurements through ``UPDATEBW`` — so frozen flows keep their analytic
-estimates until the freeze expires (Pseudocode 2, lines 12-18).
+Every ``poll_interval`` seconds the collector sends the stats requests
+its *schedule* says are due, derives each reported flow's measured
+bandwidth from the byte-counter delta since its previous observation,
+refreshes remaining sizes, and feeds the measurements through
+``UPDATEBW`` — so frozen flows keep their analytic estimates until the
+freeze expires (Pseudocode 2, lines 12-18).
 
 "The measured bandwidth information is used as an instantaneous snapshot of
 the network state.  In between measurements, the Flowserver tracks flow add
 and drop requests and recomputes an estimate of the path bandwidth of each
 flow after each request."
+
+The mechanism exists once, in :class:`FlowStatsCollector`.  A schedule
+only decides who is due on a tick, at which switch, with which request
+kind, and what an observation does to the flow's cadence:
+:class:`FixedSchedule` is the paper's loop,
+:class:`repro.core.adaptive_stats.AdaptiveSchedule` the Floware-style
+alternative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set
 
-from repro.core.flow_state import FlowStateTable
+from repro.core.flow_state import FlowStateTable, TrackedFlow
 from repro.sdn.controller import Controller, SwitchUnreachableError
+from repro.sdn.openflow import CounterPushBatch, FlowStatsReply
+from repro.sdn.push import PUSH_MESSAGE_BYTES, PUSH_REPORT_BYTES
 from repro.sim import instrument
 from repro.sim.engine import EventLoop, PeriodicTimer
 
 
 @dataclass
 class PollRecord:
-    """Bookkeeping from the previous poll of one flow (for deltas)."""
+    """Bookkeeping from the previous observation of one flow (for deltas)."""
 
     bytes_sent: float
     timestamp: float
@@ -41,14 +51,88 @@ POLL_REPLY_BASE_BYTES = 12
 POLL_REPLY_PER_FLOW_BYTES = 88
 
 
+class StatsRequest(NamedTuple):
+    """One stats request a schedule wants sent this tick."""
+
+    switch_id: str
+    #: Tracked flows whose observation is due at this switch: one absent
+    #: from the switch's reply takes a missed observation.
+    flow_ids: List[str]
+    #: Ask for everything sourced at the switch (OFPMP_FLOW wildcard)
+    #: instead of exactly ``flow_ids``.
+    wildcard: bool
+
+
+class FixedSchedule:
+    """The paper's schedule, and the hooks every schedule answers.
+
+    One wildcard request to every edge switch, every tick.  A switch
+    reports the flows sourced at its hosts, so each tracked flow is due
+    at its source edge switch.  Nothing changes the cadence and there is
+    no push channel, so every other hook does nothing.
+    """
+
+    def bind(
+        self,
+        collector: "FlowStatsCollector",
+        loop: EventLoop,
+        controller: Controller,
+        state: FlowStateTable,
+    ) -> None:
+        """Attach to the collector this schedule drives (called once)."""
+        self._controller = controller
+        self._state = state
+
+    def due(self, now: float) -> List[StatsRequest]:
+        """The requests to send this tick, in sending order (called on
+        every tick; a monitoring outage discards the result)."""
+        links = self._controller.network.topology.links
+        sourced: Dict[str, List[str]] = {}
+        for flow_id, flow in self._state.flows.items():
+            if flow.path_link_ids:
+                source_switch = links[flow.path_link_ids[0]].dst
+                sourced.setdefault(source_switch, []).append(flow_id)
+        return [
+            StatsRequest(switch_id, sourced.get(switch_id, []), True)
+            for switch_id in self._controller.edge_switch_ids()
+        ]
+
+    def observed(
+        self,
+        flow: TrackedFlow,
+        bytes_sent: float,
+        measured_bps: Optional[float],
+        now: float,
+        origin: str,
+    ) -> None:
+        """``flow``'s counter was just read (by a poll or a push)."""
+
+    def unobserved(self, flow_id: str, now: float) -> None:
+        """The flow was due at a switch that answered without it."""
+
+    def unreachable(self, switch_id: str, flow_ids: List[str], now: float) -> None:
+        """A request to ``switch_id`` for ``flow_ids`` got no reply."""
+
+    def forget(self, flow_id: str) -> None:
+        """The flow is gone; drop whatever was scheduled for it."""
+
+    def start(self) -> None:
+        """The collector's timer (re)started."""
+
+    def stop(self) -> None:
+        """The collector's timer stopped."""
+
+
 class FlowStatsCollector:
-    """Polls edge switches and refreshes the Flowserver's flow state.
+    """Observes tracked flows and refreshes the Flowserver's flow state.
 
     Parameters
     ----------
     poll_interval:
-        Seconds between polls; the paper polls at coarse intervals and
+        Seconds between ticks; the paper polls at coarse intervals and
         relies on analytic updates in between, so the default is 1 s.
+    schedule:
+        Who is due on a tick and where (default: :class:`FixedSchedule`).
     """
 
     def __init__(
@@ -59,6 +143,7 @@ class FlowStatsCollector:
         poll_interval: float = 1.0,
         auto_start: bool = True,
         expire_unseen_polls: int = 10,
+        schedule: Optional[FixedSchedule] = None,
     ):
         if poll_interval <= 0:
             raise ValueError(f"poll_interval must be positive, got {poll_interval}")
@@ -66,10 +151,12 @@ class FlowStatsCollector:
         self._controller = controller
         self._state = state
         self.poll_interval = poll_interval
-        #: A tracked flow absent from switch stats for this many consecutive
-        #: polls is presumed dead (e.g. the dataserver failed before the
-        #: transfer started) and dropped, so stale entries cannot distort
-        #: cost estimates forever.  0 disables expiry.
+        #: A tracked flow absent from this many consecutive replies of a
+        #: switch it was due at is presumed dead (e.g. the dataserver
+        #: failed before the transfer started) and dropped, so stale
+        #: entries cannot distort cost estimates forever.  A switch that
+        #: does not answer never counts — a monitoring outage must not
+        #: evict live flows.  0 disables expiry.
         self.expire_unseen_polls = expire_unseen_polls
         self._previous: Dict[str, PollRecord] = {}
         self._unseen_polls: Dict[str, int] = {}
@@ -77,8 +164,8 @@ class FlowStatsCollector:
         self.measurements_applied = 0
         self.measurements_suppressed = 0
         self.flows_expired = 0
-        #: Fault-injection hook: while True, poll cycles run but no switch
-        #: is actually queried (models monitoring-channel loss).
+        #: Fault-injection hook: while True, ticks run but no switch is
+        #: actually queried (models monitoring-channel loss).
         self.suppress_polls = False
         #: Consecutive failed/suppressed polls per switch; reset to 0 on
         #: every successful poll.  The Flowserver reads this to decide
@@ -95,118 +182,89 @@ class FlowStatsCollector:
         self.poll_bytes: Dict[str, int] = {}
         self.polls_lost = 0
         self.poll_errors = 0
+        #: Polled counters that read lower than the flow's record (a
+        #: fresher push got there first); they carry no information.
+        self.polls_stale = 0
+        # Push reconciliation: last sequence number seen per flow and
+        # subscribing switch, dropped together with the flow.
+        self._push_seq_seen: Dict[str, Dict[str, int]] = {}
+        self.push_messages: Dict[str, int] = {}
+        self.push_bytes: Dict[str, int] = {}
+        self.pushes_applied = 0
+        self.pushes_duplicate = 0
+        self.pushes_stale = 0
+        self.pushes_ignored = 0
+        self._tick_messages = 0
+        self._tick_bytes = 0
         self._timer: Optional[PeriodicTimer] = None
+        self.schedule = schedule or FixedSchedule()
+        self.schedule.bind(self, loop, controller, state)
         if auto_start:
             self.start()
 
     def start(self) -> None:
         if self._timer is None or self._timer.stopped:
             self._timer = PeriodicTimer(self._loop, self.poll_interval, self.poll_once)
+        self.schedule.start()
 
     def stop(self) -> None:
         if self._timer is not None:
             self._timer.stop()
+        self.schedule.stop()
 
     def consecutive_misses(self, switch_id: str) -> int:
         """How many polls in a row failed to reach ``switch_id``."""
         return self.switch_missed_polls.get(switch_id, 0)
 
-    def poll_once(self) -> None:
-        """One collection cycle over every edge switch.
+    def last_counter(self, flow_id: str) -> float:
+        """The flow's byte counter at its latest observation (0 before)."""
+        record = self._previous.get(flow_id)
+        return record.bytes_sent if record is not None else 0.0
 
-        Unreachable switches (and whole cycles lost to monitoring-channel
+    def poll_once(self) -> None:
+        """One tick: send the schedule's due requests, observe the replies.
+
+        Unreachable switches (and whole ticks lost to monitoring-channel
         faults) bump per-switch miss counters instead of raising; the
         Flowserver uses those counters to demote the affected paths.
         """
         now = self._loop.now
-        seen = set()
-        polled_ok: Set[str] = set()
+        seen: Set[str] = set()
         applied_before = self.measurements_applied
         suppressed_before = self.measurements_suppressed
-        cycle_messages = 0
-        cycle_bytes = 0
+        self._tick_messages = 0
+        self._tick_bytes = 0
+        requests = self.schedule.due(now)
         if self.suppress_polls:
+            # Monitoring outage: every edge switch's counters go stale
+            # together and nothing is sent.
             self.polls_lost += 1
-        for switch_id in self._controller.edge_switch_ids():
-            if self.suppress_polls:
-                self.switch_missed_polls[switch_id] = (
-                    self.switch_missed_polls.get(switch_id, 0) + 1
-                )
+            for switch_id in self._controller.edge_switch_ids():
+                self._note_missed_poll(switch_id)
+            requests = []
+        for request in requests:
+            reply = self._query(request)
+            if reply is None:
+                self.schedule.unreachable(request.switch_id, request.flow_ids, now)
                 continue
-            try:
-                reply = self._controller.query_flow_stats(switch_id)
-            except SwitchUnreachableError:
-                self.poll_errors += 1
-                self.switch_missed_polls[switch_id] = (
-                    self.switch_missed_polls.get(switch_id, 0) + 1
-                )
-                # The request left the controller even though no reply came.
-                self._account_poll(switch_id, 1, POLL_REQUEST_BYTES)
-                cycle_messages += 1
-                cycle_bytes += POLL_REQUEST_BYTES
-                continue
-            self.switch_missed_polls[switch_id] = 0
-            polled_ok.add(switch_id)
-            exchanged = (
-                POLL_REQUEST_BYTES + POLL_REPLY_BASE_BYTES
-                + POLL_REPLY_PER_FLOW_BYTES * len(reply.flows)
-            )
-            self._account_poll(switch_id, 2, exchanged)
-            cycle_messages += 2
-            cycle_bytes += exchanged
             for stat in reply.flows:
                 if stat.flow_id not in self._state:
                     # Not a tracked (Mayflower-scheduled) flow; ignore,
                     # exactly as the Flowserver only models its own flows.
                     continue
                 seen.add(stat.flow_id)
-                self._state.update_remaining(stat.flow_id, stat.remaining_bits)
-                previous = self._previous.get(stat.flow_id)
-                if previous is not None and now > previous.timestamp:
-                    measured_bps = (
-                        (stat.bytes_sent - previous.bytes_sent)
-                        * 8.0
-                        / (now - previous.timestamp)
-                    )
-                    applied = self._state.update_bw_from_stats(
-                        stat.flow_id, measured_bps, now
-                    )
-                    if applied:
-                        self.measurements_applied += 1
-                    else:
-                        self.measurements_suppressed += 1
-                self._previous[stat.flow_id] = PollRecord(
-                    bytes_sent=stat.bytes_sent, timestamp=now
+                self._observe(
+                    stat.flow_id, stat.bytes_sent, stat.remaining_bits,
+                    now, origin="poll",
                 )
-        # Drop poll history for flows that disappeared from the network.
-        for flow_id in list(self._previous):
-            if flow_id not in seen and flow_id not in self._state:
-                del self._previous[flow_id]
-        # Expire tracked flows that never show up in switch stats (their
-        # transfer presumably died before starting).  A flow only counts
-        # as unseen when the switch that would report it was successfully
-        # polled — a monitoring outage must not evict live flows.
-        if self.expire_unseen_polls > 0:
-            topo = self._controller.network.topology
-            for flow_id in list(self._state.flows):
-                if flow_id in seen:
-                    self._unseen_polls.pop(flow_id, None)
-                    continue
-                tracked = self._state.get(flow_id)
-                if tracked is not None and tracked.path_link_ids:
-                    source_switch = topo.links[tracked.path_link_ids[0]].dst
-                    if source_switch not in polled_ok:
-                        continue
-                misses = self._unseen_polls.get(flow_id, 0) + 1
-                if misses >= self.expire_unseen_polls:
-                    self._state.remove(flow_id)
-                    self._unseen_polls.pop(flow_id, None)
-                    self.flows_expired += 1
-                else:
-                    self._unseen_polls[flow_id] = misses
-        for flow_id in list(self._unseen_polls):
-            if flow_id not in self._state:
-                del self._unseen_polls[flow_id]
+            for flow_id in request.flow_ids:
+                if flow_id not in seen and flow_id in self._state:
+                    self._note_unobserved(flow_id, now)
+        # Drop the history of flows that left the state table without a
+        # FlowRemoved reaching forget().
+        for table in (self._previous, self._unseen_polls, self._push_seq_seen):
+            for flow_id in [fid for fid in table if fid not in self._state]:
+                self.forget(flow_id)
         self.polls_completed += 1
         tel = instrument.TELEMETRY
         if tel is not None:
@@ -222,11 +280,11 @@ class FlowStatsCollector:
             tel.metrics.counter("collector_measurements_suppressed_total").inc(
                 float(self.measurements_suppressed - suppressed_before)
             )
-            if cycle_messages:
+            if self._tick_messages:
                 tel.tracer.counter(
                     now, "flowserver.poll.messages",
-                    {"messages": float(cycle_messages),
-                     "bytes": float(cycle_bytes)},
+                    {"messages": float(self._tick_messages),
+                     "bytes": float(self._tick_bytes)},
                     track="poll",
                 )
         # Go idle once nothing is tracked so a simulation with no pending
@@ -235,8 +293,39 @@ class FlowStatsCollector:
         if not self._state.flows:
             self.stop()
 
+    def _query(self, request: StatsRequest) -> Optional[FlowStatsReply]:
+        """Send one stats request; ``None`` when the switch is unreachable."""
+        switch_id = request.switch_id
+        try:
+            if request.wildcard:
+                reply = self._controller.query_flow_stats(switch_id)
+            else:
+                reply = self._controller.query_flow_stats_for(
+                    switch_id, request.flow_ids
+                )
+        except SwitchUnreachableError:
+            self.poll_errors += 1
+            self._note_missed_poll(switch_id)
+            # The request left the controller even though no reply came.
+            self._account_poll(switch_id, 1, POLL_REQUEST_BYTES)
+            return None
+        self.switch_missed_polls[switch_id] = 0
+        self._account_poll(
+            switch_id, 2,
+            POLL_REQUEST_BYTES + POLL_REPLY_BASE_BYTES
+            + POLL_REPLY_PER_FLOW_BYTES * len(reply.flows),
+        )
+        return reply
+
+    def _note_missed_poll(self, switch_id: str) -> None:
+        self.switch_missed_polls[switch_id] = (
+            self.switch_missed_polls.get(switch_id, 0) + 1
+        )
+
     def _account_poll(self, switch_id: str, messages: int, nbytes: int) -> None:
         """Attribute one poll exchange's message volume to a switch."""
+        self._tick_messages += messages
+        self._tick_bytes += nbytes
         self.poll_messages[switch_id] = (
             self.poll_messages.get(switch_id, 0) + messages
         )
@@ -249,7 +338,118 @@ class FlowStatsCollector:
             tel.count("flowserver_poll_bytes_total", float(nbytes),
                       labels=labels)
 
+    def _observe(
+        self,
+        flow_id: str,
+        bytes_sent: float,
+        remaining_bits: float,
+        now: float,
+        origin: str,
+    ) -> None:
+        """Apply one counter reading, polled or pushed, to the flow."""
+        flow = self._state.get(flow_id)
+        if flow is None:
+            return
+        previous = self._previous.get(flow_id)
+        if previous is not None and bytes_sent < previous.bytes_sent:
+            # Reordered behind a fresher report; cumulative counters
+            # never regress, so this carries no new information.
+            if origin == "push":
+                self.pushes_stale += 1
+            else:
+                self.polls_stale += 1
+            return
+        self._unseen_polls.pop(flow_id, None)
+        self._state.update_remaining(flow_id, remaining_bits)
+        measured_bps: Optional[float] = None
+        if previous is not None and now > previous.timestamp:
+            measured_bps = (
+                (bytes_sent - previous.bytes_sent)
+                * 8.0
+                / (now - previous.timestamp)
+            )
+            if self._state.update_bw_from_stats(flow_id, measured_bps, now):
+                self.measurements_applied += 1
+            else:
+                self.measurements_suppressed += 1
+        self._previous[flow_id] = PollRecord(bytes_sent=bytes_sent, timestamp=now)
+        self.schedule.observed(flow, bytes_sent, measured_bps, now, origin)
+
+    def _note_unobserved(self, flow_id: str, now: float) -> None:
+        """The flow's switch answered without it: one *missed
+        observation*, the currency unseen-flow expiry counts in."""
+        self.schedule.unobserved(flow_id, now)
+        if self.expire_unseen_polls <= 0:
+            return
+        misses = self._unseen_polls.get(flow_id, 0) + 1
+        if misses >= self.expire_unseen_polls:
+            self._state.remove(flow_id)
+            self.forget(flow_id)
+            self.flows_expired += 1
+        else:
+            self._unseen_polls[flow_id] = misses
+
     def forget(self, flow_id: str) -> None:
-        """Drop poll history for a removed flow (called on FlowRemoved)."""
+        """Drop everything kept for a removed flow (called on FlowRemoved)."""
         self._previous.pop(flow_id, None)
         self._unseen_polls.pop(flow_id, None)
+        self._push_seq_seen.pop(flow_id, None)
+        self.schedule.forget(flow_id)
+
+    # ------------------------------------------------------------------
+    # Push reconciliation
+    # ------------------------------------------------------------------
+
+    def reset_push_window(self, switch_id: str, flow_id: str) -> None:
+        """A new push subscription starts its sequence numbers over from
+        1, so the last-seen seq for the pair must reset with it —
+        otherwise every push from the new subscription would be mistaken
+        for a duplicate of the old one."""
+        self._push_seq_seen.get(flow_id, {}).pop(switch_id, None)
+
+    def on_push(self, batch: CounterPushBatch) -> None:
+        """Reconcile one switch-initiated message of counter reports.
+
+        Idempotent by construction: a duplicate or reordered report
+        (stale sequence number) is dropped before any state is touched,
+        and a fresh one advances the same cumulative-counter record
+        polls use, so the same byte delta can never be measured twice.
+        The batch is *one* message however many reports it carries; one
+        with nothing fresh in it is a redelivery and counts as none.
+        """
+        fresh = False
+        for report in batch.reports:
+            if report.flow_id not in self._state:
+                # No window is kept for a flow that is not tracked.
+                self.pushes_ignored += 1
+                fresh = True
+                continue
+            window = self._push_seq_seen.setdefault(report.flow_id, {})
+            if report.seq <= window.get(report.switch_id, 0):
+                self.pushes_duplicate += 1
+                continue
+            window[report.switch_id] = report.seq
+            fresh = True
+            record = self._previous.get(report.flow_id)
+            if record is not None and report.timestamp < record.timestamp:
+                self.pushes_stale += 1
+                continue
+            self.pushes_applied += 1
+            # A fresh push is a full observation: it refreshes the counter
+            # record and lets the schedule *defer* the flow's next poll,
+            # so polls and pushes never double-report.
+            self._observe(
+                report.flow_id, report.bytes_sent, report.remaining_bits,
+                report.timestamp, origin="push",
+            )
+        if not fresh:
+            return
+        size = PUSH_MESSAGE_BYTES + (len(batch.reports) - 1) * PUSH_REPORT_BYTES
+        switch_id = batch.switch_id
+        self.push_messages[switch_id] = self.push_messages.get(switch_id, 0) + 1
+        self.push_bytes[switch_id] = self.push_bytes.get(switch_id, 0) + size
+        tel = instrument.TELEMETRY
+        if tel is not None:
+            labels = {"switch": switch_id}
+            tel.count("flowserver_push_messages_total", labels=labels)
+            tel.count("flowserver_push_bytes_total", float(size), labels=labels)

@@ -12,7 +12,7 @@ more events on the same deterministic clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.sim import instrument
@@ -49,16 +49,19 @@ class FaultInjector:
         SDN controller (link/switch/host failure surface).
     fabric:
         RPC fabric (process crashes, partitions, delay spikes).
-    collector:
-        Optional stats collector (monitoring-loss faults); ``None`` for
-        clusters without a Flowserver, where those events no-op.
+    collectors:
+        Every stats collector of the control plane (monitoring-loss
+        faults reach all of them): one for a monolithic Flowserver, one
+        per domain when it is sharded, none for clusters without a
+        Flowserver, where those events no-op.
     nameserver_endpoints:
         Endpoints hosting the nameserver service, targeted by
         ``nameserver_failover`` events.
-    lease_manager:
-        Optional :class:`repro.fs.leases.LeaseManager` (``lease_expire``
-        faults); ``None`` beside a Paxos-replicated nameserver (appends
-        are un-leased there), where those events no-op.
+    lease_managers:
+        Every :class:`repro.fs.leases.LeaseManager` (``lease_expire``
+        faults reach all of them): one per metadata partition, none
+        beside a Paxos-replicated nameserver (appends are un-leased
+        there), where those events no-op.
     dataservers:
         Optional mapping of host id to dataserver.  ``lease_expire``
         additionally drops the target host's locally-cached grants, so
@@ -76,18 +79,18 @@ class FaultInjector:
         loop: "EventLoop",
         controller: "Controller",
         fabric: "RpcFabric",
-        collector: Optional["FlowStatsCollector"] = None,
+        collectors: Sequence["FlowStatsCollector"] = (),
         nameserver_endpoints: Optional[List[str]] = None,
-        lease_manager: Optional["LeaseManager"] = None,
+        lease_managers: Sequence["LeaseManager"] = (),
         dataservers: Optional[Dict[str, "Dataserver"]] = None,
         coordinator: Optional["GlobalCoordinator"] = None,
     ) -> None:
         self._loop = loop
         self._controller = controller
         self._fabric = fabric
-        self._collector = collector
+        self._collectors = list(collectors)
         self._ns_endpoints = list(nameserver_endpoints or [])
-        self._lease_manager = lease_manager
+        self._lease_managers = list(lease_managers)
         self._dataservers = dict(dataservers or {})
         self._coordinator = coordinator
         self.events_applied = 0
@@ -97,16 +100,13 @@ class FaultInjector:
     @classmethod
     def for_cluster(cls, cluster: Any) -> "FaultInjector":
         """Wire an injector to an assembled :class:`repro.cluster.Cluster`."""
-        collector = (
-            cluster.flowserver.collector if cluster.flowserver is not None else None
-        )
         return cls(
             cluster.loop,
             cluster.controller,
             cluster.fabric,
-            collector=collector,
+            collectors=cluster.collectors,
             nameserver_endpoints=list(cluster.nameserver_endpoints),
-            lease_manager=getattr(cluster, "lease_manager", None),
+            lease_managers=cluster.lease_managers,
             dataservers=getattr(cluster, "dataservers", None),
             coordinator=getattr(cluster, "coordinator", None),
         )
@@ -223,37 +223,39 @@ class FaultInjector:
         self._fabric.set_partition(a, b, partitioned=False)
         return ""
 
-    def _do_stats_poll_loss(self, event: FaultEvent) -> str:
-        if self._collector is None:
+    def _set_poll_suppression(self, suppress: bool) -> str:
+        if not self._collectors:
             return "no collector (scheme without Flowserver); no-op"
-        self._collector.suppress_polls = True
+        for collector in self._collectors:
+            collector.suppress_polls = suppress
         return ""
+
+    def _do_stats_poll_loss(self, event: FaultEvent) -> str:
+        return self._set_poll_suppression(True)
 
     def _do_stats_poll_restore(self, event: FaultEvent) -> str:
-        if self._collector is None:
-            return "no collector (scheme without Flowserver); no-op"
-        self._collector.suppress_polls = False
-        return ""
+        return self._set_poll_suppression(False)
 
-    def _push_service(self) -> Optional["DeltaPushService"]:
-        # Only the adaptive collector has a push channel; fixed-mode
-        # collectors (and schemes without a Flowserver) make push faults
-        # no-ops by construction.
-        return getattr(self._collector, "push", None)
+    def _set_push_suppression(self, suppress: bool) -> str:
+        # The push channel belongs to the adaptive schedule; under the
+        # fixed schedule (and in schemes without a Flowserver) push
+        # faults are no-ops by construction.
+        services: List["DeltaPushService"] = [
+            collector.schedule.push
+            for collector in self._collectors
+            if hasattr(collector.schedule, "push")
+        ]
+        if not services:
+            return "no push channel (fixed polling or no Flowserver); no-op"
+        for service in services:
+            service.suppress = suppress
+        return ""
 
     def _do_push_loss(self, event: FaultEvent) -> str:
-        service = self._push_service()
-        if service is None:
-            return "no push channel (fixed polling or no Flowserver); no-op"
-        service.suppress = True
-        return ""
+        return self._set_push_suppression(True)
 
     def _do_push_restore(self, event: FaultEvent) -> str:
-        service = self._push_service()
-        if service is None:
-            return "no push channel (fixed polling or no Flowserver); no-op"
-        service.suppress = False
-        return ""
+        return self._set_push_suppression(False)
 
     def _do_rpc_delay_spike(self, event: FaultEvent) -> str:
         self._fabric.delay_factor = max(1.0, event.magnitude)
@@ -276,9 +278,11 @@ class FaultInjector:
         return ""
 
     def _do_lease_expire(self, event: FaultEvent) -> str:
-        if self._lease_manager is None:
+        if not self._lease_managers:
             return "no lease manager (appends are un-leased); no-op"
-        expired = self._lease_manager.expire_host(event.target)
+        expired = sum(
+            manager.expire_host(event.target) for manager in self._lease_managers
+        )
         dataserver = self._dataservers.get(event.target)
         revoked = dataserver.revoke_leases() if dataserver is not None else 0
         return f"expired {expired} lease(s), revoked {revoked} cached grant(s)"

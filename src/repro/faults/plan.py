@@ -34,8 +34,8 @@ RECOVERY_OF = {
     "stats_poll_loss": "stats_poll_restore",
     "stats_poll_restore": None,
     # Monitoring push channel loss: switches keep generating threshold
-    # reports but none reach the controller (adaptive poll_mode only —
-    # a no-op under fixed polling, which has no push channel).
+    # reports but none reach the controller.  The push channel belongs
+    # to the adaptive schedule; under the fixed one this is a no-op.
     "push_loss": "push_restore",
     "push_restore": None,
     "rpc_delay_spike": "rpc_delay_restore",

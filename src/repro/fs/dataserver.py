@@ -342,6 +342,12 @@ class Dataserver:
                 raise
             yield from self._acquire_append_lock(stored)
             try:
+                if append_id in stored.acked_ids:
+                    # A duplicate commit that waited on the lock while the
+                    # original relayed and acknowledged.
+                    self.appends_deduplicated += 1
+                    self._count("ds_appends_deduplicated_total")
+                    return stored.acked_ids[append_id]
                 if append_id in stored.applied_ids:
                     # Applied by an earlier (timed-out or relay-failed)
                     # attempt — or relayed to us before we were promoted.

@@ -404,16 +404,16 @@ class Controller:
             flows=tuple(switch.flow_stats_for(matched)),
         )
 
-    def switches_on_path(self, path: Path) -> List[str]:
+    def switches_on_path(self, link_ids: Sequence[str]) -> List[str]:
         """The switches a path traverses, in hop order (monitoring points).
 
         Every one of them carries the flow's table entry while it is
         installed, so any of them can serve as the flow's assigned
-        polling point under adaptive monitoring.
+        polling point under the adaptive monitoring schedule.
         """
         seen: List[str] = []
         topo = self._network.topology
-        for link_id in path.link_ids:
+        for link_id in link_ids:
             link = topo.links[link_id]
             for node in (link.src, link.dst):
                 if node in self._switches and node not in seen:

@@ -33,7 +33,7 @@ class DomainController:
 
     Everything not explicitly scoped below delegates verbatim to the
     inner controller, so the object is a drop-in ``Controller`` for the
-    Flowserver and both stats collectors.
+    Flowserver and its stats collector.
     """
 
     def __init__(self, inner: "Controller", pod: str) -> None:

@@ -86,14 +86,14 @@ class FlowStatsReply:
 
 @dataclass(frozen=True)
 class CounterPush:
-    """Switch-to-controller proactive counter report (adaptive monitoring).
+    """One flow's record in a switch-initiated :class:`CounterPushBatch`.
 
-    Under ``poll_mode="adaptive"`` the collector registers a byte-delta
-    threshold per monitored flow; the switch then *pushes* the flow's
+    The adaptive monitoring schedule registers a byte-delta threshold
+    per slow-cadence flow; the switch then *pushes* the flow's
     cumulative counter whenever it has advanced past the threshold since
     the last report, instead of waiting to be polled.  ``seq`` increments
     per (switch, flow) subscription so the collector can discard
-    duplicate or reordered pushes — reconciliation against the poll
+    duplicate or reordered reports — reconciliation against the poll
     schedule must be idempotent.
     """
 
@@ -107,14 +107,13 @@ class CounterPush:
 
 @dataclass(frozen=True)
 class CounterPushBatch:
-    """Several same-switch counter reports coalesced into one message.
+    """The switch-to-controller push message: one or more counter reports.
 
     When multiple subscriptions on one switch cross their thresholds in
     the same switch-local check interval, the switch sends a single
-    multi-flow message instead of one :class:`CounterPush` per flow —
-    the same records, one channel crossing.  Each report keeps its own
-    per-subscription ``seq`` so the collector reconciles them exactly as
-    it would individual pushes.
+    multi-flow message instead of one per flow — the same records, one
+    channel crossing.  Each report keeps its own per-subscription
+    ``seq``, which is what the collector reconciles on.
     """
 
     switch_id: str

@@ -1,17 +1,18 @@
-"""Switch-side delta push for flow counters (adaptive monitoring).
+"""Switch-side delta push for flow counters (the adaptive schedule's channel).
 
-Under fixed-interval monitoring every byte of counter freshness costs a
-round trip.  :class:`DeltaPushService` inverts the channel for selected
-flows: the collector registers a byte-delta **threshold** per
+Polling buys every byte of counter freshness with a round trip.
+:class:`DeltaPushService` inverts the channel for selected flows: the
+adaptive schedule registers a byte-delta **threshold** per
 (switch, flow), and the switch proactively reports the flow's cumulative
 counter only when it has advanced past the threshold since the last
 report — whether that last report was a push or an ordinary poll.
 
 The periodic check runs *on the switch* (it reads local counters), so it
 costs no controller-channel messages; only an actual
-:class:`~repro.sdn.openflow.CounterPush` crossing the channel does.
-Pushes carry a per-subscription sequence number so the collector can
-reconcile them idempotently against its own poll schedule.
+:class:`~repro.sdn.openflow.CounterPushBatch` crossing the channel does.
+A message carries one or more reports, each with a per-subscription
+sequence number so the collector can reconcile them idempotently against
+its own poll schedule.
 
 ``suppress`` models the ``push_loss`` fault: the switch keeps generating
 reports but none reach the controller — the collector's poll schedule is
@@ -21,7 +22,7 @@ the backstop that keeps every flow observed within its cadence ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.sdn.openflow import CounterPush, CounterPushBatch
 from repro.sim.engine import EventLoop, PeriodicTimer
@@ -43,8 +44,6 @@ PUSH_REPORT_BYTES = 40
 class PushRegistration:
     """One (switch, flow) push subscription."""
 
-    switch_id: str
-    flow_id: str
     threshold_bytes: float
     #: Cumulative counter at the last report the controller has (from
     #: either a push or a poll); deltas are measured against this.
@@ -64,7 +63,7 @@ class DeltaPushService:
         Used only to read switch liveness and counters; a down switch
         generates nothing.
     sink:
-        Where pushes land (the adaptive collector's reconciliation hook).
+        Where messages land (the collector's reconciliation hook).
     check_interval:
         Switch-local counter check period, seconds.
     """
@@ -73,7 +72,7 @@ class DeltaPushService:
         self,
         loop: EventLoop,
         controller: "Controller",
-        sink: Callable[[Union[CounterPush, CounterPushBatch]], None],
+        sink: Callable[[CounterPushBatch], None],
         check_interval: float,
         coalesce: bool = True,
     ) -> None:
@@ -86,20 +85,17 @@ class DeltaPushService:
         self._sink = sink
         self.check_interval = check_interval
         #: Coalesce same-switch, same-interval threshold crossings into
-        #: one :class:`CounterPushBatch` instead of N single pushes.  A
-        #: single crossing still travels as a plain :class:`CounterPush`,
-        #: so the flag only matters under simultaneous crossings.
+        #: one message instead of one message per crossing; only matters
+        #: under simultaneous crossings.
         self.coalesce = coalesce
         #: switch id -> flow id -> registration
         self._regs: Dict[str, Dict[str, PushRegistration]] = {}
         #: Fault hook (``push_loss``): reports are generated but dropped.
         self.suppress = False
-        self.registrations_total = 0
         self.pushes_sent = 0
         self.pushes_lost = 0
         self.batches_sent = 0
         self.reports_coalesced = 0
-        self.checks_run = 0
         self._timer: Optional[PeriodicTimer] = None
 
     # ------------------------------------------------------------------
@@ -126,12 +122,9 @@ class DeltaPushService:
         per_switch = self._regs.setdefault(switch_id, {})
         if flow_id not in per_switch:
             per_switch[flow_id] = PushRegistration(
-                switch_id=switch_id,
-                flow_id=flow_id,
                 threshold_bytes=threshold_bytes,
                 last_reported_bytes=baseline_bytes,
             )
-            self.registrations_total += 1
         self._ensure_running()
 
     def unregister(self, flow_id: str, switch_id: Optional[str] = None) -> None:
@@ -176,7 +169,6 @@ class DeltaPushService:
             self._timer.stop()
 
     def _tick(self) -> None:
-        self.checks_run += 1
         now = self._loop.now
         for switch_id in sorted(self._regs):
             if not self._controller.switch_is_up(switch_id):
@@ -208,22 +200,20 @@ class DeltaPushService:
                 )
             if not crossed:
                 continue
-            if self.coalesce and len(crossed) > 1:
-                # One channel crossing carries every report that fired
-                # in this check interval on this switch.
+            # One channel crossing carries every report that fired in
+            # this check interval on this switch.
+            messages = [crossed] if self.coalesce else [[r] for r in crossed]
+            for reports in messages:
                 self.pushes_sent += 1
-                self.batches_sent += 1
-                self.reports_coalesced += len(crossed) - 1
+                if len(reports) > 1:
+                    self.batches_sent += 1
+                    self.reports_coalesced += len(reports) - 1
                 self._sink(
                     CounterPushBatch(
                         switch_id=switch_id,
                         timestamp=now,
-                        reports=tuple(crossed),
+                        reports=tuple(reports),
                     )
                 )
-            else:
-                for push in crossed:
-                    self.pushes_sent += 1
-                    self._sink(push)
         if not self._regs:
             self.stop()

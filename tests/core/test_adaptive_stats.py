@@ -10,6 +10,7 @@ switches.
 """
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,14 +20,15 @@ from repro.core import Flowserver, FlowserverConfig
 from repro.core.adaptive_stats import (
     CADENCE_FAST,
     CADENCE_SLOW,
-    AdaptiveStatsCollector,
+    AdaptiveSchedule,
     AdaptiveStatsConfig,
 )
 from repro.core.flow_state import FlowStateTable, TrackedFlow
+from repro.core.stats import FixedSchedule, FlowStatsCollector
 from repro.experiments.runner import SchemeRunConfig, run_scheme_on_workload
 from repro.net import FlowNetwork, RoutingTable, three_tier
 from repro.sdn import Controller
-from repro.sdn.openflow import CounterPush
+from repro.sdn.openflow import CounterPush, CounterPushBatch
 from repro.sim import EventLoop
 from repro.workload.generator import WorkloadConfig, generate_workload
 
@@ -41,8 +43,9 @@ def build_env(poll_interval=1.0, config=None, **topo_kwargs):
     table = RoutingTable(topo)
     controller = Controller(net)
     state = FlowStateTable()
-    collector = AdaptiveStatsCollector(
-        loop, controller, state, poll_interval=poll_interval, config=config
+    collector = FlowStatsCollector(
+        loop, controller, state, poll_interval=poll_interval,
+        schedule=AdaptiveSchedule(config),
     )
     return loop, net, table, controller, state, collector
 
@@ -81,12 +84,10 @@ def test_adaptive_config_validation():
     with pytest.raises(ValueError):
         AdaptiveStatsConfig(slow_factor=0.5)
     with pytest.raises(ValueError):
-        AdaptiveStatsConfig(stable_after=0)
-    with pytest.raises(ValueError):
-        AdaptiveStatsConfig(push_threshold_bytes=0)
+        AdaptiveStatsConfig(probe_failed_every=0)
 
 
-def test_flowserver_builds_adaptive_collector():
+def test_flowserver_picks_adaptive_schedule():
     topo = three_tier()
     loop = EventLoop()
     net = FlowNetwork(loop, topo)
@@ -94,7 +95,8 @@ def test_flowserver_builds_adaptive_collector():
     fs = Flowserver(
         controller, RoutingTable(topo), FlowserverConfig(poll_mode="adaptive")
     )
-    assert isinstance(fs.collector, AdaptiveStatsCollector)
+    assert type(fs.collector) is FlowStatsCollector
+    assert isinstance(fs.collector.schedule, AdaptiveSchedule)
     fs.close()
 
 
@@ -119,7 +121,7 @@ def test_monitoring_point_is_on_path_and_prefers_source_edge():
     track(state, "f", path, GB, bw=1e9)
     ctl.start_transfer("f", path, GB)
     loop.run(until=1.5)
-    point = collector.monitoring_point("f")
+    point = collector.schedule.monitoring_point("f")
     path_switches = set()
     for lid in path.link_ids:
         link = net.topology.links[lid]
@@ -139,9 +141,9 @@ def test_assignment_spreads_across_path_switches():
         track(state, f"f{i}", path, 100 * GB, bw=1e9)
         ctl.start_transfer(f"f{i}", path, 100 * GB)
     loop.run(until=1.5)
-    points = {collector.monitoring_point(f"f{i}") for i in range(8)}
+    points = {collector.schedule.monitoring_point(f"f{i}") for i in range(8)}
     assert len(points) >= 3  # balanced, not all piled on one switch
-    assert max(collector._point_load.values()) <= 3
+    assert max(Counter(collector.schedule._assignment.values()).values()) <= 3
 
 
 def test_stable_elephant_demotes_to_slow_and_pushes():
@@ -151,7 +153,7 @@ def test_stable_elephant_demotes_to_slow_and_pushes():
     ctl.start_transfer("f", path, 100 * GB)
     loop.run(until=4.5)
     # two consecutive stable measurements in, the flow drops to slow
-    assert collector.cadence_of("f") == CADENCE_SLOW
+    assert collector.schedule.cadence_of("f") == CADENCE_SLOW
     msgs_at_demotion = sum(collector.poll_messages.values())
     loop.run(until=20.0)
     # a full-rate elephant crosses the push threshold every check, so the
@@ -159,7 +161,10 @@ def test_stable_elephant_demotes_to_slow_and_pushes():
     assert collector.pushes_applied > 10
     assert sum(collector.poll_messages.values()) - msgs_at_demotion <= 6
     # ...and the flow is never unobserved longer than its cadence ceiling
-    assert loop.now - collector.last_observed["f"] <= collector.cadence_ceiling()
+    assert (
+        loop.now - collector._previous["f"].timestamp
+        <= collector.schedule.cadence_ceiling()
+    )
 
 
 def test_freeze_discipline_preserved_under_adaptive_polling():
@@ -205,10 +210,12 @@ def test_unseen_expiry_counts_observations_not_ticks():
 
 
 def make_push(switch, flow, seq, ts, nbytes):
-    return CounterPush(
+    """A push message carrying one report."""
+    report = CounterPush(
         switch_id=switch, flow_id=flow, seq=seq, timestamp=ts,
         bytes_sent=nbytes, remaining_bits=max(0.0, GB - nbytes * 8.0),
     )
+    return CounterPushBatch(switch_id=switch, timestamp=ts, reports=(report,))
 
 
 def test_duplicate_push_is_dropped():
@@ -226,11 +233,37 @@ def test_duplicate_push_is_dropped():
     assert state.flows["f"].bw_bps == bw_after_first
 
 
+def test_regressed_observation_counts_under_its_own_origin():
+    loop, net, table, ctl, state, collector = build_env()
+    path = table.paths("pod0-rack0-h0", "pod0-rack0-h1")[0]
+    track(state, "f", path, GB, bw=1e9)
+    collector.on_push(make_push("pod0-rack0", "f", seq=1, ts=1.0, nbytes=2e7))
+    # a poll reply that read the counter before the push did
+    collector._observe("f", 1e7, GB, 2.0, origin="poll")
+    assert (collector.polls_stale, collector.pushes_stale) == (1, 0)
+    # a push reordered behind a fresher report
+    collector.on_push(make_push("pod0-rack0", "f", seq=2, ts=3.0, nbytes=1e7))
+    assert (collector.polls_stale, collector.pushes_stale) == (1, 1)
+    assert collector._previous["f"].bytes_sent == 2e7
+
+
+def test_push_sequence_window_is_dropped_with_the_flow():
+    loop, net, table, ctl, state, collector = build_env()
+    path = table.paths("pod0-rack0-h0", "pod0-rack0-h1")[0]
+    track(state, "f", path, GB, bw=1e9)
+    collector.on_push(make_push("pod0-rack0", "f", seq=1, ts=1.0, nbytes=2e7))
+    assert collector._push_seq_seen
+    state.remove("f")
+    collector.forget("f")
+    assert collector._push_seq_seen == {}
+
+
 def test_push_for_untracked_flow_is_ignored():
     loop, net, table, ctl, state, collector = build_env()
     collector.on_push(make_push("pod0-rack0", "ghost", seq=1, ts=1.0, nbytes=1e7))
     assert collector.pushes_ignored == 1
     assert collector.pushes_applied == 0
+    assert collector._push_seq_seen == {}  # no window for a flow not tracked
 
 
 @settings(max_examples=30, deadline=None)
@@ -353,7 +386,7 @@ def test_no_flow_unobserved_past_cadence_ceiling(flows, slow_factor):
 
     loop.run(until=40.0)
 
-    ceiling = collector.cadence_ceiling() + 1e-9
+    ceiling = collector.schedule.cadence_ceiling() + 1e-9
     for flow_id, times in attention.items():
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert not gaps or max(gaps) <= ceiling, (
@@ -375,7 +408,8 @@ def run_differential(poll_mode, topo, workload, seed):
         harvested.update(
             poll_messages=sum(collector.poll_messages.values()),
             poll_bytes=sum(collector.poll_bytes.values()),
-            push_messages=sum(getattr(collector, "push_messages", {}).values()),
+            push_messages=sum(collector.push_messages.values()),
+            push_seq_windows=dict(collector._push_seq_seen),
             measurements_applied=collector.measurements_applied,
             measurements_suppressed=collector.measurements_suppressed,
             flows_expired=collector.flows_expired,
@@ -447,14 +481,19 @@ def test_differential_selection_quality_and_message_drop():
     assert fixed_stats["poll_messages"] >= 4 * total_adaptive
     assert fixed_stats["poll_bytes"] >= 5 * adaptive_stats["poll_bytes"]
 
+    # Every flow drained, so every push sequence window went with it.
+    assert adaptive_stats["push_messages"] > 0
+    assert adaptive_stats["push_seq_windows"] == {}
+
 
 def test_default_poll_mode_is_fixed():
-    """The adaptive layer is opt-in: default configs build the paper's
-    fixed-interval collector, keeping default-path fingerprints intact."""
+    """Default configs drive the collector on the paper's schedule,
+    keeping default-path fingerprints intact."""
     assert FlowserverConfig().poll_mode == "fixed"
     topo = three_tier()
     loop = EventLoop()
     controller = Controller(FlowNetwork(loop, topo))
     fs = Flowserver(controller, RoutingTable(topo))
-    assert type(fs.collector).__name__ == "FlowStatsCollector"
+    assert type(fs.collector) is FlowStatsCollector
+    assert type(fs.collector.schedule) is FixedSchedule
     fs.close()

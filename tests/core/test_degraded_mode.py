@@ -192,14 +192,14 @@ def test_adaptive_failed_monitoring_point_reassigns_and_recovers():
     (a,) = result.assignments
     loop.run(until=1.5)
     source_edge = "pod1-rack0"
-    assert fs.collector.monitoring_point(a.flow_id) == source_edge
+    assert fs.collector.schedule.monitoring_point(a.flow_id) == source_edge
 
     ctl.fail_switch(source_edge)
     loop.run(until=4.5)
     # misses accrue on the dead switch (poll failure, then probes) and
     # the flow's monitoring point moved to a healthy switch on its path
     assert fs.collector.consecutive_misses(source_edge) >= 3
-    new_point = fs.collector.monitoring_point(a.flow_id)
+    new_point = fs.collector.schedule.monitoring_point(a.flow_id)
     assert new_point != source_edge
     assert ctl.switch_is_up(new_point)
     assert not fs._path_trusted(a.path)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.core.flowserver import FlowserverConfig
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.fs.retry import RetryPolicy
 
@@ -172,13 +173,12 @@ def test_push_loss_suppresses_adaptive_push_channel(tmp_path):
             scheme="mayflower",
             seed=3,
             db_directory=None,
-            poll_mode="adaptive",
+            flowserver=FlowserverConfig(poll_mode="adaptive"),
             retry=RetryPolicy(max_attempts=10, rpc_timeout=30.0),
         )
     )
     try:
-        service = cluster.flowserver.collector.push
-        assert service is not None
+        service = cluster.flowserver.collector.schedule.push
         plan = FaultPlan((FaultEvent(1.0, "push_loss", duration=2.0),))
         injector = cluster.inject_faults(plan)
 
@@ -204,3 +204,70 @@ def test_push_loss_is_noop_under_fixed_polling(cluster):
     cluster.loop.run(until=2.5)
     assert injector.events_applied == 2
     assert all("no-op" in e.detail for e in injector.journal)
+
+
+def test_faults_reach_every_monitor_of_a_sharded_control_plane(tmp_path):
+    """With one Flowserver per pod and a partitioned nameserver there is
+    no ``cluster.flowserver`` and more than one lease manager: monitoring
+    and lease faults must reach all of them, not just the first."""
+    from repro.telemetry import MetricsRegistry, bind_resilience_metrics
+
+    cluster = Cluster(
+        ClusterConfig(
+            scheme="mayflower",
+            seed=3,
+            db_directory=tmp_path,
+            controller_domains=4,
+            metadata_partitions=2,
+            retry=RetryPolicy(max_attempts=10, rpc_timeout=30.0),
+        )
+    )
+    try:
+        assert cluster.flowserver is None
+        collectors = cluster.collectors
+        assert len(collectors) == 4 and len(cluster.lease_managers) == 2
+        name = next(
+            f"/shard/file-{i}" for i in range(64)
+            if cluster.shard_map.partition_for(f"/shard/file-{i}") == 1
+        )
+        client = cluster.client("pod3-rack2-h1")
+
+        def write():
+            metadata = yield from client.create(name, replication=3)
+            yield from client.append(name, 16 * 1024)
+            return metadata
+
+        # stop well inside the 30 s lease term the append was granted
+        metadata = cluster.run(write(), until=1.0)
+        manager = cluster.lease_managers[1]
+        lease = manager.current(metadata.file_id)
+        assert lease.holder == metadata.primary
+        assert lease.valid_at(cluster.loop.now)
+
+        start = cluster.loop.now
+        injector = cluster.inject_faults(
+            FaultPlan((
+                FaultEvent(start + 1.0, "stats_poll_loss", duration=2.0),
+                FaultEvent(start + 1.0, "lease_expire", metadata.primary),
+            ))
+        )
+        cluster.loop.run(until=start + 1.5)
+        assert all(collector.suppress_polls for collector in collectors)
+        assert not manager.current(metadata.file_id).valid_at(cluster.loop.now)
+        details = {e.kind: e.detail for e in injector.journal}
+        assert "no-op" not in details["stats_poll_loss"]
+        assert details["lease_expire"].startswith("expired 1 lease(s)")
+
+        for collector in collectors:
+            collector.poll_once()  # one tick lost per domain
+        registry = MetricsRegistry()
+        bind_resilience_metrics(registry, cluster, [], injector)
+        assert registry.value("polls_lost") == 4.0
+
+        cluster.loop.run(until=start + 3.5)
+        assert not any(collector.suppress_polls for collector in collectors)
+        # the fenced primary re-acquires under a higher epoch to commit again
+        cluster.run(client.append(name, 1024))
+        assert manager.current_epoch(metadata.file_id) == lease.epoch + 1
+    finally:
+        cluster.shutdown()

@@ -211,3 +211,30 @@ LedgerMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=10, deadline=None
 )
 TestLedgerAgainstModel = LedgerMachine.TestCase
+
+
+def test_duplicate_commit_racing_its_original_returns_the_recorded_size():
+    """The falsifying example hypothesis used to find about one fresh run
+    in six, as an explicit rule sequence: the second commit of one append
+    id arrives while the first is still relaying, waits on the append
+    lock, and must then return the size the first one recorded — not the
+    file's current size — without acknowledging the append again.
+    """
+    machine = LedgerMachine()
+    try:
+        machine.concurrent_batch([("push_only", 0, 1, 0)])  # stages ap:raw:1
+        machine.concurrent_batch([
+            ("append", 0, 1, 0),
+            ("late_commit", 0, 1, 0),  # commit_append(ap:raw:1) ...
+            ("late_commit", 0, 1, 3),  # ... and again 3 ms later
+        ])
+        machine.every_replica_holds_the_model_ledger()
+        machine.nameserver_agrees_on_size()
+        machine.only_uncommitted_pushes_stay_staged()
+        primary = machine.cluster.dataservers[machine.meta.primary]
+        stored = primary._files[machine.meta.file_id]
+        assert stored.acked_ids == machine.model.acked
+        assert primary.appends_served == 2  # two appends, one duplicate
+        assert primary.appends_deduplicated == 1
+    finally:
+        machine.teardown()

@@ -1,18 +1,17 @@
 """Coalesced counter pushes: many crossings, one channel message.
 
-When several registered flows on the same switch cross their delta
-thresholds within one check interval, the switch sends a single
-``CounterPushBatch`` instead of N ``CounterPush`` messages.  The batch
+A push message is always a ``CounterPushBatch`` of one or more
+``CounterPush`` reports.  When several registered flows on the same
+switch cross their delta thresholds within one check interval, the
+switch sends them in a single message instead of one each.  The batch
 costs one message (header once, ``PUSH_REPORT_BYTES`` per extra report),
 and the collector reconciles each report idempotently — a redelivered
 batch re-applies nothing and accounts no message.
 """
 
-from repro.core.adaptive_stats import (
-    AdaptiveStatsCollector,
-    AdaptiveStatsConfig,
-)
+from repro.core.adaptive_stats import AdaptiveSchedule, AdaptiveStatsConfig
 from repro.core.flow_state import FlowStateTable, TrackedFlow
+from repro.core.stats import FlowStatsCollector
 from repro.net import FlowNetwork, RoutingTable, three_tier
 from repro.sdn import Controller, CounterPush, CounterPushBatch
 from repro.sdn.push import (
@@ -70,7 +69,7 @@ def test_same_interval_crossings_coalesce_into_one_batch():
     service.stop()
 
 
-def test_single_crossing_still_travels_as_plain_push():
+def test_single_crossing_is_a_batch_of_one():
     loop, net, table, controller = build_env()
     received = []
     service = DeltaPushService(
@@ -81,8 +80,10 @@ def test_single_crossing_still_travels_as_plain_push():
     service.register(switch, "fa", threshold_bytes=1e6)
     loop.run(until=1.5)
     assert len(received) == 1
-    assert isinstance(received[0], CounterPush)
-    assert service.batches_sent == 0
+    assert isinstance(received[0], CounterPushBatch)
+    assert [r.flow_id for r in received[0].reports] == ["fa"]
+    assert service.pushes_sent == 1
+    assert service.batches_sent == 0  # nothing was coalesced
     service.stop()
 
 
@@ -98,7 +99,7 @@ def test_coalescing_can_be_disabled():
     service.register(switch, "fb", threshold_bytes=1e6)
     loop.run(until=1.5)
     assert len(received) == 2
-    assert all(isinstance(p, CounterPush) for p in received)
+    assert all(len(p.reports) == 1 for p in received)
     assert service.pushes_sent == 2
     assert service.batches_sent == 0
     service.stop()
@@ -135,8 +136,9 @@ def make_push(switch, flow, seq, ts, nbytes):
 def collector_env():
     loop, net, table, controller = build_env()
     state = FlowStateTable()
-    collector = AdaptiveStatsCollector(
-        loop, controller, state, poll_interval=1.0
+    collector = FlowStatsCollector(
+        loop, controller, state, poll_interval=1.0,
+        schedule=AdaptiveSchedule(),
     )
     for fid, src, dst in (
         ("fa", "pod0-rack0-h0", "pod0-rack1-h0"),
@@ -148,6 +150,23 @@ def collector_env():
             size_bits=GB, remaining_bits=GB, bw_bps=1e9,
         ))
     return loop, state, collector
+
+
+def single(report):
+    return CounterPushBatch(
+        switch_id=report.switch_id, timestamp=report.timestamp,
+        reports=(report,),
+    )
+
+
+def test_batch_of_one_costs_one_push_message():
+    loop, state, collector = collector_env()
+    collector.on_push(
+        single(make_push("pod0-rack0", "fa", seq=1, ts=1.0, nbytes=2e7))
+    )
+    assert collector.pushes_applied == 1
+    assert collector.push_messages["pod0-rack0"] == 1
+    assert collector.push_bytes["pod0-rack0"] == PUSH_MESSAGE_BYTES
 
 
 def test_batch_counts_one_message_with_marginal_report_bytes():
@@ -185,7 +204,9 @@ def test_redelivered_batch_applies_nothing_and_accounts_no_message():
 
 def test_partially_fresh_batch_applies_only_new_reports():
     loop, state, collector = collector_env()
-    collector.on_push(make_push("pod0-rack0", "fa", seq=1, ts=1.0, nbytes=2e7))
+    collector.on_push(
+        single(make_push("pod0-rack0", "fa", seq=1, ts=1.0, nbytes=2e7))
+    )
     batch = CounterPushBatch(
         switch_id="pod0-rack0", timestamp=2.0,
         reports=(
@@ -196,7 +217,7 @@ def test_partially_fresh_batch_applies_only_new_reports():
     collector.on_push(batch)
     assert collector.pushes_applied == 2
     assert collector.pushes_duplicate == 1
-    # the fresh half still costs a (single-report-sized) message
+    # the fresh half still costs a message
     assert collector.push_messages["pod0-rack0"] == 2
 
 
@@ -207,11 +228,14 @@ def test_coalescing_reduces_push_message_count_end_to_end():
         state = FlowStateTable()
         # polls quiesced: pushes carry the freshness, so every check
         # interval both flows cross together and coalescing is visible
-        collector = AdaptiveStatsCollector(
+        collector = FlowStatsCollector(
             loop, controller, state, poll_interval=60.0,
-            config=AdaptiveStatsConfig(push_check_interval=1.0),
+            schedule=AdaptiveSchedule(
+                AdaptiveStatsConfig(push_check_interval=1.0)
+            ),
         )
-        collector.push.coalesce = coalesce
+        push_service = collector.schedule.push
+        push_service.coalesce = coalesce
         paths = [
             table.paths("pod0-rack0-h0", "pod0-rack1-h0")[0],
             table.paths("pod0-rack0-h1", "pod0-rack1-h1")[0],
@@ -223,9 +247,7 @@ def test_coalescing_reduces_push_message_count_end_to_end():
                 size_bits=100 * GB, remaining_bits=100 * GB, bw_bps=1e9,
             ))
             controller.start_transfer(fid, path, 100 * GB)
-            collector.push.register(
-                "pod0-rack0", fid, threshold_bytes=1e6
-            )
+            push_service.register("pod0-rack0", fid, threshold_bytes=1e6)
         loop.run(until=10.0)
         collector.stop()
         return (
