@@ -23,7 +23,7 @@ from conftest import attach_report
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.faults import StormSpec, build_storm
-from repro.fs.retry import RetryPolicy
+from repro.fs.retry import IMMEDIATE_FAILOVER, RetryPolicy
 from repro.sim.randomness import RandomStreams
 
 MB = 1024 * 1024
@@ -44,7 +44,7 @@ STORM_RETRY = RetryPolicy(
 )
 
 
-def _build_cluster(scheme, fanout, seed, db_dir, retry=None, replica_manager=False):
+def _build_cluster(scheme, fanout, seed, db_dir, retry=IMMEDIATE_FAILOVER, replica_manager=False):
     return Cluster(
         ClusterConfig(
             pods=2,

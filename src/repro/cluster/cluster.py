@@ -25,7 +25,7 @@ from repro.cluster.planners import (
 from repro.core.flowserver import Flowserver, FlowserverConfig
 from repro.fs.client import MayflowerClient, ReadPlanner
 from repro.fs.consistency import ConsistencyMode
-from repro.fs.retry import RetryPolicy
+from repro.fs.retry import IMMEDIATE_FAILOVER, RetryPolicy
 from repro.fs.dataserver import Dataserver
 from repro.fs.nameserver import Nameserver
 from repro.fs.placement import HdfsRackAwarePlacement, PaperEvalPlacement
@@ -75,11 +75,11 @@ class ClusterConfig:
     #: 1 = the paper's centralized nameserver; >= 3 = Paxos-replicated
     #: nameserver on the first N hosts (§3.3.1's suggested improvement).
     nameserver_replicas: int = 1
-    #: Client retry policy (backoff + deadlines + read resumption).
-    #: ``None`` keeps the historical immediate-failover behaviour and the
-    #: historical event timeline, bit-for-bit.  Set for fault-injection
-    #: experiments, where reads must ride out transient outages.
-    retry: Optional[RetryPolicy] = None
+    #: Client retry policy.  The default is the paper's client: a failed
+    #: attempt fails over at once.  Fault-injection experiments set one
+    #: with backoff (and deadlines), so operations ride out transient
+    #: outages; fault-free timelines are the same under either.
+    retry: RetryPolicy = IMMEDIATE_FAILOVER
     #: Heartbeat-driven failure detection + automatic re-replication
     #: (GFS/HDFS availability semantics; off by default so performance
     #: experiments carry no periodic-timer noise).
@@ -460,12 +460,6 @@ class Cluster:
         """A filesystem client on ``host_id`` using the cluster's scheme."""
         if host_id not in self.topology.hosts:
             raise ValueError(f"{host_id!r} is not a host")
-        retry_rng = None
-        if self.config.retry is not None:
-            # Per-client jitter stream: derived from the root seed, so
-            # backoff timing is reproducible, and independent per host so
-            # co-failing clients never retry in lockstep.
-            retry_rng = self._streams.stream(f"client-retry/{host_id}")
         shard_router = None
         if self.shard_map is not None:
             from repro.fs.shardmap import ShardRouter
@@ -481,7 +475,10 @@ class Cluster:
             planner=self._planner(),
             consistency=self.config.consistency,
             retry=self.config.retry,
-            retry_rng=retry_rng,
+            # Per-client jitter stream: derived from the root seed, so
+            # backoff timing is reproducible, and independent per host so
+            # co-failing clients never retry in lockstep.
+            retry_rng=self._streams.stream(f"client-retry/{host_id}"),
             fanout_planner=self._fanout_planner(),
             shard_router=shard_router,
         )

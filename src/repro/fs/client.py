@@ -7,23 +7,45 @@ pick replica(s) and path(s), then asks the chosen dataserver(s) to stream
 the data.  File metadata is cached client-side: append-only semantics make
 the chunk map safe to cache, and each read reply carries the file's current
 size so appended tails are discovered without another nameserver round-trip.
+
+Every operation opens one :class:`~repro.fs.retry.RetryBudget` and runs
+its phases (nameserver call, read plan, byte-range transfer, push/commit)
+through it: a phase here is an attempt body plus what it counts as
+transient.  The default policy is the paper's immediate failover.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
+from contextlib import contextmanager
 from random import Random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.fs.chunks import DEFAULT_CHUNK_BYTES, DEFAULT_REPLICATION, FileMetadata
 from repro.fs.consistency import ConsistencyMode, replica_candidates_for_range
-from repro.fs.errors import InvalidRequestError, WrongPartitionError
-from repro.fs.retry import RetryPolicy
+from repro.fs.errors import (
+    FileNotFoundFsError,
+    InvalidRequestError,
+    LeaseExpiredError,
+    NotPrimaryError,
+    ReplicaUnavailableError,
+    StaleEpochError,
+    WrongPartitionError,
+)
+from repro.fs.retry import IMMEDIATE_FAILOVER, RetryBudget, RetryPolicy
 from repro.fs.shardmap import NAME_ROUTED_METHODS, ShardMap, ShardRouter
+from repro.net.simulator import FlowAborted
+from repro.rpc.errors import (
+    HostDownError,
+    RemoteInvocationError,
+    RpcTimeout,
+    ServiceNotFoundError,
+)
 from repro.sim import instrument
 from repro.sim.engine import EventLoop
-from repro.sim.process import Delay, Process
+from repro.sim.process import Process
 
 if TYPE_CHECKING:
     from repro.rpc.fabric import RpcFabric
@@ -98,6 +120,31 @@ class _CacheEntry:
     cached_at: float
 
 
+def _laid_out(
+    transfers: Sequence[PlannedTransfer], offset: int
+) -> List[Tuple[PlannedTransfer, int]]:
+    """Pair each transfer with the file offset its bytes start at."""
+    placed = []
+    for transfer in transfers:
+        placed.append((transfer, offset))
+        offset += transfer.size_bytes
+    return placed
+
+
+#: The callee could not be reached, or did not answer in time.
+_UNREACHABLE = (HostDownError, ServiceNotFoundError, RpcTimeout)
+#: Every way a planner rpc can fail; the read path retries them all.
+_PLANNER_FAILED = (HostDownError, RpcTimeout, RemoteInvocationError)
+
+
+def _joined(pieces: Sequence[Optional[bytes]]) -> Optional[bytes]:
+    """The pieces' concatenation; ``None`` when there are none or a
+    dataserver kept no payload for one of them."""
+    if not pieces or any(piece is None for piece in pieces):
+        return None
+    return b"".join(piece for piece in pieces if piece is not None)
+
+
 class MayflowerClient:
     """Filesystem client bound to one host.
 
@@ -117,6 +164,8 @@ class MayflowerClient:
     metadata_ttl:
         Seconds a cached file→dataservers mapping stays fresh; the paper
         ties this to replica-migration / failure timescales.
+    retry:
+        Retry policy; the default is the paper's immediate failover.
     """
 
     def __init__(
@@ -128,8 +177,7 @@ class MayflowerClient:
         planner: ReadPlanner,
         consistency: ConsistencyMode = ConsistencyMode.SEQUENTIAL,
         metadata_ttl: float = 60.0,
-        max_read_attempts: int = 3,
-        retry: Optional[RetryPolicy] = None,
+        retry: RetryPolicy = IMMEDIATE_FAILOVER,
         retry_rng: Optional[Random] = None,
         fanout_planner: Optional[WriteFanoutPlanner] = None,
         shard_router: Optional[ShardRouter] = None,
@@ -148,10 +196,6 @@ class MayflowerClient:
         self._planner = planner
         self.consistency = consistency
         self.metadata_ttl = metadata_ttl
-        self.max_read_attempts = max(1, max_read_attempts)
-        #: Optional backoff/deadline policy; ``None`` keeps the historical
-        #: immediate-failover behaviour (and the historical event timeline,
-        #: bit-for-bit, since no delays or RNG draws are ever introduced).
         self._retry = retry
         self._retry_rng = retry_rng
         #: Fan-out shape strategy for appends; ``None`` makes the primary
@@ -171,6 +215,7 @@ class MayflowerClient:
         self.cache_misses = 0
         self.read_failovers = 0
         self.read_retries = 0
+        self.metadata_retries = 0
         self.read_resumptions = 0
         self.bytes_resumed = 0
         self.append_retries = 0
@@ -188,7 +233,8 @@ class MayflowerClient:
     ) -> Generator:
         """Create a file; registers the replica set on every dataserver."""
         metadata_dict = yield from self._invoke_nameserver(
-            "create", name, replication, chunk_bytes, self.host_id
+            self._budget("create", name),
+            "create", name, replication, chunk_bytes, self.host_id,
         )
         metadata = FileMetadata.from_json_dict(metadata_dict)
         creates = [
@@ -202,7 +248,9 @@ class MayflowerClient:
 
     def delete(self, name: str) -> Generator:
         """Delete a file from the namespace and reclaim replicas."""
-        metadata_dict = yield from self._invoke_nameserver("delete", name)
+        metadata_dict = yield from self._invoke_nameserver(
+            self._budget("delete", name), "delete", name
+        )
         metadata = FileMetadata.from_json_dict(metadata_dict)
         self._cache.pop(name, None)
         deletes = [
@@ -220,7 +268,9 @@ class MayflowerClient:
         name, then ``move`` it over the original — readers see either the
         whole old file or the whole new one, never a mix.
         """
-        result = yield from self._invoke_nameserver("move", src_name, dst_name)
+        result = yield from self._invoke_nameserver(
+            self._budget("move", src_name), "move", src_name, dst_name
+        )
         moved = FileMetadata.from_json_dict(result["moved"])
         replaced = (
             FileMetadata.from_json_dict(result["replaced"])
@@ -245,10 +295,7 @@ class MayflowerClient:
 
     def stat(self, name: str) -> Generator:
         """Fresh metadata straight from the nameserver (bypasses the cache)."""
-        metadata_dict = yield from self._invoke_nameserver("lookup", name)
-        metadata = FileMetadata.from_json_dict(metadata_dict)
-        self._remember(name, metadata)
-        return metadata
+        return (yield from self._lookup(self._budget("stat", name), name))
 
     # ------------------------------------------------------------------
     # Data operations
@@ -267,165 +314,71 @@ class MayflowerClient:
         planned fan-out topology, with the same retry/failover
         discipline reads have: transient failures (host down, timeout,
         fenced or demoted primary) refresh the metadata and retry after
-        backoff.
-        """
-        if size_bytes <= 0:
-            raise InvalidRequestError(f"append size must be positive: {size_bytes}")
-        append_id = f"{self._append_prefix}:{next(self._append_seq)}"
-        tel = instrument.TELEMETRY
-        append_ctx: Optional[instrument.TraceContext] = None
-        previous_ctx: Optional[instrument.TraceContext] = None
-        if tel is not None:
-            # Root span of the operation tree: every rpc the append makes
-            # (plan, push, commit, and the relays those spawn) hangs off
-            # the context installed here for the append's dynamic extent.
-            append_ctx = tel.start_span(
-                self._loop.now, "client.append", "append", track="appends",
-                span_id=tel.next_id("append"), host=self.host_id, file=name,
-                append=append_id, bytes=size_bytes,
-            )
-            previous_ctx = instrument.set_context(append_ctx)
-        try:
-            new_size = yield from self._push_and_commit(
-                name, size_bytes, data, append_id, job_id
-            )
-        except BaseException as err:
-            tel = instrument.TELEMETRY
-            if tel is not None and append_ctx is not None:
-                tel.finish_span(self._loop.now, append_ctx, "client.append",
-                                "append", track="appends", outcome="error",
-                                error=type(err).__name__)
-            raise
-        finally:
-            if append_ctx is not None:
-                instrument.set_context(previous_ctx)
-        tel = instrument.TELEMETRY
-        if tel is not None and append_ctx is not None:
-            tel.finish_span(self._loop.now, append_ctx, "client.append",
-                            "append", track="appends", outcome="committed",
-                            new_size=new_size)
-        return new_size
-
-    def _push_and_commit(
-        self,
-        name: str,
-        size_bytes: int,
-        data: Optional[bytes],
-        append_id: str,
-        job_id: Optional[str],
-    ) -> Generator:
-        """Two-phase append: plan fan-out, push to primary, commit.
-
-        Each attempt re-plans — a retry after failover pushes to (and
-        commits at) whichever replica the refreshed metadata names as
-        primary, over a fan-out shape priced against the network state
-        at retry time.
+        backoff.  Each attempt re-plans — a retry after failover pushes
+        to (and commits at) whichever replica the refreshed metadata
+        names as primary, over a fan-out shape priced against the
+        network state at retry time.  Push and commit move the append's
+        bytes through the data plane, so neither carries the policy's
+        ``rpc_timeout``.
         """
         from repro.core.fanout import static_chain_plan
 
-        policy = self._retry
-        rpc_timeout = policy.rpc_timeout if policy is not None else None
-        attempts = policy.max_attempts if policy is not None else 1
-        deadline = (
-            self._loop.now + policy.operation_deadline
-            if policy is not None and policy.operation_deadline is not None
-            else None
-        )
-        last_error: Optional[Exception] = None
-        metadata = yield from self._metadata(name)
-        for attempt_index in range(attempts):
-            if attempt_index > 0:
-                yield from self._append_backoff(attempt_index, name, deadline, last_error)
-                previous_primary = metadata.primary
-                metadata = yield from self.stat(name)
-                self._note_append_failover(previous_primary, metadata.primary)
-            try:
-                plan = None
-                if self._fanout_planner is not None:
-                    try:
-                        plan = yield from self._fanout_planner.plan(
-                            self.host_id, metadata, size_bytes, job_id=job_id
-                        )
-                    except Exception as planner_err:
-                        if not self._append_error_is_transient(planner_err):
-                            raise
-                        plan = None
-                if plan is None:
-                    plan = static_chain_plan(
-                        self.host_id, metadata.primary, metadata.replicas[1:]
+        if size_bytes <= 0:
+            raise InvalidRequestError(f"append size must be positive: {size_bytes}")
+        append_id = f"{self._append_prefix}:{next(self._append_seq)}"
+        budget = self._budget("append", name)
+
+        def refresh() -> Generator:
+            nonlocal metadata
+            previous_primary = metadata.primary
+            metadata = yield from self._lookup(budget, name)
+            if metadata.primary != previous_primary:
+                self.append_failovers += 1
+                tel = instrument.TELEMETRY
+                if tel is not None:
+                    tel.count("client_append_failovers_total")
+
+        def attempt() -> Generator:
+            plan = None
+            if self._fanout_planner is not None:
+                try:
+                    plan = yield from self._fanout_planner.plan(
+                        self.host_id, metadata, size_bytes, job_id=job_id
                     )
-                yield from self._fabric.invoke(
-                    self.host_id,
-                    plan.primary,
-                    "dataserver",
-                    "push_data",
-                    metadata.file_id,
-                    append_id,
-                    size_bytes,
-                    self.host_id,
-                    data,
-                    plan.push_path,
-                    job_id,
-                    rpc_timeout=rpc_timeout,
+                except Exception as planner_err:
+                    if not self._append_error_is_transient(planner_err):
+                        raise
+            if plan is None:
+                plan = static_chain_plan(
+                    self.host_id, metadata.primary, metadata.replicas[1:]
                 )
-                new_size = yield from self._fabric.invoke(
-                    self.host_id,
-                    plan.primary,
-                    "dataserver",
-                    "commit_append",
-                    metadata.file_id,
-                    append_id,
-                    self.host_id,
-                    plan.children,
-                    job_id,
-                    rpc_timeout=rpc_timeout,
-                )
-                self._remember(name, metadata.with_size(new_size))
-                return new_size
-            except Exception as err:
-                if policy is None or not self._append_error_is_transient(err):
-                    raise
-                last_error = err
-        from repro.fs.errors import ReplicaUnavailableError
-
-        raise ReplicaUnavailableError(
-            f"append to {name!r} failed after {attempts} attempt(s): {last_error}"
-        )
-
-    def _note_append_failover(self, previous_primary: str, primary: str) -> None:
-        """Count a retry whose refreshed metadata names a new primary."""
-        if primary != previous_primary:
-            self.append_failovers += 1
-            tel = instrument.TELEMETRY
-            if tel is not None:
-                tel.count("client_append_failovers_total")
-
-    def _append_backoff(
-        self,
-        attempt_index: int,
-        name: str,
-        deadline: Optional[float],
-        last_error: Optional[Exception],
-    ) -> Generator:
-        """Count, trace and sleep one append retry; enforce the deadline."""
-        policy = self._retry
-        if deadline is not None and self._loop.now > deadline:
-            from repro.fs.errors import OperationTimeoutError
-
-            raise OperationTimeoutError(
-                f"append to {name!r} exceeded its "
-                f"{policy.operation_deadline:.6g}s deadline: {last_error}"
+            yield from self._fabric.invoke(
+                self.host_id, plan.primary, "dataserver", "push_data",
+                metadata.file_id, append_id, size_bytes, self.host_id, data,
+                plan.push_path, job_id,
             )
-        self.append_retries += 1
-        tel = instrument.TELEMETRY
-        if tel is not None:
-            tel.instant(self._loop.now, "client.append.retry", "append",
-                        host=self.host_id, file=name,
-                        error=type(last_error).__name__ if last_error else None)
-            tel.count("client_append_retries_total")
-        delay = policy.backoff(attempt_index - 1, self._retry_rng)
-        if delay > 0:
-            yield Delay(delay)
+            new_size = yield from self._fabric.invoke(
+                self.host_id, plan.primary, "dataserver", "commit_append",
+                metadata.file_id, append_id, self.host_id, plan.children, job_id,
+            )
+            self._remember(name, metadata.with_size(new_size))
+            return new_size
+
+        with self._root_span(
+            "append", file=name, append=append_id, bytes=size_bytes
+        ) as closing:
+            metadata = yield from self._metadata(budget, name)
+            new_size = yield from budget.run(
+                attempt,
+                self._append_error_is_transient,
+                lambda err: ReplicaUnavailableError(
+                    f"append to {name!r} failed after "
+                    f"{budget.policy.max_attempts} attempt(s): {err}"
+                ),
+                refresh,
+            )
+            closing.update(outcome="committed", new_size=new_size)
+        return new_size
 
     @staticmethod
     def _append_error_is_transient(err: Exception) -> bool:
@@ -439,18 +392,6 @@ class MayflowerClient:
         metadata resolves, and relay-chain failures wrap the transient
         infrastructure error of whichever hop died.
         """
-        from repro.fs.errors import (
-            FileNotFoundFsError,
-            LeaseExpiredError,
-            NotPrimaryError,
-            StaleEpochError,
-        )
-        from repro.rpc.errors import (
-            HostDownError,
-            RemoteInvocationError,
-            RpcTimeout,
-        )
-
         if isinstance(err, (HostDownError, RpcTimeout)):
             return True
         if not isinstance(err, RemoteInvocationError):
@@ -480,21 +421,9 @@ class MayflowerClient:
         (the job completion time the paper measures).
         """
         started = self._loop.now
-        tel = instrument.TELEMETRY
-        read_id: Optional[str] = None
-        read_ctx: Optional[instrument.TraceContext] = None
-        previous_ctx: Optional[instrument.TraceContext] = None
-        if tel is not None:
-            read_id = tel.next_id("read")
-            # Root span of the read's operation tree; the context installed
-            # here parents the planner and serve_read rpcs (and, through
-            # them, everything the dataservers do for this read).
-            read_ctx = tel.start_span(started, "client.read", "read",
-                                      track="reads", span_id=read_id,
-                                      host=self.host_id, file=name)
-            previous_ctx = instrument.set_context(read_ctx)
-        try:
-            metadata = yield from self._metadata(name)
+        budget = self._budget("read", name)
+        with self._root_span("read", file=name) as closing:
+            metadata = yield from self._metadata(budget, name)
             if length is None:
                 length = metadata.size_bytes - offset
             if length <= 0 or offset < 0 or offset + length > metadata.size_bytes:
@@ -508,55 +437,42 @@ class MayflowerClient:
             )
             all_transfers: List[PlannedTransfer] = []
             readers: List[Process] = []
-            chunks: Dict[int, Optional[bytes]] = {}
-            reply_sizes: List[int] = []
-
-            slot = 0
             for sub_offset, sub_length, replicas in subranges:
-                transfers = yield from self._plan_with_retry(
-                    metadata, replicas, sub_length, job_id
+                # Survives transient planner/Flowserver outages.
+                transfers = yield from budget.run(
+                    lambda: self._planner.plan(
+                        self.host_id, metadata, replicas, sub_length, job_id=job_id
+                    ),
+                    lambda err: isinstance(err, _PLANNER_FAILED),
+                    lambda err: HostDownError(f"read planner unreachable: {err}"),
                 )
                 covered = sum(t.size_bytes for t in transfers)
                 if covered != sub_length:
                     raise InvalidRequestError(
                         f"planner covered {covered} of {sub_length} bytes"
                     )
-                cursor = sub_offset
-                for transfer in transfers:
-                    all_transfers.append(transfer)
+                all_transfers.extend(transfers)
+                for transfer, cursor in _laid_out(transfers, sub_offset):
                     readers.append(
-                        self._spawn_read(
-                            metadata, transfer, cursor, slot, chunks, reply_sizes, job_id
+                        Process(
+                            self._loop,
+                            self._read_range(budget, metadata, transfer, cursor, job_id),
+                            name=f"read:{metadata.name}:{len(readers)}",
                         )
                     )
-                    cursor += transfer.size_bytes
-                    slot += 1
 
+            chunks: List[Optional[bytes]] = []
+            reply_sizes: List[int] = []
             for proc in readers:
-                yield proc
-        except BaseException as err:
-            tel = instrument.TELEMETRY
-            if tel is not None and read_id is not None:
-                tel.end(self._loop.now, "client.read", "read", read_id,
-                        track="reads", outcome="error",
-                        error=type(err).__name__)
-            raise
-        finally:
-            if read_ctx is not None:
-                instrument.set_context(previous_ctx)
+                chunk, sizes = yield proc
+                chunks.append(chunk)
+                reply_sizes.extend(sizes)
+            closing.update(outcome="completed", length=length, transfers=len(readers))
 
-        data = None
-        if chunks and all(v is not None for v in chunks.values()):
-            data = b"".join(chunks[i] for i in sorted(chunks))
         file_size = max(reply_sizes) if reply_sizes else metadata.size_bytes
         if file_size != metadata.size_bytes:
             # A concurrent append grew the file; refresh the cached size.
             self._remember(name, metadata.with_size(file_size))
-        tel = instrument.TELEMETRY
-        if tel is not None and read_id is not None:
-            tel.end(self._loop.now, "client.read", "read", read_id,
-                    track="reads", outcome="completed", length=length,
-                    transfers=len(all_transfers))
         return ReadResult(
             name=name,
             offset=offset,
@@ -564,97 +480,136 @@ class MayflowerClient:
             duration=self._loop.now - started,
             transfers=tuple(all_transfers),
             file_size=file_size,
-            data=data,
+            data=_joined(chunks),
         )
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _invoke_nameserver(self, method: str, *args: Any) -> Generator:
+    def _budget(self, op: str, name: str) -> RetryBudget:
+        """Open the retry budget of one logical operation on ``name``."""
+        return RetryBudget(
+            self._retry, self._loop, self._retry_rng, op, name, self._note_retry
+        )
+
+    def _note_retry(self, op: str, name: str, error: Exception) -> None:
+        """Book one retry under the operation that owns the budget."""
+        tel = instrument.TELEMETRY
+        if op == "read":
+            self.read_retries += 1
+        elif op == "append":
+            self.append_retries += 1
+            if tel is not None:
+                tel.instant(self._loop.now, "client.append.retry", "append",
+                            host=self.host_id, file=name,
+                            error=type(error).__name__)
+        else:
+            op = "metadata"
+            self.metadata_retries += 1
+        if tel is not None:
+            tel.count(f"client_{op}_retries_total")
+
+    @contextmanager
+    def _root_span(self, op: str, **args: object) -> Iterator[Dict[str, object]]:
+        """Root span (``client.<op>``) of one operation tree.
+
+        Every rpc the operation makes, and whatever those spawn, hangs
+        off the context installed for the block's dynamic extent.  The
+        block fills the yielded dict with the arguments of the span's
+        end event; a raising block ends it with ``outcome="error"``.
+        Safe around ``yield from`` as ``Dataserver._stage_span`` is.
+        """
+        closing: Dict[str, object] = {}
+        tel = instrument.TELEMETRY
+        if tel is None:
+            yield closing
+            return
+        span, track = f"client.{op}", f"{op}s"
+        ctx = tel.start_span(
+            self._loop.now, span, op, track=track, span_id=tel.next_id(op),
+            host=self.host_id, **args,
+        )
+        previous = instrument.set_context(ctx)
+        try:
+            yield closing
+        except BaseException as err:
+            closing = {"outcome": "error", "error": type(err).__name__}
+            raise
+        finally:
+            instrument.set_context(previous)
+            tel = instrument.TELEMETRY
+            if tel is not None:
+                tel.finish_span(self._loop.now, ctx, span, op, track=track, **closing)
+
+    def _invoke_nameserver(
+        self, budget: RetryBudget, method: str, *args: Any
+    ) -> Generator:
         """Call the nameserver, failing over across replica endpoints.
 
-        Whole-host failures (HostDown), crashed nameserver processes
-        (ServiceNotFound) and deadline expiries (RpcTimeout, when the
-        retry policy sets one) all trigger the failover.  With a retry
-        policy, exhausted endpoint sweeps repeat after exponential
-        backoff until attempts or the operation deadline run out.
+        One attempt sweeps the endpoints in order: whole-host failures
+        (HostDown), crashed nameserver processes (ServiceNotFound) and
+        deadline expiries (RpcTimeout, when the retry policy sets one)
+        move on to the next, and a sweep that reaches nobody is what the
+        budget retries.  Any other remote error is the nameserver's
+        answer and propagates.
 
         With a shard router installed, name-routed calls sweep only the
         owning partition's replica endpoints; a ``WrongPartitionError``
         advertising a newer shard-map epoch triggers a map refetch from
         the rejecting replica and one re-routed sweep.
         """
-        from repro.rpc.errors import (
-            HostDownError,
-            RemoteInvocationError,
-            RpcTimeout,
-            ServiceNotFoundError,
-        )
+        rpc_timeout = self._retry.rpc_timeout
 
-        policy = self._retry
-        rpc_timeout = policy.rpc_timeout if policy is not None else None
-        rounds = policy.max_attempts if policy is not None else 1
-        deadline = (
-            self._loop.now + policy.operation_deadline
-            if policy is not None and policy.operation_deadline is not None
-            else None
-        )
-        last_error: Optional[Exception] = None
-        for round_index in range(rounds):
-            if round_index > 0:
-                self.read_retries += 1
-                tel = instrument.TELEMETRY
-                if tel is not None:
-                    tel.count("client_read_retries_total")
-                delay = policy.backoff(round_index - 1, self._retry_rng)
-                if delay > 0:
-                    yield Delay(delay)
-            refreshes_left = 1 if self._shard_router is not None else 0
-            sweep = True
-            while sweep:
-                sweep = False
+        def sweep() -> Generator:
+            may_refresh = True
+            while True:
+                unreachable: Optional[Exception] = None
                 for endpoint in self._ns_endpoints_for(method, args):
-                    if deadline is not None and self._loop.now > deadline:
-                        from repro.fs.errors import OperationTimeoutError
-
-                        raise OperationTimeoutError(
-                            f"nameserver {method!r} exceeded its "
-                            f"{policy.operation_deadline:.6g}s deadline: "
-                            f"{last_error}"
-                        )
                     try:
-                        result = yield from self._fabric.invoke(
-                            self.host_id,
-                            endpoint,
-                            "nameserver",
-                            method,
-                            *args,
-                            rpc_timeout=rpc_timeout,
+                        return (
+                            yield from self._fabric.invoke(
+                                self.host_id, endpoint, "nameserver", method, *args,
+                                rpc_timeout=rpc_timeout,
+                            )
                         )
-                        return result
-                    except (HostDownError, ServiceNotFoundError, RpcTimeout) as err:
-                        last_error = err
-                        continue
+                    except _UNREACHABLE as err:
+                        unreachable = err
                     except RemoteInvocationError as err:
-                        remote = getattr(err, "remote_error", None)
+                        remote = err.remote_error
                         router = self._shard_router
-                        if (
-                            refreshes_left > 0
+                        if not (
+                            may_refresh
                             and router is not None
                             and isinstance(remote, WrongPartitionError)
                             and remote.epoch > router.epoch
                         ):
-                            # Cached map went stale (epoch bump): refetch
-                            # from the replica that rejected us — it is
-                            # demonstrably reachable — and re-route once.
-                            refreshes_left -= 1
-                            yield from self._refresh_shard_map(endpoint)
-                            sweep = True
-                            break
-                        raise
-        raise HostDownError(
-            f"no nameserver replica reachable for {method!r}: {last_error}"
+                            raise
+                        # Cached map went stale (epoch bump): refetch from
+                        # the replica that rejected us — it is demonstrably
+                        # reachable — and re-route once.
+                        may_refresh = False
+                        data = yield from self._fabric.invoke(
+                            self.host_id, endpoint, "nameserver", "get_shard_map",
+                            rpc_timeout=rpc_timeout,
+                        )
+                        if router.install(ShardMap.from_json_dict(data)):
+                            tel = instrument.TELEMETRY
+                            if tel is not None:
+                                tel.count("client_shard_map_refreshes_total")
+                        break
+                else:
+                    raise HostDownError(
+                        f"no nameserver replica reachable for {method!r}: "
+                        f"{unreachable}"
+                    )
+
+        return (
+            yield from budget.run(
+                sweep,
+                lambda err: isinstance(err, _UNREACHABLE),
+                lambda err: err,
+            )
         )
 
     def _ns_endpoints_for(self, method: str, args: Sequence[Any]) -> List[str]:
@@ -672,63 +627,17 @@ class MayflowerClient:
             return self._shard_router.endpoints_for(str(args[0]))
         return self._ns_endpoints
 
-    def _refresh_shard_map(self, endpoint: str) -> Generator:
-        """Refetch the shard map from ``endpoint`` and adopt it if newer."""
-        assert self._shard_router is not None
-        data = yield from self._fabric.invoke(
-            self.host_id, endpoint, "nameserver", "get_shard_map"
-        )
-        adopted = self._shard_router.install(ShardMap.from_json_dict(data))
-        if adopted:
-            tel = instrument.TELEMETRY
-            if tel is not None:
-                tel.count("client_shard_map_refreshes_total")
-
-    def _plan_with_retry(
-        self,
-        metadata: FileMetadata,
-        replicas: Sequence[str],
-        size_bytes: int,
-        job_id: Optional[str],
-    ) -> Generator:
-        """Run the read planner; with a retry policy, survive transient
-        planner/Flowserver outages by backing off and retrying."""
-        from repro.rpc.errors import (
-            HostDownError,
-            RemoteInvocationError,
-            RpcTimeout,
-        )
-
-        policy = self._retry
-        attempts = policy.max_attempts if policy is not None else 1
-        last_error: Optional[Exception] = None
-        for attempt_index in range(attempts):
-            if attempt_index > 0:
-                self.read_retries += 1
-                tel = instrument.TELEMETRY
-                if tel is not None:
-                    tel.count("client_read_retries_total")
-                delay = policy.backoff(attempt_index - 1, self._retry_rng)
-                if delay > 0:
-                    yield Delay(delay)
-            try:
-                transfers = yield from self._planner.plan(
-                    self.host_id, metadata, replicas, size_bytes, job_id=job_id
-                )
-                return transfers
-            except (HostDownError, RpcTimeout, RemoteInvocationError) as err:
-                if policy is None:
-                    raise
-                last_error = err
-        raise HostDownError(f"read planner unreachable: {last_error}")
-
-    def _metadata(self, name: str) -> Generator:
+    def _metadata(self, budget: RetryBudget, name: str) -> Generator:
         entry = self._cache.get(name)
         if entry is not None and self._loop.now - entry.cached_at <= self.metadata_ttl:
             self.cache_hits += 1
             return entry.metadata
         self.cache_misses += 1
-        metadata_dict = yield from self._invoke_nameserver("lookup", name)
+        return (yield from self._lookup(budget, name))
+
+    def _lookup(self, budget: RetryBudget, name: str) -> Generator:
+        """Fetch and cache ``name``'s metadata for ``budget``'s operation."""
+        metadata_dict = yield from self._invoke_nameserver(budget, "lookup", name)
         metadata = FileMetadata.from_json_dict(metadata_dict)
         self._remember(name, metadata)
         return metadata
@@ -737,234 +646,147 @@ class MayflowerClient:
         self._cache[name] = _CacheEntry(metadata=metadata, cached_at=self._loop.now)
 
     def _spawn_invoke(self, endpoint: str, service: str, method: str, *args: Any) -> Process:
-        def body() -> Generator:
-            return (
-                yield from self._fabric.invoke(
-                    self.host_id, endpoint, service, method, *args
-                )
-            )
+        call = self._fabric.invoke(self.host_id, endpoint, service, method, *args)
+        return Process(self._loop, call, name=f"{service}.{method}@{endpoint}")
 
-        return Process(self._loop, body(), name=f"{service}.{method}@{endpoint}")
-
-    def _spawn_read(
+    def _read_range(
         self,
+        budget: RetryBudget,
         metadata: FileMetadata,
         transfer: PlannedTransfer,
         file_offset: int,
-        slot: int,
-        chunks: Dict[int, Optional[bytes]],
-        reply_sizes: List[int],
         job_id: Optional[str],
-    ) -> Process:
-        def attempt(
-            replica: str,
-            flow_id: str,
-            path: Sequence[str],
-            abs_offset: int,
-            nbytes: int,
-        ) -> Generator:
-            reply = yield from self._fabric.invoke(
-                self.host_id,
-                replica,
-                "dataserver",
-                "serve_read",
-                metadata.file_id,
-                abs_offset,
-                nbytes,
-                self.host_id,
-                flow_id,
-                path,
-                job_id,
-            )
-            return reply
+    ) -> Generator:
+        """Fetch one planned transfer's byte range; returns ``(data, the
+        file sizes the replies reported)``.
 
-        def body() -> Generator:
-            from repro.fs.errors import OperationTimeoutError, ReplicaUnavailableError
-            from repro.net.simulator import FlowAborted
-            from repro.rpc.errors import (
-                HostDownError,
-                RemoteInvocationError,
-                RpcTimeout,
-            )
+        A mid-transfer abort keeps the delivered prefix, and only the
+        remainder is retried — re-planned (via the Flowserver, for
+        Mayflower) over the replicas not known to be down.
+        """
+        # Still to fetch, in order; the head is the piece in flight, and a
+        # failed attempt leaves what it did not get there for refresh().
+        queue = [(transfer, file_offset)]
+        parts: Dict[int, Optional[bytes]] = {}
+        reply_sizes: List[int] = []
+        down_replicas: List[str] = []
 
-            policy = self._retry
-            started = self._loop.now
-            deadline = (
-                started + policy.operation_deadline
-                if policy is not None and policy.operation_deadline is not None
-                else None
-            )
-            max_attempts = (
-                policy.max_attempts if policy is not None else self.max_read_attempts
-            )
-
-            # Byte ranges still to fetch: (replica, flow_id, path, abs
-            # offset, length).  A mid-transfer abort keeps the delivered
-            # prefix and pushes back only the remainder — possibly
-            # re-planned onto a different replica via the Flowserver.
-            queue: List[Tuple[str, Optional[str], Optional[object], int, int]] = [
-                (
-                    transfer.replica,
-                    transfer.flow_id,
-                    transfer.path,
-                    file_offset,
-                    transfer.size_bytes,
-                )
-            ]
-            parts: Dict[int, Optional[bytes]] = {}
-            down_replicas: List[str] = []
-            failures = 0
-            last_error: Optional[Exception] = None
-            last_reply = None
-
+        def attempt() -> Generator:
             while queue:
-                replica, flow_id, path, abs_off, nbytes = queue.pop(0)
-                if deadline is not None and self._loop.now > deadline:
-                    raise OperationTimeoutError(
-                        f"read of {metadata.name!r} range {file_offset}+"
-                        f"{transfer.size_bytes} exceeded its "
-                        f"{policy.operation_deadline:.6g}s deadline: {last_error}"
-                    )
+                piece, offset = queue[0]
                 try:
-                    reply = yield from attempt(replica, flow_id, path, abs_off, nbytes)
-                except (HostDownError, RpcTimeout, RemoteInvocationError) as err:
-                    aborted: Optional[FlowAborted] = None
-                    if isinstance(err, RemoteInvocationError):
-                        if isinstance(err.remote_error, FlowAborted):
-                            aborted = err.remote_error
-                        else:
-                            # Remote logic errors (bad range, missing file)
-                            # are not transient — retrying cannot help.
-                            raise
-                    failures += 1
-                    last_error = err
-                    if isinstance(err, (HostDownError, RpcTimeout)):
-                        if replica not in down_replicas:
-                            down_replicas.append(replica)
-
-                    remaining_off, remaining_len = abs_off, nbytes
-                    if aborted is not None:
-                        delivered = min(int(aborted.bytes_delivered), nbytes)
-                        if delivered > 0:
-                            parts[abs_off] = (
-                                aborted.data[:delivered]
-                                if aborted.data is not None
-                                else None
-                            )
-                            remaining_off += delivered
-                            remaining_len -= delivered
-                            self.read_resumptions += 1
-                            self.bytes_resumed += delivered
-                            tel = instrument.TELEMETRY
-                            if tel is not None:
-                                tel.instant(
-                                    self._loop.now, "client.read.resume",
-                                    "read", file=metadata.name,
-                                    replica=replica, bytes=delivered,
-                                )
-                                tel.count("client_read_resumptions_total")
-                                tel.metrics.counter(
-                                    "client_bytes_resumed_total"
-                                ).inc(float(delivered))
-
-                    candidates = [
-                        r for r in metadata.replicas if r not in down_replicas
-                    ]
-                    if remaining_len <= 0:
-                        continue
-                    if failures >= max_attempts or (
-                        not candidates and policy is None
-                    ):
-                        raise ReplicaUnavailableError(
-                            f"read of {metadata.name!r} range {file_offset}+"
-                            f"{transfer.size_bytes} failed after {failures} "
-                            f"attempt(s), replicas down {down_replicas}: "
-                            f"{last_error}"
+                    reply = yield from self._fabric.invoke(
+                        self.host_id, piece.replica, "dataserver", "serve_read",
+                        metadata.file_id, offset, piece.size_bytes, self.host_id,
+                        piece.flow_id, piece.path, job_id,
+                    )
+                except (HostDownError, RpcTimeout):
+                    if piece.replica not in down_replicas:
+                        down_replicas.append(piece.replica)
+                    raise
+                except RemoteInvocationError as err:
+                    aborted = err.remote_error
+                    if not isinstance(aborted, FlowAborted):
+                        raise
+                    delivered = min(int(aborted.bytes_delivered), piece.size_bytes)
+                    if delivered > 0:
+                        parts[offset] = (
+                            aborted.data[:delivered]
+                            if aborted.data is not None
+                            else None
                         )
-                    if not candidates:
-                        # Every replica has failed at least once, but a
-                        # timed outage may since have healed; forgive the
-                        # blacklist and re-probe after backoff (the
-                        # failure budget still bounds total attempts).
-                        down_replicas.clear()
-                        candidates = list(metadata.replicas)
-                    tel = instrument.TELEMETRY
-                    if replica in down_replicas:
-                        self.read_failovers += 1
+                        self.read_resumptions += 1
+                        self.bytes_resumed += delivered
+                        tel = instrument.TELEMETRY
                         if tel is not None:
                             tel.instant(
-                                self._loop.now, "client.read.failover",
-                                "read", file=metadata.name, replica=replica,
+                                self._loop.now, "client.read.resume",
+                                "read", file=metadata.name,
+                                replica=piece.replica, bytes=delivered,
                             )
-                            tel.count("client_read_failovers_total")
-                    self.read_retries += 1
-                    if tel is not None:
-                        tel.count("client_read_retries_total")
-                    if policy is not None:
-                        delay = policy.backoff(failures - 1, self._retry_rng)
-                        if delay > 0:
-                            yield Delay(delay)
-                    requeue = yield from self._replan_range(
-                        metadata, candidates, replica, remaining_off,
-                        remaining_len, job_id,
+                            tel.count("client_read_resumptions_total")
+                            tel.metrics.counter(
+                                "client_bytes_resumed_total"
+                            ).inc(float(delivered))
+                    if delivered < piece.size_bytes:
+                        rest = PlannedTransfer(piece.replica, piece.size_bytes - delivered)
+                        queue[0] = (rest, offset + delivered)
+                        raise
+                else:
+                    parts[offset] = reply.data
+                    reply_sizes.append(reply.file_size)
+                queue.pop(0)
+
+        def refresh() -> Generator:
+            failed, offset = queue.pop(0)
+            candidates = [r for r in metadata.replicas if r not in down_replicas]
+            if not candidates:
+                # Every replica has failed at least once, but a timed
+                # outage may since have healed; forgive the blacklist
+                # and re-probe (the attempt budget still bounds us).
+                down_replicas.clear()
+                candidates = list(metadata.replicas)
+            if failed.replica in down_replicas:
+                self.read_failovers += 1
+                tel = instrument.TELEMETRY
+                if tel is not None:
+                    tel.instant(
+                        self._loop.now, "client.read.failover",
+                        "read", file=metadata.name, replica=failed.replica,
                     )
-                    queue[:0] = requeue
-                    continue
-                parts[abs_off] = reply.data
-                reply_sizes.append(reply.file_size)
-                last_reply = reply
+                    tel.count("client_read_failovers_total")
+            replanned = yield from self._replan_range(
+                metadata, candidates, failed.replica, failed.size_bytes, job_id
+            )
+            queue[:0] = _laid_out(replanned, offset)
 
-            data = None
-            if parts and all(v is not None for v in parts.values()):
-                data = b"".join(parts[k] for k in sorted(parts))
-            chunks[slot] = data
-            return last_reply
+        yield from budget.run(
+            attempt,
+            self._read_error_is_transient,
+            lambda err: ReplicaUnavailableError(
+                f"read of {metadata.name!r} range {file_offset}+"
+                f"{transfer.size_bytes} failed after "
+                f"{budget.policy.max_attempts} attempt(s), replicas down "
+                f"{down_replicas}: {err}"
+            ),
+            refresh,
+        )
+        return _joined([parts[k] for k in sorted(parts)]), reply_sizes
 
-        return Process(self._loop, body(), name=f"read:{metadata.name}:{slot}")
+    @staticmethod
+    def _read_error_is_transient(err: Exception) -> bool:
+        """Whether a failed ``serve_read`` is worth another attempt: an
+        unreachable or silent replica and a transfer aborted mid-flight
+        are; any other remote error (bad range, missing file) is the
+        dataserver's answer."""
+        if isinstance(err, RemoteInvocationError):
+            return isinstance(err.remote_error, FlowAborted)
+        return isinstance(err, (HostDownError, RpcTimeout))
 
     def _replan_range(
         self,
         metadata: FileMetadata,
         candidates: List[str],
         failed_replica: str,
-        offset: int,
         length: int,
         job_id: Optional[str],
     ) -> Generator:
-        """Plan the retry of a byte range after a failure.
+        """Plan the retry of ``length`` bytes after a failure.
 
         Asks the planner (the Flowserver, for Mayflower) to place the
         remaining bytes across the surviving replicas; if the planner is
         itself unreachable or returns a bad cover, falls back to a direct
         ECMP-routed read from the first healthy replica.
         """
-        from repro.rpc.errors import HostDownError, RemoteInvocationError, RpcTimeout
-
-        transfers = None
         try:
             planned = yield from self._planner.plan(
                 self.host_id, metadata, candidates, length, job_id=job_id
             )
             if planned and sum(t.size_bytes for t in planned) == length:
-                transfers = planned
-        except (HostDownError, RpcTimeout, RemoteInvocationError):
-            transfers = None
-        if transfers is None:
-            fallback = (
-                candidates[0] if failed_replica not in candidates else failed_replica
-            )
-            return [(fallback, None, None, offset, length)]
-        requeue = []
-        cursor = offset
-        for planned_transfer in transfers:
-            requeue.append(
-                (
-                    planned_transfer.replica,
-                    planned_transfer.flow_id,
-                    planned_transfer.path,
-                    cursor,
-                    planned_transfer.size_bytes,
-                )
-            )
-            cursor += planned_transfer.size_bytes
-        return requeue
+                return planned
+        except _PLANNER_FAILED:
+            pass
+        fallback = (
+            candidates[0] if failed_replica not in candidates else failed_replica
+        )
+        return [PlannedTransfer(fallback, length)]

@@ -26,9 +26,9 @@ class InvalidRequestError(FsError):
 class OperationTimeoutError(FsError):
     """A client operation exhausted its overall deadline.
 
-    Raised by :class:`~repro.fs.client.MayflowerClient` when a
+    Raised by :class:`~repro.fs.retry.RetryBudget` when a
     :class:`~repro.fs.retry.RetryPolicy` with ``operation_deadline`` runs
-    out of simulated-time budget across attempts and backoff.
+    out of simulated-time budget across phases, attempts and backoff.
     """
 
 

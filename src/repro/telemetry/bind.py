@@ -195,6 +195,10 @@ def bind_resilience_metrics(
         callback=_sum_over(client_list, "read_retries"),
     )
     registry.gauge(
+        "metadata_retries", "Client namespace calls retried",
+        callback=_sum_over(client_list, "metadata_retries"),
+    )
+    registry.gauge(
         "read_failovers", "Client reads failed over to another replica",
         callback=_sum_over(client_list, "read_failovers"),
     )

@@ -8,11 +8,12 @@ from repro.baselines.selectors import NearestReplicaSelector
 from repro.cluster.planners import SelectorReadPlanner
 from repro.fs.client import MayflowerClient
 from repro.fs.errors import ReplicaUnavailableError
+from repro.fs.retry import IMMEDIATE_FAILOVER, RetryPolicy
 
 MB = 1024 * 1024
 
 
-def make_client(mini_cluster, host, max_read_attempts=3):
+def make_client(mini_cluster, host, retry=IMMEDIATE_FAILOVER):
     topo = mini_cluster.network.topology
     planner = SelectorReadPlanner(
         NearestReplicaSelector(topo, random.Random(5))
@@ -23,7 +24,7 @@ def make_client(mini_cluster, host, max_read_attempts=3):
         fabric=mini_cluster.fabric,
         nameserver_endpoint=mini_cluster.nameserver_host,
         planner=planner,
-        max_read_attempts=max_read_attempts,
+        retry=retry,
     )
 
 
@@ -84,7 +85,7 @@ def test_attempt_budget_respected(mini_cluster):
     client_host = next(
         h for h in sorted(mini_cluster.dataservers) if h not in meta["replicas"]
     )
-    client = make_client(mini_cluster, client_host, max_read_attempts=1)
+    client = make_client(mini_cluster, client_host, RetryPolicy(max_attempts=1))
 
     def scenario():
         yield from client.stat("f")

@@ -1,14 +1,16 @@
 """Client resilience: backoff policy, deadlines, and read resumption."""
 
+import inspect
 import random
 
 import pytest
 
 from repro.baselines.selectors import NearestReplicaSelector
+from repro.cluster.cluster import CONTROLLER_ENDPOINT, Cluster, ClusterConfig
 from repro.cluster.planners import SelectorReadPlanner
 from repro.fs.client import MayflowerClient
 from repro.fs.errors import OperationTimeoutError, ReplicaUnavailableError
-from repro.fs.retry import LEGACY_POLICY, RetryPolicy
+from repro.fs.retry import IMMEDIATE_FAILOVER, RetryPolicy
 
 MB = 1024 * 1024
 
@@ -41,11 +43,11 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(multiplier=0.5)
 
-    def test_legacy_policy_has_no_delays(self):
-        assert LEGACY_POLICY.backoff(3, None) == 0.0
+    def test_immediate_failover_has_no_delays(self):
+        assert IMMEDIATE_FAILOVER.backoff(3, None) == 0.0
 
 
-def make_client(mini_cluster, host, policy=None):
+def make_client(mini_cluster, host, policy=IMMEDIATE_FAILOVER):
     topo = mini_cluster.network.topology
     planner = SelectorReadPlanner(
         NearestReplicaSelector(topo, random.Random(5))
@@ -57,7 +59,7 @@ def make_client(mini_cluster, host, policy=None):
         nameserver_endpoint=mini_cluster.nameserver_host,
         planner=planner,
         retry=policy,
-        retry_rng=random.Random(99) if policy is not None else None,
+        retry_rng=random.Random(99),
     )
 
 
@@ -78,8 +80,8 @@ def off_replica_host(mini_cluster, meta):
 
 
 def test_backoff_rides_out_transient_outage(mini_cluster):
-    """All replicas down briefly: the retrying client waits them out where
-    the legacy client would fail."""
+    """All replicas down briefly: a client with backoff waits them out
+    where immediate failover would fail."""
     meta = populate(mini_cluster)
     client = make_client(
         mini_cluster,
@@ -188,7 +190,7 @@ def test_mid_transfer_abort_resumes_from_delivered_prefix(mini_cluster):
     assert client.bytes_resumed > 0
 
 
-def test_no_policy_keeps_legacy_failover_semantics(mini_cluster):
+def test_default_policy_fails_over_immediately(mini_cluster):
     meta = populate(mini_cluster)
     client = make_client(mini_cluster, off_replica_host(mini_cluster, meta))
 
@@ -198,5 +200,115 @@ def test_no_policy_keeps_legacy_failover_semantics(mini_cluster):
             mini_cluster.fabric.set_down(replica)
         yield from client.read("f")
 
-    with pytest.raises(ReplicaUnavailableError):
+    with pytest.raises(ReplicaUnavailableError, match="3 attempt"):
         mini_cluster.run(scenario())
+    assert mini_cluster.loop.now < 0.1  # three tries, no backoff between them
+    assert client.read_retries == 2
+
+
+def test_the_default_policy_is_the_papers_immediate_failover():
+    assert ClusterConfig().retry is IMMEDIATE_FAILOVER
+    default = inspect.signature(MayflowerClient).parameters["retry"].default
+    assert default is IMMEDIATE_FAILOVER
+    assert (IMMEDIATE_FAILOVER.max_attempts, IMMEDIATE_FAILOVER.max_delay) == (3, 0.0)
+    assert IMMEDIATE_FAILOVER.operation_deadline is None
+    assert IMMEDIATE_FAILOVER.rpc_timeout is None
+
+
+#: Patient enough to outlast every outage below; only the deadline gives up.
+TWO_SECONDS = RetryPolicy(
+    max_attempts=1000, base_delay=0.05, max_delay=0.2, jitter=0.0,
+    operation_deadline=2.0,
+)
+
+
+def nameserver_outage(mini_cluster, seconds):
+    """Take the nameserver *service* away (hosts stay up) for ``seconds``."""
+    host, service = mini_cluster.nameserver_host, mini_cluster.nameserver
+    mini_cluster.fabric.unregister(host, "nameserver")
+    mini_cluster.loop.call_in(
+        seconds, mini_cluster.fabric.register, host, "nameserver", service
+    )
+
+
+def test_deadline_covers_the_planner_phase(tmp_path):
+    """Controller down for good: the plan phase must give up at the
+    operation's deadline, not after max_attempts backoffs."""
+    cluster = Cluster(
+        ClusterConfig(
+            pods=2, racks_per_pod=2, hosts_per_rack=2, seed=1,
+            db_directory=tmp_path / "ns", retry=TWO_SECONDS,
+        )
+    )
+    client = cluster.client("pod1-rack1-h1")
+
+    def scenario():
+        yield from client.create("f", chunk_bytes=4 * MB)
+        yield from client.append("f", 1 * MB)
+        cluster.fabric.set_down(CONTROLLER_ENDPOINT)
+        started = cluster.loop.now
+        try:
+            yield from client.read("f")
+        except OperationTimeoutError:
+            return cluster.loop.now - started
+
+    waited = cluster.run(scenario())
+    cluster.shutdown()
+    assert waited is not None and 1.5 < waited <= 2.0
+
+
+def test_deadline_does_not_restart_between_lookup_and_transfer(mini_cluster):
+    """The lookup waits out a 1.9 s nameserver outage, then every replica
+    stays down until 3.7 s: under one 2 s budget that read times out."""
+    meta = populate(mini_cluster)
+    client = make_client(
+        mini_cluster, off_replica_host(mini_cluster, meta), TWO_SECONDS
+    )
+
+    def scenario():
+        nameserver_outage(mini_cluster, 1.9)
+        for replica in meta["replicas"]:
+            mini_cluster.fabric.set_down(replica)
+            mini_cluster.loop.call_in(
+                3.7, mini_cluster.fabric.set_down, replica, False
+            )
+        try:
+            yield from client.read("f")
+        except OperationTimeoutError:
+            return mini_cluster.loop.now
+
+    gave_up_at = mini_cluster.run(scenario())
+    assert gave_up_at is not None and 1.9 < gave_up_at <= 2.0
+
+
+@pytest.mark.parametrize(
+    "operation, booked",
+    [("create", "metadata_retries"), ("read", "read_retries")],
+)
+def test_nameserver_retries_are_booked_under_the_owning_operation(
+    mini_cluster, operation, booked
+):
+    meta = populate(mini_cluster)
+    client = make_client(
+        mini_cluster,
+        off_replica_host(mini_cluster, meta),
+        RetryPolicy(max_attempts=20, base_delay=0.05, max_delay=0.2, jitter=0.0),
+    )
+
+    def scenario():
+        nameserver_outage(mini_cluster, 1.5)
+        if operation == "create":
+            yield from client.create("g", chunk_bytes=4 * MB)
+        else:
+            yield from client.read("f")
+
+    mini_cluster.run(scenario())
+    counters = {
+        name: getattr(client, name, None)
+        for name in ("read_retries", "append_retries", "metadata_retries")
+    }
+    # 0.05 + 0.1 + 7 x 0.2 s of backoff outlasts the 1.5 s outage
+    assert counters == {
+        "read_retries": 0, "append_retries": 0, "metadata_retries": 0,
+        booked: 9,
+    }

@@ -14,7 +14,7 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.core.fanout import RelayNode
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.fs.errors import LeaseExpiredError, StaleEpochError
-from repro.fs.retry import RetryPolicy
+from repro.fs.retry import IMMEDIATE_FAILOVER, RetryPolicy
 
 MB = 1024 * 1024
 
@@ -34,7 +34,7 @@ def build_wp_cluster(
     tmp_path,
     scheme="mayflower",
     fanout="auto",
-    retry=None,
+    retry=IMMEDIATE_FAILOVER,
     replica_manager=False,
     seed=17,
     tag="wp",
@@ -106,6 +106,28 @@ class TestPipelinedAppend:
         assert primary_ds.appends_served == len(payloads)
         # nameserver sees the committed size
         assert cluster.nameserver.lookup("f")["size_bytes"] == total
+        cluster.shutdown()
+
+    def test_rpc_timeout_does_not_bound_the_bulk_push(self, tmp_path):
+        """A 256 MiB append spends ~34 s in the data plane; the
+        control-plane ``rpc_timeout`` must not expire the push, or every
+        retry re-pushes the block beside the copy still in flight."""
+        cluster = build_wp_cluster(
+            tmp_path,
+            seed=1,
+            retry=RetryPolicy(max_attempts=4, jitter=0.0, rpc_timeout=1.0),
+        )
+        client = cluster.client("pod1-rack1-h1")
+
+        def scenario():
+            meta = yield from client.create("f")
+            size = yield from client.append("f", 256 * MB)
+            return meta, size
+
+        meta, size = cluster.run(scenario())
+        assert size == 256 * MB
+        assert cluster.dataservers[meta.primary].pushes_staged == 1
+        assert client.append_retries == 0
         cluster.shutdown()
 
     def test_flowserver_plans_fanout(self, tmp_path):
