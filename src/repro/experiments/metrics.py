@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -26,6 +25,8 @@ def mean_confidence_interval(
     samples: Sequence[float], confidence: float = 0.95
 ) -> Tuple[float, float, float]:
     """(mean, low, high) Student-t confidence interval for the mean."""
+    from scipy import stats  # ~1 s to import; only the two CI helpers need it
+
     data = np.asarray(samples, dtype=float)
     if data.size == 0:
         raise ValueError("no samples")
@@ -50,6 +51,8 @@ def fieller_ratio_ci(
     significantly different from zero the interval can be unbounded; this
     implementation returns ``(ratio, nan, nan)`` in that degenerate case.
     """
+    from scipy import stats  # see mean_confidence_interval
+
     a = np.asarray(numerator, dtype=float)
     b = np.asarray(denominator, dtype=float)
     if a.size == 0 or b.size == 0:

@@ -2,9 +2,9 @@
 
 Mayflower restricts candidate paths to the *equal-length shortest* paths
 between two endpoints (§4.2), which in a 3-tier tree have 2, 4 or 6 switch
-hops.  :class:`RoutingTable` enumerates and caches them; paths are immutable
-tuples of directed link ids, ready for both the flow simulator and the
-Flowserver's cost model.
+hops.  :class:`RoutingTable` enumerates them over :class:`Topology`'s own
+adjacency lists and caches them; paths are immutable tuples of directed link
+ids, ready for both the flow simulator and the Flowserver's cost model.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
+from repro.net.links import Link
 from repro.net.topology import Topology
 
 
@@ -40,14 +39,21 @@ class Path:
 class RoutingTable:
     """Enumerates all equal-cost shortest paths between host pairs.
 
-    Results are cached per (src, dst); for the 64-host testbed the full
-    table is ~4k entries of at most 8 paths each.
+    Hosts never forward, so a path is ``src -> switch ... switch -> dst``
+    and the search runs over the switch-only graph: one breadth-first
+    predecessor DAG per *source switch* (cached), walked back from the
+    switches that deliver to ``dst``.  Paths come out sorted by their
+    node-name tuples — Eq. 2 tie-breaks and the index ``EcmpHasher`` picks
+    depend on that order.  Results are cached per (src, dst); for the
+    64-host testbed the full table is ~4k entries of at most 8 paths each.
     """
 
     def __init__(self, topology: Topology):
         self._topo = topology
-        self._graph = topology.to_networkx()
         self._cache: Dict[Tuple[str, str], List[Path]] = {}
+        # source switch -> (hops to each reachable switch, the links that
+        # enter each switch on a shortest path from the source)
+        self._dags: Dict[str, Tuple[Dict[str, int], Dict[str, List[Link]]]] = {}
 
     @property
     def topology(self) -> Topology:
@@ -59,8 +65,8 @@ class RoutingTable:
         Raises
         ------
         ValueError
-            If ``src == dst`` (a local read involves no network path) or if
-            either endpoint is not a host.
+            If ``src == dst`` (a local read involves no network path), if
+            either endpoint is not a host, or if the hosts are disconnected.
         """
         if src == dst:
             raise ValueError(f"no network path from a host to itself ({src!r})")
@@ -71,19 +77,91 @@ class RoutingTable:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        try:
-            node_paths = list(nx.all_shortest_paths(self._graph, src, dst))
-        except nx.NetworkXNoPath:
-            raise ValueError(f"hosts {src!r} and {dst!r} are disconnected") from None
-        paths = []
-        for node_path in sorted(node_paths):
-            link_ids = tuple(
-                self._graph.edges[a, b]["link_id"]
-                for a, b in zip(node_path, node_path[1:])
-            )
-            paths.append(Path(src=src, dst=dst, link_ids=link_ids))
+        routes = self._shortest_routes(src, dst)
+        if not routes:
+            raise ValueError(f"hosts {src!r} and {dst!r} are disconnected")
+        paths = [
+            Path(src=src, dst=dst, link_ids=tuple(link.link_id for link in route))
+            for route in sorted(routes, key=lambda r: [link.dst for link in r])
+        ]
         self._cache[key] = paths
         return paths
+
+    def _shortest_routes(self, src: str, dst: str) -> List[Tuple[Link, ...]]:
+        """Every minimum-hop link sequence ``src -> dst``, in no set order."""
+        topo = self._topo
+        egress = [topo.links[link_id] for link_id in topo.adjacency[src]]
+        for link in egress:
+            if link.dst == dst:  # a host-to-host cable beats any switched route
+                return [(link,)]
+        # Cables are full-duplex, so the switches that deliver to ``dst``
+        # are the ones ``dst`` has a link to.
+        ingress = [
+            topo.link_between(switch, dst)
+            for switch in topo.neighbors(dst)
+            if switch in topo.switches
+        ]
+        # (switch hops, access link out of src, access link into dst) for
+        # every way of entering and leaving the switch fabric
+        ends = []
+        for first in egress:
+            if first.dst in topo.switches:
+                hops = self._dag_from(first.dst)[0]
+                ends += [
+                    (hops[last.src], first, last)
+                    for last in ingress
+                    if last.src in hops
+                ]
+        if not ends:
+            return []
+        shortest = min(length for length, _, _ in ends)
+        routes: List[Tuple[Link, ...]] = []
+        for length, first, last in ends:
+            if length != shortest:
+                continue
+            # Walk the DAG back from the delivering switch to the source
+            # switch, growing each partial route at its front.
+            entering = self._dag_from(first.dst)[1]
+            partial = [(last,)]
+            for _ in range(length):
+                partial = [
+                    (link,) + tail
+                    for tail in partial
+                    for link in entering[tail[0].src]
+                ]
+            routes.extend((first,) + tail for tail in partial)
+        return routes
+
+    def _dag_from(
+        self, root: str
+    ) -> Tuple[Dict[str, int], Dict[str, List[Link]]]:
+        """Breadth-first shortest-path DAG over the switches, from ``root``."""
+        dag = self._dags.get(root)
+        if dag is not None:
+            return dag
+        topo = self._topo
+        hops = {root: 0}
+        entering: Dict[str, List[Link]] = {root: []}
+        frontier = [root]
+        depth = 0
+        while frontier:
+            depth += 1
+            reached: List[str] = []
+            for node in frontier:
+                for link_id in topo.adjacency[node]:
+                    link = topo.links[link_id]
+                    seen = hops.get(link.dst)
+                    if seen is None:
+                        if link.dst not in topo.switches:
+                            continue
+                        hops[link.dst] = depth
+                        entering[link.dst] = [link]
+                        reached.append(link.dst)
+                    elif seen == depth:
+                        entering[link.dst].append(link)
+            frontier = reached
+        dag = self._dags[root] = (hops, entering)
+        return dag
 
     def paths_from_replicas(self, replicas: List[str], client: str) -> List[Path]:
         """Candidate (replica -> client) paths for a read request.

@@ -19,7 +19,7 @@ simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.net.topology import SwitchNode, Tier
 from repro.net.view import NetworkView
@@ -69,9 +69,7 @@ class Switch:
     def attached_hosts(self) -> List[str]:
         """Hosts hanging off this switch (non-empty only for edge switches)."""
         return sorted(
-            h.host_id
-            for h in self._topo.hosts.values()
-            if h.rack == self._node.switch_id
+            h.host_id for h in self._topo.hosts_in_rack(self._node.switch_id)
         )
 
     def port_stats(self) -> List[PortStat]:
@@ -97,11 +95,19 @@ class Switch:
         queried."
         """
         self._network.snapshot_progress()
-        local_hosts = set(self.attached_hosts())
+        # A flow sourced at a host is registered on the link it leaves that
+        # host by, so the attached hosts' outgoing links name every local
+        # flow without a scan of the whole network.
+        local_hosts = self.attached_hosts()
+        candidates: Set[str] = set()
+        for host_id in local_hosts:
+            for link_id in self._topo.adjacency[host_id]:
+                candidates.update(self._topo.links[link_id].flows)
+        active = self._network.active_flows
         stats = []
-        for flow_id in sorted(self._network.active_flows):
-            flow = self._network.active_flows[flow_id]
-            if flow.src in local_hosts:
+        for flow_id in sorted(candidates):
+            flow = active.get(flow_id)
+            if flow is not None and flow.src in local_hosts:
                 stats.append(
                     FlowStat(
                         flow_id=flow.flow_id,

@@ -12,9 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.net.links import Link, LinkDirection
 
@@ -63,12 +61,21 @@ class Topology:
     links: Dict[str, Link] = field(default_factory=dict)
     # adjacency: node id -> list of outgoing link ids
     adjacency: Dict[str, List[str]] = field(default_factory=dict)
+    # rack / pod id -> its hosts in insertion order, filled by add_host
+    _rack_hosts: Dict[str, List[Host]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _pod_hosts: Dict[str, List[Host]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def add_host(self, host: Host) -> None:
         if host.host_id in self.hosts or host.host_id in self.switches:
             raise ValueError(f"duplicate node id {host.host_id!r}")
         self.hosts[host.host_id] = host
         self.adjacency.setdefault(host.host_id, [])
+        self._rack_hosts.setdefault(host.rack, []).append(host)
+        self._pod_hosts.setdefault(host.pod, []).append(host)
 
     def add_switch(self, switch: SwitchNode) -> None:
         if switch.switch_id in self.hosts or switch.switch_id in self.switches:
@@ -117,16 +124,18 @@ class Topology:
         return [self.links[lid].dst for lid in self.adjacency.get(node, [])]
 
     def hosts_in_rack(self, rack: str) -> List[Host]:
-        return [h for h in self.hosts.values() if h.rack == rack]
+        """Hosts attached to edge switch ``rack``, in insertion order."""
+        return list(self._rack_hosts.get(rack, ()))
 
     def hosts_in_pod(self, pod: str) -> List[Host]:
-        return [h for h in self.hosts.values() if h.pod == pod]
+        """Hosts of ``pod``, in insertion order."""
+        return list(self._pod_hosts.get(pod, ()))
 
     def racks(self) -> List[str]:
-        return sorted({h.rack for h in self.hosts.values()})
+        return sorted(self._rack_hosts)
 
     def pods(self) -> List[str]:
-        return sorted({h.pod for h in self.hosts.values()})
+        return sorted(self._pod_hosts)
 
     def edge_switch_of(self, host_id: str) -> str:
         """The edge switch a host hangs off (its rack switch)."""
@@ -139,8 +148,14 @@ class Topology:
             key=lambda s: s.switch_id,
         )
 
-    def to_networkx(self) -> nx.DiGraph:
-        """Export the structure as a networkx digraph (for routing)."""
+    def to_networkx(self) -> Any:
+        """Export the structure as an ``nx.DiGraph`` (debugging and tests).
+
+        Nothing in the runtime calls this, and the import sits here so that
+        importing :mod:`repro` does not load the library.
+        """
+        import networkx as nx
+
         graph = nx.DiGraph()
         for host_id in self.hosts:
             graph.add_node(host_id, kind="host")

@@ -1,0 +1,164 @@
+"""``RoutingTable.paths`` against networkx, path for path and in order.
+
+The runtime enumerates equal-cost shortest paths with its own BFS over
+``Topology.adjacency``; networkx survives only here, as the oracle.  The
+*order* of the returned list is part of the contract (Eq. 2 tie-breaks
+and the index ``EcmpHasher`` picks depend on it): lexicographic on the
+node-name sequence, i.e. ``sorted(nx.all_shortest_paths(...))``.
+"""
+
+import itertools
+import random
+
+import networkx as nx
+import pytest
+
+from repro.net import LinkDirection, RoutingTable, Tier, Topology, leaf_spine, three_tier
+from repro.net.topology import Host, SwitchNode
+from tests.core.conftest import build_fig2_topology
+
+
+def oracle_link_ids(graph, src, dst):
+    """The parent implementation: sorted networkx node paths as link ids."""
+    return [
+        tuple(graph.edges[a, b]["link_id"] for a, b in zip(nodes, nodes[1:]))
+        for nodes in sorted(nx.all_shortest_paths(graph, src, dst))
+    ]
+
+
+def assert_matches_oracle(topo, pairs):
+    graph = topo.to_networkx()
+    table = RoutingTable(topo)
+    checked = 0
+    for src, dst in pairs:
+        got = table.paths(src, dst)
+        assert [p.link_ids for p in got] == oracle_link_ids(graph, src, dst), (src, dst)
+        assert all((p.src, p.dst) == (src, dst) for p in got)
+        checked += 1
+    return checked
+
+
+def all_pairs(topo):
+    return itertools.permutations(sorted(topo.hosts), 2)
+
+
+@pytest.mark.parametrize("oversubscription", [8.0, 16.0, 24.0])
+def test_every_pair_on_the_64_host_testbed(oversubscription):
+    topo = three_tier(oversubscription=oversubscription)
+    assert assert_matches_oracle(topo, all_pairs(topo)) == 64 * 63
+
+
+def test_sampled_pairs_at_1024_hosts_cover_every_locality_class():
+    topo = three_tier(pods=16, racks_per_pod=16, hosts_per_rack=4)
+    hosts = sorted(topo.hosts)
+    rng = random.Random(20240)
+    by_distance = {2: [], 4: [], 6: []}
+    for _ in range(520):  # uniform pairs would be ~94 % cross-pod
+        src = rng.choice(hosts)
+        here = topo.hosts[src]
+        same_rack = [h.host_id for h in topo.hosts_in_rack(here.rack) if h.host_id != src]
+        same_pod = [h.host_id for h in topo.hosts_in_pod(here.pod) if h.rack != here.rack]
+        other_pod = [h for h in hosts if topo.hosts[h].pod != here.pod]
+        for distance, peers in ((2, same_rack), (4, same_pod), (6, other_pod)):
+            pair = (src, rng.choice(peers))
+            by_distance[distance].append(pair if rng.random() < 0.5 else pair[::-1])
+    pairs = [pair for distance in (2, 4, 6) for pair in by_distance[distance]]
+    assert assert_matches_oracle(topo, pairs) == 1560
+    table = RoutingTable(topo)
+    for distance, expected_paths in ((2, 1), (4, 2), (6, 8)):
+        for src, dst in by_distance[distance][:20]:
+            found = table.paths(src, dst)
+            assert len(found) == expected_paths
+            assert {p.hop_count for p in found} == {distance}
+
+
+def test_every_pair_on_leaf_spine():
+    topo = leaf_spine()
+    assert assert_matches_oracle(topo, all_pairs(topo)) == 64 * 63
+
+
+def test_fig2_worked_example_graph():
+    topo = build_fig2_topology()
+    assert assert_matches_oracle(topo, all_pairs(topo)) == 2
+    assert [p.link_ids for p in RoutingTable(topo).paths("S", "R")] == [
+        ("S->E1", "E1->A1", "A1->E2", "E2->R"),
+        ("S->E1", "E1->A2", "A2->E2", "E2->R"),
+    ]
+
+
+def test_irregular_graph_with_unequal_detours():
+    """A ring of five switches plus a chord: shortest sets differ per pair."""
+    topo = Topology()
+    ring = [f"s{i}" for i in range(5)]
+    for switch_id in ring:
+        topo.add_switch(SwitchNode(switch_id, Tier.EDGE, pod="p"))
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        topo.add_cable(a, b, 1e9)
+    topo.add_cable("s0", "s2", 1e9)
+    for i, switch_id in enumerate(ring):
+        topo.add_host(Host(f"h{i}", rack=switch_id, pod="p"))
+        topo.add_cable(f"h{i}", switch_id, 1e9, LinkDirection.UP)
+    assert assert_matches_oracle(topo, all_pairs(topo)) == 20
+    # h1 -> h3 only has s1-s2-s3; h0 -> h3 ties s0-s2-s3 (the chord) with
+    # s0-s4-s3.
+    assert len(RoutingTable(topo).paths("h1", "h3")) == 1
+    assert len(RoutingTable(topo).paths("h0", "h3")) == 2
+
+
+def test_disconnected_pair_raises():
+    topo = Topology()
+    for switch_id in ("left", "right"):
+        topo.add_switch(SwitchNode(switch_id, Tier.EDGE, pod="p"))
+    topo.add_host(Host("a", rack="left", pod="p"))
+    topo.add_host(Host("b", rack="right", pod="p"))
+    topo.add_cable("a", "left", 1e9, LinkDirection.UP)
+    topo.add_cable("b", "right", 1e9, LinkDirection.UP)
+    table = RoutingTable(topo)
+    with pytest.raises(ValueError, match="disconnected"):
+        table.paths("a", "b")
+    with pytest.raises(nx.NetworkXNoPath):
+        list(nx.all_shortest_paths(topo.to_networkx(), "a", "b"))
+
+
+def test_no_path_transits_a_third_host():
+    """A dual-homed host is an endpoint, never a forwarder.
+
+    ``m`` hangs off both edge switches, so the graph's shortest a -> b
+    walk is a-e1-m-e2-b (4 links).  The 5-link route over the aggregation
+    switches is the only one a network can actually carry.
+    """
+    topo = Topology()
+    for switch_id, tier in (("e1", Tier.EDGE), ("e2", Tier.EDGE),
+                            ("g1", Tier.AGGREGATION), ("g2", Tier.AGGREGATION)):
+        topo.add_switch(SwitchNode(switch_id, tier, pod="p"))
+    topo.add_cable("e1", "g1", 1e9, LinkDirection.UP)
+    topo.add_cable("g1", "g2", 1e9)
+    topo.add_cable("g2", "e2", 1e9, LinkDirection.DOWN)
+    for host_id, rack in (("a", "e1"), ("b", "e2"), ("m", "e1")):
+        topo.add_host(Host(host_id, rack=rack, pod="p"))
+        topo.add_cable(host_id, rack, 1e9, LinkDirection.UP)
+    topo.add_cable("m", "e2", 1e9, LinkDirection.UP)
+    table = RoutingTable(topo)
+
+    assert [p.link_ids for p in table.paths("a", "b")] == [
+        ("a->e1", "e1->g1", "g1->g2", "g2->e2", "e2->b"),
+    ]
+    # networkx, which knows nothing about hosts, takes the shortcut.
+    assert sorted(nx.all_shortest_paths(topo.to_networkx(), "a", "b")) == [
+        ["a", "e1", "m", "e2", "b"],
+    ]
+    # The dual-homed host itself uses whichever uplink is nearer.
+    assert [p.link_ids for p in table.paths("m", "b")] == [("m->e2", "e2->b")]
+    assert [p.link_ids for p in table.paths("b", "m")] == [("b->e2", "e2->m")]
+    assert [p.link_ids for p in table.paths("m", "a")] == [("m->e1", "e1->a")]
+    # A back-to-back cable is one hop, shorter than anything switched; it
+    # does not make either end a forwarder for the other's traffic.
+    topo.add_cable("a", "m", 1e9)
+    table = RoutingTable(topo)
+    assert [p.link_ids for p in table.paths("a", "m")] == [("a->m",)]
+    assert [p.link_ids for p in table.paths("m", "a")] == [("m->a",)]
+    assert [p.hop_count for p in table.paths("a", "b")] == [5]
+    for src, dst in all_pairs(topo):
+        for path in table.paths(src, dst):
+            interior = {link_id.split("->")[1] for link_id in path.link_ids[:-1]}
+            assert interior <= set(topo.switches), (src, dst, path.link_ids)

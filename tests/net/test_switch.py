@@ -1,9 +1,13 @@
 """Unit tests for switch stats views."""
 
+import random
+
 import pytest
 
 from repro.net import FlowNetwork, RoutingTable, Tier, three_tier
-from repro.net.switch import build_switches
+from repro.net.routing import Path
+from repro.net.scoped_view import ScopedNetworkView, pod_scope_link_ids
+from repro.net.switch import FlowStat, build_switches
 from repro.sim import EventLoop
 
 GB = 8e9
@@ -93,3 +97,84 @@ def test_completed_flows_disappear_from_stats(env):
     net.start_flow("a", table.paths("pod0-rack0-h0", "pod0-rack0-h1")[0], GB)
     loop.run()
     assert switches["pod0-rack0"].flow_stats() == []
+
+
+# --- flow_stats against its definition, at scale ------------------------
+
+
+def reference_flow_stats(switch, view):
+    """§4's wildcard query as a scan of every active flow."""
+    local = set(switch.attached_hosts())
+    flows = view.active_flows
+    return [_stat_of(flows[fid]) for fid in sorted(flows) if flows[fid].src in local]
+
+
+def _stat_of(flow):
+    return FlowStat(
+        flow_id=flow.flow_id,
+        src=flow.src,
+        dst=flow.dst,
+        bytes_sent=flow.bytes_sent,
+        size_bits=flow.size_bits,
+        remaining_bits=flow.remaining_bits,
+    )
+
+
+@pytest.fixture(scope="module")
+def scale_out():
+    return three_tier(pods=16, racks_per_pod=16, hosts_per_rack=4)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_flow_stats_equals_a_full_scan_at_1024_hosts(scale_out, seed):
+    loop = EventLoop()
+    net = FlowNetwork(loop, scale_out)
+    table = RoutingTable(scale_out)
+    rng = random.Random(seed)
+    hosts = sorted(scale_out.hosts)
+    for i in range(400):
+        src, dst = rng.sample(hosts, 2)
+        if i % 3 == 0:  # keep a third of the traffic inside the source rack
+            near = scale_out.hosts_in_rack(scale_out.hosts[src].rack)
+            dst = rng.choice([h.host_id for h in near if h.host_id != src])
+        net.start_flow(f"f{i:04d}", rng.choice(table.paths(src, dst)), rng.choice([1, 4, 16]) * GB)
+    # A detour that transits pod0-rack1 without starting or ending there.
+    net.start_flow("transit", Path("pod0-rack0-h0", "pod0-rack2-h0", (
+        "pod0-rack0-h0->pod0-rack0", "pod0-rack0->pod0-agg0", "pod0-agg0->pod0-rack1",
+        "pod0-rack1->pod0-agg1", "pod0-agg1->pod0-rack2", "pod0-rack2->pod0-rack2-h0",
+    )), GB)
+    loop.run(until=1.5)  # some flows finish, the rest have moved bytes
+
+    switches = build_switches(net)
+    sources = {flow.src for flow in net.active_flows.values()}
+    sinks_only = [
+        rack for rack in scale_out.racks()
+        if not sources & set(switches[rack].attached_hosts())
+        and any(scale_out.hosts[f.dst].rack == rack for f in net.active_flows.values())
+    ]
+    assert sinks_only, "the sample should leave racks that only terminate flows"
+    for rack in sinks_only:
+        assert switches[rack].flow_stats() == []
+    reported = []
+    for switch_id, switch in switches.items():
+        got = switch.flow_stats()
+        assert got == reference_flow_stats(switch, net), switch_id
+        reported += [stat.flow_id for stat in got]
+    assert sorted(reported) == sorted(net.active_flows)  # each flow at one switch
+    some = sorted(net.active_flows)[::7] + ["gone"]
+    assert switches["core0"].flow_stats_for(some) == [
+        _stat_of(net.active_flows[fid]) for fid in some[:-1]
+    ]
+
+    # Through a pod's scoped view: same answer as scanning what it can see,
+    # for switches inside the pod and for one outside it.
+    scoped = ScopedNetworkView(net, pod_scope_link_ids(scale_out, "pod0"), "pod0")
+    scoped_switches = build_switches(scoped)
+    probes = [s for s in scale_out.switches if s.startswith("pod0-")]
+    probes += [net.topology.hosts[flow.src].rack
+               for flow in scoped.active_flows.values()
+               if not flow.src.startswith("pod0-")][:5]
+    assert len(probes) > 18
+    for switch_id in probes:
+        assert scoped_switches[switch_id].flow_stats() == reference_flow_stats(
+            scoped_switches[switch_id], scoped), switch_id

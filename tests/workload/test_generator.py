@@ -1,16 +1,19 @@
 """Unit tests for workload generation."""
 
+import hashlib
+import json
 from collections import Counter
 
 import pytest
 
-from repro.net import three_tier
+from repro.net import Topology, three_tier
 from repro.workload import (
     LocalityDistribution,
     WorkloadConfig,
     generate_workload,
 )
 from repro.workload.generator import PAPER_LOCALITIES
+from repro.workload.trace import workload_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +161,44 @@ class TestFileSizeDistributions:
     def test_unknown_distribution_rejected(self, topo):
         with pytest.raises(ValueError, match="file_size_distribution"):
             make(topo, file_size_distribution="pareto")
+
+
+class ScanTopology(Topology):
+    """Rack and pod membership by definition: a scan of every host."""
+
+    def hosts_in_rack(self, rack):
+        return [h for h in self.hosts.values() if h.rack == rack]
+
+    def hosts_in_pod(self, pod):
+        return [h for h in self.hosts.values() if h.pod == pod]
+
+
+# sha256 of the sorted-key JSON trace (seed 7, 600 jobs), recorded before
+# Topology kept a rack/pod index: client placement draws from these lists,
+# so their order is part of every generated trace.
+TRACE_PINS = [
+    (dict(), 100, "c25820f926d75a11604fc903fba00cbfd16a784fded8c0ffc917f24a2bd940b3"),
+    (dict(pods=16, racks_per_pod=16), 400,
+     "a48094cd3ea1546893ae82fa271e5bfd21dc4c56c412a9d724c02db3c59e1de2"),
+]
+
+
+@pytest.mark.parametrize("shape, files, pinned", TRACE_PINS, ids=["64", "1024"])
+def test_trace_is_the_one_a_host_scan_generates(shape, files, pinned):
+    indexed = three_tier(**shape)
+    scanned = ScanTopology()
+    for switch in indexed.switches.values():
+        scanned.add_switch(switch)
+    for host in indexed.hosts.values():
+        scanned.add_host(host)
+    for rack in indexed.racks():
+        assert indexed.hosts_in_rack(rack) == scanned.hosts_in_rack(rack)
+    for pod in indexed.pods():
+        assert indexed.hosts_in_pod(pod) == scanned.hosts_in_pod(pod)
+    assert indexed.hosts_in_rack("no-such-rack") == indexed.hosts_in_pod("no-such-pod") == []
+
+    config = WorkloadConfig(num_files=files, num_jobs=600)
+    trace = workload_to_dict(generate_workload(indexed, config, seed=7))
+    assert trace == workload_to_dict(generate_workload(scanned, config, seed=7))
+    encoded = json.dumps(trace, sort_keys=True).encode()
+    assert hashlib.sha256(encoded).hexdigest() == pinned
