@@ -3,20 +3,13 @@
 
 1. **Co-designed write placement** (§3.3): the nameserver asks the
    Flowserver where writes will flow fastest, instead of rolling dice.
-2. **Paxos-replicated nameserver** (§3.3.1): three namespace replicas;
-   a replica crash is invisible to clients.
-3. **Hedera-style global flow scheduler** (§1/§2.4): rescheduling
+2. **Hedera-style global flow scheduler** (§1/§2.4): rescheduling
    elephants helps — but without replica choice it cannot catch Mayflower.
 
 Run:  python examples/extensions_tour.py
 """
 
-import shutil
-import tempfile
-from pathlib import Path
-
 from repro.baselines.hedera import HederaScheduler
-from repro.cluster import Cluster, ClusterConfig
 from repro.core import Flowserver, FlowserverWritePlacement
 from repro.net import FlowNetwork, RoutingTable, three_tier
 from repro.sdn import Controller
@@ -24,7 +17,6 @@ from repro.sim import EventLoop
 from repro.sim.randomness import seeded_rng
 
 GB = 8e9
-MB = 1024 * 1024
 
 
 def demo_write_placement():
@@ -53,38 +45,8 @@ def demo_write_placement():
     flowserver.close()
 
 
-def demo_replicated_nameserver():
-    print("=== 2. Paxos-replicated nameserver ===")
-    db_dir = Path(tempfile.mkdtemp(prefix="mayflower-paxos-"))
-    cluster = Cluster(
-        ClusterConfig(
-            pods=2, racks_per_pod=2, hosts_per_rack=2,
-            scheme="mayflower", store_payload=True,
-            nameserver_replicas=3, db_directory=db_dir, seed=21,
-        )
-    )
-    print(f"nameserver replicas on: {cluster.nameserver_endpoints}")
-    client = cluster.client("pod1-rack1-h1")
-
-    def scenario():
-        yield from client.create("a.bin", chunk_bytes=4 * MB)
-        # crash the first replica's nameserver process
-        cluster.fabric.unregister(cluster.nameserver_endpoints[0], "nameserver")
-        meta = yield from client.create("b.bin", chunk_bytes=4 * MB)
-        return meta
-
-    meta = cluster.run(scenario())
-    survivor = cluster._ns_replicas[cluster.nameserver_endpoints[1]]
-    print(f"created b.bin after replica crash: primary={meta.primary}")
-    print(f"surviving replica sees: {survivor.list_files()}")
-    paxos = cluster._ns_replicas[cluster.nameserver_endpoints[1]]._paxos
-    print(f"commands applied through Paxos: {paxos.commands_applied}\n")
-    cluster.shutdown()
-    shutil.rmtree(db_dir, ignore_errors=True)
-
-
 def demo_hedera():
-    print("=== 3. Hedera-style rescheduling vs co-design ===")
+    print("=== 2. Hedera-style rescheduling vs co-design ===")
     topo = three_tier()
     loop = EventLoop()
     net = FlowNetwork(loop, topo)
@@ -110,7 +72,6 @@ def demo_hedera():
 
 def main():
     demo_write_placement()
-    demo_replicated_nameserver()
     demo_hedera()
     print("done.")
 

@@ -22,10 +22,10 @@ Package map
 ``repro.kvstore``      log-structured store (WAL/memtable/SSTables)
 ``repro.rpc``          latency-modelled control-plane RPC with failure
                        injection
-``repro.fs``           the distributed filesystem: nameserver,
-                       dataservers, client library, placement,
+``repro.fs``           the distributed filesystem: nameserver (one
+                       LevelDB-style server per shard-map partition),
+                       leases, dataservers, client library, placement,
                        consistency modes, membership + re-replication
-``repro.consensus``    Multi-Paxos and the replicated nameserver
 ``repro.baselines``    Nearest, Sinbad-R, Hedera-style scheduling
 ``repro.workload``     §6.1 traffic matrices and trace serialization
 ``repro.experiments``  per-figure runners, statistics, reports, charts,

@@ -27,8 +27,10 @@ from repro.fs.client import MayflowerClient, ReadPlanner
 from repro.fs.consistency import ConsistencyMode
 from repro.fs.retry import IMMEDIATE_FAILOVER, RetryPolicy
 from repro.fs.dataserver import Dataserver
+from repro.fs.leases import LEASE_SERVICE, LeaseManager
 from repro.fs.nameserver import Nameserver
 from repro.fs.placement import HdfsRackAwarePlacement, PaperEvalPlacement
+from repro.fs.shardmap import PartitionGuard, ShardMap, ShardRouter
 from repro.net.routing import RoutingTable
 from repro.net.simulator import FlowNetwork
 from repro.net.topology import Topology, three_tier
@@ -42,7 +44,6 @@ if TYPE_CHECKING:
     from repro.core.coordinator import GlobalCoordinator
     from repro.core.stats import FlowStatsCollector
     from repro.core.domains import DomainFlowserver
-    from repro.fs.shardmap import PartitionGuard, ShardMap
 
 #: Virtual RPC endpoint where the Flowserver service lives (the SDN
 #: controller is reachable over the management network, not the data
@@ -72,9 +73,6 @@ class ClusterConfig:
     flowserver: FlowserverConfig = field(default_factory=FlowserverConfig)
     seed: int = 0
     db_directory: Optional[Path] = None
-    #: 1 = the paper's centralized nameserver; >= 3 = Paxos-replicated
-    #: nameserver on the first N hosts (§3.3.1's suggested improvement).
-    nameserver_replicas: int = 1
     #: Client retry policy.  The default is the paper's client: a failed
     #: attempt fails over at once.  Fault-injection experiments set one
     #: with backoff (and deadlines), so operations ride out transient
@@ -88,8 +86,7 @@ class ClusterConfig:
     heartbeat_timeout: float = 15.0
     repair_interval: float = 10.0
     #: Primary-lease term in simulated seconds.  Appends are fenced by
-    #: a lease service beside a single or partitioned nameserver; beside
-    #: a Paxos-replicated one, metadata primaryship is the authority.
+    #: the lease service co-located with each nameserver partition.
     lease_duration: float = 30.0
     #: Append fan-out shape: "auto" asks the Flowserver per append
     #: (chain vs. tree from live link estimates) when the scheme has
@@ -103,11 +100,10 @@ class ClusterConfig:
     #: GlobalCoordinator`.  No other values are accepted — domains are
     #: pod-granular by construction.
     controller_domains: int = 1
-    #: Metadata sharding: 1 (default) is the monolithic nameserver;
-    #: P > 1 splits the namespace into P consistent-hashed partitions,
-    #: each its own nameserver (single instance, or a Paxos group of
-    #: ``nameserver_replicas`` when that is >= 3), with clients routing
-    #: through a cached shard map.
+    #: Metadata sharding: the namespace is split into this many
+    #: consistent-hashed partitions, each one nameserver (plus its lease
+    #: service) on its own host, with clients routing through a cached
+    #: shard map.  1 (default) is the paper's single nameserver.
     metadata_partitions: int = 1
 
 
@@ -213,100 +209,61 @@ class Cluster:
         else:
             raise ValueError(f"unknown placement {self.config.placement!r}")
 
-        db_dir = self.config.db_directory or Path(
-            tempfile.mkdtemp(prefix="mayflower-ns-")
-        )
-        self.shard_map: Optional["ShardMap"] = None
-        self.partition_guards: List["PartitionGuard"] = []
-        self._partition_nameservers: List[Nameserver] = []
-        if self.config.metadata_partitions > 1:
-            self._build_partitioned_nameserver(db_dir, placement, streams)
-        elif self.config.nameserver_replicas >= 3:
-            from repro.consensus import build_replicated_nameserver
-
-            self.nameserver_endpoints = sorted(self.topology.hosts)[
-                : self.config.nameserver_replicas
-            ]
-            self._ns_replicas = build_replicated_nameserver(
-                self.nameserver_endpoints,
-                self.fabric,
-                self.loop,
-                placement_factory=lambda ep: placement,
-                db_directory_factory=lambda ep: Path(db_dir) / ep,
-                rng_factory=lambda ep: streams.fork(f"ns-ids/{ep}").stream("ids"),
-            )
-            self.nameserver_host = self.nameserver_endpoints[0]
-            self.nameserver = self._ns_replicas[self.nameserver_host]
-        elif self.config.nameserver_replicas == 1:
-            self.nameserver_endpoints = [sorted(self.topology.hosts)[0]]
-            self.nameserver_host = self.nameserver_endpoints[0]
-            self._ns_replicas = None
-            self.nameserver = Nameserver(
-                db_dir, placement, rng=streams.stream("file-ids")
-            )
-            self.nameserver.clock = self.loop
-            self.fabric.register(self.nameserver_host, "nameserver", self.nameserver)
-        else:
-            raise ValueError(
-                "nameserver_replicas must be 1 or >= 3 (Paxos needs a majority)"
-            )
-
-        # --- lease service (append fencing) -----------------------------
         if self.config.fanout not in ("auto", "chain"):
             raise ValueError(
                 f"unknown fanout policy {self.config.fanout!r}; "
                 f"expected 'auto' or 'chain'"
             )
-        self.lease_manager = None
-        self.lease_managers = []
-        if self._ns_replicas is None:
-            from repro.fs.leases import LEASE_SERVICE, LeaseManager
 
-            # One lease manager per metadata partition (a single
-            # nameserver is one partition), co-located with that
-            # partition's nameserver; dataservers route lease traffic by
-            # file name exactly like other metadata ops.
-            if self.shard_map is not None:
-                partitions = [
-                    (group[0], partition_ns)
-                    for group, partition_ns in zip(
-                        self.shard_map.partitions, self._partition_nameservers
-                    )
-                ]
-            else:
-                partitions = [(self.nameserver_host, self.nameserver)]
-            for endpoint, partition_ns in partitions:
-                manager = LeaseManager(
-                    self.loop, duration=self.config.lease_duration
-                )
-                self.fabric.register(endpoint, LEASE_SERVICE, manager)
-                partition_ns.lease_manager = manager
-                self.lease_managers.append(manager)
-            self.lease_manager = self.lease_managers[0]
-
-        ns_router = None
-        if self.shard_map is not None:
-            shard_map = self.shard_map
-
-            def ns_router(name: str) -> str:
-                return shard_map.endpoints_for(name)[0]
+        # --- nameserver front: one partition per host, from the first ---
+        hosts = sorted(self.topology.hosts)
+        partitions = self.config.metadata_partitions
+        if not 1 <= partitions <= len(hosts):
+            raise ValueError(
+                f"metadata_partitions={partitions} must be between 1 and "
+                f"the host count ({len(hosts)})"
+            )
+        db_dir = Path(
+            self.config.db_directory or tempfile.mkdtemp(prefix="mayflower-ns-")
+        )
+        self.shard_map = ShardMap(epoch=1, partitions=tuple(hosts[:partitions]))
+        self.nameservers: List[Nameserver] = []
+        self.lease_managers: List[LeaseManager] = []
+        self.partition_guards: List[PartitionGuard] = []
+        for index, endpoint in enumerate(self.shard_map.partitions):
+            # Partition 0 is the paper's nameserver — the db directory
+            # itself and the "file-ids" stream — so a one-partition
+            # deployment is exactly the single-server one.
+            suffix = f"/p{index}" if index else ""
+            ns = Nameserver(
+                db_dir / f"partition-{index}" if index else db_dir,
+                placement,
+                rng=streams.stream("file-ids" + suffix),
+            )
+            ns.clock = self.loop
+            # Appends are fenced by a lease service co-located with the
+            # partition owning the file's metadata.
+            leases = LeaseManager(self.loop, duration=self.config.lease_duration)
+            ns.lease_manager = leases
+            guard = PartitionGuard(ns, index, self.shard_map)
+            self.fabric.register(endpoint, "nameserver", guard)
+            self.fabric.register(endpoint, LEASE_SERVICE, leases)
+            self.nameservers.append(ns)
+            self.lease_managers.append(leases)
+            self.partition_guards.append(guard)
+        self.nameserver_host = self.shard_map.partitions[0]
+        self.nameserver = self.nameservers[0]
+        self.lease_manager = self.lease_managers[0]
 
         self.dataservers: Dict[str, Dataserver] = {}
-        for host_id in sorted(self.topology.hosts):
+        for host_id in hosts:
             ds = Dataserver(
                 host_id,
                 self.loop,
                 self.fabric,
                 self.dataplane,
+                metadata_router=self.shard_map.endpoint_for,
                 store_payload=self.config.store_payload,
-                nameserver_endpoint=self.nameserver_host,
-                lease_endpoint=(
-                    self.nameserver_host if self.lease_manager is not None else None
-                ),
-                nameserver_router=ns_router,
-                lease_router=(
-                    ns_router if self.lease_manager is not None else None
-                ),
             )
             self.dataservers[host_id] = ds
             self.fabric.register(host_id, "dataserver", ds)
@@ -320,7 +277,7 @@ class Cluster:
         self.replica_manager = None
         self._heartbeat_senders = []
         if self.config.enable_replica_manager:
-            if self.config.metadata_partitions > 1:
+            if len(self.nameservers) > 1:
                 raise ValueError(
                     "enable_replica_manager requires metadata_partitions=1 "
                     "(the membership tracker and repair loop talk to a "
@@ -335,13 +292,13 @@ class Cluster:
 
             self.membership = MembershipTracker(
                 self.loop,
-                sorted(self.topology.hosts),
+                hosts,
                 lease_manager=self.lease_manager,
             )
             self.fabric.register(
                 self.nameserver_host, MEMBERSHIP_SERVICE, self.membership
             )
-            for host_id in sorted(self.topology.hosts):
+            for host_id in hosts:
                 self._heartbeat_senders.append(
                     HeartbeatSender(
                         self.loop,
@@ -365,94 +322,6 @@ class Cluster:
             )
 
     # ------------------------------------------------------------------
-    # Partitioned metadata plane
-    # ------------------------------------------------------------------
-
-    def _build_partitioned_nameserver(self, db_dir, placement, streams) -> None:
-        """Construct ``metadata_partitions`` consistent-hash shards.
-
-        Each partition is its own nameserver — a single instance, or a
-        Paxos group of ``nameserver_replicas`` members when that is
-        >= 3 — wrapped in a :class:`~repro.fs.shardmap.PartitionGuard`
-        that rejects misrouted names with the shard map's current epoch.
-        """
-        from repro.fs.shardmap import PartitionGuard, ShardMap
-
-        partitions = self.config.metadata_partitions
-        replicas = self.config.nameserver_replicas
-        hosts = sorted(self.topology.hosts)
-        if replicas == 1:
-            if partitions > len(hosts):
-                raise ValueError(
-                    f"metadata_partitions={partitions} needs at least that "
-                    f"many hosts, have {len(hosts)}"
-                )
-            groups = [(hosts[p],) for p in range(partitions)]
-        elif replicas >= 3:
-            if partitions * replicas > len(hosts):
-                raise ValueError(
-                    f"metadata_partitions={partitions} x nameserver_replicas"
-                    f"={replicas} needs {partitions * replicas} hosts, have "
-                    f"{len(hosts)}"
-                )
-            groups = [
-                tuple(hosts[p * replicas:(p + 1) * replicas])
-                for p in range(partitions)
-            ]
-        else:
-            raise ValueError(
-                "nameserver_replicas must be 1 or >= 3 (Paxos needs a majority)"
-            )
-        self.shard_map = ShardMap(epoch=1, partitions=tuple(groups))
-        self._ns_replicas = None
-        all_replicas: Dict[str, object] = {}
-        for index, group in enumerate(groups):
-            if replicas == 1:
-                ns = Nameserver(
-                    Path(db_dir) / f"partition-{index}",
-                    placement,
-                    rng=streams.stream(f"file-ids/p{index}"),
-                )
-                ns.clock = self.loop
-                self._partition_nameservers.append(ns)
-                guard = PartitionGuard(ns, index, self.shard_map)
-                self.fabric.register(group[0], "nameserver", guard)
-                self.partition_guards.append(guard)
-            else:
-                from repro.consensus import build_replicated_nameserver
-
-                group_replicas = build_replicated_nameserver(
-                    list(group),
-                    self.fabric,
-                    self.loop,
-                    placement_factory=lambda ep: placement,
-                    db_directory_factory=(
-                        lambda ep, p=index: Path(db_dir) / f"partition-{p}" / ep
-                    ),
-                    rng_factory=(
-                        lambda ep, p=index: streams.fork(
-                            f"ns-ids/p{p}/{ep}"
-                        ).stream("ids")
-                    ),
-                )
-                all_replicas.update(group_replicas)
-                self._partition_nameservers.append(group_replicas[group[0]])
-                for ep in group:
-                    # build_replicated_nameserver registered the bare
-                    # replica; re-register it behind the partition guard.
-                    self.fabric.unregister(ep, "nameserver")
-                    guard = PartitionGuard(
-                        group_replicas[ep], index, self.shard_map
-                    )
-                    self.fabric.register(ep, "nameserver", guard)
-                    self.partition_guards.append(guard)
-        if all_replicas:
-            self._ns_replicas = all_replicas
-        self.nameserver_endpoints = [ep for group in groups for ep in group]
-        self.nameserver_host = groups[0][0]
-        self.nameserver = self._partition_nameservers[0]
-
-    # ------------------------------------------------------------------
     # Client factory
     # ------------------------------------------------------------------
 
@@ -460,18 +329,13 @@ class Cluster:
         """A filesystem client on ``host_id`` using the cluster's scheme."""
         if host_id not in self.topology.hosts:
             raise ValueError(f"{host_id!r} is not a host")
-        shard_router = None
-        if self.shard_map is not None:
-            from repro.fs.shardmap import ShardRouter
-
-            # Each client keeps its own cached copy of the shard map,
-            # refreshed on WrongPartitionError epoch bumps.
-            shard_router = ShardRouter(self.shard_map)
         return MayflowerClient(
             host_id=host_id,
             loop=self.loop,
             fabric=self.fabric,
-            nameserver_endpoint=self.nameserver_endpoints,
+            # Each client keeps its own cached copy of the shard map,
+            # refreshed on WrongPartitionError epoch bumps.
+            shard_router=ShardRouter(self.shard_map),
             planner=self._planner(),
             consistency=self.config.consistency,
             retry=self.config.retry,
@@ -480,7 +344,6 @@ class Cluster:
             # co-failing clients never retry in lockstep.
             retry_rng=self._streams.stream(f"client-retry/{host_id}"),
             fanout_planner=self._fanout_planner(),
-            shard_router=shard_router,
         )
 
     @property
@@ -568,11 +431,5 @@ class Cluster:
             self.replica_manager.stop()
         for sender in self._heartbeat_senders:
             sender.stop()
-        if self._ns_replicas is not None:
-            for replica in self._ns_replicas.values():
-                replica.close()
-        elif self._partition_nameservers:
-            for partition_ns in self._partition_nameservers:
-                partition_ns.close()
-        else:
-            self.nameserver.close()
+        for ns in self.nameservers:
+            ns.close()

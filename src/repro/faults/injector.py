@@ -55,13 +55,12 @@ class FaultInjector:
         per domain when it is sharded, none for clusters without a
         Flowserver, where those events no-op.
     nameserver_endpoints:
-        Endpoints hosting the nameserver service, targeted by
-        ``nameserver_failover`` events.
+        Endpoints hosting the nameserver service, one per metadata
+        partition; untargeted ``nameserver_failover`` events take down
+        the first.
     lease_managers:
         Every :class:`repro.fs.leases.LeaseManager` (``lease_expire``
-        faults reach all of them): one per metadata partition, none
-        beside a Paxos-replicated nameserver (appends are un-leased
-        there), where those events no-op.
+        faults reach all of them): one per metadata partition.
     dataservers:
         Optional mapping of host id to dataserver.  ``lease_expire``
         additionally drops the target host's locally-cached grants, so
@@ -105,7 +104,7 @@ class FaultInjector:
             cluster.controller,
             cluster.fabric,
             collectors=cluster.collectors,
-            nameserver_endpoints=list(cluster.nameserver_endpoints),
+            nameserver_endpoints=list(cluster.shard_map.partitions),
             lease_managers=cluster.lease_managers,
             dataservers=getattr(cluster, "dataservers", None),
             coordinator=getattr(cluster, "coordinator", None),
@@ -185,9 +184,8 @@ class FaultInjector:
         return ""
 
     def _do_nameserver_failover(self, event: FaultEvent) -> str:
-        # Take the primary nameserver endpoint down; replicated clients
-        # fail over to the next endpoint, single-instance clients back
-        # off and retry until the recovery event below.
+        # Take a nameserver partition's endpoint down; clients back off
+        # and retry its names until the recovery event below.
         target = event.target or (
             self._ns_endpoints[0] if self._ns_endpoints else ""
         )
@@ -279,7 +277,7 @@ class FaultInjector:
 
     def _do_lease_expire(self, event: FaultEvent) -> str:
         if not self._lease_managers:
-            return "no lease manager (appends are un-leased); no-op"
+            return "no lease manager wired; no-op"
         expired = sum(
             manager.expire_host(event.target) for manager in self._lease_managers
         )

@@ -35,7 +35,7 @@ from repro.fs.errors import (
     WrongPartitionError,
 )
 from repro.fs.retry import IMMEDIATE_FAILOVER, RetryBudget, RetryPolicy
-from repro.fs.shardmap import NAME_ROUTED_METHODS, ShardMap, ShardRouter
+from repro.fs.shardmap import ShardMap, ShardRouter
 from repro.net.simulator import FlowAborted
 from repro.rpc.errors import (
     HostDownError,
@@ -154,8 +154,9 @@ class MayflowerClient:
         The topology host this client runs on.
     fabric:
         RPC fabric shared with the servers.
-    nameserver_endpoint:
-        Where the nameserver service lives.
+    shard_router:
+        This client's cached shard map: which endpoint serves the
+        nameserver partition owning a name.
     planner:
         Read planning strategy (Flowserver-backed for Mayflower, or one of
         the baseline planners).
@@ -173,26 +174,18 @@ class MayflowerClient:
         host_id: str,
         loop: EventLoop,
         fabric: "RpcFabric",
-        nameserver_endpoint: str,
+        shard_router: ShardRouter,
         planner: ReadPlanner,
         consistency: ConsistencyMode = ConsistencyMode.SEQUENTIAL,
         metadata_ttl: float = 60.0,
         retry: RetryPolicy = IMMEDIATE_FAILOVER,
         retry_rng: Optional[Random] = None,
         fanout_planner: Optional[WriteFanoutPlanner] = None,
-        shard_router: Optional[ShardRouter] = None,
     ) -> None:
         self.host_id = host_id
         self._loop = loop
         self._fabric = fabric
-        # One endpoint for the paper's centralized nameserver, or several
-        # for a replicated deployment (§3.3.1); calls fail over in order.
-        if isinstance(nameserver_endpoint, str):
-            self._ns_endpoints = [nameserver_endpoint]
-        else:
-            self._ns_endpoints = list(nameserver_endpoint)
-        if not self._ns_endpoints:
-            raise ValueError("at least one nameserver endpoint is required")
+        self._shard_router = shard_router
         self._planner = planner
         self.consistency = consistency
         self.metadata_ttl = metadata_ttl
@@ -201,10 +194,6 @@ class MayflowerClient:
         #: Fan-out shape strategy for appends; ``None`` makes the primary
         #: relay over the static metadata chain.
         self._fanout_planner = fanout_planner
-        #: Cached shard map for a partitioned nameserver; ``None`` (the
-        #: monolithic default) routes every call over ``_ns_endpoints``
-        #: exactly as before, with zero extra RPCs or draws.
-        self._shard_router = shard_router
         #: Append ids — the idempotence tokens the primary dedups retried
         #: appends with — are ``<prefix>:<seq>``; the fabric-unique caller
         #: id in the prefix keeps two clients on one host from colliding.
@@ -543,89 +532,63 @@ class MayflowerClient:
                 tel.finish_span(self._loop.now, ctx, span, op, track=track, **closing)
 
     def _invoke_nameserver(
-        self, budget: RetryBudget, method: str, *args: Any
+        self, budget: RetryBudget, method: str, name: str, *args: Any
     ) -> Generator:
-        """Call the nameserver, failing over across replica endpoints.
+        """Call the nameserver partition that owns ``name``.
 
-        One attempt sweeps the endpoints in order: whole-host failures
-        (HostDown), crashed nameserver processes (ServiceNotFound) and
-        deadline expiries (RpcTimeout, when the retry policy sets one)
-        move on to the next, and a sweep that reaches nobody is what the
-        budget retries.  Any other remote error is the nameserver's
-        answer and propagates.
-
-        With a shard router installed, name-routed calls sweep only the
-        owning partition's replica endpoints; a ``WrongPartitionError``
-        advertising a newer shard-map epoch triggers a map refetch from
-        the rejecting replica and one re-routed sweep.
+        An unreachable partition (host down, service gone, or a deadline
+        expiry when the retry policy sets one) is what the budget
+        retries.  Any other remote error is the nameserver's answer and
+        propagates — except a ``WrongPartitionError`` advertising a newer
+        shard-map epoch, which refetches the map from the partition that
+        rejected us and re-routes once.
         """
         rpc_timeout = self._retry.rpc_timeout
+        router = self._shard_router
 
-        def sweep() -> Generator:
-            may_refresh = True
-            while True:
-                unreachable: Optional[Exception] = None
-                for endpoint in self._ns_endpoints_for(method, args):
-                    try:
-                        return (
-                            yield from self._fabric.invoke(
-                                self.host_id, endpoint, "nameserver", method, *args,
-                                rpc_timeout=rpc_timeout,
-                            )
-                        )
-                    except _UNREACHABLE as err:
-                        unreachable = err
-                    except RemoteInvocationError as err:
-                        remote = err.remote_error
-                        router = self._shard_router
-                        if not (
-                            may_refresh
-                            and router is not None
-                            and isinstance(remote, WrongPartitionError)
-                            and remote.epoch > router.epoch
-                        ):
-                            raise
-                        # Cached map went stale (epoch bump): refetch from
-                        # the replica that rejected us — it is demonstrably
-                        # reachable — and re-route once.
-                        may_refresh = False
-                        data = yield from self._fabric.invoke(
-                            self.host_id, endpoint, "nameserver", "get_shard_map",
-                            rpc_timeout=rpc_timeout,
-                        )
-                        if router.install(ShardMap.from_json_dict(data)):
-                            tel = instrument.TELEMETRY
-                            if tel is not None:
-                                tel.count("client_shard_map_refreshes_total")
-                        break
-                else:
-                    raise HostDownError(
-                        f"no nameserver replica reachable for {method!r}: "
-                        f"{unreachable}"
+        def call(endpoint: str, *call_args: Any) -> Generator:
+            try:
+                return (
+                    yield from self._fabric.invoke(
+                        self.host_id, endpoint, "nameserver", *call_args,
+                        rpc_timeout=rpc_timeout,
                     )
+                )
+            except _UNREACHABLE as err:
+                raise HostDownError(
+                    f"nameserver at {endpoint!r} unreachable for "
+                    f"{call_args[0]!r}: {err}"
+                ) from err
+
+        def attempt() -> Generator:
+            endpoint = router.endpoint_for(name)
+            try:
+                return (yield from call(endpoint, method, name, *args))
+            except RemoteInvocationError as err:
+                remote = err.remote_error
+                if not (
+                    isinstance(remote, WrongPartitionError)
+                    and remote.epoch > router.epoch
+                ):
+                    raise
+            # Cached map went stale (epoch bump): refetch from the
+            # partition that rejected us — it is demonstrably reachable.
+            data = yield from call(endpoint, "get_shard_map")
+            if router.install(ShardMap.from_json_dict(data)):
+                tel = instrument.TELEMETRY
+                if tel is not None:
+                    tel.count("client_shard_map_refreshes_total")
+            return (
+                yield from call(router.endpoint_for(name), method, name, *args)
+            )
 
         return (
             yield from budget.run(
-                sweep,
-                lambda err: isinstance(err, _UNREACHABLE),
+                attempt,
+                lambda err: isinstance(err, HostDownError),
                 lambda err: err,
             )
         )
-
-    def _ns_endpoints_for(self, method: str, args: Sequence[Any]) -> List[str]:
-        """Endpoints to sweep for one nameserver call.
-
-        Name-routed methods consult the shard router (when installed);
-        everything else — and the monolithic default — uses the full
-        configured endpoint list.
-        """
-        if (
-            self._shard_router is not None
-            and method in NAME_ROUTED_METHODS
-            and args
-        ):
-            return self._shard_router.endpoints_for(str(args[0]))
-        return self._ns_endpoints
 
     def _metadata(self, budget: RetryBudget, name: str) -> Generator:
         entry = self._cache.get(name)

@@ -24,7 +24,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     Dict,
     Generator,
@@ -141,28 +140,18 @@ class Dataserver:
         loop: EventLoop,
         fabric: "RpcFabric",
         dataplane: DataPlane,
+        metadata_router: Callable[[str], str],
         store_payload: bool = False,
-        nameserver_endpoint: Optional[str] = None,
-        lease_endpoint: Optional[str] = None,
-        nameserver_router: Optional[Callable[[str], str]] = None,
-        lease_router: Optional[Callable[[str], str]] = None,
     ) -> None:
         self.host_id = host_id
         self._loop = loop
         self._fabric = fabric
         self._dataplane = dataplane
         self.store_payload = store_payload
-        self._nameserver = nameserver_endpoint
-        #: Where the lease service lives; ``None`` leaves appends
-        #: un-leased (metadata primaryship is the ordering authority, as
-        #: beside a Paxos-replicated nameserver).
-        self._lease_endpoint = lease_endpoint
-        #: Partitioned-nameserver routing: map a file *name* to the
-        #: endpoint of its owning metadata partition (and that
-        #: partition's lease service).  ``None`` — the monolithic
-        #: default — uses the scalar endpoints above unchanged.
-        self._nameserver_router = nameserver_router
-        self._lease_router = lease_router
+        #: Maps a file *name* to the endpoint of the nameserver partition
+        #: owning its metadata — and that partition's co-located lease
+        #: service.
+        self._metadata_router = metadata_router
         self._held_leases = HeldLeaseTable(loop)
         self._files: Dict[str, StoredFile] = {}
         self.appends_served = 0
@@ -378,30 +367,28 @@ class Dataserver:
                 yield from self._relay_to_children(
                     stored, entry, relay_data, children, job_id
                 )
-                ns_endpoint = self._ns_endpoint_for(stored.metadata.name)
-                if ns_endpoint is not None:
-                    try:
-                        yield from self._fabric.invoke(
-                            self.host_id,
-                            ns_endpoint,
-                            "nameserver",
-                            "record_append",
-                            stored.metadata.name,
-                            stored.size_bytes,
-                            epoch,
-                            self.host_id,
-                        )
-                    except Exception as err:
-                        remote = getattr(err, "remote_error", None)
-                        if isinstance(remote, StaleEpochError):
-                            # Fenced at the nameserver: our authority lapsed
-                            # between the lease check and the record.  The
-                            # append is NOT acknowledged; the current primary
-                            # repairs our tail on its next relay.
-                            self.lease_fencings += 1
-                            self._count("ds_lease_fencings_total")
-                            raise remote
-                        raise
+                try:
+                    yield from self._fabric.invoke(
+                        self.host_id,
+                        self._metadata_router(stored.metadata.name),
+                        "nameserver",
+                        "record_append",
+                        stored.metadata.name,
+                        stored.size_bytes,
+                        epoch,
+                        self.host_id,
+                    )
+                except Exception as err:
+                    remote = getattr(err, "remote_error", None)
+                    if isinstance(remote, StaleEpochError):
+                        # Fenced at the nameserver: our authority lapsed
+                        # between the lease check and the record.  The
+                        # append is NOT acknowledged; the current primary
+                        # repairs our tail on its next relay.
+                        self.lease_fencings += 1
+                        self._count("ds_lease_fencings_total")
+                        raise remote
+                    raise
                 new_size = stored.size_bytes
                 stored.acked_ids[append_id] = new_size
                 self.appends_served += 1
@@ -577,36 +564,17 @@ class Dataserver:
         """
         return self._held_leases.revoke_all()
 
-    def _ns_endpoint_for(self, name: str) -> Optional[str]:
-        """The nameserver endpoint owning ``name``'s metadata shard."""
-        if self._nameserver_router is not None:
-            return self._nameserver_router(name)
-        return self._nameserver
-
-    def _lease_endpoint_for(self, name: str) -> Optional[str]:
-        """The lease service co-located with ``name``'s metadata shard."""
-        if self._lease_router is not None:
-            return self._lease_router(name)
-        return self._lease_endpoint
-
     def _ensure_lease(self, stored: StoredFile) -> Generator:
         """Validate this host's authority to order appends; returns epoch.
 
-        With leasing armed, a locally-valid grant is the fast path;
-        otherwise the manager is asked — which either refreshes the grant
-        (we still hold the lease, or it lapsed with no other claimant)
-        or fences us out with :class:`LeaseExpiredError`.  Without
-        leasing, metadata primaryship is the (unfenced) authority.
+        A locally-valid grant is the fast path; otherwise the manager is
+        asked — which either refreshes the grant (we still hold the
+        lease, or it lapsed with no other claimant) or fences us out
+        with :class:`LeaseExpiredError`.  Only the file's metadata
+        primary may claim a free lease; another replica orders appends
+        only under a lease the manager moved to it (promotion, drain).
         """
         file_id = stored.metadata.file_id
-        lease_endpoint = self._lease_endpoint_for(stored.metadata.name)
-        if lease_endpoint is None:
-            if stored.metadata.primary != self.host_id:
-                raise NotPrimaryError(
-                    f"commit sent to non-primary {self.host_id} "
-                    f"(primary is {stored.metadata.primary})"
-                )
-            return stored.epoch
         if self.host_id not in stored.metadata.replicas:
             raise NotPrimaryError(
                 f"{self.host_id} is no longer a replica of "
@@ -617,11 +585,12 @@ class Dataserver:
             try:
                 grant_dict = yield from self._fabric.invoke(
                     self.host_id,
-                    lease_endpoint,
+                    self._metadata_router(stored.metadata.name),
                     LEASE_SERVICE,
                     "acquire",
                     file_id,
                     self.host_id,
+                    stored.metadata.primary == self.host_id,
                 )
             except Exception as err:
                 remote = getattr(err, "remote_error", None)
@@ -629,6 +598,8 @@ class Dataserver:
                     self.lease_fencings += 1
                     self._count("ds_lease_fencings_total")
                     self._held_leases.drop(file_id)
+                    raise remote
+                if isinstance(remote, NotPrimaryError):
                     raise remote
                 raise
             grant = LeaseGrant.from_json_dict(grant_dict)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
-from repro.fs.errors import LeaseExpiredError, StaleEpochError
+from repro.fs.errors import LeaseExpiredError, NotPrimaryError, StaleEpochError
 from repro.sim import instrument
 from repro.sim.engine import EventLoop
 
@@ -107,14 +107,19 @@ class LeaseManager:
     # RPC surface (dataserver-facing)
     # ------------------------------------------------------------------
 
-    def acquire(self, file_id: str, host: str) -> Dict[str, object]:
+    def acquire(
+        self, file_id: str, host: str, claim: bool = True
+    ) -> Dict[str, object]:
         """Acquire (or refresh) the primary lease on ``file_id``.
 
         Grant rules, evaluated at the current simulated time:
 
         * no lease, or the existing lease expired → grant to ``host``
           with a **bumped epoch** (primaryship may have moved while no
-          lease was live, so the epoch must not be reusable);
+          lease was live, so the epoch must not be reusable) — if
+          ``claim``; a caller that may only renew (a replica that is not
+          the file's metadata primary) is refused with
+          :class:`NotPrimaryError`;
         * ``host`` already holds a live lease → renew it, same epoch;
         * another host holds a live lease → reject with
           :class:`LeaseExpiredError` (the caller is fenced out).
@@ -137,6 +142,11 @@ class LeaseManager:
             self.renewals += 1
             self._count("lease_renewals_total")
             return grant.to_json_dict()
+        if not claim:
+            raise NotPrimaryError(
+                f"{host!r} holds no live lease on {file_id!r} and is not "
+                f"its primary"
+            )
         epoch = (current.epoch if current is not None else 0) + 1
         grant = LeaseGrant(
             file_id=file_id, holder=host, epoch=epoch,

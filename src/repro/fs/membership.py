@@ -146,9 +146,9 @@ class ReplicaManager:
         membership: MembershipTracker,
         topology: Topology,
         rng: Random,
+        lease_manager: "LeaseManager",
         check_interval: float = 10.0,
         heartbeat_timeout: float = 15.0,
-        lease_manager: Optional["LeaseManager"] = None,
     ) -> None:
         self._loop = loop
         self._fabric = fabric
@@ -159,9 +159,9 @@ class ReplicaManager:
         self._rng = rng
         self.check_interval = check_interval
         self.heartbeat_timeout = heartbeat_timeout
-        #: When set, a repair that moves primaryship also moves the lease
-        #: (with an epoch bump) so the promoted survivor can commit
-        #: immediately and the dead primary's epoch is fenced.
+        #: A repair that moves primaryship also moves the lease (with an
+        #: epoch bump) so the promoted survivor can commit immediately
+        #: and the dead primary's epoch is fenced.
         self._lease_manager = lease_manager
         self.repairs_completed = 0
         self.files_lost = 0
@@ -228,14 +228,8 @@ class ReplicaManager:
                 replacement,
             )
             new_replicas.append(replacement)
-        import inspect
-
-        # works against both the plain nameserver (sync) and the
-        # Paxos-replicated one (a propose generator)
-        outcome = self._nameserver.update_replicas(metadata.name, new_replicas)
-        if inspect.isgenerator(outcome):
-            yield from outcome
-        if new_replicas[0] != metadata.primary and self._lease_manager is not None:
+        self._nameserver.update_replicas(metadata.name, new_replicas)
+        if new_replicas[0] != metadata.primary:
             self._lease_manager.promote(metadata.file_id, new_replicas[0])
             self.promotions += 1
         # Tell the surviving replicas about the rewritten set so their
@@ -282,8 +276,6 @@ class ReplicaManager:
         """
         from repro.rpc.errors import RpcError
 
-        import inspect
-
         drained = 0
         for name in self._nameserver.list_files():
             try:
@@ -298,15 +290,8 @@ class ReplicaManager:
             new_replicas = [successor] + [
                 r for r in metadata.replicas if r != successor
             ]
-            outcome = self._nameserver.update_replicas(
-                metadata.name, new_replicas
-            )
-            if inspect.isgenerator(outcome):
-                yield from outcome
-            if self._lease_manager is not None:
-                self._lease_manager.transfer(
-                    metadata.file_id, host, successor
-                )
+            self._nameserver.update_replicas(metadata.name, new_replicas)
+            self._lease_manager.transfer(metadata.file_id, host, successor)
             for replica in new_replicas:
                 try:
                     yield from self._fabric.invoke(

@@ -110,25 +110,6 @@ class Nameserver:
         self.creates += 1
         return metadata.to_json_dict()
 
-    def install(self, metadata_dict: dict) -> Optional[dict]:
-        """Insert pre-built metadata (the replicated-state-machine path).
-
-        Placement has already been decided by the proposer, so this applies
-        deterministically on every replica.  Returns the metadata, or
-        ``None`` when the name is already taken (a duplicate create that
-        lost the race in the log).
-        """
-        name = metadata_dict["name"]
-        if self._db.get(_FILE_PREFIX + name) is not None:
-            return None
-        self._db.put(_FILE_PREFIX + name, json.dumps(metadata_dict))
-        self.creates += 1
-        return metadata_dict
-
-    def new_file_id(self) -> str:
-        """A fresh deterministic file id (used by the replication layer)."""
-        return self._new_file_id()
-
     def lookup(self, name: str) -> dict:
         """Fetch a file's metadata (including its current size)."""
         raw = self._db.get(_FILE_PREFIX + name)

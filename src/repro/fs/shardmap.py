@@ -1,17 +1,18 @@
-"""Namespace sharding for the partitioned nameserver.
+"""Namespace sharding: the nameserver front.
 
-The metadata half of the sharded control plane: the file namespace is
-split into ``P`` partitions by consistent hashing, each partition served
-by its own nameserver (a single instance, or a paxos-replicated group
-through :mod:`repro.consensus`).  Three pieces cooperate:
+The file namespace is split into ``P >= 1`` partitions by consistent
+hashing, each served by one nameserver (with its co-located lease
+service) at one endpoint.  The paper's deployment — one LevelDB-backed
+nameserver — is ``P = 1``: every name routes to partition 0 without
+hashing.  Three pieces cooperate:
 
 :class:`ShardMap`
     The authoritative epoch-stamped routing table: partition index →
-    replica endpoints.  Name→partition routing is a pure function of the
-    name and the partition *count* (a fixed virtual-node ring), so the
-    partition of a file never depends on the epoch — epoch bumps
-    re-describe *where* partitions are served, never *which* partition a
-    name belongs to.
+    endpoint.  Name→partition routing is a pure function of the name and
+    the partition *count* (a fixed virtual-node ring), so the partition
+    of a file never depends on the epoch — epoch bumps re-describe
+    *where* partitions are served, never *which* partition a name
+    belongs to.
 
 :class:`PartitionGuard`
     Server-side enforcement, wrapped around each partition's nameserver:
@@ -23,13 +24,9 @@ through :mod:`repro.consensus`).  Three pieces cooperate:
 
 :class:`ShardRouter`
     The client's cached view: resolves a name to its partition's
-    endpoints without any RPC on the happy path, and is invalidated by
+    endpoint without any RPC on the happy path, and is invalidated by
     installing a higher-epoch map (the client refetches when a guard's
     ``WrongPartitionError`` advertises a newer epoch).
-
-The default single-partition configuration routes every name to
-partition 0 and is never consulted on the monolithic path, keeping the
-fig4/fig8 fingerprints bit-identical.
 """
 
 from __future__ import annotations
@@ -102,19 +99,19 @@ def partition_for(name: str, num_partitions: int) -> int:
 
 @dataclass(frozen=True)
 class ShardMap:
-    """Epoch-stamped partition → replica-endpoints table."""
+    """Epoch-stamped partition → endpoint table."""
 
     epoch: int
-    partitions: Tuple[Tuple[str, ...], ...]
+    partitions: Tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.epoch < 0:
             raise ValueError(f"epoch must be non-negative, got {self.epoch}")
         if not self.partitions:
             raise ValueError("a shard map needs at least one partition")
-        for index, endpoints in enumerate(self.partitions):
-            if not endpoints:
-                raise ValueError(f"partition {index} has no endpoints")
+        for index, endpoint in enumerate(self.partitions):
+            if not endpoint:
+                raise ValueError(f"partition {index} has no endpoint")
 
     @property
     def num_partitions(self) -> int:
@@ -123,23 +120,17 @@ class ShardMap:
     def partition_for(self, name: str) -> int:
         return partition_for(name, self.num_partitions)
 
-    def endpoints_for(self, name: str) -> Tuple[str, ...]:
+    def endpoint_for(self, name: str) -> str:
         return self.partitions[self.partition_for(name)]
 
     def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "epoch": self.epoch,
-            "partitions": [list(endpoints) for endpoints in self.partitions],
-        }
+        return {"epoch": self.epoch, "partitions": list(self.partitions)}
 
     @staticmethod
     def from_json_dict(data: Dict[str, Any]) -> "ShardMap":
         return ShardMap(
             epoch=int(data["epoch"]),
-            partitions=tuple(
-                tuple(str(e) for e in endpoints)
-                for endpoints in data["partitions"]
-            ),
+            partitions=tuple(str(e) for e in data["partitions"]),
         )
 
 
@@ -158,8 +149,8 @@ class ShardRouter:
     def epoch(self) -> int:
         return self._map.epoch
 
-    def endpoints_for(self, name: str) -> List[str]:
-        return list(self._map.endpoints_for(name))
+    def endpoint_for(self, name: str) -> str:
+        return self._map.endpoint_for(name)
 
     def install(self, shard_map: ShardMap) -> bool:
         """Adopt a refreshed map; stale (≤ cached epoch) maps are ignored.
@@ -182,9 +173,11 @@ class PartitionGuard:
     """Routing enforcement wrapped around one partition's nameserver.
 
     Name-routed RPCs are checked against the shard map before reaching
-    the inner nameserver; everything else (``install``, ``list_files``,
-    ``new_file_id``, lifecycle) delegates untouched, so the guard is a
-    drop-in ``"nameserver"`` service handler for the RPC fabric.
+    the inner nameserver; everything else (``list_files``, recovery,
+    lifecycle) delegates untouched, so the guard is a drop-in
+    ``"nameserver"`` service handler for the RPC fabric.  The checked
+    methods are built once, here, not per call: every metadata RPC of
+    every deployment passes through them.
     """
 
     def __init__(self, inner: Any, index: int, shard_map: ShardMap) -> None:
@@ -197,6 +190,10 @@ class PartitionGuard:
         self.index = index
         self._map = shard_map
         self.misroutes = 0
+        for attr in sorted(NAME_ROUTED_METHODS):
+            target = getattr(inner, attr, None)
+            if callable(target):
+                setattr(self, attr, self._guarded(attr, target))
 
     @property
     def inner(self) -> Any:
@@ -234,19 +231,14 @@ class PartitionGuard:
                 epoch=self._map.epoch,
             )
 
-    def __getattr__(self, attr: str) -> Any:
-        target = getattr(self._inner, attr)
-        if attr not in NAME_ROUTED_METHODS or not callable(target):
-            return target
-        bound: Callable[..., Any] = target
-
+    def _guarded(self, attr: str, bound: Callable[..., Any]) -> Callable[..., Any]:
         def guarded(*args: Any, **kwargs: Any) -> Any:
             self._check(str(args[0]))
             if attr == "move":
                 dst = str(args[1])
                 if self._map.partition_for(dst) != self.index:
                     # Cross-partition renames would need a distributed
-                    # transaction across paxos groups; the sharded
+                    # transaction across partitions; the sharded
                     # namespace documents them as unsupported.
                     raise InvalidRequestError(
                         f"cross-partition move {args[0]!r} -> {dst!r} "
@@ -255,6 +247,9 @@ class PartitionGuard:
             return bound(*args, **kwargs)
 
         return guarded
+
+    def __getattr__(self, attr: str) -> Any:
+        return getattr(self._inner, attr)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

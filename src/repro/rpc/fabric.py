@@ -8,9 +8,9 @@ paper's clients reach the Flowserver inside Floodlight.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from dataclasses import dataclass
+from types import GeneratorType
 from typing import Any, Dict, Generator, Optional, Set, Tuple
 
 from repro.rpc.errors import (
@@ -264,7 +264,7 @@ class RpcFabric:
                     )
                 )
                 return
-            if inspect.isgenerator(result):
+            if isinstance(result, GeneratorType):
                 proc = Process(self._loop, result, name=f"{service}.{method}")
 
                 def _on_done(_payload: Any) -> None:

@@ -61,23 +61,32 @@ def test_end_to_end_file_lifecycle(tmp_path):
     cluster.shutdown()
 
 
+def test_default_cluster_is_a_one_partition_shard_map(tmp_path):
+    """The paper's single nameserver is the one-partition front: one
+    guarded nameserver and one lease service, on the first host."""
+    cluster = Cluster(ClusterConfig(db_directory=tmp_path / "ns-db"))
+    assert cluster.shard_map.num_partitions == 1
+    assert cluster.shard_map.partitions == (cluster.nameserver_host,)
+    assert len(cluster.partition_guards) == 1
+    assert cluster.partition_guards[0].inner is cluster.nameserver
+    assert cluster.lease_managers == [cluster.lease_manager]
+    assert cluster.nameserver.lease_manager is cluster.lease_manager
+    cluster.shutdown()
+
+
 @pytest.mark.parametrize("scheme", ["mayflower", "hdfs-mayflower", "hdfs-ecmp"])
-@pytest.mark.parametrize(
-    "nameserver_replicas, metadata_partitions", [(1, 1), (3, 1), (1, 2), (3, 2)]
-)
+@pytest.mark.parametrize("metadata_partitions", [1, 2])
 def test_append_is_one_protocol_in_every_deployment(
-    tmp_path, scheme, nameserver_replicas, metadata_partitions
+    tmp_path, scheme, metadata_partitions
 ):
-    """Whatever the scheme and nameserver shape, an append is one push
-    and one ordered commit at the primary, leaving identical contiguous
-    ledgers on every replica: leased beside a single or partitioned
-    nameserver, un-leased beside a Paxos group, Flowserver-planned
-    fan-out exactly where there is a Flowserver."""
+    """Whatever the scheme and partition count, an append is one leased
+    push and one ordered commit at the primary, leaving identical
+    contiguous ledgers on every replica, with Flowserver-planned fan-out
+    exactly where there is a Flowserver."""
     cluster = Cluster(
         small_config(
             scheme,
             tmp_path=tmp_path,
-            nameserver_replicas=nameserver_replicas,
             metadata_partitions=metadata_partitions,
         )
     )
@@ -101,9 +110,8 @@ def test_append_is_one_protocol_in_every_deployment(
         ds = cluster.dataservers[replica]
         assert ds.append_ledger(meta.file_id) == reference, replica
         assert bytes(ds._files[meta.file_id].payload) == b"".join(blobs)
-    leased = nameserver_replicas == 1
-    assert len(cluster.lease_managers) == (metadata_partitions if leased else 0)
-    assert (primary.held_lease(meta.file_id) is not None) == leased
+    assert len(cluster.lease_managers) == metadata_partitions
+    assert primary.held_lease(meta.file_id) is not None
     if cluster.flowserver is not None:
         assert cluster.flowserver.fanout_requests == 2
     cluster.shutdown()

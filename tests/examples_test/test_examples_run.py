@@ -44,7 +44,6 @@ def test_consistency_and_recovery():
 def test_extensions_tour():
     out = run_example("extensions_tour.py")
     assert "primary avoided the congested hosts: True" in out
-    assert "commands applied through Paxos: 2" in out
     assert "rescheduled 1 elephant(s)" in out
 
 

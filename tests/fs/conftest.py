@@ -1,8 +1,9 @@
 """Shared fixtures for filesystem tests.
 
 ``mini_cluster`` wires a small but complete stack — network, controller,
-fabric, dataplane, nameserver, dataservers — on an 8-host topology with
-real payload storage, so tests can verify actual bytes end to end.
+fabric, dataplane, nameserver with its lease service, dataservers — on an
+8-host topology with real payload storage, so tests can verify actual
+bytes end to end.
 """
 
 from dataclasses import dataclass
@@ -12,8 +13,10 @@ import pytest
 
 from repro.cluster.dataplane import SimulatedDataPlane
 from repro.fs.dataserver import Dataserver
+from repro.fs.leases import LEASE_SERVICE, LeaseManager
 from repro.fs.nameserver import Nameserver
 from repro.fs.placement import PaperEvalPlacement
+from repro.fs.shardmap import ShardMap, ShardRouter
 from repro.net import FlowNetwork, RoutingTable, three_tier
 from repro.rpc import RpcFabric
 from repro.sdn import Controller
@@ -32,6 +35,10 @@ class MiniCluster:
     nameserver: Nameserver
     nameserver_host: str
     dataservers: Dict[str, Dataserver]
+
+    def shard_router(self) -> ShardRouter:
+        """A client's view of the one-partition namespace."""
+        return ShardRouter(ShardMap(epoch=1, partitions=(self.nameserver_host,)))
 
     def run(self, generator, name=""):
         proc = Process(self.loop, generator, name=name)
@@ -57,7 +64,9 @@ def mini_cluster(tmp_path):
         PaperEvalPlacement(topo, streams.stream("placement")),
         rng=streams.stream("ids"),
     )
+    nameserver.lease_manager = LeaseManager(loop)
     fabric.register(nameserver_host, "nameserver", nameserver)
+    fabric.register(nameserver_host, LEASE_SERVICE, nameserver.lease_manager)
     dataservers = {}
     for host in sorted(topo.hosts):
         ds = Dataserver(
@@ -65,8 +74,8 @@ def mini_cluster(tmp_path):
             loop,
             fabric,
             dataplane,
+            metadata_router=lambda name: nameserver_host,
             store_payload=True,
-            nameserver_endpoint=nameserver_host,
         )
         dataservers[host] = ds
         fabric.register(host, "dataserver", ds)

@@ -207,9 +207,10 @@ def test_read_waits_for_append_touching_last_chunk(mini_cluster):
 
     def appender():
         append_id = yield from push(mini_cluster, meta, writer, 1 * MB)
-        # reader starts shortly after the commit is in flight
+        # reader starts shortly after the commit is in flight: past the
+        # primary's lease round trip, inside the relay
         mini_cluster.loop.call_at(
-            mini_cluster.loop.now + 0.001, Process, mini_cluster.loop, reader()
+            mini_cluster.loop.now + 0.002, Process, mini_cluster.loop, reader()
         )
         yield from commit(mini_cluster, meta, writer, append_id)
         order.append(("append-done", mini_cluster.loop.now))

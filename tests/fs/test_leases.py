@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fs.errors import LeaseExpiredError, StaleEpochError
+from repro.fs.errors import LeaseExpiredError, NotPrimaryError, StaleEpochError
 from repro.fs.leases import (
     DEFAULT_LEASE_DURATION,
     HeldLeaseTable,
@@ -50,6 +50,22 @@ def test_expired_lease_grants_to_new_holder_with_higher_epoch():
     second = LeaseGrant.from_json_dict(mgr.acquire("f1", "hostB"))
     assert second.holder == "hostB"
     assert second.epoch == first.epoch + 1
+
+
+def test_only_a_claimant_takes_a_free_lease():
+    """A replica that is not the metadata primary (``claim=False``) may
+    renew a lease the manager moved to it, never take a free one."""
+    loop = EventLoop()
+    mgr = LeaseManager(loop, duration=10.0)
+    with pytest.raises(NotPrimaryError):
+        mgr.acquire("f1", "hostB", claim=False)
+    assert mgr.grants == 0
+    mgr.promote("f1", "hostB")
+    renewed = LeaseGrant.from_json_dict(mgr.acquire("f1", "hostB", claim=False))
+    assert (renewed.holder, renewed.epoch) == ("hostB", 1)
+    loop.run(until=11.0)
+    with pytest.raises(NotPrimaryError):
+        mgr.acquire("f1", "hostB", claim=False)
 
 
 def test_renew_for_host_extends_all_held_leases():

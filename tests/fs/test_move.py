@@ -18,7 +18,7 @@ def make_client(mini_cluster, host):
         host_id=host,
         loop=mini_cluster.loop,
         fabric=mini_cluster.fabric,
-        nameserver_endpoint=mini_cluster.nameserver_host,
+        shard_router=mini_cluster.shard_router(),
         planner=SelectorReadPlanner(
             NearestReplicaSelector(topo, random.Random(5))
         ),
@@ -116,33 +116,3 @@ class TestClientRandomWriteEmulation:
         assert "a" not in client._cache
         assert "b" in client._cache
 
-
-def test_replicated_nameserver_move(tmp_path):
-    from repro.consensus import build_replicated_nameserver
-    from repro.fs.placement import PaperEvalPlacement
-    from repro.net import three_tier
-    from repro.rpc import RpcFabric
-    from repro.sim import EventLoop, Process
-
-    topo = three_tier(pods=2, racks_per_pod=2, hosts_per_rack=2)
-    loop = EventLoop()
-    fabric = RpcFabric(loop)
-    endpoints = ["ns0", "ns1", "ns2"]
-    replicas = build_replicated_nameserver(
-        endpoints, fabric, loop,
-        placement_factory=lambda ep: PaperEvalPlacement(topo, random.Random(7)),
-        db_directory_factory=lambda ep: tmp_path / ep,
-        rng_factory=lambda ep: random.Random(99),
-    )
-
-    def scenario():
-        yield from replicas["ns0"].create("x")
-        result = yield from replicas["ns1"].move("x", "y")
-        return result
-
-    proc = Process(loop, scenario())
-    loop.run()
-    assert proc.exception is None
-    for ep in endpoints:
-        assert replicas[ep].exists("y")
-        assert not replicas[ep].exists("x")

@@ -3,7 +3,7 @@
 The routing function is pure in (name, partition count): epoch bumps
 re-describe *where* partitions are served, never *which* partition owns a
 name.  That invariant is what makes the client's cached map safe — a
-stale map can misroute to the wrong replica set, but the responding
+stale map can misroute to the wrong endpoint, but the responding
 guard's epoch tells the client to refresh, and the refreshed map routes
 the same name to the same partition index.
 """
@@ -43,12 +43,10 @@ def test_every_name_routes_to_exactly_one_partition(name, count):
 ))
 def test_routing_is_stable_across_epoch_bumps(name, count, epochs):
     """Epoch bumps relocate partitions, never reassign names."""
-    groups = tuple((f"host-{p}",) for p in range(count))
-    owner = ShardMap(epoch=1, partitions=groups).partition_for(name)
+    endpoints = tuple(f"host-{p}" for p in range(count))
+    owner = ShardMap(epoch=1, partitions=endpoints).partition_for(name)
     for epoch in sorted(epochs):
-        moved = tuple(
-            (f"host-{p}-gen{epoch}",) for p in range(count)
-        )
+        moved = tuple(f"host-{p}-gen{epoch}" for p in range(count))
         bumped = ShardMap(epoch=epoch, partitions=moved)
         assert bumped.partition_for(name) == owner
 
@@ -78,7 +76,7 @@ def test_partition_for_rejects_bad_count():
 
 
 def two_partition_map(epoch=1):
-    return ShardMap(epoch=epoch, partitions=(("h0",), ("h1",)))
+    return ShardMap(epoch=epoch, partitions=("h0", "h1"))
 
 
 def test_shard_map_roundtrips_through_json():
@@ -88,11 +86,11 @@ def test_shard_map_roundtrips_through_json():
 
 def test_shard_map_validates_structure():
     with pytest.raises(ValueError):
-        ShardMap(epoch=-1, partitions=(("h0",),))
+        ShardMap(epoch=-1, partitions=("h0",))
     with pytest.raises(ValueError):
         ShardMap(epoch=1, partitions=())
     with pytest.raises(ValueError):
-        ShardMap(epoch=1, partitions=(("h0",), ()))
+        ShardMap(epoch=1, partitions=("h0", ""))
 
 
 def test_router_adopts_only_newer_epochs():
@@ -106,7 +104,7 @@ def test_router_adopts_only_newer_epochs():
 
 def test_router_rejects_partition_count_changes():
     router = ShardRouter(two_partition_map(epoch=1))
-    grown = ShardMap(epoch=2, partitions=(("h0",), ("h1",), ("h2",)))
+    grown = ShardMap(epoch=2, partitions=("h0", "h1", "h2"))
     with pytest.raises(ValueError):
         router.install(grown)
 

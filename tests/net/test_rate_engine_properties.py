@@ -3,18 +3,22 @@
 Hypothesis drives random add/remove/abort/reroute sequences against an
 :class:`IncrementalRateEngine` and after **every** event compares its
 scoped solve to a from-scratch :func:`max_min_fair_rates` over the whole
-network.  Equality is exact (``==``, not approx): the engine's claim is
-bit-identity, because the scoped solve runs the identical arithmetic on
-the dirty component.
+network.  The scoped solve runs the identical arithmetic on the dirty
+component, so rates are bit-identical — except where the batch solver's
+1e-12 relative tolerance freezes a bottleneck in one component at a
+share another component reached first (DESIGN §9; seed 998 below, last
+bit of 1e9/3).  Rates must therefore agree to that tolerance, and the
+end-of-run self-check stays exact.
 
 A second invariant is checked at every step: no link is ever
 oversubscribed — the sum of member rates stays within capacity (up to
 the solver's own 1e-12 freeze tolerance, amplified by summation).
 """
 
+import math
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net import IncrementalRateEngine, RoutingTable, three_tier
@@ -26,7 +30,9 @@ MBPS = 1e6
 def assert_engine_matches_batch(engine, flow_links, capacities, demands):
     expected = max_min_fair_rates(flow_links, capacities, demands or None)
     got = dict(engine.rates)
-    assert got == expected
+    assert got.keys() == expected.keys()
+    for fid, rate in expected.items():
+        assert math.isclose(got[fid], rate, rel_tol=1e-12, abs_tol=0.0), fid
 
 
 def assert_no_link_oversubscribed(engine, flow_links, capacities):
@@ -41,6 +47,7 @@ def assert_no_link_oversubscribed(engine, flow_links, capacities):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31))
+@example(998)
 def test_property_incremental_rates_bit_identical_to_batch(seed):
     topo = three_tier()
     table = RoutingTable(topo)
