@@ -33,20 +33,17 @@ from repro.net.fairshare import single_link_fair_allocation
 class LinkShareCache:
     """Memoised per-link water-filling over one flow-state snapshot.
 
-    A candidate sweep (Pseudocode 1) evaluates every (replica, shortest
-    path) pair, and candidate paths overlap heavily — all paths out of
-    one replica share its edge uplink, all paths into the client share
-    its downlink.  Historically every candidate re-ran
-    :func:`~repro.net.fairshare.single_link_fair_allocation` per link
-    from scratch; this cache computes each distinct (link, newcomer
-    demand) allocation once and replays it for every other candidate
-    touching that link.
+    Candidate paths overlap heavily — all paths out of one replica share
+    its edge uplink, all paths into the client share its downlink — and
+    consecutive selections often see the same table.  This cache computes
+    each distinct (link, newcomer demand) allocation once and replays it
+    for every later probe or ``NEWBANDWIDTH`` on that link.
 
     Validity is keyed on :attr:`FlowStateTable.version`: any mutation of
-    the table (membership, ``SETBW``/``UPDATEBW``/rollback) bumps the
-    version and the next lookup drops every memo.  The cache therefore
-    never serves stale allocations, and a single long-lived instance (the
-    Flowserver owns one) is as correct as a fresh cache per sweep.
+    the table (membership, ``SETBW``/``UPDATEBW``) bumps the version and
+    the next lookup drops every memo.  The cache therefore never serves
+    stale allocations, and a single long-lived instance (the Flowserver
+    owns one) is as correct as a fresh cache per sweep.
 
     Returned values are exactly what the uncached code computed — same
     inputs, same routine — so cached and uncached sweeps are
@@ -58,7 +55,6 @@ class LinkShareCache:
         self._version = state.version
         self._members: Dict[str, List[TrackedFlow]] = {}
         self._demands: Dict[str, List[float]] = {}
-        self._index: Dict[str, Dict[str, int]] = {}
         self._probe: Dict[Tuple[str, float], float] = {}
         self._newcomer: Dict[Tuple[str, float, float], List[float]] = {}
         #: Allocation lookups served from memo / computed fresh.
@@ -75,7 +71,6 @@ class LinkShareCache:
         if self._state.version != self._version:
             self._members.clear()
             self._demands.clear()
-            self._index.clear()
             self._probe.clear()
             self._newcomer.clear()
             self._version = self._state.version
@@ -94,15 +89,6 @@ class LinkShareCache:
         """Current bandwidth estimates of the flows on a link, cached."""
         self.members(link_id)
         return self._demands[link_id]
-
-    def member_index(self, link_id: str, flow_id: str) -> int:
-        """Position of ``flow_id`` in :meth:`members` order."""
-        self._sync()
-        index = self._index.get(link_id)
-        if index is None:
-            index = {f.flow_id: i for i, f in enumerate(self.members(link_id))}
-            self._index[link_id] = index
-        return index[flow_id]
 
     def probe_share(self, link_id: str, capacity_bps: float) -> float:
         """The infinite-demand probe's allocation on one link (§4.2)."""
@@ -168,6 +154,20 @@ class CostBreakdown:
     new_bw_of_existing: Mapping[str, float] = field(default_factory=dict)
 
 
+def bottleneck_share(
+    path_link_ids: Sequence[str], link_share: Mapping[str, float]
+) -> Tuple[float, Optional[str]]:
+    """The smallest per-link probe share along a path, and its link."""
+    best = math.inf
+    bottleneck: Optional[str] = None
+    for link_id in path_link_ids:
+        share = link_share[link_id]
+        if share < best:
+            best = share
+            bottleneck = link_id
+    return best, bottleneck
+
+
 def estimate_path_share(
     path_link_ids: Sequence[str],
     link_capacity_bps: Mapping[str, float],
@@ -177,49 +177,46 @@ def estimate_path_share(
     """``MAXMINSHARE``: the probe's estimated rate along one path.
 
     Returns ``(b_j, bottleneck_link_id)``.  ``cache`` shares per-link
-    allocations across the candidate sweep; omitted, a transient cache
-    still deduplicates repeated links within this one path.
+    allocations across calls; omitted, a transient cache still
+    deduplicates repeated links within this one path.
     """
     if cache is None:
         cache = LinkShareCache(state)
-    best = math.inf
-    bottleneck: Optional[str] = None
-    for link_id in path_link_ids:
-        share = cache.probe_share(link_id, link_capacity_bps[link_id])
-        if share < best:
-            best = share
-            bottleneck = link_id
-    return best, bottleneck
+    return bottleneck_share(
+        path_link_ids,
+        {lid: cache.probe_share(lid, link_capacity_bps[lid]) for lid in path_link_ids},
+    )
 
 
 def new_bandwidth_of_existing(
-    flow: TrackedFlow,
     path_link_ids: Sequence[str],
     new_flow_demand_bps: float,
     link_capacity_bps: Mapping[str, float],
     state: FlowStateTable,
     cache: Optional[LinkShareCache] = None,
-) -> float:
-    """``NEWBANDWIDTH``: flow ``f``'s share after the newcomer joins.
+) -> Dict[str, float]:
+    """``NEWBANDWIDTH`` for every flow a newcomer on the path squeezes.
 
-    Evaluated on every link the flow shares with the candidate path; the
-    flow's new share is its worst allocation across those links, and never
-    exceeds its current estimate.  The (link, newcomer-demand) water-fill
-    is memoised in ``cache``, so every other existing flow on the same
-    link reads its own slot from the same allocation.
+    Runs once per path link that carries tracked flows: one water-fill of
+    the link's demands plus the newcomer, and every member reads its own
+    slot.  A flow's new share is its worst slot across the links it
+    shares with the path, and never exceeds its current estimate; the
+    result maps each flow whose share drops to that new share.
     """
     if cache is None:
         cache = LinkShareCache(state)
-    shared = [lid for lid in path_link_ids if lid in flow.path_link_ids]
-    if not shared:
-        return flow.bw_bps
-    worst = flow.bw_bps
-    for link_id in shared:
+    worst: Dict[str, float] = {}
+    for link_id in path_link_ids:
+        members = cache.members(link_id)
+        if not members:
+            continue
         allocation = cache.newcomer_allocation(
             link_id, link_capacity_bps[link_id], new_flow_demand_bps
         )
-        worst = min(worst, allocation[cache.member_index(link_id, flow.flow_id)])
-    return worst
+        for flow, slot in zip(members, allocation):
+            worst[flow.flow_id] = min(worst.get(flow.flow_id, flow.bw_bps), slot)
+    flows = state.flows
+    return {fid: bw for fid, bw in worst.items() if bw < flows[fid].bw_bps}
 
 
 def flow_cost(
@@ -228,7 +225,7 @@ def flow_cost(
     link_capacity_bps: Mapping[str, float],
     state: FlowStateTable,
     include_existing_flows: bool = True,
-    est_bw_bps: Optional[float] = None,
+    share: Optional[Tuple[float, Optional[str]]] = None,
     cache: Optional[LinkShareCache] = None,
 ) -> CostBreakdown:
     """``FLOWCOST``: evaluate Eq. 2 for one candidate path.
@@ -239,26 +236,24 @@ def flow_cost(
         Ablation hook — when ``False`` the second term of Eq. 2 is dropped
         and the cost degenerates to the greedy
         maximize-my-own-bandwidth policy the paper argues against.
-    est_bw_bps:
-        Pre-computed ``b_j`` (e.g. from :func:`estimate_path_share`);
-        computed on the fly when omitted.
+    share:
+        ``(b_j, bottleneck_link_id)`` already computed for this path (a
+        candidate search computes it once per candidate to rank them);
+        :func:`estimate_path_share` runs when omitted.
     cache:
-        Shared :class:`LinkShareCache` for the sweep; a private one is
-        built when omitted (single-path call sites).
+        Shared :class:`LinkShareCache`; a private one is built when
+        omitted (single-path call sites).
+
+    The penalty is summed over squeezed flows in flow-id order, so the
+    float sum is the same whichever order the links were visited in.
     """
     if flow_size_bits <= 0:
         raise ValueError(f"flow size must be positive, got {flow_size_bits}")
     if cache is None:
         cache = LinkShareCache(state)
-
-    if est_bw_bps is None:
-        est_bw_bps, bottleneck = estimate_path_share(
-            path_link_ids, link_capacity_bps, state, cache=cache
-        )
-    else:
-        _, bottleneck = estimate_path_share(
-            path_link_ids, link_capacity_bps, state, cache=cache
-        )
+    if share is None:
+        share = estimate_path_share(path_link_ids, link_capacity_bps, state, cache=cache)
+    est_bw_bps, bottleneck = share
 
     if est_bw_bps <= 0:
         return CostBreakdown(
@@ -274,20 +269,18 @@ def flow_cost(
     changed: Dict[str, float] = {}
 
     if include_existing_flows:
-        for flow in state.flows_on_path(path_link_ids):
-            cur_bw = flow.bw_bps
-            new_bw = new_bandwidth_of_existing(
-                flow, path_link_ids, est_bw_bps, link_capacity_bps, state,
-                cache=cache,
-            )
-            if new_bw >= cur_bw:
-                continue
-            changed[flow.flow_id] = new_bw
+        squeezed = new_bandwidth_of_existing(
+            path_link_ids, est_bw_bps, link_capacity_bps, state, cache=cache
+        )
+        for flow_id in sorted(squeezed):
+            new_bw = squeezed[flow_id]
+            changed[flow_id] = new_bw
             if new_bw <= 0:
                 penalty = math.inf
                 break
-            if cur_bw > 0:
-                penalty += flow.remaining_bits / new_bw - flow.remaining_bits / cur_bw
+            flow = state.flows[flow_id]
+            if flow.bw_bps > 0:
+                penalty += flow.remaining_bits / new_bw - flow.remaining_bits / flow.bw_bps
 
     return CostBreakdown(
         total=new_flow_time + penalty,

@@ -61,7 +61,7 @@ class FlowStateTable:
 
     ``version`` increments on every mutation that can change a max-min
     estimate — membership (add/remove) and bandwidth writes (``SETBW``,
-    ``UPDATEBW``, rollback).  :class:`repro.core.cost.LinkShareCache`
+    ``UPDATEBW``).  :class:`repro.core.cost.LinkShareCache`
     keys its memoised allocations on it, so a cache can live across
     selection sweeps and self-invalidate the moment the table moves.
     """
@@ -107,15 +107,6 @@ class FlowStateTable:
             seen.update(self._link_index.get(link_id, ()))
         return [self.flows[fid] for fid in sorted(seen)]
 
-    def link_demands(self, link_id: str) -> List[float]:
-        """Current bandwidth estimates of the flows on one link.
-
-        These are the "demands" fed to the max-min estimate for existing
-        flows (§4.2: "the demand for the existing flows is set to their
-        current bandwidth share").
-        """
-        return [f.bw_bps for f in self.flows_on_link(link_id)]
-
     # ------------------------------------------------------------------
     # Pseudocode 2
     # ------------------------------------------------------------------
@@ -159,28 +150,6 @@ class FlowStateTable:
         flow = self.flows.get(flow_id)
         if flow is not None:
             flow.remaining_bits = max(0.0, remaining_bits)
-
-    def snapshot_bw(self, flow_ids: Iterable[str]) -> Dict[str, Tuple[float, bool, float]]:
-        """Capture (bw, freezed, freeze_until) for later rollback.
-
-        Used by the multi-replica planner, which tentatively applies
-        bandwidth updates and may abandon them (§4.3).
-        """
-        result = {}
-        for fid in flow_ids:
-            flow = self.flows[fid]
-            result[fid] = (flow.bw_bps, flow.freezed, flow.freeze_until)
-        return result
-
-    def restore_bw(self, snapshot: Dict[str, Tuple[float, bool, float]]) -> None:
-        """Undo tentative updates captured by :meth:`snapshot_bw`."""
-        for fid, (bw, freezed, until) in snapshot.items():
-            flow = self.flows.get(fid)
-            if flow is not None:
-                flow.bw_bps = bw
-                flow.freezed = freezed
-                flow.freeze_until = until
-        self.version += 1
 
     def __len__(self) -> int:
         return len(self.flows)

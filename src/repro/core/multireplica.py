@@ -20,7 +20,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.cost import LinkShareCache
 from repro.core.flow_state import FlowStateTable
-from repro.core.selection import PathChoice, commit_choice, score_candidate_paths
+from repro.core.selection import PathChoice, best_candidate, commit_choice
 from repro.net.routing import Path
 
 
@@ -72,15 +72,12 @@ class MultiReplicaPlanner:
         subflows.  On return the state table already tracks the chosen
         flows with their final sizes and freezes applied.
 
-        The same ``cache`` serves both sweeps: committing ``f1`` bumps the
-        state-table version, so the second sweep starts cold by
+        The same ``cache`` serves both searches: committing ``f1`` bumps
+        the state-table version, so the second search starts cold by
         construction and never sees pre-commit allocations.
         """
-        if not candidate_paths:
-            raise ValueError("no candidate paths to select from")
         fid1, fid2 = flow_ids
-
-        choices = score_candidate_paths(
+        first = best_candidate(
             candidate_paths,
             flow_size_bits,
             link_capacity_bps,
@@ -88,7 +85,6 @@ class MultiReplicaPlanner:
             include_existing_flows=include_existing_flows,
             cache=cache,
         )
-        first = choices[0]
         b1 = first.cost.est_bw_bps
         if b1 <= 0:
             raise ValueError("best candidate path has zero estimated bandwidth")
@@ -103,7 +99,7 @@ class MultiReplicaPlanner:
         if not second_candidates:
             return [SubflowPlan(fid1, first, flow_size_bits, b1)]
 
-        second_choices = score_candidate_paths(
+        second = best_candidate(
             second_candidates,
             flow_size_bits,
             link_capacity_bps,
@@ -111,7 +107,6 @@ class MultiReplicaPlanner:
             include_existing_flows=include_existing_flows,
             cache=cache,
         )
-        second = second_choices[0]
         b2 = second.cost.est_bw_bps
         # f2 joining may squeeze f1 down to b1'.
         b1_prime = second.cost.new_bw_of_existing.get(fid1, b1)

@@ -1,19 +1,25 @@
 """Pseudocode 1: SELECTREPLICAANDPATH.
 
-Evaluate every shortest path from every replica to the client, score each
-with :func:`repro.core.cost.flow_cost`, pick the cheapest, and commit the
-decision: register the new flow at its estimated share and apply ``SETBW``
-(estimate + freeze) to every existing flow whose share the newcomer
-squeezes.
+Find the (replica, shortest path) pair with the least Eq. 2 cost
+(:func:`repro.core.cost.flow_cost`) and commit the decision: register the
+new flow at its estimated share and apply ``SETBW`` (estimate + freeze) to
+every existing flow whose share the newcomer squeezes.
+
+The paper scores every candidate; :func:`best_candidate` returns the same
+argmin without doing so.  ``Cost(p) = d/b_j + penalty`` and every penalty
+term is ``r_f/b'_f − r_f/b_f ≥ 0`` (``b'_f ≤ b_f``), so ``d/b_j`` is a
+free lower bound: candidates are evaluated in increasing ``d/b_j`` and the
+search stops at the first one whose bound is strictly above the best total
+so far — neither it nor any later candidate can win.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Tuple
 
-from repro.core.cost import CostBreakdown, LinkShareCache, flow_cost
+from repro.core.cost import CostBreakdown, LinkShareCache, bottleneck_share, flow_cost
 from repro.core.flow_state import FlowStateTable, TrackedFlow
 from repro.net.routing import Path
 
@@ -30,26 +36,54 @@ class PathChoice:
         return self.path.src
 
 
-def score_candidate_paths(
+def _selection_key(choice: PathChoice) -> Tuple[float, float, Tuple[str, ...]]:
+    # Cheapest first; ties break on higher estimated bandwidth, then
+    # lexicographic path id, keeping runs deterministic.
+    return (choice.cost.total, -choice.cost.est_bw_bps, choice.path.link_ids)
+
+
+def best_candidate(
     candidate_paths: Sequence[Path],
     flow_size_bits: float,
     link_capacity_bps: Mapping[str, float],
     state: FlowStateTable,
     include_existing_flows: bool = True,
     cache: Optional[LinkShareCache] = None,
-) -> List[PathChoice]:
-    """Score every candidate path; sorted cheapest-first.
+) -> PathChoice:
+    """The candidate with the least ``(total, −b_j, link ids)``.
 
-    Ties break on higher estimated bandwidth, then lexicographic path id,
-    keeping runs deterministic.  One :class:`LinkShareCache` spans the
-    whole sweep (callers may pass a longer-lived one): candidates share
-    edge uplinks/downlinks heavily, so each distinct per-link water-fill
-    runs once instead of once per (replica, path) pair.
+    Computes ``b_j`` once per candidate from one probe share per distinct
+    link, ranks candidates by ``(d/b_j, −b_j, link ids)`` and runs
+    :func:`flow_cost` in that order until the next bound is strictly
+    greater than the best total seen.  The choice is exactly the head of
+    a full sweep sorted by the selection key.
+
+    Raises
+    ------
+    ValueError
+        If there is no candidate path.
     """
+    if not candidate_paths:
+        raise ValueError("no candidate paths to select from")
     if cache is None:
         cache = LinkShareCache(state)
-    choices = [
-        PathChoice(
+    link_share = {
+        lid: cache.probe_share(lid, link_capacity_bps[lid])
+        for lid in dict.fromkeys(lid for path in candidate_paths for lid in path.link_ids)
+    }
+    ranked = []
+    for path in candidate_paths:
+        share = bottleneck_share(path.link_ids, link_share)
+        est_bw = share[0]
+        bound = flow_size_bits / est_bw if est_bw > 0 else math.inf
+        ranked.append((bound, -est_bw, path.link_ids, path, share))
+    ranked.sort(key=lambda r: r[:3])
+
+    best: Optional[PathChoice] = None
+    for bound, _, _, path, share in ranked:
+        if best is not None and bound > best.cost.total:
+            break
+        choice = PathChoice(
             path=path,
             cost=flow_cost(
                 path.link_ids,
@@ -57,13 +91,14 @@ def score_candidate_paths(
                 link_capacity_bps,
                 state,
                 include_existing_flows=include_existing_flows,
+                share=share,
                 cache=cache,
             ),
         )
-        for path in candidate_paths
-    ]
-    choices.sort(key=lambda c: (c.cost.total, -c.cost.est_bw_bps, c.path.link_ids))
-    return choices
+        if best is None or _selection_key(choice) < _selection_key(best):
+            best = choice
+    assert best is not None
+    return best
 
 
 def commit_choice(
@@ -106,16 +141,14 @@ def select_replica_and_path(
     job_id: Optional[str] = None,
     cache: Optional[LinkShareCache] = None,
 ) -> PathChoice:
-    """Full SELECTREPLICAANDPATH: score, pick, and commit.
+    """Full SELECTREPLICAANDPATH: pick the cheapest candidate and commit.
 
     Raises
     ------
     ValueError
         If no candidate path exists or every candidate has infinite cost.
     """
-    if not candidate_paths:
-        raise ValueError("no candidate paths to select from")
-    choices = score_candidate_paths(
+    best = best_candidate(
         candidate_paths,
         flow_size_bits,
         link_capacity_bps,
@@ -123,7 +156,6 @@ def select_replica_and_path(
         include_existing_flows=include_existing_flows,
         cache=cache,
     )
-    best = choices[0]
     if math.isinf(best.cost.total):
         raise ValueError("all candidate paths have infinite cost")
     commit_choice(best, flow_id, flow_size_bits, state, now, job_id=job_id)

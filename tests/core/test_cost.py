@@ -54,19 +54,19 @@ def test_multi_link_overlap_takes_worst_squeeze():
     # bg shares two links with the path; the tighter one caps its new bw
     state = make_state([("bg", ["l1", "l2"], 8 * MBPS, 8 * MBPS)])
     capacities = {"l1": 10 * MBPS, "l2": 4 * MBPS}
-    new_bw = new_bandwidth_of_existing(
-        state.flows["bg"], ["l1", "l2"], 2 * MBPS, capacities, state
-    )
+    new_bw = new_bandwidth_of_existing(["l1", "l2"], 2 * MBPS, capacities, state)
     # l2: water-fill 4 across [8, 2] -> bg gets 2; l1: [8,2] across 10 -> bg 8
-    assert new_bw == pytest.approx(2 * MBPS)
+    assert new_bw == {"bg": pytest.approx(2 * MBPS)}
 
 
 def test_new_bandwidth_never_increases():
-    state = make_state([("bg", ["l1"], 3 * MBPS, 5 * MBPS)])
-    new_bw = new_bandwidth_of_existing(
-        state.flows["bg"], ["l1"], 1 * MBPS, {"l1": 100 * MBPS}, state
+    state = make_state(
+        [("bg", ["l1"], 3 * MBPS, 5 * MBPS), ("big", ["l1"], 90 * MBPS, 5 * MBPS)]
     )
-    assert new_bw <= 3 * MBPS
+    new_bw = new_bandwidth_of_existing(["l1"], 20 * MBPS, {"l1": 100 * MBPS}, state)
+    # only the flow above the new fair share is squeezed, and only downwards
+    assert set(new_bw) == {"big"}
+    assert new_bw["big"] < 90 * MBPS
 
 
 def test_include_existing_flows_false_drops_penalty():
@@ -84,9 +84,33 @@ def test_include_existing_flows_false_drops_penalty():
 def test_precomputed_est_bw_is_respected():
     state = make_state([])
     cost = flow_cost(
-        ["l1"], 10 * MBPS, {"l1": 10 * MBPS}, state, est_bw_bps=2 * MBPS
+        ["l1"], 10 * MBPS, {"l1": 10 * MBPS}, state, share=(2 * MBPS, "l1")
     )
     assert cost.new_flow_time == pytest.approx(5.0)
+    assert cost.bottleneck_link_id == "l1"
+
+
+def test_penalty_is_summed_in_flow_id_order():
+    """Float addition is not associative: the penalty runs over sorted flow
+    ids, not in the order the path's links list the flows."""
+    state = make_state([
+        ("z", ["l0"], 9 * MBPS, 1.7e9),
+        ("a", ["l1"], 4 * MBPS, 13e6),
+        ("m", ["l1"], 8 * MBPS, 5e8),
+    ])
+    capacities = {"l0": 10 * MBPS, "l1": 10 * MBPS}
+    cost = flow_cost(["l0", "l1"], 10 * MBPS, capacities, state, share=(3 * MBPS, "l1"))
+
+    def summed(order):
+        penalty = 0.0
+        for fid in order:
+            flow = state.flows[fid]
+            new_bw = cost.new_bw_of_existing[fid]
+            penalty += flow.remaining_bits / new_bw - flow.remaining_bits / flow.bw_bps
+        return penalty
+
+    assert cost.existing_flows_penalty == summed(["a", "m", "z"])
+    assert cost.existing_flows_penalty != summed(["z", "a", "m"])
 
 
 def test_zero_size_rejected():

@@ -55,12 +55,6 @@ class TestTable:
         flows = table.flows_on_path(["a", "b"])
         assert [f.flow_id for f in flows] == ["f1"]
 
-    def test_link_demands(self):
-        table = FlowStateTable()
-        table.add(make_flow("f1", links=("a",), bw=5.0))
-        table.add(make_flow("f2", links=("a",), bw=7.0))
-        assert table.link_demands("a") == [5.0, 7.0]
-
 
 class TestFreezeDiscipline:
     def test_set_bw_freezes_until_expected_completion(self):
@@ -112,27 +106,6 @@ class TestFreezeDiscipline:
         table.add(make_flow())
         table.update_remaining("f", -5.0)
         assert table.get("f").remaining_bits == 0.0
-
-
-class TestSnapshotRestore:
-    def test_round_trip(self):
-        table = FlowStateTable()
-        table.add(make_flow("f1", bw=10.0))
-        table.add(make_flow("f2", links=("c",), bw=20.0))
-        snap = table.snapshot_bw(["f1", "f2"])
-        table.set_bw("f1", 1.0, now=0.0)
-        table.set_bw("f2", 2.0, now=0.0)
-        table.restore_bw(snap)
-        assert table.get("f1").bw_bps == 10.0
-        assert not table.get("f1").freezed
-        assert table.get("f2").bw_bps == 20.0
-
-    def test_restore_tolerates_removed_flow(self):
-        table = FlowStateTable()
-        table.add(make_flow("f1"))
-        snap = table.snapshot_bw(["f1"])
-        table.remove("f1")
-        table.restore_bw(snap)  # no error
 
 
 class TestTrackedFlow:

@@ -4,24 +4,23 @@ import pytest
 
 from repro.core.flow_state import FlowStateTable, TrackedFlow
 from repro.core.selection import (
+    best_candidate,
     commit_choice,
-    score_candidate_paths,
     select_replica_and_path,
 )
+from tests.core.eq2_oracle import oracle_sweep
 
 MBPS = 1e6
 
 
 def test_scores_sorted_cheapest_first(fig2_env):
-    choices = score_candidate_paths(
-        fig2_env.routing.paths("S", "R"),
-        9 * MBPS,
-        fig2_env.capacities,
-        fig2_env.state,
-    )
+    paths = fig2_env.routing.paths("S", "R")
+    choices = oracle_sweep(paths, 9 * MBPS, fig2_env.capacities, fig2_env.state)
     assert len(choices) == 2
     assert choices[0].cost.total < choices[1].cost.total
     assert "E1->A2" in choices[0].path.link_ids
+    best = best_candidate(paths, 9 * MBPS, fig2_env.capacities, fig2_env.state)
+    assert best == choices[0]
 
 
 def test_tie_breaks_prefer_higher_bandwidth():
@@ -34,12 +33,13 @@ def test_tie_breaks_prefer_higher_bandwidth():
     routing = RoutingTable(topo)
     capacities = {lid: link.capacity_bps for lid, link in topo.links.items()}
     state = FlowStateTable()
-    choices = score_candidate_paths(
-        routing.paths("S", "R"), 9 * MBPS, capacities, state
-    )
+    paths = routing.paths("S", "R")
+    choices = oracle_sweep(paths, 9 * MBPS, capacities, state)
     assert choices[0].cost.total == choices[1].cost.total
-    # deterministic order by path link ids
+    # deterministic order by path link ids, whatever the input order
     assert choices[0].path.link_ids < choices[1].path.link_ids
+    for order in (paths, paths[::-1]):
+        assert best_candidate(order, 9 * MBPS, capacities, state) == choices[0]
 
 
 def test_select_requires_candidates():
@@ -50,24 +50,24 @@ def test_select_requires_candidates():
 
 
 def test_commit_registers_new_flow(fig2_env):
-    choices = score_candidate_paths(
+    best = best_candidate(
         fig2_env.routing.paths("S", "R"), 9 * MBPS, fig2_env.capacities, fig2_env.state
     )
-    tracked = commit_choice(choices[0], "new", 9 * MBPS, fig2_env.state, now=0.0, job_id="job1")
+    tracked = commit_choice(best, "new", 9 * MBPS, fig2_env.state, now=0.0, job_id="job1")
     assert tracked.job_id == "job1"
     assert fig2_env.state.get("new") is tracked
-    assert tracked.path_link_ids == choices[0].path.link_ids
+    assert tracked.path_link_ids == best.path.link_ids
     assert tracked.remaining_bits == 9 * MBPS
 
 
 def test_commit_skips_vanished_existing_flows(fig2_env):
     """A flow that completed between scoring and commit must not crash."""
-    choices = score_candidate_paths(
+    best = best_candidate(
         fig2_env.routing.paths("S", "R"), 9 * MBPS, fig2_env.capacities, fig2_env.state
     )
-    squeezed = sorted(choices[0].cost.new_bw_of_existing)
+    squeezed = sorted(best.cost.new_bw_of_existing)
     fig2_env.state.remove(squeezed[0])
-    commit_choice(choices[0], "new", 9 * MBPS, fig2_env.state, now=0.0)
+    commit_choice(best, "new", 9 * MBPS, fig2_env.state, now=0.0)
     assert "new" in fig2_env.state
 
 
