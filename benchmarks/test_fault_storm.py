@@ -13,13 +13,14 @@ storm, and Mayflower's mean completion time still beats ECMP's.
 import math
 import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from conftest import attach_report
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.experiment import run_cluster_workload
-from repro.experiments.metrics import summarize
+from repro.experiments.metrics import resilience_summary, summarize
 from repro.faults import StormSpec, build_storm
 from repro.fs.retry import RetryPolicy
 from repro.net.topology import three_tier
@@ -67,7 +68,13 @@ def _run_scheme(scheme: str, plan, jobs: int, files: int, seed: int):
     config = ClusterConfig(
         scheme=scheme, seed=seed, db_directory=db_dir, retry=STORM_RETRY
     )
-    stats: dict = {}
+    summaries = []
+
+    def harvest(cluster, clients, injector):
+        summaries.append(
+            resilience_summary(cluster, clients, injector=injector, jobs_total=jobs)
+        )
+
     try:
         durations = run_cluster_workload(
             scheme,
@@ -76,11 +83,12 @@ def _run_scheme(scheme: str, plan, jobs: int, files: int, seed: int):
             seed=seed,
             config=config,
             fault_plan=plan,
-            stats_out=stats,
+            on_env=harvest,
         )
     finally:
         shutil.rmtree(db_dir, ignore_errors=True)
-    return durations, stats
+    (summary,) = summaries
+    return durations, replace(summary, jobs_completed=len(durations)).as_dict()
 
 
 def _run_storm(jobs: int, files: int, seed: int) -> dict:

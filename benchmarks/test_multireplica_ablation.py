@@ -9,12 +9,10 @@ subflow finish times stay close.
 
 from conftest import attach_report
 
-from repro.core import Flowserver, FlowserverConfig
+from repro.core import build_control_plane
 from repro.experiments.figures import multireplica_ablation
 from repro.experiments.report import render_multireplica
-from repro.net import FlowNetwork, RoutingTable, three_tier
-from repro.sdn import Controller
-from repro.sim import EventLoop
+from repro.net import three_tier
 
 MB = 8e6
 
@@ -42,12 +40,8 @@ def test_multireplica_ablation(benchmark, bench_scale):
 
 def test_subflows_finish_within_a_second():
     """Direct check of the <1 s subflow finish-time gap at 256 MB."""
-    topo = three_tier()
-    loop = EventLoop()
-    net = FlowNetwork(loop, topo)
-    routing = RoutingTable(topo)
-    controller = Controller(net)
-    flowserver = Flowserver(controller, routing, FlowserverConfig())
+    plane = build_control_plane(three_tier())
+    loop, controller, flowserver = plane.loop, plane.controller, plane.flowserver
 
     gaps = []
     pairs = [

@@ -5,18 +5,18 @@ work, noting the nameserver could decide collaboratively with the
 Flowserver.  This bench measures it: under a background read workload,
 write jobs (writer → primary, then primary → both secondaries) are placed
 either statically (the §6.1 policy) or by
-:class:`repro.core.FlowserverWritePlacement`, and the full write pipeline
+:class:`repro.cluster.planners.FlowserverWritePlacement`, and the full write pipeline
 completion times are compared.
 """
 
 from conftest import attach_report
 
-from repro.core import Flowserver, FlowserverWritePlacement
+from repro.cluster.planners import FlowserverWritePlacement
+from repro.core import build_control_plane
 from repro.experiments.metrics import summarize
 from repro.fs.placement import PaperEvalPlacement
-from repro.net import FlowNetwork, RoutingTable, three_tier
-from repro.sdn import Controller
-from repro.sim import EventLoop, RandomStreams
+from repro.net import three_tier
+from repro.sim import RandomStreams
 from repro.workload import LocalityDistribution, WorkloadConfig, generate_workload
 
 MB = 8e6
@@ -26,11 +26,9 @@ WRITE_BITS = 256 * MB
 def _run(placement_kind: str, num_writes: int, seed: int):
     """Write pipeline completion times under a background read load."""
     topo = three_tier()
-    loop = EventLoop()
-    net = FlowNetwork(loop, topo)
-    routing = RoutingTable(topo)
-    controller = Controller(net)
-    flowserver = Flowserver(controller, routing)
+    plane = build_control_plane(topo)
+    loop, net, routing = plane.loop, plane.network, plane.routing
+    controller, flowserver = plane.controller, plane.flowserver
     streams = RandomStreams(seed)
     monitor = None
 

@@ -10,10 +10,9 @@ Run:  python examples/extensions_tour.py
 """
 
 from repro.baselines.hedera import HederaScheduler
-from repro.core import Flowserver, FlowserverWritePlacement
-from repro.net import FlowNetwork, RoutingTable, three_tier
-from repro.sdn import Controller
-from repro.sim import EventLoop
+from repro.cluster.planners import FlowserverWritePlacement
+from repro.core import build_control_plane
+from repro.net import three_tier
 from repro.sim.randomness import seeded_rng
 
 GB = 8e9
@@ -22,11 +21,10 @@ GB = 8e9
 def demo_write_placement():
     print("=== 1. co-designed write placement ===")
     topo = three_tier()
-    loop = EventLoop()
-    controller = Controller(FlowNetwork(loop, topo))
-    flowserver = Flowserver(controller, RoutingTable(topo))
+    plane = build_control_plane(topo)
+    flowserver = plane.flowserver
     placement = FlowserverWritePlacement(
-        topo, RoutingTable(topo), flowserver, seeded_rng(1),
+        topo, plane.routing, flowserver, seeded_rng(1),
         candidates_per_tier=64,
     )
     writer = "pod0-rack0-h0"
@@ -47,12 +45,9 @@ def demo_write_placement():
 
 def demo_hedera():
     print("=== 2. Hedera-style rescheduling vs co-design ===")
-    topo = three_tier()
-    loop = EventLoop()
-    net = FlowNetwork(loop, topo)
-    routing = RoutingTable(topo)
-    controller = Controller(net)
-    scheduler = HederaScheduler(loop, controller, routing,
+    plane = build_control_plane(three_tier(), flowserver=False)
+    net, routing, controller = plane.network, plane.routing, plane.controller
+    scheduler = HederaScheduler(plane.loop, controller, routing,
                                 interval=1.0, auto_start=False)
     # two elephants ECMP-hashed onto the same uplink
     p_a = routing.paths("pod0-rack0-h0", "pod0-rack1-h0")

@@ -9,10 +9,8 @@ bandwidths and the number of candidate paths each decision evaluated.
 Run:  python examples/flowserver_tracing.py
 """
 
-from repro.core import Flowserver, FlowserverConfig
-from repro.net import FlowNetwork, RoutingTable, three_tier
-from repro.sdn import Controller
-from repro.sim import EventLoop
+from repro.core import FlowserverConfig, build_control_plane
+from repro.net import three_tier
 from repro.sim.randomness import seeded_rng
 
 MB = 8e6
@@ -20,14 +18,8 @@ MB = 8e6
 
 def main():
     topo = three_tier()
-    loop = EventLoop()
-    net = FlowNetwork(loop, topo)
-    controller = Controller(net)
-    flowserver = Flowserver(
-        controller,
-        RoutingTable(topo),
-        FlowserverConfig(decision_log_size=50),
-    )
+    plane = build_control_plane(topo, config=FlowserverConfig(decision_log_size=50))
+    controller, flowserver = plane.controller, plane.flowserver
     rng = seeded_rng(4)
     hosts = sorted(topo.hosts)
 

@@ -8,6 +8,9 @@ evaluation stands on.
 Package map
 -----------
 
+Listed in layer order: a package imports only the packages above it
+(``tests/test_import_hygiene.py`` pins this).
+
 =====================  ====================================================
 ``repro.sim``          deterministic discrete-event engine, processes,
                        seeded random streams
@@ -17,20 +20,25 @@ Package map
 ``repro.sdn``          OpenFlow-style controller and flow tables
 ``repro.core``         **the paper's contribution**: the Flowserver —
                        Eq. 2 cost model, Pseudocode 1/2 selection with
-                       update-freeze, §4.3 split reads, stats collection,
-                       plus the co-designed write placement extension
-``repro.kvstore``      log-structured store (WAL/memtable/SSTables)
+                       update-freeze, §4.3 split reads, stats collection —
+                       and ``build_control_plane``, the one wiring of the
+                       control plane
 ``repro.rpc``          latency-modelled control-plane RPC with failure
                        injection
+``repro.kvstore``      log-structured store (WAL/memtable/SSTables)
 ``repro.fs``           the distributed filesystem: nameserver (one
                        LevelDB-style server per shard-map partition),
                        leases, dataservers, client library, placement,
                        consistency modes, membership + re-replication
 ``repro.baselines``    Nearest, Sinbad-R, Hedera-style scheduling
 ``repro.workload``     §6.1 traffic matrices and trace serialization
+``repro.faults``       seeded fault plans and their injector
+``repro.cluster``      the fully wired prototype (Fig. 8) and the
+                       Flowserver-to-fs adapters (planners, placement)
+``repro.telemetry``    tracing, metrics and run analysis
 ``repro.experiments``  per-figure runners, statistics, reports, charts,
                        the ``python -m repro.experiments`` CLI
-``repro.cluster``      the fully wired prototype (Fig. 8)
+``repro.analysis``     simlint, protocheck, the SimSanitizer, explorer
 =====================  ====================================================
 
 Quick start::
@@ -45,3 +53,12 @@ EXPERIMENTS.md for paper-vs-measured results.
 """
 
 __version__ = "1.0.0"
+
+import os as _os
+
+if _os.environ.get("REPRO_SIMSAN", "") not in ("", "0"):
+    # Armed here, above every layer, so any entry point gets it: the
+    # layers themselves never import repro.analysis.
+    from repro.analysis import simsan as _simsan
+
+    _simsan.arm()

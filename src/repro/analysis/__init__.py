@@ -27,7 +27,7 @@ from three sides:
   - **PROTO001** acknowledgement recorded before the ledger write it
     acknowledges.
 
-  Escapes live in :mod:`repro.analysis.annotations`
+  Escapes live in :mod:`repro.fs.annotations`
   (``@protocheck.fenced``/``entrypoint``/``exempt`` — runtime no-ops)
   and inline ``# protocheck: ignore[RULE]`` comments.
 

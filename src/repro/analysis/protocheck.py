@@ -40,7 +40,7 @@ PROTO001
     earlier line than the ledger write it acknowledges (directly or via
     a callee that writes the ledger).
 
-Escapes: the decorators in :mod:`repro.analysis.annotations`
+Escapes: the decorators in :mod:`repro.fs.annotations`
 (``@protocheck.fenced`` / ``@protocheck.entrypoint`` /
 ``@protocheck.exempt``) and inline ``# protocheck: ignore[RULE]``
 comments.  RPC edges never propagate the fenced bit — a fence on the

@@ -8,7 +8,7 @@ weakness, also from §1: "by not accounting for the bandwidth of
 individual flows and the total number of flows in each link, Sinbad
 cannot accurately estimate path bandwidths."
 
-The implementation mirrors :class:`~repro.core.write_placement.
+The implementation mirrors :class:`~repro.cluster.planners.
 FlowserverWritePlacement`'s fault-domain skeleton but scores candidates
 from the :class:`~repro.baselines.monitor.EndHostMonitor`'s periodically
 sampled counters — so its view is stale between samples and blind to

@@ -13,16 +13,18 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from repro.baselines.selectors import NearestReplicaSelector
 from repro.cluster.dataplane import SimulatedDataPlane
 from repro.cluster.planners import (
     FlowserverFanoutPlanner,
     FlowserverReadPlanner,
+    FlowserverWritePlacement,
     SelectorReadPlanner,
 )
-from repro.core.flowserver import Flowserver, FlowserverConfig
+from repro.core.control_plane import build_control_plane
+from repro.core.flowserver import FlowserverConfig
 from repro.fs.client import MayflowerClient, ReadPlanner
 from repro.fs.consistency import ConsistencyMode
 from repro.fs.retry import IMMEDIATE_FAILOVER, RetryPolicy
@@ -31,19 +33,10 @@ from repro.fs.leases import LEASE_SERVICE, LeaseManager
 from repro.fs.nameserver import Nameserver
 from repro.fs.placement import HdfsRackAwarePlacement, PaperEvalPlacement
 from repro.fs.shardmap import PartitionGuard, ShardMap, ShardRouter
-from repro.net.routing import RoutingTable
-from repro.net.simulator import FlowNetwork
 from repro.net.topology import Topology, three_tier
 from repro.rpc import RpcFabric
-from repro.sdn.controller import Controller
-from repro.sim.engine import EventLoop
 from repro.sim.process import Process
 from repro.sim.randomness import RandomStreams
-
-if TYPE_CHECKING:
-    from repro.core.coordinator import GlobalCoordinator
-    from repro.core.stats import FlowStatsCollector
-    from repro.core.domains import DomainFlowserver
 
 #: Virtual RPC endpoint where the Flowserver service lives (the SDN
 #: controller is reachable over the management network, not the data
@@ -93,12 +86,9 @@ class ClusterConfig:
     #: one, "chain" always relays down the static metadata chain — which
     #: is also what a scheme without a Flowserver does.
     fanout: str = "auto"
-    #: Sharded control plane: 1 (default) runs the paper's monolithic
-    #: Flowserver, bit-identical to previous HEAD; a value equal to
-    #: ``pods`` runs one :class:`~repro.core.domains.DomainFlowserver`
-    #: per pod behind a :class:`~repro.core.coordinator.
-    #: GlobalCoordinator`.  No other values are accepted — domains are
-    #: pod-granular by construction.
+    #: Sharded control plane: 1 (default) is the paper's monolithic
+    #: Flowserver; ``pods`` runs one Flowserver domain per pod behind a
+    #: global coordinator (:func:`repro.core.build_control_plane`).
     controller_domains: int = 1
     #: Metadata sharding: the namespace is split into this many
     #: consistent-hashed partitions, each one nameserver (plus its lease
@@ -128,43 +118,18 @@ class Cluster:
             edge_bps=self.config.edge_bps,
             oversubscription=self.config.oversubscription,
         )
-        self.loop = EventLoop()
-        self.network = FlowNetwork(self.loop, self.topology)
-        self.routing = RoutingTable(self.topology)
-        self.controller = Controller(self.network)
-        needs_flowserver = self.config.scheme in ("mayflower", "hdfs-mayflower")
-        fs_config = self.config.flowserver
-        self.domain_flowservers: Dict[str, "DomainFlowserver"] = {}
-        self.coordinator: Optional["GlobalCoordinator"] = None
-        if self.config.controller_domains <= 1:
-            self.flowserver: Optional[Flowserver] = (
-                Flowserver(self.controller, self.routing, fs_config)
-                if needs_flowserver
-                else None
-            )
-        else:
-            if not needs_flowserver:
-                raise ValueError(
-                    "controller_domains > 1 requires a flowserver scheme "
-                    "(mayflower or hdfs-mayflower)"
-                )
-            pods = self.topology.pods()
-            if self.config.controller_domains != len(pods):
-                raise ValueError(
-                    f"controller_domains={self.config.controller_domains} "
-                    f"must equal the pod count ({len(pods)}): domains are "
-                    f"pod-granular"
-                )
-            from repro.core.coordinator import GlobalCoordinator
-            from repro.core.domains import build_domain_flowservers
-
-            self.flowserver = None
-            self.domain_flowservers = build_domain_flowservers(
-                self.controller, self.routing, fs_config
-            )
-            self.coordinator = GlobalCoordinator(
-                self.controller, self.routing, self.domain_flowservers, fs_config
-            )
+        self.plane = build_control_plane(
+            self.topology,
+            flowserver=self.config.scheme in ("mayflower", "hdfs-mayflower"),
+            config=self.config.flowserver,
+            domains=self.config.controller_domains,
+        )
+        self.loop = self.plane.loop
+        self.network = self.plane.network
+        self.routing = self.plane.routing
+        self.controller = self.plane.controller
+        #: The monolithic Flowserver; ``None`` when sharded or absent.
+        self.flowserver = self.plane.flowserver
 
         # --- RPC fabric + data plane ------------------------------------
         self.fabric = RpcFabric(
@@ -179,13 +144,10 @@ class Cluster:
             self.routing,
             ecmp_salt=self.config.seed,
         )
-        if self.flowserver is not None:
-            self.fabric.register(CONTROLLER_ENDPOINT, "flowserver", self.flowserver)
-        elif self.coordinator is not None:
-            # The coordinator presents the same RPC surface (select,
-            # select_path_only, plan_replication_fanout), so planners
-            # talk to the sharded control plane unchanged.
-            self.fabric.register(CONTROLLER_ENDPOINT, "flowserver", self.coordinator)
+        if self.plane.front is not None:
+            # Monolith and coordinator present the same RPC surface, so
+            # planners talk to either unchanged.
+            self.fabric.register(CONTROLLER_ENDPOINT, "flowserver", self.plane.front)
 
         # --- filesystem servers -----------------------------------------
         placement_rng = streams.stream("placement")
@@ -197,11 +159,10 @@ class Cluster:
             # §3.3's proposed extension: the nameserver places replicas
             # collaboratively with the Flowserver (Sinbad-like, but from
             # live flow estimates instead of sampled end-host counters).
-            from repro.core.write_placement import FlowserverWritePlacement
-
             if self.flowserver is None:
                 raise ValueError(
-                    "placement='flowserver' requires a flowserver scheme"
+                    "placement='flowserver' requires a flowserver "
+                    "(the monolithic one: controller_domains=1)"
                 )
             placement = FlowserverWritePlacement(
                 self.topology, self.routing, self.flowserver, placement_rng
@@ -346,17 +307,6 @@ class Cluster:
             fanout_planner=self._fanout_planner(),
         )
 
-    @property
-    def collectors(self) -> List["FlowStatsCollector"]:
-        """Every stats collector of the control plane: the monolith's
-        one, one per domain when sharded, none without a Flowserver."""
-        if self.flowserver is not None:
-            return [self.flowserver.collector]
-        return [
-            self.domain_flowservers[pod].collector
-            for pod in sorted(self.domain_flowservers)
-        ]
-
     # ------------------------------------------------------------------
     # Fault injection
     # ------------------------------------------------------------------
@@ -392,9 +342,7 @@ class Cluster:
 
         ``None`` leaves the client on the static metadata chain.
         """
-        if self.config.fanout == "auto" and (
-            self.flowserver is not None or self.coordinator is not None
-        ):
+        if self.config.fanout == "auto" and self.plane.front is not None:
             return FlowserverFanoutPlanner(self.fabric, CONTROLLER_ENDPOINT)
         return None
 
@@ -423,10 +371,7 @@ class Cluster:
 
     def shutdown(self) -> None:
         """Graceful shutdown (flushes the nameserver database(s))."""
-        if self.flowserver is not None:
-            self.flowserver.close()
-        if self.coordinator is not None:
-            self.coordinator.close()
+        self.plane.close()
         if self.replica_manager is not None:
             self.replica_manager.stop()
         for sender in self._heartbeat_senders:

@@ -13,10 +13,11 @@ from __future__ import annotations
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.fs.chunks import FileMetadata
+from repro.fs.client import MayflowerClient
 from repro.sim.randomness import RandomStreams
 from repro.workload.generator import (
     DEFAULT_READ_BYTES,
@@ -63,7 +64,7 @@ def run_cluster_workload(
     max_sim_seconds: float = 100000.0,
     config: Optional[ClusterConfig] = None,
     fault_plan=None,
-    stats_out: Optional[dict] = None,
+    on_env: Optional[Callable[[Cluster, List[MayflowerClient], Any], None]] = None,
 ) -> List[float]:
     """Run a read workload against a full cluster; returns job durations.
 
@@ -74,8 +75,10 @@ def run_cluster_workload(
     ``fault_plan`` (a :class:`repro.faults.FaultPlan`) is armed against
     the cluster before the workload starts; job failures then surface as
     a RuntimeError naming the failed jobs rather than silently hanging
-    the drain loop.  ``stats_out``, when given, is filled with resilience
-    telemetry (see :func:`repro.experiments.metrics.resilience_summary`).
+    the drain loop.  ``on_env`` (when given) is invoked as
+    ``on_env(cluster, clients, injector)`` after the workload settles but
+    before the failure checks and teardown, so callers can harvest
+    counters (e.g. :func:`repro.experiments.metrics.resilience_summary`).
     """
     locality = locality or LocalityDistribution(0.5, 0.3, 0.2)
     db_dir = Path(tempfile.mkdtemp(prefix="mayflower-fig8-"))
@@ -100,7 +103,7 @@ def run_cluster_workload(
         locality_rng = streams.stream("locality")
         system_rate = arrival_rate_per_server * len(cluster.topology.hosts)
 
-        clients: Dict[str, object] = {}
+        clients: Dict[str, MayflowerClient] = {}
         durations: List[float] = []
         failures: List[tuple] = []
 
@@ -148,18 +151,8 @@ def run_cluster_workload(
                     f"finished within {max_sim_seconds} s — saturated"
                 )
             cluster.loop.step()
-        if stats_out is not None:
-            from repro.experiments.metrics import resilience_summary
-
-            stats_out.update(
-                resilience_summary(
-                    cluster,
-                    clients.values(),
-                    injector=injector,
-                    jobs_total=num_jobs,
-                    jobs_completed=len(durations),
-                ).as_dict()
-            )
+        if on_env is not None:
+            on_env(cluster, list(clients.values()), injector)
         if failures:
             job_id, err = failures[0]
             raise RuntimeError(

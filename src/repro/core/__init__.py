@@ -24,10 +24,14 @@ route the read over).  This package implements:
 * :mod:`repro.core.domains` — the sharded control plane's per-pod
   :class:`DomainFlowserver` (a Flowserver scoped to one pod's links);
 * :mod:`repro.core.coordinator` — the :class:`GlobalCoordinator` that
-  places inter-pod reads from per-domain capacity summaries.
+  places inter-pod reads from per-domain capacity summaries;
+* :mod:`repro.core.control_plane` — :func:`build_control_plane`, the one
+  wiring of loop, network, controller and Flowserver (monolith or
+  domains) that every deployment uses.
 """
 
 from repro.core.adaptive_stats import AdaptiveSchedule, AdaptiveStatsConfig
+from repro.core.control_plane import ControlPlane, build_control_plane
 from repro.core.coordinator import GlobalCoordinator
 from repro.core.cost import CostBreakdown, estimate_path_share, flow_cost
 from repro.core.domains import (
@@ -40,12 +44,12 @@ from repro.core.flowserver import Assignment, Flowserver, FlowserverConfig, Sele
 from repro.core.multireplica import MultiReplicaPlanner
 from repro.core.selection import PathChoice, select_replica_and_path
 from repro.core.stats import FixedSchedule, FlowStatsCollector
-from repro.core.write_placement import FlowserverWritePlacement
 
 __all__ = [
     "AdaptiveSchedule",
     "AdaptiveStatsConfig",
     "Assignment",
+    "ControlPlane",
     "CostBreakdown",
     "DomainFlowserver",
     "DomainSummary",
@@ -54,12 +58,12 @@ __all__ = [
     "FlowStatsCollector",
     "Flowserver",
     "FlowserverConfig",
-    "FlowserverWritePlacement",
     "GlobalCoordinator",
     "MultiReplicaPlanner",
     "PathChoice",
     "SelectionResult",
     "TrackedFlow",
+    "build_control_plane",
     "build_domain_flowservers",
     "estimate_path_share",
     "flow_cost",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, cast
+from typing import TYPE_CHECKING, Dict, Optional, cast
 
 from repro.core.flowserver import Flowserver, FlowserverConfig
 from repro.net.routing import RoutingTable
@@ -147,7 +147,6 @@ def build_domain_flowservers(
     controller: Controller,
     routing: RoutingTable,
     config: Optional[FlowserverConfig] = None,
-    pods: Optional[List[str]] = None,
 ) -> Dict[str, DomainFlowserver]:
     """Construct one :class:`DomainFlowserver` per pod (sorted order).
 
@@ -157,10 +156,8 @@ def build_domain_flowservers(
     """
     from repro.sdn.domain import DomainController
 
-    topology = controller.network.topology
-    domain_pods = list(pods) if pods is not None else topology.pods()
     domains: Dict[str, DomainFlowserver] = {}
-    for pod in sorted(domain_pods):
+    for pod in sorted(controller.network.topology.pods()):
         scoped = DomainController(controller, pod)
         domains[pod] = DomainFlowserver(pod, scoped, routing, config)
     return domains

@@ -15,8 +15,8 @@ from repro.baselines.hedera import HederaScheduler
 from repro.baselines.monitor import EndHostMonitor
 from repro.baselines.schemes import Scheme, build_scheme
 from repro.baselines.selectors import NearestReplicaSelector, SinbadRSelector
+from repro.core.control_plane import ControlPlane, build_control_plane
 from repro.core.flowserver import Flowserver, FlowserverConfig
-from repro.net.routing import RoutingTable
 from repro.net.simulator import FlowNetwork
 from repro.net.topology import three_tier
 from repro.sdn.controller import Controller
@@ -71,20 +71,33 @@ class SchemeRunConfig:
 
 @dataclass
 class ExperimentEnv:
-    """Everything one scheme run builds; exposed for tests and ablations."""
+    """Everything one scheme run builds; exposed for tests and ablations.
 
-    loop: EventLoop
-    network: FlowNetwork
-    routing: RoutingTable
-    controller: Controller
-    flowserver: Optional[Flowserver]
+    The control plane is the cluster's (:func:`build_control_plane`)
+    without the filesystem layer on top.
+    """
+
+    plane: ControlPlane
     monitor: Optional[EndHostMonitor]
     hedera: Optional[HederaScheduler]
     scheme: Scheme
-    #: Sharded control plane (controller_domains > 1): the per-pod
-    #: domains and the coordinator fronting them; empty/None otherwise.
-    domain_flowservers: Dict[str, object] = field(default_factory=dict)
-    coordinator: Optional[object] = None
+
+    @property
+    def loop(self) -> EventLoop:
+        return self.plane.loop
+
+    @property
+    def network(self) -> FlowNetwork:
+        return self.plane.network
+
+    @property
+    def controller(self) -> Controller:
+        return self.plane.controller
+
+    @property
+    def flowserver(self) -> Optional[Flowserver]:
+        """The monolithic Flowserver; ``None`` when sharded or absent."""
+        return self.plane.flowserver
 
 
 def build_environment(
@@ -101,38 +114,18 @@ def build_environment(
         edge_bps=config.edge_bps,
         oversubscription=config.oversubscription,
     )
-    loop = EventLoop()
-    network = FlowNetwork(loop, topo)
-    routing = RoutingTable(topo)
-    controller = Controller(network)
-
-    needs_flowserver = scheme_name in (
-        "mayflower",
-        "nearest-mayflower",
-        "sinbad-mayflower",
-        "hdfs-mayflower",
+    plane = build_control_plane(
+        topo,
+        flowserver=scheme_name in (
+            "mayflower",
+            "nearest-mayflower",
+            "sinbad-mayflower",
+            "hdfs-mayflower",
+        ),
+        config=config.flowserver,
+        domains=config.controller_domains,
     )
-    flowserver: Optional[Flowserver] = None
-    domain_flowservers: Dict[str, object] = {}
-    coordinator = None
-    if needs_flowserver and config.controller_domains > 1:
-        from repro.core.coordinator import GlobalCoordinator
-        from repro.core.domains import build_domain_flowservers
-
-        pods = topo.pods()
-        if config.controller_domains != len(pods):
-            raise ValueError(
-                f"controller_domains={config.controller_domains} must equal "
-                f"the pod count ({len(pods)}): domains are pod-granular"
-            )
-        domain_flowservers = dict(
-            build_domain_flowservers(controller, routing, config.flowserver)
-        )
-        coordinator = GlobalCoordinator(
-            controller, routing, domain_flowservers, config.flowserver
-        )
-    elif needs_flowserver:
-        flowserver = Flowserver(controller, routing, config.flowserver)
+    loop, network = plane.loop, plane.network
 
     needs_monitor = scheme_name.startswith("sinbad")
     monitor = (
@@ -144,8 +137,8 @@ def build_environment(
     hedera = (
         HederaScheduler(
             loop,
-            controller,
-            routing,
+            plane.controller,
+            plane.routing,
             interval=config.hedera_interval,
         )
         if scheme_name.endswith("-hedera")
@@ -160,26 +153,14 @@ def build_environment(
     )
     scheme = build_scheme(
         scheme_name,
-        routing,
-        # The coordinator presents the Flowserver selection surface, so
-        # schemes run unchanged against the sharded control plane.
-        coordinator if coordinator is not None else flowserver,
+        plane.routing,
+        # Monolith or coordinator: both present the selection surface.
+        plane.front,
         nearest_selector=nearest,
         sinbad_selector=sinbad,
         ecmp_salt=seed,
     )
-    return ExperimentEnv(
-        loop=loop,
-        network=network,
-        routing=routing,
-        controller=controller,
-        flowserver=flowserver,
-        monitor=monitor,
-        hedera=hedera,
-        scheme=scheme,
-        domain_flowservers=domain_flowservers,
-        coordinator=coordinator,
-    )
+    return ExperimentEnv(plane, monitor, hedera, scheme)
 
 
 def run_scheme_on_workload(
@@ -289,10 +270,7 @@ def run_scheme_on_workload(
         on_env(env)
     if env.monitor:
         env.monitor.stop()
-    if env.flowserver:
-        env.flowserver.close()
-    if env.coordinator is not None:
-        env.coordinator.close()
+    env.plane.close()
     if env.hedera:
         env.hedera.stop()
 

@@ -103,11 +103,11 @@ class FaultInjector:
             cluster.loop,
             cluster.controller,
             cluster.fabric,
-            collectors=cluster.collectors,
+            collectors=cluster.plane.collectors,
             nameserver_endpoints=list(cluster.shard_map.partitions),
             lease_managers=cluster.lease_managers,
             dataservers=getattr(cluster, "dataservers", None),
-            coordinator=getattr(cluster, "coordinator", None),
+            coordinator=cluster.plane.coordinator,
         )
 
     def arm(self, plan: FaultPlan) -> int:

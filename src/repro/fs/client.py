@@ -23,6 +23,7 @@ from random import Random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Tuple
 
+from repro.core.fanout import static_chain_plan
 from repro.fs.chunks import DEFAULT_CHUNK_BYTES, DEFAULT_REPLICATION, FileMetadata
 from repro.fs.consistency import ConsistencyMode, replica_candidates_for_range
 from repro.fs.errors import (
@@ -310,8 +311,6 @@ class MayflowerClient:
         bytes through the data plane, so neither carries the policy's
         ``rpc_timeout``.
         """
-        from repro.core.fanout import static_chain_plan
-
         if size_bytes <= 0:
             raise InvalidRequestError(f"append size must be positive: {size_bytes}")
         append_id = f"{self._append_prefix}:{next(self._append_seq)}"

@@ -34,7 +34,7 @@ from typing import (
     Tuple,
 )
 
-import repro.analysis.annotations as protocheck
+import repro.fs.annotations as protocheck
 from repro.fs.chunks import FileMetadata
 from repro.fs.errors import (
     FileNotFoundFsError,

@@ -20,15 +20,14 @@ The historical single-sanitizer API (:func:`set_hooks` /
 subscription slot, so :mod:`repro.analysis.simsan` is now just one
 subscriber among many.
 
-``REPRO_SIMSAN=1`` in the environment auto-arms the sanitizer at import
-time (the opt-in documented in README §Determinism contract); under
-pytest the ``--simsan`` flag does the same through the plugin in
-:mod:`repro.analysis.pytest_plugin`.
+``REPRO_SIMSAN=1`` in the environment auto-arms the sanitizer when the
+``repro`` package is imported (the opt-in documented in README
+§Determinism contract); under pytest the ``--simsan`` flag does the same
+through the plugin in :mod:`repro.analysis.pytest_plugin`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
@@ -199,13 +198,3 @@ def post_event(loop: Any) -> None:
     if _post_event_hooks:
         for hook in _post_event_hooks:
             hook(loop)
-
-
-def _auto_arm_from_env() -> None:
-    if os.environ.get("REPRO_SIMSAN", "") not in ("", "0"):
-        from repro.analysis import simsan  # deferred: avoids an import cycle
-
-        simsan.arm()
-
-
-_auto_arm_from_env()

@@ -135,7 +135,7 @@ def bind_resilience_metrics(
     """
     client_list = list(clients)
     flowserver = cluster.flowserver
-    collectors = cluster.collectors
+    collectors = cluster.plane.collectors
 
     def live(obj: Optional[Any], attribute: str) -> Callable[[], float]:
         if obj is None:

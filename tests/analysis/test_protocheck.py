@@ -239,7 +239,7 @@ def test_non_service_class_is_not_an_entry_point():
 def test_entrypoint_annotation_promotes_function():
     findings = analyze(
         """\
-        import repro.analysis.annotations as protocheck
+        import repro.fs.annotations as protocheck
 
         @protocheck.entrypoint
         def handle(stored, entry):
@@ -278,7 +278,7 @@ def test_fenced_annotation_suppresses_fence001(decorator):
     assert (
         analyze(
             f"""\
-            import repro.analysis.annotations as protocheck
+            import repro.fs.annotations as protocheck
 
             class Dataserver:
                 {decorator}
@@ -294,7 +294,7 @@ def test_exempt_annotation_excludes_function():
     assert (
         analyze(
             """\
-            import repro.analysis.annotations as protocheck
+            import repro.fs.annotations as protocheck
 
             class Dataserver:
                 @protocheck.exempt(reason="bootstrap fixture")
@@ -327,7 +327,7 @@ def test_inline_suppression_is_rule_scoped():
 
 
 def test_annotations_are_runtime_noops():
-    import repro.analysis.annotations as protocheck
+    import repro.fs.annotations as protocheck
 
     @protocheck.fenced
     def bare(x):

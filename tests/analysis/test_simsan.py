@@ -260,3 +260,28 @@ def test_streams_bit_identical_to_plain_random():
     assert [ours.random() for _ in range(5)] == [theirs.random() for _ in range(5)]
     assert ours.randint(0, 10**9) == theirs.randint(0, 10**9)
     assert ours.sample(range(100), 10) == theirs.sample(range(100), 10)
+
+
+def test_env_var_arms_the_sanitizer_from_any_entry_point():
+    """``REPRO_SIMSAN=1`` arms on ``import repro``: an entry point that
+    imports only the engine still runs sanitized, and without the
+    variable ``repro.analysis`` is never loaded."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    probe = (
+        "import sys, repro.sim.engine\n"
+        "san = sys.modules.get('repro.analysis.simsan')\n"
+        "print(san is not None and san.get_active() is not None)\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    for value, armed in (("1", "True"), ("0", "False")):
+        env = dict(os.environ, PYTHONPATH=src, REPRO_SIMSAN=value)
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == armed

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, run_cluster_workload
+from repro.core import build_control_plane
 from repro.experiments.runner import SchemeRunConfig, run_scheme_on_workload
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.net.topology import three_tier
@@ -97,7 +98,7 @@ def test_sharded_cluster_serves_reads_end_to_end():
 
         sizes = cluster.run(workload())
         assert sizes == [64 * 1024] * 12
-        coord = cluster.coordinator
+        coord = cluster.plane.coordinator
         assert coord is not None and coord.requests_served > 0
         # both halves of the split control plane made decisions
         assert coord.intra_pod_delegations + coord.inter_pod_selections > 0
@@ -111,8 +112,14 @@ def test_sharded_cluster_serves_reads_end_to_end():
 
 
 def test_domain_count_must_match_pods():
-    with pytest.raises(ValueError):
-        Cluster(sharded_config(controller_domains=3))
+    """Checked once, in the builder both front ends call."""
+    with pytest.raises(ValueError, match="pod-granular"):
+        build_control_plane(three_tier(), domains=3)
+
+
+def test_domains_require_a_flowserver_scheme():
+    with pytest.raises(ValueError, match="requires a flowserver scheme"):
+        build_control_plane(three_tier(), flowserver=False, domains=4)
 
 
 def test_replica_manager_requires_single_partition():
@@ -157,7 +164,7 @@ def test_coordinator_partition_storm_all_reads_complete():
         sizes = cluster.run(reads())
         assert sizes == [32 * 1024] * 8
         assert injector.events_applied >= 1
-        coord = cluster.coordinator
+        coord = cluster.plane.coordinator
         # inter-pod reads issued during the outage went through the
         # salted-ECMP fallback instead of failing
         assert coord.degraded_selections > 0

@@ -224,7 +224,7 @@ def test_faults_reach_every_monitor_of_a_sharded_control_plane(tmp_path):
     )
     try:
         assert cluster.flowserver is None
-        collectors = cluster.collectors
+        collectors = cluster.plane.collectors
         assert len(collectors) == 4 and len(cluster.lease_managers) == 2
         name = next(
             f"/shard/file-{i}" for i in range(64)
