@@ -91,74 +91,111 @@ def max_min_fair_rates(
     -----
     Progressive filling: repeatedly find the bottleneck link — the one whose
     remaining capacity divided by its count of unfrozen flows is smallest —
-    then freeze all unfrozen flows on it at that fair share.  Terminates in
-    at most ``len(links)`` iterations.
+    then freeze all unfrozen flows on it at that fair share (every link
+    within a relative ``1e-12`` of it counts as a bottleneck), in flow-id
+    order.  A flow whose demand is at or below that share freezes at its
+    demand first, smallest ``(demand, flow id)`` one per round.  Every
+    round freezes at least one flow.
+
+    The state is dense: flows are indexed in sorted-id order and links in
+    order of first appearance, so a round is one pass over a residual list
+    and an unfrozen-count list restricted to the links still carrying
+    unfrozen flows.  Every float operation — each share division, the
+    ``max(0.0, r - rate)`` subtraction per (flow, link) in freeze order —
+    is the one the dict-of-sets formulation performs, so the rates are the
+    same bits.
     """
     rates: Dict[str, float] = {}
-    unfrozen: Dict[str, List[str]] = {}
+    link_index: Dict[str, int] = {}
+    residual: List[float] = []
+    path_of: Dict[str, List[int]] = {}
     for flow_id, links in flow_links.items():
         if not links:
             rates[flow_id] = math.inf
-        else:
-            unfrozen[flow_id] = list(links)
-
-    demands = dict(flow_demands) if flow_demands else {}
-
-    remaining: Dict[str, float] = {}
-    link_members: Dict[str, Set[str]] = {}
-    for flow_id, links in unfrozen.items():
+            continue
+        path = []
         for link_id in links:
-            if link_id not in remaining:
+            k = link_index.get(link_id)
+            if k is None:
                 capacity = link_capacity_bps.get(link_id)
                 if capacity is None:
                     raise KeyError(f"no capacity for link {link_id!r}")
                 if capacity <= 0:
                     raise ValueError(f"link {link_id!r} capacity must be positive")
-                remaining[link_id] = float(capacity)
-                link_members[link_id] = set()
-            link_members[link_id].add(flow_id)
+                k = link_index[link_id] = len(residual)
+                residual.append(float(capacity))
+            path.append(k)
+        path_of[flow_id] = path
 
-    def freeze(flow_id: str, rate: float) -> None:
-        rates[flow_id] = rate
-        for link_id in unfrozen[flow_id]:
-            remaining[link_id] = max(0.0, remaining[link_id] - rate)
-            link_members[link_id].discard(flow_id)
-        del unfrozen[flow_id]
+    ids = sorted(path_of)
+    paths = [path_of[flow_id] for flow_id in ids]
+    # ``once[j]`` is flow j's path with each link kept once: a flow counts
+    # once in a link's unfrozen total however often its path lists it.
+    once = list(paths)
+    members: List[List[int]] = [[] for _ in residual]
+    for j, path in enumerate(paths):
+        for k in path:
+            on_link = members[k]
+            if on_link and on_link[-1] == j:
+                once[j] = list(dict.fromkeys(path))
+            else:
+                on_link.append(j)
+    unfrozen_on = [len(on_link) for on_link in members]
+    frozen = [False] * len(ids)
+    left = len(ids)
 
-    while unfrozen:
-        # Bottleneck fair share over links that still carry unfrozen flows.
-        bottleneck_share = math.inf
-        for link_id, members in link_members.items():
-            if not members:
-                continue
-            share = remaining[link_id] / len(members)
-            if share < bottleneck_share:
-                bottleneck_share = share
+    demands = flow_demands or {}
+    capped: List[Tuple[float, int]] = []
+    if demands:
+        for j, flow_id in enumerate(ids):
+            demand = demands.get(flow_id)
+            if demand is not None:
+                capped.append((demand, j))
+        capped.sort()
+    head = 0
 
-        # Flows whose demand caps them below the bottleneck share freeze at
-        # their demand first (they release capacity for everyone else).
-        demand_limited = [
-            f
-            for f in unfrozen
-            if demands.get(f, math.inf) <= bottleneck_share
-        ]
-        if demand_limited:
-            flow_id = min(demand_limited, key=lambda f: (demands.get(f, math.inf), f))
-            freeze(flow_id, demands.get(flow_id, math.inf))
-            continue
+    def freeze(j: int, rate: float) -> None:
+        nonlocal left
+        rates[ids[j]] = rate
+        frozen[j] = True
+        left -= 1
+        for k in paths[j]:
+            r = residual[k] - rate
+            residual[k] = r if r > 0.0 else 0.0
+        for k in once[j]:
+            unfrozen_on[k] -= 1
 
-        if not math.isfinite(bottleneck_share):  # pragma: no cover - defensive
-            for flow_id in list(unfrozen):
-                freeze(flow_id, math.inf)
-            break
+    live = list(range(len(residual)))
+    while left:
+        shares = [residual[k] / unfrozen_on[k] for k in live]
+        share = min(shares)
+        while head < len(capped) and frozen[capped[head][1]]:
+            head += 1
 
-        # Freeze every unfrozen flow on (one of) the bottleneck links.
-        to_freeze: Set[str] = set()
-        for link_id, members in link_members.items():
-            if members and remaining[link_id] / len(members) <= bottleneck_share * (1 + 1e-12):
-                to_freeze.update(members)
-        for flow_id in sorted(to_freeze):
-            freeze(flow_id, bottleneck_share)
+        if share == math.inf:
+            # Only infinite capacities get here: every unfrozen flow is then
+            # demand-limited, uncapped ones at an infinite demand.
+            demand, j = min(
+                (demands.get(ids[i], math.inf), i)
+                for i in range(len(ids))
+                if not frozen[i]
+            )
+            freeze(j, demand)
+        elif head < len(capped) and capped[head][0] <= share:
+            # The smallest (demand, id) cap at or below the share freezes
+            # first, releasing capacity for everyone else.
+            demand, j = capped[head]
+            freeze(j, demand)
+        else:
+            limit = share * (1 + 1e-12)
+            to_freeze: Set[int] = set()
+            for k, link_share in zip(live, shares):
+                if link_share <= limit:
+                    to_freeze.update(members[k])
+            for j in sorted(to_freeze):
+                if not frozen[j]:
+                    freeze(j, share)
+        live = [k for k in live if unfrozen_on[k]]
 
     return rates
 

@@ -27,23 +27,31 @@ bit-identical to a full recomputation — a property pinned by the
 hypothesis differential tests in ``tests/net/test_rate_engine_properties
 .py`` and by the fig4/fig8 fingerprint guards.
 
-The one theoretical divergence is the batch solver's ``1e-12`` relative
-tolerance when two *different* components bottleneck within the same
-iteration at shares that differ by less than one part in 10¹²; no
-physical capacity/flow-count combination in the evaluation topologies
-produces such a pair (shares there are exact binary fractions of link
-capacities), and the differential suite would flag it if one appeared.
+The one divergence is the batch solver's ``1e-12`` relative tolerance
+when two *different* components bottleneck within the same iteration at
+shares that differ by less than one part in 10¹²: the whole-network
+solve then freezes the second component at the first one's share
+(DESIGN §9 names the seed that shows it).
 
-All iteration over set-typed membership is ``sorted()`` (DET003): the
-dirty-component traversal and the subproblem handed to the solver are
-independent of the process hash seed.
+The dirty-component walk collects unordered sets, which its visiting
+order cannot change; the subproblem handed to the solver is built in
+sorted flow-id order, so it is independent of the process hash seed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.net.fairshare import max_min_fair_rates
 from repro.sim import instrument
@@ -59,8 +67,8 @@ class RateEngineStats:
     ``link_visits`` counts the (flow, link) incidences handed to the
     scoped solver; ``full_link_visits`` is the counterfactual — the
     incidences a from-scratch whole-network solve would have processed at
-    the same instants.  Their ratio is the headline savings the
-    ``benchmarks/test_rate_engine.py`` guard asserts on.
+    the same instants.  Their ratio is the headline savings
+    ``tests/net/test_rate_engine_scaling.py`` asserts on.
     """
 
     events: int = 0
@@ -93,9 +101,10 @@ class IncrementalRateEngine:
 
         engine = IncrementalRateEngine(lambda lid: topo.links[lid].capacity_bps)
         engine.add_flow("f1", ("a->s", "s->b"))
-        rates = engine.recompute()          # scoped solve
+        changed = engine.recompute()        # scoped solve: {"f1": rate}
         engine.remove_flow("f1")
-        rates = engine.recompute()
+        engine.recompute()
+        engine.rates                        # every flow's current rate
 
     Mutations are cheap bookkeeping; :meth:`recompute` performs one
     scoped solve covering every mutation since the previous call, which
@@ -197,33 +206,38 @@ class IncrementalRateEngine:
     # Solving
     # ------------------------------------------------------------------
 
-    def recompute(self) -> Mapping[str, float]:
-        """Re-solve the dirty component(s); returns the live rates mapping.
+    def recompute(self) -> Dict[str, float]:
+        """Re-solve the dirty component(s) and return their new rates.
 
-        A no-op (no solve, no counters) when nothing changed since the
-        last call.
+        The returned dict holds exactly the flows this call re-solved —
+        every flow sharing a link, directly or transitively, with a
+        mutation since the previous call, plus new or rerouted flows over
+        an empty path.  Every other flow's rate is unchanged; :attr:`rates`
+        is the complete view.  A no-op (empty dict, no solve, no counters)
+        when nothing changed since the last call.
         """
         if not self._dirty_links and not self._dirty_flows:
-            return self._rates
+            return {}
 
         flows, links = self._collect_dirty_component()
         self._dirty_links.clear()
         self._dirty_flows.clear()
 
+        solved: Dict[str, float] = {}
+        incidence = 0
         if flows:
-            sub_flow_links = {fid: self._flow_links[fid] for fid in sorted(flows)}
-            sub_capacities = {lid: self._capacity_of(lid) for lid in sorted(links)}
+            flow_links = self._flow_links
+            sub_flow_links = {}
+            for fid in sorted(flows):
+                sub_flow_links[fid] = flow_links[fid]
+                incidence += len(flow_links[fid])
+            demands = self._flow_demands
             sub_demands = {
-                fid: self._flow_demands[fid]
-                for fid in sorted(flows)
-                if fid in self._flow_demands
+                fid: demands[fid] for fid in sub_flow_links if fid in demands
             }
-            solved = max_min_fair_rates(
-                sub_flow_links, sub_capacities, sub_demands or None
-            )
+            solved = max_min_fair_rates(sub_flow_links, links, sub_demands or None)
             self._rates.update(solved)
 
-        incidence = sum(len(self._flow_links[fid]) for fid in flows)
         self.stats.solves += 1
         self.stats.last_dirty_flows = len(flows)
         self.stats.last_dirty_links = len(links)
@@ -241,34 +255,40 @@ class IncrementalRateEngine:
             tel.observe(
                 "rate_engine_dirty_links", float(len(links)), buckets=_DIRTY_BUCKETS
             )
-        return self._rates
+        return solved
 
-    def _collect_dirty_component(self) -> Tuple[Set[str], Set[str]]:
-        """Flows/links reachable from the dirty seeds via link sharing."""
-        flows: Set[str] = set()
-        links: Set[str] = set()
-        stack: List[str] = []
-        for flow_id in sorted(self._dirty_flows):
-            if flow_id in self._flow_links:
-                flows.add(flow_id)
-                stack.extend(self._flow_links[flow_id])
-        stack.extend(sorted(self._dirty_links))
-        while stack:
-            link_id = stack.pop()
-            if link_id in links:
-                continue
-            members = self._link_members.get(link_id)
-            if members is None:
-                continue
-            links.add(link_id)
-            for flow_id in sorted(members):
-                if flow_id in flows:
+    def _collect_dirty_component(self) -> Tuple[Set[str], Dict[str, float]]:
+        """Flows reachable from the dirty seeds via link sharing, and the
+        capacity of every link they traverse.
+
+        Both results are unordered collections — the walk's visiting order
+        affects neither — and :meth:`recompute` sorts the flows once.
+        """
+        flow_links = self._flow_links
+        link_members = self._link_members
+        capacity_of = self._capacity_of
+        # A dirty flow's links are dirty too; the flow itself is named only
+        # so that one over an empty path still gets a rate.
+        flows: Set[str] = {f for f in self._dirty_flows if f in flow_links}
+        links: Dict[str, float] = {}
+        #: Flows reached through a link whose own links are still unvisited.
+        pending: List[str] = []
+        frontier: Iterable[str] = self._dirty_links
+        while True:
+            for link_id in frontier:
+                if link_id in links:
                     continue
-                flows.add(flow_id)
-                for next_link in self._flow_links[flow_id]:
-                    if next_link not in links:
-                        stack.append(next_link)
-        return flows, links
+                members = link_members.get(link_id)
+                if members is None:
+                    continue
+                links[link_id] = capacity_of(link_id)
+                for flow_id in members:
+                    if flow_id not in flows:
+                        flows.add(flow_id)
+                        pending.append(flow_id)
+            if not pending:
+                return flows, links
+            frontier = flow_links[pending.pop()]
 
     # ------------------------------------------------------------------
     # Read side
@@ -299,17 +319,6 @@ class IncrementalRateEngine:
         return sum(
             self._rates[fid] for fid in sorted(self._link_members.get(link_id, ()))
         )
-
-    def earliest_completion(
-        self, remaining_bits_of: Callable[[str], float]
-    ) -> float:
-        """Seconds until the first flow drains at current rates (``inf``
-        when nothing is moving)."""
-        eta = math.inf
-        for flow_id, rate in self._rates.items():
-            if rate > 0:
-                eta = min(eta, remaining_bits_of(flow_id) / rate)
-        return eta
 
     def verify_against_batch(self) -> List[str]:
         """Differential self-check: compare with a from-scratch solve.

@@ -4,8 +4,14 @@ This is the reproduction's stand-in for the paper's Mininet testbed.  Flows
 are fluid: at any instant every active flow transfers at its global max-min
 fair rate, recomputed whenever the set of active flows changes.  The
 simulator schedules the earliest flow completion as a discrete event,
-advances per-flow progress (charging byte counters on every traversed link)
-and recomputes rates.
+advances per-flow progress and recomputes rates.
+
+One event costs one pass over the active flows (advance each flow's byte
+count; find the next completion) plus a solve of the connected component
+the event touched.  Link byte counters — the switches' port statistics —
+are charged lazily: a flow's bytes are added to every link of its path
+when it leaves that path (completion, abort, cancel, reroute) and when
+:meth:`FlowNetwork.snapshot_progress` settles the counters for a read.
 
 Ground truth lives here; the Flowserver deliberately does *not* read it —
 it sees the network only through switch counters and its own estimates,
@@ -16,8 +22,9 @@ update-freeze, local-path-only recomputation).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.net.links import Link
 from repro.net.rate_engine import IncrementalRateEngine
 from repro.net.routing import Path
 from repro.net.topology import Topology
@@ -70,29 +77,37 @@ class FlowAborted(Exception):
 
 
 class Flow:
-    """An active fluid flow over a fixed path.
+    """An active fluid flow over a path.
 
     Attributes
     ----------
     flow_id:
         Unique identifier (also the key in switch flow tables).
     path:
-        The route assigned at start time; immutable for the flow's life.
+        The current route: assigned at start time, replaced only by
+        :meth:`FlowNetwork.reroute_flow`.
+    links:
+        The :class:`Link` objects of ``path``, in path order.
     size_bits / remaining_bits:
         Total and outstanding volume.
     rate_bps:
         Current ground-truth max-min rate.
     bytes_sent:
         Per-flow byte counter (exposed via switch flow stats).
+    bytes_charged:
+        The part of ``bytes_sent`` already added to the counters of
+        ``links``.
     """
 
     __slots__ = (
         "flow_id",
         "path",
+        "links",
         "size_bits",
         "remaining_bits",
         "rate_bps",
         "bytes_sent",
+        "bytes_charged",
         "start_time",
         "end_time",
         "on_complete",
@@ -109,20 +124,31 @@ class Flow:
         on_complete: Optional[Callable[["Flow"], None]] = None,
         on_abort: Optional[Callable[["Flow", FlowAborted], None]] = None,
         job_id: Optional[str] = None,
+        links: Tuple[Link, ...] = (),
     ):
         if size_bits <= 0:
             raise ValueError(f"flow size must be positive, got {size_bits}")
         self.flow_id = flow_id
         self.path = path
+        self.links = links
         self.size_bits = float(size_bits)
         self.remaining_bits = float(size_bits)
         self.rate_bps = 0.0
         self.bytes_sent = 0.0
+        self.bytes_charged = 0.0
         self.start_time = start_time
         self.end_time: Optional[float] = None
         self.on_complete = on_complete
         self.on_abort = on_abort
         self.job_id = job_id
+
+    def charge_links(self) -> None:
+        """Add the bytes sent since the last charge to every path link."""
+        delta = self.bytes_sent - self.bytes_charged
+        if delta > 0:
+            for link in self.links:
+                link.record_bytes(delta)
+            self.bytes_charged = self.bytes_sent
 
     @property
     def src(self) -> str:
@@ -156,6 +182,8 @@ class FlowNetwork:
         self._topo = topology
         self._flows: Dict[str, Flow] = {}
         self._last_progress_time = loop.now
+        #: Whether every link counter includes all bytes moved so far.
+        self._links_settled = True
         self._completion_event: Optional[EventHandle] = None
         self._engine = IncrementalRateEngine(
             lambda link_id: topology.links[link_id].capacity_bps
@@ -209,7 +237,7 @@ class FlowNetwork:
         """
         if flow_id in self._flows:
             raise ValueError(f"duplicate flow id {flow_id!r}")
-        self._check_path_up(flow_id, path)
+        links = self._links_up(flow_id, path)
         self._advance_progress()
         flow = Flow(
             flow_id,
@@ -219,10 +247,11 @@ class FlowNetwork:
             on_complete=on_complete,
             on_abort=on_abort,
             job_id=job_id,
+            links=links,
         )
         self._flows[flow_id] = flow
-        for link_id in path.link_ids:
-            self._topo.links[link_id].flows.add(flow_id)
+        for link in links:
+            link.flows.add(flow_id)
         self._engine.add_flow(flow_id, path.link_ids)
         self._recompute_rates()
         return flow
@@ -251,13 +280,15 @@ class FlowNetwork:
                 f"reroute must keep endpoints: {flow.src}->{flow.dst} vs "
                 f"{new_path.src}->{new_path.dst}"
             )
-        self._check_path_up(flow_id, new_path)
+        links = self._links_up(flow_id, new_path)
         self._advance_progress()
-        for link_id in flow.path.link_ids:
-            self._topo.links[link_id].flows.discard(flow_id)
+        flow.charge_links()
+        for link in flow.links:
+            link.flows.discard(flow_id)
         flow.path = new_path
-        for link_id in new_path.link_ids:
-            self._topo.links[link_id].flows.add(flow_id)
+        flow.links = links
+        for link in links:
+            link.flows.add(flow_id)
         self._engine.reroute_flow(flow_id, new_path.link_ids)
         self._recompute_rates()
         return flow
@@ -324,10 +355,13 @@ class FlowNetwork:
         """Whether every link along ``path`` is currently up."""
         return all(self._topo.links[lid].up for lid in path.link_ids)
 
-    def _check_path_up(self, flow_id: str, path: Path) -> None:
-        for link_id in path.link_ids:
-            if not self._topo.links[link_id].up:
-                raise FlowAborted(flow_id, link_id=link_id, bytes_delivered=0.0)
+    def _links_up(self, flow_id: str, path: Path) -> Tuple[Link, ...]:
+        """The links of ``path``; raises :class:`FlowAborted` if one is down."""
+        links = tuple(self._topo.links[link_id] for link_id in path.link_ids)
+        for link in links:
+            if not link.up:
+                raise FlowAborted(flow_id, link_id=link.link_id, bytes_delivered=0.0)
+        return links
 
     def _abort(
         self,
@@ -356,27 +390,39 @@ class FlowNetwork:
         return victims
 
     def _remove(self, flow: Flow) -> None:
-        for link_id in flow.path.link_ids:
-            self._topo.links[link_id].flows.discard(flow.flow_id)
+        flow.charge_links()
+        for link in flow.links:
+            link.flows.discard(flow.flow_id)
         del self._flows[flow.flow_id]
         self._engine.remove_flow(flow.flow_id)
 
-    def _advance_progress(self) -> None:
-        """Charge transferred bits for the interval since the last update."""
+    def _advance_progress(self) -> List[Flow]:
+        """Move every flow forward by the interval since the last update.
+
+        Only ``remaining_bits`` and ``bytes_sent`` change; link counters
+        are charged lazily (:meth:`Flow.charge_links`).  Returns the flows
+        this pass found within the completion epsilon; when no time has
+        passed nothing moves and nothing is returned.
+        """
         now = self._loop.now
         elapsed = now - self._last_progress_time
         self._last_progress_time = now
-        if elapsed <= 0 or not self._flows:
-            return
+        drained: List[Flow] = []
+        if elapsed <= 0:
+            return drained
+        self._links_settled = False
         for flow in self._flows.values():
-            moved_bits = min(flow.remaining_bits, flow.rate_bps * elapsed)
-            if moved_bits <= 0:
-                continue
-            flow.remaining_bits -= moved_bits
-            moved_bytes = moved_bits / 8.0
-            flow.bytes_sent += moved_bytes
-            for link_id in flow.path.link_ids:
-                self._topo.links[link_id].record_bytes(moved_bytes)
+            remaining = flow.remaining_bits
+            moved_bits = flow.rate_bps * elapsed
+            if moved_bits >= remaining:
+                moved_bits = remaining
+            if moved_bits > 0:
+                remaining -= moved_bits
+                flow.remaining_bits = remaining
+                flow.bytes_sent += moved_bits / 8.0
+            if remaining <= _COMPLETION_EPSILON_BITS:
+                drained.append(flow)
+        return drained
 
     def _recompute_rates(self) -> None:
         """Re-solve the affected rates and reschedule the next completion.
@@ -384,34 +430,41 @@ class FlowNetwork:
         The :class:`IncrementalRateEngine` solves only the connected
         component touched by the membership change (bit-identical to the
         historical whole-network solve — see the engine's module
-        docstring), then the earliest completion is rescheduled from the
-        refreshed rates.
+        docstring); only those flows' rates are written back.  The
+        earliest completion is then found in one pass over all flows.
         """
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
-        rates = self._engine.recompute()
-        if not self._flows:
-            return
-        for fid, flow in self._flows.items():
-            flow.rate_bps = rates[fid]
-        next_completion = self._engine.earliest_completion(
-            lambda fid: self._flows[fid].remaining_bits
-        )
-        if math.isfinite(next_completion):
+        flows = self._flows
+        for fid, rate in self._engine.recompute().items():
+            flows[fid].rate_bps = rate
+        next_completion = math.inf
+        for flow in flows.values():
+            rate = flow.rate_bps
+            if rate > 0:
+                eta = flow.remaining_bits / rate
+                if eta < next_completion:
+                    next_completion = eta
+        if next_completion < math.inf:
             self._completion_event = self._loop.call_in(
                 max(0.0, next_completion), self._on_completion_tick
             )
 
     def _on_completion_tick(self) -> None:
         self._completion_event = None
-        self._advance_progress()
-        finished = [
-            f
-            for f in self._flows.values()
-            if f.remaining_bits <= _COMPLETION_EPSILON_BITS
-        ]
-        for flow in sorted(finished, key=lambda f: f.flow_id):
+        if self._loop.now > self._last_progress_time:
+            finished = self._advance_progress()
+        else:
+            # Progress already stands at this instant: whatever is drained
+            # got there in an earlier pass (or started that small).
+            finished = [
+                f
+                for f in self._flows.values()
+                if f.remaining_bits <= _COMPLETION_EPSILON_BITS
+            ]
+        finished.sort(key=lambda f: f.flow_id)
+        for flow in finished:
             flow.remaining_bits = 0.0
             flow.end_time = self._loop.now
             self._remove(flow)
@@ -419,7 +472,7 @@ class FlowNetwork:
         self._recompute_rates()
         # Completion callbacks run after rates settle so that a callback
         # starting a new flow observes a consistent network.
-        for flow in sorted(finished, key=lambda f: f.flow_id):
+        for flow in finished:
             if flow.on_complete is not None:
                 flow.on_complete(flow)
 
@@ -428,8 +481,17 @@ class FlowNetwork:
     # ------------------------------------------------------------------
 
     def snapshot_progress(self) -> None:
-        """Bring byte counters up to the current instant (for stats reads)."""
+        """Bring flow and link byte counters up to the current instant.
+
+        Switch stats call this before every read.  Link counters are
+        settled at most once per instant in which bytes moved, however
+        many switches are read at it.
+        """
         self._advance_progress()
+        if not self._links_settled:
+            for flow in self._flows.values():
+                flow.charge_links()
+            self._links_settled = True
 
     def link_utilization_bps(self, link_id: str) -> float:
         """Instantaneous ground-truth load on a link (sum of flow rates).

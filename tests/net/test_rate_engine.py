@@ -11,8 +11,8 @@ from repro.net import (
     RoutingTable,
     three_tier,
 )
-from repro.net.fairshare import max_min_fair_rates
 from repro.sim import EventLoop
+from tests.net.fairshare_oracle import max_min_fair_rates
 
 MBPS = 1e6
 
@@ -92,7 +92,21 @@ def test_remove_flow_releases_capacity():
     engine.remove_flow("f1")
     rates = engine.recompute()
     assert "f1" not in rates
+    assert "f1" not in engine.rates
     assert rates["f2"] == 100 * MBPS
+
+
+def test_recompute_returns_only_the_resolved_flows():
+    engine = make_engine({"a": 100 * MBPS, "b": 100 * MBPS})
+    engine.add_flow("left", ("a",))
+    engine.add_flow("right", ("b",))
+    assert engine.recompute() == {"left": 100 * MBPS, "right": 100 * MBPS}
+    engine.add_flow("left2", ("a",))
+    assert engine.recompute() == {"left": 50 * MBPS, "left2": 50 * MBPS}
+    assert engine.recompute() == {}
+    assert dict(engine.rates) == {
+        "left": 50 * MBPS, "right": 100 * MBPS, "left2": 50 * MBPS,
+    }
 
 
 def test_reroute_moves_membership():
@@ -158,12 +172,21 @@ def test_link_utilization_sums_member_rates():
 
 
 def test_earliest_completion_picks_fastest_drain():
-    engine = make_engine({"a": 8 * MBPS, "b": 8 * MBPS})
-    engine.add_flow("f1", ("a",))
-    engine.add_flow("f2", ("b",))
-    engine.recompute()
-    remaining = {"f1": 8 * MBPS * 4, "f2": 8 * MBPS * 2}
-    assert engine.earliest_completion(lambda fid: remaining[fid]) == 2.0
+    """The next completion event fires when the fastest-draining flow ends."""
+    topo = three_tier()
+    loop = EventLoop()
+    net = FlowNetwork(loop, topo)
+    table = RoutingTable(topo)
+    ended = []
+    # Disjoint rack-local paths at the full 1 Gbps: 4 s and 2 s of data.
+    net.start_flow("f1", table.paths("pod0-rack0-h0", "pod0-rack0-h1")[0], 4e9)
+    net.start_flow(
+        "f2", table.paths("pod1-rack0-h0", "pod1-rack0-h1")[0], 2e9,
+        on_complete=lambda f: ended.append(loop.now),
+    )
+    assert loop.step()
+    assert ended == [2.0]
+    assert list(net.active_flows) == ["f1"]
 
 
 def test_batched_events_cost_one_solve():

@@ -2,8 +2,9 @@
 
 Hypothesis drives random add/remove/abort/reroute sequences against an
 :class:`IncrementalRateEngine` and after **every** event compares its
-scoped solve to a from-scratch :func:`max_min_fair_rates` over the whole
-network.  The scoped solve runs the identical arithmetic on the dirty
+scoped solve to a from-scratch whole-network solve by the dict/set
+oracle (``tests/net/fairshare_oracle.py``), not by the dense kernel the
+engine itself calls.  Both perform the identical arithmetic on the dirty
 component, so rates are bit-identical — except where the batch solver's
 1e-12 relative tolerance freezes a bottleneck in one component at a
 share another component reached first (DESIGN §9; seed 998 below, last
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net import IncrementalRateEngine, RoutingTable, three_tier
-from repro.net.fairshare import max_min_fair_rates
+from tests.net.fairshare_oracle import max_min_fair_rates
 
 MBPS = 1e6
 
