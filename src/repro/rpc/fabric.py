@@ -159,6 +159,8 @@ class RpcFabric:
         seconds: if no response lands in time the signal fires with an
         :class:`RpcTimeout` failure and any late response is discarded.
         """
+        if rpc_timeout is not None and rpc_timeout <= 0:
+            raise ValueError(f"rpc_timeout must be positive, got {rpc_timeout}")
         self.calls_sent += 1
         done = Signal(self._loop, name=f"rpc:{service}.{method}")
         settled = [False]
@@ -223,7 +225,7 @@ class RpcFabric:
                     )
                 )
                 return
-            if frozenset((src, dst)) in self._partitions:
+            if self._partitions and frozenset((src, dst)) in self._partitions:
                 _respond(
                     RpcResponse(
                         ok=False,
@@ -286,9 +288,6 @@ class RpcFabric:
 
         self._loop.call_in(self._one_way_delay(), _deliver)
         if rpc_timeout is not None:
-            if rpc_timeout <= 0:
-                raise ValueError(f"rpc_timeout must be positive, got {rpc_timeout}")
-
             def _expire() -> None:
                 if settled[0]:
                     return

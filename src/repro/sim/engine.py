@@ -3,14 +3,16 @@
 The :class:`EventLoop` is the single source of simulated time.  Components
 schedule callbacks with :meth:`EventLoop.call_at` / :meth:`EventLoop.call_in`
 and the loop fires them in timestamp order; ties break by scheduling order so
-repeated runs with the same seed produce byte-identical traces.
+repeated runs with the same seed produce byte-identical traces.  The heap
+holds ``(time, seq, handle)`` tuples: ``seq`` is unique, so ``heapq``
+compares in C and never reaches the handle.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional, Tuple
 
 from repro.sim import instrument
@@ -48,9 +50,6 @@ class EventHandle:
         self.callback = None
         self.args = ()
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time:.6f} seq={self.seq} {state}>"
@@ -67,7 +66,7 @@ class EventLoop:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: list[EventHandle] = []
+        self._heap: list[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._running = False
         self._events_processed = 0
@@ -89,7 +88,7 @@ class EventLoop:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     def call_at(self, when: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``.
@@ -105,8 +104,9 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule event in the past: {when:.9f} < now {self._now:.9f}"
             )
-        handle = EventHandle(when, next(self._seq), callback, args)
-        heapq.heappush(self._heap, handle)
+        seq = next(self._seq)
+        handle = EventHandle(when, seq, callback, args)
+        heappush(self._heap, (when, seq, handle))
         return handle
 
     def call_in(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
@@ -117,9 +117,10 @@ class EventLoop:
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or ``None`` if idle."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def set_scheduler(
         self, scheduler: Optional[Callable[[float, "list[EventHandle]"], int]]
@@ -144,13 +145,14 @@ class EventLoop:
         """Fire the single next event.  Returns ``False`` when idle."""
         if self._scheduler is not None:
             return self._step_scheduled()
-        while self._heap:
-            handle = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            when, _, handle = heappop(heap)
             if handle.cancelled:
                 continue
-            if handle.time < self._now:  # pragma: no cover - defensive
+            if when < self._now:  # pragma: no cover - defensive
                 raise SimulationError("event heap corrupted: time went backwards")
-            self._now = handle.time
+            self._now = when
             callback, args = handle.callback, handle.args
             handle.callback, handle.args = None, ()
             self._events_processed += 1
@@ -167,11 +169,12 @@ class EventLoop:
         the installed scheduler pick which."""
         ready: list[EventHandle] = []
         while self._heap:
-            handle = heapq.heappop(self._heap)
+            entry = heappop(self._heap)
+            handle = entry[2]
             if handle.cancelled:
                 continue
             if ready and handle.time > ready[0].time:
-                heapq.heappush(self._heap, handle)
+                heappush(self._heap, entry)
                 break
             ready.append(handle)
         if not ready:
@@ -186,7 +189,7 @@ class EventLoop:
                 )
         chosen = ready.pop(index)
         for other in ready:
-            heapq.heappush(self._heap, other)
+            heappush(self._heap, (other.time, other.seq, other))
         if chosen.time < self._now:  # pragma: no cover - defensive
             raise SimulationError("event heap corrupted: time went backwards")
         self._now = chosen.time

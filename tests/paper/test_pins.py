@@ -84,3 +84,6 @@ def test_default_cluster_metadata_timeline_is_pinned():
         cluster.shutdown()
     assert len(events) == 14
     assert _digest((events, cluster.fabric.calls_sent)) == METADATA_FINGERPRINT
+    # Events per metadata op are pinned on their own: a change that cuts
+    # them must declare it here even when the timeline does not move.
+    assert cluster.loop.events_processed == 302

@@ -137,8 +137,23 @@ class TestRpcTimeout:
         assert run_client(loop, client()) == "survived"
         assert fabric.calls_timed_out == 1
 
-    def test_non_positive_timeout_rejected(self, env):
-        loop, fabric = env
+    def test_non_positive_timeout_rejected(self):
+        """A rejected deadline sends nothing: the handler never runs, the
+        call is not counted and no jitter is drawn."""
+        loop = EventLoop()
+        fabric = RpcFabric(loop, latency=0.001, jitter=0.001)
+        handled = []
+
+        class Recorder:
+            def echo(self, value):
+                handled.append(value)
+                return value
+
+        fabric.register("server", "echo", Recorder())
+        draws = fabric._jitter_rng.draws
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="rpc_timeout"):
+                fabric.call("c", "server", "echo", "echo", "x", rpc_timeout=bad)
 
         def client():
             yield from fabric.invoke(
@@ -147,6 +162,10 @@ class TestRpcTimeout:
 
         with pytest.raises(ValueError, match="rpc_timeout"):
             run_client(loop, client())
+        loop.run()
+        assert handled == []
+        assert fabric.calls_sent == 0
+        assert fabric._jitter_rng.draws == draws
 
     def test_timeout_does_not_shift_other_traffic(self):
         """A timed-out call must not perturb the timeline of later calls
