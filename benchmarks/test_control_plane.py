@@ -1,19 +1,17 @@
-"""Control-plane sharding bench: decisions/sec and metadata ops/sec.
+"""Nameserver front bench: metadata ops/sec, one server vs partitions.
 
-The monolithic Flowserver and Nameserver are single servers: every
-selection and every metadata op queues behind every other one.  The
-sharded control plane splits both — one DomainFlowserver per pod behind
-a thin GlobalCoordinator, and consistent-hashed metadata partitions —
-so independent requests are served by independent servers.
+The paper's nameserver is a single server: every metadata op queues
+behind every other one.  ``ClusterConfig(metadata_partitions=P)``
+consistent-hashes the namespace across P nameserver partitions, so
+independent ops are served by independent servers.
 
-This bench measures both effects at 256, 512 and 1024 hosts.  Per-op
-cost is measured on the real implementations (same request streams for
-both sides); aggregate throughput follows the deployment's queueing
-model — a monolith's makespan is the sum of its per-op costs, a sharded
-plane's is the busiest single server's, since domains and partitions
-run on separate machines.  The paper-facing claim pinned here: at 1024
-hosts the sharded plane sustains >= 3x the monolith's selection
-decisions/sec and >= 3x its metadata ops/sec.
+This bench measures that at 256, 512 and 1024 hosts.  Per-op cost is
+measured on the real implementation (the same create + lookup stream
+for both sides); aggregate throughput follows the deployment's queueing
+model — one server's makespan is the sum of its per-op costs, a
+partitioned front's is the busiest partition's, since partitions run on
+separate machines.  The claim pinned here: at 1024 hosts the
+partitioned front sustains >= 3x the single server's metadata ops/sec.
 
 Emits ``BENCH_control_plane.json`` for the CI artifact.
 """
@@ -23,27 +21,15 @@ from pathlib import Path
 
 from conftest import attach_report
 
-from repro.core.coordinator import GlobalCoordinator
-from repro.core.domains import build_domain_flowservers
-from repro.core.flowserver import Flowserver
 from repro.experiments.wallclock import wall_seconds
 from repro.fs.nameserver import Nameserver
 from repro.fs.placement import PaperEvalPlacement
 from repro.fs.shardmap import partition_for
-from repro.net import FlowNetwork, RoutingTable, three_tier
-from repro.sim import EventLoop
+from repro.net import three_tier
 from repro.sim.randomness import seeded_rng
-from repro.workload import (
-    LocalityDistribution,
-    WorkloadConfig,
-    generate_workload,
-)
 
 #: (pods, racks_per_pod) at the default 4 hosts/rack: 256 / 512 / 1024.
 SCALES = [(8, 8), (16, 8), (16, 16)]
-
-#: Selection decisions measured per scale (shared mono/sharded stream).
-DECISIONS = 600
 
 #: Metadata ops (create + lookup pairs) measured per scale.
 METADATA_FILES = 400
@@ -57,82 +43,6 @@ def _partitions_for(pods):
     # one metadata shard per pod pair: enough parallel service capacity
     # to clear 3x without pretending every pod runs a nameserver
     return max(2, pods // 2)
-
-
-def _request_stream(topo, seed):
-    workload = generate_workload(
-        topo,
-        WorkloadConfig(
-            num_files=120,
-            num_jobs=DECISIONS,
-            arrival_rate_per_server=0.05,
-            locality=LocalityDistribution(0.33, 0.33, 0.34),
-        ),
-        seed=seed,
-    )
-    return [
-        (job.client, list(job.file.replicas), job.size_bits, job.job_id)
-        for job in workload.jobs
-    ]
-
-
-def _build_net(topo):
-    loop = EventLoop()
-    net = FlowNetwork(loop, topo)
-    table = RoutingTable(topo)
-    from repro.sdn import Controller
-
-    return loop, net, table, Controller(net)
-
-
-def _bench_selection(pods, racks, seed):
-    topo = three_tier(pods=pods, racks_per_pod=racks)
-    requests = _request_stream(topo, seed)
-
-    # Monolith: one server, makespan is the serial sum.
-    _, _, table, controller = _build_net(topo)
-    mono = Flowserver(controller, table)
-    started = wall_seconds()
-    for client, replicas, size_bits, job_id in requests:
-        mono.select(client, replicas, size_bits, job_id=job_id)
-    mono_elapsed = wall_seconds() - started
-    mono.close()
-
-    # Sharded: each decision is timed individually and attributed to the
-    # server that made it — the client pod's domain for intra-pod reads,
-    # the coordinator for inter-pod ones.  Aggregate throughput is set
-    # by the busiest server (they are separate machines).
-    _, _, table, controller = _build_net(topo)
-    domains = build_domain_flowservers(controller, table)
-    coord = GlobalCoordinator(controller, table, domains)
-    pod_of = {h: host.pod for h, host in topo.hosts.items()}
-    busy = {pod: 0.0 for pod in domains}
-    busy["coordinator"] = 0.0
-    sharded_total = 0.0
-    with coord:
-        for client, replicas, size_bits, job_id in requests:
-            client_pod = pod_of[client]
-            intra = any(pod_of[r] == client_pod for r in replicas)
-            server = client_pod if intra else "coordinator"
-            started = wall_seconds()
-            coord.select(client, replicas, size_bits, job_id=job_id)
-            elapsed = wall_seconds() - started
-            busy[server] += elapsed
-            sharded_total += elapsed
-
-    n = len(requests)
-    bottleneck = max(busy.values())
-    return {
-        "decisions": n,
-        "mono_decisions_per_s": n / mono_elapsed,
-        "mono_mean_us": 1e6 * mono_elapsed / n,
-        "sharded_decisions_per_s": n / bottleneck,
-        "sharded_mean_us": 1e6 * sharded_total / n,
-        "bottleneck_server": max(busy, key=lambda k: busy[k]),
-        "intra_pod": coord.intra_pod_delegations,
-        "inter_pod": coord.inter_pod_selections,
-        "speedup": mono_elapsed / bottleneck,
-    }
 
 
 def _bench_metadata(pods, racks, seed, tmp_path):
@@ -191,25 +101,17 @@ def _bench_metadata(pods, racks, seed, tmp_path):
     }
 
 
-def test_sharded_control_plane_throughput(benchmark, bench_scale, tmp_path):
+def test_partitioned_nameserver_throughput(benchmark, bench_scale, tmp_path):
     seed = bench_scale["seed"]
 
     def sweep():
         rows = []
         for pods, racks in SCALES:
             hosts = _hosts(pods, racks)
-            selection = _bench_selection(pods, racks, seed)
             metadata = _bench_metadata(
                 pods, racks, seed, tmp_path / f"h{hosts}"
             )
-            rows.append(
-                {
-                    "hosts": hosts,
-                    "pods": pods,
-                    "selection": selection,
-                    "metadata": metadata,
-                }
-            )
+            rows.append({"hosts": hosts, "pods": pods, "metadata": metadata})
         return rows
 
     rows = benchmark.pedantic(sweep, iterations=1, rounds=1)
@@ -218,26 +120,18 @@ def test_sharded_control_plane_throughput(benchmark, bench_scale, tmp_path):
         json.dumps({"seed": seed, "scales": rows}, indent=2) + "\n"
     )
 
-    lines = ["Sharded control plane vs monolith (decisions/s, metadata ops/s)"]
+    lines = ["Partitioned nameserver vs one server (metadata ops/s)"]
     for row in rows:
-        sel, meta = row["selection"], row["metadata"]
+        meta = row["metadata"]
         lines.append(
-            f"  {row['hosts']:5d} hosts: select "
-            f"{sel['mono_decisions_per_s']:8.0f}/s -> "
-            f"{sel['sharded_decisions_per_s']:8.0f}/s "
-            f"({sel['speedup']:.1f}x)  metadata "
+            f"  {row['hosts']:5d} hosts: metadata "
             f"{meta['mono_ops_per_s']:8.0f}/s -> "
             f"{meta['sharded_ops_per_s']:8.0f}/s "
             f"({meta['speedup']:.1f}x, P={meta['partitions']})"
         )
     attach_report(benchmark, "\n".join(lines))
 
-    # The headline claim: >= 3x on both axes at 1024 hosts.
+    # The headline claim: >= 3x at 1024 hosts.
     top = rows[-1]
     assert top["hosts"] == 1024
-    assert top["selection"]["speedup"] >= 3.0, top["selection"]
     assert top["metadata"]["speedup"] >= 3.0, top["metadata"]
-    # ...and the decision mix actually exercised both halves of the
-    # split plane, not just one degenerate path.
-    assert top["selection"]["intra_pod"] > 0
-    assert top["selection"]["inter_pod"] > 0

@@ -86,10 +86,6 @@ class ClusterConfig:
     #: one, "chain" always relays down the static metadata chain — which
     #: is also what a scheme without a Flowserver does.
     fanout: str = "auto"
-    #: Sharded control plane: 1 (default) is the paper's monolithic
-    #: Flowserver; ``pods`` runs one Flowserver domain per pod behind a
-    #: global coordinator (:func:`repro.core.build_control_plane`).
-    controller_domains: int = 1
     #: Metadata sharding: the namespace is split into this many
     #: consistent-hashed partitions, each one nameserver (plus its lease
     #: service) on its own host, with clients routing through a cached
@@ -122,13 +118,12 @@ class Cluster:
             self.topology,
             flowserver=self.config.scheme in ("mayflower", "hdfs-mayflower"),
             config=self.config.flowserver,
-            domains=self.config.controller_domains,
         )
         self.loop = self.plane.loop
         self.network = self.plane.network
         self.routing = self.plane.routing
         self.controller = self.plane.controller
-        #: The monolithic Flowserver; ``None`` when sharded or absent.
+        #: The Flowserver; ``None`` for the ``hdfs-ecmp`` scheme.
         self.flowserver = self.plane.flowserver
 
         # --- RPC fabric + data plane ------------------------------------
@@ -144,10 +139,8 @@ class Cluster:
             self.routing,
             ecmp_salt=self.config.seed,
         )
-        if self.plane.front is not None:
-            # Monolith and coordinator present the same RPC surface, so
-            # planners talk to either unchanged.
-            self.fabric.register(CONTROLLER_ENDPOINT, "flowserver", self.plane.front)
+        if self.flowserver is not None:
+            self.fabric.register(CONTROLLER_ENDPOINT, "flowserver", self.flowserver)
 
         # --- filesystem servers -----------------------------------------
         placement_rng = streams.stream("placement")
@@ -161,8 +154,7 @@ class Cluster:
             # live flow estimates instead of sampled end-host counters).
             if self.flowserver is None:
                 raise ValueError(
-                    "placement='flowserver' requires a flowserver "
-                    "(the monolithic one: controller_domains=1)"
+                    "placement='flowserver' requires a flowserver scheme"
                 )
             placement = FlowserverWritePlacement(
                 self.topology, self.routing, self.flowserver, placement_rng
@@ -342,7 +334,7 @@ class Cluster:
 
         ``None`` leaves the client on the static metadata chain.
         """
-        if self.config.fanout == "auto" and self.plane.front is not None:
+        if self.config.fanout == "auto" and self.flowserver is not None:
             return FlowserverFanoutPlanner(self.fabric, CONTROLLER_ENDPOINT)
         return None
 

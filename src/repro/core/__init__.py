@@ -21,24 +21,14 @@ route the read over).  This package implements:
   balanced per-flow polling points, per-flow fast/slow cadence, and
   switch-side delta push (``poll_mode="adaptive"``);
 * :mod:`repro.core.flowserver` — the service tying it all together;
-* :mod:`repro.core.domains` — the sharded control plane's per-pod
-  :class:`DomainFlowserver` (a Flowserver scoped to one pod's links);
-* :mod:`repro.core.coordinator` — the :class:`GlobalCoordinator` that
-  places inter-pod reads from per-domain capacity summaries;
 * :mod:`repro.core.control_plane` — :func:`build_control_plane`, the one
-  wiring of loop, network, controller and Flowserver (monolith or
-  domains) that every deployment uses.
+  wiring of loop, network, controller and the one Flowserver that every
+  deployment uses.
 """
 
 from repro.core.adaptive_stats import AdaptiveSchedule, AdaptiveStatsConfig
 from repro.core.control_plane import ControlPlane, build_control_plane
-from repro.core.coordinator import GlobalCoordinator
 from repro.core.cost import CostBreakdown, estimate_path_share, flow_cost
-from repro.core.domains import (
-    DomainFlowserver,
-    DomainSummary,
-    build_domain_flowservers,
-)
 from repro.core.flow_state import FlowStateTable, TrackedFlow
 from repro.core.flowserver import Assignment, Flowserver, FlowserverConfig, SelectionResult
 from repro.core.multireplica import MultiReplicaPlanner
@@ -51,20 +41,16 @@ __all__ = [
     "Assignment",
     "ControlPlane",
     "CostBreakdown",
-    "DomainFlowserver",
-    "DomainSummary",
     "FixedSchedule",
     "FlowStateTable",
     "FlowStatsCollector",
     "Flowserver",
     "FlowserverConfig",
-    "GlobalCoordinator",
     "MultiReplicaPlanner",
     "PathChoice",
     "SelectionResult",
     "TrackedFlow",
     "build_control_plane",
-    "build_domain_flowservers",
     "estimate_path_share",
     "flow_cost",
     "select_replica_and_path",

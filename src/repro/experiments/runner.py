@@ -63,10 +63,6 @@ class SchemeRunConfig:
     monitor_interval: float = 1.0
     hedera_interval: float = 5.0
     max_sim_seconds: float = 100000.0
-    #: Sharded control plane: 1 (default) is the monolithic Flowserver;
-    #: a value equal to the pod count runs one DomainFlowserver per pod
-    #: behind a GlobalCoordinator (flowserver schemes only).
-    controller_domains: int = 1
 
 
 @dataclass
@@ -96,7 +92,7 @@ class ExperimentEnv:
 
     @property
     def flowserver(self) -> Optional[Flowserver]:
-        """The monolithic Flowserver; ``None`` when sharded or absent."""
+        """The Flowserver; ``None`` for schemes without one."""
         return self.plane.flowserver
 
 
@@ -123,7 +119,6 @@ def build_environment(
             "hdfs-mayflower",
         ),
         config=config.flowserver,
-        domains=config.controller_domains,
     )
     loop, network = plane.loop, plane.network
 
@@ -154,8 +149,7 @@ def build_environment(
     scheme = build_scheme(
         scheme_name,
         plane.routing,
-        # Monolith or coordinator: both present the selection surface.
-        plane.front,
+        plane.flowserver,
         nearest_selector=nearest,
         sinbad_selector=sinbad,
         ecmp_salt=seed,

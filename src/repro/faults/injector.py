@@ -18,7 +18,6 @@ from repro.faults.plan import FaultEvent, FaultPlan
 from repro.sim import instrument
 
 if TYPE_CHECKING:
-    from repro.core.coordinator import GlobalCoordinator
     from repro.core.stats import FlowStatsCollector
     from repro.sdn.push import DeltaPushService
     from repro.fs.dataserver import Dataserver
@@ -49,11 +48,10 @@ class FaultInjector:
         SDN controller (link/switch/host failure surface).
     fabric:
         RPC fabric (process crashes, partitions, delay spikes).
-    collectors:
-        Every stats collector of the control plane (monitoring-loss
-        faults reach all of them): one for a monolithic Flowserver, one
-        per domain when it is sharded, none for clusters without a
-        Flowserver, where those events no-op.
+    collector:
+        The Flowserver's stats collector (monitoring-loss faults);
+        ``None`` for clusters without a Flowserver, where those events
+        no-op.
     nameserver_endpoints:
         Endpoints hosting the nameserver service, one per metadata
         partition; untargeted ``nameserver_failover`` events take down
@@ -67,10 +65,6 @@ class FaultInjector:
         the revocation is a *full* one: the manager forgets the lease
         and the (still-running) holder cannot keep committing from its
         cache — its next commit re-acquires and sees the epoch bump.
-    coordinator:
-        Optional :class:`repro.core.coordinator.GlobalCoordinator`
-        (``coordinator_partition`` faults); ``None`` for monolithic
-        control planes, where those events no-op.
     """
 
     def __init__(
@@ -78,20 +72,18 @@ class FaultInjector:
         loop: "EventLoop",
         controller: "Controller",
         fabric: "RpcFabric",
-        collectors: Sequence["FlowStatsCollector"] = (),
+        collector: Optional["FlowStatsCollector"] = None,
         nameserver_endpoints: Optional[List[str]] = None,
         lease_managers: Sequence["LeaseManager"] = (),
         dataservers: Optional[Dict[str, "Dataserver"]] = None,
-        coordinator: Optional["GlobalCoordinator"] = None,
     ) -> None:
         self._loop = loop
         self._controller = controller
         self._fabric = fabric
-        self._collectors = list(collectors)
+        self._collector = collector
         self._ns_endpoints = list(nameserver_endpoints or [])
         self._lease_managers = list(lease_managers)
         self._dataservers = dict(dataservers or {})
-        self._coordinator = coordinator
         self.events_applied = 0
         self.journal: List[AppliedEvent] = []
         self.flows_aborted_by_faults = 0
@@ -103,11 +95,14 @@ class FaultInjector:
             cluster.loop,
             cluster.controller,
             cluster.fabric,
-            collectors=cluster.plane.collectors,
+            collector=(
+                cluster.flowserver.collector
+                if cluster.flowserver is not None
+                else None
+            ),
             nameserver_endpoints=list(cluster.shard_map.partitions),
             lease_managers=cluster.lease_managers,
             dataservers=getattr(cluster, "dataservers", None),
-            coordinator=cluster.plane.coordinator,
         )
 
     def arm(self, plan: FaultPlan) -> int:
@@ -222,10 +217,9 @@ class FaultInjector:
         return ""
 
     def _set_poll_suppression(self, suppress: bool) -> str:
-        if not self._collectors:
+        if self._collector is None:
             return "no collector (scheme without Flowserver); no-op"
-        for collector in self._collectors:
-            collector.suppress_polls = suppress
+        self._collector.suppress_polls = suppress
         return ""
 
     def _do_stats_poll_loss(self, event: FaultEvent) -> str:
@@ -238,15 +232,12 @@ class FaultInjector:
         # The push channel belongs to the adaptive schedule; under the
         # fixed schedule (and in schemes without a Flowserver) push
         # faults are no-ops by construction.
-        services: List["DeltaPushService"] = [
-            collector.schedule.push
-            for collector in self._collectors
-            if hasattr(collector.schedule, "push")
-        ]
-        if not services:
+        service: Optional["DeltaPushService"] = None
+        if self._collector is not None:
+            service = getattr(self._collector.schedule, "push", None)
+        if service is None:
             return "no push channel (fixed polling or no Flowserver); no-op"
-        for service in services:
-            service.suppress = suppress
+        service.suppress = suppress
         return ""
 
     def _do_push_loss(self, event: FaultEvent) -> str:
@@ -261,18 +252,6 @@ class FaultInjector:
 
     def _do_rpc_delay_restore(self, event: FaultEvent) -> str:
         self._fabric.delay_factor = 1.0
-        return ""
-
-    def _do_coordinator_partition(self, event: FaultEvent) -> str:
-        if self._coordinator is None:
-            return "no global coordinator (monolithic control plane); no-op"
-        self._coordinator.partitioned = True
-        return "inter-pod placement degraded to salted ECMP"
-
-    def _do_coordinator_heal(self, event: FaultEvent) -> str:
-        if self._coordinator is None:
-            return "no global coordinator (monolithic control plane); no-op"
-        self._coordinator.partitioned = False
         return ""
 
     def _do_lease_expire(self, event: FaultEvent) -> str:

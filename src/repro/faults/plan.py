@@ -40,12 +40,6 @@ RECOVERY_OF = {
     "push_restore": None,
     "rpc_delay_spike": "rpc_delay_restore",
     "rpc_delay_restore": None,
-    # Sharded control plane: the global coordinator becomes unreachable.
-    # Per-pod domains keep full-fidelity intra-pod placement; inter-pod
-    # reads degrade to salted ECMP until the heal (a no-op for the
-    # monolithic control plane, which has no coordinator).
-    "coordinator_partition": "coordinator_heal",
-    "coordinator_heal": None,
     # Instantaneous: voids every primary lease the target host holds.
     # The host itself stays up — the adversarial case for write fencing,
     # where a live primary keeps trying to commit on revoked authority.
@@ -150,9 +144,6 @@ class StormSpec:
     #: Push-channel outages (adaptive monitoring; harmless no-ops when
     #: the cluster runs fixed polling).
     push_outages: int = 0
-    #: Global-coordinator partitions (sharded control plane; no-ops for
-    #: a monolithic Flowserver, which has no coordinator).
-    coordinator_partitions: int = 0
     rpc_delay_spikes: int = 0
     #: Instantaneous lease revocations on random (unprotected) hosts —
     #: exercises write fencing: the still-live old primary must never
@@ -219,10 +210,6 @@ def build_storm(
         events.append(FaultEvent(when(), "stats_poll_loss", "", outage()))
     for _ in range(spec.push_outages):
         events.append(FaultEvent(when(), "push_loss", "", outage()))
-    for _ in range(spec.coordinator_partitions):
-        events.append(
-            FaultEvent(when(), "coordinator_partition", "", outage())
-        )
     for _ in range(spec.rpc_delay_spikes):
         events.append(
             FaultEvent(

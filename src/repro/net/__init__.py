@@ -28,11 +28,6 @@ from repro.net.links import Link, LinkDirection
 from repro.net.rate_engine import IncrementalRateEngine, RateEngineStats
 from repro.net.routing import Path, RoutingTable
 from repro.net.simulator import Flow, FlowAborted, FlowNetwork
-from repro.net.scoped_view import (
-    ScopedNetworkView,
-    assert_scope_is_partition,
-    pod_scope_link_ids,
-)
 from repro.net.switch import Switch
 from repro.net.view import FlowView, NetworkView
 from repro.net.topology import (
@@ -58,15 +53,12 @@ __all__ = [
     "Path",
     "RateEngineStats",
     "RoutingTable",
-    "ScopedNetworkView",
     "Switch",
     "SwitchNode",
     "Tier",
     "Topology",
-    "assert_scope_is_partition",
     "leaf_spine",
     "max_min_fair_rates",
-    "pod_scope_link_ids",
     "single_link_fair_allocation",
     "three_tier",
 ]

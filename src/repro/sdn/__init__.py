@@ -4,12 +4,11 @@ A simplified but faithful OpenFlow-style controller: switches keep flow
 tables programmed by FlowMod messages, the controller installs one flow
 table entry per switch along an assigned path, observes FlowRemoved
 notifications when transfers finish, and answers port/flow statistics
-queries.  The Mayflower Flowserver (:mod:`repro.core`) runs *inside* this
-controller exactly as the paper runs it inside Floodlight.
+queries.  The one Mayflower Flowserver (:mod:`repro.core`) runs *inside*
+this controller exactly as the paper runs it inside Floodlight.
 """
 
 from repro.sdn.controller import Controller, FlowRecord
-from repro.sdn.domain import DomainController
 from repro.sdn.flowtable import FlowTable, FlowTableEntry
 from repro.sdn.openflow import (
     CounterPush,
@@ -25,7 +24,6 @@ __all__ = [
     "Controller",
     "CounterPush",
     "CounterPushBatch",
-    "DomainController",
     "FlowModAdd",
     "FlowModDelete",
     "FlowRecord",

@@ -135,7 +135,7 @@ def bind_resilience_metrics(
     """
     client_list = list(clients)
     flowserver = cluster.flowserver
-    collectors = cluster.plane.collectors
+    collector = flowserver.collector if flowserver is not None else None
 
     def live(obj: Optional[Any], attribute: str) -> Callable[[], float]:
         if obj is None:
@@ -180,11 +180,11 @@ def bind_resilience_metrics(
     )
     registry.gauge(
         "polls_lost", "Stats polls lost to faults",
-        callback=_sum_over(collectors, "polls_lost"),
+        callback=live(collector, "polls_lost"),
     )
     registry.gauge(
         "poll_errors", "Stats polls that returned errors",
-        callback=_sum_over(collectors, "poll_errors"),
+        callback=live(collector, "poll_errors"),
     )
     registry.gauge(
         "rpc_calls_timed_out", "RPC calls that expired undelivered",

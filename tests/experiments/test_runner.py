@@ -104,17 +104,3 @@ def test_network_drained_after_run(small_workload):
     # run through the public entry point instead to get the same behaviour
     records = run_scheme_on_workload("mayflower", small_workload, seed=7)
     assert len(records) == len(small_workload.jobs)
-
-
-def test_domains_without_a_flowserver_fail_as_in_the_cluster(tmp_path):
-    """controller_domains > 1 needs a Flowserver scheme in both front
-    ends, with the same error: the runner used to ignore the setting."""
-    from repro.cluster import Cluster, ClusterConfig
-
-    with pytest.raises(ValueError, match="requires a flowserver scheme") as runner:
-        build_environment("nearest-ecmp", SchemeRunConfig(controller_domains=4), seed=1)
-    with pytest.raises(ValueError) as cluster:
-        Cluster(ClusterConfig(
-            scheme="hdfs-ecmp", controller_domains=4, db_directory=tmp_path
-        ))
-    assert str(runner.value) == str(cluster.value)

@@ -207,9 +207,9 @@ def test_push_loss_is_noop_under_fixed_polling(cluster):
 
 
 def test_faults_reach_every_monitor_of_a_sharded_control_plane(tmp_path):
-    """With one Flowserver per pod and a partitioned nameserver there is
-    no ``cluster.flowserver`` and more than one lease manager: monitoring
-    and lease faults must reach all of them, not just the first."""
+    """With a partitioned nameserver there is more than one lease
+    manager: lease faults must reach all of them, not just the first,
+    and monitoring faults the Flowserver's one collector."""
     from repro.telemetry import MetricsRegistry, bind_resilience_metrics
 
     cluster = Cluster(
@@ -217,15 +217,13 @@ def test_faults_reach_every_monitor_of_a_sharded_control_plane(tmp_path):
             scheme="mayflower",
             seed=3,
             db_directory=tmp_path,
-            controller_domains=4,
             metadata_partitions=2,
             retry=RetryPolicy(max_attempts=10, rpc_timeout=30.0),
         )
     )
     try:
-        assert cluster.flowserver is None
-        collectors = cluster.plane.collectors
-        assert len(collectors) == 4 and len(cluster.lease_managers) == 2
+        collector = cluster.flowserver.collector
+        assert len(cluster.lease_managers) == 2
         name = next(
             f"/shard/file-{i}" for i in range(64)
             if cluster.shard_map.partition_for(f"/shard/file-{i}") == 1
@@ -252,20 +250,19 @@ def test_faults_reach_every_monitor_of_a_sharded_control_plane(tmp_path):
             ))
         )
         cluster.loop.run(until=start + 1.5)
-        assert all(collector.suppress_polls for collector in collectors)
+        assert collector.suppress_polls
         assert not manager.current(metadata.file_id).valid_at(cluster.loop.now)
         details = {e.kind: e.detail for e in injector.journal}
         assert "no-op" not in details["stats_poll_loss"]
         assert details["lease_expire"].startswith("expired 1 lease(s)")
 
-        for collector in collectors:
-            collector.poll_once()  # one tick lost per domain
+        collector.poll_once()  # a tick lost to the outage
         registry = MetricsRegistry()
         bind_resilience_metrics(registry, cluster, [], injector)
-        assert registry.value("polls_lost") == 4.0
+        assert registry.value("polls_lost") == 1.0
 
         cluster.loop.run(until=start + 3.5)
-        assert not any(collector.suppress_polls for collector in collectors)
+        assert not collector.suppress_polls
         # the fenced primary re-acquires under a higher epoch to commit again
         cluster.run(client.append(name, 1024))
         assert manager.current_epoch(metadata.file_id) == lease.epoch + 1
