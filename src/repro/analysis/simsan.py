@@ -1,7 +1,7 @@
 """SimSanitizer: opt-in runtime invariant checking for the simulation.
 
 When armed (``REPRO_SIMSAN=1`` or ``pytest --simsan``), components
-register themselves on construction and the sanitizer re-verifies four
+register themselves on construction and the sanitizer re-verifies five
 cross-layer invariants **after every engine event**:
 
 1. **Capacity feasibility** — the fluid simulator's max-min rates never
@@ -15,6 +15,10 @@ cross-layer invariants **after every engine event**:
 4. **RNG stream isolation** — each named ``RandomStreams`` stream's
    Mersenne state changes only when that stream was drawn from, and no
    two names share a generator object.
+5. **Link-memo validity** — every entry of a Flowserver's
+   ``FlowStateTable.link_memo`` equals a fresh ``flows_on_link`` plus
+   water-fill of the current table, i.e. every mutation dropped the
+   entries of the links it touched.
 
 Violations raise :class:`SimSanError` (an ``AssertionError`` subclass) at
 the exact event that broke the invariant, which is worth far more than a
@@ -28,6 +32,7 @@ be armed in the same run without knowing about each other.
 
 from __future__ import annotations
 
+import math
 import os
 import weakref
 from typing import Any, Dict, Optional, Tuple
@@ -162,6 +167,33 @@ class SimSanitizer:
                         f"{was_until:.6f} and without a stats poll"
                     )
         self._freeze_seen[flowserver] = current
+        self.check_link_memo(state, now)
+
+    def check_link_memo(self, state: Any, now: float) -> None:
+        """Invariant 5: every link-memo entry matches the current table."""
+        from repro.net.fairshare import single_link_fair_allocation
+
+        for link_id, entry in state.link_memo.items():
+            members = state.flows_on_link(link_id)
+            demands = [f.bw_bps for f in members]
+            stale = [f.flow_id for f in entry.members] != [f.flow_id for f in members]
+            stale = stale or entry.demands != demands
+            for capacity, share in entry.probe.items():
+                fresh = single_link_fair_allocation(capacity, demands + [math.inf])
+                stale = stale or share != fresh[-1]  # simlint: ignore[DET004] bit-identity
+            for (capacity, demand), (allocation, squeezed) in entry.newcomer.items():
+                fresh = single_link_fair_allocation(capacity, demands + [demand])
+                stale = stale or allocation != fresh
+                stale = stale or squeezed != [
+                    (f.flow_id, slot) for f, slot in zip(members, fresh) if slot < f.bw_bps
+                ]
+            if stale:
+                raise SimSanError(
+                    f"simsan[t={now:.6f}]: link memo of {link_id} is stale: "
+                    f"memo members {[f.flow_id for f in entry.members]} "
+                    f"demands {entry.demands}, table members "
+                    f"{[f.flow_id for f in members]} demands {demands}"
+                )
 
     def check_streams(self, streams: Any) -> None:
         """Invariant 4: named streams stay isolated and draw-accounted."""

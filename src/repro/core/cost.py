@@ -24,26 +24,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.flow_state import FlowStateTable, TrackedFlow
+from repro.core.flow_state import FlowStateTable, LinkMemo, TrackedFlow
 from repro.net.fairshare import single_link_fair_allocation
 
 
 class LinkShareCache:
-    """Memoised per-link water-filling over one flow-state snapshot.
+    """Memoised per-link water-filling over a flow-state table.
 
     Candidate paths overlap heavily — all paths out of one replica share
     its edge uplink, all paths into the client share its downlink — and
-    consecutive selections often see the same table.  This cache computes
-    each distinct (link, newcomer demand) allocation once and replays it
-    for every later probe or ``NEWBANDWIDTH`` on that link.
+    most links are untouched between consecutive selections.  This cache
+    computes each distinct (link, newcomer demand) allocation once and
+    replays it for every later probe or ``NEWBANDWIDTH`` on that link.
 
-    Validity is keyed on :attr:`FlowStateTable.version`: any mutation of
-    the table (membership, ``SETBW``/``UPDATEBW``) bumps the version and
-    the next lookup drops every memo.  The cache therefore never serves
-    stale allocations, and a single long-lived instance (the Flowserver
-    owns one) is as correct as a fresh cache per sweep.
+    The memo itself is :attr:`FlowStateTable.link_memo`: the table drops a
+    link's entry whenever a flow on it joins, leaves or has its bandwidth
+    written (``SETBW``, an applied ``UPDATEBW``).  An entry therefore
+    always describes the current table, and a single long-lived instance
+    (the Flowserver owns one) is as correct as a fresh cache per sweep —
+    including across commits and across the split search's two sweeps.
 
     Returned values are exactly what the uncached code computed — same
     inputs, same routine — so cached and uncached sweeps are
@@ -52,11 +53,7 @@ class LinkShareCache:
 
     def __init__(self, state: FlowStateTable):
         self._state = state
-        self._version = state.version
-        self._members: Dict[str, List[TrackedFlow]] = {}
-        self._demands: Dict[str, List[float]] = {}
-        self._probe: Dict[Tuple[str, float], float] = {}
-        self._newcomer: Dict[Tuple[str, float, float], List[float]] = {}
+        self._memo = state.link_memo
         #: Allocation lookups served from memo / computed fresh.
         self.hits = 0
         self.misses = 0
@@ -67,62 +64,98 @@ class LinkShareCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def _sync(self) -> None:
-        if self._state.version != self._version:
-            self._members.clear()
-            self._demands.clear()
-            self._probe.clear()
-            self._newcomer.clear()
-            self._version = self._state.version
+    def _entry(self, link_id: str) -> LinkMemo:
+        entry = self._memo.get(link_id)
+        if entry is None:
+            entry = self._memo[link_id] = LinkMemo(self._state.flows_on_link(link_id))
+        return entry
 
     def members(self, link_id: str) -> List[TrackedFlow]:
-        """Tracked flows on a link (sorted), cached for the sweep."""
-        self._sync()
-        got = self._members.get(link_id)
-        if got is None:
-            got = self._state.flows_on_link(link_id)
-            self._members[link_id] = got
-            self._demands[link_id] = [f.bw_bps for f in got]
-        return got
+        """Tracked flows on a link (sorted), memoised until the link changes."""
+        return self._entry(link_id).members
 
     def demands(self, link_id: str) -> List[float]:
-        """Current bandwidth estimates of the flows on a link, cached."""
-        self.members(link_id)
-        return self._demands[link_id]
+        """Current bandwidth estimates of the flows on a link, memoised."""
+        return self._entry(link_id).demands
 
     def probe_share(self, link_id: str, capacity_bps: float) -> float:
         """The infinite-demand probe's allocation on one link (§4.2)."""
-        self._sync()
-        key = (link_id, capacity_bps)
-        share = self._probe.get(key)
-        if share is None:
-            self.misses += 1
-            allocation = single_link_fair_allocation(
-                capacity_bps, self.demands(link_id) + [math.inf]
-            )
-            share = allocation[-1]
-            self._probe[key] = share
-        else:
-            self.hits += 1
-        return share
+        return self.probe_shares((link_id,), {link_id: capacity_bps})[link_id]
+
+    def probe_shares(
+        self, link_ids: Iterable[str], link_capacity_bps: Mapping[str, float]
+    ) -> Dict[str, float]:
+        """:meth:`probe_share` of every link in ``link_ids``, keyed by link."""
+        memo = self._memo
+        shares: Dict[str, float] = {}
+        for link_id in link_ids:
+            entry = memo.get(link_id)
+            if entry is None:
+                entry = memo[link_id] = LinkMemo(self._state.flows_on_link(link_id))
+            capacity_bps = link_capacity_bps[link_id]
+            share = entry.probe.get(capacity_bps)
+            if share is None:
+                self.misses += 1
+                share = single_link_fair_allocation(
+                    capacity_bps, entry.demands + [math.inf]
+                )[-1]
+                entry.probe[capacity_bps] = share
+            else:
+                self.hits += 1
+            shares[link_id] = share
+        return shares
 
     def newcomer_allocation(
         self, link_id: str, capacity_bps: float, newcomer_demand_bps: float
     ) -> List[float]:
         """Water-fill of a link's flows plus one newcomer with a finite
         demand; allocation order is :meth:`members` order, newcomer last."""
-        self._sync()
-        key = (link_id, capacity_bps, newcomer_demand_bps)
-        allocation = self._newcomer.get(key)
-        if allocation is None:
+        return self._newcomer(self._entry(link_id), capacity_bps, newcomer_demand_bps)[0]
+
+    def new_bandwidths(
+        self,
+        path_link_ids: Sequence[str],
+        link_capacity_bps: Mapping[str, float],
+        newcomer_demand_bps: float,
+    ) -> Dict[str, float]:
+        """:func:`new_bandwidth_of_existing` over the memo: one lookup per
+        path link, and only the members a link's water-fill squeezes are
+        visited."""
+        memo = self._memo
+        worst: Dict[str, float] = {}
+        for link_id in path_link_ids:
+            entry = memo.get(link_id)
+            if entry is None:
+                entry = memo[link_id] = LinkMemo(self._state.flows_on_link(link_id))
+            if not entry.members:
+                continue
+            _, squeezed = self._newcomer(
+                entry, link_capacity_bps[link_id], newcomer_demand_bps
+            )
+            for flow_id, slot in squeezed:
+                if slot < worst.get(flow_id, math.inf):
+                    worst[flow_id] = slot
+        return worst
+
+    def _newcomer(
+        self, entry: LinkMemo, capacity_bps: float, newcomer_demand_bps: float
+    ) -> Tuple[List[float], List[Tuple[str, float]]]:
+        key = (capacity_bps, newcomer_demand_bps)
+        got = entry.newcomer.get(key)
+        if got is None:
             self.misses += 1
             allocation = single_link_fair_allocation(
-                capacity_bps, self.demands(link_id) + [newcomer_demand_bps]
+                capacity_bps, entry.demands + [newcomer_demand_bps]
             )
-            self._newcomer[key] = allocation
+            squeezed = [
+                (flow.flow_id, slot)
+                for flow, demand, slot in zip(entry.members, entry.demands, allocation)
+                if slot < demand
+            ]
+            got = entry.newcomer[key] = (allocation, squeezed)
         else:
             self.hits += 1
-        return allocation
+        return got
 
 
 @dataclass(frozen=True)
@@ -183,8 +216,7 @@ def estimate_path_share(
     if cache is None:
         cache = LinkShareCache(state)
     return bottleneck_share(
-        path_link_ids,
-        {lid: cache.probe_share(lid, link_capacity_bps[lid]) for lid in path_link_ids},
+        path_link_ids, cache.probe_shares(path_link_ids, link_capacity_bps)
     )
 
 
@@ -205,18 +237,7 @@ def new_bandwidth_of_existing(
     """
     if cache is None:
         cache = LinkShareCache(state)
-    worst: Dict[str, float] = {}
-    for link_id in path_link_ids:
-        members = cache.members(link_id)
-        if not members:
-            continue
-        allocation = cache.newcomer_allocation(
-            link_id, link_capacity_bps[link_id], new_flow_demand_bps
-        )
-        for flow, slot in zip(members, allocation):
-            worst[flow.flow_id] = min(worst.get(flow.flow_id, flow.bw_bps), slot)
-    flows = state.flows
-    return {fid: bw for fid, bw in worst.items() if bw < flows[fid].bw_bps}
+    return cache.new_bandwidths(path_link_ids, link_capacity_bps, new_flow_demand_bps)
 
 
 def flow_cost(

@@ -55,20 +55,49 @@ class TrackedFlow:
         return self.remaining_bits / self.bw_bps
 
 
+class LinkMemo:
+    """Memoised water-fills of one link (see :class:`repro.core.cost.LinkShareCache`).
+
+    ``members`` are the link's tracked flows in :meth:`FlowStateTable.flows_on_link`
+    order and ``demands`` their bandwidth estimates; ``probe`` maps a link
+    capacity to the infinite-demand probe's share and ``newcomer`` maps
+    ``(capacity, newcomer demand)`` to the full allocation plus the
+    ``(flow id, slot)`` pairs of the members it squeezes.
+    """
+
+    __slots__ = ("members", "demands", "probe", "newcomer")
+
+    def __init__(self, members: List[TrackedFlow]):
+        self.members = members
+        self.demands = [f.bw_bps for f in members]
+        self.probe: Dict[float, float] = {}
+        self.newcomer: Dict[
+            Tuple[float, float], Tuple[List[float], List[Tuple[str, float]]]
+        ] = {}
+
+
 @dataclass
 class FlowStateTable:
     """All tracked flows plus the link -> flows index the cost model needs.
 
-    ``version`` increments on every mutation that can change a max-min
-    estimate — membership (add/remove) and bandwidth writes (``SETBW``,
-    ``UPDATEBW``).  :class:`repro.core.cost.LinkShareCache`
-    keys its memoised allocations on it, so a cache can live across
-    selection sweeps and self-invalidate the moment the table moves.
+    ``link_memo`` holds one :class:`LinkMemo` per link the cost model has
+    water-filled since that link last changed.  Every mutation that can
+    move a max-min estimate — membership (add/remove) and bandwidth
+    writes (``SETBW``, an applied ``UPDATEBW``) — drops the entries of
+    exactly the links on the mutated flow's path, so the memo is always a
+    function of the current table and survives every change elsewhere.
     """
 
     flows: Dict[str, TrackedFlow] = field(default_factory=dict)
     _link_index: Dict[str, Set[str]] = field(default_factory=dict)
-    version: int = 0
+    link_memo: Dict[str, LinkMemo] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def _forget_links(self, flow: TrackedFlow) -> None:
+        memo = self.link_memo
+        for link_id in flow.path_link_ids:
+            memo.pop(link_id, None)
 
     def add(self, flow: TrackedFlow) -> None:
         if flow.flow_id in self.flows:
@@ -76,7 +105,7 @@ class FlowStateTable:
         self.flows[flow.flow_id] = flow
         for link_id in flow.path_link_ids:
             self._link_index.setdefault(link_id, set()).add(flow.flow_id)
-        self.version += 1
+        self._forget_links(flow)
 
     def remove(self, flow_id: str) -> Optional[TrackedFlow]:
         """Forget a flow (on FlowRemoved); returns it if it was tracked."""
@@ -89,7 +118,7 @@ class FlowStateTable:
                 members.discard(flow_id)
                 if not members:
                     del self._link_index[link_id]
-        self.version += 1
+        self._forget_links(flow)
         return flow
 
     def get(self, flow_id: str) -> Optional[TrackedFlow]:
@@ -115,7 +144,7 @@ class FlowStateTable:
         """``SETBW``: commit an analytic estimate and freeze the flow."""
         flow = self.flows[flow_id]
         flow.bw_bps = bw_bps
-        self.version += 1
+        self._forget_links(flow)
         flow.freeze_until = now + flow.expected_completion()
         flow.freezed = True
         tel = instrument.TELEMETRY
@@ -135,7 +164,7 @@ class FlowStateTable:
         if not flow.freezed or now > flow.freeze_until:
             was_frozen = flow.freezed
             flow.bw_bps = bw_bps
-            self.version += 1
+            self._forget_links(flow)
             flow.freezed = False
             if was_frozen:
                 tel = instrument.TELEMETRY

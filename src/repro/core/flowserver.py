@@ -150,7 +150,7 @@ class Flowserver:
         self.config = config or FlowserverConfig()
         self.state = FlowStateTable()
         #: Long-lived per-link allocation memo shared by every candidate
-        #: sweep; self-invalidates on any FlowStateTable mutation.
+        #: sweep; the table drops a link's entry whenever that link changes.
         self.link_cache = LinkShareCache(self.state)
         self._loop = controller.network.loop
         self._capacities = {

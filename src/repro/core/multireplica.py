@@ -72,9 +72,10 @@ class MultiReplicaPlanner:
         subflows.  On return the state table already tracks the chosen
         flows with their final sizes and freezes applied.
 
-        The same ``cache`` serves both searches: committing ``f1`` bumps
-        the state-table version, so the second search starts cold by
-        construction and never sees pre-commit allocations.
+        The same ``cache`` serves both searches: committing ``f1`` drops
+        the memo of exactly the links ``f1`` and the flows it squeezed
+        cross, so the second search recomputes those links and replays
+        every other link warm from the first.
         """
         fid1, fid2 = flow_ids
         first = best_candidate(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.core.cost import CostBreakdown, LinkShareCache, bottleneck_share, flow_cost
@@ -36,10 +37,10 @@ class PathChoice:
         return self.path.src
 
 
-def _selection_key(choice: PathChoice) -> Tuple[float, float, Tuple[str, ...]]:
+def _selection_key(path: Path, cost: CostBreakdown) -> Tuple[float, float, Tuple[str, ...]]:
     # Cheapest first; ties break on higher estimated bandwidth, then
     # lexicographic path id, keeping runs deterministic.
-    return (choice.cost.total, -choice.cost.est_bw_bps, choice.path.link_ids)
+    return (cost.total, -cost.est_bw_bps, path.link_ids)
 
 
 def best_candidate(
@@ -67,10 +68,10 @@ def best_candidate(
         raise ValueError("no candidate paths to select from")
     if cache is None:
         cache = LinkShareCache(state)
-    link_share = {
-        lid: cache.probe_share(lid, link_capacity_bps[lid])
-        for lid in dict.fromkeys(lid for path in candidate_paths for lid in path.link_ids)
-    }
+    link_share = cache.probe_shares(
+        dict.fromkeys(chain.from_iterable(path.link_ids for path in candidate_paths)),
+        link_capacity_bps,
+    )
     ranked = []
     for path in candidate_paths:
         share = bottleneck_share(path.link_ids, link_share)
@@ -80,23 +81,22 @@ def best_candidate(
     ranked.sort(key=lambda r: r[:3])
 
     best: Optional[PathChoice] = None
+    best_key = None
     for bound, _, _, path, share in ranked:
         if best is not None and bound > best.cost.total:
             break
-        choice = PathChoice(
-            path=path,
-            cost=flow_cost(
-                path.link_ids,
-                flow_size_bits,
-                link_capacity_bps,
-                state,
-                include_existing_flows=include_existing_flows,
-                share=share,
-                cache=cache,
-            ),
+        cost = flow_cost(
+            path.link_ids,
+            flow_size_bits,
+            link_capacity_bps,
+            state,
+            include_existing_flows=include_existing_flows,
+            share=share,
+            cache=cache,
         )
-        if best is None or _selection_key(choice) < _selection_key(best):
-            best = choice
+        key = _selection_key(path, cost)
+        if best_key is None or key < best_key:
+            best, best_key = PathChoice(path=path, cost=cost), key
     assert best is not None
     return best
 

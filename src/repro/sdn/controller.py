@@ -349,6 +349,10 @@ class Controller:
         is currently in service."""
         if not self._network.path_is_up(path):
             return False
+        if not self._down_switches:
+            # fail_switch takes every adjacent link down, so only a
+            # switch that is down can reject a path whose links are up.
+            return True
         for link_id in path.link_ids:
             link = self._network.topology.links[link_id]
             for node in (link.src, link.dst):

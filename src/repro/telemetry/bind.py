@@ -102,13 +102,9 @@ def bind_standard_probes(
             "tracked_flows", lambda: float(flowserver.tracked_flow_count())
         )
         sampler.add_probe("frozen_flows", lambda: _frozen_flow_count(flowserver))
-        added += ["tracked_flows", "frozen_flows"]
-        cache = getattr(flowserver, "link_cache", None)
-        if cache is not None:
-            sampler.add_probe(
-                "cost_cache_hit_rate", lambda: float(cache.hit_rate)
-            )
-            added += ["cost_cache_hit_rate"]
+        cache = flowserver.link_cache
+        sampler.add_probe("cost_cache_hit_rate", lambda: float(cache.hit_rate))
+        added += ["tracked_flows", "frozen_flows", "cost_cache_hit_rate"]
 
     return added
 

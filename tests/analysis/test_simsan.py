@@ -1,7 +1,8 @@
 """Runtime tests for the SimSanitizer.
 
-Covers the four invariants (capacity feasibility, table consistency,
-freeze discipline, RNG stream isolation), the arm/disarm lifecycle, and
+Covers the five invariants (capacity feasibility, table consistency,
+freeze discipline, RNG stream isolation, link-memo validity), the
+arm/disarm lifecycle, and
 the engine post-event hook wiring — including proof that a *healthy*
 simulation runs to completion with the sanitizer armed.
 """
@@ -10,6 +11,9 @@ import pytest
 
 from repro.analysis import simsan
 from repro.analysis.simsan import SimSanError, SimSanitizer
+from repro.core import Flowserver, FlowserverConfig
+from repro.core.cost import LinkShareCache
+from repro.core.flow_state import FlowStateTable, TrackedFlow
 from repro.net import FlowNetwork, RoutingTable, three_tier
 from repro.sdn import Controller
 from repro.sim import EventLoop, RandomStreams
@@ -147,6 +151,7 @@ class _FakeFlowserver:
     class _State:
         def __init__(self):
             self.flows = {}
+            self.link_memo = {}
 
     class _Config:
         enable_freeze = True
@@ -200,6 +205,50 @@ def test_removed_flow_does_not_trip_the_check(sanitizer):
     sanitizer.check_flowserver(fs)
     del fs.state.flows["f"]
     sanitizer.check_flowserver(fs)
+
+
+# ----------------------------------------------------------------------
+# Invariant 5: link-memo validity
+# ----------------------------------------------------------------------
+
+
+def test_stale_link_memo_entry_detected(sanitizer):
+    state = FlowStateTable()
+    state.add(TrackedFlow("f", ("l",), 8e7, 8e7, 40e6))
+    LinkShareCache(state).probe_share("l", 100e6)
+    sanitizer.check_link_memo(state, 0.0)  # freshly filled: valid
+
+    state.flows["f"].bw_bps = 10e6  # written behind the table's back
+    with pytest.raises(SimSanError, match="link memo of l is stale"):
+        sanitizer.check_link_memo(state, 0.0)
+
+    state.link_memo.clear()
+    LinkShareCache(state).probe_share("l", 100e6)
+    state.link_memo["l"].probe[100e6] = 1.0  # planted wrong share
+    with pytest.raises(SimSanError, match="link memo of l is stale"):
+        sanitizer.check_link_memo(state, 0.0)
+
+
+def test_flowserver_link_memo_stays_valid_through_polls(sanitizer):
+    """Overlapping reads with every poll applied: each UPDATEBW must drop
+    the memo of the links its flow crosses."""
+    _, loop, net, table = build_env()
+    controller = Controller(net)
+    flowserver = Flowserver(controller, table, FlowserverConfig(enable_freeze=False))
+    clients = ["pod0-rack0-h0", "pod1-rack0-h0", "pod2-rack1-h0"]
+    replicas = ["pod0-rack1-h0", "pod3-rack0-h0", "pod1-rack1-h1"]
+
+    def read(i):
+        result = flowserver.select(clients[i % len(clients)], replicas, 1000 * MB)
+        for a in result.assignments:
+            if a.path is not None:
+                controller.start_transfer(a.flow_id, a.path, a.size_bits)
+
+    for i in range(12):
+        loop.call_at(0.5 * i, lambda i=i: read(i))
+    loop.run()
+    assert flowserver.collector.measurements_applied > 0
+    assert flowserver.link_cache.hits > 0
 
 
 # ----------------------------------------------------------------------

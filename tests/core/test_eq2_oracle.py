@@ -85,10 +85,11 @@ def _oracle_best(paths, size, capacities, state, include_existing_flows=True, ca
     return oracle_sweep(paths, size, capacities, state, include_existing_flows)[0]
 
 
-def _plan(planner, paths, size, capacities, state, include_existing_flows, cache):
+def _plan(planner, paths, size, capacities, state, include_existing_flows, cache,
+          flow_ids=("new1", "new2")):
     try:
         plans = planner.plan(
-            paths, ("new1", "new2"), size, capacities, state, now=1.0,
+            paths, flow_ids, size, capacities, state, now=1.0,
             include_existing_flows=include_existing_flows, cache=cache,
         )
     except ValueError as exc:
@@ -96,19 +97,47 @@ def _plan(planner, paths, size, capacities, state, include_existing_flows, cache
     return plans, state.flows
 
 
+def _mutate(state, op):
+    kind, pick, bw, now = op
+    ids = sorted(state.flows)
+    if not ids:
+        return
+    flow_id = ids[pick % len(ids)]
+    if kind == "remove":
+        state.remove(flow_id)
+    else:
+        state.update_bw_from_stats(flow_id, bw, now)
+
+
+between_plans = st.tuples(
+    st.sampled_from(("updatebw", "remove")),
+    st.integers(min_value=0, max_value=63),
+    amounts(BANDWIDTHS),
+    st.sampled_from((1.0, 10.0, 1e12)),
+)
+
+
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(scenarios(), st.booleans(), st.sampled_from((1.0, 1.5)))
-def test_planner_matches_a_full_sweep_planner(scenario, include_existing_flows, factor):
+@given(scenarios(), st.booleans(), st.sampled_from((1.0, 1.5)),
+       st.lists(between_plans, min_size=2, max_size=2))
+def test_planner_matches_a_full_sweep_planner(scenario, include_existing_flows, factor, ops):
     capacities, state, paths, size = scenario
     planner = MultiReplicaPlanner(improvement_factor=factor)
     fast_state, sweep_state = copy.deepcopy(state), copy.deepcopy(state)
-    # One long-lived cache across both searches, as the Flowserver runs it.
-    got = _plan(planner, paths, size, capacities, fast_state, include_existing_flows,
-                LinkShareCache(fast_state))
-    with mock.patch.object(multireplica, "best_candidate", _oracle_best):
-        expected = _plan(planner, paths, size, capacities, sweep_state,
-                         include_existing_flows, None)
-    assert got == expected
+    # One long-lived cache across all three plans and the state changes
+    # between them, as the Flowserver runs it.
+    cache = LinkShareCache(fast_state)
+    for round_, op in enumerate([None] + ops):
+        if op is not None:
+            _mutate(fast_state, op)
+            _mutate(sweep_state, op)
+        flow_ids = (f"new{round_}a", f"new{round_}b")
+        got = _plan(planner, paths, size, capacities, fast_state, include_existing_flows,
+                    cache, flow_ids)
+        with mock.patch.object(multireplica, "best_candidate", _oracle_best):
+            expected = _plan(planner, paths, size, capacities, sweep_state,
+                             include_existing_flows, None, flow_ids)
+        assert got == expected
 
 
 @pytest.mark.parametrize("swap", [False, True])

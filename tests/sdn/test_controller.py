@@ -146,3 +146,25 @@ def test_edge_switch_ids(env):
     ids = ctl.edge_switch_ids()
     assert len(ids) == 16
     assert all("rack" in sid for sid in ids)
+
+
+def test_path_health_tracks_switch_failures(env):
+    _, net, table, ctl = env
+    path = table.paths("pod0-rack0-h0", "pod1-rack0-h0")[0]
+    assert ctl.path_is_up(path)
+
+    agg = net.topology.links[path.link_ids[1]].dst
+    ctl.fail_switch(agg)
+    assert not ctl.path_is_up(path)
+
+    # Links back up while the switch is still down: only the switch scan
+    # can reject the path now.
+    for link_id in path.link_ids:
+        link = net.topology.links[link_id]
+        if agg in (link.src, link.dst):
+            ctl.restore_link(link_id)
+    assert net.path_is_up(path)
+    assert not ctl.path_is_up(path)
+
+    ctl.recover_switch(agg)
+    assert ctl.path_is_up(path)
