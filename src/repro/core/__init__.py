@@ -14,34 +14,27 @@ route the read over).  This package implements:
   (replica, shortest-path) pair and commit the cheapest;
 * :mod:`repro.core.multireplica` — §4.3: split a read across two replicas
   when the combined share beats the single best flow;
-* :mod:`repro.core.stats` — the flow-stats collector that refreshes
-  bandwidth/remaining-size estimates from switch counters, and the
-  paper's schedule for it (every tick, every edge switch);
-* :mod:`repro.core.adaptive_stats` — the collector's other schedule:
-  balanced per-flow polling points, per-flow fast/slow cadence, and
-  switch-side delta push (``poll_mode="adaptive"``);
+* :mod:`repro.core.stats` — the flow-stats collector that polls every
+  edge switch every tick and refreshes bandwidth/remaining-size
+  estimates from the byte counters;
 * :mod:`repro.core.flowserver` — the service tying it all together;
 * :mod:`repro.core.control_plane` — :func:`build_control_plane`, the one
   wiring of loop, network, controller and the one Flowserver that every
   deployment uses.
 """
 
-from repro.core.adaptive_stats import AdaptiveSchedule, AdaptiveStatsConfig
 from repro.core.control_plane import ControlPlane, build_control_plane
 from repro.core.cost import CostBreakdown, estimate_path_share, flow_cost
 from repro.core.flow_state import FlowStateTable, TrackedFlow
 from repro.core.flowserver import Assignment, Flowserver, FlowserverConfig, SelectionResult
 from repro.core.multireplica import MultiReplicaPlanner
 from repro.core.selection import PathChoice, select_replica_and_path
-from repro.core.stats import FixedSchedule, FlowStatsCollector
+from repro.core.stats import FlowStatsCollector
 
 __all__ = [
-    "AdaptiveSchedule",
-    "AdaptiveStatsConfig",
     "Assignment",
     "ControlPlane",
     "CostBreakdown",
-    "FixedSchedule",
     "FlowStateTable",
     "FlowStatsCollector",
     "Flowserver",

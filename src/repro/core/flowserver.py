@@ -16,11 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import TracebackType
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.core.adaptive_stats import AdaptiveSchedule, AdaptiveStatsConfig
 from repro.core.cost import LinkShareCache, estimate_path_share
 from repro.core.fanout import (
     EdgeEstimate,
@@ -31,7 +30,7 @@ from repro.core.fanout import (
 from repro.core.flow_state import FlowStateTable, TrackedFlow
 from repro.core.multireplica import MultiReplicaPlanner, SubflowPlan
 from repro.core.selection import PathChoice, select_replica_and_path
-from repro.core.stats import FixedSchedule, FlowStatsCollector
+from repro.core.stats import FlowStatsCollector
 from repro.net.ecmp import EcmpHasher
 from repro.net.routing import Path, RoutingTable
 from repro.sdn.controller import Controller
@@ -94,12 +93,6 @@ class FlowserverConfig:
     """
 
     poll_interval: float = 1.0
-    #: The stats collector's schedule: ``"fixed"`` is the paper's (every
-    #: tick, every edge switch), ``"adaptive"`` the Floware-style
-    #: balanced, cadence-aware, push-assisted one
-    #: (:mod:`repro.core.adaptive_stats`), tuned by ``adaptive``.
-    poll_mode: str = "fixed"
-    adaptive: AdaptiveStatsConfig = field(default_factory=AdaptiveStatsConfig)
     enable_multi_replica: bool = True
     enable_freeze: bool = True
     include_existing_flows_in_cost: bool = True
@@ -158,21 +151,9 @@ class Flowserver:
             for lid, link in controller.network.topology.links.items()
         }
         self._planner = MultiReplicaPlanner(self.config.split_improvement_factor)
-        if self.config.poll_mode == "fixed":
-            schedule = FixedSchedule()
-        elif self.config.poll_mode == "adaptive":
-            schedule = AdaptiveSchedule(self.config.adaptive)
-        else:
-            raise ValueError(
-                f"poll_mode must be 'fixed' or 'adaptive', "
-                f"got {self.config.poll_mode!r}"
-            )
         self.collector = FlowStatsCollector(
-            self._loop,
-            controller,
-            self.state,
+            self._loop, controller, self.state,
             poll_interval=self.config.poll_interval,
-            schedule=schedule,
         )
         controller.add_flow_removed_listener(self._on_flow_removed)
         self._flow_seq = itertools.count()

@@ -1,9 +1,12 @@
-"""Flow-stats collection (§3.3.3, §4): one collector, two schedules.
+"""Flow-stats collection (§3.3.3, §4).
 
-Every ``poll_interval`` seconds the collector sends the stats requests
-its *schedule* says are due, derives each reported flow's measured
-bandwidth from the byte-counter delta since its previous observation,
-refreshes remaining sizes, and feeds the measurements through
+Every ``poll_interval`` seconds the collector sends one wildcard
+OFPMP_FLOW request to every edge switch.  A switch reports the flows
+sourced at its hosts, so each tracked flow is due at its source edge
+switch; one that switch answers without counts one missed observation
+toward unseen-flow expiry.  For each reported flow the collector derives
+the measured bandwidth from the byte-counter delta since its previous
+poll, refreshes the remaining size, and feeds the measurement through
 ``UPDATEBW`` — so frozen flows keep their analytic estimates until the
 freeze expires (Pseudocode 2, lines 12-18).
 
@@ -11,24 +14,16 @@ freeze expires (Pseudocode 2, lines 12-18).
 the network state.  In between measurements, the Flowserver tracks flow add
 and drop requests and recomputes an estimate of the path bandwidth of each
 flow after each request."
-
-The mechanism exists once, in :class:`FlowStatsCollector`.  A schedule
-only decides who is due on a tick, at which switch, with which request
-kind, and what an observation does to the flow's cadence:
-:class:`FixedSchedule` is the paper's loop,
-:class:`repro.core.adaptive_stats.AdaptiveSchedule` the Floware-style
-alternative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Set
+from typing import Dict, List, Optional, Set
 
-from repro.core.flow_state import FlowStateTable, TrackedFlow
+from repro.core.flow_state import FlowStateTable
 from repro.sdn.controller import Controller, SwitchUnreachableError
-from repro.sdn.openflow import CounterPushBatch, FlowStatsReply
-from repro.sdn.push import PUSH_MESSAGE_BYTES, PUSH_REPORT_BYTES
+from repro.sdn.openflow import FlowStatsReply
 from repro.sim import instrument
 from repro.sim.engine import EventLoop, PeriodicTimer
 
@@ -51,78 +46,6 @@ POLL_REPLY_BASE_BYTES = 12
 POLL_REPLY_PER_FLOW_BYTES = 88
 
 
-class StatsRequest(NamedTuple):
-    """One stats request a schedule wants sent this tick."""
-
-    switch_id: str
-    #: Tracked flows whose observation is due at this switch: one absent
-    #: from the switch's reply takes a missed observation.
-    flow_ids: List[str]
-    #: Ask for everything sourced at the switch (OFPMP_FLOW wildcard)
-    #: instead of exactly ``flow_ids``.
-    wildcard: bool
-
-
-class FixedSchedule:
-    """The paper's schedule, and the hooks every schedule answers.
-
-    One wildcard request to every edge switch, every tick.  A switch
-    reports the flows sourced at its hosts, so each tracked flow is due
-    at its source edge switch.  Nothing changes the cadence and there is
-    no push channel, so every other hook does nothing.
-    """
-
-    def bind(
-        self,
-        collector: "FlowStatsCollector",
-        loop: EventLoop,
-        controller: Controller,
-        state: FlowStateTable,
-    ) -> None:
-        """Attach to the collector this schedule drives (called once)."""
-        self._controller = controller
-        self._state = state
-
-    def due(self, now: float) -> List[StatsRequest]:
-        """The requests to send this tick, in sending order (called on
-        every tick; a monitoring outage discards the result)."""
-        links = self._controller.network.topology.links
-        sourced: Dict[str, List[str]] = {}
-        for flow_id, flow in self._state.flows.items():
-            if flow.path_link_ids:
-                source_switch = links[flow.path_link_ids[0]].dst
-                sourced.setdefault(source_switch, []).append(flow_id)
-        return [
-            StatsRequest(switch_id, sourced.get(switch_id, []), True)
-            for switch_id in self._controller.edge_switch_ids()
-        ]
-
-    def observed(
-        self,
-        flow: TrackedFlow,
-        bytes_sent: float,
-        measured_bps: Optional[float],
-        now: float,
-        origin: str,
-    ) -> None:
-        """``flow``'s counter was just read (by a poll or a push)."""
-
-    def unobserved(self, flow_id: str, now: float) -> None:
-        """The flow was due at a switch that answered without it."""
-
-    def unreachable(self, switch_id: str, flow_ids: List[str], now: float) -> None:
-        """A request to ``switch_id`` for ``flow_ids`` got no reply."""
-
-    def forget(self, flow_id: str) -> None:
-        """The flow is gone; drop whatever was scheduled for it."""
-
-    def start(self) -> None:
-        """The collector's timer (re)started."""
-
-    def stop(self) -> None:
-        """The collector's timer stopped."""
-
-
 class FlowStatsCollector:
     """Observes tracked flows and refreshes the Flowserver's flow state.
 
@@ -131,8 +54,6 @@ class FlowStatsCollector:
     poll_interval:
         Seconds between ticks; the paper polls at coarse intervals and
         relies on analytic updates in between, so the default is 1 s.
-    schedule:
-        Who is due on a tick and where (default: :class:`FixedSchedule`).
     """
 
     def __init__(
@@ -143,7 +64,6 @@ class FlowStatsCollector:
         poll_interval: float = 1.0,
         auto_start: bool = True,
         expire_unseen_polls: int = 10,
-        schedule: Optional[FixedSchedule] = None,
     ):
         if poll_interval <= 0:
             raise ValueError(f"poll_interval must be positive, got {poll_interval}")
@@ -151,8 +71,8 @@ class FlowStatsCollector:
         self._controller = controller
         self._state = state
         self.poll_interval = poll_interval
-        #: A tracked flow absent from this many consecutive replies of a
-        #: switch it was due at is presumed dead (e.g. the dataserver
+        #: A tracked flow absent from this many consecutive replies of its
+        #: source edge switch is presumed dead (e.g. the dataserver
         #: failed before the transfer started) and dropped, so stale
         #: entries cannot distort cost estimates forever.  A switch that
         #: does not answer never counts — a monitoring outage must not
@@ -182,35 +102,22 @@ class FlowStatsCollector:
         self.poll_bytes: Dict[str, int] = {}
         self.polls_lost = 0
         self.poll_errors = 0
-        #: Polled counters that read lower than the flow's record (a
-        #: fresher push got there first); they carry no information.
+        #: Polled counters that read lower than the flow's record; a
+        #: cumulative counter never regresses, so they carry no information.
         self.polls_stale = 0
-        # Push reconciliation: last sequence number seen per flow and
-        # subscribing switch, dropped together with the flow.
-        self._push_seq_seen: Dict[str, Dict[str, int]] = {}
-        self.push_messages: Dict[str, int] = {}
-        self.push_bytes: Dict[str, int] = {}
-        self.pushes_applied = 0
-        self.pushes_duplicate = 0
-        self.pushes_stale = 0
-        self.pushes_ignored = 0
         self._tick_messages = 0
         self._tick_bytes = 0
         self._timer: Optional[PeriodicTimer] = None
-        self.schedule = schedule or FixedSchedule()
-        self.schedule.bind(self, loop, controller, state)
         if auto_start:
             self.start()
 
     def start(self) -> None:
         if self._timer is None or self._timer.stopped:
             self._timer = PeriodicTimer(self._loop, self.poll_interval, self.poll_once)
-        self.schedule.start()
 
     def stop(self) -> None:
         if self._timer is not None:
             self._timer.stop()
-        self.schedule.stop()
 
     def consecutive_misses(self, switch_id: str) -> int:
         """How many polls in a row failed to reach ``switch_id``."""
@@ -222,7 +129,7 @@ class FlowStatsCollector:
         return record.bytes_sent if record is not None else 0.0
 
     def poll_once(self) -> None:
-        """One tick: send the schedule's due requests, observe the replies.
+        """One tick: poll every edge switch and observe the replies.
 
         Unreachable switches (and whole ticks lost to monitoring-channel
         faults) bump per-switch miss counters instead of raising; the
@@ -234,35 +141,33 @@ class FlowStatsCollector:
         suppressed_before = self.measurements_suppressed
         self._tick_messages = 0
         self._tick_bytes = 0
-        requests = self.schedule.due(now)
         if self.suppress_polls:
             # Monitoring outage: every edge switch's counters go stale
             # together and nothing is sent.
             self.polls_lost += 1
             for switch_id in self._controller.edge_switch_ids():
                 self._note_missed_poll(switch_id)
-            requests = []
-        for request in requests:
-            reply = self._query(request)
-            if reply is None:
-                self.schedule.unreachable(request.switch_id, request.flow_ids, now)
-                continue
-            for stat in reply.flows:
-                if stat.flow_id not in self._state:
-                    # Not a tracked (Mayflower-scheduled) flow; ignore,
-                    # exactly as the Flowserver only models its own flows.
+        else:
+            sourced = self._flows_by_source_switch()
+            for switch_id in self._controller.edge_switch_ids():
+                reply = self._query(switch_id)
+                if reply is None:
                     continue
-                seen.add(stat.flow_id)
-                self._observe(
-                    stat.flow_id, stat.bytes_sent, stat.remaining_bits,
-                    now, origin="poll",
-                )
-            for flow_id in request.flow_ids:
-                if flow_id not in seen and flow_id in self._state:
-                    self._note_unobserved(flow_id, now)
+                for stat in reply.flows:
+                    if stat.flow_id not in self._state:
+                        # Not a tracked (Mayflower-scheduled) flow; ignore,
+                        # exactly as the Flowserver only models its own flows.
+                        continue
+                    seen.add(stat.flow_id)
+                    self._observe(
+                        stat.flow_id, stat.bytes_sent, stat.remaining_bits, now
+                    )
+                for flow_id in sourced.get(switch_id, ()):
+                    if flow_id not in seen and flow_id in self._state:
+                        self._note_unobserved(flow_id)
         # Drop the history of flows that left the state table without a
         # FlowRemoved reaching forget().
-        for table in (self._previous, self._unseen_polls, self._push_seq_seen):
+        for table in (self._previous, self._unseen_polls):
             for flow_id in [fid for fid in table if fid not in self._state]:
                 self.forget(flow_id)
         self.polls_completed += 1
@@ -293,16 +198,22 @@ class FlowStatsCollector:
         if not self._state.flows:
             self.stop()
 
-    def _query(self, request: StatsRequest) -> Optional[FlowStatsReply]:
-        """Send one stats request; ``None`` when the switch is unreachable."""
-        switch_id = request.switch_id
+    def _flows_by_source_switch(self) -> Dict[str, List[str]]:
+        """Tracked flow ids by the edge switch whose wildcard reply must
+        name them: the switch their path's first link enters."""
+        links = self._controller.network.topology.links
+        sourced: Dict[str, List[str]] = {}
+        for flow_id, flow in self._state.flows.items():
+            if flow.path_link_ids:
+                source_switch = links[flow.path_link_ids[0]].dst
+                sourced.setdefault(source_switch, []).append(flow_id)
+        return sourced
+
+    def _query(self, switch_id: str) -> Optional[FlowStatsReply]:
+        """Send one wildcard stats request; ``None`` when the switch is
+        unreachable."""
         try:
-            if request.wildcard:
-                reply = self._controller.query_flow_stats(switch_id)
-            else:
-                reply = self._controller.query_flow_stats_for(
-                    switch_id, request.flow_ids
-                )
+            reply = self._controller.query_flow_stats(switch_id)
         except SwitchUnreachableError:
             self.poll_errors += 1
             self._note_missed_poll(switch_id)
@@ -339,29 +250,18 @@ class FlowStatsCollector:
                       labels=labels)
 
     def _observe(
-        self,
-        flow_id: str,
-        bytes_sent: float,
-        remaining_bits: float,
-        now: float,
-        origin: str,
+        self, flow_id: str, bytes_sent: float, remaining_bits: float, now: float
     ) -> None:
-        """Apply one counter reading, polled or pushed, to the flow."""
-        flow = self._state.get(flow_id)
-        if flow is None:
-            return
+        """Apply one polled counter reading to a tracked flow."""
         previous = self._previous.get(flow_id)
         if previous is not None and bytes_sent < previous.bytes_sent:
-            # Reordered behind a fresher report; cumulative counters
-            # never regress, so this carries no new information.
-            if origin == "push":
-                self.pushes_stale += 1
-            else:
-                self.polls_stale += 1
+            # Cumulative counters never regress: a lower reading is not a
+            # later sample of this flow's counter and carries no
+            # information, so it must not touch the flow's state.
+            self.polls_stale += 1
             return
         self._unseen_polls.pop(flow_id, None)
         self._state.update_remaining(flow_id, remaining_bits)
-        measured_bps: Optional[float] = None
         if previous is not None and now > previous.timestamp:
             measured_bps = (
                 (bytes_sent - previous.bytes_sent)
@@ -373,12 +273,10 @@ class FlowStatsCollector:
             else:
                 self.measurements_suppressed += 1
         self._previous[flow_id] = PollRecord(bytes_sent=bytes_sent, timestamp=now)
-        self.schedule.observed(flow, bytes_sent, measured_bps, now, origin)
 
-    def _note_unobserved(self, flow_id: str, now: float) -> None:
-        """The flow's switch answered without it: one *missed
+    def _note_unobserved(self, flow_id: str) -> None:
+        """The flow's source edge switch answered without it: one *missed
         observation*, the currency unseen-flow expiry counts in."""
-        self.schedule.unobserved(flow_id, now)
         if self.expire_unseen_polls <= 0:
             return
         misses = self._unseen_polls.get(flow_id, 0) + 1
@@ -393,63 +291,3 @@ class FlowStatsCollector:
         """Drop everything kept for a removed flow (called on FlowRemoved)."""
         self._previous.pop(flow_id, None)
         self._unseen_polls.pop(flow_id, None)
-        self._push_seq_seen.pop(flow_id, None)
-        self.schedule.forget(flow_id)
-
-    # ------------------------------------------------------------------
-    # Push reconciliation
-    # ------------------------------------------------------------------
-
-    def reset_push_window(self, switch_id: str, flow_id: str) -> None:
-        """A new push subscription starts its sequence numbers over from
-        1, so the last-seen seq for the pair must reset with it —
-        otherwise every push from the new subscription would be mistaken
-        for a duplicate of the old one."""
-        self._push_seq_seen.get(flow_id, {}).pop(switch_id, None)
-
-    def on_push(self, batch: CounterPushBatch) -> None:
-        """Reconcile one switch-initiated message of counter reports.
-
-        Idempotent by construction: a duplicate or reordered report
-        (stale sequence number) is dropped before any state is touched,
-        and a fresh one advances the same cumulative-counter record
-        polls use, so the same byte delta can never be measured twice.
-        The batch is *one* message however many reports it carries; one
-        with nothing fresh in it is a redelivery and counts as none.
-        """
-        fresh = False
-        for report in batch.reports:
-            if report.flow_id not in self._state:
-                # No window is kept for a flow that is not tracked.
-                self.pushes_ignored += 1
-                fresh = True
-                continue
-            window = self._push_seq_seen.setdefault(report.flow_id, {})
-            if report.seq <= window.get(report.switch_id, 0):
-                self.pushes_duplicate += 1
-                continue
-            window[report.switch_id] = report.seq
-            fresh = True
-            record = self._previous.get(report.flow_id)
-            if record is not None and report.timestamp < record.timestamp:
-                self.pushes_stale += 1
-                continue
-            self.pushes_applied += 1
-            # A fresh push is a full observation: it refreshes the counter
-            # record and lets the schedule *defer* the flow's next poll,
-            # so polls and pushes never double-report.
-            self._observe(
-                report.flow_id, report.bytes_sent, report.remaining_bits,
-                report.timestamp, origin="push",
-            )
-        if not fresh:
-            return
-        size = PUSH_MESSAGE_BYTES + (len(batch.reports) - 1) * PUSH_REPORT_BYTES
-        switch_id = batch.switch_id
-        self.push_messages[switch_id] = self.push_messages.get(switch_id, 0) + 1
-        self.push_bytes[switch_id] = self.push_bytes.get(switch_id, 0) + size
-        tel = instrument.TELEMETRY
-        if tel is not None:
-            labels = {"switch": switch_id}
-            tel.count("flowserver_push_messages_total", labels=labels)
-            tel.count("flowserver_push_bytes_total", float(size), labels=labels)

@@ -19,7 +19,6 @@ from repro.sim import instrument
 
 if TYPE_CHECKING:
     from repro.core.stats import FlowStatsCollector
-    from repro.sdn.push import DeltaPushService
     from repro.fs.dataserver import Dataserver
     from repro.fs.leases import LeaseManager
     from repro.rpc.fabric import RpcFabric
@@ -227,24 +226,6 @@ class FaultInjector:
 
     def _do_stats_poll_restore(self, event: FaultEvent) -> str:
         return self._set_poll_suppression(False)
-
-    def _set_push_suppression(self, suppress: bool) -> str:
-        # The push channel belongs to the adaptive schedule; under the
-        # fixed schedule (and in schemes without a Flowserver) push
-        # faults are no-ops by construction.
-        service: Optional["DeltaPushService"] = None
-        if self._collector is not None:
-            service = getattr(self._collector.schedule, "push", None)
-        if service is None:
-            return "no push channel (fixed polling or no Flowserver); no-op"
-        service.suppress = suppress
-        return ""
-
-    def _do_push_loss(self, event: FaultEvent) -> str:
-        return self._set_push_suppression(True)
-
-    def _do_push_restore(self, event: FaultEvent) -> str:
-        return self._set_push_suppression(False)
 
     def _do_rpc_delay_spike(self, event: FaultEvent) -> str:
         self._fabric.delay_factor = max(1.0, event.magnitude)

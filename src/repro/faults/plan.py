@@ -33,11 +33,6 @@ RECOVERY_OF = {
     "rpc_heal": None,
     "stats_poll_loss": "stats_poll_restore",
     "stats_poll_restore": None,
-    # Monitoring push channel loss: switches keep generating threshold
-    # reports but none reach the controller.  The push channel belongs
-    # to the adaptive schedule; under the fixed one this is a no-op.
-    "push_loss": "push_restore",
-    "push_restore": None,
     "rpc_delay_spike": "rpc_delay_restore",
     "rpc_delay_restore": None,
     # Instantaneous: voids every primary lease the target host holds.
@@ -141,9 +136,6 @@ class StormSpec:
     nameserver_failovers: int = 0
     rpc_partitions: int = 0
     stats_poll_outages: int = 1
-    #: Push-channel outages (adaptive monitoring; harmless no-ops when
-    #: the cluster runs fixed polling).
-    push_outages: int = 0
     rpc_delay_spikes: int = 0
     #: Instantaneous lease revocations on random (unprotected) hosts —
     #: exercises write fencing: the still-live old primary must never
@@ -208,8 +200,6 @@ def build_storm(
         events.append(FaultEvent(when(), "rpc_partition", f"{a}|{b}", outage()))
     for _ in range(spec.stats_poll_outages):
         events.append(FaultEvent(when(), "stats_poll_loss", "", outage()))
-    for _ in range(spec.push_outages):
-        events.append(FaultEvent(when(), "push_loss", "", outage()))
     for _ in range(spec.rpc_delay_spikes):
         events.append(
             FaultEvent(

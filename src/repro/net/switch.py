@@ -19,7 +19,7 @@ simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.net.topology import SwitchNode, Tier
 from repro.net.view import NetworkView
@@ -108,34 +108,6 @@ class Switch:
         for flow_id in sorted(candidates):
             flow = active.get(flow_id)
             if flow is not None and flow.src in local_hosts:
-                stats.append(
-                    FlowStat(
-                        flow_id=flow.flow_id,
-                        src=flow.src,
-                        dst=flow.dst,
-                        bytes_sent=flow.bytes_sent,
-                        size_bits=flow.size_bits,
-                        remaining_bits=flow.remaining_bits,
-                    )
-                )
-        return stats
-
-    def flow_stats_for(self, flow_ids: Iterable[str]) -> List[FlowStat]:
-        """Counters for a specific set of flows (targeted stats request).
-
-        The adaptive monitoring layer matches individual flows rather than
-        "everything sourced here" (an OFPMP_FLOW request with an exact
-        match instead of the wildcard) — the caller is responsible for
-        only naming flows whose path traverses this switch; the counter
-        itself is the same path-wide cumulative byte count every switch on
-        the path observes.  Flows no longer active are simply absent from
-        the reply, exactly as with the wildcard query.
-        """
-        self._network.snapshot_progress()
-        stats = []
-        for flow_id in sorted(flow_ids):
-            flow = self._network.active_flows.get(flow_id)
-            if flow is not None:
                 stats.append(
                     FlowStat(
                         flow_id=flow.flow_id,

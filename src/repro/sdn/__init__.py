@@ -11,8 +11,6 @@ this controller exactly as the paper runs it inside Floodlight.
 from repro.sdn.controller import Controller, FlowRecord
 from repro.sdn.flowtable import FlowTable, FlowTableEntry
 from repro.sdn.openflow import (
-    CounterPush,
-    CounterPushBatch,
     FlowModAdd,
     FlowModDelete,
     FlowRemoved,
@@ -22,8 +20,6 @@ from repro.sdn.openflow import (
 
 __all__ = [
     "Controller",
-    "CounterPush",
-    "CounterPushBatch",
     "FlowModAdd",
     "FlowModDelete",
     "FlowRecord",

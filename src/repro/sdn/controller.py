@@ -14,7 +14,7 @@ atomically, and tears the rules down when the transfer completes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.net.routing import Path
 from repro.net.simulator import Flow, FlowAborted, FlowNetwork
@@ -385,44 +385,6 @@ class Controller:
             timestamp=self._loop.now,
             flows=tuple(switch.flow_stats()),
         )
-
-    def query_flow_stats_for(
-        self, switch_id: str, flow_ids: Sequence[str]
-    ) -> FlowStatsReply:
-        """Targeted stats request: counters for specific flows on a switch.
-
-        The OFPMP_FLOW exact-match variant the adaptive monitoring layer
-        uses: only flows that actually have a table entry on ``switch_id``
-        are queried (a match on a flow the switch never saw returns no
-        entry, exactly like hardware), so the reply's size reflects what
-        the switch can answer, not what the collector hoped for.
-        """
-        if switch_id in self._down_switches:
-            raise SwitchUnreachableError(f"switch {switch_id!r} is unreachable")
-        table = self._tables[switch_id]
-        matched = [fid for fid in sorted(flow_ids) if fid in table]
-        switch = self._switches[switch_id]
-        return FlowStatsReply(
-            switch_id=switch_id,
-            timestamp=self._loop.now,
-            flows=tuple(switch.flow_stats_for(matched)),
-        )
-
-    def switches_on_path(self, link_ids: Sequence[str]) -> List[str]:
-        """The switches a path traverses, in hop order (monitoring points).
-
-        Every one of them carries the flow's table entry while it is
-        installed, so any of them can serve as the flow's assigned
-        polling point under the adaptive monitoring schedule.
-        """
-        seen: List[str] = []
-        topo = self._network.topology
-        for link_id in link_ids:
-            link = topo.links[link_id]
-            for node in (link.src, link.dst):
-                if node in self._switches and node not in seen:
-                    seen.append(node)
-        return seen
 
     def verify_tables_consistent(self) -> List[str]:
         """Sanity check: every active flow has entries along its whole path.

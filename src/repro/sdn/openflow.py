@@ -82,40 +82,3 @@ class FlowStatsReply:
     switch_id: str
     timestamp: float
     flows: Tuple[FlowStat, ...]
-
-
-@dataclass(frozen=True)
-class CounterPush:
-    """One flow's record in a switch-initiated :class:`CounterPushBatch`.
-
-    The adaptive monitoring schedule registers a byte-delta threshold
-    per slow-cadence flow; the switch then *pushes* the flow's
-    cumulative counter whenever it has advanced past the threshold since
-    the last report, instead of waiting to be polled.  ``seq`` increments
-    per (switch, flow) subscription so the collector can discard
-    duplicate or reordered reports — reconciliation against the poll
-    schedule must be idempotent.
-    """
-
-    switch_id: str
-    flow_id: str
-    seq: int
-    timestamp: float
-    bytes_sent: float
-    remaining_bits: float
-
-
-@dataclass(frozen=True)
-class CounterPushBatch:
-    """The switch-to-controller push message: one or more counter reports.
-
-    When multiple subscriptions on one switch cross their thresholds in
-    the same switch-local check interval, the switch sends a single
-    multi-flow message instead of one per flow — the same records, one
-    channel crossing.  Each report keeps its own per-subscription
-    ``seq``, which is what the collector reconciles on.
-    """
-
-    switch_id: str
-    timestamp: float
-    reports: Tuple[CounterPush, ...]

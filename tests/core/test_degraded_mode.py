@@ -130,82 +130,3 @@ def test_threshold_zero_disables_demotion():
     make_stale(loop, fs, sorted(ctl.edge_switch_ids()), polls=10)
     fs.select("pod0-rack0-h0", ["pod1-rack0-h0"], 64 * MB)
     assert fs.degraded_selections == 0
-
-
-# ---------------------------------------------------------------------------
-# Adaptive polling must preserve the degraded-mode contract
-# ---------------------------------------------------------------------------
-
-
-def adaptive_config(**overrides):
-    return FlowserverConfig(
-        enable_multi_replica=False, poll_mode="adaptive", **overrides
-    )
-
-
-def test_adaptive_stale_counters_trigger_ecmp_fallback():
-    """A monitoring outage under adaptive polling stales every edge
-    switch exactly as under fixed polling, so demotion still trips."""
-    loop, net, routing, ctl, fs = build_env(adaptive_config())
-    client, replica = "pod0-rack0-h0", "pod1-rack0-h0"
-    make_stale(loop, fs, sorted(ctl.edge_switch_ids()))
-
-    result = fs.select(client, [replica], 256 * MB)
-    (a,) = result.assignments
-    assert a.path is not None
-    assert fs.degraded
-    assert fs.degraded_selections == 1
-
-
-def test_adaptive_recovery_repromotes():
-    loop, net, routing, ctl, fs = build_env(adaptive_config())
-    client, replica = "pod0-rack0-h0", "pod1-rack0-h0"
-    make_stale(loop, fs, sorted(ctl.edge_switch_ids()))
-    fs.select(client, [replica], 256 * MB)
-    assert fs.degraded
-
-    loop.run(until=loop.now + 2.0)
-    fs.collector.suppress_polls = False
-    # the recovery tick re-probes every stale switch, resetting misses
-    fs.collector.poll_once()
-    for switch_id in ctl.edge_switch_ids():
-        assert fs.collector.consecutive_misses(switch_id) == 0
-    result = fs.select(client, [replica], 256 * MB)
-    assert not fs.degraded
-    assert len(fs.recovery_times) == 1
-    (a,) = result.assignments
-    assert a.est_bw_bps > 0
-
-
-def test_adaptive_failed_monitoring_point_reassigns_and_recovers():
-    """A switch that stops answering keeps accruing misses (so the
-    Flowserver's trust check sees it), its flows move to a healthy
-    switch on their path, and recovery resets the miss counter."""
-    from repro.core.adaptive_stats import AdaptiveStatsConfig
-
-    loop, net, routing, ctl, fs = build_env(
-        adaptive_config(adaptive=AdaptiveStatsConfig(probe_failed_every=1))
-    )
-    fs.collector.expire_unseen_polls = 0  # keep the phantom flow tracked
-    client, replica = "pod0-rack0-h0", "pod1-rack0-h0"
-    result = fs.select(client, [replica], 10_000 * MB)
-    (a,) = result.assignments
-    loop.run(until=1.5)
-    source_edge = "pod1-rack0"
-    assert fs.collector.schedule.monitoring_point(a.flow_id) == source_edge
-
-    ctl.fail_switch(source_edge)
-    loop.run(until=4.5)
-    # misses accrue on the dead switch (poll failure, then probes) and
-    # the flow's monitoring point moved to a healthy switch on its path
-    assert fs.collector.consecutive_misses(source_edge) >= 3
-    new_point = fs.collector.schedule.monitoring_point(a.flow_id)
-    assert new_point != source_edge
-    assert ctl.switch_is_up(new_point)
-    assert not fs._path_trusted(a.path)
-
-    ctl.recover_switch(source_edge)
-    loop.run(until=6.5)
-    # the liveness probe saw the switch answer: trusted again
-    assert fs.collector.consecutive_misses(source_edge) == 0
-    assert fs._path_trusted(a.path)

@@ -1,5 +1,7 @@
 """Unit tests for the flow-stats collector."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.flow_state import FlowStateTable, TrackedFlow
@@ -83,6 +85,42 @@ def test_freeze_expiry_lets_measurements_in(env):
     loop.run(until=10.0)
     # f still active (runs at 500 Mbps), freeze expired at 8 -> measured
     assert state.flows["f"].bw_bps == pytest.approx(0.5e9, rel=1e-3)
+
+
+def test_regressed_counter_reading_is_stale_and_changes_nothing(env, monkeypatch):
+    """A polled counter below the flow's last reading cannot be a later
+    sample of a cumulative counter: it must leave the remaining size, the
+    UPDATEBW estimate and the delta baseline untouched."""
+    loop, net, table, ctl, state, collector = env
+    path = table.paths("pod0-rack0-h0", "pod0-rack0-h1")[0]
+    track(state, "f", path, GB, bw=1e9)
+    ctl.start_transfer("f", path, GB)
+    loop.run(until=2.5)  # polls at t=1 and t=2 set the baseline
+    before = (state.flows["f"].remaining_bits, state.flows["f"].bw_bps)
+    record = collector._previous["f"]
+    counts = (collector.measurements_applied, collector.measurements_suppressed)
+
+    real_query = ctl.query_flow_stats
+
+    def regressed(switch_id):
+        reply = real_query(switch_id)
+        flows = tuple(
+            dataclasses.replace(
+                stat, bytes_sent=record.bytes_sent / 2,
+                remaining_bits=GB - record.bytes_sent * 4,
+            ) if stat.flow_id == "f" else stat
+            for stat in reply.flows
+        )
+        return dataclasses.replace(reply, flows=flows)
+
+    monkeypatch.setattr(ctl, "query_flow_stats", regressed)
+    collector.poll_once()
+    assert collector.polls_stale == 1
+    assert (state.flows["f"].remaining_bits, state.flows["f"].bw_bps) == before
+    assert collector._previous["f"] is record
+    assert (
+        collector.measurements_applied, collector.measurements_suppressed
+    ) == counts
 
 
 def test_untracked_flows_ignored(env):

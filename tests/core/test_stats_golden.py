@@ -1,12 +1,11 @@
 """Golden numbers for the paper's polling schedule under a fault storm.
 
-The expected values were recorded with the stand-alone fixed-interval
-collector, before it and the adaptive one became a single collector with
-two schedules.  The storm fails edge switches while they source flows
-and opens a ``stats_poll_loss`` window, so the run crosses the
-unreachable-switch, monitoring-outage and unseen-flow-expiry branches —
-the claim that fixed polling is a parameterisation of the general
-mechanism, pinned by numbers.
+The expected values were recorded with the first fixed-interval
+collector and have held through every rewrite of it since.  The storm
+fails edge switches while they source flows and opens a
+``stats_poll_loss`` window, so the run crosses the unreachable-switch,
+monitoring-outage and unseen-flow-expiry branches, each pinned by its
+counters.
 """
 
 from repro.cluster.cluster import ClusterConfig

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster.cluster import Cluster, ClusterConfig
-from repro.core.flowserver import FlowserverConfig
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.fs.retry import RetryPolicy
 
@@ -162,48 +161,6 @@ def test_link_down_aborts_inflight_read_but_client_recovers(cluster):
     assert result.length == size
     assert injector.flows_aborted_by_faults >= 1
     assert client.read_retries >= 1
-
-
-def test_push_loss_suppresses_adaptive_push_channel(tmp_path):
-    """push_loss mutes the switch-side push channel under adaptive
-    monitoring; push_restore unmutes it.  Lost pushes are tallied, never
-    applied, and the poll schedule keeps observing the flows."""
-    cluster = Cluster(
-        ClusterConfig(
-            scheme="mayflower",
-            seed=3,
-            db_directory=None,
-            flowserver=FlowserverConfig(poll_mode="adaptive"),
-            retry=RetryPolicy(max_attempts=10, rpc_timeout=30.0),
-        )
-    )
-    try:
-        service = cluster.flowserver.collector.schedule.push
-        plan = FaultPlan((FaultEvent(1.0, "push_loss", duration=2.0),))
-        injector = cluster.inject_faults(plan)
-
-        cluster.loop.run(until=1.5)
-        assert service.suppress
-        cluster.loop.run(until=3.5)
-        assert not service.suppress
-        assert [e.kind for e in injector.journal] == [
-            "push_loss",
-            "push_restore",
-        ]
-        # nothing generated while muted ever reached the collector
-        assert cluster.flowserver.collector.pushes_applied <= service.pushes_sent
-    finally:
-        cluster.shutdown()
-
-
-def test_push_loss_is_noop_under_fixed_polling(cluster):
-    """The default (fixed) collector has no push channel, so push faults
-    must degrade to journaled no-ops rather than crash the storm."""
-    plan = FaultPlan((FaultEvent(1.0, "push_loss", duration=1.0),))
-    injector = cluster.inject_faults(plan)
-    cluster.loop.run(until=2.5)
-    assert injector.events_applied == 2
-    assert all("no-op" in e.detail for e in injector.journal)
 
 
 def test_faults_reach_every_monitor_of_a_sharded_control_plane(tmp_path):

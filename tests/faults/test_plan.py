@@ -20,6 +20,9 @@ class TestFaultEvent:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultEvent(1.0, "power_surge", "x")
+        # not a fault kind: a plan naming it must fail, not no-op
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultEvent(1.0, "push_loss")
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

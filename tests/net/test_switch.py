@@ -160,7 +160,3 @@ def test_flow_stats_equals_a_full_scan_at_1024_hosts(scale_out, seed):
         assert got == reference_flow_stats(switch, net), switch_id
         reported += [stat.flow_id for stat in got]
     assert sorted(reported) == sorted(net.active_flows)  # each flow at one switch
-    some = sorted(net.active_flows)[::7] + ["gone"]
-    assert switches["core0"].flow_stats_for(some) == [
-        _stat_of(net.active_flows[fid]) for fid in some[:-1]
-    ]
