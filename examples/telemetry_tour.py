@@ -4,7 +4,9 @@
 Installs a telemetry session, runs a small Fig. 4-style workload under
 the Mayflower scheme, and shows the three views the session records:
 
-* the span/event stream (selection decisions, transfer spans, polls),
+* the span/event stream (selection decisions — each with its kind, the
+  replicas chosen and how many candidate paths Eq. 2 evaluated — plus
+  transfer spans and polls),
 * the metrics registry (counters + the candidate-count histogram),
 * the periodic time series (link utilization on the sim clock),
 
@@ -46,11 +48,17 @@ def main():
 
     # -- the span stream ------------------------------------------------
     decisions = [e for e in tel.tracer.events if e.name == "flowserver.select"]
-    print(f"selection decisions traced: {len(decisions)}; first three:")
-    for event in decisions[:3]:
+    # The first three decisions, then the first §4.3 split read.
+    shown = decisions[:3] + [
+        e for e in decisions[3:] if e.args["kind"] == "split"
+    ][:1]
+    print(f"selection decisions traced: {len(decisions)}; first three "
+          "and first split:")
+    for event in shown:
         args = event.args
-        print(f"  t={event.ts:8.3f}s  {args['request']:<10} {args['kind']:<7}"
-              f" -> {', '.join(args['chosen'])}")
+        print(f"  t={event.ts:8.3f}s  {args['request']:<10} "
+              f"{args['kind'].upper():<7} -> {' + '.join(args['chosen'])} "
+              f"({args['candidates']} paths evaluated)")
 
     transfers = pair_async_spans(
         [e for e in tel.tracer.events if e.cat == "transfer"]

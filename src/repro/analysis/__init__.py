@@ -49,7 +49,7 @@ DESIGN.md §"Determinism contract" and §11.
 from __future__ import annotations
 
 from repro.analysis import explore, protocheck
-from repro.analysis.config import SimlintConfig, load_config
+from repro.analysis.config import SimlintConfig
 from repro.analysis.explore import (
     ExplorationReport,
     FailoverScenario,
@@ -88,7 +88,6 @@ __all__ = [
     "get_active",
     "lint_paths",
     "lint_source",
-    "load_config",
     "protocheck",
     "replay_trace",
     "run_failover_exploration",

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.config import load_config
+from repro.analysis.config import SimlintConfig
 from repro.analysis.simlint import lint_paths, rule_inventory
 
 
@@ -69,12 +69,6 @@ def _simlint_main(argv: Sequence[str]) -> int:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--config",
-        default=None,
-        metavar="PYPROJECT",
-        help="pyproject.toml to read [tool.simlint] from",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule inventory and exit"
     )
     args = parser.parse_args(argv)
@@ -84,20 +78,14 @@ def _simlint_main(argv: Sequence[str]) -> int:
             print(f"{rule}  {description}")
         return 0
 
-    config = load_config(Path(args.config) if args.config else None)
+    config = SimlintConfig()
     if args.select:
         selected = {r.strip() for r in args.select.split(",") if r.strip()}
         unknown = selected - set(rule_inventory())
         if unknown:
             print(f"unknown rule(s): {', '.join(sorted(unknown))}", file=sys.stderr)
             return 2
-        config = type(config)(
-            enabled_rules=frozenset(selected),
-            wallclock_allow=config.wallclock_allow,
-            rng_allow=config.rng_allow,
-            race_attrs=config.race_attrs,
-            float_name_pattern=config.float_name_pattern,
-        )
+        config = SimlintConfig(enabled_rules=frozenset(selected))
 
     targets = _existing_paths(args.paths)
     if targets is None:

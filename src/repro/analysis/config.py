@@ -1,16 +1,15 @@
 """simlint configuration.
 
-Defaults live here in code so the linter behaves identically whether or
-not a ``pyproject.toml`` is present; the ``[tool.simlint]`` table can
-*extend* (never silently replace) the allowlists.  The allowlists are the
-documented escape hatches of the determinism contract:
+The rule inventory and the allowlists live here in code, so the linter
+behaves the same wherever it runs.  The allowlists are the documented
+escape hatches of the determinism contract:
 
-* ``wallclock-allow`` — the only modules permitted to read the wall
-  clock.  By default that is :mod:`repro.experiments.wallclock`, the
-  clock seam the experiment CLI uses for its "regenerated in Ns" footer.
-* ``rng-allow`` — the only modules permitted to construct raw
-  ``random.Random`` objects or import the ``random`` module.  By default
-  that is :mod:`repro.sim.randomness`, where :class:`RandomStreams` and
+* :data:`WALLCLOCK_ALLOW` — the only module permitted to read the wall
+  clock: :mod:`repro.experiments.wallclock`, the clock seam the
+  experiment CLI uses for its "regenerated in Ns" footer.
+* :data:`RNG_ALLOW` — the only module permitted to construct raw
+  ``random.Random`` objects or import the ``random`` module:
+  :mod:`repro.sim.randomness`, where :class:`RandomStreams` and
   :func:`seeded_rng` live; every other module must receive an injected
   stream.
 """
@@ -20,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 #: Every rule the linter knows, with a one-line description (also shown
 #: by ``python -m repro.analysis --list-rules``).
@@ -32,9 +31,15 @@ ALL_RULES: Dict[str, str] = {
     "RACE001": "generator caches shared mutable state across a yield point",
 }
 
+#: Path suffixes (posix style) where DET001 wall-clock reads are OK.
+WALLCLOCK_ALLOW: Tuple[str, ...] = ("repro/experiments/wallclock.py",)
+
+#: Path suffixes where DET002 allows the ``random`` module / Random().
+RNG_ALLOW: Tuple[str, ...] = ("repro/sim/randomness.py",)
+
 #: Terminal attribute names treated as shared mutable simulation state by
 #: RACE001 (flow tables, FlowState fields, link rate maps).
-DEFAULT_RACE_ATTRS: FrozenSet[str] = frozenset(
+RACE_ATTRS: FrozenSet[str] = frozenset(
     {
         "flows",
         "_flows",
@@ -55,79 +60,19 @@ DEFAULT_RACE_ATTRS: FrozenSet[str] = frozenset(
 
 #: Identifier fragments that mark a value as a float rate/cost quantity
 #: for DET004.
-DEFAULT_FLOAT_NAME_PATTERN = (
+FLOAT_NAME_RE = re.compile(
     r"(?:^|_)(?:rate|rates|bps|bw|cost|costs|share|shares|util|utilization|"
     r"capacity|latency|delay|eta|throughput|bits)(?:_|$)"
 )
 
 
+def path_allowed(path: str, allowlist: Tuple[str, ...]) -> bool:
+    posix = Path(path).as_posix()
+    return any(posix.endswith(suffix) for suffix in allowlist)
+
+
 @dataclass(frozen=True)
 class SimlintConfig:
-    """Effective linter configuration (defaults + pyproject extensions)."""
+    """Which rules a lint run applies (``--select`` narrows the set)."""
 
     enabled_rules: FrozenSet[str] = frozenset(ALL_RULES)
-    #: Path suffixes (posix style) where DET001 wall-clock reads are OK.
-    wallclock_allow: Tuple[str, ...] = ("repro/experiments/wallclock.py",)
-    #: Path suffixes where DET002 allows the ``random`` module / Random().
-    rng_allow: Tuple[str, ...] = ("repro/sim/randomness.py",)
-    race_attrs: FrozenSet[str] = DEFAULT_RACE_ATTRS
-    float_name_pattern: str = DEFAULT_FLOAT_NAME_PATTERN
-
-    def float_name_re(self) -> "re.Pattern[str]":
-        return re.compile(self.float_name_pattern)
-
-    def path_allowed(self, path: str, allowlist: Tuple[str, ...]) -> bool:
-        posix = Path(path).as_posix()
-        return any(posix.endswith(suffix) for suffix in allowlist)
-
-
-def _as_str_tuple(value: Any, key: str) -> Tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"[tool.simlint] {key} must be a list of strings")
-    return tuple(value)
-
-
-def load_config(pyproject: Optional[Path] = None) -> SimlintConfig:
-    """Build the effective config, merging ``[tool.simlint]`` if readable.
-
-    Missing file, missing table, or a Python without ``tomllib`` all fall
-    back to the in-code defaults, so the linter never needs third-party
-    dependencies to run.
-    """
-    defaults = SimlintConfig()
-    if pyproject is None:
-        pyproject = Path("pyproject.toml")
-    if not pyproject.is_file():
-        return defaults
-    try:
-        import tomllib
-    except ImportError:  # pragma: no cover - Python 3.10 fallback
-        return defaults
-    try:
-        with open(pyproject, "rb") as handle:
-            data = tomllib.load(handle)
-    except (OSError, tomllib.TOMLDecodeError):  # pragma: no cover - defensive
-        return defaults
-    table = data.get("tool", {}).get("simlint")
-    if not isinstance(table, dict):
-        return defaults
-
-    enabled = set(defaults.enabled_rules)
-    for rule in table.get("disable", []):
-        enabled.discard(str(rule))
-    wallclock = defaults.wallclock_allow + _as_str_tuple(
-        table.get("wallclock-allow", []), "wallclock-allow"
-    )
-    rng = defaults.rng_allow + _as_str_tuple(table.get("rng-allow", []), "rng-allow")
-    race_attrs = defaults.race_attrs | {
-        str(a) for a in table.get("race-attrs", [])
-    }
-    return SimlintConfig(
-        enabled_rules=frozenset(enabled),
-        wallclock_allow=wallclock,
-        rng_allow=rng,
-        race_attrs=frozenset(race_attrs),
-        float_name_pattern=str(
-            table.get("float-name-pattern", defaults.float_name_pattern)
-        ),
-    )

@@ -159,7 +159,6 @@ def explore(
     max_schedules: int = 200,
     max_depth: int = 120,
     stop_on_violation: bool = True,
-    prune_equal_labels: bool = False,
     keep_results: bool = True,
 ) -> ExplorationReport:
     """Enumerate schedules breadth-first up to the given bounds."""
@@ -204,8 +203,6 @@ def explore(
         base = result.choices
         for i in range(len(prefix), min(len(scheduler.decisions), max_depth)):
             decision = scheduler.decisions[i]
-            if prune_equal_labels and len(set(decision.ready)) == 1:
-                continue
             for alternative in range(1, len(decision.ready)):
                 frontier.append(base[:i] + (alternative,))
 
@@ -584,7 +581,6 @@ def run_failover_exploration(
     max_schedules: int = 200,
     max_depth: int = 120,
     stop_on_violation: bool = True,
-    prune_equal_labels: bool = False,
     keep_results: bool = False,
 ) -> Tuple[ExplorationReport, FailoverScenario]:
     """Convenience wrapper: explore the failover scenario."""
@@ -594,7 +590,6 @@ def run_failover_exploration(
         max_schedules=max_schedules,
         max_depth=max_depth,
         stop_on_violation=stop_on_violation,
-        prune_equal_labels=prune_equal_labels,
         keep_results=keep_results,
     )
     return report, scenario

@@ -1,4 +1,4 @@
-"""pytest integration: ``--simsan`` (SimSanitizer) and ``--protocheck``.
+"""pytest integration: ``--simsan`` (SimSanitizer).
 
 Loaded through the repository root ``conftest.py`` (``pytest_plugins``).
 
@@ -8,17 +8,10 @@ any test re-verifies the sanitizer's invariants; a test that
 ``@pytest.mark.no_simsan`` (justify in a comment).  ``REPRO_SIMSAN=1``
 arms the sanitizer too, so CI can turn it on without changing the
 pytest command line.
-
-``pytest --protocheck`` runs the :mod:`repro.analysis.protocheck`
-fencing/effect analysis over ``src/repro`` before collection and
-aborts the session if it reports any finding — the same gate as
-``python -m repro.analysis protocheck src/repro``, wired into the test
-entry point so one command covers both.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any, Generator
 
 import pytest
@@ -34,13 +27,6 @@ def pytest_addoption(parser: Any) -> None:
         default=False,
         help="arm the SimSanitizer runtime invariant checker for the whole run",
     )
-    group.addoption(
-        "--protocheck",
-        action="store_true",
-        default=False,
-        help="run the protocheck fencing analysis over src/repro before "
-        "the test session; abort on any finding",
-    )
 
 
 def pytest_configure(config: Any) -> None:
@@ -54,21 +40,6 @@ def pytest_configure(config: Any) -> None:
         simsan.arm()
     else:
         config._simsan_armed = False
-
-
-def pytest_sessionstart(session: Any) -> None:
-    if not session.config.getoption("--protocheck"):
-        return
-    from repro.analysis import protocheck
-
-    target = Path(str(session.config.rootpath)) / "src" / "repro"
-    if not target.exists():
-        raise pytest.UsageError(f"--protocheck: no such path {target}")
-    findings = protocheck.analyze_paths([target])
-    if findings:
-        for finding in findings:
-            print(finding.render())
-        pytest.exit(f"protocheck: {len(findings)} finding(s)", returncode=1)
 
 
 def pytest_unconfigure(config: Any) -> None:

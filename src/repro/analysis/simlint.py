@@ -18,7 +18,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.config import ALL_RULES, SimlintConfig, load_config
+from repro.analysis.config import (
+    ALL_RULES,
+    FLOAT_NAME_RE,
+    RACE_ATTRS,
+    RNG_ALLOW,
+    WALLCLOCK_ALLOW,
+    SimlintConfig,
+    path_allowed,
+)
 
 # ----------------------------------------------------------------------
 # Findings and suppression comments
@@ -146,10 +154,8 @@ class _ImportMap:
 # ----------------------------------------------------------------------
 
 
-def _check_det001(
-    tree: ast.AST, imports: _ImportMap, path: str, config: SimlintConfig
-) -> List[Finding]:
-    if config.path_allowed(path, config.wallclock_allow):
+def _check_det001(tree: ast.AST, imports: _ImportMap, path: str) -> List[Finding]:
+    if path_allowed(path, WALLCLOCK_ALLOW):
         return []
     findings = []
 
@@ -194,10 +200,8 @@ def _check_det001(
 # ----------------------------------------------------------------------
 
 
-def _check_det002(
-    tree: ast.AST, imports: _ImportMap, path: str, config: SimlintConfig
-) -> List[Finding]:
-    if config.path_allowed(path, config.rng_allow):
+def _check_det002(tree: ast.AST, imports: _ImportMap, path: str) -> List[Finding]:
+    if path_allowed(path, RNG_ALLOW):
         return []
     findings = []
 
@@ -394,7 +398,7 @@ class _SetOrderChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _check_det003(tree: ast.AST, path: str, config: SimlintConfig) -> List[Finding]:
+def _check_det003(tree: ast.AST, path: str) -> List[Finding]:
     checker = _SetOrderChecker(path)
     checker.visit(tree)
     return checker.findings
@@ -405,8 +409,7 @@ def _check_det003(tree: ast.AST, path: str, config: SimlintConfig) -> List[Findi
 # ----------------------------------------------------------------------
 
 
-def _check_det004(tree: ast.AST, path: str, config: SimlintConfig) -> List[Finding]:
-    name_re = config.float_name_re()
+def _check_det004(tree: ast.AST, path: str) -> List[Finding]:
     findings = []
 
     def is_inf(node: ast.AST) -> bool:
@@ -431,9 +434,9 @@ def _check_det004(tree: ast.AST, path: str, config: SimlintConfig) -> List[Findi
 
     def is_rate_name(node: ast.AST) -> bool:
         if isinstance(node, ast.Name):
-            return bool(name_re.search(node.id))
+            return bool(FLOAT_NAME_RE.search(node.id))
         if isinstance(node, ast.Attribute):
-            return bool(name_re.search(node.attr))
+            return bool(FLOAT_NAME_RE.search(node.attr))
         return False
 
     for node in ast.walk(tree):
@@ -690,8 +693,8 @@ def _owner_function(fn: ast.AST, target: ast.AST) -> bool:
     return finder.found
 
 
-def _check_race001(tree: ast.AST, path: str, config: SimlintConfig) -> List[Finding]:
-    scanner = _RaceScanner(path, config.race_attrs)
+def _check_race001(tree: ast.AST, path: str) -> List[Finding]:
+    scanner = _RaceScanner(path, RACE_ATTRS)
     scanner.scan_module(tree)
     return scanner.findings
 
@@ -722,15 +725,15 @@ def lint_source(
     imports = _ImportMap(tree)
     findings: List[Finding] = []
     if "DET001" in config.enabled_rules:
-        findings.extend(_check_det001(tree, imports, path, config))
+        findings.extend(_check_det001(tree, imports, path))
     if "DET002" in config.enabled_rules:
-        findings.extend(_check_det002(tree, imports, path, config))
+        findings.extend(_check_det002(tree, imports, path))
     if "DET003" in config.enabled_rules:
-        findings.extend(_check_det003(tree, path, config))
+        findings.extend(_check_det003(tree, path))
     if "DET004" in config.enabled_rules:
-        findings.extend(_check_det004(tree, path, config))
+        findings.extend(_check_det004(tree, path))
     if "RACE001" in config.enabled_rules:
-        findings.extend(_check_race001(tree, path, config))
+        findings.extend(_check_race001(tree, path))
 
     suppressed = _suppressions(source)
     kept = []
@@ -762,8 +765,6 @@ def lint_paths(
     paths: Sequence[Path], config: Optional[SimlintConfig] = None
 ) -> List[Finding]:
     """Lint every ``.py`` file under ``paths`` (files or directories)."""
-    if config is None:
-        config = load_config()
     findings: List[Finding] = []
     for file_path in iter_python_files(paths):
         try:

@@ -228,6 +228,8 @@ class SimSanitizer:
 # ----------------------------------------------------------------------
 
 _active: Optional[SimSanitizer] = None
+#: The active sanitizer's handle on the instrumentation bus.
+_subscription: Optional[Any] = None
 
 
 def enabled_by_env() -> bool:
@@ -237,26 +239,26 @@ def enabled_by_env() -> bool:
 
 def arm() -> SimSanitizer:
     """Install (or return) the active sanitizer and hook the engine."""
-    global _active
+    global _active, _subscription
     if _active is not None:
         return _active
     from repro.sim import instrument
 
     sanitizer = SimSanitizer()
-    instrument.set_hooks(sanitizer.register, sanitizer.after_event)
+    _subscription = instrument.subscribe(sanitizer.register, sanitizer.after_event)
     _active = sanitizer
     return sanitizer
 
 
 def disarm() -> None:
     """Remove the active sanitizer and its engine hooks."""
-    global _active
+    global _active, _subscription
     if _active is None:
         return
     from repro.sim import instrument
 
-    instrument.clear_hooks()
-    _active = None
+    instrument.unsubscribe(_subscription)
+    _active = _subscription = None
 
 
 def get_active() -> Optional[SimSanitizer]:

@@ -54,7 +54,6 @@ class ClusterConfig:
     racks_per_pod: int = 4
     hosts_per_rack: int = 4
     oversubscription: float = 8.0
-    edge_bps: float = 1e9
     scheme: str = "mayflower"
     replication: int = 3
     chunk_bytes: int = 256 * 1024 * 1024
@@ -111,7 +110,6 @@ class Cluster:
             pods=self.config.pods,
             racks_per_pod=self.config.racks_per_pod,
             hosts_per_rack=self.config.hosts_per_rack,
-            edge_bps=self.config.edge_bps,
             oversubscription=self.config.oversubscription,
         )
         self.plane = build_control_plane(

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from types import TracebackType
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Type
+from typing import List, Optional, Sequence, Tuple, Type
 
 from repro.core.cost import LinkShareCache, estimate_path_share
 from repro.core.fanout import (
@@ -88,45 +87,26 @@ class FlowserverConfig:
     include_existing_flows_in_cost:
         The second term of Eq. 2; disabling degenerates to greedy
         max-bandwidth selection (ablation).
-    split_improvement_factor:
-        Required combined-bandwidth gain to accept a split read.
     """
 
     poll_interval: float = 1.0
     enable_multi_replica: bool = True
     enable_freeze: bool = True
     include_existing_flows_in_cost: bool = True
-    split_improvement_factor: float = 1.0
-    #: Keep a bounded log of selection decisions (operator introspection;
-    #: see :meth:`Flowserver.explain_recent`).  0 disables tracing.
-    decision_log_size: int = 0
-    #: Degraded-mode trigger: a path whose source edge switch missed this
-    #: many consecutive stats polls is untrusted (its counters are
-    #: garbage) and excluded from cost-model optimization.  When *no*
-    #: candidate is trusted the Flowserver stops optimizing and spreads
-    #: flows by ECMP over the healthy paths until polling recovers.
-    #: <= 0 disables staleness-based demotion.
-    stale_poll_threshold: int = 3
-    #: Hash salt for the degraded-mode ECMP fallback.
-    degraded_ecmp_salt: int = 0x5AFE
 
+
+#: Degraded-mode trigger: a path whose source edge switch missed this many
+#: consecutive stats polls is untrusted (its counters are garbage) and
+#: excluded from cost-model optimization.  When *no* candidate is trusted
+#: the Flowserver stops optimizing and spreads flows by ECMP over the
+#: healthy paths until polling recovers.
+_STALE_POLL_THRESHOLD = 3
+
+#: Hash salt for the degraded-mode ECMP fallback.
+_DEGRADED_ECMP_SALT = 0x5AFE
 
 #: Histogram buckets for candidate-paths-per-selection (counts, not time).
 _CANDIDATE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
-
-@dataclass(frozen=True)
-class DecisionRecord:
-    """One traced replica/path selection."""
-
-    time: float
-    request_id: str
-    client: str
-    replicas: Sequence[str]
-    candidates_evaluated: int
-    chosen: Sequence[str]  # replica per subflow ("local" for local reads)
-    est_bw_bps: Sequence[float]
-    split: bool
 
 
 class Flowserver:
@@ -150,7 +130,7 @@ class Flowserver:
             lid: link.capacity_bps
             for lid, link in controller.network.topology.links.items()
         }
-        self._planner = MultiReplicaPlanner(self.config.split_improvement_factor)
+        self._planner = MultiReplicaPlanner()
         self.collector = FlowStatsCollector(
             self._loop, controller, self.state,
             poll_interval=self.config.poll_interval,
@@ -161,7 +141,7 @@ class Flowserver:
         # Degraded-mode machinery: a separate ECMP sequence counter is
         # drawn only when the cost model is bypassed, so fault-free runs
         # consume nothing and stay bit-identical.
-        self._degraded_hasher = EcmpHasher(salt=self.config.degraded_ecmp_salt)
+        self._degraded_hasher = EcmpHasher(salt=_DEGRADED_ECMP_SALT)
         self._ecmp_seq = itertools.count()
         self._degraded_since: Optional[float] = None
         # Selection telemetry (consumed by experiments/ablations).
@@ -178,9 +158,6 @@ class Flowserver:
         self.fanout_reservations = 0
         self._intent_seq = itertools.count()
         self.recovery_times: List[float] = []
-        self.decision_log: Deque[DecisionRecord] = deque(
-            maxlen=self.config.decision_log_size or None
-        )
         instrument.notify_component("flowserver", self)
 
     @property
@@ -195,8 +172,8 @@ class Flowserver:
     def close(self) -> None:
         """Stop background polling so the event loop can drain to idle.
 
-        The Flowserver stays queryable after closing (counters, decision
-        log, tracked state); only its periodic timer is torn down.
+        The Flowserver stays queryable after closing (counters, tracked
+        state); only its periodic timer is torn down.
         Idempotent — prefer ``with Flowserver(...) as fs:`` over pairing
         manual ``close()`` calls with every early return.
         """
@@ -242,7 +219,7 @@ class Flowserver:
         if client in replicas:
             # Data-local read: no network flow at all.
             self.local_reads += 1
-            self._trace(request_id, client, replicas, 0, ("local",), (float("inf"),), False)
+            self._trace(request_id, client, 0, ("local",), False)
             return SelectionResult(
                 request_id=request_id,
                 assignments=(
@@ -272,7 +249,7 @@ class Flowserver:
             # the Flowserver must not block or throw on garbage state.
             self.unreachable_path_selections += 1
             return self._degraded_select(
-                request_id, client, replicas, candidates, size_bits
+                request_id, client, candidates, size_bits
             )
         trusted = [p for p in healthy if self._path_trusted(p)]
         if not trusted:
@@ -281,7 +258,7 @@ class Flowserver:
             # fall back to ECMP until polling recovers (the miss counters
             # reset and paths re-promote automatically).
             return self._degraded_select(
-                request_id, client, replicas, healthy, size_bits
+                request_id, client, healthy, size_bits
             )
         self._note_recovered()
         candidates = trusted
@@ -333,10 +310,8 @@ class Flowserver:
         self._trace(
             request_id,
             client,
-            replicas,
             len(candidates),
             tuple(a.replica for a in assignments),
-            tuple(a.est_bw_bps for a in assignments),
             len(assignments) > 1,
         )
         return SelectionResult(request_id=request_id, assignments=assignments)
@@ -518,12 +493,9 @@ class Flowserver:
         """A path is trusted when its source edge switch (the one whose
         flow counters feed this path's bandwidth estimates) is answering
         stats polls."""
-        threshold = self.config.stale_poll_threshold
-        if threshold <= 0:
-            return True
         topo = self._controller.network.topology
         source_switch = topo.links[path.link_ids[0]].dst
-        return self.collector.consecutive_misses(source_switch) < threshold
+        return self.collector.consecutive_misses(source_switch) < _STALE_POLL_THRESHOLD
 
     def _note_recovered(self) -> None:
         if self._degraded_since is not None:
@@ -539,7 +511,6 @@ class Flowserver:
         self,
         request_id: str,
         client: str,
-        replicas: Sequence[str],
         pool: Sequence[Path],
         size_bits: float,
     ) -> SelectionResult:
@@ -584,15 +555,7 @@ class Flowserver:
             for flow in self.state.flows.values():
                 flow.freezed = False
         self.collector.start()
-        self._trace(
-            request_id,
-            client,
-            replicas,
-            len(pool),
-            (path.src,),
-            (est_bw,),
-            False,
-        )
+        self._trace(request_id, client, len(pool), (path.src,), False)
         return SelectionResult(
             request_id=request_id,
             assignments=(
@@ -616,23 +579,6 @@ class Flowserver:
     def tracked_flow_count(self) -> int:
         return len(self.state)
 
-    def explain_recent(self, count: int = 10) -> str:
-        """Human-readable rendering of the last ``count`` traced decisions."""
-        if not self.decision_log:
-            return "no decisions traced (set FlowserverConfig.decision_log_size)"
-        lines = []
-        for record in list(self.decision_log)[-count:]:
-            chosen = " + ".join(
-                f"{replica}@{bw / 1e6:.0f}Mbps"
-                for replica, bw in zip(record.chosen, record.est_bw_bps)
-            )
-            kind = "SPLIT" if record.split else ("LOCAL" if record.chosen == ("local",) else "single")
-            lines.append(
-                f"[t={record.time:9.3f}] {record.request_id}: {record.client} <- "
-                f"{chosen} ({kind}; {record.candidates_evaluated} paths evaluated)"
-            )
-        return "\n".join(lines)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -641,58 +587,39 @@ class Flowserver:
         self,
         request_id: str,
         client: str,
-        replicas: Sequence[str],
         candidates_evaluated: int,
-        chosen: Sequence[str],
-        est_bw: Sequence[float],
+        chosen: Tuple[str, ...],
         split: bool,
     ) -> None:
-        """Trace one selection decision — built once, fanned out twice.
-
-        The record feeds the bounded operator log (when
-        ``decision_log_size`` > 0) and the telemetry layer (when a session
-        is installed); with neither consumer it is never constructed.
-        """
+        """Emit one selection decision as a ``flowserver.select`` instant
+        (plus its counters) when a telemetry session is installed."""
         tel = instrument.TELEMETRY
-        if self.config.decision_log_size <= 0 and tel is None:
+        if tel is None:
             return
-        record = DecisionRecord(
-            time=self._loop.now,
-            request_id=request_id,
-            client=client,
-            replicas=tuple(replicas),
-            candidates_evaluated=candidates_evaluated,
-            chosen=tuple(chosen),
-            est_bw_bps=tuple(est_bw),
-            split=split,
+        kind = (
+            "split" if split
+            else ("local" if chosen == ("local",) else "single")
         )
-        if self.config.decision_log_size > 0:
-            self.decision_log.append(record)
-        if tel is not None:
-            kind = (
-                "split" if split
-                else ("local" if record.chosen == ("local",) else "single")
-            )
-            tel.instant(
-                record.time,
-                "flowserver.select",
-                "decision",
-                request=request_id,
-                client=client,
-                chosen=list(record.chosen),
-                kind=kind,
-                candidates=candidates_evaluated,
-            )
-            tel.count("flowserver_requests_total")
-            if kind == "local":
-                tel.count("flowserver_local_reads_total")
-            elif split:
-                tel.count("flowserver_split_reads_total")
-            tel.observe(
-                "flowserver_candidates_evaluated",
-                float(candidates_evaluated),
-                buckets=_CANDIDATE_BUCKETS,
-            )
+        tel.instant(
+            self._loop.now,
+            "flowserver.select",
+            "decision",
+            request=request_id,
+            client=client,
+            chosen=list(chosen),
+            kind=kind,
+            candidates=candidates_evaluated,
+        )
+        tel.count("flowserver_requests_total")
+        if kind == "local":
+            tel.count("flowserver_local_reads_total")
+        elif split:
+            tel.count("flowserver_split_reads_total")
+        tel.observe(
+            "flowserver_candidates_evaluated",
+            float(candidates_evaluated),
+            buckets=_CANDIDATE_BUCKETS,
+        )
 
     def _next_flow_id(self) -> str:
         return f"mf{next(self._flow_seq)}"

@@ -41,18 +41,9 @@ class SubflowPlan:
 class MultiReplicaPlanner:
     """Plans single- or dual-replica reads against a flow state table.
 
-    Parameters
-    ----------
-    improvement_factor:
-        The combined subflow bandwidth must exceed ``b1 *
-        improvement_factor`` to accept a split (1.0 reproduces the paper's
-        strict improvement test).
+    A split is kept only when the combined subflow bandwidth strictly
+    exceeds the single-flow estimate: b1' + b2 > b1 (§4.3).
     """
-
-    def __init__(self, improvement_factor: float = 1.0):
-        if improvement_factor < 1.0:
-            raise ValueError("improvement_factor must be >= 1.0")
-        self.improvement_factor = improvement_factor
 
     def plan(
         self,
@@ -113,7 +104,7 @@ class MultiReplicaPlanner:
         b1_prime = second.cost.new_bw_of_existing.get(fid1, b1)
 
         combined = b1_prime + b2
-        if b2 <= 0 or combined <= b1 * self.improvement_factor:
+        if b2 <= 0 or combined <= b1:
             # Roll back nothing for f1 (it stays the committed single flow).
             return [SubflowPlan(fid1, first, flow_size_bits, b1)]
 

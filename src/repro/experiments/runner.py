@@ -54,13 +54,11 @@ class SchemeRunConfig:
     racks_per_pod: int = 4
     hosts_per_rack: int = 4
     oversubscription: float = 8.0
-    edge_bps: float = 1e9
     #: Use a prebuilt topology instead of the 3-tier parameters above
     #: (e.g. repro.net.leaf_spine); the workload must be generated against
     #: the same topology.
     topology: object = None
     flowserver: FlowserverConfig = field(default_factory=FlowserverConfig)
-    monitor_interval: float = 1.0
     hedera_interval: float = 5.0
     max_sim_seconds: float = 100000.0
 
@@ -107,7 +105,6 @@ def build_environment(
         pods=config.pods,
         racks_per_pod=config.racks_per_pod,
         hosts_per_rack=config.hosts_per_rack,
-        edge_bps=config.edge_bps,
         oversubscription=config.oversubscription,
     )
     plane = build_control_plane(
@@ -124,7 +121,7 @@ def build_environment(
 
     needs_monitor = scheme_name.startswith("sinbad")
     monitor = (
-        EndHostMonitor(loop, network, sample_interval=config.monitor_interval)
+        EndHostMonitor(loop, network)
         if needs_monitor
         else None
     )
@@ -170,7 +167,7 @@ def run_scheme_on_workload(
     as ``config`` describes (host ids must exist).  ``on_env`` (when
     given) is invoked with the live :class:`ExperimentEnv` after the
     trace drains but before teardown, so callers can harvest collector
-    counters and decision logs without re-running the trace.
+    counters and Flowserver state without re-running the trace.
     """
     config = config or SchemeRunConfig()
     env = build_environment(scheme_name, config, seed)

@@ -51,10 +51,6 @@ class FaultInjector:
         The Flowserver's stats collector (monitoring-loss faults);
         ``None`` for clusters without a Flowserver, where those events
         no-op.
-    nameserver_endpoints:
-        Endpoints hosting the nameserver service, one per metadata
-        partition; untargeted ``nameserver_failover`` events take down
-        the first.
     lease_managers:
         Every :class:`repro.fs.leases.LeaseManager` (``lease_expire``
         faults reach all of them): one per metadata partition.
@@ -72,7 +68,6 @@ class FaultInjector:
         controller: "Controller",
         fabric: "RpcFabric",
         collector: Optional["FlowStatsCollector"] = None,
-        nameserver_endpoints: Optional[List[str]] = None,
         lease_managers: Sequence["LeaseManager"] = (),
         dataservers: Optional[Dict[str, "Dataserver"]] = None,
     ) -> None:
@@ -80,7 +75,6 @@ class FaultInjector:
         self._controller = controller
         self._fabric = fabric
         self._collector = collector
-        self._ns_endpoints = list(nameserver_endpoints or [])
         self._lease_managers = list(lease_managers)
         self._dataservers = dict(dataservers or {})
         self.events_applied = 0
@@ -99,7 +93,6 @@ class FaultInjector:
                 if cluster.flowserver is not None
                 else None
             ),
-            nameserver_endpoints=list(cluster.shard_map.partitions),
             lease_managers=cluster.lease_managers,
             dataservers=getattr(cluster, "dataservers", None),
         )
@@ -176,26 +169,6 @@ class FaultInjector:
         self._fabric.set_down(event.target, down=False)
         self._controller.recover_host(event.target)
         return ""
-
-    def _do_nameserver_failover(self, event: FaultEvent) -> str:
-        # Take a nameserver partition's endpoint down; clients back off
-        # and retry its names until the recovery event below.
-        target = event.target or (
-            self._ns_endpoints[0] if self._ns_endpoints else ""
-        )
-        if not target:
-            return "no nameserver endpoint known"
-        self._fabric.set_down(target)
-        return f"endpoint {target}"
-
-    def _do_nameserver_recover(self, event: FaultEvent) -> str:
-        target = event.target or (
-            self._ns_endpoints[0] if self._ns_endpoints else ""
-        )
-        if not target:
-            return "no nameserver endpoint known"
-        self._fabric.set_down(target, down=False)
-        return f"endpoint {target}"
 
     def _split_pair(self, target: str) -> Tuple[str, str]:
         if "|" not in target:

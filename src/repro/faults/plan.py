@@ -27,8 +27,6 @@ RECOVERY_OF = {
     "switch_recover": None,
     "dataserver_crash": "dataserver_restart",
     "dataserver_restart": None,
-    "nameserver_failover": "nameserver_recover",
-    "nameserver_recover": None,
     "rpc_partition": "rpc_heal",
     "rpc_heal": None,
     "stats_poll_loss": "stats_poll_restore",
@@ -42,6 +40,9 @@ RECOVERY_OF = {
 }
 
 EVENT_KINDS = frozenset(RECOVERY_OF)
+
+#: RPC latency multiplier of a storm's ``rpc_delay_spike`` events.
+_DELAY_SPIKE_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,6 @@ class StormSpec:
     link_failures: int = 2
     switch_failures: int = 1
     dataserver_crashes: int = 1
-    nameserver_failovers: int = 0
-    rpc_partitions: int = 0
     stats_poll_outages: int = 1
     rpc_delay_spikes: int = 0
     #: Instantaneous lease revocations on random (unprotected) hosts —
@@ -142,7 +141,6 @@ class StormSpec:
     #: commit again under its stale epoch.
     lease_expiries: int = 0
     mean_outage: float = 5.0
-    delay_spike_factor: float = 10.0
     #: Hosts that must never be crashed (e.g. the nameserver host when a
     #: single-instance nameserver would otherwise take the namespace with
     #: it for the whole run).
@@ -193,11 +191,6 @@ def build_storm(
         events.append(
             FaultEvent(when(), "dataserver_crash", rng.choice(host_ids), outage())
         )
-    for _ in range(spec.nameserver_failovers):
-        events.append(FaultEvent(when(), "nameserver_failover", "", outage()))
-    for _ in range(spec.rpc_partitions):
-        a, b = rng.sample(host_ids, 2)
-        events.append(FaultEvent(when(), "rpc_partition", f"{a}|{b}", outage()))
     for _ in range(spec.stats_poll_outages):
         events.append(FaultEvent(when(), "stats_poll_loss", "", outage()))
     for _ in range(spec.rpc_delay_spikes):
@@ -207,7 +200,7 @@ def build_storm(
                 "rpc_delay_spike",
                 "",
                 outage(),
-                magnitude=spec.delay_spike_factor,
+                magnitude=_DELAY_SPIKE_FACTOR,
             )
         )
     for _ in range(spec.lease_expiries):

@@ -15,7 +15,7 @@ Rates are bits/second; capacities must be positive.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 
 def single_link_fair_allocation(
@@ -199,42 +199,3 @@ def max_min_fair_rates(
 
     return rates
 
-
-def bottleneck_share_on_path(
-    path_link_ids: Iterable[str],
-    link_capacity_bps: Mapping[str, float],
-    link_flow_demands: Mapping[str, Sequence[float]],
-) -> Tuple[float, Optional[str]]:
-    """Estimated max-min share of a probing new flow along one path.
-
-    For each link on the path the probe (infinite demand) is water-filled
-    against the link's existing flows (demands = their current shares, per
-    §4.2); the flow's share is its allocation at the bottleneck link.
-
-    Parameters
-    ----------
-    path_link_ids:
-        Links of the candidate path.
-    link_capacity_bps:
-        Link capacities.
-    link_flow_demands:
-        For each link, the demands (current bandwidth shares) of the flows
-        already present on it.
-
-    Returns
-    -------
-    (share, bottleneck_link_id)
-        The probe's estimated rate and the link that capped it (``None`` if
-        the path is empty, in which case share is ``inf``).
-    """
-    best_share = math.inf
-    bottleneck: Optional[str] = None
-    for link_id in path_link_ids:
-        capacity = link_capacity_bps[link_id]
-        existing = list(link_flow_demands.get(link_id, ()))
-        allocation = single_link_fair_allocation(capacity, existing + [math.inf])
-        probe_share = allocation[-1]
-        if probe_share < best_share:
-            best_share = probe_share
-            bottleneck = link_id
-    return best_share, bottleneck

@@ -15,10 +15,8 @@ fan-out loops below short-circuit on empty subscriber tuples, so a run
 with no observers armed pays a single ``is None``/truthiness check per
 site — fault-free production runs cost essentially nothing.
 
-The historical single-sanitizer API (:func:`set_hooks` /
-:func:`clear_hooks`) is kept as a thin shim over one dedicated
-subscription slot, so :mod:`repro.analysis.simsan` is now just one
-subscriber among many.
+The sanitizer (:mod:`repro.analysis.simsan`) is one subscriber among
+many: it holds the :class:`Subscription` handle :func:`subscribe` returns.
 
 ``REPRO_SIMSAN=1`` in the environment auto-arms the sanitizer when the
 ``repro`` package is imported (the opt-in documented in README
@@ -89,9 +87,6 @@ _subscriptions: Tuple[Subscription, ...] = ()
 #: :func:`set_telemetry` (normally through ``repro.telemetry.install``).
 TELEMETRY: Optional[Any] = None
 
-#: The legacy single-sanitizer slot (see :func:`set_hooks`).
-_legacy: Optional[Subscription] = None
-
 
 def _rebuild() -> None:
     global _component_hooks, _post_event_hooks
@@ -120,22 +115,6 @@ def unsubscribe(sub: Subscription) -> None:
     global _subscriptions
     _subscriptions = tuple(s for s in _subscriptions if s is not sub)
     _rebuild()
-
-
-def set_hooks(component: ComponentHook, post_event: PostEventHook) -> None:
-    """Install the sanitizer hooks (compat shim: one dedicated slot)."""
-    global _legacy
-    if _legacy is not None:
-        unsubscribe(_legacy)
-    _legacy = subscribe(component, post_event)
-
-
-def clear_hooks() -> None:
-    """Remove the sanitizer hooks installed via :func:`set_hooks`."""
-    global _legacy
-    if _legacy is not None:
-        unsubscribe(_legacy)
-        _legacy = None
 
 
 def hooks_armed() -> bool:

@@ -8,16 +8,14 @@ exact file:line in the assertion message.
 
 from pathlib import Path
 
-from repro.analysis.config import load_config
+from repro.analysis.config import SimlintConfig
 from repro.analysis.simlint import iter_python_files, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_src_tree_lints_clean():
-    findings = lint_paths(
-        [REPO_ROOT / "src"], load_config(REPO_ROOT / "pyproject.toml")
-    )
+    findings = lint_paths([REPO_ROOT / "src"], SimlintConfig())
     assert findings == [], "\n" + "\n".join(f.render() for f in findings)
 
 

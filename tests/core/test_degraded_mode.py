@@ -122,11 +122,3 @@ def test_degraded_spreads_across_replicas():
         picked.add(result.assignments[0].replica)
     assert len(picked) == len(replicas)
 
-
-def test_threshold_zero_disables_demotion():
-    loop, net, routing, ctl, fs = build_env(
-        FlowserverConfig(enable_multi_replica=False, stale_poll_threshold=0)
-    )
-    make_stale(loop, fs, sorted(ctl.edge_switch_ids()), polls=10)
-    fs.select("pod0-rack0-h0", ["pod1-rack0-h0"], 64 * MB)
-    assert fs.degraded_selections == 0

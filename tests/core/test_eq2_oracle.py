@@ -118,11 +118,10 @@ between_plans = st.tuples(
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(scenarios(), st.booleans(), st.sampled_from((1.0, 1.5)),
-       st.lists(between_plans, min_size=2, max_size=2))
-def test_planner_matches_a_full_sweep_planner(scenario, include_existing_flows, factor, ops):
+@given(scenarios(), st.booleans(), st.lists(between_plans, min_size=2, max_size=2))
+def test_planner_matches_a_full_sweep_planner(scenario, include_existing_flows, ops):
     capacities, state, paths, size = scenario
-    planner = MultiReplicaPlanner(improvement_factor=factor)
+    planner = MultiReplicaPlanner()
     fast_state, sweep_state = copy.deepcopy(state), copy.deepcopy(state)
     # One long-lived cache across all three plans and the state changes
     # between them, as the Flowserver runs it.

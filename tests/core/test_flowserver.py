@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.telemetry as telemetry
 from repro.core import Flowserver, FlowserverConfig
 from repro.net import FlowNetwork, RoutingTable, three_tier
 from repro.sdn import Controller
@@ -150,38 +151,21 @@ def test_invalid_requests_rejected():
         fs.select("pod0-rack0-h0", ["pod0-rack1-h0"], 0)
 
 
-def test_decision_tracing_disabled_by_default():
-    loop, net, routing, ctl, fs = build_env()
-    fs.select("pod0-rack0-h0", ["pod0-rack1-h0"], 256 * MB)
-    assert len(fs.decision_log) == 0
-    assert "no decisions traced" in fs.explain_recent()
-
-
 def test_decision_tracing_records_selections():
-    config = FlowserverConfig(decision_log_size=5)
-    loop, net, routing, ctl, fs = build_env(config)
-    fs.select("pod0-rack0-h0", ["pod1-rack0-h0", "pod2-rack0-h0"], 256 * MB,
-              job_id="traced-job")
-    fs.select("pod0-rack0-h0", ["pod0-rack0-h0"], 256 * MB)  # local
-    assert len(fs.decision_log) == 2
-    split_record, local_record = fs.decision_log
-    assert split_record.request_id == "traced-job"
-    assert split_record.split
-    assert split_record.candidates_evaluated == 16  # 2 replicas x 8 paths
-    assert local_record.chosen == ("local",)
-    text = fs.explain_recent()
-    assert "traced-job" in text
-    assert "SPLIT" in text
-    assert "LOCAL" in text
-
-
-def test_decision_log_is_bounded():
-    config = FlowserverConfig(decision_log_size=3, enable_multi_replica=False)
-    loop, net, routing, ctl, fs = build_env(config)
-    for i in range(10):
-        fs.select("pod0-rack0-h0", ["pod0-rack1-h0"], 256 * MB, job_id=f"j{i}")
-    assert len(fs.decision_log) == 3
-    assert fs.decision_log[0].request_id == "j7"
+    with telemetry.session() as tel:
+        loop, net, routing, ctl, fs = build_env()
+        fs.select("pod0-rack0-h0", ["pod1-rack0-h0", "pod2-rack0-h0"], 256 * MB,
+                  job_id="traced-job")
+        fs.select("pod0-rack0-h0", ["pod0-rack0-h0"], 256 * MB)  # local
+        fs.close()
+    split, local = [e.args for e in tel.tracer.events if e.name == "flowserver.select"]
+    assert split["request"] == "traced-job"
+    assert split["kind"] == "split"
+    assert split["candidates"] == 16  # 2 replicas x 8 paths
+    assert local["kind"] == "local"
+    assert local["chosen"] == ["local"]
+    assert tel.metrics.value("flowserver_split_reads_total") == 1
+    assert tel.metrics.value("flowserver_local_reads_total") == 1
 
 
 def test_request_ids_unique_and_job_id_respected():

@@ -138,26 +138,6 @@ def test_single_replica_returns_single_plan(env):
     assert plans[0].replica == "S1"
 
 
-def test_improvement_factor_gates_split(env):
-    _, _, capacities, state, candidates = env
-    planner = MultiReplicaPlanner(improvement_factor=3.0)  # needs 3x gain
-    plans = planner.plan(
-        candidates,
-        flow_ids=("f1", "f2"),
-        flow_size_bits=30 * MBPS,
-        link_capacity_bps=capacities,
-        state=state,
-        now=0.0,
-    )
-    # split only doubles bandwidth, so a 3x requirement rejects it
-    assert len(plans) == 1
-
-
-def test_invalid_improvement_factor():
-    with pytest.raises(ValueError):
-        MultiReplicaPlanner(improvement_factor=0.5)
-
-
 def test_empty_candidates_rejected(env):
     _, _, capacities, state, _ = env
     with pytest.raises(ValueError):

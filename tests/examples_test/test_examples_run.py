@@ -48,7 +48,9 @@ def test_extensions_tour():
 
 
 def test_flowserver_tracing():
-    out = run_example("flowserver_tracing.py")
+    # Decision tracing is shown by the telemetry tour's flowserver.select
+    # listing, which includes a split decision and its candidate counts.
+    out = run_example("telemetry_tour.py")
     assert "SPLIT" in out
     assert "paths evaluated" in out
 

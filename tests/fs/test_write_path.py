@@ -204,6 +204,42 @@ class TestPipelinedAppend:
             assert [e.append_id for e in ledger] == ["ap:test:0"]
         cluster.shutdown()
 
+    def test_ack_after_a_failed_relay_is_recorded_everywhere(self, tmp_path):
+        """The primary applies an append, then its relay hop fails.  The
+        client's retry must not be acknowledged from the primary's state
+        alone: whatever size the client sees acked, the nameserver has
+        recorded and every replica's ledger holds."""
+        cluster = build_wp_cluster(
+            tmp_path,
+            fanout="chain",
+            retry=RetryPolicy(max_attempts=3, base_delay=1.0, jitter=0.0),
+        )
+        client = cluster.client("pod1-rack1-h1")
+        blob = b"h" * MB
+
+        def scenario():
+            meta = yield from client.create("f", chunk_bytes=4 * MB)
+            primary, first_hop = meta.replicas[0], meta.replicas[1]
+            # Cut the primary's only relay hop for the first attempt; it
+            # heals before the retry's backoff expires.
+            cluster.fabric.set_partition(primary, first_hop)
+            cluster.loop.call_at(
+                cluster.loop.now + 0.5,
+                lambda: cluster.fabric.set_partition(
+                    primary, first_hop, partitioned=False
+                ),
+            )
+            size = yield from client.append("f", len(blob), blob)
+            return meta, size
+
+        meta, acked = cluster.run(scenario())
+        assert client.append_retries >= 1
+        assert acked == len(blob)
+        assert cluster.nameserver.lookup("f")["size_bytes"] == acked
+        for replica, ledger in ledgers_of(cluster, meta).items():
+            assert [(e.offset, e.length) for e in ledger] == [(0, acked)], replica
+        cluster.shutdown()
+
 
     def test_two_clients_on_one_host_never_share_append_ids(self, tmp_path):
         """Append ids are the dedup key: a second client on the same host

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net import max_min_fair_rates, single_link_fair_allocation
-from repro.net.fairshare import bottleneck_share_on_path
 
 
 class TestSingleLinkAllocation:
@@ -183,26 +182,3 @@ class TestGlobalMaxMin:
                     break
             assert bottlenecked, f"{flow_id} is not max-min bottlenecked"
 
-
-class TestBottleneckShareOnPath:
-    def test_fig2_first_path_probe_share(self):
-        """Fig. 2b: probe over links with flows (2,2,6) and (10,) at 10 Mbps."""
-        share, bottleneck = bottleneck_share_on_path(
-            ["l1", "l2", "l3"],
-            {"l1": 10e6, "l2": 10e6, "l3": 10e6},
-            {"l2": [2e6, 2e6, 6e6], "l3": [10e6]},
-        )
-        assert share == pytest.approx(3e6)
-        assert bottleneck == "l2"
-
-    def test_empty_path_is_unbounded(self):
-        share, bottleneck = bottleneck_share_on_path([], {}, {})
-        assert share == math.inf
-        assert bottleneck is None
-
-    def test_idle_path_gets_full_capacity(self):
-        share, bottleneck = bottleneck_share_on_path(
-            ["a", "b"], {"a": 5e6, "b": 9e6}, {}
-        )
-        assert share == pytest.approx(5e6)
-        assert bottleneck == "a"

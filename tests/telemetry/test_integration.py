@@ -4,7 +4,7 @@ import pytest
 
 import repro.telemetry as telemetry
 from repro.cluster.cluster import Cluster, ClusterConfig
-from repro.core.flowserver import Flowserver, FlowserverConfig
+from repro.core.flowserver import Flowserver
 from repro.experiments.metrics import resilience_summary
 from repro.experiments.runner import (
     SchemeRunConfig,
@@ -12,7 +12,7 @@ from repro.experiments.runner import (
     run_scheme_on_workload,
 )
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.net import three_tier
+from repro.net import RoutingTable, three_tier
 from repro.sim import instrument
 from repro.telemetry import to_jsonl, validate_chrome_trace, to_chrome_trace
 from repro.workload import LocalityDistribution, WorkloadConfig, generate_workload
@@ -71,9 +71,16 @@ def test_emit_site_taxonomy_coverage(small_workload):
     ends = [e for e in tel.tracer.events if e.ph == "e" and e.cat == "transfer"]
     assert len(begins) == len(ends) > 0
     assert tel.metrics.value("transfers_started_total") == len(begins)
-    assert tel.metrics.value("flowserver_requests_total") == len(
-        [e for e in tel.tracer.events if e.name == "flowserver.select"]
-    )
+    selects = [e for e in tel.tracer.events if e.name == "flowserver.select"]
+    assert tel.metrics.value("flowserver_requests_total") == len(selects)
+    # Each decision names its request and counts the paths it evaluated.
+    routing = RoutingTable(three_tier())
+    jobs = {job.job_id: job for job in small_workload.jobs}
+    for event in selects:
+        job = jobs[event.args["request"]]
+        assert event.args["candidates"] == len(
+            routing.paths_from_replicas(list(job.file.replicas), job.client)
+        )
 
 
 def test_sampler_probes_bound_by_runner(small_workload):
@@ -98,35 +105,6 @@ def test_chrome_export_of_real_run_validates(small_workload):
     tel, _ = traced_run(small_workload)
     payload = to_chrome_trace(tel.tracer, registry=tel.metrics)
     assert validate_chrome_trace(payload) == []
-
-
-def test_decision_log_and_trace_agree(small_workload):
-    """Satellite (a): decisions are traced once, log + span layer agree."""
-    config = SchemeRunConfig(flowserver=FlowserverConfig(decision_log_size=8))
-    with telemetry.session() as tel:
-        env = build_environment("mayflower", config, seed=11)
-        fs = env.flowserver
-        job = small_workload.jobs[0]
-        fs.select(job.client, list(job.file.replicas), job.size_bits,
-                  job_id="jobX")
-        env.flowserver.close()
-    assert len(fs.decision_log) == 1
-    assert "jobX" in fs.explain_recent()
-    decisions = [e for e in tel.tracer.events if e.name == "flowserver.select"]
-    assert len(decisions) == 1
-    assert decisions[0].args["request"] == "jobX"
-    assert decisions[0].args["candidates"] == fs.decision_log[0].candidates_evaluated
-
-
-def test_decision_log_disabled_still_traces(small_workload):
-    config = SchemeRunConfig(flowserver=FlowserverConfig(decision_log_size=0))
-    with telemetry.session() as tel:
-        env = build_environment("mayflower", config, seed=11)
-        job = small_workload.jobs[0]
-        env.flowserver.select(job.client, list(job.file.replicas), job.size_bits)
-        env.flowserver.close()
-    assert len(env.flowserver.decision_log) == 0
-    assert [e for e in tel.tracer.events if e.name == "flowserver.select"]
 
 
 def test_flowserver_context_manager_stops_collector():
