@@ -27,9 +27,9 @@ Listed in layer order: a package imports only the packages above it
                        injection
 ``repro.kvstore``      log-structured store (WAL/memtable/SSTables)
 ``repro.fs``           the distributed filesystem: nameserver (one
-                       LevelDB-style server per shard-map partition),
-                       leases, dataservers, client library, placement,
-                       consistency modes, membership + re-replication
+                       LevelDB-style server), leases, dataservers,
+                       client library, placement, consistency modes,
+                       membership + re-replication
 ``repro.baselines``    Nearest, Sinbad-R, Hedera-style scheduling
 ``repro.workload``     §6.1 traffic matrices and trace serialization
 ``repro.faults``       seeded fault plans and their injector

@@ -10,10 +10,11 @@ scheduling) and ``hdfs-ecmp`` (rack-aware selection + ECMP).
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Optional
 
 from repro.baselines.selectors import NearestReplicaSelector
 from repro.cluster.dataplane import SimulatedDataPlane
@@ -32,7 +33,6 @@ from repro.fs.dataserver import Dataserver
 from repro.fs.leases import LEASE_SERVICE, LeaseManager
 from repro.fs.nameserver import Nameserver
 from repro.fs.placement import HdfsRackAwarePlacement, PaperEvalPlacement
-from repro.fs.shardmap import PartitionGuard, ShardMap, ShardRouter
 from repro.net.topology import Topology, three_tier
 from repro.rpc import RpcFabric
 from repro.sim.process import Process
@@ -64,6 +64,8 @@ class ClusterConfig:
     rpc_jitter: float = 0.0
     flowserver: FlowserverConfig = field(default_factory=FlowserverConfig)
     seed: int = 0
+    #: The nameserver's database directory.  ``None`` makes a temporary
+    #: one that ``Cluster.shutdown`` removes; a given one is kept.
     db_directory: Optional[Path] = None
     #: Client retry policy.  The default is the paper's client: a failed
     #: attempt fails over at once.  Fault-injection experiments set one
@@ -78,18 +80,13 @@ class ClusterConfig:
     heartbeat_timeout: float = 15.0
     repair_interval: float = 10.0
     #: Primary-lease term in simulated seconds.  Appends are fenced by
-    #: the lease service co-located with each nameserver partition.
+    #: the lease service co-located with the nameserver.
     lease_duration: float = 30.0
     #: Append fan-out shape: "auto" asks the Flowserver per append
     #: (chain vs. tree from live link estimates) when the scheme has
     #: one, "chain" always relays down the static metadata chain — which
     #: is also what a scheme without a Flowserver does.
     fanout: str = "auto"
-    #: Metadata sharding: the namespace is split into this many
-    #: consistent-hashed partitions, each one nameserver (plus its lease
-    #: service) on its own host, with clients routing through a cached
-    #: shard map.  1 (default) is the paper's single nameserver.
-    metadata_partitions: int = 1
 
 
 class Cluster:
@@ -166,45 +163,28 @@ class Cluster:
                 f"expected 'auto' or 'chain'"
             )
 
-        # --- nameserver front: one partition per host, from the first ---
+        # --- nameserver + lease service, on the first host --------------
         hosts = sorted(self.topology.hosts)
-        partitions = self.config.metadata_partitions
-        if not 1 <= partitions <= len(hosts):
-            raise ValueError(
-                f"metadata_partitions={partitions} must be between 1 and "
-                f"the host count ({len(hosts)})"
+        #: The temporary database directory this cluster made, if any.
+        self._owned_db_dir: Optional[Path] = None
+        db_dir = self.config.db_directory
+        if db_dir is None:
+            db_dir = self._owned_db_dir = Path(
+                tempfile.mkdtemp(prefix="mayflower-ns-")
             )
-        db_dir = Path(
-            self.config.db_directory or tempfile.mkdtemp(prefix="mayflower-ns-")
+        self.nameserver_host = hosts[0]
+        self.nameserver = Nameserver(
+            db_dir, placement, rng=streams.stream("file-ids")
         )
-        self.shard_map = ShardMap(epoch=1, partitions=tuple(hosts[:partitions]))
-        self.nameservers: List[Nameserver] = []
-        self.lease_managers: List[LeaseManager] = []
-        self.partition_guards: List[PartitionGuard] = []
-        for index, endpoint in enumerate(self.shard_map.partitions):
-            # Partition 0 is the paper's nameserver — the db directory
-            # itself and the "file-ids" stream — so a one-partition
-            # deployment is exactly the single-server one.
-            suffix = f"/p{index}" if index else ""
-            ns = Nameserver(
-                db_dir / f"partition-{index}" if index else db_dir,
-                placement,
-                rng=streams.stream("file-ids" + suffix),
-            )
-            ns.clock = self.loop
-            # Appends are fenced by a lease service co-located with the
-            # partition owning the file's metadata.
-            leases = LeaseManager(self.loop, duration=self.config.lease_duration)
-            ns.lease_manager = leases
-            guard = PartitionGuard(ns, index, self.shard_map)
-            self.fabric.register(endpoint, "nameserver", guard)
-            self.fabric.register(endpoint, LEASE_SERVICE, leases)
-            self.nameservers.append(ns)
-            self.lease_managers.append(leases)
-            self.partition_guards.append(guard)
-        self.nameserver_host = self.shard_map.partitions[0]
-        self.nameserver = self.nameservers[0]
-        self.lease_manager = self.lease_managers[0]
+        self.nameserver.clock = self.loop
+        # Appends are fenced by a lease service co-located with the
+        # nameserver.
+        self.lease_manager = LeaseManager(
+            self.loop, duration=self.config.lease_duration
+        )
+        self.nameserver.lease_manager = self.lease_manager
+        self.fabric.register(self.nameserver_host, "nameserver", self.nameserver)
+        self.fabric.register(self.nameserver_host, LEASE_SERVICE, self.lease_manager)
 
         self.dataservers: Dict[str, Dataserver] = {}
         for host_id in hosts:
@@ -213,7 +193,7 @@ class Cluster:
                 self.loop,
                 self.fabric,
                 self.dataplane,
-                metadata_router=self.shard_map.endpoint_for,
+                nameserver_endpoint=self.nameserver_host,
                 store_payload=self.config.store_payload,
             )
             self.dataservers[host_id] = ds
@@ -228,12 +208,6 @@ class Cluster:
         self.replica_manager = None
         self._heartbeat_senders = []
         if self.config.enable_replica_manager:
-            if len(self.nameservers) > 1:
-                raise ValueError(
-                    "enable_replica_manager requires metadata_partitions=1 "
-                    "(the membership tracker and repair loop talk to a "
-                    "single nameserver)"
-                )
             from repro.fs.membership import (
                 MEMBERSHIP_SERVICE,
                 HeartbeatSender,
@@ -284,9 +258,7 @@ class Cluster:
             host_id=host_id,
             loop=self.loop,
             fabric=self.fabric,
-            # Each client keeps its own cached copy of the shard map,
-            # refreshed on WrongPartitionError epoch bumps.
-            shard_router=ShardRouter(self.shard_map),
+            nameserver_endpoint=self.nameserver_host,
             planner=self._planner(),
             consistency=self.config.consistency,
             retry=self.config.retry,
@@ -360,11 +332,13 @@ class Cluster:
         self.loop.run(until=until)
 
     def shutdown(self) -> None:
-        """Graceful shutdown (flushes the nameserver database(s))."""
+        """Graceful shutdown: flushes the nameserver database, and removes
+        its directory when the cluster made it."""
         self.plane.close()
         if self.replica_manager is not None:
             self.replica_manager.stop()
         for sender in self._heartbeat_senders:
             sender.stop()
-        for ns in self.nameservers:
-            ns.close()
+        self.nameserver.close()
+        if self._owned_db_dir is not None:
+            shutil.rmtree(self._owned_db_dir, ignore_errors=True)

@@ -10,9 +10,6 @@ measures).
 
 from __future__ import annotations
 
-import shutil
-import tempfile
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster.cluster import Cluster, ClusterConfig
@@ -81,10 +78,7 @@ def run_cluster_workload(
     counters (e.g. :func:`repro.experiments.metrics.resilience_summary`).
     """
     locality = locality or LocalityDistribution(0.5, 0.3, 0.2)
-    db_dir = Path(tempfile.mkdtemp(prefix="mayflower-fig8-"))
-    cluster_config = config or ClusterConfig(
-        scheme=scheme_name, seed=seed, db_directory=db_dir
-    )
+    cluster_config = config or ClusterConfig(scheme=scheme_name, seed=seed)
     if config is not None:
         cluster_config.scheme = scheme_name
     cluster = Cluster(cluster_config)
@@ -167,4 +161,3 @@ def run_cluster_workload(
         return durations
     finally:
         cluster.shutdown()
-        shutil.rmtree(db_dir, ignore_errors=True)

@@ -12,7 +12,7 @@ more events on the same deterministic clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.sim import instrument
@@ -51,9 +51,10 @@ class FaultInjector:
         The Flowserver's stats collector (monitoring-loss faults);
         ``None`` for clusters without a Flowserver, where those events
         no-op.
-    lease_managers:
-        Every :class:`repro.fs.leases.LeaseManager` (``lease_expire``
-        faults reach all of them): one per metadata partition.
+    lease_manager:
+        The nameserver's :class:`repro.fs.leases.LeaseManager`
+        (``lease_expire`` faults); ``None`` where no lease service is
+        wired, and those events no-op.
     dataservers:
         Optional mapping of host id to dataserver.  ``lease_expire``
         additionally drops the target host's locally-cached grants, so
@@ -68,14 +69,14 @@ class FaultInjector:
         controller: "Controller",
         fabric: "RpcFabric",
         collector: Optional["FlowStatsCollector"] = None,
-        lease_managers: Sequence["LeaseManager"] = (),
+        lease_manager: Optional["LeaseManager"] = None,
         dataservers: Optional[Dict[str, "Dataserver"]] = None,
     ) -> None:
         self._loop = loop
         self._controller = controller
         self._fabric = fabric
         self._collector = collector
-        self._lease_managers = list(lease_managers)
+        self._lease_manager = lease_manager
         self._dataservers = dict(dataservers or {})
         self.events_applied = 0
         self.journal: List[AppliedEvent] = []
@@ -93,7 +94,7 @@ class FaultInjector:
                 if cluster.flowserver is not None
                 else None
             ),
-            lease_managers=cluster.lease_managers,
+            lease_manager=cluster.lease_manager,
             dataservers=getattr(cluster, "dataservers", None),
         )
 
@@ -209,11 +210,9 @@ class FaultInjector:
         return ""
 
     def _do_lease_expire(self, event: FaultEvent) -> str:
-        if not self._lease_managers:
+        if self._lease_manager is None:
             return "no lease manager wired; no-op"
-        expired = sum(
-            manager.expire_host(event.target) for manager in self._lease_managers
-        )
+        expired = self._lease_manager.expire_host(event.target)
         dataserver = self._dataservers.get(event.target)
         revoked = dataserver.revoke_leases() if dataserver is not None else 0
         return f"expired {expired} lease(s), revoked {revoked} cached grant(s)"

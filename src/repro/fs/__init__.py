@@ -15,9 +15,7 @@ Standard GFS/HDFS-shaped components (§3.3):
 * :mod:`repro.fs.chunks` — file/chunk metadata structures;
 * :mod:`repro.fs.consistency` — sequential vs strong consistency (§3.4);
 * :mod:`repro.fs.leases` — nameserver-granted primary leases with epoch
-  fencing, the authority substrate of the two-phase write pipeline;
-* :mod:`repro.fs.shardmap` — consistent-hash partitioning of the
-  namespace across nameserver shards, with epoch-versioned shard maps.
+  fencing, the authority substrate of the two-phase write pipeline.
 """
 
 from repro.fs.chunks import FileMetadata, chunk_count, chunk_ranges
@@ -32,13 +30,6 @@ from repro.fs.errors import (
     NotPrimaryError,
     ReplicaUnavailableError,
     StaleEpochError,
-    WrongPartitionError,
-)
-from repro.fs.shardmap import (
-    PartitionGuard,
-    ShardMap,
-    ShardRouter,
-    partition_for,
 )
 from repro.fs.leases import LeaseGrant, LeaseManager
 from repro.fs.membership import (
@@ -68,13 +59,9 @@ __all__ = [
     "NotPrimaryError",
     "ReplicaManager",
     "PaperEvalPlacement",
-    "PartitionGuard",
     "ReadResult",
     "ReplicaUnavailableError",
-    "ShardMap",
-    "ShardRouter",
     "StaleEpochError",
-    "WrongPartitionError",
     "chunk_count",
     "chunk_ranges",
 ]

@@ -33,10 +33,8 @@ from repro.fs.errors import (
     NotPrimaryError,
     ReplicaUnavailableError,
     StaleEpochError,
-    WrongPartitionError,
 )
 from repro.fs.retry import IMMEDIATE_FAILOVER, RetryBudget, RetryPolicy
-from repro.fs.shardmap import ShardMap, ShardRouter
 from repro.net.simulator import FlowAborted
 from repro.rpc.errors import (
     HostDownError,
@@ -155,9 +153,8 @@ class MayflowerClient:
         The topology host this client runs on.
     fabric:
         RPC fabric shared with the servers.
-    shard_router:
-        This client's cached shard map: which endpoint serves the
-        nameserver partition owning a name.
+    nameserver_endpoint:
+        The endpoint serving the nameserver (and its lease service).
     planner:
         Read planning strategy (Flowserver-backed for Mayflower, or one of
         the baseline planners).
@@ -175,7 +172,7 @@ class MayflowerClient:
         host_id: str,
         loop: EventLoop,
         fabric: "RpcFabric",
-        shard_router: ShardRouter,
+        nameserver_endpoint: str,
         planner: ReadPlanner,
         consistency: ConsistencyMode = ConsistencyMode.SEQUENTIAL,
         metadata_ttl: float = 60.0,
@@ -186,7 +183,7 @@ class MayflowerClient:
         self.host_id = host_id
         self._loop = loop
         self._fabric = fabric
-        self._shard_router = shard_router
+        self._nameserver_endpoint = nameserver_endpoint
         self._planner = planner
         self.consistency = consistency
         self.metadata_ttl = metadata_ttl
@@ -533,53 +530,29 @@ class MayflowerClient:
     def _invoke_nameserver(
         self, budget: RetryBudget, method: str, name: str, *args: Any
     ) -> Generator:
-        """Call the nameserver partition that owns ``name``.
+        """Call the nameserver about ``name``.
 
-        An unreachable partition (host down, service gone, or a deadline
+        An unreachable nameserver (host down, service gone, or a deadline
         expiry when the retry policy sets one) is what the budget
         retries.  Any other remote error is the nameserver's answer and
-        propagates — except a ``WrongPartitionError`` advertising a newer
-        shard-map epoch, which refetches the map from the partition that
-        rejected us and re-routes once.
+        propagates.
         """
+        endpoint = self._nameserver_endpoint
         rpc_timeout = self._retry.rpc_timeout
-        router = self._shard_router
 
-        def call(endpoint: str, *call_args: Any) -> Generator:
+        def attempt() -> Generator:
             try:
                 return (
                     yield from self._fabric.invoke(
-                        self.host_id, endpoint, "nameserver", *call_args,
+                        self.host_id, endpoint, "nameserver", method, name, *args,
                         rpc_timeout=rpc_timeout,
                     )
                 )
             except _UNREACHABLE as err:
                 raise HostDownError(
                     f"nameserver at {endpoint!r} unreachable for "
-                    f"{call_args[0]!r}: {err}"
+                    f"{method!r}: {err}"
                 ) from err
-
-        def attempt() -> Generator:
-            endpoint = router.endpoint_for(name)
-            try:
-                return (yield from call(endpoint, method, name, *args))
-            except RemoteInvocationError as err:
-                remote = err.remote_error
-                if not (
-                    isinstance(remote, WrongPartitionError)
-                    and remote.epoch > router.epoch
-                ):
-                    raise
-            # Cached map went stale (epoch bump): refetch from the
-            # partition that rejected us — it is demonstrably reachable.
-            data = yield from call(endpoint, "get_shard_map")
-            if router.install(ShardMap.from_json_dict(data)):
-                tel = instrument.TELEMETRY
-                if tel is not None:
-                    tel.count("client_shard_map_refreshes_total")
-            return (
-                yield from call(router.endpoint_for(name), method, name, *args)
-            )
 
         return (
             yield from budget.run(

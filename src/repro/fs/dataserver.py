@@ -24,7 +24,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Generator,
     Iterator,
@@ -140,7 +139,7 @@ class Dataserver:
         loop: EventLoop,
         fabric: "RpcFabric",
         dataplane: DataPlane,
-        metadata_router: Callable[[str], str],
+        nameserver_endpoint: str,
         store_payload: bool = False,
     ) -> None:
         self.host_id = host_id
@@ -148,10 +147,8 @@ class Dataserver:
         self._fabric = fabric
         self._dataplane = dataplane
         self.store_payload = store_payload
-        #: Maps a file *name* to the endpoint of the nameserver partition
-        #: owning its metadata — and that partition's co-located lease
-        #: service.
-        self._metadata_router = metadata_router
+        #: Where the nameserver and its co-located lease service live.
+        self._nameserver_endpoint = nameserver_endpoint
         self._held_leases = HeldLeaseTable(loop)
         self._files: Dict[str, StoredFile] = {}
         self.appends_served = 0
@@ -370,7 +367,7 @@ class Dataserver:
                 try:
                     yield from self._fabric.invoke(
                         self.host_id,
-                        self._metadata_router(stored.metadata.name),
+                        self._nameserver_endpoint,
                         "nameserver",
                         "record_append",
                         stored.metadata.name,
@@ -585,7 +582,7 @@ class Dataserver:
             try:
                 grant_dict = yield from self._fabric.invoke(
                     self.host_id,
-                    self._metadata_router(stored.metadata.name),
+                    self._nameserver_endpoint,
                     LEASE_SERVICE,
                     "acquire",
                     file_id,

@@ -52,21 +52,6 @@ class NotPrimaryError(InvalidRequestError):
     """
 
 
-class WrongPartitionError(FsError):
-    """A metadata RPC reached a nameserver partition that does not own
-    the file's namespace shard.
-
-    Carries the responding partition's current shard-map ``epoch`` so a
-    client routing on a stale cached map can tell *why* it missed:
-    ``epoch`` newer than the cached map means the map moved — refetch it
-    and retry; same epoch means a caller bug (routing bypassed the map).
-    """
-
-    def __init__(self, message: str, epoch: int = 0) -> None:
-        super().__init__(message)
-        self.epoch = epoch
-
-
 class StaleEpochError(FsError):
     """An append carried an epoch older than the file's current lease epoch.
 

@@ -46,8 +46,8 @@ class RetryPolicy:
         or one bare namespace call, across all of its phases, attempts
         and backoff — in simulated seconds; ``None`` disables it.
     rpc_timeout:
-        Per-call deadline applied to nameserver and shard-map calls;
-        ``None`` disables it.  A call that moves file bytes (serving a
+        Per-call deadline applied to nameserver calls; ``None``
+        disables it.  A call that moves file bytes (serving a
         read, pushing or committing an append) is never bounded by
         this — its failure signal is
         :class:`~repro.net.simulator.FlowAborted`.

@@ -1,9 +1,13 @@
 """Integration tests for the fully wired cluster."""
 
+import tempfile
+from dataclasses import fields
+
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, run_cluster_workload
 from repro.experiments.metrics import summarize
+from repro.fs.leases import LEASE_SERVICE
 
 MB = 1024 * 1024
 
@@ -61,35 +65,78 @@ def test_end_to_end_file_lifecycle(tmp_path):
     cluster.shutdown()
 
 
-def test_default_cluster_is_a_one_partition_shard_map(tmp_path):
-    """The paper's single nameserver is the one-partition front: one
-    guarded nameserver and one lease service, on the first host."""
+def test_default_cluster_serves_one_nameserver_from_the_first_host(tmp_path):
+    """The paper's deployment: one nameserver and its lease service,
+    both served from the first host."""
     cluster = Cluster(ClusterConfig(db_directory=tmp_path / "ns-db"))
-    assert cluster.shard_map.num_partitions == 1
-    assert cluster.shard_map.partitions == (cluster.nameserver_host,)
-    assert len(cluster.partition_guards) == 1
-    assert cluster.partition_guards[0].inner is cluster.nameserver
-    assert cluster.lease_managers == [cluster.lease_manager]
+    host = sorted(cluster.topology.hosts)[0]
+    assert cluster.nameserver_host == host
+    metadata_services = {
+        key: handler
+        for key, handler in cluster.fabric._services.items()
+        if key[1] in ("nameserver", LEASE_SERVICE)
+    }
+    assert metadata_services == {
+        (host, "nameserver"): cluster.nameserver,
+        (host, LEASE_SERVICE): cluster.lease_manager,
+    }
     assert cluster.nameserver.lease_manager is cluster.lease_manager
     cluster.shutdown()
 
 
+def test_cluster_removes_only_the_database_directory_it_made(tmp_path, monkeypatch):
+    """A nameserver directory the cluster made for itself is gone after
+    shutdown, also via ``run_cluster_workload``; one the caller supplied
+    survives it."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    Cluster(small_config()).shutdown()
+    assert list(scratch.iterdir()) == []
+    run_cluster_workload("mayflower", num_jobs=2, num_files=2, config=small_config())
+    assert list(scratch.iterdir()) == []
+
+    kept = tmp_path / "ns-db"
+    Cluster(small_config(tmp_path=tmp_path)).shutdown()
+    assert kept.is_dir() and any(kept.iterdir())
+
+
+def test_cluster_config_fields_are_pinned():
+    """Every deployment setting, by name: a new knob is a deliberate edit
+    here, not a silent addition."""
+    assert [f.name for f in fields(ClusterConfig)] == [
+        "pods",
+        "racks_per_pod",
+        "hosts_per_rack",
+        "oversubscription",
+        "scheme",
+        "replication",
+        "chunk_bytes",
+        "consistency",
+        "placement",
+        "store_payload",
+        "rpc_latency",
+        "rpc_jitter",
+        "flowserver",
+        "seed",
+        "db_directory",
+        "retry",
+        "enable_replica_manager",
+        "heartbeat_interval",
+        "heartbeat_timeout",
+        "repair_interval",
+        "lease_duration",
+        "fanout",
+    ]
+
+
 @pytest.mark.parametrize("scheme", ["mayflower", "hdfs-mayflower", "hdfs-ecmp"])
-@pytest.mark.parametrize("metadata_partitions", [1, 2])
-def test_append_is_one_protocol_in_every_deployment(
-    tmp_path, scheme, metadata_partitions
-):
-    """Whatever the scheme and partition count, an append is one leased
-    push and one ordered commit at the primary, leaving identical
-    contiguous ledgers on every replica, with Flowserver-planned fan-out
-    exactly where there is a Flowserver."""
-    cluster = Cluster(
-        small_config(
-            scheme,
-            tmp_path=tmp_path,
-            metadata_partitions=metadata_partitions,
-        )
-    )
+def test_append_is_one_protocol_in_every_deployment(tmp_path, scheme):
+    """Whatever the scheme, an append is one leased push and one ordered
+    commit at the primary, leaving identical contiguous ledgers on every
+    replica, with Flowserver-planned fan-out exactly where there is a
+    Flowserver."""
+    cluster = Cluster(small_config(scheme, tmp_path=tmp_path))
     client = cluster.client(sorted(cluster.topology.hosts)[7])
     blobs = [b"a" * MB, b"b" * (2 * MB)]
 
@@ -110,7 +157,6 @@ def test_append_is_one_protocol_in_every_deployment(
         ds = cluster.dataservers[replica]
         assert ds.append_ledger(meta.file_id) == reference, replica
         assert bytes(ds._files[meta.file_id].payload) == b"".join(blobs)
-    assert len(cluster.lease_managers) == metadata_partitions
     assert primary.held_lease(meta.file_id) is not None
     if cluster.flowserver is not None:
         assert cluster.flowserver.fanout_requests == 2

@@ -163,65 +163,48 @@ def test_link_down_aborts_inflight_read_but_client_recovers(cluster):
     assert client.read_retries >= 1
 
 
-def test_faults_reach_every_monitor_of_a_sharded_control_plane(tmp_path):
-    """With a partitioned nameserver there is more than one lease
-    manager: lease faults must reach all of them, not just the first,
-    and monitoring faults the Flowserver's one collector."""
+def test_faults_reach_the_lease_manager_and_the_collector(cluster):
+    """``lease_expire`` revokes the nameserver's one lease manager's
+    grant, and ``stats_poll_loss`` silences the Flowserver's collector."""
     from repro.telemetry import MetricsRegistry, bind_resilience_metrics
 
-    cluster = Cluster(
-        ClusterConfig(
-            scheme="mayflower",
-            seed=3,
-            db_directory=tmp_path,
-            metadata_partitions=2,
-            retry=RetryPolicy(max_attempts=10, rpc_timeout=30.0),
-        )
+    collector = cluster.flowserver.collector
+    manager = cluster.lease_manager
+    name = "/faults/file-0"
+    client = cluster.client("pod3-rack2-h1")
+
+    def write():
+        metadata = yield from client.create(name, replication=3)
+        yield from client.append(name, 16 * 1024)
+        return metadata
+
+    # stop well inside the 30 s lease term the append was granted
+    metadata = cluster.run(write(), until=1.0)
+    lease = manager.current(metadata.file_id)
+    assert lease.holder == metadata.primary
+    assert lease.valid_at(cluster.loop.now)
+
+    start = cluster.loop.now
+    injector = cluster.inject_faults(
+        FaultPlan((
+            FaultEvent(start + 1.0, "stats_poll_loss", duration=2.0),
+            FaultEvent(start + 1.0, "lease_expire", metadata.primary),
+        ))
     )
-    try:
-        collector = cluster.flowserver.collector
-        assert len(cluster.lease_managers) == 2
-        name = next(
-            f"/shard/file-{i}" for i in range(64)
-            if cluster.shard_map.partition_for(f"/shard/file-{i}") == 1
-        )
-        client = cluster.client("pod3-rack2-h1")
+    cluster.loop.run(until=start + 1.5)
+    assert collector.suppress_polls
+    assert not manager.current(metadata.file_id).valid_at(cluster.loop.now)
+    details = {e.kind: e.detail for e in injector.journal}
+    assert "no-op" not in details["stats_poll_loss"]
+    assert details["lease_expire"].startswith("expired 1 lease(s)")
 
-        def write():
-            metadata = yield from client.create(name, replication=3)
-            yield from client.append(name, 16 * 1024)
-            return metadata
+    collector.poll_once()  # a tick lost to the outage
+    registry = MetricsRegistry()
+    bind_resilience_metrics(registry, cluster, [], injector)
+    assert registry.value("polls_lost") == 1.0
 
-        # stop well inside the 30 s lease term the append was granted
-        metadata = cluster.run(write(), until=1.0)
-        manager = cluster.lease_managers[1]
-        lease = manager.current(metadata.file_id)
-        assert lease.holder == metadata.primary
-        assert lease.valid_at(cluster.loop.now)
-
-        start = cluster.loop.now
-        injector = cluster.inject_faults(
-            FaultPlan((
-                FaultEvent(start + 1.0, "stats_poll_loss", duration=2.0),
-                FaultEvent(start + 1.0, "lease_expire", metadata.primary),
-            ))
-        )
-        cluster.loop.run(until=start + 1.5)
-        assert collector.suppress_polls
-        assert not manager.current(metadata.file_id).valid_at(cluster.loop.now)
-        details = {e.kind: e.detail for e in injector.journal}
-        assert "no-op" not in details["stats_poll_loss"]
-        assert details["lease_expire"].startswith("expired 1 lease(s)")
-
-        collector.poll_once()  # a tick lost to the outage
-        registry = MetricsRegistry()
-        bind_resilience_metrics(registry, cluster, [], injector)
-        assert registry.value("polls_lost") == 1.0
-
-        cluster.loop.run(until=start + 3.5)
-        assert not collector.suppress_polls
-        # the fenced primary re-acquires under a higher epoch to commit again
-        cluster.run(client.append(name, 1024))
-        assert manager.current_epoch(metadata.file_id) == lease.epoch + 1
-    finally:
-        cluster.shutdown()
+    cluster.loop.run(until=start + 3.5)
+    assert not collector.suppress_polls
+    # the fenced primary re-acquires under a higher epoch to commit again
+    cluster.run(client.append(name, 1024))
+    assert manager.current_epoch(metadata.file_id) == lease.epoch + 1

@@ -16,7 +16,6 @@ from repro.fs.dataserver import Dataserver
 from repro.fs.leases import LEASE_SERVICE, LeaseManager
 from repro.fs.nameserver import Nameserver
 from repro.fs.placement import PaperEvalPlacement
-from repro.fs.shardmap import ShardMap, ShardRouter
 from repro.net import FlowNetwork, RoutingTable, three_tier
 from repro.rpc import RpcFabric
 from repro.sdn import Controller
@@ -35,10 +34,6 @@ class MiniCluster:
     nameserver: Nameserver
     nameserver_host: str
     dataservers: Dict[str, Dataserver]
-
-    def shard_router(self) -> ShardRouter:
-        """A client's view of the one-partition namespace."""
-        return ShardRouter(ShardMap(epoch=1, partitions=(self.nameserver_host,)))
 
     def run(self, generator, name=""):
         proc = Process(self.loop, generator, name=name)
@@ -74,7 +69,7 @@ def mini_cluster(tmp_path):
             loop,
             fabric,
             dataplane,
-            metadata_router=lambda name: nameserver_host,
+            nameserver_endpoint=nameserver_host,
             store_payload=True,
         )
         dataservers[host] = ds

@@ -23,7 +23,7 @@ def make_client(mini_cluster, host, consistency=ConsistencyMode.SEQUENTIAL):
         host_id=host,
         loop=mini_cluster.loop,
         fabric=mini_cluster.fabric,
-        shard_router=mini_cluster.shard_router(),
+        nameserver_endpoint=mini_cluster.nameserver_host,
         planner=planner,
         consistency=consistency,
     )

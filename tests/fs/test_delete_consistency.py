@@ -28,7 +28,7 @@ def make_client(mini_cluster, host):
         host_id=host,
         loop=mini_cluster.loop,
         fabric=mini_cluster.fabric,
-        shard_router=mini_cluster.shard_router(),
+        nameserver_endpoint=mini_cluster.nameserver_host,
         planner=SelectorReadPlanner(
             NearestReplicaSelector(topo, random.Random(5))
         ),

@@ -22,7 +22,7 @@ def make_client(mini_cluster, host, retry=IMMEDIATE_FAILOVER):
         host_id=host,
         loop=mini_cluster.loop,
         fabric=mini_cluster.fabric,
-        shard_router=mini_cluster.shard_router(),
+        nameserver_endpoint=mini_cluster.nameserver_host,
         planner=planner,
         retry=retry,
     )

@@ -22,9 +22,9 @@ FIG4_FINGERPRINT = (
 FIG8_FINGERPRINT = (
     "7c4d84a31dcd8f1c3c18b11e6450f56a54ec085c51041b01e96d1056ff956d04"
 )
-# Pinned on the single-server nameserver before it became the
-# one-partition shard map: the default deployment's metadata and append
-# timeline, which FIG8 (reads of pre-loaded files) does not exercise.
+# Pinned on the single-server nameserver: the default deployment's
+# metadata and append timeline, which FIG8 (reads of pre-loaded files)
+# does not exercise.
 METADATA_FINGERPRINT = (
     "7a0ca0db19f7b4ae1d5069208c5d6ca39b783d2125dc1e7c928bc773891207de"
 )
