@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 from repro.baselines.monitor import EndHostMonitor
 from repro.fs.errors import InvalidRequestError
-from repro.fs.placement import PlacementPolicy
+from repro.fs.placement import PlacementPolicy, spread_pool
 from repro.net.topology import Topology
 
 
@@ -56,44 +56,26 @@ class SinbadWritePlacement(PlacementPolicy):
         primary_host = self._topo.hosts[primary]
 
         same_pod_other_rack = [
-            h.host_id
-            for h in self._topo.hosts.values()
-            if h.pod == primary_host.pod
-            and h.rack != primary_host.rack
-            and h.host_id not in chosen
-            and h.host_id != writer
+            h
+            for h in self._topo.pod_host_ids_off_rack(
+                primary_host.pod, primary_host.rack
+            )
+            if h != writer
         ]
         if same_pod_other_rack:
-            chosen.append(self._least_utilized(sorted(same_pod_other_rack)))
+            chosen.append(self._least_utilized(same_pod_other_rack))
         if replication == 2:
             return chosen[:2]
 
         other_pod = [
-            h.host_id
-            for h in self._topo.hosts.values()
-            if h.pod != primary_host.pod
-            and h.host_id not in chosen
-            and h.host_id != writer
+            h for h in self._topo.host_ids_off_pod(primary_host.pod) if h != writer
         ]
         if other_pod:
-            chosen.append(self._least_utilized(sorted(other_pod)))
+            chosen.append(self._least_utilized(other_pod))
 
         while len(chosen) < replication:
-            used_racks = {self._topo.hosts[c].rack for c in chosen}
-            remaining = sorted(
-                h.host_id
-                for h in self._topo.hosts.values()
-                if h.rack not in used_racks
-                and h.host_id not in chosen
-                and h.host_id != writer
-            ) or sorted(set(hosts) - set(chosen) - {writer}) or sorted(
-                set(hosts) - set(chosen)
-            )
-            if not remaining:
-                raise InvalidRequestError(
-                    f"cannot place {replication} replicas on {len(hosts)} hosts"
-                )
-            chosen.append(self._least_utilized(remaining))
+            pool = spread_pool(self._topo, chosen, writer)
+            chosen.append(self._least_utilized(pool))
         return chosen[:replication]
 
     def _least_utilized(self, pool: Sequence[str]) -> str:

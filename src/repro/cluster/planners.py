@@ -27,7 +27,7 @@ from repro.core.flowserver import Flowserver
 from repro.fs.chunks import FileMetadata
 from repro.fs.client import PlannedTransfer, ReadPlanner, WriteFanoutPlanner
 from repro.fs.errors import InvalidRequestError
-from repro.fs.placement import PlacementPolicy
+from repro.fs.placement import PlacementPolicy, spread_pool
 from repro.net.routing import RoutingTable
 from repro.net.topology import Topology
 
@@ -217,44 +217,26 @@ class FlowserverWritePlacement(PlacementPolicy):
         primary_host = self._topo.hosts[primary]
 
         same_pod_other_rack = [
-            h.host_id
-            for h in self._topo.hosts.values()
-            if h.pod == primary_host.pod
-            and h.rack != primary_host.rack
-            and h.host_id not in chosen
-            and h.host_id != writer
+            h
+            for h in self._topo.pod_host_ids_off_rack(
+                primary_host.pod, primary_host.rack
+            )
+            if h != writer
         ]
         if same_pod_other_rack:
-            chosen.append(self._best_destination(primary, sorted(same_pod_other_rack)))
+            chosen.append(self._best_destination(primary, same_pod_other_rack))
         if replication == 2:
             return chosen[:2]
 
         other_pod = [
-            h.host_id
-            for h in self._topo.hosts.values()
-            if h.pod != primary_host.pod
-            and h.host_id not in chosen
-            and h.host_id != writer
+            h for h in self._topo.host_ids_off_pod(primary_host.pod) if h != writer
         ]
         if other_pod:
-            chosen.append(self._best_destination(primary, sorted(other_pod)))
+            chosen.append(self._best_destination(primary, other_pod))
 
         while len(chosen) < replication:
-            used_racks = {self._topo.hosts[c].rack for c in chosen}
-            remaining = sorted(
-                h.host_id
-                for h in self._topo.hosts.values()
-                if h.rack not in used_racks
-                and h.host_id not in chosen
-                and h.host_id != writer
-            ) or sorted(set(hosts) - set(chosen) - {writer}) or sorted(
-                set(hosts) - set(chosen)
-            )
-            if not remaining:
-                raise InvalidRequestError(
-                    f"cannot place {replication} replicas on {len(hosts)} hosts"
-                )
-            chosen.append(self._best_destination(primary, remaining))
+            pool = spread_pool(self._topo, chosen, writer)
+            chosen.append(self._best_destination(primary, pool))
         return chosen[:replication]
 
     # ------------------------------------------------------------------

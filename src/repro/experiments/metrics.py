@@ -11,13 +11,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 
 def percentile(samples: Sequence[float], q: float) -> float:
     """The q-th percentile (q in [0, 100]) with linear interpolation."""
     if not samples:
         raise ValueError("no samples")
+    import numpy as np  # in-function so that importing repro.experiments skips it
+
     return float(np.percentile(np.asarray(samples, dtype=float), q))
 
 
@@ -25,6 +25,7 @@ def mean_confidence_interval(
     samples: Sequence[float], confidence: float = 0.95
 ) -> Tuple[float, float, float]:
     """(mean, low, high) Student-t confidence interval for the mean."""
+    import numpy as np
     from scipy import stats  # ~1 s to import; only the two CI helpers need it
 
     data = np.asarray(samples, dtype=float)
@@ -51,6 +52,7 @@ def fieller_ratio_ci(
     significantly different from zero the interval can be unbounded; this
     implementation returns ``(ratio, nan, nan)`` in that degenerate case.
     """
+    import numpy as np
     from scipy import stats  # see mean_confidence_interval
 
     a = np.asarray(numerator, dtype=float)

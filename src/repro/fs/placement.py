@@ -42,6 +42,33 @@ def _choice(rng: Random, items: Sequence[str]) -> str:
     return items[rng.randrange(len(items))]
 
 
+def spread_pool(
+    topology: Topology, chosen: Sequence[str], writer: Optional[str] = None
+) -> List[str]:
+    """Sorted candidates for a replica beyond the fault-domain slots.
+
+    Hosts on racks no replica uses yet; failing that, any host that is
+    neither a replica nor the writer; failing that, any non-replica host.
+    Raises :class:`InvalidRequestError` when every host holds a replica.
+    """
+    used_racks = {topology.hosts[c].rack for c in chosen}
+    fresh = sorted(
+        h
+        for rack in topology.racks()
+        if rack not in used_racks
+        for h in topology.rack_host_ids(rack)
+        if h != writer
+    )
+    if fresh:
+        return fresh
+    free = [h for h in sorted(topology.hosts) if h not in chosen]
+    if not free:
+        raise InvalidRequestError(
+            f"cannot place {len(chosen) + 1} replicas on {len(topology.hosts)} hosts"
+        )
+    return [h for h in free if h != writer] or free
+
+
 class PaperEvalPlacement(PlacementPolicy):
     """§6.1 placement: primary uniform; 2nd same-pod/other-rack; 3rd other-pod.
 
@@ -64,38 +91,20 @@ class PaperEvalPlacement(PlacementPolicy):
             return chosen
         primary_host = self._topo.hosts[primary]
 
-        same_pod_other_rack = sorted(
-            h.host_id
-            for h in self._topo.hosts.values()
-            if h.pod == primary_host.pod and h.rack != primary_host.rack
+        same_pod_other_rack = self._topo.pod_host_ids_off_rack(
+            primary_host.pod, primary_host.rack
         )
         if same_pod_other_rack:
             chosen.append(_choice(self._rng, same_pod_other_rack))
         if replication == 2:
             return chosen[:2]
 
-        other_pod = sorted(
-            h.host_id
-            for h in self._topo.hosts.values()
-            if h.pod != primary_host.pod
-        )
+        other_pod = self._topo.host_ids_off_pod(primary_host.pod)
         if other_pod:
             chosen.append(_choice(self._rng, other_pod))
 
         while len(chosen) < replication:
-            used_racks = {self._topo.hosts[c].rack for c in chosen}
-            remaining = sorted(
-                h.host_id
-                for h in self._topo.hosts.values()
-                if h.rack not in used_racks and h.host_id not in chosen
-            )
-            if not remaining:
-                remaining = sorted(set(self._hosts) - set(chosen))
-            if not remaining:
-                raise InvalidRequestError(
-                    f"cannot place {replication} replicas on {len(self._hosts)} hosts"
-                )
-            chosen.append(_choice(self._rng, remaining))
+            chosen.append(_choice(self._rng, spread_pool(self._topo, chosen)))
         return chosen[:replication]
 
 
@@ -116,44 +125,12 @@ class HdfsRackAwarePlacement(PlacementPolicy):
             return chosen
         primary_host = self._topo.hosts[primary]
 
-        same_rack = sorted(
-            h.host_id
-            for h in self._topo.hosts.values()
-            if h.rack == primary_host.rack and h.host_id != primary
-        )
+        same_rack = [
+            h for h in self._topo.rack_host_ids(primary_host.rack) if h != primary
+        ]
         if same_rack:
             chosen.append(_choice(self._rng, same_rack))
 
         while len(chosen) < replication:
-            used_racks = {self._topo.hosts[c].rack for c in chosen[1:]} | {
-                primary_host.rack
-            }
-            remaining = sorted(
-                h.host_id
-                for h in self._topo.hosts.values()
-                if h.rack not in used_racks and h.host_id not in chosen
-            )
-            if not remaining:
-                remaining = sorted(set(self._hosts) - set(chosen))
-            if not remaining:
-                raise InvalidRequestError(
-                    f"cannot place {replication} replicas on {len(self._hosts)} hosts"
-                )
-            chosen.append(_choice(self._rng, remaining))
+            chosen.append(_choice(self._rng, spread_pool(self._topo, chosen)))
         return chosen[:replication]
-
-
-def validate_fault_domains(topology: Topology, replicas: Sequence[str]) -> List[str]:
-    """Check §3.1's constraints; returns a list of violations (empty = ok).
-
-    Constraints checked (for replication >= 3 on multi-pod topologies):
-    replicas are distinct hosts, no two share a rack (paper-eval policy),
-    and at least one replica lives in a different pod.
-    """
-    problems = []
-    if len(set(replicas)) != len(replicas):
-        problems.append("duplicate replica hosts")
-    pods = {topology.hosts[r].pod for r in replicas}
-    if len(replicas) >= 3 and len(topology.pods()) > 1 and len(pods) < 2:
-        problems.append("all replicas in one pod")
-    return problems

@@ -54,6 +54,11 @@ class Topology:
     :class:`~repro.net.links.Link` objects (one per direction).  The class is
     purely structural — dynamic state (flow registries, counters) lives on
     the link objects and in :class:`~repro.net.simulator.FlowNetwork`.
+
+    The fault-domain scopes that replica placement and client placement
+    draw from (a rack, a pod minus one rack, everything outside a pod) are
+    indexed as sorted host-id tuples, each built on first use and cached
+    until the next :meth:`add_host`.
     """
 
     hosts: Dict[str, Host] = field(default_factory=dict)
@@ -68,6 +73,11 @@ class Topology:
     _pod_hosts: Dict[str, List[Host]] = field(
         default_factory=dict, init=False, repr=False
     )
+    # placement scope -> its sorted host ids, built on first use; add_host
+    # drops it
+    _scope_ids: Dict[Tuple[str, ...], Tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def add_host(self, host: Host) -> None:
         if host.host_id in self.hosts or host.host_id in self.switches:
@@ -76,6 +86,7 @@ class Topology:
         self.adjacency.setdefault(host.host_id, [])
         self._rack_hosts.setdefault(host.rack, []).append(host)
         self._pod_hosts.setdefault(host.pod, []).append(host)
+        self._scope_ids.clear()
 
     def add_switch(self, switch: SwitchNode) -> None:
         if switch.switch_id in self.hosts or switch.switch_id in self.switches:
@@ -130,6 +141,37 @@ class Topology:
     def hosts_in_pod(self, pod: str) -> List[Host]:
         """Hosts of ``pod``, in insertion order."""
         return list(self._pod_hosts.get(pod, ()))
+
+    def rack_host_ids(self, rack: str) -> Tuple[str, ...]:
+        """Sorted ids of the hosts on ``rack``."""
+        return self._scope(
+            ("rack", rack), (h.host_id for h in self._rack_hosts.get(rack, ()))
+        )
+
+    def pod_host_ids_off_rack(self, pod: str, rack: str) -> Tuple[str, ...]:
+        """Sorted ids of the hosts of ``pod`` that are not on ``rack``."""
+        return self._scope(
+            ("pod-rack", pod, rack),
+            (h.host_id for h in self._pod_hosts.get(pod, ()) if h.rack != rack),
+        )
+
+    def host_ids_off_pod(self, pod: str) -> Tuple[str, ...]:
+        """Sorted ids of every host outside ``pod``."""
+        return self._scope(
+            ("off-pod", pod),
+            (
+                h.host_id
+                for other, hosts in self._pod_hosts.items()
+                if other != pod
+                for h in hosts
+            ),
+        )
+
+    def _scope(self, key: Tuple[str, ...], ids: Iterable[str]) -> Tuple[str, ...]:
+        cached = self._scope_ids.get(key)
+        if cached is None:
+            cached = self._scope_ids[key] = tuple(sorted(ids))
+        return cached
 
     def racks(self) -> List[str]:
         return sorted(self._rack_hosts)

@@ -217,34 +217,20 @@ def _place_client(
     (e.g. every same-rack host is a replica).
     """
     primary_host = topology.hosts[file.primary]
-    replicas = set(file.replicas)
-
-    def eligible(hosts: Sequence[str]) -> List[str]:
-        return sorted(h for h in hosts if h not in replicas)
-
-    same_rack = eligible(
-        h.host_id for h in topology.hosts_in_rack(primary_host.rack)
-    )
-    same_pod = eligible(
-        h.host_id
-        for h in topology.hosts_in_pod(primary_host.pod)
-        if h.rack != primary_host.rack
-    )
-    other_pod = eligible(
-        h.host_id
-        for h in topology.hosts.values()
-        if h.pod != primary_host.pod
-    )
+    same_rack = topology.rack_host_ids(primary_host.rack)
+    same_pod = topology.pod_host_ids_off_rack(primary_host.pod, primary_host.rack)
+    other_pod = topology.host_ids_off_pod(primary_host.pod)
 
     draw = rng.random()
-    buckets: List[List[str]]
+    scopes: Tuple[Sequence[str], ...]
     if draw < locality.same_rack:
-        buckets = [same_rack, same_pod, other_pod]
+        scopes = (same_rack, same_pod, other_pod)
     elif draw < locality.same_rack + locality.same_pod:
-        buckets = [same_pod, same_rack, other_pod]
+        scopes = (same_pod, same_rack, other_pod)
     else:
-        buckets = [other_pod, same_pod, same_rack]
-    for bucket in buckets:
+        scopes = (other_pod, same_pod, same_rack)
+    for scope in scopes:
+        bucket = [h for h in scope if h not in file.replicas]
         if bucket:
             return bucket[rng.randrange(len(bucket))]
     raise ValueError("no eligible client host in the topology")

@@ -7,9 +7,9 @@ import pytest
 from repro.baselines.monitor import EndHostMonitor
 from repro.baselines.sinbad_placement import SinbadWritePlacement
 from repro.fs.errors import InvalidRequestError
-from repro.fs.placement import validate_fault_domains
 from repro.net import FlowNetwork, RoutingTable, three_tier
 from repro.sim import EventLoop
+from tests.fs.placement_oracle import validate_fault_domains
 
 GB = 8e9
 

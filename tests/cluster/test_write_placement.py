@@ -7,8 +7,8 @@ import pytest
 from repro.cluster.planners import FlowserverWritePlacement
 from repro.core import build_control_plane
 from repro.fs.errors import InvalidRequestError
-from repro.fs.placement import validate_fault_domains
 from repro.net import three_tier
+from tests.fs.placement_oracle import validate_fault_domains
 
 GB = 8e9
 MB = 8e6

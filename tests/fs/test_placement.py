@@ -6,12 +6,9 @@ from collections import Counter
 import pytest
 
 from repro.fs.errors import InvalidRequestError
-from repro.fs.placement import (
-    HdfsRackAwarePlacement,
-    PaperEvalPlacement,
-    validate_fault_domains,
-)
+from repro.fs.placement import HdfsRackAwarePlacement, PaperEvalPlacement
 from repro.net import three_tier
+from tests.fs.placement_oracle import validate_fault_domains
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +85,10 @@ class TestValidateFaultDomains:
     def test_duplicates_flagged(self, topo):
         problems = validate_fault_domains(topo, ["pod0-rack0-h0", "pod0-rack0-h0"])
         assert any("duplicate" in p for p in problems)
+
+    def test_shared_rack_flagged(self, topo):
+        replicas = ["pod0-rack0-h0", "pod0-rack0-h1", "pod1-rack0-h0"]
+        assert validate_fault_domains(topo, replicas) == ["two replicas share a rack"]
 
     def test_single_pod_flagged(self, topo):
         replicas = ["pod0-rack0-h0", "pod0-rack1-h0", "pod0-rack2-h0"]

@@ -1,8 +1,9 @@
-"""Import hygiene: the layer order, and networkx/scipy stay unloaded.
+"""Import hygiene: the layer order, and networkx/scipy/numpy stay unloaded.
 
-networkx is a test-only dependency (the routing oracle) and scipy serves
-two confidence-interval helpers; either one at module scope adds about a
-second and tens of MiB to every experiment and benchmark child.
+networkx is a test-only dependency (the routing oracle), scipy serves two
+confidence-interval helpers and numpy only the statistics helpers; any of
+them at module scope adds a tenth of a second to a second, and MiB, to
+every experiment and benchmark child.
 """
 
 import ast
@@ -17,12 +18,12 @@ import sys
 sys.path.insert(0, {src!r})
 import repro.experiments.runner
 import repro.cluster
-heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("networkx", "scipy"))
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("networkx", "scipy", "numpy"))
 print(heavy)
 """
 
 
-def test_runtime_imports_load_neither_networkx_nor_scipy():
+def test_runtime_imports_load_no_networkx_scipy_or_numpy():
     done = subprocess.run(
         [sys.executable, "-c", PROBE.format(src=str(SRC))],
         capture_output=True, text=True, timeout=120,
