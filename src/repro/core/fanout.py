@@ -62,13 +62,6 @@ class RelayNode:
     est_bw_bps: float
     children: Tuple["RelayNode", ...] = ()
 
-    def subtree_hosts(self) -> Tuple[str, ...]:
-        """This node and every descendant, preorder."""
-        hosts: List[str] = [self.host]
-        for child in self.children:
-            hosts.extend(child.subtree_hosts())
-        return tuple(hosts)
-
 
 @dataclass(frozen=True)
 class FanoutPlan:
@@ -86,12 +79,6 @@ class FanoutPlan:
     push_bw_bps: float
     children: Tuple[RelayNode, ...]
     est_completion_s: float
-
-    def relay_hosts(self) -> Tuple[str, ...]:
-        hosts: List[str] = []
-        for child in self.children:
-            hosts.extend(child.subtree_hosts())
-        return tuple(hosts)
 
     def edges(self) -> Tuple[Tuple[str, str], ...]:
         """Every ``(parent_host, child_host)`` relay hop, preorder.

@@ -123,11 +123,6 @@ class FlowStatsCollector:
         """How many polls in a row failed to reach ``switch_id``."""
         return self.switch_missed_polls.get(switch_id, 0)
 
-    def last_counter(self, flow_id: str) -> float:
-        """The flow's byte counter at its latest observation (0 before)."""
-        record = self._previous.get(flow_id)
-        return record.bytes_sent if record is not None else 0.0
-
     def poll_once(self) -> None:
         """One tick: poll every edge switch and observe the replies.
 

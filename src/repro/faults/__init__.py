@@ -2,7 +2,7 @@
 
 ``repro.faults`` turns the failure hooks scattered across the stack —
 link/switch failures in :mod:`repro.net.simulator`, process crashes and
-partitions in :mod:`repro.rpc.fabric`, monitoring loss in
+delay spikes in :mod:`repro.rpc.fabric`, monitoring loss in
 :mod:`repro.core.stats` — into declarative, replayable experiments:
 
 * :class:`FaultPlan` / :class:`FaultEvent` — a timed schedule of faults;

@@ -12,7 +12,7 @@ more events on the same deterministic clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.sim import instrument
@@ -46,7 +46,7 @@ class FaultInjector:
     controller:
         SDN controller (link/switch/host failure surface).
     fabric:
-        RPC fabric (process crashes, partitions, delay spikes).
+        RPC fabric (process crashes and delay spikes).
     collector:
         The Flowserver's stats collector (monitoring-loss faults);
         ``None`` for clusters without a Flowserver, where those events
@@ -101,17 +101,30 @@ class FaultInjector:
     def arm(self, plan: FaultPlan) -> int:
         """Schedule every event (and auto-recovery) on the loop.
 
-        Returns the number of events scheduled.  Events in the plan's past
-        are rejected — a plan must be armed before the clock reaches its
-        first event.
+        Returns the number of events scheduled.  Before anything is
+        scheduled, the whole plan is checked: an event in the plan's past
+        (a plan must be armed before the clock reaches its first event)
+        or one whose target the topology does not have raises
+        :class:`ValueError`.
         """
         events = plan.expanded()
+        topology = self._controller.network.topology
+        # The first word of a kind says what its target must name; the
+        # other kinds (stats_poll_*, rpc_delay_*) are global and take "".
+        targets = {"link": topology.links, "switch": topology.switches,
+                   "dataserver": topology.hosts, "lease": topology.hosts}
         for event in events:
             if event.time < self._loop.now:
                 raise ValueError(
                     f"fault event {event.kind!r} at t={event.time} is in the "
                     f"past (now={self._loop.now})"
                 )
+            if event.target not in targets.get(event.kind.split("_", 1)[0], ("",)):
+                raise ValueError(
+                    f"fault event {event.kind!r} at t={event.time} has an "
+                    f"unknown target {event.target!r}"
+                )
+        for event in events:
             self._loop.call_at(event.time, self._apply, event)
         return len(events)
 
@@ -169,24 +182,6 @@ class FaultInjector:
     def _do_dataserver_restart(self, event: FaultEvent) -> str:
         self._fabric.set_down(event.target, down=False)
         self._controller.recover_host(event.target)
-        return ""
-
-    def _split_pair(self, target: str) -> Tuple[str, str]:
-        if "|" not in target:
-            raise ValueError(
-                f"partition target must be 'endpointA|endpointB', got {target!r}"
-            )
-        a, b = target.split("|", 1)
-        return a, b
-
-    def _do_rpc_partition(self, event: FaultEvent) -> str:
-        a, b = self._split_pair(event.target)
-        self._fabric.set_partition(a, b)
-        return ""
-
-    def _do_rpc_heal(self, event: FaultEvent) -> str:
-        a, b = self._split_pair(event.target)
-        self._fabric.set_partition(a, b, partitioned=False)
         return ""
 
     def _set_poll_suppression(self, suppress: bool) -> str:

@@ -27,8 +27,6 @@ RECOVERY_OF = {
     "switch_recover": None,
     "dataserver_crash": "dataserver_restart",
     "dataserver_restart": None,
-    "rpc_partition": "rpc_heal",
-    "rpc_heal": None,
     "stats_poll_loss": "stats_poll_restore",
     "stats_poll_restore": None,
     "rpc_delay_spike": "rpc_delay_restore",
@@ -56,9 +54,10 @@ class FaultEvent:
     kind:
         One of :data:`EVENT_KINDS`.
     target:
-        What to hit: a link id (``"a->b"``), switch id, host id, or an
-        endpoint pair ``"a|b"`` for partitions.  Empty for global events
-        (``stats_poll_loss``, ``rpc_delay_spike``).
+        What to hit: a link id (``"a->b"``) for link kinds, a switch id
+        for switch kinds, a host id for ``dataserver_*`` and
+        ``lease_expire``.  Empty for global events (``stats_poll_*``,
+        ``rpc_delay_*``).
     duration:
         Convenience: when set on a failure kind, the paired recovery is
         scheduled automatically ``duration`` seconds later.

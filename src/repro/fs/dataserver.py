@@ -569,7 +569,7 @@ class Dataserver:
         lease, or it lapsed with no other claimant) or fences us out
         with :class:`LeaseExpiredError`.  Only the file's metadata
         primary may claim a free lease; another replica orders appends
-        only under a lease the manager moved to it (promotion, drain).
+        only under a lease the manager moved to it (promotion).
         """
         file_id = stored.metadata.file_id
         if self.host_id not in stored.metadata.replicas:

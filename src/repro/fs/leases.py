@@ -98,7 +98,6 @@ class LeaseManager:
         self.grants = 0
         self.renewals = 0
         self.promotions = 0
-        self.transfers = 0
         self.expirations = 0
         self.rejections = 0
         self.fencing_rejections = 0
@@ -161,14 +160,6 @@ class LeaseManager:
                         file_id=file_id, holder=host, epoch=epoch)
         return grant.to_json_dict()
 
-    def release(self, file_id: str, host: str) -> bool:
-        """Voluntarily give up a lease (graceful primary handoff)."""
-        current = self._leases.get(file_id)
-        if current is None or current.holder != host:
-            return False
-        self._leases[file_id] = replace(current, expires_at=self._loop.now)
-        return True
-
     # ------------------------------------------------------------------
     # Heartbeat renewal + failover hooks
     # ------------------------------------------------------------------
@@ -208,43 +199,6 @@ class LeaseManager:
         if tel is not None:
             tel.instant(self._loop.now, "lease.promote", "lease",
                         file_id=file_id, holder=new_primary, epoch=epoch)
-        return grant.to_json_dict()
-
-    def transfer(
-        self, file_id: str, from_host: str, to_host: str
-    ) -> Dict[str, object]:
-        """Hand the lease from ``from_host`` to ``to_host`` (epoch + 1).
-
-        The graceful-drain handoff: a primary being decommissioned moves
-        its authority to a chosen secondary *immediately* instead of
-        letting the lease run out (which would reject every append for
-        up to a full lease term).  ``from_host`` must be the recorded
-        holder — lapsed is fine, that just means nobody re-acquired —
-        otherwise the transfer is refused so a stale drain cannot steal
-        a lease someone else legitimately claimed in between.
-        """
-        current = self._leases.get(file_id)
-        if current is not None and current.holder != from_host:
-            self.rejections += 1
-            self._count("lease_rejections_total")
-            raise LeaseExpiredError(
-                f"transfer of {file_id!r} refused: held by "
-                f"{current.holder!r} (epoch {current.epoch}), "
-                f"not {from_host!r}"
-            )
-        epoch = (current.epoch if current is not None else 0) + 1
-        grant = LeaseGrant(
-            file_id=file_id, holder=to_host, epoch=epoch,
-            expires_at=self._loop.now + self.duration,
-        )
-        self._leases[file_id] = grant
-        self.transfers += 1
-        self._count("lease_transfers_total")
-        tel = instrument.TELEMETRY
-        if tel is not None:
-            tel.instant(self._loop.now, "lease.transfer", "lease",
-                        file_id=file_id, holder=to_host,
-                        from_host=from_host, epoch=epoch)
         return grant.to_json_dict()
 
     def expire_host(self, host: str) -> int:
@@ -311,9 +265,6 @@ class LeaseManager:
     def current_epoch(self, file_id: str) -> int:
         grant = self._leases.get(file_id)
         return grant.epoch if grant is not None else 0
-
-    def lease_count(self) -> int:
-        return len(self._leases)
 
     def _count(self, name: str, amount: float = 1.0) -> None:
         tel = instrument.TELEMETRY

@@ -65,9 +65,6 @@ class MembershipTracker:
             self._lease_manager.renew_for_host(host_id)
         return self._loop.now
 
-    def last_seen(self, host_id: str) -> Optional[float]:
-        return self._last_seen.get(host_id)
-
     def dead_hosts(self, timeout: float) -> List[str]:
         """Hosts silent for longer than ``timeout`` seconds."""
         now = self._loop.now
@@ -166,7 +163,6 @@ class ReplicaManager:
         self.repairs_completed = 0
         self.files_lost = 0
         self.promotions = 0
-        self.drains_completed = 0
         self._repair_in_flight = False
         self._timer = PeriodicTimer(loop, check_interval, self._tick)
 
@@ -252,61 +248,6 @@ class ReplicaManager:
                 continue
         self.repairs_completed += 1
         return True
-
-    # ------------------------------------------------------------------
-    # Graceful drain (planned decommission)
-    # ------------------------------------------------------------------
-
-    def drain(self, host: str) -> Generator:
-        """Hand off every primaryship ``host`` holds before it goes away.
-
-        The planned-decommission counterpart of :meth:`repair_all`: for
-        each file whose primary is ``host`` and that has at least one
-        other replica, promote the first secondary — rewrite the replica
-        set with it in front, transfer the lease to it (epoch + 1, via
-        :meth:`~repro.fs.leases.LeaseManager.transfer`) and broadcast
-        the new set to the replicas.  Clients never see a
-        ``LeaseExpiredError`` window: the lease moves immediately
-        instead of running out, and the drained host's next commit
-        attempt fences cleanly into a metadata refresh.
-
-        Returns the number of files handed off.  Data is not copied —
-        the drained host is still a (secondary) replica until a later
-        replica-set change removes it.
-        """
-        from repro.rpc.errors import RpcError
-
-        drained = 0
-        for name in self._nameserver.list_files():
-            try:
-                metadata = FileMetadata.from_json_dict(
-                    self._nameserver.lookup(name)
-                )
-            except Exception:  # noqa: BLE001 - deleted concurrently
-                continue
-            if metadata.primary != host or len(metadata.replicas) < 2:
-                continue
-            successor = metadata.replicas[1]
-            new_replicas = [successor] + [
-                r for r in metadata.replicas if r != successor
-            ]
-            self._nameserver.update_replicas(metadata.name, new_replicas)
-            self._lease_manager.transfer(metadata.file_id, host, successor)
-            for replica in new_replicas:
-                try:
-                    yield from self._fabric.invoke(
-                        self._endpoint,
-                        replica,
-                        "dataserver",
-                        "update_replica_set",
-                        metadata.file_id,
-                        list(new_replicas),
-                    )
-                except RpcError:
-                    continue
-            drained += 1
-        self.drains_completed += drained
-        return drained
 
     def _choose_replacement(
         self, current: Sequence[str], dead: Set[str]

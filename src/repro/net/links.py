@@ -3,9 +3,9 @@
 Every physical cable in the topology is modelled as two independent
 :class:`Link` objects, one per direction, because datacenter links are
 full-duplex: a read flow from a dataserver consumes only the
-dataserver-to-client direction.  Links carry byte counters that the
-switches (and through them the SDN controller) expose as OpenFlow port
-statistics.
+dataserver-to-client direction.  A link knows its capacity, whether it is
+up and which flows cross it; byte counters are kept per flow, not per
+link.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class Link:
         "dst",
         "capacity_bps",
         "direction",
-        "bytes_sent",
         "flows",
         "up",
     )
@@ -64,7 +63,6 @@ class Link:
         self.dst = dst
         self.capacity_bps = float(capacity_bps)
         self.direction = direction
-        self.bytes_sent = 0.0
         self.flows: Set[str] = set()
         #: Administrative/physical state.  A down link carries no flows:
         #: the simulator aborts flows traversing it when it fails and
@@ -75,10 +73,6 @@ class Link:
     def flow_count(self) -> int:
         """Number of active flows currently routed over this link."""
         return len(self.flows)
-
-    def record_bytes(self, nbytes: float) -> None:
-        """Accumulate transferred bytes into the port counter."""
-        self.bytes_sent += nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

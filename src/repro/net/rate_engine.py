@@ -190,18 +190,6 @@ class IncrementalRateEngine:
         self._dirty_flows.add(flow_id)
         self.stats.events += 1
 
-    def set_demand(self, flow_id: str, demand_bps: Optional[float]) -> None:
-        """Change a flow's rate cap (``None`` removes the cap)."""
-        if flow_id not in self._flow_links:
-            raise KeyError(f"unknown flow {flow_id!r}")
-        if demand_bps is None:
-            self._flow_demands.pop(flow_id, None)
-        else:
-            self._flow_demands[flow_id] = demand_bps
-        self._dirty_links.update(self._flow_links[flow_id])
-        self._dirty_flows.add(flow_id)
-        self.stats.events += 1
-
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------

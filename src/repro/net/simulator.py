@@ -8,10 +8,8 @@ advances per-flow progress and recomputes rates.
 
 One event costs one pass over the active flows (advance each flow's byte
 count; find the next completion) plus a solve of the connected component
-the event touched.  Link byte counters — the switches' port statistics —
-are charged lazily: a flow's bytes are added to every link of its path
-when it leaves that path (completion, abort, cancel, reroute) and when
-:meth:`FlowNetwork.snapshot_progress` settles the counters for a read.
+the event touched.  Byte counters are kept per flow only: they are what
+switch flow stats serve, and nothing reads per-link totals.
 
 Ground truth lives here; the Flowserver deliberately does *not* read it —
 it sees the network only through switch counters and its own estimates,
@@ -22,7 +20,7 @@ update-freeze, local-path-only recomputation).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.links import Link
 from repro.net.rate_engine import IncrementalRateEngine
@@ -94,9 +92,6 @@ class Flow:
         Current ground-truth max-min rate.
     bytes_sent:
         Per-flow byte counter (exposed via switch flow stats).
-    bytes_charged:
-        The part of ``bytes_sent`` already added to the counters of
-        ``links``.
     """
 
     __slots__ = (
@@ -107,7 +102,6 @@ class Flow:
         "remaining_bits",
         "rate_bps",
         "bytes_sent",
-        "bytes_charged",
         "start_time",
         "end_time",
         "on_complete",
@@ -135,20 +129,11 @@ class Flow:
         self.remaining_bits = float(size_bits)
         self.rate_bps = 0.0
         self.bytes_sent = 0.0
-        self.bytes_charged = 0.0
         self.start_time = start_time
         self.end_time: Optional[float] = None
         self.on_complete = on_complete
         self.on_abort = on_abort
         self.job_id = job_id
-
-    def charge_links(self) -> None:
-        """Add the bytes sent since the last charge to every path link."""
-        delta = self.bytes_sent - self.bytes_charged
-        if delta > 0:
-            for link in self.links:
-                link.record_bytes(delta)
-            self.bytes_charged = self.bytes_sent
 
     @property
     def src(self) -> str:
@@ -174,7 +159,7 @@ class FlowNetwork:
     loop:
         Simulated clock and event scheduler.
     topology:
-        The network; link objects carry the byte counters.
+        The network whose links the flows cross.
     """
 
     def __init__(self, loop: EventLoop, topology: Topology):
@@ -182,8 +167,6 @@ class FlowNetwork:
         self._topo = topology
         self._flows: Dict[str, Flow] = {}
         self._last_progress_time = loop.now
-        #: Whether every link counter includes all bytes moved so far.
-        self._links_settled = True
         self._completion_event: Optional[EventHandle] = None
         self._engine = IncrementalRateEngine(
             lambda link_id: topology.links[link_id].capacity_bps
@@ -282,7 +265,6 @@ class FlowNetwork:
             )
         links = self._links_up(flow_id, new_path)
         self._advance_progress()
-        flow.charge_links()
         for link in flow.links:
             link.flows.discard(flow_id)
         flow.path = new_path
@@ -314,7 +296,7 @@ class FlowNetwork:
         return self._abort(victims, link_id=link_id, reason="link failure")
 
     def restore_link(self, link_id: str) -> None:
-        """Bring a failed link back up (counters persist).  Idempotent."""
+        """Bring a failed link back up.  Idempotent."""
         self._topo.links[link_id].up = True
 
     def fail_node_links(self, node_id: str) -> List[Flow]:
@@ -390,7 +372,6 @@ class FlowNetwork:
         return victims
 
     def _remove(self, flow: Flow) -> None:
-        flow.charge_links()
         for link in flow.links:
             link.flows.discard(flow.flow_id)
         del self._flows[flow.flow_id]
@@ -399,10 +380,9 @@ class FlowNetwork:
     def _advance_progress(self) -> List[Flow]:
         """Move every flow forward by the interval since the last update.
 
-        Only ``remaining_bits`` and ``bytes_sent`` change; link counters
-        are charged lazily (:meth:`Flow.charge_links`).  Returns the flows
-        this pass found within the completion epsilon; when no time has
-        passed nothing moves and nothing is returned.
+        Only ``remaining_bits`` and ``bytes_sent`` change.  Returns the
+        flows this pass found within the completion epsilon; when no time
+        has passed nothing moves and nothing is returned.
         """
         now = self._loop.now
         elapsed = now - self._last_progress_time
@@ -410,7 +390,6 @@ class FlowNetwork:
         drained: List[Flow] = []
         if elapsed <= 0:
             return drained
-        self._links_settled = False
         for flow in self._flows.values():
             remaining = flow.remaining_bits
             moved_bits = flow.rate_bps * elapsed
@@ -481,17 +460,12 @@ class FlowNetwork:
     # ------------------------------------------------------------------
 
     def snapshot_progress(self) -> None:
-        """Bring flow and link byte counters up to the current instant.
+        """Bring every flow's byte counter up to the current instant.
 
-        Switch stats call this before every read.  Link counters are
-        settled at most once per instant in which bytes moved, however
-        many switches are read at it.
+        Switch flow stats call this before every read; a second call at
+        the same instant moves nothing.
         """
         self._advance_progress()
-        if not self._links_settled:
-            for flow in self._flows.values():
-                flow.charge_links()
-            self._links_settled = True
 
     def link_utilization_bps(self, link_id: str) -> float:
         """Instantaneous ground-truth load on a link (sum of flow rates).
@@ -507,15 +481,3 @@ class FlowNetwork:
     def ground_truth_rates(self) -> Dict[str, float]:
         """Current max-min rate of every active flow (testing aid)."""
         return {fid: f.rate_bps for fid, f in self._flows.items()}
-
-    def expected_completion_times(self) -> Dict[str, float]:
-        """ETA of each active flow assuming rates stay fixed (testing aid)."""
-        return {
-            fid: (f.remaining_bits / f.rate_bps if f.rate_bps > 0 else math.inf)
-            for fid, f in self._flows.items()
-        }
-
-
-def total_path_capacity(topology: Topology, path: Sequence[str]) -> float:
-    """Minimum link capacity along a path of link ids (a static upper bound)."""
-    return min(topology.links[lid].capacity_bps for lid in path)

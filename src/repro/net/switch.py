@@ -1,11 +1,10 @@
 """Switch objects exposing OpenFlow-style statistics.
 
-A :class:`Switch` wraps a topology switch node and answers the two queries
-the SDN controller issues (§3.3.3):
-
-* **port stats** — cumulative bytes sent per attached directed link;
-* **flow stats** — cumulative bytes per flow, restricted (as in the paper)
-  to flows *originating from dataservers attached to this edge switch*.
+A :class:`Switch` wraps a topology switch node and answers the one query
+the SDN controller issues (§3.3.3): **flow stats**, cumulative bytes per
+flow, restricted (as in the paper) to flows *originating from dataservers
+attached to this edge switch*.  Eq. 2 reads nothing else, so port counters
+are not modelled.
 
 Counters are ground truth pulled from the flow simulator at query time, so
 the controller only ever sees byte counts — never rates — and must infer
@@ -23,15 +22,6 @@ from typing import Dict, List, Optional, Set
 
 from repro.net.topology import SwitchNode, Tier
 from repro.net.view import NetworkView
-
-
-@dataclass(frozen=True)
-class PortStat:
-    """Cumulative transmit counter for one directed link on a switch."""
-
-    link_id: str
-    bytes_sent: float
-    capacity_bps: float
 
 
 @dataclass(frozen=True)
@@ -71,21 +61,6 @@ class Switch:
         return sorted(
             h.host_id for h in self._topo.hosts_in_rack(self._node.switch_id)
         )
-
-    def port_stats(self) -> List[PortStat]:
-        """Byte counters for every directed link leaving this switch."""
-        self._network.snapshot_progress()
-        stats = []
-        for link_id in sorted(self._topo.adjacency[self._node.switch_id]):
-            link = self._topo.links[link_id]
-            stats.append(
-                PortStat(
-                    link_id=link.link_id,
-                    bytes_sent=link.bytes_sent,
-                    capacity_bps=link.capacity_bps,
-                )
-            )
-        return stats
 
     def flow_stats(self) -> List[FlowStat]:
         """Counters for flows originating at hosts attached to this switch.

@@ -65,8 +65,9 @@ class NetworkView(Protocol):
     * **flows** — the live flow set and per-link membership;
     * **ground truth** — instantaneous max-min rates and link loads;
     * **liveness** — link/path up-down state;
-    * **counters** — ``snapshot_progress`` settles byte counters before a
-      stats read, exactly like a hardware counter latch.
+    * **counters** — ``snapshot_progress`` brings every flow's byte
+      counter up to the current instant before a flow-stats read, like a
+      hardware counter latch.
     """
 
     @property

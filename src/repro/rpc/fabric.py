@@ -73,7 +73,6 @@ class RpcFabric:
         self._jitter_rng = seeded_rng(seed ^ 0x52504A)
         self._services: Dict[Tuple[str, str], Any] = {}
         self._down: Set[str] = set()
-        self._partitions: Set[frozenset] = set()
         #: Multiplier on control-message latency (fault injection: an
         #: ``rpc_delay_spike`` raises it temporarily; 1.0 = nominal).
         self.delay_factor = 1.0
@@ -119,22 +118,6 @@ class RpcFabric:
 
     def is_down(self, endpoint: str) -> bool:
         return endpoint in self._down
-
-    def set_partition(self, a: str, b: str, partitioned: bool = True) -> None:
-        """Cut (or heal) the control channel between two endpoints.
-
-        Both endpoints stay individually reachable; only calls between the
-        pair fail (with :class:`HostDownError`), modelling an asymmetric
-        management-network partition.
-        """
-        pair = frozenset((a, b))
-        if partitioned:
-            self._partitions.add(pair)
-        else:
-            self._partitions.discard(pair)
-
-    def is_partitioned(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self._partitions
 
     # ------------------------------------------------------------------
     # Calling
@@ -221,15 +204,6 @@ class RpcFabric:
                     RpcResponse(
                         ok=False,
                         error=f"endpoint {dst if dst in self._down else src} is down",
-                        error_type=HostDownError,
-                    )
-                )
-                return
-            if self._partitions and frozenset((src, dst)) in self._partitions:
-                _respond(
-                    RpcResponse(
-                        ok=False,
-                        error=f"endpoints {src!r} and {dst!r} are partitioned",
                         error_type=HostDownError,
                     )
                 )

@@ -3,9 +3,10 @@
 A simplified but faithful OpenFlow-style controller: switches keep flow
 tables programmed by FlowMod messages, the controller installs one flow
 table entry per switch along an assigned path, observes FlowRemoved
-notifications when transfers finish, and answers port/flow statistics
-queries.  The one Mayflower Flowserver (:mod:`repro.core`) runs *inside*
-this controller exactly as the paper runs it inside Floodlight.
+notifications when transfers finish, and answers flow-statistics
+queries (the only counters Eq. 2 reads; port counters are not
+modelled).  The one Mayflower Flowserver (:mod:`repro.core`) runs
+*inside* this controller exactly as the paper runs it inside Floodlight.
 """
 
 from repro.sdn.controller import Controller, FlowRecord
@@ -15,7 +16,6 @@ from repro.sdn.openflow import (
     FlowModDelete,
     FlowRemoved,
     FlowStatsReply,
-    PortStatsReply,
 )
 
 __all__ = [
@@ -27,5 +27,4 @@ __all__ = [
     "FlowStatsReply",
     "FlowTable",
     "FlowTableEntry",
-    "PortStatsReply",
 ]

@@ -2,7 +2,7 @@
 
 Plays the role Floodlight plays in the paper's prototype: it owns the
 switch connections, programs flow tables along assigned paths, relays
-port/flow statistics requests, and fans FlowRemoved notifications out to
+flow-statistics requests, and fans FlowRemoved notifications out to
 registered listeners (the Flowserver chief among them).
 
 The controller also owns the binding between a *routed* flow (a path
@@ -22,7 +22,7 @@ from repro.net.switch import Switch, build_switches
 from repro.net.view import NetworkView
 from repro.sim import instrument
 from repro.sdn.flowtable import FlowTable
-from repro.sdn.openflow import FlowRemoved, FlowStatsReply, PortStatsReply, PortStatus
+from repro.sdn.openflow import FlowRemoved, FlowStatsReply
 
 
 class SwitchUnreachableError(RuntimeError):
@@ -57,7 +57,6 @@ class Controller:
         }
         self._records: Dict[str, FlowRecord] = {}
         self._removed_listeners: List[Callable[[FlowRemoved], None]] = []
-        self._port_status_listeners: List[Callable[[PortStatus], None]] = []
         self._down_switches: Set[str] = set()
         self.flows_aborted = 0
         instrument.notify_component("controller", self)
@@ -214,16 +213,6 @@ class Controller:
             self.uninstall_path(flow_id)
             raise
 
-    def abort_transfer(self, flow_id: str) -> None:
-        """Cancel an in-flight transfer and clean up its rules."""
-        self._network.cancel_flow(flow_id)
-        self.uninstall_path(flow_id)
-        tel = instrument.TELEMETRY
-        if tel is not None:
-            tel.end(self._loop.now, "transfer", "transfer", flow_id,
-                    track="transfers", outcome="cancelled")
-            tel.count("transfers_aborted_total")
-
     def reroute_transfer(self, flow_id: str, new_path: Path) -> None:
         """Move an in-flight transfer to a new path, updating flow tables.
 
@@ -254,19 +243,6 @@ class Controller:
         """Subscribe to FlowRemoved events (e.g. the Flowserver)."""
         self._removed_listeners.append(listener)
 
-    def add_port_status_listener(self, listener: Callable[[PortStatus], None]) -> None:
-        """Subscribe to PortStatus events (link/switch up-down transitions)."""
-        self._port_status_listeners.append(listener)
-
-    def _emit_port_status(self, link_id: str, up: bool) -> None:
-        link = self._network.topology.links[link_id]
-        owner = link.src if link.src in self._switches else link.dst
-        if owner not in self._switches:
-            return
-        status = PortStatus(switch_id=owner, link_id=link_id, up=up)
-        for listener in list(self._port_status_listeners):
-            listener(status)
-
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------
@@ -279,7 +255,6 @@ class Controller:
         returned for logging.
         """
         victims = self._network.fail_link(link_id)
-        self._emit_port_status(link_id, up=False)
         tel = instrument.TELEMETRY
         if tel is not None:
             tel.instant(self._loop.now, "net.link_down", "net",
@@ -289,7 +264,6 @@ class Controller:
     def restore_link(self, link_id: str) -> None:
         """Bring a previously failed link back into service."""
         self._network.restore_link(link_id)
-        self._emit_port_status(link_id, up=True)
         tel = instrument.TELEMETRY
         if tel is not None:
             tel.instant(self._loop.now, "net.link_up", "net", link=link_id)
@@ -301,8 +275,6 @@ class Controller:
             raise KeyError(f"unknown switch {switch_id!r}")
         self._down_switches.add(switch_id)
         victims = self._network.fail_node_links(switch_id)
-        for link_id in self._adjacent_link_ids(switch_id):
-            self._emit_port_status(link_id, up=False)
         tel = instrument.TELEMETRY
         if tel is not None:
             tel.instant(self._loop.now, "net.switch_down", "net",
@@ -315,8 +287,6 @@ class Controller:
             raise KeyError(f"unknown switch {switch_id!r}")
         self._down_switches.discard(switch_id)
         self._network.restore_node_links(switch_id)
-        for link_id in self._adjacent_link_ids(switch_id):
-            self._emit_port_status(link_id, up=True)
         tel = instrument.TELEMETRY
         if tel is not None:
             tel.instant(self._loop.now, "net.switch_up", "net",
@@ -329,14 +299,6 @@ class Controller:
     def recover_host(self, host_id: str) -> None:
         """Restore a host's access links."""
         self._network.restore_node_links(host_id)
-
-    def _adjacent_link_ids(self, node_id: str) -> List[str]:
-        topo = self._network.topology
-        return sorted(
-            link_id
-            for link_id, link in topo.links.items()
-            if link.src == node_id or link.dst == node_id
-        )
 
     def link_is_up(self, link_id: str) -> bool:
         return self._network.link_is_up(link_id)
@@ -363,17 +325,6 @@ class Controller:
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-
-    def query_port_stats(self, switch_id: str) -> PortStatsReply:
-        """Fetch cumulative per-port byte counters from one switch."""
-        if switch_id in self._down_switches:
-            raise SwitchUnreachableError(f"switch {switch_id!r} is unreachable")
-        switch = self._switches[switch_id]
-        return PortStatsReply(
-            switch_id=switch_id,
-            timestamp=self._loop.now,
-            ports=tuple(switch.port_stats()),
-        )
 
     def query_flow_stats(self, switch_id: str) -> FlowStatsReply:
         """Fetch counters for flows sourced at hosts on one edge switch."""

@@ -2,8 +2,9 @@
 
 A deliberately small subset of the protocol — exactly the messages the
 Mayflower Flowserver exchanges with switches through the controller:
-FlowMod (add/delete), FlowRemoved notifications, and the two statistics
-replies.  Messages are immutable dataclasses; the "wire" is in-process.
+FlowMod (add/delete), FlowRemoved notifications, and the flow-stats
+reply.  Port counters are not modelled: Eq. 2 reads flow stats only.
+Messages are immutable dataclasses; the "wire" is in-process.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.net.switch import FlowStat, PortStat
+from repro.net.switch import FlowStat
 
 
 @dataclass(frozen=True)
@@ -51,28 +52,6 @@ class FlowRemoved:
     bytes_sent: float
     duration: float
     aborted: bool = False
-
-
-@dataclass(frozen=True)
-class PortStatus:
-    """Switch-to-controller notification that a port changed state.
-
-    The controller emits one per directed link when a link or switch
-    fails/recovers, mirroring OpenFlow's OFPT_PORT_STATUS message.
-    """
-
-    switch_id: str
-    link_id: str
-    up: bool
-
-
-@dataclass(frozen=True)
-class PortStatsReply:
-    """Reply to a port-stats request: one counter per directed link."""
-
-    switch_id: str
-    timestamp: float
-    ports: Tuple[PortStat, ...]
 
 
 @dataclass(frozen=True)

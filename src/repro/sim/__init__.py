@@ -12,7 +12,7 @@ all randomness is drawn from explicitly seeded streams.
 """
 
 from repro.sim.engine import EventHandle, EventLoop, PeriodicTimer, SimulationError
-from repro.sim.process import Delay, Process, ProcessKilled, Signal, WaitSignal
+from repro.sim.process import Delay, Process, Signal, WaitSignal
 from repro.sim.randomness import RandomStreams
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "EventLoop",
     "PeriodicTimer",
     "Process",
-    "ProcessKilled",
     "RandomStreams",
     "Signal",
     "SimulationError",

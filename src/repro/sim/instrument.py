@@ -128,11 +128,6 @@ def set_telemetry(sink: Optional[Any]) -> None:
     TELEMETRY = sink
 
 
-def current_context() -> Optional[TraceContext]:
-    """The ambient :class:`TraceContext`, if any."""
-    return TRACE_CTX
-
-
 def set_context(ctx: Optional[TraceContext]) -> Optional[TraceContext]:
     """Install ``ctx`` as the ambient context; returns the previous one."""
     global TRACE_CTX

@@ -17,11 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim import instrument
-from repro.sim.engine import EventHandle, EventLoop, SimulationError
-
-
-class ProcessKilled(Exception):
-    """Injected into a process generator when :meth:`Process.kill` is called."""
+from repro.sim.engine import EventLoop, SimulationError
 
 
 class Delay:
@@ -113,35 +109,22 @@ class Process:
         self.result: Any = None
         self.exception: Optional[BaseException] = None
         self._done_signal = Signal(loop, name=f"done:{name}")
-        self._pending_handle: Optional[EventHandle] = None
-        self._killed = False
         # The trace context of whoever constructed this process.  Each
         # resume runs the generator under the process's own saved context
         # (and saves back whatever it left installed), so contexts follow
         # cooperative processes the way contextvars follow asyncio tasks.
         self._trace_ctx = instrument.TRACE_CTX
         # Kick off on a zero-delay event so construction never runs user code.
-        self._pending_handle = loop.call_in(0.0, self._advance, None, None)
+        loop.call_in(0.0, self._advance, None, None)
 
     @property
     def done_signal(self) -> Signal:
         """Signal fired (with the process result) when the process finishes."""
         return self._done_signal
 
-    def kill(self) -> None:
-        """Terminate the process by throwing :class:`ProcessKilled` into it."""
-        if self.finished or self._killed:
-            return
-        self._killed = True
-        if self._pending_handle is not None:
-            self._pending_handle.cancel()
-            self._pending_handle = None
-        self._advance(None, ProcessKilled(f"process {self.name!r} killed"))
-
     def _advance(self, value: Any, exc: Optional[BaseException]) -> None:
         if self.finished:
             return
-        self._pending_handle = None
         outer_ctx = instrument.TRACE_CTX
         instrument.TRACE_CTX = self._trace_ctx
         try:
@@ -153,9 +136,6 @@ class Process:
             except StopIteration as stop:
                 self._finish(result=stop.value)
                 return
-            except ProcessKilled:
-                self._finish(result=None)
-                return
             except BaseException as err:  # noqa: BLE001 - surfaced via .exception
                 self._finish(error=err)
                 return
@@ -166,9 +146,7 @@ class Process:
 
     def _dispatch(self, directive: Any) -> None:
         if isinstance(directive, Delay):
-            self._pending_handle = self._loop.call_in(
-                directive.seconds, self._advance, None, None
-            )
+            self._loop.call_in(directive.seconds, self._advance, None, None)
         elif isinstance(directive, Signal):
             directive.add_waiter(lambda payload: self._advance(payload, None))
         elif isinstance(directive, WaitSignal):

@@ -23,6 +23,8 @@ class TestFaultEvent:
         # not a fault kind: a plan naming it must fail, not no-op
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultEvent(1.0, "push_loss")
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultEvent(1.0, "rpc_partition")
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

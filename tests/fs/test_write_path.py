@@ -219,15 +219,13 @@ class TestPipelinedAppend:
 
         def scenario():
             meta = yield from client.create("f", chunk_bytes=4 * MB)
-            primary, first_hop = meta.replicas[0], meta.replicas[1]
-            # Cut the primary's only relay hop for the first attempt; it
-            # heals before the retry's backoff expires.
-            cluster.fabric.set_partition(primary, first_hop)
+            first_hop = meta.replicas[1]
+            # Take the primary's only relay hop off the fabric for the
+            # first attempt; it is back before the retry's backoff expires.
+            cluster.fabric.set_down(first_hop)
             cluster.loop.call_at(
                 cluster.loop.now + 0.5,
-                lambda: cluster.fabric.set_partition(
-                    primary, first_hop, partitioned=False
-                ),
+                lambda: cluster.fabric.set_down(first_hop, down=False),
             )
             size = yield from client.append("f", len(blob), blob)
             return meta, size

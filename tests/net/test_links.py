@@ -12,7 +12,6 @@ def test_link_attributes():
     assert link.capacity_bps == 1e9
     assert link.direction is LinkDirection.UP
     assert link.flow_count == 0
-    assert link.bytes_sent == 0.0
 
 
 def test_invalid_capacity_rejected():
@@ -20,13 +19,6 @@ def test_invalid_capacity_rejected():
         Link("a->b", "a", "b", 0)
     with pytest.raises(ValueError):
         Link("a->b", "a", "b", -1e9)
-
-
-def test_record_bytes_accumulates():
-    link = Link("a->b", "a", "b", 1e9)
-    link.record_bytes(100.0)
-    link.record_bytes(50.5)
-    assert link.bytes_sent == pytest.approx(150.5)
 
 
 def test_flow_registry():

@@ -53,20 +53,6 @@ def test_demand_cap_is_respected():
     assert rates["f2"] == 90 * MBPS
 
 
-def test_set_demand_updates_and_clears_cap():
-    engine = make_engine({"a": 100 * MBPS})
-    engine.add_flow("f1", ("a",))
-    engine.add_flow("f2", ("a",))
-    engine.recompute()
-    engine.set_demand("f1", 20 * MBPS)
-    rates = engine.recompute()
-    assert rates["f1"] == 20 * MBPS
-    assert rates["f2"] == 80 * MBPS
-    engine.set_demand("f1", None)
-    rates = engine.recompute()
-    assert rates["f1"] == rates["f2"] == 50 * MBPS
-
-
 def test_duplicate_add_raises():
     engine = make_engine({"a": MBPS})
     engine.add_flow("f1", ("a",))
@@ -80,8 +66,6 @@ def test_remove_unknown_flow_raises():
         engine.remove_flow("ghost")
     with pytest.raises(KeyError):
         engine.reroute_flow("ghost", ("a",))
-    with pytest.raises(KeyError):
-        engine.set_demand("ghost", 1.0)
 
 
 def test_remove_flow_releases_capacity():

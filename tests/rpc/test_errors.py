@@ -195,32 +195,3 @@ class TestRpcTimeout:
             return times
 
         assert timeline(True) == timeline(False)
-
-
-class TestPartitions:
-    def test_partition_blocks_both_directions(self, env):
-        loop, fabric = env
-        fabric.register("other", "echo", Echo())
-        fabric.set_partition("c", "server")
-
-        def client():
-            yield from fabric.invoke("c", "server", "echo", "echo", "x")
-
-        with pytest.raises(HostDownError, match="partition"):
-            run_client(loop, client())
-
-        def reverse():
-            yield from fabric.invoke("server", "c", "echo", "echo", "x")
-
-        with pytest.raises(HostDownError):
-            run_client(loop, reverse())
-
-    def test_heal_restores_traffic(self, env):
-        loop, fabric = env
-        fabric.set_partition("c", "server")
-        fabric.set_partition("c", "server", partitioned=False)
-
-        def client():
-            return (yield from fabric.invoke("c", "server", "echo", "echo", "x"))
-
-        assert run_client(loop, client()) == "x"

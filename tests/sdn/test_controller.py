@@ -96,19 +96,6 @@ def test_flow_removed_fires_before_on_complete(env):
     assert order == ["removed", "complete"]
 
 
-def test_abort_transfer(env):
-    loop, net, table, ctl = env
-    path = table.paths("pod0-rack0-h0", "pod0-rack0-h1")[0]
-    done = []
-    ctl.start_transfer("f", path, GB, on_complete=lambda f: done.append(True))
-    loop.run(until=1.0)
-    ctl.abort_transfer("f")
-    loop.run()
-    assert done == []
-    assert "f" not in ctl.installed_flows()
-    assert not net.active_flows
-
-
 def test_duplicate_transfer_leaves_no_stale_rules(env):
     loop, net, table, ctl = env
     path = table.paths("pod0-rack0-h0", "pod0-rack0-h1")[0]
@@ -118,17 +105,6 @@ def test_duplicate_transfer_leaves_no_stale_rules(env):
         # network still has the flow, so restart must fail and not leave rules
         ctl.start_transfer("f", path, GB)
     assert "f" not in ctl.installed_flows()
-
-
-def test_query_port_stats(env):
-    loop, net, table, ctl = env
-    path = table.paths("pod0-rack0-h0", "pod0-rack0-h1")[0]
-    ctl.start_transfer("f", path, GB)
-    loop.run(until=4.0)
-    reply = ctl.query_port_stats("pod0-rack0")
-    assert reply.timestamp == 4.0
-    by_link = {p.link_id: p.bytes_sent for p in reply.ports}
-    assert by_link["pod0-rack0->pod0-rack0-h1"] == pytest.approx(5e8)
 
 
 def test_query_flow_stats(env):

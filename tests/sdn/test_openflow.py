@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.sdn import FlowModAdd, FlowModDelete, FlowRemoved
-from repro.sdn.openflow import FlowStatsReply, PortStatsReply
+from repro.sdn.openflow import FlowStatsReply
 
 
 def test_messages_are_immutable():
@@ -28,7 +28,5 @@ def test_flow_mod_delete_equality():
 
 
 def test_stats_replies_hold_tuples():
-    port_reply = PortStatsReply(switch_id="s1", timestamp=1.0, ports=())
     flow_reply = FlowStatsReply(switch_id="s1", timestamp=1.0, flows=())
-    assert port_reply.ports == ()
     assert flow_reply.flows == ()

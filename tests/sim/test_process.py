@@ -167,38 +167,6 @@ def test_unhandled_exception_recorded():
     assert isinstance(proc.exception, RuntimeError)
 
 
-def test_kill_terminates_process():
-    loop = EventLoop()
-    steps = []
-
-    def body():
-        steps.append("start")
-        yield Delay(10.0)
-        steps.append("never")
-
-    proc = Process(loop, body())
-    loop.call_at(1.0, proc.kill)
-    loop.run()
-    assert steps == ["start"]
-    assert proc.finished
-
-
-def test_killed_process_can_cleanup():
-    loop = EventLoop()
-    cleaned = []
-
-    def body():
-        try:
-            yield Delay(10.0)
-        finally:
-            cleaned.append(True)
-
-    proc = Process(loop, body())
-    loop.call_at(1.0, proc.kill)
-    loop.run()
-    assert cleaned == [True]
-
-
 def test_done_signal_fires_with_result():
     loop = EventLoop()
     observed = []
