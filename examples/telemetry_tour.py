@@ -70,8 +70,8 @@ def main():
     # -- the metrics registry -------------------------------------------
     m = tel.metrics
 
-    def val(name):  # get-or-create: counters a run never hit read as 0
-        return m.counter(name).value
+    def val(name):  # every counter reads its component's own attribute
+        return m.value(name)
 
     print(f"\nrequests={val('flowserver_requests_total'):.0f}  "
           f"split={val('flowserver_split_reads_total'):.0f}  "
@@ -96,9 +96,7 @@ def main():
     telemetry.write_prometheus(tel.metrics, OUT_DIR / "metrics.prom")
     print(f"\nexported to {OUT_DIR.name}/ — load trace.json in "
           "https://ui.perfetto.dev, or try:\n"
-          f"  python -m repro.telemetry summarize {OUT_DIR.name}/trace.jsonl\n"
-          f"  python -m repro.telemetry slowest {OUT_DIR.name}/trace.jsonl "
-          "--cat transfer")
+          f"  python -m repro.telemetry summarize {OUT_DIR.name}/trace.jsonl")
     print("done.")
 
 

@@ -400,8 +400,6 @@ class Flowserver:
                 kind=plan.kind,
                 est_completion_s=plan.est_completion_s,
             )
-            tel.count("flowserver_fanout_requests_total")
-            tel.count(f"flowserver_fanout_{plan.kind}_total")
         return plan
 
     def _reserve_plan(
@@ -523,8 +521,6 @@ class Flowserver:
         """
         self.degraded_selections += 1
         tel = instrument.TELEMETRY
-        if tel is not None:
-            tel.count("flowserver_degraded_selections_total")
         if self._degraded_since is None:
             self._degraded_since = self._loop.now
             self.degraded_entries += 1
@@ -610,11 +606,6 @@ class Flowserver:
             kind=kind,
             candidates=candidates_evaluated,
         )
-        tel.count("flowserver_requests_total")
-        if kind == "local":
-            tel.count("flowserver_local_reads_total")
-        elif split:
-            tel.count("flowserver_split_reads_total")
         tel.observe(
             "flowserver_candidates_evaluated",
             float(candidates_evaluated),

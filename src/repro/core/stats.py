@@ -132,8 +132,6 @@ class FlowStatsCollector:
         """
         now = self._loop.now
         seen: Set[str] = set()
-        applied_before = self.measurements_applied
-        suppressed_before = self.measurements_suppressed
         self._tick_messages = 0
         self._tick_bytes = 0
         if self.suppress_polls:
@@ -172,13 +170,6 @@ class FlowStatsCollector:
                 now, "collector.poll", "poll",
                 tracked=len(self._state), seen=len(seen),
                 lost=self.suppress_polls,
-            )
-            tel.count("collector_polls_total")
-            tel.metrics.counter("collector_measurements_applied_total").inc(
-                float(self.measurements_applied - applied_before)
-            )
-            tel.metrics.counter("collector_measurements_suppressed_total").inc(
-                float(self.measurements_suppressed - suppressed_before)
             )
             if self._tick_messages:
                 tel.tracer.counter(
@@ -236,13 +227,6 @@ class FlowStatsCollector:
             self.poll_messages.get(switch_id, 0) + messages
         )
         self.poll_bytes[switch_id] = self.poll_bytes.get(switch_id, 0) + nbytes
-        tel = instrument.TELEMETRY
-        if tel is not None:
-            labels = {"switch": switch_id}
-            tel.count("flowserver_poll_messages_total", float(messages),
-                      labels=labels)
-            tel.count("flowserver_poll_bytes_total", float(nbytes),
-                      labels=labels)
 
     def _observe(
         self, flow_id: str, bytes_sent: float, remaining_bits: float, now: float

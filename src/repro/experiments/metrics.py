@@ -194,48 +194,41 @@ def resilience_summary(
     injector=None,
     jobs_total: int = 0,
     jobs_completed: int = 0,
-    registry=None,
 ) -> ResilienceSummary:
     """Collect a :class:`ResilienceSummary` from a live cluster's parts.
 
     ``clients`` is any iterable of :class:`repro.fs.client.MayflowerClient`
-    instances whose per-client retry counters should be aggregated.
-
-    The counters are read through a telemetry metrics registry of
-    callback gauges (see :func:`repro.telemetry.bind_resilience_metrics`)
-    rather than by reaching into each component, so the summary and any
-    Prometheus dump of the same run always agree.  Pass ``registry`` to
-    reuse gauges bound earlier (e.g. by a ``--trace`` session); by
-    default a throwaway registry is bound here.
+    instances whose per-client retry counters should be aggregated.  Every
+    field reads the component attribute that keeps the fact — the same
+    attribute a telemetry dump's counter reads
+    (:data:`repro.telemetry.bind.COUNTERS`), so the two always agree.
+    Parts a scheme lacks (no Flowserver, no injector) read as zero.
     """
-    from repro.telemetry import MetricsRegistry, bind_resilience_metrics
-
     clients = list(clients)
     fs = cluster.flowserver
-    if registry is None:
-        registry = MetricsRegistry()
-    if registry.get("faults_applied") is None:
-        bind_resilience_metrics(registry, cluster, clients, injector)
+    collector = fs.collector if fs is not None else None
 
-    def count(name: str) -> int:
-        return int(registry.value(name))
+    def count(obj, attribute: str) -> int:
+        return 0 if obj is None else int(getattr(obj, attribute))
 
-    ttr = registry.value("time_to_recover_seconds")
+    def total(attribute: str) -> int:
+        return sum(int(getattr(client, attribute)) for client in clients)
+
     return ResilienceSummary(
         jobs_total=jobs_total,
         jobs_completed=jobs_completed,
-        faults_applied=count("faults_applied"),
-        flows_aborted=count("flows_aborted"),
-        flows_aborted_by_faults=count("flows_aborted_by_faults"),
-        degraded_selections=count("degraded_selections"),
-        degraded_entries=count("degraded_entries"),
-        unreachable_path_selections=count("unreachable_path_selections"),
-        mean_time_to_recover=None if fs is None or math.isnan(ttr) else ttr,
-        polls_lost=count("polls_lost"),
-        poll_errors=count("poll_errors"),
-        rpc_calls_timed_out=count("rpc_calls_timed_out"),
-        read_retries=count("read_retries"),
-        read_failovers=count("read_failovers"),
-        read_resumptions=count("read_resumptions"),
-        bytes_resumed=count("bytes_resumed"),
+        faults_applied=count(injector, "events_applied"),
+        flows_aborted=count(cluster.controller, "flows_aborted"),
+        flows_aborted_by_faults=count(injector, "flows_aborted_by_faults"),
+        degraded_selections=count(fs, "degraded_selections"),
+        degraded_entries=count(fs, "degraded_entries"),
+        unreachable_path_selections=count(fs, "unreachable_path_selections"),
+        mean_time_to_recover=None if fs is None else fs.time_to_recover(),
+        polls_lost=count(collector, "polls_lost"),
+        poll_errors=count(collector, "poll_errors"),
+        rpc_calls_timed_out=count(cluster.fabric, "calls_timed_out"),
+        read_retries=total("read_retries"),
+        read_failovers=total("read_failovers"),
+        read_resumptions=total("read_resumptions"),
+        bytes_resumed=total("bytes_resumed"),
     )

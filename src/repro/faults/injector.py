@@ -81,6 +81,7 @@ class FaultInjector:
         self.events_applied = 0
         self.journal: List[AppliedEvent] = []
         self.flows_aborted_by_faults = 0
+        instrument.notify_component("injector", self)
 
     @classmethod
     def for_cluster(cls, cluster: Any) -> "FaultInjector":
@@ -146,7 +147,6 @@ class FaultInjector:
         if tel is not None:
             tel.instant(self._loop.now, f"fault.{event.kind}", "fault",
                         target=event.target, detail=detail)
-            tel.count("faults_applied_total")
         # Freeze a flight-recorder snapshot (when one is armed) so the
         # fault ships with the causally-linked spans of every operation
         # it caught in flight.

@@ -207,6 +207,7 @@ class MayflowerClient:
         self.bytes_resumed = 0
         self.append_retries = 0
         self.append_failovers = 0
+        instrument.notify_component("client", self)
 
     # ------------------------------------------------------------------
     # Namespace operations
@@ -319,9 +320,6 @@ class MayflowerClient:
             metadata = yield from self._lookup(budget, name)
             if metadata.primary != previous_primary:
                 self.append_failovers += 1
-                tel = instrument.TELEMETRY
-                if tel is not None:
-                    tel.count("client_append_failovers_total")
 
         def attempt() -> Generator:
             plan = None
@@ -480,20 +478,17 @@ class MayflowerClient:
 
     def _note_retry(self, op: str, name: str, error: Exception) -> None:
         """Book one retry under the operation that owns the budget."""
-        tel = instrument.TELEMETRY
         if op == "read":
             self.read_retries += 1
         elif op == "append":
             self.append_retries += 1
+            tel = instrument.TELEMETRY
             if tel is not None:
                 tel.instant(self._loop.now, "client.append.retry", "append",
                             host=self.host_id, file=name,
                             error=type(error).__name__)
         else:
-            op = "metadata"
             self.metadata_retries += 1
-        if tel is not None:
-            tel.count(f"client_{op}_retries_total")
 
     @contextmanager
     def _root_span(self, op: str, **args: object) -> Iterator[Dict[str, object]]:
@@ -639,10 +634,6 @@ class MayflowerClient:
                                 "read", file=metadata.name,
                                 replica=piece.replica, bytes=delivered,
                             )
-                            tel.count("client_read_resumptions_total")
-                            tel.metrics.counter(
-                                "client_bytes_resumed_total"
-                            ).inc(float(delivered))
                     if delivered < piece.size_bytes:
                         rest = PlannedTransfer(piece.replica, piece.size_bytes - delivered)
                         queue[0] = (rest, offset + delivered)
@@ -669,7 +660,6 @@ class MayflowerClient:
                         self._loop.now, "client.read.failover",
                         "read", file=metadata.name, replica=failed.replica,
                     )
-                    tel.count("client_read_failovers_total")
             replanned = yield from self._replan_range(
                 metadata, candidates, failed.replica, failed.size_bytes, job_id
             )

@@ -159,6 +159,7 @@ class Dataserver:
         self.relays_caught_up = 0
         self.truncations = 0
         self.lease_fencings = 0
+        instrument.notify_component("dataserver", self)
 
     # ------------------------------------------------------------------
     # File lifecycle (control plane)
@@ -292,7 +293,6 @@ class Dataserver:
                 size_bytes, bytes(data) if data is not None else None
             )
             self.pushes_staged += 1
-            self._count("ds_pushes_staged_total")
         return size_bytes
 
     def commit_append(
@@ -316,7 +316,6 @@ class Dataserver:
         stored = self._stored(file_id)
         if append_id in stored.acked_ids:
             self.appends_deduplicated += 1
-            self._count("ds_appends_deduplicated_total")
             return stored.acked_ids[append_id]
         with self._stage_span("ds.commit_append", append_id,
                               file=stored.metadata.name):
@@ -332,14 +331,12 @@ class Dataserver:
                     # A duplicate commit that waited on the lock while the
                     # original relayed and acknowledged.
                     self.appends_deduplicated += 1
-                    self._count("ds_appends_deduplicated_total")
                     return stored.acked_ids[append_id]
                 if append_id in stored.applied_ids:
                     # Applied by an earlier (timed-out or relay-failed)
                     # attempt — or relayed to us before we were promoted.
                     offset, length = stored.applied_ids[append_id]
                     self.appends_deduplicated += 1
-                    self._count("ds_appends_deduplicated_total")
                 else:
                     staged = stored.staged.get(append_id)
                     if staged is None:
@@ -383,7 +380,6 @@ class Dataserver:
                         # append is NOT acknowledged; the current primary
                         # repairs our tail on its next relay.
                         self.lease_fencings += 1
-                        self._count("ds_lease_fencings_total")
                         raise remote
                     raise
                 new_size = stored.size_bytes
@@ -394,7 +390,6 @@ class Dataserver:
                     tel.instant(self._loop.now, "ds.commit_append", "ds",
                                 host=self.host_id, file=stored.metadata.name,
                                 append=append_id, epoch=epoch, size=new_size)
-                    tel.count("ds_appends_served_total")
                 return new_size
             finally:
                 # Acked or failed, this attempt is over: a retry re-pushes
@@ -431,7 +426,6 @@ class Dataserver:
                               offset=expected_offset):
             if epoch < stored.epoch:
                 self.lease_fencings += 1
-                self._count("ds_lease_fencings_total")
                 raise StaleEpochError(
                     f"relay of {append_id!r} at epoch {epoch} rejected by "
                     f"{self.host_id} (local epoch {stored.epoch})"
@@ -441,7 +435,6 @@ class Dataserver:
                 stored.epoch = max(stored.epoch, epoch)
                 if append_id in stored.applied_ids:
                     self.appends_deduplicated += 1
-                    self._count("ds_appends_deduplicated_total")
                 else:
                     if stored.size_bytes > expected_offset:
                         self._truncate(stored, expected_offset)
@@ -520,7 +513,6 @@ class Dataserver:
             else None
         )
         self.catch_ups_served += 1
-        self._count("ds_catch_ups_served_total")
         return {"offset": offset, "upto": upto, "entries": entries,
                 "data": data, "epoch": stored.epoch}
 
@@ -593,7 +585,6 @@ class Dataserver:
                 remote = getattr(err, "remote_error", None)
                 if isinstance(remote, LeaseExpiredError):
                     self.lease_fencings += 1
-                    self._count("ds_lease_fencings_total")
                     self._held_leases.drop(file_id)
                     raise remote
                 if isinstance(remote, NotPrimaryError):
@@ -658,7 +649,6 @@ class Dataserver:
         if stored.payload is not None:
             del stored.payload[new_size:]
         self.truncations += 1
-        self._count("ds_truncations_total")
         tel = instrument.TELEMETRY
         if tel is not None:
             tel.instant(self._loop.now, "ds.truncate", "ds",
@@ -699,7 +689,6 @@ class Dataserver:
                 self._apply_entry(stored, entry, chunk)
             stored.epoch = max(stored.epoch, reply["epoch"])
             self.relays_caught_up += 1
-            self._count("ds_relays_caught_up_total")
 
     def _relay_to_children(
         self,
@@ -798,7 +787,6 @@ class Dataserver:
         if tel is not None:
             tel.instant(self._loop.now, "ds.read", "ds",
                         host=self.host_id, to=to_host, bytes=length)
-            tel.count("ds_reads_served_total")
         data = None
         if stored.payload is not None:
             data = bytes(stored.payload[offset : offset + length])
@@ -949,8 +937,3 @@ class Dataserver:
         waiters, stored.append_waiters = stored.append_waiters, []
         for waiter in waiters:
             waiter.fire()
-
-    def _count(self, name: str, amount: float = 1.0) -> None:
-        tel = instrument.TELEMETRY
-        if tel is not None:
-            tel.count(name, amount)

@@ -101,6 +101,7 @@ class LeaseManager:
         self.expirations = 0
         self.rejections = 0
         self.fencing_rejections = 0
+        instrument.notify_component("leases", self)
 
     # ------------------------------------------------------------------
     # RPC surface (dataserver-facing)
@@ -130,7 +131,6 @@ class LeaseManager:
         if current is not None and current.valid_at(now):
             if current.holder != host:
                 self.rejections += 1
-                self._count("lease_rejections_total")
                 raise LeaseExpiredError(
                     f"lease on {file_id!r} held by {current.holder!r} "
                     f"(epoch {current.epoch}) until t={current.expires_at:.6g}; "
@@ -139,7 +139,6 @@ class LeaseManager:
             grant = replace(current, expires_at=now + self.duration)
             self._leases[file_id] = grant
             self.renewals += 1
-            self._count("lease_renewals_total")
             return grant.to_json_dict()
         if not claim:
             raise NotPrimaryError(
@@ -153,7 +152,6 @@ class LeaseManager:
         )
         self._leases[file_id] = grant
         self.grants += 1
-        self._count("lease_grants_total")
         tel = instrument.TELEMETRY
         if tel is not None:
             tel.instant(now, "lease.grant", "lease",
@@ -176,7 +174,6 @@ class LeaseManager:
                 renewed += 1
         if renewed:
             self.renewals += renewed
-            self._count("lease_renewals_total", float(renewed))
         return renewed
 
     def promote(self, file_id: str, new_primary: str) -> Dict[str, object]:
@@ -194,7 +191,6 @@ class LeaseManager:
         )
         self._leases[file_id] = grant
         self.promotions += 1
-        self._count("lease_promotions_total")
         tel = instrument.TELEMETRY
         if tel is not None:
             tel.instant(self._loop.now, "lease.promote", "lease",
@@ -215,7 +211,6 @@ class LeaseManager:
                 expired += 1
         if expired:
             self.expirations += expired
-            self._count("lease_expirations_total", float(expired))
             tel = instrument.TELEMETRY
             if tel is not None:
                 tel.instant(now, "lease.expire_host", "lease",
@@ -237,7 +232,6 @@ class LeaseManager:
         current = self._leases.get(file_id)
         if current is None or epoch < current.epoch or current.holder != host:
             self.fencing_rejections += 1
-            self._count("lease_fencing_rejections_total")
             tel = instrument.TELEMETRY
             if tel is not None:
                 tel.instant(self._loop.now, "lease.fence", "lease",
@@ -265,11 +259,6 @@ class LeaseManager:
     def current_epoch(self, file_id: str) -> int:
         grant = self._leases.get(file_id)
         return grant.epoch if grant is not None else 0
-
-    def _count(self, name: str, amount: float = 1.0) -> None:
-        tel = instrument.TELEMETRY
-        if tel is not None:
-            tel.count(name, amount)
 
 
 class HeldLeaseTable:

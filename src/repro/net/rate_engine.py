@@ -236,7 +236,6 @@ class IncrementalRateEngine:
 
         tel = instrument.TELEMETRY
         if tel is not None:
-            tel.count("rate_engine_solves_total")
             tel.observe(
                 "rate_engine_dirty_flows", float(len(flows)), buckets=_DIRTY_BUCKETS
             )

@@ -80,6 +80,7 @@ class RpcFabric:
         self.calls_failed = 0
         self.calls_timed_out = 0
         self._caller_ids = itertools.count()
+        instrument.notify_component("fabric", self)
 
     def new_caller_id(self) -> int:
         """A fabric-unique number for one caller instance.
@@ -163,7 +164,6 @@ class RpcFabric:
                 span_args["parent"] = rpc_ctx.parent_id
             tel.begin(self._loop.now, f"{service}.{method}", "rpc", call_id,
                       track="rpc", **span_args)
-            tel.count("rpc_calls_total")
 
         def _fire(response: RpcResponse) -> None:
             # A deadline and a real response can race; first one wins and
@@ -178,8 +178,6 @@ class RpcFabric:
                 tel.end(self._loop.now, f"{service}.{method}", "rpc", call_id,
                         track="rpc", ok=response.ok,
                         error=response.error)
-                if not response.ok:
-                    tel.count("rpc_calls_failed_total")
             done.fire(response)
 
         def _respond(response: RpcResponse) -> None:
@@ -266,9 +264,6 @@ class RpcFabric:
                 if settled[0]:
                     return
                 self.calls_timed_out += 1
-                tel = instrument.TELEMETRY
-                if tel is not None:
-                    tel.count("rpc_calls_timed_out_total")
                 _fire(
                     RpcResponse(
                         ok=False,

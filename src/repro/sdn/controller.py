@@ -58,6 +58,8 @@ class Controller:
         self._records: Dict[str, FlowRecord] = {}
         self._removed_listeners: List[Callable[[FlowRemoved], None]] = []
         self._down_switches: Set[str] = set()
+        self.transfers_started = 0
+        self.transfers_completed = 0
         self.flows_aborted = 0
         instrument.notify_component("controller", self)
 
@@ -148,12 +150,12 @@ class Controller:
         ``aborted=True`` is emitted, and ``on_abort`` (if any) runs.
         """
         self.install_path(flow_id, path, size_bits)
+        self.transfers_started += 1
         tel = instrument.TELEMETRY
         if tel is not None:
             tel.begin(self._loop.now, "transfer", "transfer", flow_id,
                       track="transfers", src=path.src, dst=path.dst,
                       size_bits=size_bits)
-            tel.count("transfers_started_total")
 
         def _finished(flow: Flow) -> None:
             self.uninstall_path(flow_id)
@@ -164,12 +166,12 @@ class Controller:
                 bytes_sent=flow.bytes_sent,
                 duration=(flow.end_time or self._loop.now) - flow.start_time,
             )
+            self.transfers_completed += 1
             tel = instrument.TELEMETRY
             if tel is not None:
                 tel.end(self._loop.now, "transfer", "transfer", flow_id,
                         track="transfers", outcome="completed",
                         bytes_sent=flow.bytes_sent)
-                tel.count("transfers_completed_total")
             for listener in list(self._removed_listeners):
                 listener(removed)
             if on_complete is not None:
@@ -191,7 +193,6 @@ class Controller:
                 tel.end(self._loop.now, "transfer", "transfer", flow_id,
                         track="transfers", outcome="aborted",
                         reason=str(exc), bytes_sent=flow.bytes_sent)
-                tel.count("transfers_aborted_total")
             for listener in list(self._removed_listeners):
                 listener(removed)
             if on_abort is not None:

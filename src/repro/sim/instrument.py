@@ -4,7 +4,9 @@ The simulation layers must not import :mod:`repro.analysis` or
 :mod:`repro.telemetry` (both import them), so runtime observers plug in
 through this tiny multi-subscriber bus instead:
 
-* components announce themselves via :func:`notify_component`;
+* components announce themselves via :func:`notify_component` (the
+  sanitizer checks their invariants, a telemetry session reads their
+  counters);
 * the event loop reports every fired event via :func:`post_event`;
 * the active telemetry sink (a :class:`repro.telemetry.Telemetry`, duck
   typed so this module stays import-free) is published as the module
@@ -74,9 +76,10 @@ class Subscription:
 
 
 #: Subscribers, stored as immutable tuples so fan-out never observes a
-#: half-updated list.  Kinds announced today: ``"loop"``, ``"network"``,
-#: ``"controller"``, ``"flowserver"``, ``"streams"``, ``"collector"``,
-#: ``"fabric"``.
+#: half-updated list.  The kinds announced, each by its constructor:
+#: ``"network"``, ``"streams"``, ``"controller"``, ``"flowserver"``,
+#: ``"fabric"``, ``"leases"``, ``"dataserver"``, ``"client"`` and
+#: ``"injector"``.
 _component_hooks: Tuple[ComponentHook, ...] = ()
 _post_event_hooks: Tuple[PostEventHook, ...] = ()
 _subscriptions: Tuple[Subscription, ...] = ()

@@ -1,9 +1,9 @@
 """Deterministic observability for the Mayflower simulation.
 
 Everything here runs on the simulated clock: spans and events record the
-timestamps callers read off the event loop, the metrics registry mutates
-only when simulation code does, and the exporters are pure functions of
-what was recorded.  Same seed, same trace — byte for byte.
+timestamps callers read off the event loop, the metrics registry's
+counters read the components' own attributes, and the exporters are pure
+functions of what was recorded.  Same seed, same trace — byte for byte.
 
 Quick tour::
 
@@ -30,7 +30,7 @@ from repro.telemetry.analyze import (
     render_report,
     stage_profile,
 )
-from repro.telemetry.bind import bind_resilience_metrics, bind_standard_probes
+from repro.telemetry.bind import bind_standard_probes
 from repro.telemetry.flight import (
     FlightDump,
     FlightRecorder,
@@ -89,7 +89,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "active",
-    "bind_resilience_metrics",
     "bind_standard_probes",
     "build_trees",
     "critical_path",

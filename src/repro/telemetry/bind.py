@@ -6,28 +6,22 @@ Two jobs live here, both read-only with respect to the simulation:
   the paper's figures care about (link utilization, tracked/frozen flow
   counts, in-flight transfer count) on a
   :class:`~repro.telemetry.metrics.TimeSeriesSampler`;
-* :func:`bind_resilience_metrics` exposes the cross-stack resilience
-  counters as callback gauges, so
-  :func:`repro.experiments.metrics.resilience_summary` (and any
-  Prometheus dump) reads one registry instead of spelunking through five
-  component objects.
+* :func:`bind_counters` registers the :data:`COUNTERS` rows of one
+  component kind as callback counters, so every exported count is read
+  from the component attribute that already keeps it.
 
 Everything is callback-based: no values are copied at bind time, reads
-happen when a sample fires or a summary is taken.
+happen when a sample fires or a dump is taken.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Iterable, List, Optional
+from operator import attrgetter
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.net.topology import Topology
 from repro.net.view import NetworkView
 from repro.telemetry.metrics import MetricsRegistry, TimeSeriesSampler
-
-#: Gauge value standing in for "not applicable yet" (no recoveries seen).
-NOT_AVAILABLE = math.nan
-
 
 def _frozen_flow_count(flowserver: Any) -> float:
     table = flowserver.state
@@ -109,101 +103,151 @@ def bind_standard_probes(
     return added
 
 
-def _sum_over(objects: List[Any], attribute: str) -> Callable[[], float]:
-    def probe() -> float:
-        return float(sum(getattr(obj, attribute) for obj in objects))
-
-    return probe
+Reader = Callable[[Any], float]
 
 
-def bind_resilience_metrics(
-    registry: MetricsRegistry,
-    cluster: Any,
-    clients: Iterable[Any],
-    injector: Optional[Any] = None,
-) -> MetricsRegistry:
-    """Expose the resilience counters as callback gauges on ``registry``.
+def _poll_total(attribute: str) -> Reader:
+    """Sum one of the collector's per-switch poll-volume dicts."""
+    def read(flowserver: Any) -> float:
+        return float(sum(getattr(flowserver.collector, attribute).values()))
 
-    Gauge names mirror the :class:`ResilienceSummary` fields.  Components
-    a scheme lacks (no flowserver, no injector) register constant-zero
-    gauges so every dump has the full schema.  ``time_to_recover_seconds``
-    reads ``NaN`` when the scheme has no Flowserver at all.
+    return read
+
+
+#: Every exported counter, one row per fact: ``(name, component kind,
+#: reader, help)``.  The reader takes one component of that kind (as
+#: announced on :mod:`repro.sim.instrument`'s bus) and returns its own
+#: count; the exported value sums the reader over every component of the
+#: kind.  No component keeps a second copy for telemetry.
+COUNTERS: Tuple[Tuple[str, str, Reader, str], ...] = (
+    ("transfers_started_total", "controller",
+     attrgetter("transfers_started"), "Transfers started on the network"),
+    ("transfers_completed_total", "controller",
+     attrgetter("transfers_completed"), "Transfers that delivered every byte"),
+    ("transfers_aborted_total", "controller",
+     attrgetter("flows_aborted"), "Transfers aborted for any reason"),
+    ("rate_engine_solves_total", "network",
+     attrgetter("rate_engine.stats.solves"), "Incremental rate solves"),
+    ("rpc_calls_total", "fabric",
+     attrgetter("calls_sent"), "RPC calls sent"),
+    ("rpc_calls_failed_total", "fabric",
+     attrgetter("calls_failed"), "RPC calls answered with an error"),
+    ("rpc_calls_timed_out_total", "fabric",
+     attrgetter("calls_timed_out"), "RPC calls that expired undelivered"),
+    ("flowserver_requests_total", "flowserver",
+     attrgetter("requests_served"), "Replica/path selections served"),
+    ("flowserver_local_reads_total", "flowserver",
+     attrgetter("local_reads"), "Selections answered by a local replica"),
+    ("flowserver_split_reads_total", "flowserver",
+     attrgetter("split_reads"), "Selections split across replicas"),
+    ("flowserver_degraded_selections_total", "flowserver",
+     attrgetter("degraded_selections"),
+     "Replica selections made in degraded mode"),
+    ("flowserver_degraded_entries_total", "flowserver",
+     attrgetter("degraded_entries"), "Times the Flowserver entered degraded mode"),
+    ("flowserver_unreachable_path_selections_total", "flowserver",
+     attrgetter("unreachable_path_selections"),
+     "Selections where every candidate path was down"),
+    ("flowserver_fanout_requests_total", "flowserver",
+     attrgetter("fanout_requests"), "Append fan-out plans requested"),
+    ("flowserver_fanout_tree_total", "flowserver",
+     attrgetter("fanout_tree_plans"), "Fan-out plans shaped as a tree"),
+    ("flowserver_fanout_chain_total", "flowserver",
+     attrgetter("fanout_chain_plans"), "Fan-out plans shaped as a chain"),
+    ("flowserver_fanout_static_fallbacks_total", "flowserver",
+     attrgetter("fanout_static_fallbacks"),
+     "Fan-out plans degraded to the static replica chain"),
+    ("collector_polls_total", "flowserver",
+     attrgetter("collector.polls_completed"), "Stats poll cycles run"),
+    ("collector_measurements_applied_total", "flowserver",
+     attrgetter("collector.measurements_applied"),
+     "Polled rates applied to tracked flows"),
+    ("collector_measurements_suppressed_total", "flowserver",
+     attrgetter("collector.measurements_suppressed"),
+     "Polled rates ignored under the update freeze"),
+    ("collector_polls_lost_total", "flowserver",
+     attrgetter("collector.polls_lost"), "Stats polls lost to faults"),
+    ("collector_poll_errors_total", "flowserver",
+     attrgetter("collector.poll_errors"), "Stats polls that returned errors"),
+    ("flowserver_poll_messages_total", "flowserver",
+     _poll_total("poll_messages"), "OpenFlow stats messages exchanged"),
+    ("flowserver_poll_bytes_total", "flowserver",
+     _poll_total("poll_bytes"), "Estimated bytes of OpenFlow stats traffic"),
+    ("ds_reads_served_total", "dataserver",
+     attrgetter("reads_served"), "Reads served by dataservers"),
+    ("ds_appends_served_total", "dataserver",
+     attrgetter("appends_served"), "Appends committed by primaries"),
+    ("ds_pushes_staged_total", "dataserver",
+     attrgetter("pushes_staged"), "Append payloads staged by primaries"),
+    ("ds_appends_deduplicated_total", "dataserver",
+     attrgetter("appends_deduplicated"), "Retried appends answered from the ledger"),
+    ("ds_catch_ups_served_total", "dataserver",
+     attrgetter("catch_ups_served"), "Catch-up requests served to lagging replicas"),
+    ("ds_relays_caught_up_total", "dataserver",
+     attrgetter("relays_caught_up"), "Relays that caught up before applying"),
+    ("ds_truncations_total", "dataserver",
+     attrgetter("truncations"), "Diverged replica tails truncated"),
+    ("ds_lease_fencings_total", "dataserver",
+     attrgetter("lease_fencings"), "Appends refused for a stale lease"),
+    ("lease_grants_total", "leases",
+     attrgetter("grants"), "Primary leases granted"),
+    ("lease_renewals_total", "leases",
+     attrgetter("renewals"), "Primary leases renewed"),
+    ("lease_promotions_total", "leases",
+     attrgetter("promotions"), "Primaries forced by the replica manager"),
+    ("lease_expirations_total", "leases",
+     attrgetter("expirations"), "Leases voided by host expiry"),
+    ("lease_rejections_total", "leases",
+     attrgetter("rejections"), "Lease requests refused while held elsewhere"),
+    ("lease_fencing_rejections_total", "leases",
+     attrgetter("fencing_rejections"), "Commit reports fenced for a stale epoch"),
+    ("client_read_retries_total", "client",
+     attrgetter("read_retries"), "Client read attempts retried"),
+    ("client_metadata_retries_total", "client",
+     attrgetter("metadata_retries"), "Client namespace calls retried"),
+    ("client_append_retries_total", "client",
+     attrgetter("append_retries"), "Client append attempts retried"),
+    ("client_read_failovers_total", "client",
+     attrgetter("read_failovers"), "Client reads failed over to another replica"),
+    ("client_read_resumptions_total", "client",
+     attrgetter("read_resumptions"), "Client reads resumed mid-object"),
+    ("client_bytes_resumed_total", "client",
+     attrgetter("bytes_resumed"), "Bytes skipped thanks to resumed reads"),
+    ("client_append_failovers_total", "client",
+     attrgetter("append_failovers"), "Client appends that followed a new primary"),
+    ("faults_applied_total", "injector",
+     attrgetter("events_applied"), "Fault-plan events applied by the injector"),
+    ("faults_flows_aborted_total", "injector",
+     attrgetter("flows_aborted_by_faults"), "Transfers aborted by injected faults"),
+)
+
+
+def bind_counters(registry: MetricsRegistry, kind: str,
+                  components: List[Any]) -> None:
+    """Register ``kind``'s :data:`COUNTERS` rows on ``registry``.
+
+    ``components`` is the caller's live list of that kind's components;
+    every read sums over whatever it holds then.  The Flowserver kind
+    also binds the ``time_to_recover_seconds`` gauge, pooled over every
+    degraded episode of every Flowserver.
     """
-    client_list = list(clients)
-    flowserver = cluster.flowserver
-    collector = flowserver.collector if flowserver is not None else None
+    for name, row_kind, reader, help in COUNTERS:
+        if row_kind == kind:
+            registry.counter(name, _sum_over(components, reader), help)
+    if kind == "flowserver":
+        def _ttr() -> float:
+            times = [t for fs in components for t in fs.recovery_times]
+            return sum(times) / len(times) if times else 0.0
 
-    def live(obj: Optional[Any], attribute: str) -> Callable[[], float]:
-        if obj is None:
-            return lambda: 0.0
-        return lambda: float(getattr(obj, attribute))
+        registry.gauge(
+            "time_to_recover_seconds",
+            "Mean degraded-to-recovered latency (0 before first recovery)",
+            callback=_ttr,
+        )
 
-    registry.gauge(
-        "faults_applied", "Fault-plan events applied by the injector",
-        callback=live(injector, "events_applied"),
-    )
-    registry.gauge(
-        "flows_aborted", "Transfers aborted for any reason",
-        callback=live(cluster.controller, "flows_aborted"),
-    )
-    registry.gauge(
-        "flows_aborted_by_faults", "Transfers aborted by injected faults",
-        callback=live(injector, "flows_aborted_by_faults"),
-    )
-    registry.gauge(
-        "degraded_selections", "Replica selections made in degraded mode",
-        callback=live(flowserver, "degraded_selections"),
-    )
-    registry.gauge(
-        "degraded_entries", "Times the Flowserver entered degraded mode",
-        callback=live(flowserver, "degraded_entries"),
-    )
-    registry.gauge(
-        "unreachable_path_selections",
-        "Selections where every candidate path was down",
-        callback=live(flowserver, "unreachable_path_selections"),
-    )
 
-    def _ttr() -> float:
-        if flowserver is None:
-            return NOT_AVAILABLE
-        return float(flowserver.time_to_recover())
+def _sum_over(components: List[Any], reader: Reader) -> Callable[[], float]:
+    def read() -> float:
+        return float(sum(reader(component) for component in components))
 
-    registry.gauge(
-        "time_to_recover_seconds",
-        "Mean degraded-to-recovered latency (NaN before first recovery)",
-        callback=_ttr,
-    )
-    registry.gauge(
-        "polls_lost", "Stats polls lost to faults",
-        callback=live(collector, "polls_lost"),
-    )
-    registry.gauge(
-        "poll_errors", "Stats polls that returned errors",
-        callback=live(collector, "poll_errors"),
-    )
-    registry.gauge(
-        "rpc_calls_timed_out", "RPC calls that expired undelivered",
-        callback=live(cluster.fabric, "calls_timed_out"),
-    )
-    registry.gauge(
-        "read_retries", "Client read attempts retried",
-        callback=_sum_over(client_list, "read_retries"),
-    )
-    registry.gauge(
-        "metadata_retries", "Client namespace calls retried",
-        callback=_sum_over(client_list, "metadata_retries"),
-    )
-    registry.gauge(
-        "read_failovers", "Client reads failed over to another replica",
-        callback=_sum_over(client_list, "read_failovers"),
-    )
-    registry.gauge(
-        "read_resumptions", "Client reads resumed mid-object",
-        callback=_sum_over(client_list, "read_resumptions"),
-    )
-    registry.gauge(
-        "bytes_resumed", "Bytes skipped thanks to resumed reads",
-        callback=_sum_over(client_list, "bytes_resumed"),
-    )
-    return registry
+    return read

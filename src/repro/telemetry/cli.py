@@ -1,16 +1,15 @@
-"""``python -m repro.telemetry`` — inspect and convert recorded traces.
+"""``python -m repro.telemetry`` — inspect recorded traces.
 
 Subcommands::
 
     summarize TRACE.jsonl             # event counts, categories, sim-time range
-    convert   TRACE.jsonl -o OUT.json # Chrome trace JSON for Perfetto
-    slowest   TRACE.jsonl [-n N] [--cat CAT]  # top-N async spans by duration
-    analyze   TRACE.jsonl [--op PREFIX] [-n N]  # trees, critical paths, stages
+    analyze   TRACE.jsonl [--op PREFIX] [-n N]  # slowest ops, critical paths
     flight    DUMP.json [--trace ID]  # inspect a flight-recorder dump
 
 The input is always the JSONL stream written by
 :func:`repro.telemetry.exporters.write_jsonl` (the runner's ``--trace``
-flag produces one as ``trace.jsonl``).
+flag produces one as ``trace.jsonl``, next to the Chrome trace
+``trace.json`` for Perfetto).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.telemetry.analyze import render_report
-from repro.telemetry.exporters import read_jsonl, write_chrome_trace
+from repro.telemetry.exporters import read_jsonl
 from repro.telemetry.flight import read_flight_dump
 from repro.telemetry.tracer import TraceEvent, pair_async_spans
 
@@ -64,39 +63,6 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     open_begins = len([e for e in events if e.ph == "b"]) - len(pairs)
     if open_begins:
         print(f"async spans left open: {open_begins}")
-    return 0
-
-
-def cmd_convert(args: argparse.Namespace) -> int:
-    events = _load(args.trace)
-    out = args.output
-    if out is None:
-        out = str(Path(args.trace).with_suffix(".json"))
-    write_chrome_trace(events, out, process_name=args.process_name)
-    print(f"wrote {out} ({len(events)} events) — "
-          "open in https://ui.perfetto.dev or chrome://tracing")
-    return 0
-
-
-def cmd_slowest(args: argparse.Namespace) -> int:
-    events = _load(args.trace)
-    pairs = pair_async_spans(events)
-    if args.cat is not None:
-        pairs = [(b, e) for b, e in pairs if b.cat == args.cat]
-    if not pairs:
-        print("no closed async spans" +
-              (f" in category {args.cat!r}" if args.cat else ""))
-        return 0
-    ranked = sorted(
-        pairs, key=lambda pair: (-(pair[1].ts - pair[0].ts), pair[0].ts)
-    )[: args.count]
-    width = max(len(b.name) for b, _ in ranked)
-    print(f"{'span':<{width}}  {'cat':<10} {'id':<12} "
-          f"{'start':>12} {'duration':>12}")
-    for begin, end in ranked:
-        span_id = begin.id if begin.id is not None else "-"
-        print(f"{begin.name:<{width}}  {begin.cat:<10} {span_id:<12} "
-              f"{begin.ts:>12.6f} {end.ts - begin.ts:>12.6f}")
     return 0
 
 
@@ -146,27 +112,13 @@ def cmd_flight(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
-        description="Inspect and convert deterministic simulation traces.",
+        description="Inspect deterministic simulation traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sum = sub.add_parser("summarize", help="event counts and time range")
     p_sum.add_argument("trace", help="JSONL trace file")
     p_sum.set_defaults(func=cmd_summarize)
-
-    p_conv = sub.add_parser("convert", help="JSONL -> Chrome trace JSON")
-    p_conv.add_argument("trace", help="JSONL trace file")
-    p_conv.add_argument("-o", "--output", default=None,
-                        help="output path (default: input with .json suffix)")
-    p_conv.add_argument("--process-name", default="mayflower-sim")
-    p_conv.set_defaults(func=cmd_convert)
-
-    p_slow = sub.add_parser("slowest", help="top-N async spans by duration")
-    p_slow.add_argument("trace", help="JSONL trace file")
-    p_slow.add_argument("-n", "--count", type=int, default=10)
-    p_slow.add_argument("--cat", default=None,
-                        help="restrict to one category (e.g. transfer, read)")
-    p_slow.set_defaults(func=cmd_slowest)
 
     p_an = sub.add_parser(
         "analyze",

@@ -1,9 +1,10 @@
 """Counter / Gauge / Histogram primitives and a deterministic registry.
 
 Metrics are plain Python objects with no locks, no background threads and
-no wall-clock reads: values change only when simulation code calls
-``inc``/``set``/``observe``, and the registry iterates in insertion order,
-so rendering is bit-reproducible for a given seed.
+no wall-clock reads: counters read the components' own attributes,
+gauges and histograms change only when simulation code calls
+``set``/``observe``, and the registry iterates in insertion order, so
+rendering is bit-reproducible for a given seed.
 
 A :class:`TimeSeriesSampler` turns callback probes (link utilization,
 tracked-flow count, ...) into periodic samples on the simulated clock —
@@ -14,7 +15,8 @@ series for the exporters.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+import re
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.sim.engine import EventLoop, PeriodicTimer
 
@@ -30,39 +32,29 @@ class MetricError(ValueError):
     """Invalid metric construction or a name/type collision."""
 
 
-def _label_key(labels: Optional[Mapping[str, str]]) -> Tuple[Tuple[str, str], ...]:
-    if not labels:
-        return ()
-    return tuple(sorted(labels.items()))
-
-
-def _render_labels(labels: Tuple[Tuple[str, str], ...]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{k}="{v}"' for k, v in labels)
-    return "{" + inner + "}"
+#: A legal Prometheus metric name; anything else makes a scraper reject
+#: the whole exposition.
+_METRIC_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
 
 
 class Counter:
-    """A monotonically increasing count."""
+    """A monotonically increasing count, read live from a component.
+
+    The component's own attribute is the only copy of the fact; the
+    counter reads it through ``callback`` whenever a dump is taken.
+    """
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "",
-                 labels: Optional[Mapping[str, str]] = None) -> None:
+    def __init__(self, name: str, callback: Callable[[], float],
+                 help: str = "") -> None:
         self.name = name
         self.help = help
-        self.labels = _label_key(labels)
-        self._value = 0.0
+        self._callback = callback
 
     @property
     def value(self) -> float:
-        return self._value
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise MetricError(f"counter {self.name} cannot decrease ({amount})")
-        self._value += amount
+        return float(self._callback())
 
 
 class Gauge:
@@ -79,12 +71,10 @@ class Gauge:
         self,
         name: str,
         help: str = "",
-        labels: Optional[Mapping[str, str]] = None,
         callback: Optional[Callable[[], float]] = None,
     ) -> None:
         self.name = name
         self.help = help
-        self.labels = _label_key(labels)
         self._callback = callback
         self._value = 0.0
 
@@ -99,12 +89,6 @@ class Gauge:
             raise MetricError(f"gauge {self.name} is callback-backed")
         self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.set(self._value + amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self._value - amount)
-
 
 class Histogram:
     """Cumulative-bucket histogram (Prometheus semantics: ``le`` bounds)."""
@@ -115,7 +99,6 @@ class Histogram:
         self,
         name: str,
         help: str = "",
-        labels: Optional[Mapping[str, str]] = None,
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> None:
         bounds = tuple(float(b) for b in buckets)
@@ -125,7 +108,6 @@ class Histogram:
             raise MetricError(f"histogram {name} buckets must be sorted: {bounds}")
         self.name = name
         self.help = help
-        self.labels = _label_key(labels)
         self.bounds = bounds
         self.bucket_counts = [0] * (len(bounds) + 1)  # last = +Inf
         self.sum = 0.0
@@ -150,42 +132,42 @@ class Histogram:
         return out
 
 
+Metric = Union[Counter, Gauge, Histogram]
+
+
 class MetricsRegistry:
-    """Get-or-create registry keyed by ``(name, labels)``.
+    """Get-or-create registry keyed by metric name.
 
     Creation order is preserved, so the Prometheus dump and snapshots are
     deterministic.  Re-requesting an existing metric returns the same
-    object; requesting it with a different kind raises.
+    object; requesting it with a different kind raises, and so does a
+    name Prometheus would not accept.
     """
 
     def __init__(self) -> None:
-        self._metrics: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], object] = {}
+        self._metrics: Dict[str, Metric] = {}
 
     def _get_or_create(
-        self,
-        kind: str,
-        name: str,
-        factory: Callable[[], object],
-        labels: Optional[Mapping[str, str]],
-    ) -> object:
-        key = (name, _label_key(labels))
-        existing = self._metrics.get(key)
+        self, kind: str, name: str, factory: Callable[[], Metric]
+    ) -> Metric:
+        existing = self._metrics.get(name)
         if existing is not None:
-            existing_kind = getattr(existing, "kind", "?")
-            if existing_kind != kind:
+            if existing.kind != kind:
                 raise MetricError(
-                    f"metric {name!r} already registered as {existing_kind}, "
+                    f"metric {name!r} already registered as {existing.kind}, "
                     f"requested as {kind}"
                 )
             return existing
+        if not _METRIC_NAME.fullmatch(name):
+            raise MetricError(f"{name!r} is not a legal Prometheus metric name")
         metric = factory()
-        self._metrics[key] = metric
+        self._metrics[name] = metric
         return metric
 
-    def counter(self, name: str, help: str = "",
-                labels: Optional[Mapping[str, str]] = None) -> Counter:
+    def counter(self, name: str, callback: Callable[[], float],
+                help: str = "") -> Counter:
         metric = self._get_or_create(
-            "counter", name, lambda: Counter(name, help, labels), labels
+            "counter", name, lambda: Counter(name, callback, help)
         )
         assert isinstance(metric, Counter)
         return metric
@@ -194,26 +176,22 @@ class MetricsRegistry:
         self,
         name: str,
         help: str = "",
-        labels: Optional[Mapping[str, str]] = None,
         callback: Optional[Callable[[], float]] = None,
     ) -> Gauge:
         metric = self._get_or_create(
-            "gauge", name, lambda: Gauge(name, help, labels, callback), labels
+            "gauge", name, lambda: Gauge(name, help, callback)
         )
         assert isinstance(metric, Gauge)
-        if callback is not None and metric._callback is None:
-            metric._callback = callback
         return metric
 
     def histogram(
         self,
         name: str,
         help: str = "",
-        labels: Optional[Mapping[str, str]] = None,
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> Histogram:
         metric = self._get_or_create(
-            "histogram", name, lambda: Histogram(name, help, labels, buckets), labels
+            "histogram", name, lambda: Histogram(name, help, buckets)
         )
         assert isinstance(metric, Histogram)
         return metric
@@ -222,30 +200,24 @@ class MetricsRegistry:
     # Reading
     # ------------------------------------------------------------------
 
-    def all_metrics(self) -> List[object]:
-        return list(self._metrics.values())
+    def get(self, name: str) -> Optional[Metric]:
+        return self._metrics.get(name)
 
-    def get(self, name: str,
-            labels: Optional[Mapping[str, str]] = None) -> Optional[object]:
-        return self._metrics.get((name, _label_key(labels)))
-
-    def value(self, name: str,
-              labels: Optional[Mapping[str, str]] = None) -> float:
+    def value(self, name: str) -> float:
         """The scalar value of a counter/gauge (raises if absent)."""
-        metric = self.get(name, labels)
+        metric = self.get(name)
         if metric is None:
-            raise KeyError(f"no metric {name!r} with labels {labels!r}")
-        if isinstance(metric, (Counter, Gauge)):
-            return metric.value
-        raise MetricError(f"metric {name!r} is a {getattr(metric, 'kind', '?')}")
+            raise KeyError(f"no metric {name!r}")
+        if isinstance(metric, Histogram):
+            raise MetricError(f"metric {name!r} is a histogram")
+        return metric.value
 
     def snapshot(self) -> Dict[str, object]:
         """Name -> value dict (histograms expand to sum/count/buckets)."""
         out: Dict[str, object] = {}
-        for (name, labels), metric in self._metrics.items():
-            key = name + _render_labels(labels)
+        for name, metric in self._metrics.items():
             if isinstance(metric, Histogram):
-                out[key] = {
+                out[name] = {
                     "sum": metric.sum,
                     "count": metric.count,
                     "buckets": dict(
@@ -253,8 +225,8 @@ class MetricsRegistry:
                             metric.cumulative_counts())
                     ),
                 }
-            elif isinstance(metric, (Counter, Gauge)):
-                out[key] = metric.value
+            else:
+                out[name] = metric.value
         return out
 
     # ------------------------------------------------------------------
@@ -264,34 +236,21 @@ class MetricsRegistry:
     def render_prometheus(self) -> str:
         """The Prometheus text exposition format (0.0.4), deterministic."""
         lines: List[str] = []
-        seen_headers: Dict[str, bool] = {}
-        for (name, labels), metric in self._metrics.items():
-            if not isinstance(metric, (Counter, Gauge, Histogram)):
-                continue
-            if name not in seen_headers:
-                seen_headers[name] = True
-                if metric.help:
-                    lines.append(f"# HELP {name} {metric.help}")
-                lines.append(f"# TYPE {name} {metric.kind}")
+        for name, metric in self._metrics.items():
+            if metric.help:
+                lines.append(f"# HELP {name} {metric.help}")
+            lines.append(f"# TYPE {name} {metric.kind}")
             if isinstance(metric, Histogram):
                 cumulative = metric.cumulative_counts()
                 for bound, count in zip(metric.bounds, cumulative[:-1]):
-                    bucket_labels = labels + (("le", _format_value(bound)),)
                     lines.append(
-                        f"{name}_bucket{_render_labels(bucket_labels)} {count}"
+                        f'{name}_bucket{{le="{_format_value(bound)}"}} {count}'
                     )
-                inf_labels = labels + (("le", "+Inf"),)
-                lines.append(
-                    f"{name}_bucket{_render_labels(inf_labels)} {cumulative[-1]}"
-                )
-                lines.append(
-                    f"{name}_sum{_render_labels(labels)} {_format_value(metric.sum)}"
-                )
-                lines.append(f"{name}_count{_render_labels(labels)} {metric.count}")
+                lines.append(f'{name}_bucket{{le="+Inf"}} {cumulative[-1]}')
+                lines.append(f"{name}_sum {_format_value(metric.sum)}")
+                lines.append(f"{name}_count {metric.count}")
             else:
-                lines.append(
-                    f"{name}{_render_labels(labels)} {_format_value(metric.value)}"
-                )
+                lines.append(f"{name} {_format_value(metric.value)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
 

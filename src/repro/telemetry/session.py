@@ -6,7 +6,9 @@ itself through :data:`repro.sim.instrument.TELEMETRY`.  Emit sites across
 the stack read that global and guard with a single ``is None`` check, so
 an uninstalled session costs nothing on the hot paths.
 
-The facade also offers one-call conveniences the emit sites use so each
+Counters are not pushed: while installed, the session binds each
+announced component's own attributes (:data:`repro.telemetry.bind.COUNTERS`).
+The facade offers one-call conveniences the trace emit sites use so each
 site stays a two-liner::
 
     tel = instrument.TELEMETRY
@@ -20,11 +22,12 @@ manager, which tests prefer) to arm and disarm.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import ContextManager, Iterator, Mapping, Optional, Sequence
+from typing import Any, ContextManager, Dict, Iterator, List, Optional, Sequence
 
 from repro.sim import instrument
 from repro.sim.engine import EventLoop
 
+from repro.telemetry.bind import bind_counters
 from repro.telemetry.flight import DEFAULT_CAPACITY, FlightRecorder
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
@@ -50,6 +53,10 @@ class Telemetry:
         #: Armed flight recorder, reachable by the failure hooks through
         #: ``instrument.flight_trigger`` (None unless attached).
         self.flight: Optional[FlightRecorder] = None
+        #: Components announced on the bus while installed, by kind; the
+        #: registry's counters read their attributes.
+        self.components: Dict[str, List[Any]] = {}
+        self._subscription: Optional[instrument.Subscription] = None
 
     # ------------------------------------------------------------------
     # Tracer delegation (the emit-site surface)
@@ -108,25 +115,23 @@ class Telemetry:
         return recorder
 
     # ------------------------------------------------------------------
-    # Metrics conveniences
+    # Metrics
     # ------------------------------------------------------------------
 
-    def count(self, name: str, amount: float = 1.0,
-              labels: Optional[Mapping[str, str]] = None) -> None:
-        """Increment (lazily creating) a counter."""
-        self.metrics.counter(name, labels=labels).inc(amount)
-
-    def gauge_set(self, name: str, value: float,
-                  labels: Optional[Mapping[str, str]] = None) -> None:
-        self.metrics.gauge(name, labels=labels).set(value)
-
     def observe(self, name: str, value: float,
-                buckets: Sequence[float] = DEFAULT_BUCKETS,
-                labels: Optional[Mapping[str, str]] = None) -> Histogram:
+                buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
         """Record into (lazily creating) a histogram."""
-        histogram = self.metrics.histogram(name, labels=labels, buckets=buckets)
+        histogram = self.metrics.histogram(name, buckets=buckets)
         histogram.observe(value)
         return histogram
+
+    def _on_component(self, kind: str, component: Any) -> None:
+        """Bus hook: the first component of a kind binds its counters."""
+        members = self.components.get(kind)
+        if members is None:
+            members = self.components[kind] = []
+            bind_counters(self.metrics, kind, members)
+        members.append(component)
 
     # ------------------------------------------------------------------
     # Periodic sampling
@@ -152,8 +157,12 @@ class Telemetry:
             self._sampler.stop()
 
     def close(self) -> None:
-        """Stop timers; keeps recorded events/metrics readable."""
+        """Stop timers and leave the component bus; keeps recorded
+        events/metrics readable."""
         self.stop_sampler()
+        if self._subscription is not None:
+            instrument.unsubscribe(self._subscription)
+            self._subscription = None
 
 
 # ----------------------------------------------------------------------
@@ -165,12 +174,18 @@ def install(telemetry: Optional[Telemetry] = None) -> Telemetry:
     """Arm a telemetry session (creating one if needed) and return it.
 
     One session at a time: installing over a live session replaces it
-    (the old session stays readable, its sampler is stopped).
+    (the old session stays readable, its sampler is stopped).  While
+    installed, the session hears every component announced on
+    :mod:`repro.sim.instrument`'s bus and exposes its counters.
     """
     previous = active()
     if previous is not None:
         previous.close()
     session_obj = telemetry if telemetry is not None else Telemetry()
+    if session_obj._subscription is None:
+        session_obj._subscription = instrument.subscribe(
+            component=session_obj._on_component
+        )
     instrument.set_telemetry(session_obj)
     return session_obj
 

@@ -186,7 +186,7 @@ def test_link_down_aborts_inflight_read_but_client_recovers(cluster):
 def test_faults_reach_the_lease_manager_and_the_collector(cluster):
     """``lease_expire`` revokes the nameserver's one lease manager's
     grant, and ``stats_poll_loss`` silences the Flowserver's collector."""
-    from repro.telemetry import MetricsRegistry, bind_resilience_metrics
+    from repro.experiments.metrics import resilience_summary
 
     collector = cluster.flowserver.collector
     manager = cluster.lease_manager
@@ -219,9 +219,7 @@ def test_faults_reach_the_lease_manager_and_the_collector(cluster):
     assert details["lease_expire"].startswith("expired 1 lease(s)")
 
     collector.poll_once()  # a tick lost to the outage
-    registry = MetricsRegistry()
-    bind_resilience_metrics(registry, cluster, [], injector)
-    assert registry.value("polls_lost") == 1.0
+    assert resilience_summary(cluster, [], injector).polls_lost == 1
 
     cluster.loop.run(until=start + 3.5)
     assert not collector.suppress_polls

@@ -1,10 +1,8 @@
-"""Tests for ``python -m repro.telemetry`` (summarize / convert / slowest)."""
-
-import json
+"""Tests for ``python -m repro.telemetry summarize``."""
 
 import pytest
 
-from repro.telemetry import Tracer, validate_chrome_trace, write_jsonl
+from repro.telemetry import Tracer, write_jsonl
 from repro.telemetry.cli import main
 
 
@@ -28,43 +26,6 @@ def test_summarize(trace_file, capsys):
     assert "phases: b=3, e=2, i=1" in out
     assert "async spans: 2 closed" in out
     assert "async spans left open: 1" in out
-
-
-def test_convert_default_output(trace_file, capsys):
-    assert main(["convert", str(trace_file)]) == 0
-    out_path = trace_file.with_suffix(".json")
-    assert out_path.exists()
-    payload = json.loads(out_path.read_text())
-    assert validate_chrome_trace(payload) == []
-    assert "perfetto" in capsys.readouterr().out
-
-
-def test_convert_explicit_output_and_process_name(trace_file, tmp_path):
-    out = tmp_path / "x.json"
-    assert main(["convert", str(trace_file), "-o", str(out),
-                 "--process-name", "my-run"]) == 0
-    payload = json.loads(out.read_text())
-    meta = next(e for e in payload["traceEvents"]
-                if e["name"] == "process_name")
-    assert meta["args"]["name"] == "my-run"
-
-
-def test_slowest_ranks_by_duration(trace_file, capsys):
-    assert main(["slowest", str(trace_file), "-n", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    # Header, then transfer f1 (8s) before ns.lookup (0.5s).
-    assert "transfer" in lines[1] and "f1" in lines[1]
-    assert "ns.lookup" in lines[2]
-
-
-def test_slowest_category_filter(trace_file, capsys):
-    assert main(["slowest", str(trace_file), "--cat", "rpc"]) == 0
-    out = capsys.readouterr().out
-    assert "ns.lookup" in out
-    assert "f1" not in out
-
-    assert main(["slowest", str(trace_file), "--cat", "nope"]) == 0
-    assert "no closed async spans" in capsys.readouterr().out
 
 
 def test_missing_file_errors():

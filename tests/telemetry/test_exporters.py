@@ -97,6 +97,6 @@ def test_validate_catches_open_sync_span():
 
 def test_write_prometheus(tmp_path):
     registry = MetricsRegistry()
-    registry.counter("reads_total").inc(2)
+    registry.counter("reads_total", lambda: 2)
     path = write_prometheus(registry, tmp_path / "metrics.prom")
     assert path.read_text() == "# TYPE reads_total counter\nreads_total 2\n"

@@ -15,6 +15,7 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.net import RoutingTable, three_tier
 from repro.sim import instrument
 from repro.telemetry import to_jsonl, validate_chrome_trace, to_chrome_trace
+from repro.telemetry.bind import COUNTERS
 from repro.workload import LocalityDistribution, WorkloadConfig, generate_workload
 
 
@@ -117,37 +118,94 @@ def test_flowserver_context_manager_stops_collector():
     assert env.loop.peek_time() is None
 
 
-def test_resilience_summary_reads_registry(tmp_path):
-    """Satellite (c): summary values come from the bound metrics registry."""
-    cluster = Cluster(ClusterConfig(scheme="mayflower", seed=5,
-                                    db_directory=tmp_path))
-    try:
-        trunk = sorted(
-            lid for lid, link in cluster.topology.links.items()
-            if link.src in cluster.topology.switches
-            and link.dst in cluster.topology.switches
-        )[0]
-        plan = FaultPlan((FaultEvent(1.0, "link_down", trunk, duration=2.0),))
-        injector = cluster.inject_faults(plan)
-        cluster.loop.run(until=5.0)
-        summary = resilience_summary(cluster, [], injector=injector,
-                                     jobs_total=4, jobs_completed=4)
-        assert summary.faults_applied == injector.events_applied == 2
-        assert summary.flows_aborted == cluster.controller.flows_aborted
-        assert summary.availability == 1.0
-        assert summary.as_dict()["faults_applied"] == 2
+def test_resilience_summary_agrees_with_the_exported_counters(tmp_path):
+    """The summary and a dump read the same component attributes."""
+    with telemetry.session() as tel:
+        cluster = Cluster(ClusterConfig(scheme="mayflower", seed=5,
+                                        db_directory=tmp_path))
+        try:
+            trunk = sorted(
+                lid for lid, link in cluster.topology.links.items()
+                if link.src in cluster.topology.switches
+                and link.dst in cluster.topology.switches
+            )[0]
+            plan = FaultPlan((FaultEvent(1.0, "link_down", trunk, duration=2.0),))
+            injector = cluster.inject_faults(plan)
+            cluster.loop.run(until=5.0)
+            summary = resilience_summary(cluster, [], injector=injector,
+                                         jobs_total=4, jobs_completed=4)
+        finally:
+            cluster.shutdown()
+    assert summary.faults_applied == injector.events_applied == 2
+    assert summary.flows_aborted == cluster.controller.flows_aborted
+    assert summary.availability == 1.0
+    assert summary.as_dict()["faults_applied"] == 2
+    exported = {
+        "faults_applied": "faults_applied_total",
+        "flows_aborted": "transfers_aborted_total",
+        "flows_aborted_by_faults": "faults_flows_aborted_total",
+        "degraded_selections": "flowserver_degraded_selections_total",
+        "degraded_entries": "flowserver_degraded_entries_total",
+        "unreachable_path_selections":
+            "flowserver_unreachable_path_selections_total",
+        "mean_time_to_recover": "time_to_recover_seconds",
+        "polls_lost": "collector_polls_lost_total",
+        "poll_errors": "collector_poll_errors_total",
+        "rpc_calls_timed_out": "rpc_calls_timed_out_total",
+    }
+    fields = summary.as_dict()
+    for field, metric in exported.items():
+        assert fields[field] == tel.metrics.value(metric), field
 
-        # An explicit registry is reused, not re-bound.
-        from repro.telemetry import MetricsRegistry, bind_resilience_metrics
 
-        registry = MetricsRegistry()
-        bind_resilience_metrics(registry, cluster, [], injector)
-        again = resilience_summary(cluster, [], injector=injector,
-                                   registry=registry)
-        assert again.faults_applied == 2
-        assert registry.value("faults_applied") == 2.0
-    finally:
-        cluster.shutdown()
+#: The component kinds announced on the instrument bus (its docstring
+#: lists the same set).
+ANNOUNCED_KINDS = {
+    "network", "streams", "controller", "flowserver", "fabric", "leases",
+    "dataserver", "client", "injector",
+}
+
+
+def test_counters_table_reads_one_attribute_per_name():
+    """One row per fact: no two names, and no two readers, are the same,
+    and every row reads a kind the bus announces."""
+    names = [name for name, _, _, _ in COUNTERS]
+    assert len(names) == len(set(names))
+    assert all(name.endswith("_total") for name in names)
+    readers = [(kind, repr(reader)) for _, kind, reader, _ in COUNTERS]
+    assert len(readers) == len(set(readers))
+    assert {kind for kind, _ in readers} <= ANNOUNCED_KINDS
+
+
+def test_session_hears_every_announced_component_kind(tmp_path):
+    with telemetry.session() as tel:
+        cluster = Cluster(ClusterConfig(scheme="mayflower", seed=5,
+                                        db_directory=tmp_path))
+        try:
+            cluster.client(sorted(cluster.topology.hosts)[0])
+            cluster.inject_faults(FaultPlan(()))
+        finally:
+            cluster.shutdown()
+    assert set(tel.components) == ANNOUNCED_KINDS
+    assert len(tel.components["dataserver"]) == len(cluster.topology.hosts)
+    # Leaving the session leaves the bus: later components go unheard.
+    Cluster(ClusterConfig(scheme="mayflower", seed=5,
+                          db_directory=tmp_path / "after")).shutdown()
+    assert len(tel.components["flowserver"]) == 1
+
+
+def test_write_path_counters_match_the_trace():
+    """The write-path counters agree with the instants of one traced run."""
+    from repro.experiments.writes import run_writes
+
+    with telemetry.session() as tel:
+        run_writes(seed=3, num_appends=6, num_files=2, append_bytes=256 * 1024)
+    names = [e.name for e in tel.tracer.events if e.ph == "i"]
+    served = tel.metrics.value("ds_appends_served_total")
+    assert served == names.count("ds.commit_append") >= 6
+    assert tel.metrics.value("lease_grants_total") == names.count("lease.grant") > 0
+    fanouts = tel.metrics.value("flowserver_fanout_requests_total")
+    assert fanouts == names.count("flowserver.fanout") > 0
 
 
 def test_fault_instants_emitted(tmp_path):

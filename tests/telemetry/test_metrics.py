@@ -16,21 +16,19 @@ from repro.telemetry import (
 )
 
 
-def test_counter_increments_and_rejects_decrease():
-    c = Counter("reads_total")
-    c.inc()
-    c.inc(2.5)
-    assert c.value == 3.5
-    with pytest.raises(MetricError):
-        c.inc(-1)
+def test_counter_reads_its_callback_live():
+    box = {"n": 3}
+    c = Counter("reads_total", lambda: box["n"])
+    assert c.value == 3.0
+    box["n"] = 5
+    assert c.value == 5.0
 
 
-def test_gauge_set_inc_dec():
+def test_gauge_set():
     g = Gauge("depth")
+    assert g.value == 0.0
     g.set(4.0)
-    g.inc()
-    g.dec(2.0)
-    assert g.value == 3.0
+    assert g.value == 4.0
 
 
 def test_callback_gauge_reads_live_and_rejects_set():
@@ -69,20 +67,41 @@ def test_histogram_rejects_unsorted_or_empty_buckets():
 
 def test_registry_get_or_create_returns_same_object():
     registry = MetricsRegistry()
-    assert registry.counter("a") is registry.counter("a")
-    assert registry.counter("a", labels={"x": "1"}) is not registry.counter("a")
+    first = registry.counter("a", lambda: 1)
+    assert registry.counter("a", lambda: 2) is first
+    assert first.value == 1.0
+    assert registry.gauge("g") is registry.gauge("g")
 
 
 def test_registry_kind_mismatch_raises():
     registry = MetricsRegistry()
-    registry.counter("a")
+    registry.counter("a", lambda: 0)
     with pytest.raises(MetricError, match="already registered"):
         registry.gauge("a")
 
 
+@pytest.mark.parametrize("name", [
+    "flowserver_fanout_chain-static_total", "", "1st_total", "a b", "reads{x}",
+])
+def test_registry_rejects_illegal_prometheus_names(name):
+    registry = MetricsRegistry()
+    with pytest.raises(MetricError, match="not a legal Prometheus metric name"):
+        registry.gauge(name)
+    with pytest.raises(MetricError, match="not a legal Prometheus metric name"):
+        registry.histogram(name)
+    assert registry.snapshot() == {}
+
+
+def test_registry_accepts_legal_prometheus_names():
+    registry = MetricsRegistry()
+    for name in ("a", "_a", ":a", "rpc:calls_total", "A9_b:c"):
+        registry.gauge(name)
+    assert list(registry.snapshot()) == ["a", "_a", ":a", "rpc:calls_total", "A9_b:c"]
+
+
 def test_registry_value_and_missing_metric():
     registry = MetricsRegistry()
-    registry.counter("a").inc(3)
+    registry.counter("a", lambda: 3)
     assert registry.value("a") == 3.0
     with pytest.raises(KeyError):
         registry.value("nope")
@@ -91,17 +110,9 @@ def test_registry_value_and_missing_metric():
         registry.value("h")
 
 
-def test_registry_late_binds_gauge_callback():
-    registry = MetricsRegistry()
-    g = registry.gauge("tracked")
-    assert g.value == 0.0
-    registry.gauge("tracked", callback=lambda: 5.0)
-    assert g.value == 5.0
-
-
 def test_render_prometheus_golden():
     registry = MetricsRegistry()
-    registry.counter("reads_total", "Total reads").inc(3)
+    registry.counter("reads_total", lambda: 3, "Total reads")
     registry.gauge("depth").set(1.5)
     h = registry.histogram("lat", buckets=(0.1, 1.0))
     h.observe(0.05)
@@ -132,7 +143,7 @@ def test_render_prometheus_nan_and_inf():
 
 def test_snapshot_expands_histograms():
     registry = MetricsRegistry()
-    registry.counter("a").inc()
+    registry.counter("a", lambda: 1)
     registry.histogram("h", buckets=(1.0,)).observe(0.5)
     snap = registry.snapshot()
     assert snap["a"] == 1.0
