@@ -2,9 +2,10 @@
 
 Two layers of the system need max-min computations:
 
-* The **flow simulator** needs ground-truth rates for every active flow in
-  the whole network — :func:`max_min_fair_rates` implements classic
-  progressive filling (water-filling) over all links simultaneously.
+* The **flow simulator** needs ground-truth rates for every active flow —
+  :class:`LinkIndex` holds flows over interned links and solves classic
+  progressive filling (water-filling) on the component a change reached;
+  :func:`max_min_fair_rates` is the same routine behind a dict API.
 * The **Flowserver** estimates shares link-by-link along one candidate path
   (§4.2): :func:`single_link_fair_allocation` divides one link's capacity
   across flows with demands, where the probing new flow has infinite demand.
@@ -15,7 +16,17 @@ Rates are bits/second; capacities must be positive.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 
 def single_link_fair_allocation(
@@ -63,6 +74,286 @@ def single_link_fair_allocation(
     return allocation
 
 
+class LinkIndex:
+    """Flows over interned links: the state progressive filling reads.
+
+    A link id becomes an int the first time a flow names it, and its
+    capacity is read and checked then; a link's capacity never changes
+    after.  Flows keep int paths and links keep member sets of flow ids,
+    so :meth:`solve` walks and fills on ints with nothing to translate.
+    The ints are opaque outside this class: :meth:`attach`,
+    :meth:`detach` and :meth:`reroute` return them only as the link keys
+    to seed a later :meth:`solve` with.
+    :class:`repro.net.rate_engine.IncrementalRateEngine` keeps one index
+    for the life of a network; :func:`max_min_fair_rates` builds one per
+    call.
+    """
+
+    def __init__(self, capacity_of: Callable[[str], Optional[float]]):
+        self._capacity_of = capacity_of
+        self._index: Dict[str, int] = {}
+        self._capacity: List[float] = []
+        #: Flows on each link that carries any.
+        self._members: Dict[int, Set[str]] = {}
+        self._paths: Dict[str, Tuple[int, ...]] = {}
+        #: Each link once, for the paths that list a link twice.
+        self._once: Dict[str, Tuple[int, ...]] = {}
+        self._demands: Dict[str, float] = {}
+
+    def __contains__(self, flow_id: str) -> bool:
+        return flow_id in self._paths
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+    def attach(
+        self, flow_id: str, link_ids: Sequence[str], demand: Optional[float] = None
+    ) -> Tuple[int, ...]:
+        """Add a flow over ``link_ids``, capped at ``demand`` if given.
+
+        Raises ``KeyError`` for a link without a capacity and
+        ``ValueError`` for a non-positive one, leaving the index as it was.
+        """
+        path = self._intern(link_ids)
+        self._link(flow_id, path)
+        if demand is not None:
+            self._demands[flow_id] = demand
+        return path
+
+    def detach(self, flow_id: str) -> Tuple[int, ...]:
+        """Remove a flow; returns the links it was on."""
+        self._demands.pop(flow_id, None)
+        return self._unlink(flow_id)
+
+    def reroute(
+        self, flow_id: str, link_ids: Sequence[str]
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Move a flow onto ``link_ids``, keeping its demand; returns the
+        old and the new links.  Raises as :meth:`attach` does, before the
+        flow leaves its old links."""
+        path = self._intern(link_ids)
+        old = self._unlink(flow_id)
+        self._link(flow_id, path)
+        return old, path
+
+    def path_length(self, flow_id: str) -> int:
+        """Links on a flow's path, counting a repeated link each time."""
+        return len(self._paths[flow_id])
+
+    def flows_on(self, link_id: str) -> List[str]:
+        """The flows on ``link_id``, sorted (empty for an unknown link)."""
+        k = self._index.get(link_id)
+        return sorted(self._members.get(k, ())) if k is not None else []
+
+    def flow_links(self) -> Dict[str, List[str]]:
+        """Every flow's path as link ids, the dict API's ``flow_links``."""
+        link_ids = list(self._index)
+        return {
+            flow_id: [link_ids[k] for k in path]
+            for flow_id, path in self._paths.items()
+        }
+
+    def flow_demands(self) -> Dict[str, float]:
+        """The demand of every flow that has one."""
+        return dict(self._demands)
+
+    def _intern(self, link_ids: Sequence[str]) -> Tuple[int, ...]:
+        """``link_ids`` as ints; checks every new capacity before storing any."""
+        index = self._index
+        fresh: Dict[str, float] = {}
+        for link_id in link_ids:
+            if link_id in index or link_id in fresh:
+                continue
+            capacity = self._capacity_of(link_id)
+            if capacity is None:
+                raise KeyError(f"no capacity for link {link_id!r}")
+            if capacity <= 0:
+                raise ValueError(f"link {link_id!r} capacity must be positive")
+            fresh[link_id] = float(capacity)
+        for link_id, capacity in fresh.items():
+            index[link_id] = len(self._capacity)
+            self._capacity.append(capacity)
+        return tuple([index[link_id] for link_id in link_ids])
+
+    def _link(self, flow_id: str, path: Tuple[int, ...]) -> None:
+        self._paths[flow_id] = path
+        members = self._members
+        for k in path:
+            on_link = members.get(k)
+            if on_link is None:
+                members[k] = {flow_id}
+            else:
+                on_link.add(flow_id)
+        if len(set(path)) < len(path):
+            self._once[flow_id] = tuple(dict.fromkeys(path))
+
+    def _unlink(self, flow_id: str) -> Tuple[int, ...]:
+        path = self._paths.pop(flow_id)
+        self._once.pop(flow_id, None)
+        members = self._members
+        for k in path:
+            on_link = members.get(k)
+            if on_link is not None:
+                on_link.discard(flow_id)
+                if not on_link:
+                    del members[k]
+        return path
+
+    def solve(
+        self, seeds: Iterable[int], flows: Set[str], rates: Dict[str, float]
+    ) -> int:
+        """Max-min rates of every flow sharing a link, directly or
+        transitively, with ``seeds`` or with a flow in ``flows``.
+
+        ``flows`` (flows with a non-empty path) gains every flow reached;
+        ``rates`` gains their rates in freeze order.  Returns the number
+        of links visited.
+
+        Progressive filling: repeatedly find the bottleneck link — the one
+        whose residual capacity divided by its count of unfrozen flows is
+        smallest — then freeze all unfrozen flows on it at that share
+        (every link within a relative ``1e-12`` of it counts as a
+        bottleneck), in flow-id order.  A flow whose demand is at or below
+        that share freezes at its demand first, smallest ``(demand, flow
+        id)`` one per round.  Every round freezes at least one flow.
+
+        The walk that collects the component also sets each link up.  A
+        link carrying one flow keeps share == capacity until that flow
+        freezes, so it is folded into the flow's private cap (the least
+        such capacity); a lone flow without a demand is its private cap.
+        Only the links a freeze touched are re-divided.  Every float
+        operation is the one the dict/set formulation performs, in the
+        same order, so the rates are the same bits (DESIGN §9).
+        """
+        paths = self._paths
+        members = self._members
+        capacity = self._capacity
+        residual: Dict[int, float] = {}
+        #: Unfrozen flows per visited link; 0 marks a folded one.
+        unfrozen: Dict[int, int] = {}
+        #: Current share of every shared link that still has unfrozen flows.
+        shares: Dict[int, float] = {}
+        private: Dict[str, float] = {}
+        #: Flows reached through a link whose own links are still unvisited.
+        pending: List[str] = []
+        frontier: Iterable[int] = seeds
+        while True:
+            for k in frontier:
+                if k in unfrozen:
+                    continue
+                on_link = members.get(k)
+                if on_link is None:
+                    continue
+                n = len(on_link)
+                if n > 1:
+                    c = capacity[k]
+                    residual[k] = c
+                    unfrozen[k] = n
+                    shares[k] = c / n
+                    for flow_id in on_link:
+                        if flow_id not in flows:
+                            flows.add(flow_id)
+                            pending.append(flow_id)
+                else:
+                    unfrozen[k] = 0
+                    (flow_id,) = on_link
+                    c = capacity[k]
+                    held = private.get(flow_id)
+                    if held is None or c < held:
+                        private[flow_id] = c
+                    if flow_id not in flows:
+                        flows.add(flow_id)
+                        pending.append(flow_id)
+            if not pending:
+                break
+            frontier = paths[pending.pop()]
+
+        demands = self._demands
+        capped: List[Tuple[float, str]] = []
+        if demands:
+            capped = sorted([(demands[f], f) for f in flows if f in demands])
+        left = len(flows)
+        if left == 1 and not capped:
+            # Every link of a lone flow is its alone: x / 1 == x.
+            for flow_id in flows:
+                rates[flow_id] = private[flow_id]
+            return len(unfrozen)
+
+        once = self._once
+        head = 0
+        inf = math.inf
+        while left:
+            share = min(shares.values()) if shares else inf
+            if private:
+                least = min(private.values())
+                if least < share:
+                    share = least
+            while head < len(capped) and capped[head][1] in rates:
+                head += 1
+
+            to_freeze: Sequence[str]
+            if share == inf:
+                # Only infinite capacities get here: every unfrozen flow is
+                # then demand-limited, uncapped ones at an infinite demand.
+                rate, flow_id = min(
+                    (demands.get(f, inf), f) for f in flows if f not in rates
+                )
+                to_freeze = (flow_id,)
+            elif head < len(capped) and capped[head][0] <= share:
+                # The smallest (demand, id) cap at or below the share freezes
+                # first, releasing capacity for everyone else.
+                rate, flow_id = capped[head]
+                to_freeze = (flow_id,)
+            else:
+                rate = share
+                limit = share * (1 + 1e-12)
+                batch = {f for f, c in private.items() if c <= limit}
+                for k, link_share in shares.items():
+                    if link_share <= limit:
+                        batch.update(members[k])
+                to_freeze = sorted(batch)
+
+            for flow_id in to_freeze:
+                if flow_id in rates:
+                    continue
+                rates[flow_id] = rate
+                left -= 1
+                private.pop(flow_id, None)
+                path = paths[flow_id]
+                distinct = once.get(flow_id) if once else None
+                if distinct is not None:
+                    # Every listing of a link takes the rate off it; the
+                    # flow still counts once in the link's unfrozen total.
+                    for k in path:
+                        if unfrozen[k]:
+                            r = residual[k] - rate
+                            residual[k] = r if r > 0.0 else 0.0
+                    for k in distinct:
+                        n = unfrozen[k]
+                        if n:
+                            n -= 1
+                            unfrozen[k] = n
+                            if n:
+                                shares[k] = residual[k] / n
+                            else:
+                                del shares[k]
+                    continue
+                for k in path:
+                    n = unfrozen[k]
+                    if n:
+                        r = residual[k] - rate
+                        if not r > 0.0:
+                            r = 0.0
+                        residual[k] = r
+                        n -= 1
+                        unfrozen[k] = n
+                        if n:
+                            shares[k] = r / n
+                        else:
+                            del shares[k]
+        return len(unfrozen)
+
+
 def max_min_fair_rates(
     flow_links: Mapping[str, Sequence[str]],
     link_capacity_bps: Mapping[str, float],
@@ -84,118 +375,21 @@ def max_min_fair_rates(
     Returns
     -------
     dict
-        flow id -> rate in bits/second.  Flows traversing no links (local
-        transfers) get ``math.inf``.
+        flow id -> rate in bits/second, in the order flows freeze.  Flows
+        traversing no links (local transfers) get ``math.inf`` and come
+        first.
 
-    Notes
-    -----
-    Progressive filling: repeatedly find the bottleneck link — the one whose
-    remaining capacity divided by its count of unfrozen flows is smallest —
-    then freeze all unfrozen flows on it at that fair share (every link
-    within a relative ``1e-12`` of it counts as a bottleneck), in flow-id
-    order.  A flow whose demand is at or below that share freezes at its
-    demand first, smallest ``(demand, flow id)`` one per round.  Every
-    round freezes at least one flow.
-
-    The state is dense: flows are indexed in sorted-id order and links in
-    order of first appearance, so a round is one pass over a residual list
-    and an unfrozen-count list restricted to the links still carrying
-    unfrozen flows.  Every float operation — each share division, the
-    ``max(0.0, r - rate)`` subtraction per (flow, link) in freeze order —
-    is the one the dict-of-sets formulation performs, so the rates are the
-    same bits.
+    The whole network is one :meth:`LinkIndex.solve` seeded with every
+    link a flow names.
     """
-    rates: Dict[str, float] = {}
-    link_index: Dict[str, int] = {}
-    residual: List[float] = []
-    path_of: Dict[str, List[int]] = {}
-    for flow_id, links in flow_links.items():
-        if not links:
-            rates[flow_id] = math.inf
-            continue
-        path = []
-        for link_id in links:
-            k = link_index.get(link_id)
-            if k is None:
-                capacity = link_capacity_bps.get(link_id)
-                if capacity is None:
-                    raise KeyError(f"no capacity for link {link_id!r}")
-                if capacity <= 0:
-                    raise ValueError(f"link {link_id!r} capacity must be positive")
-                k = link_index[link_id] = len(residual)
-                residual.append(float(capacity))
-            path.append(k)
-        path_of[flow_id] = path
-
-    ids = sorted(path_of)
-    paths = [path_of[flow_id] for flow_id in ids]
-    # ``once[j]`` is flow j's path with each link kept once: a flow counts
-    # once in a link's unfrozen total however often its path lists it.
-    once = list(paths)
-    members: List[List[int]] = [[] for _ in residual]
-    for j, path in enumerate(paths):
-        for k in path:
-            on_link = members[k]
-            if on_link and on_link[-1] == j:
-                once[j] = list(dict.fromkeys(path))
-            else:
-                on_link.append(j)
-    unfrozen_on = [len(on_link) for on_link in members]
-    frozen = [False] * len(ids)
-    left = len(ids)
-
+    graph = LinkIndex(link_capacity_bps.get)
     demands = flow_demands or {}
-    capped: List[Tuple[float, int]] = []
-    if demands:
-        for j, flow_id in enumerate(ids):
-            demand = demands.get(flow_id)
-            if demand is not None:
-                capped.append((demand, j))
-        capped.sort()
-    head = 0
-
-    def freeze(j: int, rate: float) -> None:
-        nonlocal left
-        rates[ids[j]] = rate
-        frozen[j] = True
-        left -= 1
-        for k in paths[j]:
-            r = residual[k] - rate
-            residual[k] = r if r > 0.0 else 0.0
-        for k in once[j]:
-            unfrozen_on[k] -= 1
-
-    live = list(range(len(residual)))
-    while left:
-        shares = [residual[k] / unfrozen_on[k] for k in live]
-        share = min(shares)
-        while head < len(capped) and frozen[capped[head][1]]:
-            head += 1
-
-        if share == math.inf:
-            # Only infinite capacities get here: every unfrozen flow is then
-            # demand-limited, uncapped ones at an infinite demand.
-            demand, j = min(
-                (demands.get(ids[i], math.inf), i)
-                for i in range(len(ids))
-                if not frozen[i]
-            )
-            freeze(j, demand)
-        elif head < len(capped) and capped[head][0] <= share:
-            # The smallest (demand, id) cap at or below the share freezes
-            # first, releasing capacity for everyone else.
-            demand, j = capped[head]
-            freeze(j, demand)
+    rates: Dict[str, float] = {}
+    seeds: Set[int] = set()
+    for flow_id, links in flow_links.items():
+        if links:
+            seeds.update(graph.attach(flow_id, links, demands.get(flow_id)))
         else:
-            limit = share * (1 + 1e-12)
-            to_freeze: Set[int] = set()
-            for k, link_share in zip(live, shares):
-                if link_share <= limit:
-                    to_freeze.update(members[k])
-            for j in sorted(to_freeze):
-                if not frozen[j]:
-                    freeze(j, share)
-        live = [k for k in live if unfrozen_on[k]]
-
+            rates[flow_id] = math.inf
+    graph.solve(seeds, set(), rates)
     return rates
-

@@ -6,9 +6,9 @@ fair rate, recomputed whenever the set of active flows changes.  The
 simulator schedules the earliest flow completion as a discrete event,
 advances per-flow progress and recomputes rates.
 
-One event costs one pass over the active flows (advance each flow's byte
-count; find the next completion) plus a solve of the connected component
-the event touched.  Byte counters are kept per flow only: they are what
+One event costs two passes over the active flows (advance each flow's
+byte count before the solve; find the next completion after it) plus a
+solve of the connected component the event touched.  Byte counters are kept per flow only: they are what
 switch flow stats serve, and nothing reads per-link totals.
 
 Ground truth lives here; the Flowserver deliberately does *not* read it —

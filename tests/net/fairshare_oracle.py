@@ -1,11 +1,12 @@
 """The dict/set progressive-filling solver, kept as the max-min test oracle.
 
-:func:`repro.net.fairshare.max_min_fair_rates` solves on dense indices;
-this is the straightforward formulation it replaced, copied unchanged:
-every bottleneck round rescans every link's member set and every unfrozen
-flow.  Tests assert the two return equal dicts (``==``, not approximately)
-and raise the same errors, and the rate-engine differential suite checks
-the engine against this oracle rather than against the kernel it calls.
+:func:`repro.net.fairshare.max_min_fair_rates` solves on interned link
+ints with exact short-cuts; this is the straightforward formulation,
+unchanged: every bottleneck round rescans every link's member set and
+every unfrozen flow.  Tests assert the two return equal dicts (``==``,
+not approximately) and raise the same errors, and the rate-engine
+differential suites check the engine against this oracle rather than
+against the routine it calls.
 """
 
 from __future__ import annotations

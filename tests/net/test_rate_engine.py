@@ -68,6 +68,29 @@ def test_remove_unknown_flow_raises():
         engine.reroute_flow("ghost", ("a",))
 
 
+@pytest.mark.parametrize(
+    "capacities, error",
+    [({"a": 10.0, "b": 0.0}, ValueError), ({"a": 10.0}, KeyError)],
+)
+def test_bad_capacity_raises_before_anything_changes(capacities, error):
+    engine = make_engine(capacities)
+    engine.add_flow("f1", ("a",))
+    engine.recompute()
+    with pytest.raises(error):
+        engine.add_flow("f2", ("a", "b"))
+    assert engine.flow_count() == 1
+    assert dict(engine.rates) == {"f1": 10.0}
+    assert engine.recompute() == {}
+    with pytest.raises(error):
+        engine.reroute_flow("f1", ("b",))
+    assert engine.flows_on_link("a") == ["f1"]
+    assert engine.recompute() == {}
+    # The engine still solves: the failed calls left nothing behind.
+    engine.add_flow("f3", ("a",))
+    assert engine.recompute() == {"f1": 5.0, "f3": 5.0}
+    assert engine.verify_against_batch() == []
+
+
 def test_remove_flow_releases_capacity():
     engine = make_engine({"a": 100 * MBPS})
     engine.add_flow("f1", ("a",))

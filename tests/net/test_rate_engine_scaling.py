@@ -10,7 +10,14 @@ have processed at the same event instants.  Both are exact counts of a
 seeded run, so the guard is deterministic: the savings ratio must grow
 with scale and clear 5× at 256 hosts, and every membership event must
 cost exactly one solve.
+
+The 64-host trace also pins the bits of every completion: each flow's
+end time and final byte count, hashed as ``float.hex()`` strings.
+Advancing a flow before or after a re-solve, or in one interval instead
+of two, moves their last bits and so the digest.
 """
+
+import hashlib
 
 import pytest
 
@@ -27,10 +34,18 @@ CHURN_FLOWS = 600
 RACK_LOCAL_FRACTION = 0.4
 #: Per-host arrival rate (1/s) — keeps tens of flows concurrently active.
 ARRIVAL_RATE_PER_HOST = 0.05
+#: sha256 over ``(flow_id, end_time.hex(), bytes_sent.hex())`` per
+#: completion of the 64-host trace.
+COMPLETIONS_SHA256 = (
+    "fc0927eff5bee6f474fcebad4a0e823e2368a7a2ec1386e418f4233ba6bdd86b"
+)
 
 
-def churn_stats(pods, racks_per_pod):
-    """Run the churn trace to completion; returns the engine's counters."""
+def churn_stats(pods, racks_per_pod, done=None):
+    """Run the churn trace to completion; returns the engine's counters.
+
+    Completed flows are appended to ``done`` when it is given.
+    """
     topo = three_tier(pods=pods, racks_per_pod=racks_per_pod)
     table = RoutingTable(topo)
     hosts = sorted(topo.hosts)
@@ -53,7 +68,10 @@ def churn_stats(pods, racks_per_pod):
         path = rng.choice(table.paths(src, dst))
         size = rng.choice([4, 16, 64]) * MB
         loop.call_at(
-            t, lambda fid=f"f{i}", p=path, s=size: net.start_flow(fid, p, s)
+            t,
+            lambda fid=f"f{i}", p=path, s=size: net.start_flow(
+                fid, p, s, on_complete=None if done is None else done.append
+            ),
         )
     loop.run()
     assert net.rate_engine.flow_count() == 0  # every transfer drained
@@ -74,3 +92,15 @@ def test_visit_savings_grow_with_scale_and_clear_5x_at_256_hosts(stats_by_scale)
 def test_one_solve_per_membership_event(stats_by_scale):
     for stats in stats_by_scale:
         assert stats.solves == stats.events == 2 * CHURN_FLOWS
+
+
+def test_churn_completion_bits_are_pinned():
+    done = []
+    churn_stats(4, 4, done)
+    assert len(done) == CHURN_FLOWS
+    digest = hashlib.sha256()
+    for flow in done:
+        digest.update(
+            repr((flow.flow_id, flow.end_time.hex(), flow.bytes_sent.hex())).encode()
+        )
+    assert digest.hexdigest() == COMPLETIONS_SHA256
