@@ -11,10 +11,7 @@ storm, and Mayflower's mean completion time still beats ECMP's.
 """
 
 import math
-import shutil
-import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 from conftest import attach_report
 
@@ -64,10 +61,7 @@ def _storm_plan(seed: int, jobs: int):
 
 
 def _run_scheme(scheme: str, plan, jobs: int, files: int, seed: int):
-    db_dir = Path(tempfile.mkdtemp(prefix=f"mayflower-storm-{scheme}-"))
-    config = ClusterConfig(
-        scheme=scheme, seed=seed, db_directory=db_dir, retry=STORM_RETRY
-    )
+    config = ClusterConfig(scheme=scheme, seed=seed, retry=STORM_RETRY)
     summaries = []
 
     def harvest(cluster, clients, injector):
@@ -75,18 +69,15 @@ def _run_scheme(scheme: str, plan, jobs: int, files: int, seed: int):
             resilience_summary(cluster, clients, injector=injector, jobs_total=jobs)
         )
 
-    try:
-        durations = run_cluster_workload(
-            scheme,
-            num_jobs=jobs,
-            num_files=files,
-            seed=seed,
-            config=config,
-            fault_plan=plan,
-            on_env=harvest,
-        )
-    finally:
-        shutil.rmtree(db_dir, ignore_errors=True)
+    durations = run_cluster_workload(
+        scheme,
+        num_jobs=jobs,
+        num_files=files,
+        seed=seed,
+        config=config,
+        fault_plan=plan,
+        on_env=harvest,
+    )
     (summary,) = summaries
     return durations, replace(summary, jobs_completed=len(durations)).as_dict()
 

@@ -2,8 +2,7 @@
 
 These measure the substrate costs that bound how large a deployment the
 reproduction can simulate: Flowserver selection latency, global max-min
-recomputation, event-loop throughput, routing enumeration and kvstore
-writes.
+recomputation, event-loop throughput and routing enumeration.
 """
 
 import pytest
@@ -100,17 +99,3 @@ def test_routing_enumeration(benchmark):
 
     assert benchmark(enumerate_paths) == 8
 
-
-def test_kvstore_put_throughput(benchmark, tmp_path):
-    """Sustained puts (WAL append + memtable) on the nameserver's store."""
-    from repro.kvstore import KVStore, KVStoreConfig
-
-    db = KVStore(tmp_path / "db", KVStoreConfig(flush_threshold_bytes=1 << 20))
-    counter = [0]
-
-    def put():
-        counter[0] += 1
-        db.put(f"file/file{counter[0]:08d}", '{"size": 268435456}')
-
-    benchmark(put)
-    db.close()

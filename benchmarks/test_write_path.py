@@ -15,8 +15,6 @@ Two experiments, one JSON artifact (``BENCH_write_path.json``):
 """
 
 import json
-import shutil
-import tempfile
 from pathlib import Path
 
 from conftest import attach_report
@@ -44,7 +42,7 @@ STORM_RETRY = RetryPolicy(
 )
 
 
-def _build_cluster(scheme, fanout, seed, db_dir, retry=IMMEDIATE_FAILOVER, replica_manager=False):
+def _build_cluster(scheme, fanout, seed, retry=IMMEDIATE_FAILOVER, replica_manager=False):
     return Cluster(
         ClusterConfig(
             pods=2,
@@ -52,7 +50,6 @@ def _build_cluster(scheme, fanout, seed, db_dir, retry=IMMEDIATE_FAILOVER, repli
             hosts_per_rack=2,
             scheme=scheme,
             seed=seed,
-            db_directory=db_dir,
             fanout=fanout,
             retry=retry,
             enable_replica_manager=replica_manager,
@@ -64,8 +61,7 @@ def _build_cluster(scheme, fanout, seed, db_dir, retry=IMMEDIATE_FAILOVER, repli
 
 
 def _run_contention(scheme, fanout, seed):
-    db_dir = Path(tempfile.mkdtemp(prefix=f"mayflower-write-{scheme}-"))
-    cluster = _build_cluster(scheme, fanout, seed, db_dir)
+    cluster = _build_cluster(scheme, fanout, seed)
     try:
         finish_times = []
         start = None
@@ -116,13 +112,11 @@ def _run_contention(scheme, fanout, seed):
         }
     finally:
         cluster.shutdown()
-        shutil.rmtree(db_dir, ignore_errors=True)
 
 
 def _run_storm(seed):
-    db_dir = Path(tempfile.mkdtemp(prefix="mayflower-write-storm-"))
     cluster = _build_cluster(
-        "mayflower", "auto", seed, db_dir,
+        "mayflower", "auto", seed,
         retry=STORM_RETRY, replica_manager=True,
     )
     try:
@@ -205,7 +199,6 @@ def _run_storm(seed):
         }
     finally:
         cluster.shutdown()
-        shutil.rmtree(db_dir, ignore_errors=True)
 
 
 def _run_all(seed):

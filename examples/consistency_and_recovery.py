@@ -13,10 +13,6 @@ primary's committed size wins over a lagging secondary.
 Run:  python examples/consistency_and_recovery.py
 """
 
-import shutil
-import tempfile
-from pathlib import Path
-
 from repro.cluster import Cluster, ClusterConfig
 from repro.fs.consistency import ConsistencyMode
 
@@ -24,13 +20,12 @@ MB = 1024 * 1024
 
 
 def main():
-    db_dir = Path(tempfile.mkdtemp(prefix="mayflower-consistency-"))
     cluster = Cluster(
         ClusterConfig(
             pods=2, racks_per_pod=2, hosts_per_rack=2,
             scheme="mayflower", store_payload=True,
             consistency=ConsistencyMode.STRONG,
-            db_directory=db_dir, seed=11,
+            seed=11,
         )
     )
     client = cluster.client("pod1-rack1-h1")
@@ -77,7 +72,6 @@ def main():
     assert entry["size_bytes"] == len(payload)
 
     cluster.shutdown()
-    shutil.rmtree(db_dir, ignore_errors=True)
     print("done.")
 
 

@@ -11,10 +11,6 @@ fault journal plus the resilience telemetry at the end.
 Run:  python examples/fault_injection_demo.py
 """
 
-import shutil
-import tempfile
-from pathlib import Path
-
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.experiment import bootstrap_files
 from repro.experiments.metrics import resilience_summary
@@ -28,12 +24,10 @@ NUM_READS = 24
 
 
 def main():
-    db_dir = Path(tempfile.mkdtemp(prefix="mayflower-faults-"))
     cluster = Cluster(
         ClusterConfig(
             scheme="mayflower",
             seed=SEED,
-            db_directory=db_dir,
             retry=RetryPolicy(max_attempts=40, rpc_timeout=30.0),
         )
     )
@@ -106,7 +100,6 @@ def main():
           f"{sum(durations) / len(durations):.3f}s")
 
     cluster.shutdown()
-    shutil.rmtree(db_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":

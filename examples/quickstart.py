@@ -9,17 +9,12 @@ delete — and prints what happened at each step.
 Run:  python examples/quickstart.py
 """
 
-import shutil
-import tempfile
-from pathlib import Path
-
 from repro.cluster import Cluster, ClusterConfig
 
 MB = 1024 * 1024
 
 
 def main():
-    db_dir = Path(tempfile.mkdtemp(prefix="mayflower-quickstart-"))
     cluster = Cluster(
         ClusterConfig(
             pods=2,
@@ -27,7 +22,6 @@ def main():
             hosts_per_rack=2,
             scheme="mayflower",
             store_payload=True,  # keep real bytes so we can verify them
-            db_directory=db_dir,
             seed=7,
         )
     )
@@ -69,7 +63,6 @@ def main():
         print(f"flowserver served {cluster.flowserver.requests_served} "
               f"selection request(s)")
     cluster.shutdown()
-    shutil.rmtree(db_dir, ignore_errors=True)
     print("done.")
 
 

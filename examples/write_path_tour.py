@@ -15,10 +15,6 @@ Walks the whole write path on one small cluster (DESIGN.md §10):
 Run:  python examples/write_path_tour.py
 """
 
-import shutil
-import tempfile
-from pathlib import Path
-
 from repro.cluster import Cluster, ClusterConfig
 from repro.faults import FaultEvent, FaultPlan
 from repro.fs.retry import RetryPolicy
@@ -38,7 +34,6 @@ def print_ledgers(cluster, file_id, replicas, heading):
 
 
 def main():
-    db_dir = Path(tempfile.mkdtemp(prefix="mayflower-writes-"))
     cluster = Cluster(
         ClusterConfig(
             pods=2,
@@ -47,7 +42,6 @@ def main():
             scheme="mayflower",
             store_payload=True,
             seed=SEED,
-            db_directory=db_dir,
             lease_duration=10.0,
             retry=RetryPolicy(max_attempts=40),
             enable_replica_manager=True,
@@ -126,7 +120,6 @@ def main():
         print(f"\nstale-primary commit fenced by the nameserver:\n  {err}")
 
     cluster.shutdown()
-    shutil.rmtree(db_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -25,9 +25,9 @@ Listed in layer order: a package imports only the packages above it
                        control plane
 ``repro.rpc``          latency-modelled control-plane RPC with failure
                        injection
-``repro.kvstore``      log-structured store (WAL/memtable/SSTables)
+``repro.kvstore``      memtable and SSTables; no caller, due for deletion
 ``repro.fs``           the distributed filesystem: nameserver (one
-                       LevelDB-style server), leases, dataservers,
+                       server, namespace in memory), leases, dataservers,
                        client library, placement, consistency modes,
                        membership + re-replication
 ``repro.baselines``    Nearest, Sinbad-R, Hedera-style scheduling

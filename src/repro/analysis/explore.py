@@ -43,8 +43,6 @@ or two appends share an (epoch, offset) slot.
 from __future__ import annotations
 
 import json
-import shutil
-import tempfile
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -323,7 +321,6 @@ class FailoverScenario:
     ) -> Tuple[List[str], Dict[str, Any]]:
         from repro.cluster import Cluster, ClusterConfig
 
-        tmpdir = Path(tempfile.mkdtemp(prefix="protocheck-explore-"))
         cluster = Cluster(
             ClusterConfig(
                 pods=1,
@@ -335,7 +332,6 @@ class FailoverScenario:
                 store_payload=False,
                 rpc_latency=0.0,
                 seed=self.seed,
-                db_directory=tmpdir,
                 fanout="chain",
                 lease_duration=5.0,
             )
@@ -345,7 +341,6 @@ class FailoverScenario:
         finally:
             cluster.loop.set_scheduler(None)
             cluster.shutdown()
-            shutil.rmtree(tmpdir, ignore_errors=True)
 
     def _run_in(
         self, cluster: Any, scheduler: "RecordingScheduler"

@@ -1,12 +1,11 @@
 """Full-stack cluster wiring — the reproduction of the paper's prototype.
 
 Builds the entire Mayflower deployment in one simulation: the 3-tier
-network with its SDN controller and Flowserver, a nameserver (backed by
-the kvstore) on one host, a dataserver on every host, and client
-libraries that speak RPC for control and ride the flow simulator for
-data.  The HDFS comparator of Fig. 8 is the same cluster with rack-aware
-nearest replica selection and (optionally) ECMP instead of the
-Flowserver.
+network with its SDN controller and Flowserver, an in-memory nameserver
+on one host, a dataserver on every host, and client libraries that
+speak RPC for control and ride the flow simulator for data.  The HDFS
+comparator of Fig. 8 is the same cluster with rack-aware nearest replica
+selection and (optionally) ECMP instead of the Flowserver.
 """
 
 from repro.cluster.cluster import Cluster, ClusterConfig

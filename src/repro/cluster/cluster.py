@@ -10,10 +10,7 @@ scheduling) and ``hdfs-ecmp`` (rack-aware selection + ECMP).
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Generator, Optional
 
 from repro.baselines.selectors import NearestReplicaSelector
@@ -64,9 +61,6 @@ class ClusterConfig:
     rpc_jitter: float = 0.0
     flowserver: FlowserverConfig = field(default_factory=FlowserverConfig)
     seed: int = 0
-    #: The nameserver's database directory.  ``None`` makes a temporary
-    #: one that ``Cluster.shutdown`` removes; a given one is kept.
-    db_directory: Optional[Path] = None
     #: Client retry policy.  The default is the paper's client: a failed
     #: attempt fails over at once.  Fault-injection experiments set one
     #: with backoff (and deadlines), so operations ride out transient
@@ -165,17 +159,8 @@ class Cluster:
 
         # --- nameserver + lease service, on the first host --------------
         hosts = sorted(self.topology.hosts)
-        #: The temporary database directory this cluster made, if any.
-        self._owned_db_dir: Optional[Path] = None
-        db_dir = self.config.db_directory
-        if db_dir is None:
-            db_dir = self._owned_db_dir = Path(
-                tempfile.mkdtemp(prefix="mayflower-ns-")
-            )
         self.nameserver_host = hosts[0]
-        self.nameserver = Nameserver(
-            db_dir, placement, rng=streams.stream("file-ids")
-        )
+        self.nameserver = Nameserver(placement, rng=streams.stream("file-ids"))
         self.nameserver.clock = self.loop
         # Appends are fenced by a lease service co-located with the
         # nameserver.
@@ -332,13 +317,9 @@ class Cluster:
         self.loop.run(until=until)
 
     def shutdown(self) -> None:
-        """Graceful shutdown: flushes the nameserver database, and removes
-        its directory when the cluster made it."""
+        """Stop the Flowserver poller and the periodic timers."""
         self.plane.close()
         if self.replica_manager is not None:
             self.replica_manager.stop()
         for sender in self._heartbeat_senders:
             sender.stop()
-        self.nameserver.close()
-        if self._owned_db_dir is not None:
-            shutil.rmtree(self._owned_db_dir, ignore_errors=True)

@@ -3,8 +3,8 @@
 Standard GFS/HDFS-shaped components (§3.3):
 
 * :mod:`repro.fs.nameserver` — file→chunks and file→dataservers mappings
-  backed by the :mod:`repro.kvstore` (LevelDB stand-in), replica placement
-  at creation, rebuild-from-dataservers recovery;
+  held in memory, replica placement at creation,
+  rebuild-from-dataservers recovery;
 * :mod:`repro.fs.dataserver` — chunk storage with append-only semantics;
   each file has a primary dataserver that orders appends and relays them
   to the other replica hosts;

@@ -1,23 +1,20 @@
 """The nameserver (§3.3.1).
 
 Manages the filesystem namespace: file→chunks and file→dataservers
-mappings, stored in a persistent key-value database (the paper uses
-LevelDB with fsync off; we use :mod:`repro.kvstore` identically
-configured).  Placement happens here at creation time using static
-fault-domain information.
+mappings, held in memory as one :class:`FileMetadata` per name (the
+paper keeps them in LevelDB with fsync off; durability is not modelled).
+Placement happens here at creation time using static fault-domain
+information.
 
-Recovery: after a *graceful* shutdown the database is authoritative;
-after an *unexpected* restart the nameserver distrusts the possibly-stale
-database and rebuilds the mappings by scanning the file metadata stored
-at the dataservers (:meth:`Nameserver.rebuild_from_dataservers`).
+Recovery: after an *unexpected* restart the nameserver rebuilds the
+mappings by scanning the file metadata stored at the dataservers
+(:meth:`Nameserver.rebuild_from_dataservers`).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from random import Random
-from typing import TYPE_CHECKING, Generator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence
 
 if TYPE_CHECKING:
     from repro.rpc.fabric import RpcFabric
@@ -33,11 +30,8 @@ from repro.fs.errors import (
     InvalidRequestError,
 )
 from repro.fs.placement import PlacementPolicy
-from repro.kvstore import KVStore, KVStoreConfig
 from repro.sim import instrument
 from repro.sim.randomness import seeded_rng
-
-_FILE_PREFIX = "file/"
 
 
 class Nameserver:
@@ -45,8 +39,6 @@ class Nameserver:
 
     Parameters
     ----------
-    db_directory:
-        Backing store location for the metadata database.
     placement:
         Policy choosing replica hosts for new files.
     rng:
@@ -56,12 +48,10 @@ class Nameserver:
 
     def __init__(
         self,
-        db_directory: Path,
         placement: PlacementPolicy,
         rng: Optional[Random] = None,
     ) -> None:
-        # The paper runs LevelDB with fsync off to speed up creates/deletes.
-        self._db = KVStore(Path(db_directory), KVStoreConfig(sync_wal=False))
+        self._files: Dict[str, FileMetadata] = {}
         self._placement = placement
         self._rng = rng or seeded_rng(0)
         #: The cluster attaches the :class:`repro.fs.leases.LeaseManager`
@@ -88,7 +78,7 @@ class Nameserver:
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         writer: Optional[str] = None,
     ) -> dict:
-        """Create a file: place replicas and persist the mapping.
+        """Create a file: place replicas and record the mapping.
 
         ``writer`` (the creating client's host, when known) lets
         congestion-aware placement policies score the write path.
@@ -96,7 +86,7 @@ class Nameserver:
         """
         if not name:
             raise InvalidRequestError("file name must be non-empty")
-        if self._db.get(_FILE_PREFIX + name) is not None:
+        if name in self._files:
             raise FileAlreadyExistsError(f"file {name!r} already exists")
         replicas = self._placement.place(replication, writer=writer)
         metadata = FileMetadata(
@@ -106,20 +96,18 @@ class Nameserver:
             chunk_bytes=chunk_bytes,
             replicas=tuple(replicas),
         )
-        self._db.put(_FILE_PREFIX + name, json.dumps(metadata.to_json_dict()))
+        self._files[name] = metadata
         self.creates += 1
         return metadata.to_json_dict()
 
     def lookup(self, name: str) -> dict:
         """Fetch a file's metadata (including its current size)."""
-        raw = self._db.get(_FILE_PREFIX + name)
-        if raw is None:
-            raise FileNotFoundFsError(f"no file named {name!r}")
+        metadata = self._metadata(name)
         self.lookups += 1
-        return json.loads(raw)
+        return metadata.to_json_dict()
 
     def exists(self, name: str) -> bool:
-        return self._db.get(_FILE_PREFIX + name) is not None
+        return name in self._files
 
     def delete(self, name: str) -> dict:
         """Remove a file from the namespace; returns its final metadata.
@@ -127,12 +115,10 @@ class Nameserver:
         The caller (client library) is responsible for telling the replica
         dataservers to reclaim the chunks.
         """
-        raw = self._db.get(_FILE_PREFIX + name)
-        if raw is None:
-            raise FileNotFoundFsError(f"no file named {name!r}")
-        self._db.delete(_FILE_PREFIX + name)
+        metadata = self._metadata(name)
+        del self._files[name]
         self.deletes += 1
-        return json.loads(raw)
+        return metadata.to_json_dict()
 
     def move(self, src_name: str, dst_name: str) -> dict:
         """Atomically rename ``src_name`` to ``dst_name``.
@@ -147,12 +133,8 @@ class Nameserver:
             raise InvalidRequestError("destination name must be non-empty")
         if src_name == dst_name:
             raise InvalidRequestError("move source and destination are identical")
-        raw = self._db.get(_FILE_PREFIX + src_name)
-        if raw is None:
-            raise FileNotFoundFsError(f"no file named {src_name!r}")
-        replaced_raw = self._db.get(_FILE_PREFIX + dst_name)
-        replaced = json.loads(replaced_raw) if replaced_raw else None
-        metadata = FileMetadata.from_json_dict(json.loads(raw))
+        metadata = self._metadata(src_name)
+        replaced = self._files.get(dst_name)
         moved = FileMetadata(
             name=dst_name,
             file_id=metadata.file_id,
@@ -160,9 +142,12 @@ class Nameserver:
             chunk_bytes=metadata.chunk_bytes,
             replicas=metadata.replicas,
         )
-        self._db.delete(_FILE_PREFIX + src_name)
-        self._db.put(_FILE_PREFIX + dst_name, json.dumps(moved.to_json_dict()))
-        return {"moved": moved.to_json_dict(), "replaced": replaced}
+        del self._files[src_name]
+        self._files[dst_name] = moved
+        return {
+            "moved": moved.to_json_dict(),
+            "replaced": None if replaced is None else replaced.to_json_dict(),
+        }
 
     def record_append(
         self,
@@ -179,10 +164,7 @@ class Nameserver:
         fenced-out primary's report raises
         :class:`~repro.fs.errors.StaleEpochError` and changes nothing.
         """
-        raw = self._db.get(_FILE_PREFIX + name)
-        if raw is None:
-            raise FileNotFoundFsError(f"no file named {name!r}")
-        metadata = FileMetadata.from_json_dict(json.loads(raw))
+        metadata = self._metadata(name)
         if epoch is not None and primary is not None and self.lease_manager is not None:
             try:
                 self.lease_manager.validate(metadata.file_id, primary, epoch)
@@ -194,8 +176,7 @@ class Nameserver:
                 f"append would shrink {name!r}: "
                 f"{new_size_bytes} < {metadata.size_bytes}"
             )
-        updated = metadata.with_size(new_size_bytes)
-        self._db.put(_FILE_PREFIX + name, json.dumps(updated.to_json_dict()))
+        self._files[name] = metadata.with_size(new_size_bytes)
         tel = instrument.TELEMETRY
         if tel is not None and self.clock is not None:
             tel.instant(self.clock.now, "ns.record_append", "ns",
@@ -209,12 +190,9 @@ class Nameserver:
         ``replicas[0]`` becomes the primary, so passing survivors first
         promotes a live host when the old primary died.
         """
-        raw = self._db.get(_FILE_PREFIX + name)
-        if raw is None:
-            raise FileNotFoundFsError(f"no file named {name!r}")
+        metadata = self._metadata(name)
         if not replicas or len(set(replicas)) != len(replicas):
             raise InvalidRequestError(f"invalid replica set {replicas!r}")
-        metadata = FileMetadata.from_json_dict(json.loads(raw))
         updated = FileMetadata(
             name=metadata.name,
             file_id=metadata.file_id,
@@ -222,12 +200,12 @@ class Nameserver:
             chunk_bytes=metadata.chunk_bytes,
             replicas=tuple(replicas),
         )
-        self._db.put(_FILE_PREFIX + name, json.dumps(updated.to_json_dict()))
+        self._files[name] = updated
         return updated.to_json_dict()
 
     def list_files(self) -> List[str]:
         """All file names, sorted."""
-        return [key[len(_FILE_PREFIX):] for key, _ in self._db.scan(_FILE_PREFIX)]
+        return sorted(self._files)
 
     # ------------------------------------------------------------------
     # Recovery
@@ -241,7 +219,7 @@ class Nameserver:
     ) -> Generator:
         """Unexpected-restart path: rebuild mappings by scanning dataservers.
 
-        Clears the (possibly stale) database and repopulates it from the
+        Clears the (possibly stale) namespace and repopulates it from the
         metadata each dataserver stores alongside its chunks.  Replica
         preference, highest wins:
 
@@ -252,8 +230,7 @@ class Nameserver:
         2. primary flag (the metadata primary ordered every append);
         3. reported size (largest committed length seen).
         """
-        for key, _ in list(self._db.scan(_FILE_PREFIX)):
-            self._db.delete(key)
+        self._files.clear()
         recovered = {}
         for host in dataserver_hosts:
             listings = yield from fabric.invoke(
@@ -279,16 +256,18 @@ class Nameserver:
                     elif not from_primary and metadata.size_bytes > current.size_bytes:
                         recovered[metadata.name] = (metadata, epoch, False)
         for name, (metadata, _, _) in sorted(recovered.items()):
-            self._db.put(_FILE_PREFIX + name, json.dumps(metadata.to_json_dict()))
+            self._files[name] = metadata
         return len(recovered)
-
-    def close(self) -> None:
-        """Graceful shutdown: flush the database so restart is instant."""
-        self._db.close()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _metadata(self, name: str) -> FileMetadata:
+        metadata = self._files.get(name)
+        if metadata is None:
+            raise FileNotFoundFsError(f"no file named {name!r}")
+        return metadata
 
     def _new_file_id(self) -> str:
         """Deterministic UUID-shaped id derived from the seeded RNG."""

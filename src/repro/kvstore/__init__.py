@@ -1,29 +1,18 @@
-"""Log-structured key-value store (the nameserver's LevelDB stand-in).
+"""Sorted-table building blocks left over from the nameserver's old store.
 
-The paper stores nameserver mappings in LevelDB "with fsync off in order
-to speed up file creation and deletion", relying on in-memory serving and
-using persistence only to speed up restarts after a graceful shutdown.
-This package reproduces that storage contract with the classic
-LSM-tree shape:
+The nameserver keeps its namespace in a dict (durability is not
+modelled), so no run calls this package.  What remains is two
+self-contained LSM pieces, each with its own unit tests:
 
-* :mod:`repro.kvstore.wal` — append-only write-ahead log;
-* :mod:`repro.kvstore.memtable` — the in-memory sorted buffer;
+* :mod:`repro.kvstore.memtable` — the in-memory sorted buffer with
+  tombstones;
 * :mod:`repro.kvstore.sstable` — immutable sorted string tables with an
-  embedded sparse index;
-* :mod:`repro.kvstore.db` — the database: put/get/delete/scan, memtable
-  flush, compaction, and WAL/SSTable recovery.
+  embedded sparse index, and the newest-wins merge over them.
+
+They are listed in ``tools/REACHABILITY.txt`` and are due for deletion.
 """
 
-from repro.kvstore.db import KVStore, KVStoreConfig
 from repro.kvstore.memtable import MemTable
 from repro.kvstore.sstable import SSTable, write_sstable
-from repro.kvstore.wal import WriteAheadLog
 
-__all__ = [
-    "KVStore",
-    "KVStoreConfig",
-    "MemTable",
-    "SSTable",
-    "WriteAheadLog",
-    "write_sstable",
-]
+__all__ = ["MemTable", "SSTable", "write_sstable"]

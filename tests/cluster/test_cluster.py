@@ -12,7 +12,7 @@ from repro.fs.leases import LEASE_SERVICE
 MB = 1024 * 1024
 
 
-def small_config(scheme="mayflower", tmp_path=None, **overrides):
+def small_config(scheme="mayflower", **overrides):
     defaults = dict(
         pods=2,
         racks_per_pod=2,
@@ -21,33 +21,31 @@ def small_config(scheme="mayflower", tmp_path=None, **overrides):
         store_payload=True,
         seed=3,
     )
-    if tmp_path is not None:
-        defaults["db_directory"] = tmp_path / "ns-db"
     defaults.update(overrides)
     return ClusterConfig(**defaults)
 
 
-def test_cluster_builds_all_components(tmp_path):
-    cluster = Cluster(small_config(tmp_path=tmp_path))
+def test_cluster_builds_all_components():
+    cluster = Cluster(small_config())
     assert len(cluster.dataservers) == 8
     assert cluster.flowserver is not None
     assert cluster.nameserver_host == sorted(cluster.topology.hosts)[0]
     cluster.shutdown()
 
 
-def test_hdfs_ecmp_cluster_has_no_flowserver(tmp_path):
-    cluster = Cluster(small_config("hdfs-ecmp", tmp_path=tmp_path))
+def test_hdfs_ecmp_cluster_has_no_flowserver():
+    cluster = Cluster(small_config("hdfs-ecmp"))
     assert cluster.flowserver is None
     cluster.shutdown()
 
 
-def test_unknown_scheme_rejected(tmp_path):
+def test_unknown_scheme_rejected():
     with pytest.raises(ValueError, match="unknown cluster scheme"):
-        Cluster(small_config("nearest-ecmp", tmp_path=tmp_path))
+        Cluster(small_config("nearest-ecmp"))
 
 
-def test_end_to_end_file_lifecycle(tmp_path):
-    cluster = Cluster(small_config(tmp_path=tmp_path))
+def test_end_to_end_file_lifecycle():
+    cluster = Cluster(small_config())
     host = sorted(cluster.topology.hosts)[1]
     client = cluster.client(host)
     payload = b"mayflower" * 100000  # ~0.9 MB
@@ -65,10 +63,10 @@ def test_end_to_end_file_lifecycle(tmp_path):
     cluster.shutdown()
 
 
-def test_default_cluster_serves_one_nameserver_from_the_first_host(tmp_path):
+def test_default_cluster_serves_one_nameserver_from_the_first_host():
     """The paper's deployment: one nameserver and its lease service,
     both served from the first host."""
-    cluster = Cluster(ClusterConfig(db_directory=tmp_path / "ns-db"))
+    cluster = Cluster(ClusterConfig())
     host = sorted(cluster.topology.hosts)[0]
     assert cluster.nameserver_host == host
     metadata_services = {
@@ -84,21 +82,16 @@ def test_default_cluster_serves_one_nameserver_from_the_first_host(tmp_path):
     cluster.shutdown()
 
 
-def test_cluster_removes_only_the_database_directory_it_made(tmp_path, monkeypatch):
-    """A nameserver directory the cluster made for itself is gone after
-    shutdown, also via ``run_cluster_workload``; one the caller supplied
-    survives it."""
-    scratch = tmp_path / "tmp"
-    scratch.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-    Cluster(small_config()).shutdown()
-    assert list(scratch.iterdir()) == []
-    run_cluster_workload("mayflower", num_jobs=2, num_files=2, config=small_config())
-    assert list(scratch.iterdir()) == []
+def test_cluster_makes_no_directory(monkeypatch):
+    """The namespace lives in memory: building, running and shutting down
+    a cluster never asks for a temporary directory."""
 
-    kept = tmp_path / "ns-db"
-    Cluster(small_config(tmp_path=tmp_path)).shutdown()
-    assert kept.is_dir() and any(kept.iterdir())
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cluster asked for a temporary directory")
+
+    monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+    Cluster(small_config()).shutdown()
+    run_cluster_workload("mayflower", num_jobs=2, num_files=2, config=small_config())
 
 
 def test_cluster_config_fields_are_pinned():
@@ -119,7 +112,6 @@ def test_cluster_config_fields_are_pinned():
         "rpc_jitter",
         "flowserver",
         "seed",
-        "db_directory",
         "retry",
         "enable_replica_manager",
         "heartbeat_interval",
@@ -131,12 +123,12 @@ def test_cluster_config_fields_are_pinned():
 
 
 @pytest.mark.parametrize("scheme", ["mayflower", "hdfs-mayflower", "hdfs-ecmp"])
-def test_append_is_one_protocol_in_every_deployment(tmp_path, scheme):
+def test_append_is_one_protocol_in_every_deployment(scheme):
     """Whatever the scheme, an append is one leased push and one ordered
     commit at the primary, leaving identical contiguous ledgers on every
     replica, with Flowserver-planned fan-out exactly where there is a
     Flowserver."""
-    cluster = Cluster(small_config(scheme, tmp_path=tmp_path))
+    cluster = Cluster(small_config(scheme))
     client = cluster.client(sorted(cluster.topology.hosts)[7])
     blobs = [b"a" * MB, b"b" * (2 * MB)]
 
@@ -163,8 +155,8 @@ def test_append_is_one_protocol_in_every_deployment(tmp_path, scheme):
     cluster.shutdown()
 
 
-def test_mayflower_cluster_read_uses_flowserver(tmp_path):
-    cluster = Cluster(small_config(tmp_path=tmp_path))
+def test_mayflower_cluster_read_uses_flowserver():
+    cluster = Cluster(small_config())
     host = sorted(cluster.topology.hosts)[1]
     client = cluster.client(host)
 
@@ -182,8 +174,8 @@ def test_mayflower_cluster_read_uses_flowserver(tmp_path):
     cluster.shutdown()
 
 
-def test_client_on_unknown_host_rejected(tmp_path):
-    cluster = Cluster(small_config(tmp_path=tmp_path))
+def test_client_on_unknown_host_rejected():
+    cluster = Cluster(small_config())
     with pytest.raises(ValueError):
         cluster.client("ghost")
     cluster.shutdown()

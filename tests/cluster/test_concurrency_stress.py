@@ -10,7 +10,7 @@ from repro.sim import Delay
 MB = 1024 * 1024
 
 
-def test_mixed_operations_under_concurrency(tmp_path):
+def test_mixed_operations_under_concurrency():
     """Interleaved creates, appends, reads, moves and deletes from many
     clients leave the filesystem consistent: every surviving file's
     replicas agree byte-for-byte and match the nameserver's size."""
@@ -18,7 +18,7 @@ def test_mixed_operations_under_concurrency(tmp_path):
         ClusterConfig(
             pods=2, racks_per_pod=2, hosts_per_rack=2,
             scheme="mayflower", store_payload=True,
-            seed=23, db_directory=tmp_path / "db",
+            seed=23,
         )
     )
     hosts = sorted(cluster.topology.hosts)

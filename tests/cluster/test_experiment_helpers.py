@@ -10,11 +10,11 @@ MB = 1024 * 1024
 
 
 @pytest.fixture()
-def cluster(tmp_path):
+def cluster():
     c = Cluster(
         ClusterConfig(
             pods=2, racks_per_pod=2, hosts_per_rack=2,
-            scheme="mayflower", seed=8, db_directory=tmp_path / "db",
+            scheme="mayflower", seed=8,
         )
     )
     yield c

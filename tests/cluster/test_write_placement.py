@@ -92,19 +92,18 @@ def test_invalid_candidates_per_tier(env):
         )
 
 
-def test_nameserver_integration(tmp_path, env):
+def test_nameserver_integration(env):
     """The nameserver passes the writer through to the policy."""
     topo, *_, placement = env
     from repro.fs.nameserver import Nameserver
 
-    ns = Nameserver(tmp_path / "db", placement, rng=random.Random(1))
+    ns = Nameserver(placement, rng=random.Random(1))
     meta = ns.create("f", writer="pod0-rack0-h0")
     assert meta["replicas"][0] != "pod0-rack0-h0"
     assert validate_fault_domains(topo, meta["replicas"]) == []
-    ns.close()
 
 
-def test_cluster_integration(tmp_path):
+def test_cluster_integration():
     """A cluster configured with placement='flowserver' creates files."""
     from repro.cluster import Cluster, ClusterConfig
 
@@ -112,7 +111,7 @@ def test_cluster_integration(tmp_path):
         ClusterConfig(
             pods=2, racks_per_pod=2, hosts_per_rack=2,
             scheme="mayflower", placement="flowserver",
-            db_directory=tmp_path / "db", seed=4,
+            seed=4,
         )
     )
     client = cluster.client("pod1-rack0-h0")
@@ -127,7 +126,7 @@ def test_cluster_integration(tmp_path):
     cluster.shutdown()
 
 
-def test_flowserver_placement_requires_flowserver(tmp_path):
+def test_flowserver_placement_requires_flowserver():
     from repro.cluster import Cluster, ClusterConfig
 
     with pytest.raises(ValueError, match="requires a flowserver"):
@@ -135,6 +134,5 @@ def test_flowserver_placement_requires_flowserver(tmp_path):
             ClusterConfig(
                 pods=2, racks_per_pod=2, hosts_per_rack=2,
                 scheme="hdfs-ecmp", placement="flowserver",
-                db_directory=tmp_path / "db",
             )
         )

@@ -30,7 +30,7 @@ GOLDEN = dict(
 )
 
 
-def test_fixed_schedule_counters_under_storm_match_recorded_values(tmp_path):
+def test_fixed_schedule_counters_under_storm_match_recorded_values():
     topology = three_tier()
     assert len(topology.hosts) == 64
     plan = build_storm(
@@ -60,7 +60,6 @@ def test_fixed_schedule_counters_under_storm_match_recorded_values(tmp_path):
             config=ClusterConfig(
                 scheme="mayflower",
                 seed=SEED,
-                db_directory=tmp_path,
                 retry=RetryPolicy(
                     max_attempts=60, base_delay=0.05, multiplier=2.0,
                     max_delay=2.0, jitter=0.5, operation_deadline=None,

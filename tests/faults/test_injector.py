@@ -10,12 +10,11 @@ from repro.fs.retry import RetryPolicy
 
 
 @pytest.fixture()
-def cluster(tmp_path):
+def cluster():
     c = Cluster(
         ClusterConfig(
             scheme="mayflower",
             seed=3,
-            db_directory=tmp_path,
             retry=RetryPolicy(max_attempts=10, rpc_timeout=30.0),
         )
     )
@@ -122,11 +121,10 @@ def test_every_fault_kind_has_exactly_one_handler():
     ],
     ids=lambda event: event.kind,
 )
-def test_unknown_target_rejected_before_anything_is_scheduled(tmp_path, event):
+def test_unknown_target_rejected_before_anything_is_scheduled(event):
     """A misspelt target fails when the plan is armed: it neither crashes
     the loop at the event's time nor silently does nothing."""
-    small = Cluster(ClusterConfig(pods=2, racks_per_pod=2, hosts_per_rack=2,
-                                  db_directory=tmp_path))
+    small = Cluster(ClusterConfig(pods=2, racks_per_pod=2, hosts_per_rack=2))
     try:
         valid = FaultEvent(0.5, "link_down", pick_trunk(small), 1.0)
         pending = small.loop.pending_events

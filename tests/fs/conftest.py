@@ -44,7 +44,7 @@ class MiniCluster:
 
 
 @pytest.fixture()
-def mini_cluster(tmp_path):
+def mini_cluster():
     topo = three_tier(pods=2, racks_per_pod=2, hosts_per_rack=2)
     loop = EventLoop()
     network = FlowNetwork(loop, topo)
@@ -55,7 +55,6 @@ def mini_cluster(tmp_path):
     streams = RandomStreams(11)
     nameserver_host = sorted(topo.hosts)[0]
     nameserver = Nameserver(
-        tmp_path / "ns-db",
         PaperEvalPlacement(topo, streams.stream("placement")),
         rng=streams.stream("ids"),
     )
@@ -74,7 +73,7 @@ def mini_cluster(tmp_path):
         )
         dataservers[host] = ds
         fabric.register(host, "dataserver", ds)
-    cluster = MiniCluster(
+    return MiniCluster(
         loop=loop,
         network=network,
         routing=routing,
@@ -85,5 +84,3 @@ def mini_cluster(tmp_path):
         nameserver_host=nameserver_host,
         dataservers=dataservers,
     )
-    yield cluster
-    nameserver.close()

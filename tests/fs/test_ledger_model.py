@@ -18,10 +18,6 @@ model's ledger: same ids, same order, same offsets, each acknowledged
 append exactly once, sizes agreeing with the nameserver.
 """
 
-import shutil
-import tempfile
-from pathlib import Path
-
 import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -66,8 +62,7 @@ class LedgerModel:
 class LedgerMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.db_directory = Path(tempfile.mkdtemp(prefix="ledger-model-"))
-        self.cluster = Cluster(ClusterConfig(db_directory=self.db_directory))
+        self.cluster = Cluster(ClusterConfig())
         hosts = sorted(self.cluster.topology.hosts)
         # two clients share a host: their append ids must still differ
         self.clients = [
@@ -80,7 +75,6 @@ class LedgerMachine(RuleBasedStateMachine):
 
     def teardown(self):
         self.cluster.shutdown()
-        shutil.rmtree(self.db_directory, ignore_errors=True)
 
     # -- the operations a batch is made of ------------------------------
 

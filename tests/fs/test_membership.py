@@ -65,7 +65,7 @@ class TestHeartbeatSender:
             HeartbeatSender(loop, RpcFabric(loop), "h1", "ns", interval=0)
 
 
-def build_ha_cluster(tmp_path):
+def build_ha_cluster():
     return Cluster(
         ClusterConfig(
             pods=2,
@@ -74,7 +74,6 @@ def build_ha_cluster(tmp_path):
             scheme="mayflower",
             store_payload=True,
             seed=17,
-            db_directory=tmp_path / "ns",
             enable_replica_manager=True,
             heartbeat_interval=2.0,
             heartbeat_timeout=5.0,
@@ -84,8 +83,8 @@ def build_ha_cluster(tmp_path):
 
 
 class TestReplicaManagerEndToEnd:
-    def test_dead_dataserver_triggers_rereplication(self, tmp_path):
-        cluster = build_ha_cluster(tmp_path)
+    def test_dead_dataserver_triggers_rereplication(self):
+        cluster = build_ha_cluster()
         client = cluster.client("pod1-rack1-h1")
         payload = b"replicate-me" * 40000
 
@@ -115,8 +114,8 @@ class TestReplicaManagerEndToEnd:
         assert cluster.replica_manager.repairs_completed == 1
         cluster.shutdown()
 
-    def test_dead_primary_promotes_survivor(self, tmp_path):
-        cluster = build_ha_cluster(tmp_path)
+    def test_dead_primary_promotes_survivor(self):
+        cluster = build_ha_cluster()
         client = cluster.client("pod1-rack1-h1")
 
         def setup():
@@ -136,8 +135,8 @@ class TestReplicaManagerEndToEnd:
         assert updated["replicas"][0] in meta.replicas  # a survivor leads
         cluster.shutdown()
 
-    def test_repair_respects_rack_diversity(self, tmp_path):
-        cluster = build_ha_cluster(tmp_path)
+    def test_repair_respects_rack_diversity(self):
+        cluster = build_ha_cluster()
         client = cluster.client("pod1-rack1-h1")
 
         def setup():
@@ -157,8 +156,8 @@ class TestReplicaManagerEndToEnd:
         assert len(set(racks)) == 3
         cluster.shutdown()
 
-    def test_healthy_cluster_never_repairs(self, tmp_path):
-        cluster = build_ha_cluster(tmp_path)
+    def test_healthy_cluster_never_repairs(self):
+        cluster = build_ha_cluster()
         client = cluster.client("pod1-rack1-h1")
 
         def setup():
@@ -170,8 +169,8 @@ class TestReplicaManagerEndToEnd:
         assert cluster.membership.heartbeats_received > 0
         cluster.shutdown()
 
-    def test_reads_survive_replica_loss_after_repair(self, tmp_path):
-        cluster = build_ha_cluster(tmp_path)
+    def test_reads_survive_replica_loss_after_repair(self):
+        cluster = build_ha_cluster()
         client = cluster.client("pod1-rack1-h1")
         payload = b"still-readable" * 2000
 

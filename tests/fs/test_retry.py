@@ -231,13 +231,13 @@ def nameserver_outage(mini_cluster, seconds):
     )
 
 
-def test_deadline_covers_the_planner_phase(tmp_path):
+def test_deadline_covers_the_planner_phase():
     """Controller down for good: the plan phase must give up at the
     operation's deadline, not after max_attempts backoffs."""
     cluster = Cluster(
         ClusterConfig(
             pods=2, racks_per_pod=2, hosts_per_rack=2, seed=1,
-            db_directory=tmp_path / "ns", retry=TWO_SECONDS,
+            retry=TWO_SECONDS,
         )
     )
     client = cluster.client("pod1-rack1-h1")

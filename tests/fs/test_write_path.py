@@ -31,13 +31,11 @@ FAILOVER_RETRY = RetryPolicy(
 
 
 def build_wp_cluster(
-    tmp_path,
     scheme="mayflower",
     fanout="auto",
     retry=IMMEDIATE_FAILOVER,
     replica_manager=False,
     seed=17,
-    tag="wp",
 ):
     return Cluster(
         ClusterConfig(
@@ -47,7 +45,6 @@ def build_wp_cluster(
             scheme=scheme,
             store_payload=True,
             seed=seed,
-            db_directory=tmp_path / f"ns-{tag}",
             fanout=fanout,
             lease_duration=12.0,
             retry=retry,
@@ -73,8 +70,8 @@ def ledgers_of(cluster, meta):
 
 
 class TestPipelinedAppend:
-    def test_end_to_end_replication_and_ledgers(self, tmp_path):
-        cluster = build_wp_cluster(tmp_path)
+    def test_end_to_end_replication_and_ledgers(self):
+        cluster = build_wp_cluster()
         client = cluster.client("pod1-rack1-h1")
         payloads = [b"a" * (1 * MB), b"b" * (2 * MB), b"c" * (1 * MB)]
 
@@ -108,12 +105,11 @@ class TestPipelinedAppend:
         assert cluster.nameserver.lookup("f")["size_bytes"] == total
         cluster.shutdown()
 
-    def test_rpc_timeout_does_not_bound_the_bulk_push(self, tmp_path):
+    def test_rpc_timeout_does_not_bound_the_bulk_push(self):
         """A 256 MiB append spends ~34 s in the data plane; the
         control-plane ``rpc_timeout`` must not expire the push, or every
         retry re-pushes the block beside the copy still in flight."""
         cluster = build_wp_cluster(
-            tmp_path,
             seed=1,
             retry=RetryPolicy(max_attempts=4, jitter=0.0, rpc_timeout=1.0),
         )
@@ -130,8 +126,8 @@ class TestPipelinedAppend:
         assert client.append_retries == 0
         cluster.shutdown()
 
-    def test_flowserver_plans_fanout(self, tmp_path):
-        cluster = build_wp_cluster(tmp_path, scheme="mayflower", fanout="auto")
+    def test_flowserver_plans_fanout(self):
+        cluster = build_wp_cluster(scheme="mayflower", fanout="auto")
         client = cluster.client("pod1-rack1-h1")
 
         def scenario():
@@ -147,9 +143,9 @@ class TestPipelinedAppend:
         ) == fs.fanout_requests
         cluster.shutdown()
 
-    def test_static_chain_on_ecmp_scheme(self, tmp_path):
+    def test_static_chain_on_ecmp_scheme(self):
         cluster = build_wp_cluster(
-            tmp_path, scheme="hdfs-ecmp", fanout="chain"
+            scheme="hdfs-ecmp", fanout="chain"
         )
         client = cluster.client("pod1-rack1-h1")
         blob = b"y" * (1 * MB)
@@ -164,8 +160,8 @@ class TestPipelinedAppend:
             assert cluster.dataservers[replica].file_size(meta.file_id) == len(blob)
         cluster.shutdown()
 
-    def test_retried_commit_deduplicates(self, tmp_path):
-        cluster = build_wp_cluster(tmp_path)
+    def test_retried_commit_deduplicates(self):
+        cluster = build_wp_cluster()
         client = cluster.client("pod1-rack1-h1")
         blob = b"z" * (1 * MB)
 
@@ -204,13 +200,12 @@ class TestPipelinedAppend:
             assert [e.append_id for e in ledger] == ["ap:test:0"]
         cluster.shutdown()
 
-    def test_ack_after_a_failed_relay_is_recorded_everywhere(self, tmp_path):
+    def test_ack_after_a_failed_relay_is_recorded_everywhere(self):
         """The primary applies an append, then its relay hop fails.  The
         client's retry must not be acknowledged from the primary's state
         alone: whatever size the client sees acked, the nameserver has
         recorded and every replica's ledger holds."""
         cluster = build_wp_cluster(
-            tmp_path,
             fanout="chain",
             retry=RetryPolicy(max_attempts=3, base_delay=1.0, jitter=0.0),
         )
@@ -239,11 +234,11 @@ class TestPipelinedAppend:
         cluster.shutdown()
 
 
-    def test_two_clients_on_one_host_never_share_append_ids(self, tmp_path):
+    def test_two_clients_on_one_host_never_share_append_ids(self):
         """Append ids are the dedup key: a second client on the same host
         restarting the sequence at 0 had its first append "deduplicated"
         against the first client's — acked, never written."""
-        cluster = build_wp_cluster(tmp_path)
+        cluster = build_wp_cluster()
         first = cluster.client("pod1-rack1-h1")
         second = cluster.client("pod1-rack1-h1")
 
@@ -264,10 +259,10 @@ class TestPipelinedAppend:
         assert cluster.nameserver.lookup("f")["size_bytes"] == 300
         cluster.shutdown()
 
-    def test_relayed_append_drops_its_abandoned_staging(self, tmp_path):
+    def test_relayed_append_drops_its_abandoned_staging(self):
         """A push the client abandoned (it failed over before committing)
         is purged when the same append arrives by relay instead."""
-        cluster = build_wp_cluster(tmp_path)
+        cluster = build_wp_cluster()
         client = cluster.client("pod1-rack1-h1")
         blob = b"r" * MB
 
@@ -300,8 +295,8 @@ class TestPipelinedAppend:
 
 
 class TestFencing:
-    def test_fenced_primary_cannot_commit(self, tmp_path):
-        cluster = build_wp_cluster(tmp_path)
+    def test_fenced_primary_cannot_commit(self):
+        cluster = build_wp_cluster()
         client = cluster.client("pod1-rack1-h1")
         blob = b"w" * MB
 
@@ -339,8 +334,8 @@ class TestFencing:
         assert old_primary_ds._files[meta.file_id].staged == {}
         cluster.shutdown()
 
-    def test_nameserver_rejects_stale_epoch_record(self, tmp_path):
-        cluster = build_wp_cluster(tmp_path)
+    def test_nameserver_rejects_stale_epoch_record(self):
+        cluster = build_wp_cluster()
         client = cluster.client("pod1-rack1-h1")
         blob = b"v" * MB
 
@@ -357,8 +352,8 @@ class TestFencing:
         assert cluster.nameserver.lookup("f")["size_bytes"] == len(blob)
         cluster.shutdown()
 
-    def test_stale_relay_rejected_by_secondary(self, tmp_path):
-        cluster = build_wp_cluster(tmp_path)
+    def test_stale_relay_rejected_by_secondary(self):
+        cluster = build_wp_cluster()
         client = cluster.client("pod1-rack1-h1")
         blob = b"u" * MB
 
@@ -388,8 +383,8 @@ class TestFencing:
 
 
 class TestReplicaRepair:
-    def test_behind_secondary_catches_up_from_parent(self, tmp_path):
-        cluster = build_wp_cluster(tmp_path)
+    def test_behind_secondary_catches_up_from_parent(self):
+        cluster = build_wp_cluster()
         client = cluster.client("pod1-rack1-h1")
         blob1, blob2 = b"1" * MB, b"2" * MB
 
@@ -433,8 +428,8 @@ class TestReplicaRepair:
         assert cluster.dataservers[meta.primary].catch_ups_served == 1
         cluster.shutdown()
 
-    def test_diverged_tail_truncated_by_higher_epoch_relay(self, tmp_path):
-        cluster = build_wp_cluster(tmp_path)
+    def test_diverged_tail_truncated_by_higher_epoch_relay(self):
+        cluster = build_wp_cluster()
         client = cluster.client("pod1-rack1-h1")
         stale_blob, good_blob = b"s" * MB, b"g" * (2 * MB)
 
@@ -467,10 +462,10 @@ class TestReplicaRepair:
 
 
 class TestEpochPreferringRebuild:
-    def test_stale_primary_rejoin_does_not_win_rebuild(self, tmp_path):
+    def test_stale_primary_rejoin_does_not_win_rebuild(self):
         """A pre-failover primary with a longer (diverged) tail must lose
         the rebuild vote to survivors that saw a higher epoch."""
-        cluster = build_wp_cluster(tmp_path)
+        cluster = build_wp_cluster()
         client = cluster.client("pod1-rack1-h1")
         base, stale_extra, promoted_blob = b"B" * MB, b"X" * (2 * MB), b"P" * MB
 
@@ -526,9 +521,9 @@ class TestEpochPreferringRebuild:
 
 
 class TestLeaseFaultsAndFailover:
-    def test_lease_expire_fault_bumps_epoch_but_appends_survive(self, tmp_path):
+    def test_lease_expire_fault_bumps_epoch_but_appends_survive(self):
         cluster = build_wp_cluster(
-            tmp_path, retry=FAILOVER_RETRY, replica_manager=True
+            retry=FAILOVER_RETRY, replica_manager=True
         )
         client = cluster.client("pod1-rack1-h1")
         blob = b"e" * MB
@@ -568,14 +563,12 @@ class TestLeaseFaultsAndFailover:
         )
         cluster.shutdown()
 
-    def test_primary_crash_mid_appends_preserves_ledger_exactly_once(
-        self, tmp_path
-    ):
+    def test_primary_crash_mid_appends_preserves_ledger_exactly_once(self):
         """The acceptance storm: the primary dies (and its leases are
         revoked) while appends are in flight; a survivor is promoted with
         a bumped epoch; every acked append lands exactly once."""
         cluster = build_wp_cluster(
-            tmp_path, retry=FAILOVER_RETRY, replica_manager=True
+            retry=FAILOVER_RETRY, replica_manager=True
         )
         writers = [cluster.client("pod1-rack1-h0"), cluster.client("pod1-rack1-h1")]
         blob = b"k" * (1 * MB)

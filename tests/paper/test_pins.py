@@ -6,8 +6,6 @@ regression to find, not a digest to update.
 """
 
 import hashlib
-import tempfile
-from pathlib import Path
 
 from repro.cluster import Cluster, ClusterConfig, run_cluster_workload
 from repro.experiments import figures
@@ -53,35 +51,34 @@ def test_default_cluster_metadata_timeline_is_pinned():
     """Two clients on the 64-host default cluster each run create → two
     appends → stat → move → read → delete, concurrently.  Every step's
     (op, sim end time, file id, size), plus the RPCs sent, is pinned."""
-    with tempfile.TemporaryDirectory(prefix="pin-meta-") as db_dir:
-        cluster = Cluster(ClusterConfig(db_directory=Path(db_dir)))
-        hosts = sorted(cluster.topology.hosts)
-        assert len(hosts) == 64
-        events = []
+    cluster = Cluster(ClusterConfig())
+    hosts = sorted(cluster.topology.hosts)
+    assert len(hosts) == 64
+    events = []
 
-        def note(op, file_id, size):
-            events.append((op, cluster.loop.now, file_id, size))
+    def note(op, file_id, size):
+        events.append((op, cluster.loop.now, file_id, size))
 
-        def session(host, tag):
-            client = cluster.client(host)
-            name, moved_name = f"/pin/{tag}", f"/pin/{tag}.moved"
-            meta = yield from client.create(name)
-            note("create", meta.file_id, meta.size_bytes)
-            for size in (3 * MB, 5 * MB):
-                note("append", meta.file_id, (yield from client.append(name, size)))
-            fresh = yield from client.stat(name)
-            note("stat", fresh.file_id, fresh.size_bytes)
-            moved = yield from client.move(name, moved_name)
-            note("move", moved.file_id, moved.size_bytes)
-            result = yield from client.read(moved_name)
-            note("read", meta.file_id, result.file_size)
-            gone = yield from client.delete(moved_name)
-            note("delete", gone.file_id, gone.size_bytes)
+    def session(host, tag):
+        client = cluster.client(host)
+        name, moved_name = f"/pin/{tag}", f"/pin/{tag}.moved"
+        meta = yield from client.create(name)
+        note("create", meta.file_id, meta.size_bytes)
+        for size in (3 * MB, 5 * MB):
+            note("append", meta.file_id, (yield from client.append(name, size)))
+        fresh = yield from client.stat(name)
+        note("stat", fresh.file_id, fresh.size_bytes)
+        moved = yield from client.move(name, moved_name)
+        note("move", moved.file_id, moved.size_bytes)
+        result = yield from client.read(moved_name)
+        note("read", meta.file_id, result.file_size)
+        gone = yield from client.delete(moved_name)
+        note("delete", gone.file_id, gone.size_bytes)
 
-        cluster.spawn(session(hosts[5], "a"), name="pin-a")
-        cluster.spawn(session(hosts[42], "b"), name="pin-b")
-        cluster.run_loop()
-        cluster.shutdown()
+    cluster.spawn(session(hosts[5], "a"), name="pin-a")
+    cluster.spawn(session(hosts[42], "b"), name="pin-b")
+    cluster.run_loop()
+    cluster.shutdown()
     assert len(events) == 14
     assert _digest((events, cluster.fabric.calls_sent)) == METADATA_FINGERPRINT
     # Events per metadata op are pinned on their own: a change that cuts

@@ -118,11 +118,10 @@ def test_flowserver_context_manager_stops_collector():
     assert env.loop.peek_time() is None
 
 
-def test_resilience_summary_agrees_with_the_exported_counters(tmp_path):
+def test_resilience_summary_agrees_with_the_exported_counters():
     """The summary and a dump read the same component attributes."""
     with telemetry.session() as tel:
-        cluster = Cluster(ClusterConfig(scheme="mayflower", seed=5,
-                                        db_directory=tmp_path))
+        cluster = Cluster(ClusterConfig(scheme="mayflower", seed=5))
         try:
             trunk = sorted(
                 lid for lid, link in cluster.topology.links.items()
@@ -177,10 +176,9 @@ def test_counters_table_reads_one_attribute_per_name():
     assert {kind for kind, _ in readers} <= ANNOUNCED_KINDS
 
 
-def test_session_hears_every_announced_component_kind(tmp_path):
+def test_session_hears_every_announced_component_kind():
     with telemetry.session() as tel:
-        cluster = Cluster(ClusterConfig(scheme="mayflower", seed=5,
-                                        db_directory=tmp_path))
+        cluster = Cluster(ClusterConfig(scheme="mayflower", seed=5))
         try:
             cluster.client(sorted(cluster.topology.hosts)[0])
             cluster.inject_faults(FaultPlan(()))
@@ -189,8 +187,7 @@ def test_session_hears_every_announced_component_kind(tmp_path):
     assert set(tel.components) == ANNOUNCED_KINDS
     assert len(tel.components["dataserver"]) == len(cluster.topology.hosts)
     # Leaving the session leaves the bus: later components go unheard.
-    Cluster(ClusterConfig(scheme="mayflower", seed=5,
-                          db_directory=tmp_path / "after")).shutdown()
+    Cluster(ClusterConfig(scheme="mayflower", seed=5)).shutdown()
     assert len(tel.components["flowserver"]) == 1
 
 
@@ -208,9 +205,8 @@ def test_write_path_counters_match_the_trace():
     assert fanouts == names.count("flowserver.fanout") > 0
 
 
-def test_fault_instants_emitted(tmp_path):
-    cluster = Cluster(ClusterConfig(scheme="mayflower", seed=5,
-                                    db_directory=tmp_path))
+def test_fault_instants_emitted():
+    cluster = Cluster(ClusterConfig(scheme="mayflower", seed=5))
     try:
         with telemetry.session() as tel:
             trunk = sorted(
