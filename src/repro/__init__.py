@@ -25,7 +25,6 @@ Listed in layer order: a package imports only the packages above it
                        control plane
 ``repro.rpc``          latency-modelled control-plane RPC with failure
                        injection
-``repro.kvstore``      memtable and SSTables; no caller, due for deletion
 ``repro.fs``           the distributed filesystem: nameserver (one
                        server, namespace in memory), leases, dataservers,
                        client library, placement, consistency modes,

@@ -3,8 +3,10 @@
 Two layers of the system need max-min computations:
 
 * The **flow simulator** needs ground-truth rates for every active flow —
-  :class:`LinkIndex` holds flows over interned links and solves classic
-  progressive filling (water-filling) on the component a change reached;
+  :class:`LinkIndex` holds flows over interned links, keeps each flow's
+  one-flow links folded into a private cap as membership changes, and
+  solves classic progressive filling (water-filling) over the shared
+  links of the component a change reached;
   :func:`max_min_fair_rates` is the same routine behind a dict API.
 * The **Flowserver** estimates shares link-by-link along one candidate path
   (§4.2): :func:`single_link_fair_allocation` divides one link's capacity
@@ -81,6 +83,10 @@ class LinkIndex:
     capacity is read and checked then; a link's capacity never changes
     after.  Flows keep int paths and links keep member sets of flow ids,
     so :meth:`solve` walks and fills on ints with nothing to translate.
+    Each flow also keeps its *fold*, brought up to date whenever a link's
+    membership crosses 1 ↔ 2: its shared links (those carrying another
+    flow too, in path order), and the least capacity and the count of
+    the links it is alone on.
     The ints are opaque outside this class: :meth:`attach`,
     :meth:`detach` and :meth:`reroute` return them only as the link keys
     to seed a later :meth:`solve` with.
@@ -96,8 +102,13 @@ class LinkIndex:
         #: Flows on each link that carries any.
         self._members: Dict[int, Set[str]] = {}
         self._paths: Dict[str, Tuple[int, ...]] = {}
-        #: Each link once, for the paths that list a link twice.
+        #: Each flow's links that carry another flow too, in path order.
+        self._shared: Dict[str, Tuple[int, ...]] = {}
+        #: Each shared link once, for the flows that list one twice.
         self._once: Dict[str, Tuple[int, ...]] = {}
+        #: Each flow's private cap, its count of links it is alone on,
+        #: and its path length.
+        self._fold: Dict[str, Tuple[float, int, int]] = {}
         self._demands: Dict[str, float] = {}
 
     def __contains__(self, flow_id: str) -> bool:
@@ -178,36 +189,74 @@ class LinkIndex:
     def _link(self, flow_id: str, path: Tuple[int, ...]) -> None:
         self._paths[flow_id] = path
         members = self._members
+        #: Flows that were alone on a link this flow joins.
+        joined: Dict[str, None] = {}
         for k in path:
             on_link = members.get(k)
             if on_link is None:
                 members[k] = {flow_id}
-            else:
+            elif flow_id not in on_link:
+                if len(on_link) == 1:
+                    (other,) = on_link
+                    joined[other] = None
                 on_link.add(flow_id)
-        if len(set(path)) < len(path):
-            self._once[flow_id] = tuple(dict.fromkeys(path))
+        self._refold(flow_id)
+        for other in joined:
+            self._refold(other)
 
     def _unlink(self, flow_id: str) -> Tuple[int, ...]:
         path = self._paths.pop(flow_id)
+        del self._shared[flow_id]
+        del self._fold[flow_id]
         self._once.pop(flow_id, None)
         members = self._members
+        #: Flows left alone on a link this flow leaves.
+        stranded: Dict[str, None] = {}
         for k in path:
             on_link = members.get(k)
-            if on_link is not None:
-                on_link.discard(flow_id)
-                if not on_link:
-                    del members[k]
+            if on_link is None or flow_id not in on_link:
+                continue
+            on_link.remove(flow_id)
+            if len(on_link) == 1:
+                (other,) = on_link
+                stranded[other] = None
+            elif not on_link:
+                del members[k]
+        for other in stranded:
+            self._refold(other)
         return path
+
+    def _refold(self, flow_id: str) -> None:
+        """Split a flow's path into its shared links and its private cap."""
+        path = self._paths[flow_id]
+        members = self._members
+        shared: List[int] = []
+        alone: Dict[int, None] = {}
+        for k in path:
+            if len(members[k]) > 1:
+                shared.append(k)
+            else:
+                alone[k] = None
+        capacity = self._capacity
+        cap = min([capacity[k] for k in alone]) if alone else math.inf
+        self._shared[flow_id] = tuple(shared)
+        self._fold[flow_id] = (cap, len(alone), len(path))
+        once = tuple(dict.fromkeys(shared))
+        if len(once) < len(shared):
+            self._once[flow_id] = once
+        else:
+            self._once.pop(flow_id, None)
 
     def solve(
         self, seeds: Iterable[int], flows: Set[str], rates: Dict[str, float]
-    ) -> int:
+    ) -> Tuple[int, int]:
         """Max-min rates of every flow sharing a link, directly or
         transitively, with ``seeds`` or with a flow in ``flows``.
 
         ``flows`` (flows with a non-empty path) gains every flow reached;
         ``rates`` gains their rates in freeze order.  Returns the number
-        of links visited.
+        of links visited and of (flow, link) incidences solved: every
+        link of every flow in ``flows``, a repeated link each time.
 
         Progressive filling: repeatedly find the bottleneck link — the one
         whose residual capacity divided by its count of unfrozen flows is
@@ -217,23 +266,23 @@ class LinkIndex:
         that share freezes at its demand first, smallest ``(demand, flow
         id)`` one per round.  Every round freezes at least one flow.
 
-        The walk that collects the component also sets each link up.  A
-        link carrying one flow keeps share == capacity until that flow
+        A link carrying one flow keeps share == capacity until that flow
         freezes, so it is folded into the flow's private cap (the least
-        such capacity); a lone flow without a demand is its private cap.
-        Only the links a freeze touched are re-divided.  Every float
-        operation is the one the dict/set formulation performs, in the
-        same order, so the rates are the same bits (DESIGN §9).
+        such capacity), which the index keeps as membership changes.  The
+        walk that collects the component follows and sets up shared links
+        only; a lone flow without a demand is its private cap.  Only the
+        links a freeze touched are re-divided.  Every float operation is
+        the one the dict/set formulation performs, in the same order, so
+        the rates are the same bits (DESIGN §9).
         """
-        paths = self._paths
         members = self._members
         capacity = self._capacity
+        shared_of = self._shared
         residual: Dict[int, float] = {}
-        #: Unfrozen flows per visited link; 0 marks a folded one.
+        #: Unfrozen flows per visited shared link.
         unfrozen: Dict[int, int] = {}
         #: Current share of every shared link that still has unfrozen flows.
         shares: Dict[int, float] = {}
-        private: Dict[str, float] = {}
         #: Flows reached through a link whose own links are still unvisited.
         pending: List[str] = []
         frontier: Iterable[int] = seeds
@@ -250,23 +299,24 @@ class LinkIndex:
                     residual[k] = c
                     unfrozen[k] = n
                     shares[k] = c / n
-                    for flow_id in on_link:
-                        if flow_id not in flows:
-                            flows.add(flow_id)
-                            pending.append(flow_id)
-                else:
-                    unfrozen[k] = 0
-                    (flow_id,) = on_link
-                    c = capacity[k]
-                    held = private.get(flow_id)
-                    if held is None or c < held:
-                        private[flow_id] = c
+                for flow_id in on_link:
                     if flow_id not in flows:
                         flows.add(flow_id)
                         pending.append(flow_id)
             if not pending:
                 break
-            frontier = paths[pending.pop()]
+            frontier = shared_of[pending.pop()]
+
+        fold = self._fold
+        private: Dict[str, float] = {}
+        links = len(unfrozen)
+        visits = 0
+        for flow_id in flows:
+            cap, alone, length = fold[flow_id]
+            visits += length
+            if alone:
+                links += alone
+                private[flow_id] = cap
 
         demands = self._demands
         capped: List[Tuple[float, str]] = []
@@ -277,7 +327,7 @@ class LinkIndex:
             # Every link of a lone flow is its alone: x / 1 == x.
             for flow_id in flows:
                 rates[flow_id] = private[flow_id]
-            return len(unfrozen)
+            return links, visits
 
         once = self._once
         head = 0
@@ -319,39 +369,36 @@ class LinkIndex:
                 rates[flow_id] = rate
                 left -= 1
                 private.pop(flow_id, None)
-                path = paths[flow_id]
+                # A freezing flow is one of the unfrozen flows on each of
+                # its shared links, so their counts are at least 1 here.
+                path = shared_of[flow_id]
                 distinct = once.get(flow_id) if once else None
                 if distinct is not None:
                     # Every listing of a link takes the rate off it; the
                     # flow still counts once in the link's unfrozen total.
                     for k in path:
-                        if unfrozen[k]:
-                            r = residual[k] - rate
-                            residual[k] = r if r > 0.0 else 0.0
-                    for k in distinct:
-                        n = unfrozen[k]
-                        if n:
-                            n -= 1
-                            unfrozen[k] = n
-                            if n:
-                                shares[k] = residual[k] / n
-                            else:
-                                del shares[k]
-                    continue
-                for k in path:
-                    n = unfrozen[k]
-                    if n:
                         r = residual[k] - rate
-                        if not r > 0.0:
-                            r = 0.0
-                        residual[k] = r
-                        n -= 1
+                        residual[k] = r if r > 0.0 else 0.0
+                    for k in distinct:
+                        n = unfrozen[k] - 1
                         unfrozen[k] = n
                         if n:
-                            shares[k] = r / n
+                            shares[k] = residual[k] / n
                         else:
                             del shares[k]
-        return len(unfrozen)
+                    continue
+                for k in path:
+                    r = residual[k] - rate
+                    if not r > 0.0:
+                        r = 0.0
+                    residual[k] = r
+                    n = unfrozen[k] - 1
+                    unfrozen[k] = n
+                    if n:
+                        shares[k] = r / n
+                    else:
+                        del shares[k]
+        return links, visits
 
 
 def max_min_fair_rates(

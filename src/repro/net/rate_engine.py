@@ -9,23 +9,26 @@ business touching another pod's rates.
 
 :class:`IncrementalRateEngine` keeps the solver's inputs *persistent*
 between events — per-flow paths of interned link ints, per-link member
-sets and capacities — and on each membership change re-solves only the
-**connected component of the flow↔link sharing graph reachable from the
-changed links**.  Flows outside that component share no link (directly
-or transitively) with anything that changed, so their max-min rates are
-provably unaffected: progressive filling decomposes exactly over
-connected components.
+sets and capacities, and each flow's fold (its shared links and the
+least capacity of the links it is alone on, updated only for the flows
+on a link whose count crosses 1 ↔ 2) — and on each membership change
+re-solves only the **connected component of the flow↔link sharing
+graph reachable from the changed links**.  Flows outside that component
+share no link (directly or transitively) with anything that changed, so
+their max-min rates are provably unaffected: progressive filling
+decomposes exactly over connected components.
 
 Determinism contract
 --------------------
 The engine's persistent state *is* the solver's input: a
 :class:`repro.net.fairshare.LinkIndex` interns each link id once, flows
-keep int paths and links keep member sets, and :meth:`recompute` hands
-the dirty seeds to :meth:`LinkIndex.solve`, the routine behind
-:func:`max_min_fair_rates`.  Within the dirty component every arithmetic
-operation (the subtraction order on residual capacities, the
-bottleneck-share divisions, the demand-tie ordering) is identical to
-what the batch solver performs for that component inside a
+keep int paths and folds and links keep member sets, and
+:meth:`recompute` hands the dirty seeds to :meth:`LinkIndex.solve`
+(which also counts the links and incidences it covered), the routine
+behind :func:`max_min_fair_rates`.  Within the dirty component every
+arithmetic operation (the subtraction order on residual capacities,
+the bottleneck-share divisions, the demand-tie ordering) is identical
+to what the batch solver performs for that component inside a
 whole-network solve.  Rates are therefore bit-identical to a full
 recomputation — a property pinned by the hypothesis differential tests
 in ``tests/net/test_rate_engine_properties.py`` and by the fig4/fig8
@@ -193,7 +196,7 @@ class IncrementalRateEngine:
             else:
                 solved[flow_id] = math.inf
         local = len(solved)
-        links = index.solve(self._dirty_links, flows, solved)
+        links, visits = index.solve(self._dirty_links, flows, solved)
         self._dirty_links.clear()
         self._dirty_flows.clear()
         self._rates.update(solved)
@@ -205,7 +208,7 @@ class IncrementalRateEngine:
         stats.last_dirty_links = links
         stats.dirty_flows += dirty_flows
         stats.dirty_links += links
-        stats.link_visits += sum(map(path_length, flows))
+        stats.link_visits += visits
         stats.full_link_visits += self._total_incidence
 
         tel = instrument.TELEMETRY

@@ -9,7 +9,8 @@ the (flow, link) incidences the scoped solver processed,
 have processed at the same event instants.  Both are exact counts of a
 seeded run, so the guard is deterministic: the savings ratio must grow
 with scale and clear 5× at 256 hosts, and every membership event must
-cost exactly one solve.
+cost exactly one solve.  The 64-host totals of ``link_visits`` and
+``dirty_links`` (the links the solves visited) are pinned as well.
 
 The 64-host trace also pins the bits of every completion: each flow's
 end time and final byte count, hashed as ``float.hex()`` strings.
@@ -92,6 +93,13 @@ def test_visit_savings_grow_with_scale_and_clear_5x_at_256_hosts(stats_by_scale)
 def test_one_solve_per_membership_event(stats_by_scale):
     for stats in stats_by_scale:
         assert stats.solves == stats.events == 2 * CHURN_FLOWS
+
+
+def test_churn_work_counters_are_pinned(stats_by_scale):
+    # Links visited and (flow, link) incidences solved on the 64-host
+    # trace: how the solver walks may change, what it covers may not.
+    stats = stats_by_scale[0]
+    assert (stats.dirty_links, stats.link_visits) == (2865, 2944)
 
 
 def test_churn_completion_bits_are_pinned():

@@ -10,10 +10,18 @@ exactly: the same rates (``==``) in the same freeze order.  The
 instances mix shared links with private ones (one-flow links, some of
 capacity within ``1e-12`` of a shared link's share, some infinite),
 paths that list a link twice, and demand caps.
+
+The index keeps each flow's fold (its shared links, private cap and
+count of links it is alone on) across membership changes, so the
+transition cases below mutate the engine step by step and compare it
+with the oracle after every step.  They also check the work counters a
+solve reports against their definitions: every distinct link of the
+re-solved flows, and every (flow, link) incidence of them.
 """
 
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -77,3 +85,122 @@ def test_engine_matches_oracle_on_one_component(instance):
         expected = oracle(flow_links, capacities, demands or None)
         assert list(solved.items()) == list(expected.items())
     assert dict(engine.rates) == expected
+
+
+def check_against_oracle(engine, flow_links, capacities, demands):
+    """Re-solve, then compare the engine and its counters with the oracle."""
+    before = engine.stats.link_visits
+    solved = engine.recompute()
+    expected = oracle(flow_links, capacities, demands or None)
+    assert dict(engine.rates) == expected
+    # ``solved`` is the dirty component, in the oracle's freeze order.
+    assert list(solved.items()) == [
+        (flow_id, rate) for flow_id, rate in expected.items() if flow_id in solved
+    ]
+    links = {link_id for flow_id in solved for link_id in flow_links[flow_id]}
+    assert engine.stats.last_dirty_links == len(links)
+    assert engine.stats.link_visits - before == sum(
+        len(flow_links[flow_id]) for flow_id in solved
+    )
+
+
+def replay(steps, capacities):
+    """Apply ``(op, flow id, path, demand)`` steps, checking after each."""
+    engine = IncrementalRateEngine(lambda link_id: capacities[link_id])
+    flow_links = {}
+    demands = {}
+    for op, flow_id, path, demand in steps:
+        if op == "add":
+            engine.add_flow(flow_id, path, demand_bps=demand)
+            flow_links[flow_id] = path
+            if demand is not None:
+                demands[flow_id] = demand
+        elif op == "remove":
+            engine.remove_flow(flow_id)
+            del flow_links[flow_id]
+            demands.pop(flow_id, None)
+        else:
+            engine.reroute_flow(flow_id, path)
+            flow_links[flow_id] = path
+        check_against_oracle(engine, flow_links, capacities, demands)
+    return engine
+
+
+TRANSITIONS = {
+    # Link ``s`` carries 1, 2, 3, 2 and then 1 flow; each flow's private
+    # link is tighter than some of the shares it meets on the way.
+    "one-two-three-two-one": (
+        [
+            ("add", "f", ("s", "pf"), None),
+            ("add", "g", ("pg", "s"), None),
+            ("add", "h", ("s",), None),
+            ("remove", "h", None, None),
+            ("remove", "f", None, None),
+            ("add", "f", ("s", "pf"), None),
+            ("remove", "g", None, None),
+        ],
+        {"s": 12.0, "pf": 5.0, "pg": 3.0},
+    ),
+    # ``x`` is listed twice, first by a flow alone on it, then shared,
+    # then by both flows, then alone again.
+    "repeated-link": (
+        [
+            ("add", "f", ("x", "p", "x"), None),
+            ("add", "g", ("x", "q"), None),
+            ("add", "h", ("q", "x", "q"), None),
+            ("remove", "g", None, None),
+            ("remove", "f", None, None),
+            ("add", "f", ("p", "p"), None),
+            ("remove", "h", None, None),
+        ],
+        {"x": 12.0, "p": 20.0, "q": 7.0},
+    ),
+    # Reroutes keep a shared link, drop others to no flow, and move a
+    # flow onto a link another flow was alone on.
+    "overlapping-reroute": (
+        [
+            ("add", "f", ("a", "b", "c"), None),
+            ("add", "g", ("b", "d"), None),
+            ("reroute", "f", ("b", "e"), None),
+            ("reroute", "g", ("e", "b", "a"), None),
+            ("reroute", "f", ("c",), None),
+            ("reroute", "g", ("c", "d"), None),
+            ("reroute", "g", (), None),
+        ],
+        {"a": 9.0, "b": 10.0, "c": 4.0, "d": 1.5, "e": 6.0},
+    ),
+    # Removing the middle of a chain leaves two lone flows, each now
+    # alone on the link it shared.
+    "lone-after-last-neighbour": (
+        [
+            ("add", "f", ("s", "pf"), None),
+            ("add", "g", ("s", "t"), None),
+            ("add", "h", ("t", "ph"), None),
+            ("remove", "g", None, None),
+            ("add", "g", ("pf", "ph"), None),
+            ("remove", "f", None, None),
+        ],
+        {"s": 4.0, "t": 6.0, "pf": 30.0, "ph": 5.0},
+    ),
+    # Demand caps beside infinite capacities, shared and private.
+    "demands-and-infinite-capacities": (
+        [
+            ("add", "f", ("s", "i"), 2.5e8),
+            ("add", "g", ("i", "j"), None),
+            ("add", "h", ("s", "i"), math.inf),
+            ("add", "k", ("j",), 1e9 / 3),
+            ("reroute", "g", ("s", "j"), None),
+            ("remove", "h", None, None),
+            ("remove", "f", None, None),
+            ("remove", "k", None, None),
+        ],
+        {"s": 5e8, "i": math.inf, "j": math.inf},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSITIONS))
+def test_fold_follows_membership_transitions(case):
+    steps, capacities = TRANSITIONS[case]
+    engine = replay(steps, capacities)
+    assert engine.stats.solves == len(steps)

@@ -34,7 +34,7 @@ def test_runtime_imports_load_no_networkx_scipy_or_numpy():
 
 #: Each package of ``src/repro`` imports only packages to its left.
 LAYERS = (
-    "sim net sdn core rpc kvstore fs baselines workload faults cluster "
+    "sim net sdn core rpc fs baselines workload faults cluster "
     "telemetry experiments analysis"
 ).split()
 
