@@ -11,32 +11,21 @@ comparison:
 * :mod:`repro.baselines.monitor` — the end-host bandwidth monitor Sinbad
   relies on (periodically sampled NIC counters, so its view is stale
   between samples — one of the weaknesses §1 calls out);
-* :mod:`repro.baselines.schemes` — uniform ``Scheme`` interface combining
-  a replica selector with a path selector, used by both the simulation
-  experiments and the full-cluster prototype.
+* :mod:`repro.baselines.schemes` — the ``SCHEMES`` table of that product,
+  which both the flow-level runner and the cluster read their wiring
+  from, and the flow-level runner's in-process ``Scheme``.
 """
 
 from repro.baselines.monitor import EndHostMonitor
-from repro.baselines.schemes import (
-    FlowAssignment,
-    MayflowerScheme,
-    ReplicaPlusEcmpScheme,
-    ReplicaPlusFlowserverScheme,
-    Scheme,
-    SCHEME_NAMES,
-    build_scheme,
-)
+from repro.baselines.schemes import SCHEMES, Scheme, SchemeSpec, scheme_spec
 from repro.baselines.selectors import NearestReplicaSelector, SinbadRSelector
 
 __all__ = [
     "EndHostMonitor",
-    "FlowAssignment",
-    "MayflowerScheme",
     "NearestReplicaSelector",
-    "ReplicaPlusEcmpScheme",
-    "ReplicaPlusFlowserverScheme",
-    "SCHEME_NAMES",
+    "SCHEMES",
     "Scheme",
+    "SchemeSpec",
     "SinbadRSelector",
-    "build_scheme",
+    "scheme_spec",
 ]

@@ -1,53 +1,100 @@
-"""Uniform scheme interface: (replica selection) × (path selection).
+"""The §6.2 scheme table: (replica selection) × (path selection).
 
 A *scheme* turns a read request — client, replica set, size — into
-concrete flow assignments.  The five schemes of §6.2/§6.3 are:
+concrete flow assignments.  :data:`SCHEMES` names each pairing of a
+replica policy (the Flowserver jointly with the path, §4; static nearest;
+Sinbad-R from end-host stats) with a path policy (the Flowserver's cost
+model, or ECMP hashing).  ``hdfs-*`` are the ``nearest-*`` rows under the
+labels Fig. 8 prints (HDFS's rack-aware selection *is* nearest
+selection).  ``nearest-hedera`` is an extension baseline: the
+"datacenter-wide dynamic network flow scheduler" of §1, which cannot
+exploit replica choice; the runner attaches its rescheduler.
 
-===================  ===========================  =========================
-name                 replica selection             path selection
-===================  ===========================  =========================
-``mayflower``        joint (Flowserver, §4)        joint (Flowserver, §4)
-``sinbad-mayflower`` Sinbad-R (end-host stats)     Flowserver cost model
-``sinbad-ecmp``      Sinbad-R (end-host stats)     ECMP hashing
-``nearest-mayflower`` static nearest               Flowserver cost model
-``nearest-ecmp``     static nearest                ECMP hashing
-===================  ===========================  =========================
-
-``hdfs-ecmp`` and ``hdfs-mayflower`` are aliases of the nearest-based
-schemes (HDFS's rack-aware selection *is* nearest selection) used for the
-Fig. 8 prototype comparison.
+Both runners read their wiring from the table: the flow-level runner
+(:mod:`repro.experiments.runner`) through :class:`Scheme`, the cluster
+(:mod:`repro.cluster`) through its RPC read planner.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.baselines.selectors import ReplicaSelector
-from repro.core.flowserver import Flowserver
+from repro.core.flowserver import Assignment, Flowserver
 from repro.net.ecmp import EcmpHasher
-from repro.net.routing import Path, RoutingTable
+from repro.net.routing import RoutingTable
 
 
-@dataclass(frozen=True)
-class FlowAssignment:
-    """One flow a scheme decided to start for a read job."""
+class SchemeSpec(NamedTuple):
+    """One row of :data:`SCHEMES`."""
 
-    flow_id: str
+    #: ``"flowserver"`` (joint with the path), ``"nearest"`` or ``"sinbad"``.
     replica: str
-    path: Path
-    size_bits: float
-    est_bw_bps: float = float("nan")
+    #: ``"flowserver"`` or ``"ecmp"``.
+    path: str
+    #: Whether a Hedera-style rescheduler re-routes elephants.
+    hedera: bool = False
+
+    @property
+    def flowserver(self) -> bool:
+        """Whether the scheme needs a Flowserver."""
+        return "flowserver" in (self.replica, self.path)
+
+
+#: Every scheme name, in the paper's bar order.
+SCHEMES: Dict[str, SchemeSpec] = {
+    "mayflower": SchemeSpec("flowserver", "flowserver"),
+    "sinbad-mayflower": SchemeSpec("sinbad", "flowserver"),
+    "sinbad-ecmp": SchemeSpec("sinbad", "ecmp"),
+    "nearest-mayflower": SchemeSpec("nearest", "flowserver"),
+    "nearest-ecmp": SchemeSpec("nearest", "ecmp"),
+    "nearest-hedera": SchemeSpec("nearest", "ecmp", hedera=True),
+    "hdfs-mayflower": SchemeSpec("nearest", "flowserver"),
+    "hdfs-ecmp": SchemeSpec("nearest", "ecmp"),
+}
+
+
+def scheme_spec(name: str, monitor: bool = True, hedera: bool = True) -> SchemeSpec:
+    """The row for ``name``, for a runner that can (or cannot) attach an
+    end-host ``monitor`` (Sinbad-R's input) and a ``hedera`` rescheduler.
+
+    Raises ValueError for an unknown name or a row the runner cannot host.
+    """
+    spec = SCHEMES.get(name)
+    if spec is None:
+        raise ValueError(f"unknown scheme {name!r}; expected one of {tuple(SCHEMES)}")
+    if spec.replica == "sinbad" and not monitor:
+        raise ValueError(f"cannot host scheme {name!r}: no end-host monitor")
+    if spec.hedera and not hedera:
+        raise ValueError(f"cannot host scheme {name!r}: no Hedera rescheduler")
+    return spec
 
 
 class Scheme:
-    """Interface: assign flows for one read job.
+    """A scheme's flow assignment for one read job, in-process.
 
-    Returns an empty list for a data-local read (no network activity).
+    ``selector`` picks the replica (``None``: the Flowserver picks
+    replica and path jointly); ``flowserver`` picks the path (``None``:
+    ECMP hashing, which needs a selector).  A pre-selected replica limits
+    the Flowserver to "the pre-selected source and destination pairs"
+    (§6.2).
     """
 
-    name = "abstract"
+    def __init__(
+        self,
+        name: str,
+        selector: Optional[ReplicaSelector],
+        flowserver: Optional[Flowserver],
+        routing: RoutingTable,
+        ecmp_salt: int = 0,
+    ):
+        self.name = name
+        self._selector = selector
+        self._flowserver = flowserver
+        self._routing = routing
+        self._hasher = EcmpHasher(salt=ecmp_salt)
+        self._seq = itertools.count()
 
     def assign(
         self,
@@ -55,151 +102,17 @@ class Scheme:
         replicas: Sequence[str],
         size_bits: float,
         job_id: Optional[str] = None,
-    ) -> List[FlowAssignment]:
-        raise NotImplementedError
-
-
-class MayflowerScheme(Scheme):
-    """The paper's system: joint replica+path selection by the Flowserver."""
-
-    name = "mayflower"
-
-    def __init__(self, flowserver: Flowserver):
-        self._flowserver = flowserver
-
-    def assign(self, client, replicas, size_bits, job_id=None):
-        result = self._flowserver.select(client, list(replicas), size_bits, job_id=job_id)
-        if result.is_local:
-            return []
-        return [
-            FlowAssignment(
-                flow_id=a.flow_id,
-                replica=a.replica,
-                path=a.path,
-                size_bits=a.size_bits,
-                est_bw_bps=a.est_bw_bps,
-            )
-            for a in result.assignments
-        ]
-
-
-class ReplicaPlusEcmpScheme(Scheme):
-    """Pre-selected replica + hash-based ECMP path (oblivious to load)."""
-
-    def __init__(
-        self,
-        name: str,
-        selector: ReplicaSelector,
-        routing: RoutingTable,
-        hasher: EcmpHasher,
-    ):
-        self.name = name
-        self._selector = selector
-        self._routing = routing
-        self._hasher = hasher
-        self._seq = itertools.count()
-
-    def assign(self, client, replicas, size_bits, job_id=None):
-        replica = self._selector.select_replica(client, list(replicas))
-        if replica == client:
-            return []
+    ) -> List[Assignment]:
+        """The flows to start; empty for a data-local read."""
+        candidates = list(replicas)
+        if self._selector is not None:
+            candidates = [self._selector.select_replica(client, candidates)]
+            if candidates[0] == client:
+                return []
+        if self._flowserver is not None:
+            result = self._flowserver.select(client, candidates, size_bits, job_id=job_id)
+            return [] if result.is_local else list(result.assignments)
+        (replica,) = candidates
         seq = next(self._seq)
-        paths = self._routing.paths(replica, client)
-        path = self._hasher.pick_for_flow(paths, seq)
-        return [
-            FlowAssignment(
-                flow_id=f"{self.name}-{seq}",
-                replica=replica,
-                path=path,
-                size_bits=size_bits,
-            )
-        ]
-
-
-class ReplicaPlusFlowserverScheme(Scheme):
-    """Pre-selected replica + Mayflower path scheduling.
-
-    §6.2: "we coupled them with Mayflower's network flow scheduler...
-    the optimization space is limited to the pre-selected source and
-    destination pairs."
-    """
-
-    def __init__(self, name: str, selector: ReplicaSelector, flowserver: Flowserver):
-        self.name = name
-        self._selector = selector
-        self._flowserver = flowserver
-
-    def assign(self, client, replicas, size_bits, job_id=None):
-        replica = self._selector.select_replica(client, list(replicas))
-        if replica == client:
-            return []
-        result = self._flowserver.select_path_only(client, replica, size_bits, job_id=job_id)
-        return [
-            FlowAssignment(
-                flow_id=a.flow_id,
-                replica=a.replica,
-                path=a.path,
-                size_bits=a.size_bits,
-                est_bw_bps=a.est_bw_bps,
-            )
-            for a in result.assignments
-            if a.path is not None
-        ]
-
-
-#: Scheme names accepted by :func:`build_scheme` (paper bar order).
-#: ``nearest-hedera`` is an extension baseline: static nearest replica
-#: selection with initial ECMP routing plus a Hedera-style periodic global
-#: rescheduler (attached by the experiment environment, see
-#: :mod:`repro.experiments.runner`) — the "datacenter-wide dynamic network
-#: flow scheduler" of §1 that cannot exploit replica choice.
-SCHEME_NAMES = (
-    "mayflower",
-    "sinbad-mayflower",
-    "sinbad-ecmp",
-    "nearest-mayflower",
-    "nearest-ecmp",
-    "nearest-hedera",
-    "hdfs-mayflower",
-    "hdfs-ecmp",
-)
-
-
-def build_scheme(
-    name: str,
-    routing: RoutingTable,
-    flowserver: Optional[Flowserver],
-    nearest_selector: Optional[ReplicaSelector] = None,
-    sinbad_selector: Optional[ReplicaSelector] = None,
-    ecmp_salt: int = 0,
-) -> Scheme:
-    """Construct a named scheme from its ingredients.
-
-    ``flowserver`` is required for the Mayflower-scheduled variants;
-    ``nearest_selector`` / ``sinbad_selector`` for the respective replica
-    policies.
-    """
-    hasher = EcmpHasher(salt=ecmp_salt)
-    if name == "mayflower":
-        if flowserver is None:
-            raise ValueError("mayflower scheme requires a flowserver")
-        return MayflowerScheme(flowserver)
-    if name in ("nearest-ecmp", "hdfs-ecmp", "nearest-hedera"):
-        # Hedera's rescheduler is environment-side; the per-job assignment
-        # is still nearest replica + ECMP initial routing.
-        if nearest_selector is None:
-            raise ValueError(f"{name} requires a nearest selector")
-        return ReplicaPlusEcmpScheme(name, nearest_selector, routing, hasher)
-    if name in ("nearest-mayflower", "hdfs-mayflower"):
-        if nearest_selector is None or flowserver is None:
-            raise ValueError(f"{name} requires a nearest selector and flowserver")
-        return ReplicaPlusFlowserverScheme(name, nearest_selector, flowserver)
-    if name == "sinbad-ecmp":
-        if sinbad_selector is None:
-            raise ValueError("sinbad-ecmp requires a sinbad selector")
-        return ReplicaPlusEcmpScheme(name, sinbad_selector, routing, hasher)
-    if name == "sinbad-mayflower":
-        if sinbad_selector is None or flowserver is None:
-            raise ValueError("sinbad-mayflower requires a sinbad selector and flowserver")
-        return ReplicaPlusFlowserverScheme(name, sinbad_selector, flowserver)
-    raise ValueError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
+        path = self._hasher.pick_for_flow(self._routing.paths(replica, client), seq)
+        return [Assignment(f"{self.name}-{seq}", replica, path, size_bits, float("nan"))]

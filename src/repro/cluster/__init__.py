@@ -11,16 +11,12 @@ selection and (optionally) ECMP instead of the Flowserver.
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.dataplane import SimulatedDataPlane
 from repro.cluster.experiment import run_cluster_workload
-from repro.cluster.planners import (
-    FlowserverReadPlanner,
-    SelectorReadPlanner,
-)
+from repro.cluster.planners import SchemeReadPlanner
 
 __all__ = [
     "Cluster",
     "ClusterConfig",
-    "FlowserverReadPlanner",
-    "SelectorReadPlanner",
+    "SchemeReadPlanner",
     "SimulatedDataPlane",
     "run_cluster_workload",
 ]

@@ -2,10 +2,13 @@
 
 One :class:`Cluster` owns a complete deployment: simulated network + SDN
 controller (+ Flowserver), RPC fabric, nameserver, per-host dataservers
-and a client factory.  The ``scheme`` knob swaps the read-planning policy
-so the same cluster runs the paper's prototype comparison (Fig. 8):
-``mayflower``, ``hdfs-mayflower`` (rack-aware selection + Flowserver path
-scheduling) and ``hdfs-ecmp`` (rack-aware selection + ECMP).
+and a client factory.  The ``scheme`` knob names a row of
+:data:`repro.baselines.schemes.SCHEMES`, which decides whether there is a
+Flowserver and how reads pick replica and path, so the same cluster runs
+the paper's prototype comparison (Fig. 8): ``mayflower``,
+``hdfs-mayflower`` (rack-aware selection + Flowserver path scheduling)
+and ``hdfs-ecmp`` (rack-aware selection + ECMP).  It hosts every row but
+Sinbad-R's (no end-host monitor) and Hedera's.
 """
 
 from __future__ import annotations
@@ -13,17 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, Optional
 
+from repro.baselines.schemes import scheme_spec
 from repro.baselines.selectors import NearestReplicaSelector
 from repro.cluster.dataplane import SimulatedDataPlane
 from repro.cluster.planners import (
     FlowserverFanoutPlanner,
-    FlowserverReadPlanner,
     FlowserverWritePlacement,
-    SelectorReadPlanner,
+    SchemeReadPlanner,
 )
 from repro.core.control_plane import build_control_plane
 from repro.core.flowserver import FlowserverConfig
-from repro.fs.client import MayflowerClient, ReadPlanner
+from repro.fs.client import MayflowerClient
 from repro.fs.consistency import ConsistencyMode
 from repro.fs.retry import IMMEDIATE_FAILOVER, RetryPolicy
 from repro.fs.dataserver import Dataserver
@@ -40,8 +43,6 @@ from repro.sim.randomness import RandomStreams
 #: network, exactly as with Floodlight in the paper).
 CONTROLLER_ENDPOINT = "@controller"
 
-_CLUSTER_SCHEMES = ("mayflower", "hdfs-mayflower", "hdfs-ecmp")
-
 
 @dataclass
 class ClusterConfig:
@@ -51,7 +52,7 @@ class ClusterConfig:
     racks_per_pod: int = 4
     hosts_per_rack: int = 4
     oversubscription: float = 8.0
-    scheme: str = "mayflower"
+    scheme: str = "mayflower"  # a SCHEMES row without Sinbad-R or Hedera
     replication: int = 3
     chunk_bytes: int = 256 * 1024 * 1024
     consistency: ConsistencyMode = ConsistencyMode.SEQUENTIAL
@@ -88,11 +89,7 @@ class Cluster:
 
     def __init__(self, config: Optional[ClusterConfig] = None):
         self.config = config or ClusterConfig()
-        if self.config.scheme not in _CLUSTER_SCHEMES:
-            raise ValueError(
-                f"unknown cluster scheme {self.config.scheme!r}; "
-                f"expected one of {_CLUSTER_SCHEMES}"
-            )
+        spec = scheme_spec(self.config.scheme, monitor=False, hedera=False)
         streams = RandomStreams(self.config.seed)
         self._streams = streams
 
@@ -105,14 +102,14 @@ class Cluster:
         )
         self.plane = build_control_plane(
             self.topology,
-            flowserver=self.config.scheme in ("mayflower", "hdfs-mayflower"),
+            flowserver=spec.flowserver,
             config=self.config.flowserver,
         )
         self.loop = self.plane.loop
         self.network = self.plane.network
         self.routing = self.plane.routing
         self.controller = self.plane.controller
-        #: The Flowserver; ``None`` for the ``hdfs-ecmp`` scheme.
+        #: The Flowserver; ``None`` for an ECMP-routed scheme.
         self.flowserver = self.plane.flowserver
 
         # --- RPC fabric + data plane ------------------------------------
@@ -184,8 +181,13 @@ class Cluster:
             self.dataservers[host_id] = ds
             self.fabric.register(host_id, "dataserver", ds)
 
-        self._nearest_selector = NearestReplicaSelector(
+        nearest = NearestReplicaSelector(
             self.topology, streams.stream("nearest-tiebreak")
+        )
+        self._read_planner = SchemeReadPlanner(
+            nearest if spec.replica == "nearest" else None,
+            self.fabric,
+            CONTROLLER_ENDPOINT if self.flowserver is not None else None,
         )
 
         # --- availability machinery (optional) ---------------------------
@@ -244,7 +246,7 @@ class Cluster:
             loop=self.loop,
             fabric=self.fabric,
             nameserver_endpoint=self.nameserver_host,
-            planner=self._planner(),
+            planner=self._read_planner,
             consistency=self.config.consistency,
             retry=self.config.retry,
             # Per-client jitter stream: derived from the root seed, so
@@ -273,16 +275,6 @@ class Cluster:
     def faults_rng(self):
         """The cluster's dedicated fault-injection RNG stream."""
         return self._streams.faults()
-
-    def _planner(self) -> ReadPlanner:
-        scheme = self.config.scheme
-        if scheme == "mayflower":
-            return FlowserverReadPlanner(self.fabric, CONTROLLER_ENDPOINT)
-        if scheme == "hdfs-mayflower":
-            return SelectorReadPlanner(
-                self._nearest_selector, self.fabric, CONTROLLER_ENDPOINT
-            )
-        return SelectorReadPlanner(self._nearest_selector)
 
     def _fanout_planner(self) -> Optional[FlowserverFanoutPlanner]:
         """Flowserver-planned append fan-out, where there is a Flowserver.

@@ -65,8 +65,9 @@ def run_cluster_workload(
 ) -> List[float]:
     """Run a read workload against a full cluster; returns job durations.
 
-    ``scheme_name`` is one of ``mayflower``, ``hdfs-mayflower``,
-    ``hdfs-ecmp``.  The traffic matrix matches §6.1.1 (Poisson arrivals,
+    ``scheme_name`` is a :data:`~repro.baselines.schemes.SCHEMES` row the
+    cluster hosts (Fig. 8 runs ``mayflower``, ``hdfs-mayflower`` and
+    ``hdfs-ecmp``).  The traffic matrix matches §6.1.1 (Poisson arrivals,
     Zipf popularity, staggered locality).
 
     ``fault_plan`` (a :class:`repro.faults.FaultPlan`) is armed against

@@ -1,12 +1,9 @@
 """Read and write planners: the client-side strategy objects of the cluster.
 
-* :class:`FlowserverReadPlanner` — the Mayflower path: an RPC to the
-  Flowserver service (living at the controller's virtual endpoint)
-  returns replica/path/size assignments, including split reads;
-* :class:`SelectorReadPlanner` — baseline path: replica chosen by a local
-  :class:`~repro.baselines.selectors.ReplicaSelector`; the path is either
-  left to ECMP (``flowserver_endpoint=None``) or asked of the Flowserver
-  in path-only mode (the "HDFS-Mayflower" configuration);
+* :class:`SchemeReadPlanner` — a :data:`~repro.baselines.schemes.SCHEMES`
+  row's reads: a local :class:`~repro.baselines.selectors.ReplicaSelector`
+  or the Flowserver picks the replica, and the Flowserver (over RPC to
+  the controller's virtual endpoint) or ECMP picks the path;
 * :class:`FlowserverFanoutPlanner` — append fan-out shape: asks the
   Flowserver to pick chain vs. tree per append from live link estimates
   (a client given no fan-out planner relays down the static metadata
@@ -39,10 +36,24 @@ def _split_bytes(total_bytes: int, fractions: Sequence[float]) -> list:
     return sizes
 
 
-class FlowserverReadPlanner(ReadPlanner):
-    """Ask the Flowserver (inside the SDN controller) to plan the read."""
+class SchemeReadPlanner(ReadPlanner):
+    """A scheme's read planning over RPC, one class for every cluster row.
 
-    def __init__(self, fabric, flowserver_endpoint: str = "@controller"):
+    ``selector`` picks the replica locally (``None``: the Flowserver picks
+    replica and path jointly, split reads included); the Flowserver at
+    ``flowserver_endpoint`` picks the path (``None``: ECMP at transfer
+    time).
+    """
+
+    def __init__(
+        self,
+        selector: Optional[ReplicaSelector] = None,
+        fabric=None,
+        flowserver_endpoint: Optional[str] = None,
+    ):
+        if flowserver_endpoint is not None and fabric is None:
+            raise ValueError("flowserver path planning needs the RPC fabric")
+        self._selector = selector
         self._fabric = fabric
         self._endpoint = flowserver_endpoint
 
@@ -54,13 +65,20 @@ class FlowserverReadPlanner(ReadPlanner):
         size_bytes: int,
         job_id: Optional[str] = None,
     ) -> Generator:
+        candidates = list(replicas)
+        if self._selector is not None:
+            replica = self._selector.select_replica(client_host, candidates)
+            if replica == client_host or self._endpoint is None:
+                # Local read, or remote read routed by ECMP at transfer time.
+                return [PlannedTransfer(replica=replica, size_bytes=size_bytes)]
+            candidates = [replica]
         result = yield from self._fabric.invoke(
             client_host,
             self._endpoint,
             "flowserver",
             "select",
             client_host,
-            list(replicas),
+            candidates,
             size_bytes * 8.0,
             job_id,
         )
@@ -79,55 +97,6 @@ class FlowserverReadPlanner(ReadPlanner):
                 path=a.path,
             )
             for a, size in zip(assignments, sizes)
-        ]
-
-
-class SelectorReadPlanner(ReadPlanner):
-    """Baseline: local replica selection, ECMP or Flowserver path choice."""
-
-    def __init__(
-        self,
-        selector: ReplicaSelector,
-        fabric=None,
-        flowserver_endpoint: Optional[str] = None,
-    ):
-        self._selector = selector
-        self._fabric = fabric
-        self._endpoint = flowserver_endpoint
-        if flowserver_endpoint is not None and fabric is None:
-            raise ValueError("flowserver path planning needs the RPC fabric")
-
-    def plan(
-        self,
-        client_host: str,
-        metadata: FileMetadata,
-        replicas: Sequence[str],
-        size_bytes: int,
-        job_id: Optional[str] = None,
-    ) -> Generator:
-        replica = self._selector.select_replica(client_host, list(replicas))
-        if replica == client_host or self._endpoint is None:
-            # Local read, or remote read routed by ECMP at transfer time.
-            return [PlannedTransfer(replica=replica, size_bytes=size_bytes)]
-            yield  # pragma: no cover - keeps this a generator
-        result = yield from self._fabric.invoke(
-            client_host,
-            self._endpoint,
-            "flowserver",
-            "select_path_only",
-            client_host,
-            replica,
-            size_bytes * 8.0,
-            job_id,
-        )
-        (assignment,) = result.assignments
-        return [
-            PlannedTransfer(
-                replica=assignment.replica,
-                size_bytes=size_bytes,
-                flow_id=assignment.flow_id,
-                path=assignment.path,
-            )
         ]
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.baselines.hedera import HederaScheduler
 from repro.baselines.monitor import EndHostMonitor
-from repro.baselines.schemes import Scheme, build_scheme
+from repro.baselines.schemes import Scheme, scheme_spec
 from repro.baselines.selectors import NearestReplicaSelector, SinbadRSelector
 from repro.core.control_plane import ControlPlane, build_control_plane
 from repro.core.flowserver import Flowserver, FlowserverConfig
@@ -100,6 +100,7 @@ def build_environment(
     seed: int,
 ) -> ExperimentEnv:
     """Construct the simulator, control plane and scheme for one run."""
+    spec = scheme_spec(scheme_name)
     streams = RandomStreams(seed)
     topo = config.topology or three_tier(
         pods=config.pods,
@@ -108,24 +109,11 @@ def build_environment(
         oversubscription=config.oversubscription,
     )
     plane = build_control_plane(
-        topo,
-        flowserver=scheme_name in (
-            "mayflower",
-            "nearest-mayflower",
-            "sinbad-mayflower",
-            "hdfs-mayflower",
-        ),
-        config=config.flowserver,
+        topo, flowserver=spec.flowserver, config=config.flowserver
     )
     loop, network = plane.loop, plane.network
 
-    needs_monitor = scheme_name.startswith("sinbad")
-    monitor = (
-        EndHostMonitor(loop, network)
-        if needs_monitor
-        else None
-    )
-
+    monitor = EndHostMonitor(loop, network) if spec.replica == "sinbad" else None
     hedera = (
         HederaScheduler(
             loop,
@@ -133,22 +121,23 @@ def build_environment(
             plane.routing,
             interval=config.hedera_interval,
         )
-        if scheme_name.endswith("-hedera")
+        if spec.hedera
         else None
     )
 
-    nearest = NearestReplicaSelector(topo, streams.stream("nearest-tiebreak"))
-    sinbad = (
-        SinbadRSelector(topo, monitor, streams.stream("sinbad-tiebreak"))
-        if monitor
-        else None
-    )
-    scheme = build_scheme(
+    selectors = {
+        "flowserver": None,
+        "nearest": NearestReplicaSelector(topo, streams.stream("nearest-tiebreak")),
+    }
+    if monitor is not None:
+        selectors["sinbad"] = SinbadRSelector(
+            topo, monitor, streams.stream("sinbad-tiebreak")
+        )
+    scheme = Scheme(
         scheme_name,
-        plane.routing,
+        selectors[spec.replica],
         plane.flowserver,
-        nearest_selector=nearest,
-        sinbad_selector=sinbad,
+        plane.routing,
         ecmp_salt=seed,
     )
     return ExperimentEnv(plane, monitor, hedera, scheme)

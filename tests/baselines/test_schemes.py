@@ -1,8 +1,8 @@
-"""Unit tests for the scheme combinators."""
+"""Unit tests for the scheme table and the flow-level Scheme."""
 
 import pytest
 
-from repro.baselines import SCHEME_NAMES, build_scheme
+from repro.baselines import SCHEMES, Scheme, scheme_spec
 from repro.baselines.monitor import EndHostMonitor
 from repro.baselines.selectors import NearestReplicaSelector, SinbadRSelector
 from repro.core import Flowserver
@@ -30,12 +30,17 @@ def env():
 
 def build(env, name):
     topo, loop, net, routing, controller, flowserver, nearest, sinbad = env
-    return build_scheme(
-        name, routing, flowserver, nearest_selector=nearest, sinbad_selector=sinbad
+    spec = scheme_spec(name)
+    selectors = {"flowserver": None, "nearest": nearest, "sinbad": sinbad}
+    return Scheme(
+        name,
+        selectors[spec.replica],
+        flowserver if spec.flowserver else None,
+        routing,
     )
 
 
-@pytest.mark.parametrize("name", SCHEME_NAMES)
+@pytest.mark.parametrize("name", SCHEMES)
 def test_every_scheme_constructs_and_assigns(env, name):
     scheme = build(env, name)
     assignments = scheme.assign(
@@ -52,7 +57,7 @@ def test_every_scheme_constructs_and_assigns(env, name):
         assert a.path.dst == "pod0-rack0-h0"
 
 
-@pytest.mark.parametrize("name", SCHEME_NAMES)
+@pytest.mark.parametrize("name", SCHEMES)
 def test_local_read_returns_no_flows(env, name):
     scheme = build(env, name)
     assignments = scheme.assign(
@@ -97,11 +102,11 @@ def test_unknown_scheme_rejected(env):
         build(env, "bogus")
 
 
-def test_missing_ingredients_rejected(env):
-    topo, loop, net, routing, controller, flowserver, nearest, sinbad = env
-    with pytest.raises(ValueError):
-        build_scheme("mayflower", routing, None)
-    with pytest.raises(ValueError):
-        build_scheme("nearest-ecmp", routing, flowserver, nearest_selector=None)
-    with pytest.raises(ValueError):
-        build_scheme("sinbad-mayflower", routing, flowserver, sinbad_selector=None)
+def test_missing_ingredients_rejected():
+    """A runner without an end-host monitor or a Hedera rescheduler
+    cannot host the rows that need one."""
+    with pytest.raises(ValueError, match="no end-host monitor"):
+        scheme_spec("sinbad-mayflower", monitor=False)
+    with pytest.raises(ValueError, match="no Hedera rescheduler"):
+        scheme_spec("nearest-hedera", hedera=False)
+    assert scheme_spec("nearest-ecmp", monitor=False, hedera=False).path == "ecmp"

@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+from repro.baselines import SCHEMES
 from repro.cluster import Cluster, ClusterConfig, run_cluster_workload
 from repro.experiments.metrics import summarize
 from repro.fs.leases import LEASE_SERVICE
@@ -40,8 +41,58 @@ def test_hdfs_ecmp_cluster_has_no_flowserver():
 
 
 def test_unknown_scheme_rejected():
-    with pytest.raises(ValueError, match="unknown cluster scheme"):
-        Cluster(small_config("nearest-ecmp"))
+    with pytest.raises(ValueError, match="cannot host scheme 'sinbad-ecmp'"):
+        Cluster(small_config("sinbad-ecmp"))
+    with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+        Cluster(small_config("bogus"))
+
+
+#: The SCHEMES rows the cluster hosts: it has no end-host monitor for
+#: Sinbad-R and no Hedera rescheduler.
+HOSTED = [n for n, s in SCHEMES.items() if s.replica != "sinbad" and not s.hedera]
+
+
+@pytest.mark.parametrize("scheme", HOSTED)
+def test_every_hosted_row_reads_remote_and_local(scheme):
+    cluster = Cluster(small_config(scheme))
+    writer = cluster.client(sorted(cluster.topology.hosts)[1])
+    payload = b"r" * MB
+
+    def create():
+        yield from writer.create("f", chunk_bytes=4 * MB)
+        yield from writer.append("f", len(payload), payload)
+        return (yield from writer.stat("f")).replicas
+
+    replicas = cluster.run(create())
+    others = [h for h in sorted(cluster.topology.hosts) if h not in replicas]
+    remote = cluster.run(cluster.client(others[0]).read("f"))
+    local = cluster.run(cluster.client(replicas[0]).read("f"))
+    assert remote.data == local.data == payload
+    assert all(t.replica in replicas for t in remote.transfers)
+    assert [t.replica for t in local.transfers] == [replicas[0]]
+    cluster.shutdown()
+
+
+@pytest.mark.parametrize("scheme", [n for n in SCHEMES if n not in HOSTED])
+def test_every_foreign_row_is_rejected(scheme):
+    with pytest.raises(ValueError, match=f"cannot host scheme {scheme!r}"):
+        Cluster(small_config(scheme))
+    with pytest.raises(ValueError, match=f"cannot host scheme {scheme!r}"):
+        run_cluster_workload(scheme, num_jobs=1, num_files=1, config=small_config())
+
+
+@pytest.mark.parametrize(
+    "alias,row", [("hdfs-ecmp", "nearest-ecmp"), ("hdfs-mayflower", "nearest-mayflower")]
+)
+def test_hdfs_names_are_labels_of_nearest_rows(alias, row):
+    """Fig. 8's names run exactly the nearest-* rows they label."""
+    def durations(scheme):
+        return run_cluster_workload(
+            scheme, num_jobs=20, num_files=10,
+            config=small_config(store_payload=False),
+        )
+
+    assert durations(alias) == durations(row)
 
 
 def test_end_to_end_file_lifecycle():

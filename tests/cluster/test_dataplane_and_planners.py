@@ -6,11 +6,7 @@ import pytest
 
 from repro.baselines.selectors import NearestReplicaSelector
 from repro.cluster.dataplane import SimulatedDataPlane
-from repro.cluster.planners import (
-    FlowserverReadPlanner,
-    SelectorReadPlanner,
-    _split_bytes,
-)
+from repro.cluster.planners import SchemeReadPlanner, _split_bytes
 from repro.core import Flowserver
 from repro.fs.chunks import FileMetadata
 from repro.net import FlowNetwork, RoutingTable, three_tier
@@ -121,9 +117,11 @@ class TestDataPlane:
 
 
 class TestSelectorReadPlanner:
+    """SchemeReadPlanner with a local replica selector (nearest-* rows)."""
+
     def test_single_transfer_covering_size(self, env):
         topo, loop, net, routing, controller, fabric, dp = env
-        planner = SelectorReadPlanner(
+        planner = SchemeReadPlanner(
             NearestReplicaSelector(topo, random.Random(1))
         )
 
@@ -143,7 +141,7 @@ class TestSelectorReadPlanner:
     def test_flowserver_endpoint_requires_fabric(self, env):
         topo, *_ = env
         with pytest.raises(ValueError):
-            SelectorReadPlanner(
+            SchemeReadPlanner(
                 NearestReplicaSelector(topo, random.Random(1)),
                 fabric=None,
                 flowserver_endpoint="@controller",
@@ -153,7 +151,7 @@ class TestSelectorReadPlanner:
         topo, loop, net, routing, controller, fabric, dp = env
         flowserver = Flowserver(controller, routing)
         fabric.register("@controller", "flowserver", flowserver)
-        planner = SelectorReadPlanner(
+        planner = SchemeReadPlanner(
             NearestReplicaSelector(topo, random.Random(1)),
             fabric=fabric,
             flowserver_endpoint="@controller",
@@ -174,11 +172,13 @@ class TestSelectorReadPlanner:
 
 
 class TestFlowserverReadPlanner:
+    """SchemeReadPlanner with the Flowserver choosing jointly (mayflower)."""
+
     def test_split_read_sizes_sum_exactly(self, env):
         topo, loop, net, routing, controller, fabric, dp = env
         flowserver = Flowserver(controller, routing)
         fabric.register("@controller", "flowserver", flowserver)
-        planner = FlowserverReadPlanner(fabric)
+        planner = SchemeReadPlanner(None, fabric, "@controller")
         # replicas in two different pods: cross-pod reads split (500 Mbps
         # core uplinks vs the client's 1 Gbps edge)
         replicas = ("pod0-rack1-h1", "pod1-rack0-h0")
@@ -199,7 +199,7 @@ class TestFlowserverReadPlanner:
         topo, loop, net, routing, controller, fabric, dp = env
         flowserver = Flowserver(controller, routing)
         fabric.register("@controller", "flowserver", flowserver)
-        planner = FlowserverReadPlanner(fabric)
+        planner = SchemeReadPlanner(None, fabric, "@controller")
         m = meta()
 
         def body():

@@ -73,5 +73,5 @@ class TestRunClusterWorkload:
             )
 
     def test_scheme_validated(self):
-        with pytest.raises(ValueError, match="unknown cluster scheme"):
+        with pytest.raises(ValueError, match="unknown scheme 'not-a-scheme'"):
             run_cluster_workload("not-a-scheme", num_jobs=2, num_files=2)

@@ -70,3 +70,11 @@ def test_datacenter_workload_small():
     out = run_example("datacenter_workload.py", "40")
     assert "Figure 4" in out
     assert "mayflower" in out
+
+
+def test_hdfs_comparison_small():
+    # The only example that drives all three Fig. 8 rows.
+    out = run_example("hdfs_comparison.py", "10")
+    for row in ("mayflower", "hdfs-mayflower", "hdfs-ecmp"):
+        assert f"\n{row} " in out
+    assert "At λ=0.07 Mayflower cuts average read completion by" in out

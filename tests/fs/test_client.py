@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.baselines.selectors import NearestReplicaSelector
-from repro.cluster.planners import SelectorReadPlanner
+from repro.cluster.planners import SchemeReadPlanner
 from repro.fs.client import MayflowerClient
 from repro.fs.consistency import ConsistencyMode
 from repro.fs.errors import InvalidRequestError
@@ -16,7 +16,7 @@ MB = 1024 * 1024
 
 def make_client(mini_cluster, host, consistency=ConsistencyMode.SEQUENTIAL):
     topo = mini_cluster.network.topology
-    planner = SelectorReadPlanner(
+    planner = SchemeReadPlanner(
         NearestReplicaSelector(topo, random.Random(5))
     )
     return MayflowerClient(

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.baselines.selectors import NearestReplicaSelector
-from repro.cluster.planners import SelectorReadPlanner
+from repro.cluster.planners import SchemeReadPlanner
 from repro.fs.client import MayflowerClient
 from repro.rpc.errors import RemoteInvocationError
 
@@ -29,7 +29,7 @@ def make_client(mini_cluster, host):
         loop=mini_cluster.loop,
         fabric=mini_cluster.fabric,
         nameserver_endpoint=mini_cluster.nameserver_host,
-        planner=SelectorReadPlanner(
+        planner=SchemeReadPlanner(
             NearestReplicaSelector(topo, random.Random(5))
         ),
     )

@@ -7,7 +7,7 @@ import pytest
 
 from repro.baselines.selectors import NearestReplicaSelector
 from repro.cluster.cluster import CONTROLLER_ENDPOINT, Cluster, ClusterConfig
-from repro.cluster.planners import SelectorReadPlanner
+from repro.cluster.planners import SchemeReadPlanner
 from repro.fs.client import MayflowerClient
 from repro.fs.errors import OperationTimeoutError, ReplicaUnavailableError
 from repro.fs.retry import IMMEDIATE_FAILOVER, RetryPolicy
@@ -49,7 +49,7 @@ class TestRetryPolicy:
 
 def make_client(mini_cluster, host, policy=IMMEDIATE_FAILOVER):
     topo = mini_cluster.network.topology
-    planner = SelectorReadPlanner(
+    planner = SchemeReadPlanner(
         NearestReplicaSelector(topo, random.Random(5))
     )
     return MayflowerClient(
