@@ -136,6 +136,11 @@ _UNREACHABLE = (HostDownError, ServiceNotFoundError, RpcTimeout)
 _PLANNER_FAILED = (HostDownError, RpcTimeout, RemoteInvocationError)
 
 
+def _is_host_down(err: Exception) -> bool:
+    """Transient for a nameserver phase: the nameserver was unreachable."""
+    return isinstance(err, HostDownError)
+
+
 def _joined(pieces: Sequence[Optional[bytes]]) -> Optional[bytes]:
     """The pieces' concatenation; ``None`` when there are none or a
     dataserver kept no payload for one of them."""
@@ -549,13 +554,7 @@ class MayflowerClient:
                     f"{method!r}: {err}"
                 ) from err
 
-        return (
-            yield from budget.run(
-                attempt,
-                lambda err: isinstance(err, HostDownError),
-                lambda err: err,
-            )
-        )
+        return (yield from budget.run(attempt, _is_host_down))
 
     def _metadata(self, budget: RetryBudget, name: str) -> Generator:
         entry = self._cache.get(name)

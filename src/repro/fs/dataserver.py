@@ -21,7 +21,7 @@ simulator; the cluster layer provides the concrete implementation).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -100,7 +100,11 @@ class StoredFile:
     metadata: FileMetadata
     size_bytes: int = 0
     chunks: List[int] = field(default_factory=list)  # per-chunk byte counts
-    payload: Optional[bytearray] = None  # real bytes when store_payload
+    #: Real bytes when store_payload, after the first ``zero_prefix``:
+    #: zeros committed before any byte was written (the pre-loaded
+    #: corpus) are kept as that count, not materialised.
+    payload: Optional[bytearray] = None
+    zero_prefix: int = 0
     appending: bool = False
     append_waiters: List[Signal] = field(default_factory=list)
     #: Highest lease epoch observed for this file (commits and relays
@@ -117,6 +121,23 @@ class StoredFile:
     acked_ids: Dict[str, int] = field(default_factory=dict)
     #: append_id -> (length, data) staged by ``push_data`` awaiting commit.
     staged: Dict[str, Tuple[int, Optional[bytes]]] = field(default_factory=dict)
+
+    def payload_bytes(self, start: int, stop: int) -> Optional[bytes]:
+        """Bytes ``[start, stop)`` of the replica, clipped to its size
+        (``None`` without a payload); the one read of ``payload``."""
+        payload = self.payload
+        if payload is None:
+            return None
+        zeros = self.zero_prefix
+        stop = min(stop, zeros + len(payload))
+        if stop <= start:
+            return b""
+        if start >= zeros:
+            return bytes(payload[start - zeros : stop - zeros])
+        head = b"\x00" * (min(stop, zeros) - start)
+        if stop <= zeros:
+            return head
+        return head + bytes(payload[: stop - zeros])
 
 
 @dataclass(frozen=True)
@@ -185,8 +206,6 @@ class Dataserver:
     def rename_file(self, file_id: str, new_name: str) -> bool:
         """Update the local metadata's name after a namespace move."""
         stored = self._stored(file_id)
-        from dataclasses import replace
-
         stored.metadata = replace(stored.metadata, name=new_name)
         return True
 
@@ -507,11 +526,7 @@ class Dataserver:
             yield from self._dataplane.transfer(
                 self.host_id, to_host, length, job_id=job_id
             )
-        data = (
-            bytes(stored.payload[offset:upto])
-            if stored.payload is not None
-            else None
-        )
+        data = stored.payload_bytes(offset, upto)
         self.catch_ups_served += 1
         return {"offset": offset, "upto": upto, "entries": entries,
                 "data": data, "epoch": stored.epoch}
@@ -535,8 +550,6 @@ class Dataserver:
         stored = self._files.get(file_id)
         if stored is None:
             return False
-        from dataclasses import replace
-
         stored.metadata = replace(stored.metadata, replicas=tuple(replicas))
         return True
 
@@ -614,9 +627,7 @@ class Dataserver:
         staged = stored.staged.get(append_id)
         if staged is not None and staged[1] is not None:
             return staged[1]
-        if stored.payload is not None:
-            return bytes(stored.payload[offset : offset + length])
-        return None
+        return stored.payload_bytes(offset, offset + length)
 
     def _truncate(self, stored: StoredFile, new_size: int) -> None:
         """Cut a diverged tail back to ``new_size``, purging its ledger.
@@ -647,7 +658,11 @@ class Dataserver:
         stored.chunks = chunks
         stored.size_bytes = new_size
         if stored.payload is not None:
-            del stored.payload[new_size:]
+            if new_size >= stored.zero_prefix:
+                del stored.payload[new_size - stored.zero_prefix :]
+            else:
+                stored.zero_prefix = new_size
+                stored.payload.clear()
         self.truncations += 1
         tel = instrument.TELEMETRY
         if tel is not None:
@@ -780,16 +795,14 @@ class Dataserver:
             # keeps the bytes that made it across before the failure.
             delivered = min(int(exc.bytes_delivered), length)
             if stored.payload is not None and delivered > 0:
-                exc.data = bytes(stored.payload[offset : offset + delivered])
+                exc.data = stored.payload_bytes(offset, offset + delivered)
             raise
         self.reads_served += 1
         tel = instrument.TELEMETRY
         if tel is not None:
             tel.instant(self._loop.now, "ds.read", "ds",
                         host=self.host_id, to=to_host, bytes=length)
-        data = None
-        if stored.payload is not None:
-            data = bytes(stored.payload[offset : offset + length])
+        data = stored.payload_bytes(offset, offset + length)
         return ReadReply(
             file_id=file_id,
             offset=offset,
@@ -809,7 +822,7 @@ class Dataserver:
         yield from self._dataplane.transfer(
             self.host_id, target_host, stored.size_bytes
         )
-        payload = bytes(stored.payload) if stored.payload is not None else None
+        payload = stored.payload_bytes(0, stored.size_bytes)
         metadata = stored.metadata.with_size(stored.size_bytes)
         result = yield from self._fabric.invoke(
             self.host_id,
@@ -909,7 +922,10 @@ class Dataserver:
             remaining -= take
         stored.size_bytes += size_bytes
         if stored.payload is not None:
-            stored.payload.extend(data if data is not None else b"\x00" * size_bytes)
+            if data is None and not stored.payload:
+                stored.zero_prefix += size_bytes
+            else:
+                stored.payload.extend(data if data is not None else b"\x00" * size_bytes)
 
     def _touches_last_chunk(self, stored: StoredFile, offset: int, length: int) -> bool:
         if not stored.appending:

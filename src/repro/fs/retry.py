@@ -116,7 +116,7 @@ class RetryBudget:
         self,
         attempt: Callable[[], Generator],
         transient: Callable[[Exception], bool],
-        exhausted: Callable[[Exception], Exception],
+        exhausted: Optional[Callable[[Exception], Exception]] = None,
         refresh: Optional[Callable[[], Generator]] = None,
     ) -> Generator:
         """Run one phase: ``attempt()`` until it returns, at most
@@ -126,7 +126,8 @@ class RetryBudget:
         transient one is booked, slept off (``policy.backoff``) and
         followed by ``refresh()`` — what the phase must redo before
         trying again, itself not retried — and the next attempt; after
-        the last allowed attempt ``exhausted(error)`` is raised instead.
+        the last allowed attempt ``exhausted(error)`` is raised instead,
+        or the error itself when ``exhausted`` is None.
         No attempt starts, and no backoff ends, past the deadline:
         :class:`OperationTimeoutError` is raised at that point.
         """
@@ -151,4 +152,4 @@ class RetryBudget:
                     raise
                 last_error = err
         assert last_error is not None  # max_attempts >= 1
-        raise exhausted(last_error)
+        raise last_error if exhausted is None else exhausted(last_error)

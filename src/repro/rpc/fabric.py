@@ -4,14 +4,19 @@ Endpoints are string names.  Topology hosts are natural endpoints, but the
 fabric also accepts *virtual* endpoints (e.g. ``"@controller"``) for
 services that live out-of-band on the management network, which is how the
 paper's clients reach the Flowserver inside Floodlight.
+
+Each call is one :class:`_Call` object, and its bound methods are the
+call's events: the request landing (:meth:`_Call.dispatch`), a generator
+handler finishing (:meth:`_Call.handler_done`), and the response or the
+deadline settling the caller's signal (:meth:`_Call.settle`,
+:meth:`_Call.expire`), whichever comes first.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from types import GeneratorType
-from typing import Any, Dict, Generator, Optional, Set, Tuple
+from typing import Any, Dict, Generator, NamedTuple, Optional, Set, Tuple
 
 from repro.rpc.errors import (
     HostDownError,
@@ -25,8 +30,7 @@ from repro.sim.process import Process, Signal
 from repro.sim.randomness import seeded_rng
 
 
-@dataclass(frozen=True)
-class RpcResponse:
+class RpcResponse(NamedTuple):
     """Envelope delivered to the caller's completion signal.
 
     ``remote_error`` carries the original exception object when the remote
@@ -40,6 +44,141 @@ class RpcResponse:
     error: Optional[str] = None
     error_type: Optional[type] = None
     remote_error: Optional[BaseException] = None
+
+
+class _Call:
+    """One in-flight RPC: the request, the caller's completion signal and
+    the steps that carry it from ``src`` to ``dst`` and back."""
+
+    __slots__ = (
+        "fabric", "src", "dst", "service", "method", "args", "kwargs",
+        "rpc_timeout", "done", "settled", "call_id", "rpc_ctx", "proc",
+    )
+
+    def __init__(
+        self,
+        fabric: "RpcFabric",
+        src: str,
+        dst: str,
+        service: str,
+        method: str,
+        args: Tuple[Any, ...],
+        kwargs: Dict[str, Any],
+        rpc_timeout: Optional[float],
+    ) -> None:
+        self.fabric = fabric
+        self.src = src
+        self.dst = dst
+        self.service = service
+        self.method = method
+        self.args = args
+        self.kwargs = kwargs
+        self.rpc_timeout = rpc_timeout
+        self.done = Signal(fabric._loop, name=f"rpc:{service}.{method}")
+        self.settled = False
+        self.call_id: Optional[str] = None
+        self.rpc_ctx: Optional[instrument.TraceContext] = None
+        self.proc: Optional[Process] = None
+
+    def deliver_traced(self) -> None:
+        """:meth:`dispatch` under the rpc span's context.
+
+        A plain handler sees the context for any nested calls it makes
+        synchronously, and a generator handler's Process captures it at
+        construction.
+        """
+        previous_ctx = instrument.set_context(self.rpc_ctx)
+        try:
+            self.dispatch()
+        finally:
+            instrument.set_context(previous_ctx)
+
+    def dispatch(self) -> None:
+        """The request lands at ``dst``: run the handler, or fail."""
+        fabric = self.fabric
+        dst, src, service, method = self.dst, self.src, self.service, self.method
+        down = fabric._down
+        if dst in down or src in down:
+            self.respond(RpcResponse(
+                False, None, f"endpoint {dst if dst in down else src} is down",
+                HostDownError,
+            ))
+            return
+        handler = fabric._services.get((dst, service))
+        if handler is None:
+            self.respond(RpcResponse(
+                False, None, f"no service {service!r} at {dst!r}",
+                ServiceNotFoundError,
+            ))
+            return
+        bound = getattr(handler, method, None)
+        if bound is None or method.startswith("_") or not callable(bound):
+            self.respond(RpcResponse(
+                False, None, f"service {service!r} has no method {method!r}",
+                ServiceNotFoundError,
+            ))
+            return
+        try:
+            result = bound(*self.args, **self.kwargs)
+        except Exception as err:  # noqa: BLE001 - shipped to caller
+            self.respond(RpcResponse(
+                False, None, str(err), RemoteInvocationError, err
+            ))
+            return
+        if isinstance(result, GeneratorType):
+            proc = self.proc = Process(fabric._loop, result, name=f"{service}.{method}")
+            proc.done_signal.add_waiter(self.handler_done)
+        else:
+            self.respond(RpcResponse(True, result))
+
+    def handler_done(self, _payload: Any) -> None:
+        """A generator handler finished: answer with its outcome."""
+        proc = self.proc
+        assert proc is not None
+        error = proc.exception
+        if error is not None:
+            self.respond(RpcResponse(
+                False, None, str(error), RemoteInvocationError, error
+            ))
+        else:
+            self.respond(RpcResponse(True, proc.result))
+
+    def respond(self, response: RpcResponse) -> None:
+        """Send ``response`` back; it lands one latency later."""
+        fabric = self.fabric
+        fabric._loop.call_in(fabric._one_way_delay(), self.settle, response)
+
+    def settle(self, response: RpcResponse) -> None:
+        """Fire the caller's signal with ``response``.
+
+        A deadline and a real response can race; the first one wins and
+        the loser is dropped (firing a Signal twice is an error).
+        """
+        if self.settled:
+            return
+        self.settled = True
+        fabric = self.fabric
+        if not response.ok:
+            fabric.calls_failed += 1
+        tel = instrument.TELEMETRY
+        if tel is not None and self.call_id is not None:
+            tel.end(fabric._loop.now, f"{self.service}.{self.method}", "rpc",
+                    self.call_id, track="rpc", ok=response.ok,
+                    error=response.error)
+        self.done.fire(response)
+
+    def expire(self) -> None:
+        """The deadline passed: settle with :class:`RpcTimeout` unless a
+        response already did."""
+        if self.settled:
+            return
+        self.fabric.calls_timed_out += 1
+        self.settle(RpcResponse(
+            False, None,
+            f"{self.service}.{self.method} to {self.dst!r}: no response "
+            f"within {self.rpc_timeout:.6g}s",
+            RpcTimeout,
+        ))
 
 
 class RpcFabric:
@@ -92,9 +231,12 @@ class RpcFabric:
         return next(self._caller_ids)
 
     def _one_way_delay(self) -> float:
-        if self.jitter <= 0:
+        jitter = self.jitter
+        if jitter <= 0:
             return self.latency * self.delay_factor
-        return (self.latency + self._jitter_rng.uniform(0, self.jitter)) * self.delay_factor
+        # ``jitter * random()`` is the float ``uniform(0, jitter)`` returns,
+        # from the same single draw.
+        return (self.latency + jitter * self._jitter_rng.random()) * self.delay_factor
 
     # ------------------------------------------------------------------
     # Registration and failure injection
@@ -146,137 +288,27 @@ class RpcFabric:
         if rpc_timeout is not None and rpc_timeout <= 0:
             raise ValueError(f"rpc_timeout must be positive, got {rpc_timeout}")
         self.calls_sent += 1
-        done = Signal(self._loop, name=f"rpc:{service}.{method}")
-        settled = [False]
+        call = _Call(self, src, dst, service, method, args, kwargs, rpc_timeout)
         tel = instrument.TELEMETRY
-        call_id: Optional[str] = None
-        rpc_ctx: Optional[instrument.TraceContext] = None
         if tel is not None:
-            call_id = f"rpc{self.calls_sent}"
+            call_id = call.call_id = f"rpc{self.calls_sent}"
             # The rpc span is a child of whatever operation issued the
             # call; the handler (and everything it spawns or calls in
             # turn) runs under the rpc span's context, so the whole
             # downstream subtree hangs off this edge.
-            rpc_ctx = instrument.derive_context(call_id)
+            rpc_ctx = call.rpc_ctx = instrument.derive_context(call_id)
             span_args: Dict[str, Any] = {"src": src, "dst": dst,
                                          "trace": rpc_ctx.trace_id}
             if rpc_ctx.parent_id is not None:
                 span_args["parent"] = rpc_ctx.parent_id
             tel.begin(self._loop.now, f"{service}.{method}", "rpc", call_id,
                       track="rpc", **span_args)
-
-        def _fire(response: RpcResponse) -> None:
-            # A deadline and a real response can race; first one wins and
-            # the loser is dropped (firing a Signal twice is an error).
-            if settled[0]:
-                return
-            settled[0] = True
-            if not response.ok:
-                self.calls_failed += 1
-            tel = instrument.TELEMETRY
-            if tel is not None and call_id is not None:
-                tel.end(self._loop.now, f"{service}.{method}", "rpc", call_id,
-                        track="rpc", ok=response.ok,
-                        error=response.error)
-            done.fire(response)
-
-        def _respond(response: RpcResponse) -> None:
-            self._loop.call_in(self._one_way_delay(), _fire, response)
-
-        def _deliver() -> None:
-            # Handlers run under the rpc span's context: a plain handler
-            # sees it for any nested calls it makes synchronously, and a
-            # generator handler's Process captures it at construction.
-            if rpc_ctx is None:
-                _dispatch_request()
-                return
-            previous_ctx = instrument.set_context(rpc_ctx)
-            try:
-                _dispatch_request()
-            finally:
-                instrument.set_context(previous_ctx)
-
-        def _dispatch_request() -> None:
-            if dst in self._down or src in self._down:
-                _respond(
-                    RpcResponse(
-                        ok=False,
-                        error=f"endpoint {dst if dst in self._down else src} is down",
-                        error_type=HostDownError,
-                    )
-                )
-                return
-            handler = self._services.get((dst, service))
-            if handler is None:
-                _respond(
-                    RpcResponse(
-                        ok=False,
-                        error=f"no service {service!r} at {dst!r}",
-                        error_type=ServiceNotFoundError,
-                    )
-                )
-                return
-            bound = getattr(handler, method, None)
-            if bound is None or method.startswith("_") or not callable(bound):
-                _respond(
-                    RpcResponse(
-                        ok=False,
-                        error=f"service {service!r} has no method {method!r}",
-                        error_type=ServiceNotFoundError,
-                    )
-                )
-                return
-            try:
-                result = bound(*args, **kwargs)
-            except Exception as err:  # noqa: BLE001 - shipped to caller
-                _respond(
-                    RpcResponse(
-                        ok=False,
-                        error=str(err),
-                        error_type=RemoteInvocationError,
-                        remote_error=err,
-                    )
-                )
-                return
-            if isinstance(result, GeneratorType):
-                proc = Process(self._loop, result, name=f"{service}.{method}")
-
-                def _on_done(_payload: Any) -> None:
-                    if proc.exception is not None:
-                        _respond(
-                            RpcResponse(
-                                ok=False,
-                                error=str(proc.exception),
-                                error_type=RemoteInvocationError,
-                                remote_error=proc.exception,
-                            )
-                        )
-                    else:
-                        _respond(RpcResponse(ok=True, value=proc.result))
-
-                proc.done_signal.add_waiter(_on_done)
-            else:
-                _respond(RpcResponse(ok=True, value=result))
-
-        self._loop.call_in(self._one_way_delay(), _deliver)
+            self._loop.call_in(self._one_way_delay(), call.deliver_traced)
+        else:
+            self._loop.call_in(self._one_way_delay(), call.dispatch)
         if rpc_timeout is not None:
-            def _expire() -> None:
-                if settled[0]:
-                    return
-                self.calls_timed_out += 1
-                _fire(
-                    RpcResponse(
-                        ok=False,
-                        error=(
-                            f"{service}.{method} to {dst!r}: no response "
-                            f"within {rpc_timeout:.6g}s"
-                        ),
-                        error_type=RpcTimeout,
-                    )
-                )
-
-            self._loop.call_in(rpc_timeout, _expire)
-        return done
+            self._loop.call_in(rpc_timeout, call.expire)
+        return call.done
 
     def invoke(
         self,

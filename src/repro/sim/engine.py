@@ -4,8 +4,12 @@ The :class:`EventLoop` is the single source of simulated time.  Components
 schedule callbacks with :meth:`EventLoop.call_at` / :meth:`EventLoop.call_in`
 and the loop fires them in timestamp order; ties break by scheduling order so
 repeated runs with the same seed produce byte-identical traces.  The heap
-holds ``(time, seq, handle)`` tuples: ``seq`` is unique, so ``heapq``
-compares in C and never reaches the handle.
+holds ``(time, seq, handle)`` tuples: ``seq`` numbers every scheduled event,
+whichever of the two calls scheduled it, and is unique, so ``heapq``
+compares in C and never reaches the handle.  Each scheduling call makes one
+range check on its fast path, and :meth:`EventLoop.step` tests the
+post-event hook tuple inline, so an event costs no Python call beyond its
+own callback when no observer is armed.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Optional, Tuple
 
 from repro.sim import instrument
+
+_INF = math.inf
 
 
 class SimulationError(RuntimeError):
@@ -98,9 +104,9 @@ class EventLoop:
         SimulationError
             If ``when`` precedes the current simulated time or is not finite.
         """
-        if not math.isfinite(when):
-            raise SimulationError(f"event time must be finite, got {when!r}")
-        if when < self._now:
+        if not self._now <= when < _INF:
+            if not math.isfinite(when):
+                raise SimulationError(f"event time must be finite, got {when!r}")
             raise SimulationError(
                 f"cannot schedule event in the past: {when:.9f} < now {self._now:.9f}"
             )
@@ -111,9 +117,15 @@ class EventLoop:
 
     def call_in(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay!r}")
-        return self.call_at(self._now + delay, callback, *args)
+        when = self._now + delay
+        if not (delay >= 0.0 and when < _INF):
+            if delay < 0:
+                raise SimulationError(f"delay must be non-negative, got {delay!r}")
+            raise SimulationError(f"event time must be finite, got {when!r}")
+        seq = next(self._seq)
+        handle = EventHandle(when, seq, callback, args)
+        heappush(self._heap, (when, seq, handle))
+        return handle
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or ``None`` if idle."""
@@ -159,8 +171,10 @@ class EventLoop:
             assert callback is not None
             callback(*args)
             # SimSanitizer seam: re-verify simulation invariants after the
-            # event settles (no-op unless a sanitizer is armed).
-            instrument.post_event(self)
+            # event settles (no-op unless an observer is armed).
+            if instrument.POST_EVENT_HOOKS:
+                for hook in instrument.POST_EVENT_HOOKS:
+                    hook(self)
             return True
         return False
 
@@ -198,7 +212,9 @@ class EventLoop:
         self._events_processed += 1
         assert callback is not None
         callback(*args)
-        instrument.post_event(self)
+        if instrument.POST_EVENT_HOOKS:
+            for hook in instrument.POST_EVENT_HOOKS:
+                hook(self)
         return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:

@@ -7,7 +7,8 @@ through this tiny multi-subscriber bus instead:
 * components announce themselves via :func:`notify_component` (the
   sanitizer checks their invariants, a telemetry session reads their
   counters);
-* the event loop reports every fired event via :func:`post_event`;
+* the event loop calls every hook in :data:`POST_EVENT_HOOKS` after each
+  fired event;
 * the active telemetry sink (a :class:`repro.telemetry.Telemetry`, duck
   typed so this module stays import-free) is published as the module
   global :data:`TELEMETRY`.
@@ -81,7 +82,9 @@ class Subscription:
 #: ``"fabric"``, ``"leases"``, ``"dataserver"``, ``"client"`` and
 #: ``"injector"``.
 _component_hooks: Tuple[ComponentHook, ...] = ()
-_post_event_hooks: Tuple[PostEventHook, ...] = ()
+#: Public because :meth:`repro.sim.engine.EventLoop.step` tests it and
+#: calls each hook after every event, inline.
+POST_EVENT_HOOKS: Tuple[PostEventHook, ...] = ()
 _subscriptions: Tuple[Subscription, ...] = ()
 
 #: The active telemetry sink (``repro.telemetry.Telemetry`` duck type).
@@ -92,11 +95,11 @@ TELEMETRY: Optional[Any] = None
 
 
 def _rebuild() -> None:
-    global _component_hooks, _post_event_hooks
+    global _component_hooks, POST_EVENT_HOOKS
     _component_hooks = tuple(
         sub.component for sub in _subscriptions if sub.component is not None
     )
-    _post_event_hooks = tuple(
+    POST_EVENT_HOOKS = tuple(
         sub.post_event for sub in _subscriptions if sub.post_event is not None
     )
 
@@ -122,7 +125,7 @@ def unsubscribe(sub: Subscription) -> None:
 
 def hooks_armed() -> bool:
     """Whether any post-event observer (sanitizer or other) is live."""
-    return bool(_post_event_hooks)
+    return bool(POST_EVENT_HOOKS)
 
 
 def set_telemetry(sink: Optional[Any]) -> None:
@@ -169,9 +172,3 @@ def notify_component(kind: str, component: Any) -> None:
     if _component_hooks:
         for hook in _component_hooks:
             hook(kind, component)
-
-
-def post_event(loop: Any) -> None:
-    if _post_event_hooks:
-        for hook in _post_event_hooks:
-            hook(loop)

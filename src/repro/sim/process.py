@@ -9,7 +9,9 @@ A *process* is a Python generator that yields scheduling directives:
   return value (or re-raising its exception).
 
 This gives RPC handlers and server loops a linear, readable style while the
-underlying engine stays a plain callback heap.
+underlying engine stays a plain callback heap.  Every resume is a call of
+the process's bound ``_advance``: a delay schedules it, and a signal wait
+registers it as the waiter itself, with no closure in between.
 """
 
 from __future__ import annotations
@@ -115,14 +117,16 @@ class Process:
         # cooperative processes the way contextvars follow asyncio tasks.
         self._trace_ctx = instrument.TRACE_CTX
         # Kick off on a zero-delay event so construction never runs user code.
-        loop.call_in(0.0, self._advance, None, None)
+        loop.call_in(0.0, self._advance, None)
 
     @property
     def done_signal(self) -> Signal:
         """Signal fired (with the process result) when the process finishes."""
         return self._done_signal
 
-    def _advance(self, value: Any, exc: Optional[BaseException]) -> None:
+    def _advance(self, value: Any, exc: Optional[BaseException] = None) -> None:
+        """Resume the generator with ``value`` (or throw ``exc`` into it)
+        and act on the directive it yields next."""
         if self.finished:
             return
         outer_ctx = instrument.TRACE_CTX
@@ -139,36 +143,33 @@ class Process:
             except BaseException as err:  # noqa: BLE001 - surfaced via .exception
                 self._finish(error=err)
                 return
-            self._dispatch(directive)
+            if isinstance(directive, Delay):
+                self._loop.call_in(directive.seconds, self._advance, None)
+            elif isinstance(directive, Signal):
+                directive.add_waiter(self._advance)
+            elif isinstance(directive, WaitSignal):
+                directive.signal.add_waiter(self._advance)
+            elif isinstance(directive, Process):
+                child = directive
+
+                def _on_child_done(_payload: Any) -> None:
+                    if child.exception is not None:
+                        self._advance(None, child.exception)
+                    else:
+                        self._advance(child.result)
+
+                child.done_signal.add_waiter(_on_child_done)
+            else:
+                self._advance(
+                    None,
+                    SimulationError(
+                        f"process {self.name!r} yielded unsupported directive "
+                        f"{directive!r}"
+                    ),
+                )
         finally:
             self._trace_ctx = instrument.TRACE_CTX
             instrument.TRACE_CTX = outer_ctx
-
-    def _dispatch(self, directive: Any) -> None:
-        if isinstance(directive, Delay):
-            self._loop.call_in(directive.seconds, self._advance, None, None)
-        elif isinstance(directive, Signal):
-            directive.add_waiter(lambda payload: self._advance(payload, None))
-        elif isinstance(directive, WaitSignal):
-            directive.signal.add_waiter(lambda payload: self._advance(payload, None))
-        elif isinstance(directive, Process):
-            child = directive
-
-            def _on_child_done(_payload: Any) -> None:
-                if child.exception is not None:
-                    self._advance(None, child.exception)
-                else:
-                    self._advance(child.result, None)
-
-            child.done_signal.add_waiter(_on_child_done)
-        else:
-            self._advance(
-                None,
-                SimulationError(
-                    f"process {self.name!r} yielded unsupported directive "
-                    f"{directive!r}"
-                ),
-            )
 
     def _finish(self, result: Any = None, error: Optional[BaseException] = None) -> None:
         self.finished = True

@@ -29,6 +29,11 @@ from repro.sim import instrument
 #: DESIGN §6 extends to chaos experiments.
 FAULTS_STREAM = "faults"
 
+#: The C implementations :class:`CountingRandom` counts, bound once so a
+#: draw pays no ``super()`` lookup.
+_RANDOM = random.Random.random
+_GETRANDBITS = random.Random.getrandbits
+
 
 class CountingRandom(random.Random):
     """``random.Random`` that counts its draws.
@@ -46,11 +51,11 @@ class CountingRandom(random.Random):
 
     def random(self) -> float:
         self.draws += 1
-        return super().random()
+        return _RANDOM(self)
 
     def getrandbits(self, k: int) -> int:
         self.draws += 1
-        return super().getrandbits(k)
+        return _GETRANDBITS(self, k)
 
 
 def seeded_rng(seed: int) -> CountingRandom:

@@ -1,5 +1,7 @@
 """Unit tests for the dataserver (appends, relays, reads, locking)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.fanout import static_chain_plan
@@ -237,6 +239,61 @@ def test_list_files_reports_committed_sizes(mini_cluster):
     assert len(listing) == 1
     assert listing[0]["file_id"] == meta.file_id
     assert listing[0]["size_bytes"] == 7 * MB
+
+
+def test_preloaded_bytes_are_a_count_not_a_buffer(mini_cluster):
+    meta = create_everywhere(mini_cluster)
+    ds = mini_cluster.dataservers[meta.primary]
+    tracemalloc.start()
+    try:
+        ds.load_preexisting(meta.file_id, 256 * MB)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 * MB
+    assert ds.file_size(meta.file_id) == 256 * MB
+
+
+def preloaded_then_appended(mini_cluster, preloaded, blob):
+    """A file pre-loaded with ``preloaded`` bytes on every replica, then
+    one real append of ``blob``; returns the primary's stored file."""
+    meta = create_everywhere(mini_cluster)
+    for replica in meta.replicas:
+        mini_cluster.dataservers[replica].load_preexisting(meta.file_id, preloaded)
+    writer = other_host(mini_cluster, meta)
+    mini_cluster.run(append(mini_cluster, meta, writer, len(blob), blob))
+    return meta, writer
+
+
+def test_read_spanning_preloaded_prefix_and_append(mini_cluster):
+    meta, writer = preloaded_then_appended(mini_cluster, 100, b"x" * 50)
+
+    def client():
+        reply = yield from mini_cluster.fabric.invoke(
+            writer, meta.primary, "dataserver", "serve_read",
+            meta.file_id, 60, 80, writer,
+        )
+        return reply
+
+    assert mini_cluster.run(client()).data == b"\x00" * 40 + b"x" * 40
+    for replica in meta.replicas:
+        stored = mini_cluster.dataservers[replica]._files[meta.file_id]
+        assert stored.payload_bytes(0, 150) == b"\x00" * 100 + b"x" * 50
+
+
+def test_truncate_into_preloaded_prefix(mini_cluster):
+    meta, writer = preloaded_then_appended(mini_cluster, 100, b"x" * 50)
+    ds = mini_cluster.dataservers[meta.primary]
+    stored = ds._files[meta.file_id]
+    ds._truncate(stored, 30)
+    assert stored.size_bytes == 30
+    assert stored.payload_bytes(0, 100) == b"\x00" * 30
+    assert ds._entry_bytes(stored, "none", 10, 30) == b"\x00" * 20
+    # a cut at the prefix's end drops the append and keeps every zero
+    other = mini_cluster.dataservers[meta.replicas[1]]
+    other_stored = other._files[meta.file_id]
+    other._truncate(other_stored, 100)
+    assert other_stored.payload_bytes(0, 150) == b"\x00" * 100
 
 
 def test_load_preexisting_validates(mini_cluster):

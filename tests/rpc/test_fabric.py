@@ -1,5 +1,7 @@
 """Unit tests for the RPC fabric."""
 
+import hashlib
+
 import pytest
 
 from repro.rpc import HostDownError, RpcFabric, ServiceNotFoundError
@@ -262,3 +264,70 @@ def test_virtual_endpoint():
         return (yield from fabric.invoke("host", "@controller", "flowserver", "echo", "x"))
 
     assert run_client(loop, client()) == "x"
+
+
+#: sha256 of the event shape of the scenario below; recomputed only when
+#: a change is meant to move when, or in how many events, a call settles.
+RPC_EVENT_SHAPE_SHA256 = "c03c2251e3b822f59449014df0ccc3befb80092a0098a270201eecde08a0c748"
+
+
+class _ShapeService:
+    def echo(self, value):
+        return value
+
+    def slow_double(self, x):
+        yield Delay(0.25)
+        return 2 * x
+
+    def fail(self):
+        raise RuntimeError("kaput")
+
+    def fail_later(self):
+        yield Delay(0.125)
+        raise ValueError("late kaput")
+
+    def _private(self):
+        return "secret"
+
+
+def test_rpc_event_shape_is_pinned():
+    """Every settle time, event count, response field, counter and jitter
+    draw of one call per fabric outcome, hashed into one pin."""
+    loop = EventLoop()
+    fabric = RpcFabric(loop, latency=0.001, jitter=0.0005, seed=11)
+    fabric.register("server", "svc", _ShapeService())
+    fabric.set_down("down")
+    calls = [
+        ("plain", "server", "svc", "echo", ("hi",), None),
+        ("generator", "server", "svc", "slow_double", (21,), None),
+        ("raises", "server", "svc", "fail", (), None),
+        ("raising_generator", "server", "svc", "fail_later", (), None),
+        ("down_endpoint", "down", "svc", "echo", (1,), None),
+        ("unknown_service", "server", "nope", "echo", (1,), None),
+        ("private_method", "server", "svc", "_private", (), None),
+        ("timeout_first", "server", "svc", "slow_double", (4,), 0.01),
+        ("reply_first", "server", "svc", "echo", ("ok",), 5.0),
+    ]
+    rows = []
+
+    def caller():
+        for label, dst, service, method, args, rpc_timeout in calls:
+            response = yield fabric.call(
+                "client", dst, service, method, *args, rpc_timeout=rpc_timeout
+            )
+            remote = response.remote_error
+            rows.append((
+                label, repr(loop.now), loop.events_processed, response.ok,
+                repr(response.value), response.error,
+                getattr(response.error_type, "__name__", None),
+                None if remote is None else (type(remote).__name__, str(remote)),
+            ))
+
+    Process(loop, caller())
+    loop.run()
+    rows.append((
+        "drained", repr(loop.now), loop.events_processed, fabric.calls_sent,
+        fabric.calls_failed, fabric.calls_timed_out, fabric._jitter_rng.draws,
+    ))
+    digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+    assert digest == RPC_EVENT_SHAPE_SHA256, rows
