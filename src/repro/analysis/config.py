@@ -55,6 +55,8 @@ RACE_ATTRS: FrozenSet[str] = frozenset(
         "rates",
         "link_rates",
         "switch_missed_polls",
+        "missed_poll_switches",
+        "down_links",
     }
 )
 

@@ -16,9 +16,9 @@ cross-layer invariants **after every engine event**:
    Mersenne state changes only when that stream was drawn from, and no
    two names share a generator object.
 5. **Link-memo validity** — every entry of a Flowserver's
-   ``FlowStateTable.link_memo`` equals a fresh ``flows_on_link`` plus
-   water-fill of the current table, i.e. every mutation dropped the
-   entries of the links it touched.
+   ``FlowStateTable.link_memo`` equals a fresh ``flows_on_link``, fill
+   order and water-fill of the current table, i.e. every mutation
+   dropped the entries of the links it touched.
 
 Violations raise :class:`SimSanError` (an ``AssertionError`` subclass) at
 the exact event that broke the invariant, which is worth far more than a
@@ -178,6 +178,13 @@ class SimSanitizer:
             demands = [f.bw_bps for f in members]
             stale = [f.flow_id for f in entry.members] != [f.flow_id for f in members]
             stale = stale or entry.demands != demands
+            # The fill order single_link_fair_allocation would sort into.
+            fill = sorted(
+                (i for i, d in enumerate(demands) if d > 0), key=lambda i: demands[i]
+            )
+            negative = any(d < 0 for d in demands)
+            stale = stale or entry.fill != (None if negative else fill)
+            stale = stale or entry.fill_demands != [demands[i] for i in fill]
             for capacity, share in entry.probe.items():
                 fresh = single_link_fair_allocation(capacity, demands + [math.inf])
                 stale = stale or share != fresh[-1]  # simlint: ignore[DET004] bit-identity
@@ -191,7 +198,7 @@ class SimSanitizer:
                 raise SimSanError(
                     f"simsan[t={now:.6f}]: link memo of {link_id} is stale: "
                     f"memo members {[f.flow_id for f in entry.members]} "
-                    f"demands {entry.demands}, table members "
+                    f"demands {entry.demands} fill {entry.fill}, table members "
                     f"{[f.flow_id for f in members]} demands {demands}"
                 )
 

@@ -23,11 +23,10 @@ link) is reproduced exactly by this module — see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.flow_state import FlowStateTable, LinkMemo, TrackedFlow
-from repro.net.fairshare import single_link_fair_allocation
 
 
 class LinkShareCache:
@@ -46,8 +45,10 @@ class LinkShareCache:
     (the Flowserver owns one) is as correct as a fresh cache per sweep —
     including across commits and across the split search's two sweeps.
 
-    Returned values are exactly what the uncached code computed — same
-    inputs, same routine — so cached and uncached sweeps are
+    Returned values are exactly what
+    :func:`~repro.net.fairshare.single_link_fair_allocation` computes: a
+    :class:`LinkMemo` keeps the routine's fill order and replays its
+    arithmetic step for step, so cached and uncached sweeps are
     bit-identical.
     """
 
@@ -74,10 +75,6 @@ class LinkShareCache:
         """Tracked flows on a link (sorted), memoised until the link changes."""
         return self._entry(link_id).members
 
-    def demands(self, link_id: str) -> List[float]:
-        """Current bandwidth estimates of the flows on a link, memoised."""
-        return self._entry(link_id).demands
-
     def probe_share(self, link_id: str, capacity_bps: float) -> float:
         """The infinite-demand probe's allocation on one link (§4.2)."""
         return self.probe_shares((link_id,), {link_id: capacity_bps})[link_id]
@@ -96,10 +93,7 @@ class LinkShareCache:
             share = entry.probe.get(capacity_bps)
             if share is None:
                 self.misses += 1
-                share = single_link_fair_allocation(
-                    capacity_bps, entry.demands + [math.inf]
-                )[-1]
-                entry.probe[capacity_bps] = share
+                share = entry.probe[capacity_bps] = entry.probe_fill(capacity_bps)
             else:
                 self.hits += 1
             shares[link_id] = share
@@ -144,22 +138,17 @@ class LinkShareCache:
         got = entry.newcomer.get(key)
         if got is None:
             self.misses += 1
-            allocation = single_link_fair_allocation(
-                capacity_bps, entry.demands + [newcomer_demand_bps]
-            )
-            squeezed = [
-                (flow.flow_id, slot)
-                for flow, demand, slot in zip(entry.members, entry.demands, allocation)
-                if slot < demand
-            ]
-            got = entry.newcomer[key] = (allocation, squeezed)
+            got = entry.newcomer[key] = entry.newcomer_fill(*key)
         else:
             self.hits += 1
         return got
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+#: ``new_bw_of_existing`` of a cost that squeezes no flow.
+_NO_SQUEEZE: Mapping[str, float] = MappingProxyType({})
+
+
+class CostBreakdown(NamedTuple):
     """Cost of placing a new flow on one candidate path.
 
     Attributes
@@ -184,21 +173,7 @@ class CostBreakdown:
     existing_flows_penalty: float
     est_bw_bps: float
     bottleneck_link_id: Optional[str]
-    new_bw_of_existing: Mapping[str, float] = field(default_factory=dict)
-
-
-def bottleneck_share(
-    path_link_ids: Sequence[str], link_share: Mapping[str, float]
-) -> Tuple[float, Optional[str]]:
-    """The smallest per-link probe share along a path, and its link."""
-    best = math.inf
-    bottleneck: Optional[str] = None
-    for link_id in path_link_ids:
-        share = link_share[link_id]
-        if share < best:
-            best = share
-            bottleneck = link_id
-    return best, bottleneck
+    new_bw_of_existing: Mapping[str, float] = _NO_SQUEEZE
 
 
 def estimate_path_share(
@@ -209,15 +184,22 @@ def estimate_path_share(
 ) -> Tuple[float, Optional[str]]:
     """``MAXMINSHARE``: the probe's estimated rate along one path.
 
-    Returns ``(b_j, bottleneck_link_id)``.  ``cache`` shares per-link
-    allocations across calls; omitted, a transient cache still
-    deduplicates repeated links within this one path.
+    Returns ``(b_j, bottleneck_link_id)``: the smallest per-link probe
+    share along the path, and the first link that has it.  ``cache``
+    shares per-link allocations across calls; omitted, a transient cache
+    still deduplicates repeated links within this one path.
     """
     if cache is None:
         cache = LinkShareCache(state)
-    return bottleneck_share(
-        path_link_ids, cache.probe_shares(path_link_ids, link_capacity_bps)
-    )
+    link_share = cache.probe_shares(path_link_ids, link_capacity_bps)
+    best = math.inf
+    bottleneck: Optional[str] = None
+    for link_id in path_link_ids:
+        share = link_share[link_id]
+        if share < best:
+            best = share
+            bottleneck = link_id
+    return best, bottleneck
 
 
 def new_bandwidth_of_existing(
@@ -287,21 +269,24 @@ def flow_cost(
 
     new_flow_time = flow_size_bits / est_bw_bps
     penalty = 0.0
-    changed: Dict[str, float] = {}
+    changed: Mapping[str, float] = _NO_SQUEEZE
 
     if include_existing_flows:
         squeezed = new_bandwidth_of_existing(
             path_link_ids, est_bw_bps, link_capacity_bps, state, cache=cache
         )
-        for flow_id in sorted(squeezed):
-            new_bw = squeezed[flow_id]
-            changed[flow_id] = new_bw
-            if new_bw <= 0:
-                penalty = math.inf
-                break
-            flow = state.flows[flow_id]
-            if flow.bw_bps > 0:
-                penalty += flow.remaining_bits / new_bw - flow.remaining_bits / flow.bw_bps
+        if squeezed:
+            flows = state.flows
+            moved: Dict[str, float] = {}
+            changed = moved
+            for flow_id in sorted(squeezed):
+                new_bw = moved[flow_id] = squeezed[flow_id]
+                if new_bw <= 0:
+                    penalty = math.inf
+                    break
+                flow = flows[flow_id]
+                if flow.bw_bps > 0:
+                    penalty += flow.remaining_bits / new_bw - flow.remaining_bits / flow.bw_bps
 
     return CostBreakdown(
         total=new_flow_time + penalty,

@@ -17,9 +17,11 @@ Pseudocode 2's freeze discipline lives here:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.net.fairshare import single_link_fair_allocation
 from repro.sim import instrument
 
 
@@ -63,17 +65,81 @@ class LinkMemo:
     capacity to the infinite-demand probe's share and ``newcomer`` maps
     ``(capacity, newcomer demand)`` to the full allocation plus the
     ``(flow id, slot)`` pairs of the members it squeezes.
+
+    ``fill`` is the water-fill order of
+    :func:`~repro.net.fairshare.single_link_fair_allocation`, computed once
+    when the memo is built: the indices of the members with a positive
+    demand, demand ascending, ties in member order.  ``fill_demands`` are
+    their demands in that order.  A newcomer of positive demand ``d`` ties
+    after every member of demand ``d`` (it has the highest index), so it
+    enters the order at ``bisect_right(fill_demands, d)`` and a fill walks
+    the same flows as the reference routine without a sort.  ``fill`` is
+    ``None`` when a member's demand is negative: every fill then runs the
+    reference routine, which raises.
     """
 
-    __slots__ = ("members", "demands", "probe", "newcomer")
+    __slots__ = ("members", "demands", "fill", "fill_demands", "probe", "newcomer")
 
     def __init__(self, members: List[TrackedFlow]):
         self.members = members
-        self.demands = [f.bw_bps for f in members]
+        demands = self.demands = [f.bw_bps for f in members]
+        fill = [i for i, d in enumerate(demands) if d > 0]
+        fill.sort(key=demands.__getitem__)
+        self.fill_demands = [demands[i] for i in fill]
+        negative = len(fill) < len(demands) and min(demands) < 0
+        self.fill: Optional[List[int]] = None if negative else fill
         self.probe: Dict[float, float] = {}
         self.newcomer: Dict[
             Tuple[float, float], Tuple[List[float], List[Tuple[str, float]]]
         ] = {}
+
+    def probe_fill(self, capacity_bps: float) -> float:
+        """``single_link_fair_allocation(capacity, demands + [inf])[-1]``."""
+        if self.fill is None or capacity_bps <= 0:
+            return single_link_fair_allocation(
+                capacity_bps, self.demands + [math.inf]
+            )[-1]
+        remaining = float(capacity_bps)
+        count = len(self.fill_demands) + 1
+        for demand in self.fill_demands:
+            share = remaining / count
+            give = share if share < demand else demand
+            remaining -= give
+            count -= 1
+            if remaining <= 0:
+                return 0.0
+        # The probe comes last, alone: its demand caps nothing.
+        return remaining / count
+
+    def newcomer_fill(
+        self, capacity_bps: float, newcomer_demand_bps: float
+    ) -> Tuple[List[float], List[Tuple[str, float]]]:
+        """The water-fill of ``demands + [newcomer_demand_bps]`` and the
+        ``(flow id, slot)`` of every member whose slot is below its demand."""
+        demands = self.demands + [newcomer_demand_bps]
+        fill = self.fill
+        if fill is None or capacity_bps <= 0 or not newcomer_demand_bps > 0:
+            allocation = single_link_fair_allocation(capacity_bps, demands)
+        else:
+            at = bisect_right(self.fill_demands, newcomer_demand_bps)
+            allocation = [0.0] * len(demands)
+            remaining = float(capacity_bps)
+            count = len(fill) + 1
+            for i in fill[:at] + [len(self.members)] + fill[at:]:
+                share = remaining / count
+                demand = demands[i]
+                give = share if share < demand else demand
+                allocation[i] = give
+                remaining -= give
+                count -= 1
+                if remaining <= 0:
+                    break
+        squeezed = [
+            (flow.flow_id, slot)
+            for flow, demand, slot in zip(self.members, demands, allocation)
+            if slot < demand
+        ]
+        return allocation, squeezed
 
 
 @dataclass
@@ -86,10 +152,13 @@ class FlowStateTable:
     writes (``SETBW``, an applied ``UPDATEBW``) — drops the entries of
     exactly the links on the mutated flow's path, so the memo is always a
     function of the current table and survives every change elsewhere.
+
+    ``_link_index`` keeps each link's flow ids as a sorted list, so
+    :meth:`flows_on_link` reads it in order without a sort.
     """
 
     flows: Dict[str, TrackedFlow] = field(default_factory=dict)
-    _link_index: Dict[str, Set[str]] = field(default_factory=dict)
+    _link_index: Dict[str, List[str]] = field(default_factory=dict)
     link_memo: Dict[str, LinkMemo] = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -102,9 +171,17 @@ class FlowStateTable:
     def add(self, flow: TrackedFlow) -> None:
         if flow.flow_id in self.flows:
             raise ValueError(f"flow {flow.flow_id!r} already tracked")
-        self.flows[flow.flow_id] = flow
+        flow_id = flow.flow_id
+        self.flows[flow_id] = flow
+        index = self._link_index
         for link_id in flow.path_link_ids:
-            self._link_index.setdefault(link_id, set()).add(flow.flow_id)
+            ids = index.get(link_id)
+            if ids is None:
+                index[link_id] = [flow_id]
+                continue
+            at = bisect_left(ids, flow_id)
+            if at == len(ids) or ids[at] != flow_id:  # a path may list a link twice
+                ids.insert(at, flow_id)
         self._forget_links(flow)
 
     def remove(self, flow_id: str) -> Optional[TrackedFlow]:
@@ -112,12 +189,16 @@ class FlowStateTable:
         flow = self.flows.pop(flow_id, None)
         if flow is None:
             return None
+        index = self._link_index
         for link_id in flow.path_link_ids:
-            members = self._link_index.get(link_id)
-            if members is not None:
-                members.discard(flow_id)
-                if not members:
-                    del self._link_index[link_id]
+            ids = index.get(link_id)
+            if ids is None:
+                continue
+            at = bisect_left(ids, flow_id)
+            if at < len(ids) and ids[at] == flow_id:
+                del ids[at]
+                if not ids:
+                    del index[link_id]
         self._forget_links(flow)
         return flow
 
@@ -125,9 +206,9 @@ class FlowStateTable:
         return self.flows.get(flow_id)
 
     def flows_on_link(self, link_id: str) -> List[TrackedFlow]:
-        """Tracked flows traversing ``link_id``, sorted for determinism."""
-        ids = self._link_index.get(link_id, ())
-        return [self.flows[fid] for fid in sorted(ids)]
+        """Tracked flows traversing ``link_id``, in flow-id order."""
+        flows = self.flows
+        return [flows[fid] for fid in self._link_index.get(link_id, ())]
 
     def flows_on_path(self, link_ids: Iterable[str]) -> List[TrackedFlow]:
         """Distinct tracked flows sharing at least one link with the path."""

@@ -109,6 +109,10 @@ _DEGRADED_ECMP_SALT = 0x5AFE
 _CANDIDATE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
+class _Degraded(Exception):
+    """A fan-out edge has no healthy, trusted path."""
+
+
 class Flowserver:
     """Replica/path selection service co-designed with the SDN controller."""
 
@@ -239,29 +243,31 @@ class Flowserver:
 
         # Graceful degradation (robustness co-design): drop paths crossing
         # failed links/switches, then drop paths whose stats are stale.
-        # Order-preserving filters — with a fully healthy network both are
-        # identity transforms and the selection below is unchanged.
-        healthy = [p for p in candidates if self._controller.path_is_up(p)]
-        if not healthy:
-            # Total outage between these replicas and the client: return
-            # an ECMP pick over the full set.  The transfer aborts
-            # immediately and the client's backoff waits out the outage —
-            # the Flowserver must not block or throw on garbage state.
-            self.unreachable_path_selections += 1
-            return self._degraded_select(
-                request_id, client, candidates, size_bits
-            )
-        trusted = [p for p in healthy if self._path_trusted(p)]
-        if not trusted:
-            # Counters behind every healthy path are stale — optimizing
-            # with them would be worse than spreading load blindly, so
-            # fall back to ECMP until polling recovers (the miss counters
-            # reset and paths re-promote automatically).
-            return self._degraded_select(
-                request_id, client, healthy, size_bits
-            )
+        # Order-preserving filters, and identity transforms while every
+        # path is healthy and trusted, so they run only when one may not be.
+        if not self._all_paths_trusted():
+            healthy = [p for p in candidates if self._controller.path_is_up(p)]
+            if not healthy:
+                # Total outage between these replicas and the client:
+                # return an ECMP pick over the full set.  The transfer
+                # aborts immediately and the client's backoff waits out
+                # the outage — the Flowserver must not block or throw on
+                # garbage state.
+                self.unreachable_path_selections += 1
+                return self._degraded_select(
+                    request_id, client, candidates, size_bits
+                )
+            candidates = [p for p in healthy if self._path_trusted(p)]
+            if not candidates:
+                # Counters behind every healthy path are stale —
+                # optimizing with them would be worse than spreading load
+                # blindly, so fall back to ECMP until polling recovers
+                # (the miss counters reset and paths re-promote
+                # automatically).
+                return self._degraded_select(
+                    request_id, client, healthy, size_bits
+                )
         self._note_recovered()
-        candidates = trusted
 
         if self.config.enable_multi_replica and len({p.src for p in candidates}) > 1:
             plans = self._planner.plan(
@@ -366,9 +372,6 @@ class Flowserver:
         primary = replicas[0]
         secondaries = [r for r in replicas[1:]]
 
-        class _Degraded(Exception):
-            pass
-
         def estimate(src: str, dst: str) -> EdgeEstimate:
             edge = self._fanout_edge(src, dst)
             if edge is None:
@@ -456,12 +459,15 @@ class Flowserver:
         if src == dst:
             return (None, float("inf"))
         candidates = self._routing.paths(src, dst)
-        healthy = [p for p in candidates if self._controller.path_is_up(p)]
-        trusted = [p for p in healthy if self._path_trusted(p)]
-        if not trusted:
+        if not self._all_paths_trusted():
+            candidates = [
+                p for p in candidates
+                if self._controller.path_is_up(p) and self._path_trusted(p)
+            ]
+        if not candidates:
             return None
         scored: List[Tuple[Path, float]] = []
-        for path in trusted:
+        for path in candidates:
             bw, _ = estimate_path_share(
                 path.link_ids, self._capacities, self.state,
                 cache=self.link_cache,
@@ -486,6 +492,14 @@ class Flowserver:
         if not self.recovery_times:
             return 0.0
         return sum(self.recovery_times) / len(self.recovery_times)
+
+    def _all_paths_trusted(self) -> bool:
+        """Whether no link or switch is down and every edge switch
+        answered its last poll: every path then passes both filters."""
+        return (
+            self._controller.all_paths_up()
+            and not self.collector.missed_poll_switches
+        )
 
     def _path_trusted(self, path: Path) -> bool:
         """A path is trusted when its source edge switch (the one whose

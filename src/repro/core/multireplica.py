@@ -87,7 +87,8 @@ class MultiReplicaPlanner:
         # needs no rollback beyond simply not committing f2.
         commit_choice(first, fid1, flow_size_bits, state, now, job_id=job_id)
 
-        second_candidates = [p for p in candidate_paths if p.src != first.replica]
+        first_replica = first.replica
+        second_candidates = [p for p in candidate_paths if p.src != first_replica]
         if not second_candidates:
             return [SubflowPlan(fid1, first, flow_size_bits, b1)]
 

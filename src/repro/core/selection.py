@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Optional, Sequence, Tuple
 
-from repro.core.cost import CostBreakdown, LinkShareCache, bottleneck_share, flow_cost
+from repro.core.cost import CostBreakdown, LinkShareCache, flow_cost
 from repro.core.flow_state import FlowStateTable, TrackedFlow
 from repro.net.routing import Path
 
@@ -37,12 +37,6 @@ class PathChoice:
         return self.path.src
 
 
-def _selection_key(path: Path, cost: CostBreakdown) -> Tuple[float, float, Tuple[str, ...]]:
-    # Cheapest first; ties break on higher estimated bandwidth, then
-    # lexicographic path id, keeping runs deterministic.
-    return (cost.total, -cost.est_bw_bps, path.link_ids)
-
-
 def best_candidate(
     candidate_paths: Sequence[Path],
     flow_size_bits: float,
@@ -53,11 +47,13 @@ def best_candidate(
 ) -> PathChoice:
     """The candidate with the least ``(total, −b_j, link ids)``.
 
-    Computes ``b_j`` once per candidate from one probe share per distinct
-    link, ranks candidates by ``(d/b_j, −b_j, link ids)`` and runs
-    :func:`flow_cost` in that order until the next bound is strictly
-    greater than the best total seen.  The choice is exactly the head of
-    a full sweep sorted by the selection key.
+    Takes one probe share per distinct link of the sweep; one loop then
+    finds each candidate's ``b_j`` (its bottleneck share) and ranks the
+    candidates by ``(d/b_j, −b_j, link ids)``.  :func:`flow_cost` runs in
+    that order until the next bound is strictly greater than the best
+    total seen.  Cheapest first, ties on higher ``b_j`` and then
+    lexicographic link ids, so the choice is exactly the head of a full
+    sweep sorted that way.
 
     Raises
     ------
@@ -73,32 +69,39 @@ def best_candidate(
         link_capacity_bps,
     )
     ranked = []
-    for path in candidate_paths:
-        share = bottleneck_share(path.link_ids, link_share)
-        est_bw = share[0]
+    for position, path in enumerate(candidate_paths):
+        link_ids = path.link_ids
+        est_bw = math.inf
+        bottleneck: Optional[str] = None
+        for link_id in link_ids:
+            share = link_share[link_id]
+            if share < est_bw:
+                est_bw = share
+                bottleneck = link_id
         bound = flow_size_bits / est_bw if est_bw > 0 else math.inf
-        ranked.append((bound, -est_bw, path.link_ids, path, share))
-    ranked.sort(key=lambda r: r[:3])
+        # ``position`` keeps equal keys in candidate order (a stable sort).
+        ranked.append((bound, -est_bw, link_ids, position, path, bottleneck))
+    ranked.sort()
 
-    best: Optional[PathChoice] = None
-    best_key = None
-    for bound, _, _, path, share in ranked:
-        if best is not None and bound > best.cost.total:
+    best: Optional[Tuple[Path, CostBreakdown]] = None
+    best_key: Tuple[float, float, Tuple[str, ...]] = (math.inf, math.inf, ())
+    for bound, neg_bw, link_ids, _, path, bottleneck in ranked:
+        if best is not None and bound > best_key[0]:
             break
         cost = flow_cost(
-            path.link_ids,
+            link_ids,
             flow_size_bits,
             link_capacity_bps,
             state,
             include_existing_flows=include_existing_flows,
-            share=share,
+            share=(-neg_bw, bottleneck),
             cache=cache,
         )
-        key = _selection_key(path, cost)
-        if best_key is None or key < best_key:
-            best, best_key = PathChoice(path=path, cost=cost), key
+        key = (cost.total, -cost.est_bw_bps, link_ids)
+        if best is None or key < best_key:
+            best, best_key = (path, cost), key
     assert best is not None
-    return best
+    return PathChoice(*best)
 
 
 def commit_choice(

@@ -94,6 +94,8 @@ class FlowStatsCollector:
         #: collector legitimately idles between bursts, which must not
         #: look like staleness.
         self.switch_missed_polls: Dict[str, int] = {}
+        #: The switches whose count above is not 0, kept with it.
+        self.missed_poll_switches: Set[str] = set()
         #: Cumulative monitoring-channel volume per switch: OpenFlow
         #: messages exchanged and their estimated bytes.  Requests to
         #: unreachable switches still count (the message left the
@@ -207,6 +209,7 @@ class FlowStatsCollector:
             self._account_poll(switch_id, 1, POLL_REQUEST_BYTES)
             return None
         self.switch_missed_polls[switch_id] = 0
+        self.missed_poll_switches.discard(switch_id)
         self._account_poll(
             switch_id, 2,
             POLL_REQUEST_BYTES + POLL_REPLY_BASE_BYTES
@@ -218,6 +221,7 @@ class FlowStatsCollector:
         self.switch_missed_polls[switch_id] = (
             self.switch_missed_polls.get(switch_id, 0) + 1
         )
+        self.missed_poll_switches.add(switch_id)
 
     def _account_poll(self, switch_id: str, messages: int, nbytes: int) -> None:
         """Attribute one poll exchange's message volume to a switch."""

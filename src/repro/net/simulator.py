@@ -20,7 +20,7 @@ update-freeze, local-path-only recomputation).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.links import Link
 from repro.net.rate_engine import IncrementalRateEngine
@@ -171,6 +171,11 @@ class FlowNetwork:
         self._engine = IncrementalRateEngine(
             lambda link_id: topology.links[link_id].capacity_bps
         )
+        #: Ids of the links that are down; every writer of ``Link.up``
+        #: below keeps it current, so "no link is down" is one test.
+        self.down_links: Set[str] = {
+            link_id for link_id, link in topology.links.items() if not link.up
+        }
         self.completed_flows = 0
         self.aborted_flows = 0
         instrument.notify_component("network", self)
@@ -292,12 +297,14 @@ class FlowNetwork:
             return []
         self._advance_progress()
         link.up = False
+        self.down_links.add(link_id)
         victims = [self._flows[fid] for fid in sorted(link.flows)]
         return self._abort(victims, link_id=link_id, reason="link failure")
 
     def restore_link(self, link_id: str) -> None:
         """Bring a failed link back up.  Idempotent."""
         self._topo.links[link_id].up = True
+        self.down_links.discard(link_id)
 
     def fail_node_links(self, node_id: str) -> List[Flow]:
         """Fail every directed link touching ``node_id`` (switch or host).
@@ -314,6 +321,7 @@ class FlowNetwork:
             if not link.up:
                 continue
             link.up = False
+            self.down_links.add(link.link_id)
             for fid in link.flows:
                 victim_ids.setdefault(fid, link.link_id)
         victims = [self._flows[fid] for fid in sorted(victim_ids)]
@@ -329,12 +337,15 @@ class FlowNetwork:
         for link in self._topo.links.values():
             if link.src == node_id or link.dst == node_id:
                 link.up = True
+                self.down_links.discard(link.link_id)
 
     def link_is_up(self, link_id: str) -> bool:
         return self._topo.links[link_id].up
 
     def path_is_up(self, path: Path) -> bool:
         """Whether every link along ``path`` is currently up."""
+        if not self.down_links:
+            return True
         return all(self._topo.links[lid].up for lid in path.link_ids)
 
     def _links_up(self, flow_id: str, path: Path) -> Tuple[Link, ...]:

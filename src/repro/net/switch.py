@@ -18,7 +18,8 @@ simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.net.topology import SwitchNode, Tier
 from repro.net.view import NetworkView
@@ -58,9 +59,18 @@ class Switch:
 
     def attached_hosts(self) -> List[str]:
         """Hosts hanging off this switch (non-empty only for edge switches)."""
-        return sorted(
+        return list(self._hosts)
+
+    # A rack never changes, so its hosts are listed once, on first use.
+    @cached_property
+    def _hosts(self) -> Tuple[str, ...]:
+        return tuple(sorted(
             h.host_id for h in self._topo.hosts_in_rack(self._node.switch_id)
-        )
+        ))
+
+    @cached_property
+    def _host_set(self) -> FrozenSet[str]:
+        return frozenset(self._hosts)
 
     def flow_stats(self) -> List[FlowStat]:
         """Counters for flows originating at hosts attached to this switch.
@@ -73,11 +83,11 @@ class Switch:
         # A flow sourced at a host is registered on the link it leaves that
         # host by, so the attached hosts' outgoing links name every local
         # flow without a scan of the whole network.
-        local_hosts = self.attached_hosts()
         candidates: Set[str] = set()
-        for host_id in local_hosts:
+        for host_id in self._hosts:
             for link_id in self._topo.adjacency[host_id]:
                 candidates.update(self._topo.links[link_id].flows)
+        local_hosts = self._host_set
         active = self._network.active_flows
         stats = []
         for flow_id in sorted(candidates):

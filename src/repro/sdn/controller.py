@@ -307,6 +307,11 @@ class Controller:
     def switch_is_up(self, switch_id: str) -> bool:
         return switch_id not in self._down_switches
 
+    def all_paths_up(self) -> bool:
+        """Whether no link and no switch is down, so that
+        :meth:`path_is_up` holds for every path."""
+        return not (self._down_switches or self._network.down_links)
+
     def path_is_up(self, path: Path) -> bool:
         """True when every link on the path (and every switch it crosses)
         is currently in service."""

@@ -229,6 +229,19 @@ def test_stale_link_memo_entry_detected(sanitizer):
         sanitizer.check_link_memo(state, 0.0)
 
 
+def test_link_memo_fill_order_checked(sanitizer):
+    state = FlowStateTable()
+    for flow_id, bw in (("a", 40e6), ("b", 0.0), ("c", 10e6), ("d", 10e6)):
+        state.add(TrackedFlow(flow_id, ("l",), 8e7, 8e7, bw))
+    LinkShareCache(state).probe_share("l", 100e6)
+    assert state.link_memo["l"].fill == [2, 3, 0]  # ascending, ties in id order
+    sanitizer.check_link_memo(state, 0.0)
+
+    state.link_memo["l"].fill = [3, 2, 0]  # planted wrong tie order
+    with pytest.raises(SimSanError, match="link memo of l is stale"):
+        sanitizer.check_link_memo(state, 0.0)
+
+
 def test_flowserver_link_memo_stays_valid_through_polls(sanitizer):
     """Overlapping reads with every poll applied: each UPDATEBW must drop
     the memo of the links its flow crosses."""

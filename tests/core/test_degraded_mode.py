@@ -1,6 +1,8 @@
 """Degraded-mode tests: stale stats and dead paths demote the Flowserver
 from cost-model optimization to ECMP, and recovery re-promotes it."""
 
+import hashlib
+
 import pytest
 
 from repro.core import Flowserver, FlowserverConfig
@@ -122,3 +124,60 @@ def test_degraded_spreads_across_replicas():
         picked.add(result.assignments[0].replica)
     assert len(picked) == len(replicas)
 
+
+READS = [
+    ("pod0-rack0-h0", ["pod1-rack0-h0", "pod2-rack1-h1", "pod0-rack1-h0"]),
+    ("pod1-rack1-h0", ["pod0-rack0-h1", "pod3-rack0-h0", "pod2-rack0-h0"]),
+    ("pod2-rack0-h1", ["pod0-rack0-h1", "pod1-rack0-h0", "pod3-rack1-h1"]),
+    ("pod3-rack1-h0", ["pod0-rack0-h0", "pod3-rack0-h1"]),
+    ("pod1-rack1-h1", ["pod3-rack0-h0"]),  # unreachable, then stale
+    ("pod3-rack0-h1", ["pod0-rack1-h1", "pod2-rack1-h0"]),  # client cut off
+]
+
+
+def fault_sequence(fs, ctl, loop):
+    """Reads around a switch failure, a stale edge switch and both
+    recoveries; returns every assignment and the degraded-mode counters."""
+    got = []
+
+    def read_all(tag):
+        for i, (client, replicas) in enumerate(READS):
+            result = fs.select(client, replicas, 64 * MB, job_id=f"{tag}{i}")
+            got.extend(
+                (a.flow_id, a.replica, a.path.link_ids if a.path else None,
+                 a.size_bits, a.est_bw_bps)
+                for a in result.assignments
+            )
+
+    read_all("healthy")
+    ctl.fail_switch("pod0-agg0")
+    read_all("switch-down")
+    ctl.fail_switch("pod3-rack0")  # also the only way into one replica
+    read_all("rack-down")
+    for _ in range(3):  # the rack switch misses three polls ...
+        fs.collector.poll_once()
+    ctl.recover_switch("pod3-rack0")  # ... and is back, but still stale
+    ctl.recover_switch("pod0-agg0")
+    read_all("stale")
+    fs.collector.poll_once()
+    read_all("recovered")
+    return got, (fs.degraded_selections, fs.degraded_entries,
+                 fs.unreachable_path_selections, len(fs.recovery_times))
+
+
+def test_health_short_cut_keeps_the_selections():
+    """Skipping the filters while nothing is down or stale picks exactly
+    what filtering every path did, through faults and recovery."""
+    loop, net, routing, ctl, fs = build_env()
+    got, counters = fault_sequence(fs, ctl, loop)
+    assert fs._all_paths_trusted()
+
+    loop, net, routing, ctl, fs = build_env()
+    fs._all_paths_trusted = lambda: False  # filter every selection
+    assert fault_sequence(fs, ctl, loop) == (got, counters)
+
+    # Pinned before the short-cut existed, when every selection filtered.
+    assert counters == (3, 2, 2, 2)
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "9d543b870278e2597c05f2ac841e2a940748d064a3567e0acbe2ba262e673d54"
+    )

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.flow_state import FlowStateTable, TrackedFlow
 
@@ -54,6 +56,35 @@ class TestTable:
         table.add(make_flow("f1", links=("a", "b")))
         flows = table.flows_on_path(["a", "b"])
         assert [f.flow_id for f in flows] == ["f1"]
+
+
+# Ids whose string order differs from their numeric order, and paths that
+# list one link twice.
+INDEX_IDS = ("mf9", "mf10", "mf100", "fanout-intent-3", "fanout-intent-12", "f")
+INDEX_PATHS = (("a",), ("a", "b"), ("b", "a", "b"), ("c", "c"), ("a", "b", "c"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.sampled_from(INDEX_IDS),
+                          st.sampled_from(INDEX_PATHS)), max_size=30))
+def test_link_index_matches_sorted_sets(steps):
+    """The sorted-list index reads as ``sorted(set)`` did, after every
+    add and remove, including removals of ids it does not hold."""
+    table = FlowStateTable()
+    model = {}
+    for add, flow_id, links in steps:
+        if add and flow_id not in table:
+            table.add(make_flow(flow_id, links=links))
+            for link_id in links:
+                model.setdefault(link_id, set()).add(flow_id)
+        elif not add:
+            flow = table.remove(flow_id)
+            for link_id in flow.path_link_ids if flow is not None else ():
+                model[link_id].discard(flow_id)
+        for link_id in "abc":
+            got = [f.flow_id for f in table.flows_on_link(link_id)]
+            assert got == sorted(model.get(link_id, ()))
+        assert set(table._link_index) == {lid for lid, ids in model.items() if ids}
 
 
 class TestFreezeDiscipline:

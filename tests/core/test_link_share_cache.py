@@ -1,14 +1,16 @@
 """Tests for the per-link allocation memo and its invalidation."""
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost import LinkShareCache, estimate_path_share, flow_cost
-from repro.core.flow_state import FlowStateTable, TrackedFlow
+from repro.core.flow_state import FlowStateTable, LinkMemo, TrackedFlow
 from repro.core.selection import best_candidate, select_replica_and_path
+from repro.net.fairshare import single_link_fair_allocation
 from repro.net.routing import Path
 
 MBPS = 1e6
@@ -196,3 +198,78 @@ def test_long_lived_cache_matches_a_fresh_cache_after_every_mutation(capacities,
                 state.update_remaining(flow_id, op[2])
         assert_lookups_match(state, cache, capacities, demand,
                              as_paths([LINKS[:2], LINKS[1:4], LINKS[3:]]), 80 * MBPS)
+
+
+# ----------------------------------------------------------------------
+# Kernel: a memo's fills against the reference water-fill, bit for bit
+# ----------------------------------------------------------------------
+
+DEMANDS = (0.0, 5 * MBPS, 10 * MBPS, 25 * MBPS, math.inf)
+demands_st = st.one_of(
+    st.sampled_from(DEMANDS), st.floats(min_value=0.0, max_value=200 * MBPS)
+)
+capacities_st = st.one_of(
+    st.sampled_from((10 * MBPS, 30 * MBPS, 100 * MBPS)),
+    st.floats(min_value=1.0, max_value=1e10),
+)
+
+
+def memo_of(demands):
+    # Two-digit ids keep member order equal to input order.
+    return LinkMemo(
+        [TrackedFlow(f"f{i:02d}", ("l",), 8e7, 8e7, d) for i, d in enumerate(demands)]
+    )
+
+
+def assert_fills_match(capacity, demands, newcomer):
+    memo = memo_of(demands)
+    probe = single_link_fair_allocation(capacity, demands + [math.inf])[-1]
+    assert memo.probe_fill(capacity) == probe
+    reference = single_link_fair_allocation(capacity, demands + [newcomer])
+    allocation, squeezed = memo.newcomer_fill(capacity, newcomer)
+    assert allocation == reference
+    assert squeezed == [
+        (f"f{i:02d}", slot)
+        for i, (demand, slot) in enumerate(zip(demands, reference))
+        if slot < demand
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(capacities_st, st.lists(demands_st, max_size=8), st.data())
+def test_memo_fills_are_bit_identical_to_the_reference(capacity, demands, data):
+    # The newcomer is drawn like a member, or ties one exactly.
+    pool = st.one_of(demands_st, st.sampled_from(demands)) if demands else demands_st
+    assert_fills_match(capacity, demands, data.draw(pool))
+
+
+@pytest.mark.parametrize(
+    "capacity, demands, newcomer",
+    [
+        (30 * MBPS, [10 * MBPS, 10 * MBPS, 10 * MBPS], 10 * MBPS),  # all tied
+        (30 * MBPS, [0.0, 0.0, 5 * MBPS], 0.0),  # zero demands and a zero newcomer
+        (30 * MBPS, [math.inf, 5 * MBPS, math.inf], math.inf),  # unbounded demands
+        (30 * MBPS, [10 * MBPS, 10 * MBPS], 10 * MBPS),  # used up at the last step
+        (10 * MBPS, [math.inf], 2 * MBPS),  # the member takes what is left, exactly
+        (10 * MBPS, [], 4 * MBPS),  # an empty link
+    ],
+)
+def test_memo_fill_edge_cases(capacity, demands, newcomer):
+    assert_fills_match(capacity, demands, newcomer)
+
+
+@pytest.mark.parametrize(
+    "demands, newcomer",
+    [([10 * MBPS, -1.0], 5 * MBPS), ([10 * MBPS], -2.0), ([-3.0, 0.0], math.inf)],
+)
+def test_negative_demands_raise_the_reference_error(demands, newcomer):
+    memo = memo_of(demands)
+    with pytest.raises(ValueError) as reference:
+        single_link_fair_allocation(30 * MBPS, demands + [newcomer])
+    with pytest.raises(ValueError) as got:
+        memo.newcomer_fill(30 * MBPS, newcomer)
+    assert str(got.value) == str(reference.value)
+    if min(demands) < 0:
+        with pytest.raises(ValueError) as got:
+            memo.probe_fill(30 * MBPS)
+        assert str(got.value) == str(reference.value)

@@ -220,3 +220,26 @@ def test_many_random_flows_complete_and_conserve(env):
     for flow in completed.values():
         assert flow.bytes_sent == pytest.approx(flow.size_bits / 8, rel=1e-6)
         assert flow.end_time >= flow.start_time
+
+
+def test_down_links_tracks_every_up_flag(env):
+    """``down_links`` is the set of links whose ``up`` is False after each
+    writer, including repeated and overlapping failures."""
+    loop, net, table = env
+    links = net.topology.links.values()
+    uplink = table.paths("pod0-rack0-h0", "pod1-rack0-h0")[0].link_ids[1]
+    steps = [
+        lambda: net.fail_link(uplink),
+        lambda: net.fail_link(uplink),
+        lambda: net.fail_node_links("pod0-rack0"),
+        lambda: net.restore_link(uplink),
+        lambda: net.fail_node_links("pod0-rack0-h1"),
+        lambda: net.restore_node_links("pod0-rack0"),
+        lambda: net.restore_node_links("pod0-rack0-h1"),
+        lambda: net.restore_link(uplink),
+    ]
+    assert net.down_links == set()
+    for step in steps:
+        step()
+        assert net.down_links == {link.link_id for link in links if not link.up}
+    assert net.down_links == set()

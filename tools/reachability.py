@@ -146,6 +146,11 @@ KEPT = {
         "fault repair; ROADMAP item 15 gives it a seeded storm",
     ("src/repro/analysis/simsan.py", None):
         "reached by pytest --simsan, a CI step over the test suite",
+    ("src/repro/net/fairshare.py", "single_link_fair_allocation"):
+        "the reference every LinkMemo fill is tested against, and its "
+        "fallback for a non-positive or negative demand",
+    ("src/repro/net/switch.py", "Switch.attached_hosts"):
+        "tests/net/test_switch.py checks rack membership through it",
 }
 
 
