@@ -2,14 +2,15 @@
 
 Mayflower restricts candidate paths to the *equal-length shortest* paths
 between two endpoints (§4.2), which in a 3-tier tree have 2, 4 or 6 switch
-hops.  :class:`RoutingTable` enumerates them over :class:`Topology`'s own
-adjacency lists and caches them; paths are immutable tuples of directed link
-ids, ready for both the flow simulator and the Flowserver's cost model.
+hops.  :class:`RoutingTable` enumerates them over a switch-only view of
+:class:`Topology` and caches them; paths are immutable tuples of directed
+link ids, ready for both the flow simulator and the Flowserver's cost model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from repro.net.links import Link
@@ -40,12 +41,11 @@ class RoutingTable:
     """Enumerates all equal-cost shortest paths between host pairs.
 
     Hosts never forward, so a path is ``src -> switch ... switch -> dst``
-    and the search runs over the switch-only graph: one breadth-first
-    predecessor DAG per *source switch* (cached), walked back from the
-    switches that deliver to ``dst``.  Paths come out sorted by their
-    node-name tuples — Eq. 2 tie-breaks and the index ``EcmpHasher`` picks
-    depend on that order.  Results are cached per (src, dst); for the
-    64-host testbed the full table is ~4k entries of at most 8 paths each.
+    and the search runs over the switch-only graph, built on first use:
+    one BFS predecessor DAG per *source switch* (cached), walked back from
+    the switches that deliver to ``dst``.  Paths come out sorted by their
+    node-name tuples — Eq. 2 tie-breaks and ``EcmpHasher`` depend on that
+    order.  Results are cached per (src, dst): ~4k entries at 64 hosts.
     """
 
     def __init__(self, topology: Topology):
@@ -68,32 +68,32 @@ class RoutingTable:
             If ``src == dst`` (a local read involves no network path), if
             either endpoint is not a host, or if the hosts are disconnected.
         """
+        cached = self._cache.get((src, dst))
+        if cached is not None:  # only validated pairs are ever stored
+            return cached
         if src == dst:
             raise ValueError(f"no network path from a host to itself ({src!r})")
         for node in (src, dst):
             if node not in self._topo.hosts:
                 raise ValueError(f"{node!r} is not a host")
-        key = (src, dst)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         routes = self._shortest_routes(src, dst)
         if not routes:
             raise ValueError(f"hosts {src!r} and {dst!r} are disconnected")
-        paths = [
-            Path(src=src, dst=dst, link_ids=tuple(link.link_id for link in route))
-            for route in sorted(routes, key=lambda r: [link.dst for link in r])
-        ]
-        self._cache[key] = paths
+        # The routes of one pair are equally long and agree up to their
+        # first difference, where both links leave the same node ``u``: so
+        # comparing ``"u->v1"`` with ``"u->v2"`` compares ``v1`` with
+        # ``v2``, and sorting link-id tuples gives the node-name order.
+        paths = [Path(src=src, dst=dst, link_ids=route) for route in sorted(routes)]
+        self._cache[(src, dst)] = paths
         return paths
 
-    def _shortest_routes(self, src: str, dst: str) -> List[Tuple[Link, ...]]:
-        """Every minimum-hop link sequence ``src -> dst``, in no set order."""
+    def _shortest_routes(self, src: str, dst: str) -> List[Tuple[str, ...]]:
+        """Every minimum-hop link-id sequence ``src -> dst``, in no set order."""
         topo = self._topo
         egress = [topo.links[link_id] for link_id in topo.adjacency[src]]
         for link in egress:
             if link.dst == dst:  # a host-to-host cable beats any switched route
-                return [(link,)]
+                return [(link.link_id,)]
         # Cables are full-duplex, so the switches that deliver to ``dst``
         # are the ones ``dst`` has a link to.
         ingress = [
@@ -115,21 +115,23 @@ class RoutingTable:
         if not ends:
             return []
         shortest = min(length for length, _, _ in ends)
-        routes: List[Tuple[Link, ...]] = []
+        routes: List[Tuple[str, ...]] = []
         for length, first, last in ends:
             if length != shortest:
                 continue
             # Walk the DAG back from the delivering switch to the source
-            # switch, growing each partial route at its front.
+            # switch, growing each partial route (the node it starts at,
+            # its link ids) at its front.
             entering = self._dag_from(first.dst)[1]
-            partial = [(last,)]
+            partial = [(last.src, (last.link_id,))]
             for _ in range(length):
                 partial = [
-                    (link,) + tail
-                    for tail in partial
-                    for link in entering[tail[0].src]
+                    (link.src, (link.link_id,) + tail)
+                    for node, tail in partial
+                    for link in entering[node]
                 ]
-            routes.extend((first,) + tail for tail in partial)
+            head = (first.link_id,)
+            routes += [head + tail for _, tail in partial]
         return routes
 
     def _dag_from(
@@ -139,7 +141,7 @@ class RoutingTable:
         dag = self._dags.get(root)
         if dag is not None:
             return dag
-        topo = self._topo
+        fabric = self._fabric
         hops = {root: 0}
         entering: Dict[str, List[Link]] = {root: []}
         frontier = [root]
@@ -148,12 +150,9 @@ class RoutingTable:
             depth += 1
             reached: List[str] = []
             for node in frontier:
-                for link_id in topo.adjacency[node]:
-                    link = topo.links[link_id]
+                for link in fabric[node]:
                     seen = hops.get(link.dst)
                     if seen is None:
-                        if link.dst not in topo.switches:
-                            continue
                         hops[link.dst] = depth
                         entering[link.dst] = [link]
                         reached.append(link.dst)
@@ -162,6 +161,18 @@ class RoutingTable:
             frontier = reached
         dag = self._dags[root] = (hops, entering)
         return dag
+
+    # Built on the first search, not in __init__: a table that is never
+    # asked for a route costs nothing.
+    @cached_property
+    def _fabric(self) -> Dict[str, List[Link]]:
+        """Each switch's links to other switches, in adjacency order."""
+        topo = self._topo
+        fabric: Dict[str, List[Link]] = {}
+        for switch in topo.switches:
+            links = (topo.links[link_id] for link_id in topo.adjacency[switch])
+            fabric[switch] = [link for link in links if link.dst in topo.switches]
+        return fabric
 
     def paths_from_replicas(self, replicas: List[str], client: str) -> List[Path]:
         """Candidate (replica -> client) paths for a read request.

@@ -6,9 +6,9 @@ flow, restricted (as in the paper) to flows *originating from dataservers
 attached to this edge switch*.  Eq. 2 reads nothing else, so port counters
 are not modelled.
 
-Counters are ground truth pulled from the flow simulator at query time, so
-the controller only ever sees byte counts — never rates — and must infer
-bandwidth by differencing successive polls exactly like a real controller.
+Counters are ground truth pulled from the flow simulator at query time; a
+rack whose access links carry no flow answers at once.  The controller sees
+byte counts, never rates, and infers bandwidth by differencing polls.
 
 Switches observe, never mutate: they type against the read-only
 :class:`~repro.net.view.NetworkView` protocol rather than the concrete
@@ -17,16 +17,15 @@ simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
+from repro.net.links import Link
 from repro.net.topology import SwitchNode, Tier
 from repro.net.view import NetworkView
 
 
-@dataclass(frozen=True)
-class FlowStat:
+class FlowStat(NamedTuple):
     """Cumulative counter for one flow observed at a switch."""
 
     flow_id: str
@@ -72,6 +71,18 @@ class Switch:
     def _host_set(self) -> FrozenSet[str]:
         return frozenset(self._hosts)
 
+    # A flow sourced at a host is registered on the link it leaves that
+    # host by, so these links name every local flow without a scan of the
+    # whole network.
+    @cached_property
+    def _access_links(self) -> Tuple[Link, ...]:
+        topo = self._topo
+        return tuple(
+            topo.links[link_id]
+            for host_id in self._hosts
+            for link_id in topo.adjacency[host_id]
+        )
+
     def flow_stats(self) -> List[FlowStat]:
         """Counters for flows originating at hosts attached to this switch.
 
@@ -80,29 +91,19 @@ class Switch:
         queried."
         """
         self._network.snapshot_progress()
-        # A flow sourced at a host is registered on the link it leaves that
-        # host by, so the attached hosts' outgoing links name every local
-        # flow without a scan of the whole network.
-        candidates: Set[str] = set()
-        for host_id in self._hosts:
-            for link_id in self._topo.adjacency[host_id]:
-                candidates.update(self._topo.links[link_id].flows)
+        busy = [link.flows for link in self._access_links if link.flows]
+        if not busy:  # most racks source nothing at a given instant
+            return []
         local_hosts = self._host_set
         active = self._network.active_flows
         stats = []
-        for flow_id in sorted(candidates):
+        for flow_id in sorted(set().union(*busy)):
             flow = active.get(flow_id)
             if flow is not None and flow.src in local_hosts:
-                stats.append(
-                    FlowStat(
-                        flow_id=flow.flow_id,
-                        src=flow.src,
-                        dst=flow.dst,
-                        bytes_sent=flow.bytes_sent,
-                        size_bits=flow.size_bits,
-                        remaining_bits=flow.remaining_bits,
-                    )
-                )
+                stats.append(FlowStat(
+                    flow.flow_id, flow.src, flow.dst,
+                    flow.bytes_sent, flow.size_bits, flow.remaining_bits,
+                ))
         return stats
 
 

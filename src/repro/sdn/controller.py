@@ -14,11 +14,12 @@ atomically, and tears the rules down when the transfer completes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.routing import Path
 from repro.net.simulator import Flow, FlowAborted, FlowNetwork
 from repro.net.switch import Switch, build_switches
+from repro.net.topology import Tier
 from repro.net.view import NetworkView
 from repro.sim import instrument
 from repro.sdn.flowtable import FlowTable
@@ -58,6 +59,10 @@ class Controller:
         self._records: Dict[str, FlowRecord] = {}
         self._removed_listeners: List[Callable[[FlowRemoved], None]] = []
         self._down_switches: Set[str] = set()
+        # The topology is static once built, so the poll order is too.
+        self._edge_switch_ids = tuple(
+            s.switch_id for s in network.topology.switches_in_tier(Tier.EDGE)
+        )
         self.transfers_started = 0
         self.transfers_completed = 0
         self.flows_aborted = 0
@@ -92,10 +97,9 @@ class Controller:
     def flow_table(self, switch_id: str) -> FlowTable:
         return self._tables[switch_id]
 
-    def edge_switch_ids(self) -> List[str]:
-        from repro.net.topology import Tier
-
-        return [s.switch_id for s in self._network.topology.switches_in_tier(Tier.EDGE)]
+    def edge_switch_ids(self) -> Tuple[str, ...]:
+        """Every edge switch, sorted by id."""
+        return self._edge_switch_ids
 
     def installed_flows(self) -> Dict[str, FlowRecord]:
         """Live view of currently installed flows (do not mutate)."""

@@ -4,7 +4,7 @@ A deliberately small subset of the protocol — exactly the messages the
 Mayflower Flowserver exchanges with switches through the controller:
 FlowMod (add/delete), FlowRemoved notifications, and the flow-stats
 reply.  Port counters are not modelled: Eq. 2 reads flow stats only.
-Messages are immutable dataclasses; the "wire" is in-process.
+Messages are immutable (a ``FlowStat`` is a named tuple); the wire is in-process.
 """
 
 from __future__ import annotations

@@ -105,8 +105,8 @@ def test_regressed_counter_reading_is_stale_and_changes_nothing(env, monkeypatch
     def regressed(switch_id):
         reply = real_query(switch_id)
         flows = tuple(
-            dataclasses.replace(
-                stat, bytes_sent=record.bytes_sent / 2,
+            stat._replace(
+                bytes_sent=record.bytes_sent / 2,
                 remaining_bits=GB - record.bytes_sent * 4,
             ) if stat.flow_id == "f" else stat
             for stat in reply.flows

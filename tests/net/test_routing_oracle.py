@@ -162,3 +162,34 @@ def test_no_path_transits_a_third_host():
         for path in table.paths(src, dst):
             interior = {link_id.split("->")[1] for link_id in path.link_ids[:-1]}
             assert interior <= set(topo.switches), (src, dst, path.link_ids)
+
+
+def test_prefix_named_switches_and_a_multi_homed_host():
+    """Routes come out in node-name order when names prefix each other.
+
+    ``a`` hangs off both ``s1`` and ``s10``, so its routes differ already
+    at the first link; ``g1``/``g10``/``g1x`` split them again one tier
+    up.  ``"u->s1"`` sorts before ``"u->s10"`` exactly as ``"s1"`` sorts
+    before ``"s10"``, so ordering link ids orders node names.
+    """
+    topo = Topology()
+    for switch_id in ("s1", "s10", "s1x"):
+        topo.add_switch(SwitchNode(switch_id, Tier.EDGE, pod="p"))
+    for switch_id in ("g1x", "g10", "g1"):
+        topo.add_switch(SwitchNode(switch_id, Tier.AGGREGATION, pod="p"))
+        for edge in ("s1x", "s10", "s1"):
+            topo.add_cable(edge, switch_id, 1e9, LinkDirection.UP)
+    for host_id, rack in (("a", "s10"), ("b", "s1x"), ("c", "s1x"), ("d", "s1")):
+        topo.add_host(Host(host_id, rack=rack, pod="p"))
+        topo.add_cable(host_id, rack, 1e9, LinkDirection.UP)
+    topo.add_cable("a", "s1", 1e9, LinkDirection.UP)
+    assert assert_matches_oracle(topo, all_pairs(topo)) == 12
+    assert [p.link_ids[:2] for p in RoutingTable(topo).paths("a", "b")] == [
+        ("a->s1", "s1->g1"), ("a->s1", "s1->g10"), ("a->s1", "s1->g1x"),
+        ("a->s10", "s10->g1"), ("a->s10", "s10->g10"), ("a->s10", "s10->g1x"),
+    ]
+    assert [p.link_ids[2:] for p in RoutingTable(topo).paths("b", "a")] == [
+        ("g1->s1", "s1->a"), ("g1->s10", "s10->a"),
+        ("g10->s1", "s1->a"), ("g10->s10", "s10->a"),
+        ("g1x->s1", "s1->a"), ("g1x->s10", "s10->a"),
+    ]

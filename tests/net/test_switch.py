@@ -135,3 +135,69 @@ def test_flow_stats_equals_a_full_scan_at_1024_hosts(scale_out, seed):
         assert got == reference_flow_stats(switch, net), switch_id
         reported += [stat.flow_id for stat in got]
     assert sorted(reported) == sorted(net.active_flows)  # each flow at one switch
+
+
+def test_a_rack_that_emptied_answers_nothing(env):
+    loop, net, table, switches = env
+    rack = switches["pod0-rack0"]
+    net.start_flow("a", table.paths("pod0-rack0-h0", "pod1-rack0-h0")[0], GB)
+    net.start_flow("b", table.paths("pod0-rack0-h3", "pod0-rack0-h1")[0], GB)
+    assert [s.flow_id for s in rack.flow_stats()] == ["a", "b"]
+    loop.run()
+    assert not net.active_flows
+    assert rack.flow_stats() == [] == reference_flow_stats(rack, net)
+
+
+def test_every_query_reads_counters_at_its_own_instant(env, monkeypatch):
+    """Each query, busy rack or empty, calls ``snapshot_progress`` once."""
+    loop, net, table, switches = env
+    calls = []
+    real = net.snapshot_progress
+
+    def counted():
+        calls.append(loop.now)
+        real()
+
+    monkeypatch.setattr(net, "snapshot_progress", counted)
+    net.start_flow("a", table.paths("pod0-rack0-h0", "pod0-rack0-h1")[0], GB)
+    loop.run(until=1.0)
+    (stat,) = switches["pod0-rack0"].flow_stats()
+    assert stat.bytes_sent == pytest.approx(1.25e8)  # advanced to t=1
+    assert switches["pod3-rack3"].flow_stats() == []
+    assert switches["core0"].flow_stats() == []
+    assert calls == [1.0, 1.0, 1.0]
+
+
+def test_a_poll_queries_each_edge_switch_once_in_order(monkeypatch):
+    """One ``Switch.flow_stats`` per edge switch per tick, busy or not."""
+    from repro.core.flow_state import FlowStateTable, TrackedFlow
+    from repro.core.stats import FlowStatsCollector
+    from repro.net.switch import Switch
+    from repro.sdn import Controller
+
+    topo = three_tier()
+    loop = EventLoop()
+    net = FlowNetwork(loop, topo)
+    table = RoutingTable(topo)
+    ctl = Controller(net)
+    state = FlowStateTable()
+    collector = FlowStatsCollector(loop, ctl, state, poll_interval=1.0)
+    queried = []
+    real = Switch.flow_stats
+
+    def recorded(switch):
+        queried.append((loop.now, switch.switch_id))
+        return real(switch)
+
+    monkeypatch.setattr(Switch, "flow_stats", recorded)
+    for i, (src, dst) in enumerate([("pod0-rack0-h0", "pod1-rack2-h1"),
+                                    ("pod2-rack1-h3", "pod2-rack1-h0")]):
+        path = table.paths(src, dst)[0]
+        state.add(TrackedFlow(flow_id=f"f{i}", path_link_ids=path.link_ids,
+                              size_bits=4 * GB, remaining_bits=4 * GB, bw_bps=1e9))
+        ctl.start_transfer(f"f{i}", path, 4 * GB)
+    loop.run(until=3.5)
+    edges = list(ctl.edge_switch_ids())
+    assert len(edges) == 16
+    assert collector.polls_completed == 3
+    assert queried == [(float(t), sid) for t in (1, 2, 3) for sid in edges]
