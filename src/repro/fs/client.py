@@ -576,7 +576,7 @@ class MayflowerClient:
 
     def _spawn_invoke(self, endpoint: str, service: str, method: str, *args: Any) -> Process:
         call = self._fabric.invoke(self.host_id, endpoint, service, method, *args)
-        return Process(self._loop, call, name=f"{service}.{method}@{endpoint}")
+        return Process(self._loop, call, (service, ".", method, "@", endpoint))
 
     def _read_range(
         self,

@@ -5,11 +5,11 @@ fabric also accepts *virtual* endpoints (e.g. ``"@controller"``) for
 services that live out-of-band on the management network, which is how the
 paper's clients reach the Flowserver inside Floodlight.
 
-Each call is one :class:`_Call` object, and its bound methods are the
-call's events: the request landing (:meth:`_Call.dispatch`), a generator
-handler finishing (:meth:`_Call.handler_done`), and the response or the
-deadline settling the caller's signal (:meth:`_Call.settle`,
-:meth:`_Call.expire`), whichever comes first.
+Each call is one :class:`_Call` whose bound methods are its events: the
+request landing (:meth:`_Call.dispatch`), a generator handler finishing
+(:meth:`_Call.handler_done`), and the response or deadline settling the
+caller's signal (:meth:`_Call.settle`, :meth:`_Call.expire`).  A response
+cancels the deadline and resumes the caller inside its own event.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.rpc.errors import (
     ServiceNotFoundError,
 )
 from repro.sim import instrument
-from repro.sim.engine import EventLoop
+from repro.sim.engine import EventHandle, EventLoop
 from repro.sim.process import Process, Signal
 from repro.sim.randomness import seeded_rng
 
@@ -52,7 +52,8 @@ class _Call:
 
     __slots__ = (
         "fabric", "src", "dst", "service", "method", "args", "kwargs",
-        "rpc_timeout", "done", "settled", "call_id", "rpc_ctx", "proc",
+        "rpc_timeout", "done", "settled", "deadline", "call_id", "rpc_ctx",
+        "proc",
     )
 
     def __init__(
@@ -74,8 +75,9 @@ class _Call:
         self.args = args
         self.kwargs = kwargs
         self.rpc_timeout = rpc_timeout
-        self.done = Signal(fabric._loop, name=f"rpc:{service}.{method}")
+        self.done = Signal(fabric._loop, ("rpc:", service, ".", method))
         self.settled = False
+        self.deadline: Optional[EventHandle] = None
         self.call_id: Optional[str] = None
         self.rpc_ctx: Optional[instrument.TraceContext] = None
         self.proc: Optional[Process] = None
@@ -126,7 +128,7 @@ class _Call:
             ))
             return
         if isinstance(result, GeneratorType):
-            proc = self.proc = Process(fabric._loop, result, name=f"{service}.{method}")
+            proc = self.proc = Process(fabric._loop, result, (service, ".", method))
             proc.done_signal.add_waiter(self.handler_done)
         else:
             self.respond(RpcResponse(True, result))
@@ -151,12 +153,15 @@ class _Call:
     def settle(self, response: RpcResponse) -> None:
         """Fire the caller's signal with ``response``.
 
-        A deadline and a real response can race; the first one wins and
-        the loser is dropped (firing a Signal twice is an error).
+        A response cancels the pending deadline; one that lands after the
+        deadline fired is dropped (firing a Signal twice is an error).
         """
         if self.settled:
             return
         self.settled = True
+        deadline = self.deadline
+        if deadline is not None:
+            deadline.cancel()
         fabric = self.fabric
         if not response.ok:
             fabric.calls_failed += 1
@@ -168,10 +173,8 @@ class _Call:
         self.done.fire(response)
 
     def expire(self) -> None:
-        """The deadline passed: settle with :class:`RpcTimeout` unless a
-        response already did."""
-        if self.settled:
-            return
+        """The deadline passed with no response: settle with
+        :class:`RpcTimeout`.  (A response cancels this event.)"""
         self.fabric.calls_timed_out += 1
         self.settle(RpcResponse(
             False, None,
@@ -307,7 +310,7 @@ class RpcFabric:
         else:
             self._loop.call_in(self._one_way_delay(), call.dispatch)
         if rpc_timeout is not None:
-            self._loop.call_in(rpc_timeout, call.expire)
+            call.deadline = self._loop.call_in(rpc_timeout, call.expire)
         return call.done
 
     def invoke(

@@ -4,13 +4,14 @@ A deliberately small subset of the protocol — exactly the messages the
 Mayflower Flowserver exchanges with switches through the controller:
 FlowMod (add/delete), FlowRemoved notifications, and the flow-stats
 reply.  Port counters are not modelled: Eq. 2 reads flow stats only.
-Messages are immutable (a ``FlowStat`` is a named tuple); the wire is in-process.
+Messages are immutable (a ``FlowStat`` and the per-poll ``FlowStatsReply``
+are named tuples); the wire is in-process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.net.switch import FlowStat
 
@@ -54,8 +55,7 @@ class FlowRemoved:
     aborted: bool = False
 
 
-@dataclass(frozen=True)
-class FlowStatsReply:
+class FlowStatsReply(NamedTuple):
     """Reply to a flow-stats request, restricted to locally-sourced flows."""
 
     switch_id: str

@@ -75,6 +75,9 @@ class EventLoop:
         self._heap: list[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._running = False
+        #: True while a process body runs; ``repro.sim.process`` sets it
+        #: and reads it to decide whether a wake-up may run in place.
+        self.in_process_step = False
         self._events_processed = 0
         self._runs_traced = 0
         self._scheduler: Optional[

@@ -3,23 +3,34 @@
 A *process* is a Python generator that yields scheduling directives:
 
 * ``Delay(seconds)`` — resume after a simulated delay;
-* ``Signal`` or ``WaitSignal(signal)`` — resume when the signal fires,
-  receiving the signal's payload as the value of the ``yield`` expression;
-* another ``Process`` — resume when that process finishes, receiving its
-  return value (or re-raising its exception).
+* ``Signal`` or ``WaitSignal(signal)`` — resume with the signal's payload;
+* another ``Process`` — resume with its return value (or its exception).
 
-This gives RPC handlers and server loops a linear, readable style while the
-underlying engine stays a plain callback heap.  Every resume is a call of
-the process's bound ``_advance``: a delay schedules it, and a signal wait
-registers it as the waiter itself, with no closure in between.
+This gives RPC handlers and server loops a linear, readable style on a plain
+callback heap; every resume calls a bound method, never a closure.  A signal
+fired inside a process step schedules its wake-ups, so no body is re-entered;
+fired from plain code (an RPC reply) it resumes a lone waiter in place.  A
+process spawned inside a step starts at once, one spawned elsewhere on a
+zero-delay kick-off; ``EventLoop.in_process_step`` tells the two apart.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional, Tuple, Union
 
 from repro.sim import instrument
 from repro.sim.engine import EventLoop, SimulationError
+
+
+#: A debugging label: a string, or a tuple of labels joined only when read,
+#: so a hot path names what it creates without formatting a string.
+Label = Union[str, Tuple["Label", ...]]
+
+
+def _joined(label: Label) -> str:
+    if isinstance(label, str):
+        return label
+    return "".join(_joined(part) for part in label)
 
 
 class Delay:
@@ -44,14 +55,18 @@ class Signal:
     one-shot semantics keep RPC completion logic honest.
     """
 
-    __slots__ = ("_loop", "_fired", "_payload", "_waiters", "name")
+    __slots__ = ("_loop", "_fired", "_payload", "_waiters", "_name")
 
-    def __init__(self, loop: EventLoop, name: str = ""):
+    def __init__(self, loop: EventLoop, name: Label = ""):
         self._loop = loop
         self._fired = False
         self._payload: Any = None
         self._waiters: list[Callable[[Any], None]] = []
-        self.name = name
+        self._name = name
+
+    @property
+    def name(self) -> str:
+        return _joined(self._name)
 
     @property
     def fired(self) -> bool:
@@ -68,10 +83,17 @@ class Signal:
         self._fired = True
         self._payload = payload
         waiters, self._waiters = self._waiters, []
+        loop = self._loop
+        if len(waiters) == 1 and not loop.in_process_step:
+            # No process body is running, so none can be re-entered: the
+            # one waiter resumes inside this event.
+            waiters[0](payload)
+            return
         for waiter in waiters:
-            # Wake-ups are scheduled as zero-delay events so that a fire()
-            # inside a process cannot reentrantly advance another process.
-            self._loop.call_in(0.0, waiter, payload)
+            # Inside a process step each wake-up is a zero-delay event, so
+            # a fire() cannot reentrantly advance another process; several
+            # waiters are scheduled the same way, in registration order.
+            loop.call_in(0.0, waiter, payload)
 
     def add_waiter(self, callback: Callable[[Any], None]) -> None:
         """Register a wake-up callback; fires immediately if already fired."""
@@ -100,24 +122,35 @@ class Process:
     generator:
         The coroutine body.  Its ``return`` value becomes :attr:`result`.
     name:
-        Debugging label.
+        Debugging label (a :data:`Label`).
     """
 
-    def __init__(self, loop: EventLoop, generator: Generator, name: str = ""):
+    def __init__(self, loop: EventLoop, generator: Generator, name: Label = ""):
         self._loop = loop
         self._gen = generator
-        self.name = name
+        self._name = name
         self.finished = False
         self.result: Any = None
         self.exception: Optional[BaseException] = None
-        self._done_signal = Signal(loop, name=f"done:{name}")
+        self._done_signal = Signal(loop, ("done:", name))
+        #: The child process this one is waiting on, if any.
+        self._child: Optional[Process] = None
         # The trace context of whoever constructed this process.  Each
         # resume runs the generator under the process's own saved context
         # (and saves back whatever it left installed), so contexts follow
         # cooperative processes the way contextvars follow asyncio tasks.
         self._trace_ctx = instrument.TRACE_CTX
-        # Kick off on a zero-delay event so construction never runs user code.
-        loop.call_in(0.0, self._advance, None)
+        if loop.in_process_step:
+            # Spawned by a running process: start at once, inside its step.
+            self._advance(None)
+        else:
+            # Kick off on a zero-delay event, so construction from plain
+            # code never runs user code.
+            loop.call_in(0.0, self._advance, None)
+
+    @property
+    def name(self) -> str:
+        return _joined(self._name)
 
     @property
     def done_signal(self) -> Signal:
@@ -129,6 +162,9 @@ class Process:
         and act on the directive it yields next."""
         if self.finished:
             return
+        loop = self._loop
+        outer_step = loop.in_process_step
+        loop.in_process_step = True
         outer_ctx = instrument.TRACE_CTX
         instrument.TRACE_CTX = self._trace_ctx
         try:
@@ -144,21 +180,14 @@ class Process:
                 self._finish(error=err)
                 return
             if isinstance(directive, Delay):
-                self._loop.call_in(directive.seconds, self._advance, None)
+                loop.call_in(directive.seconds, self._advance, None)
             elif isinstance(directive, Signal):
                 directive.add_waiter(self._advance)
             elif isinstance(directive, WaitSignal):
                 directive.signal.add_waiter(self._advance)
             elif isinstance(directive, Process):
-                child = directive
-
-                def _on_child_done(_payload: Any) -> None:
-                    if child.exception is not None:
-                        self._advance(None, child.exception)
-                    else:
-                        self._advance(child.result)
-
-                child.done_signal.add_waiter(_on_child_done)
+                self._child = directive
+                directive._done_signal.add_waiter(self._child_done)
             else:
                 self._advance(
                     None,
@@ -170,6 +199,18 @@ class Process:
         finally:
             self._trace_ctx = instrument.TRACE_CTX
             instrument.TRACE_CTX = outer_ctx
+            loop.in_process_step = outer_step
+
+    def _child_done(self, _payload: Any) -> None:
+        """The awaited child finished: resume with its result, or throw
+        its exception."""
+        child = self._child
+        assert child is not None
+        self._child = None
+        if child.exception is not None:
+            self._advance(None, child.exception)
+        else:
+            self._advance(child.result)
 
     def _finish(self, result: Any = None, error: Optional[BaseException] = None) -> None:
         self.finished = True
@@ -179,6 +220,6 @@ class Process:
         self._done_signal.fire(result)
 
 
-def spawn(loop: EventLoop, generator: Generator, name: str = "") -> Process:
+def spawn(loop: EventLoop, generator: Generator, name: Label = "") -> Process:
     """Convenience constructor mirroring ``Process(loop, generator, name)``."""
     return Process(loop, generator, name=name)

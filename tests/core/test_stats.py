@@ -1,7 +1,5 @@
 """Unit tests for the flow-stats collector."""
 
-import dataclasses
-
 import pytest
 
 from repro.core.flow_state import FlowStateTable, TrackedFlow
@@ -111,7 +109,7 @@ def test_regressed_counter_reading_is_stale_and_changes_nothing(env, monkeypatch
             ) if stat.flow_id == "f" else stat
             for stat in reply.flows
         )
-        return dataclasses.replace(reply, flows=flows)
+        return reply._replace(flows=flows)
 
     monkeypatch.setattr(ctl, "query_flow_stats", regressed)
     collector.poll_once()

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from repro.rpc import HostDownError, RpcFabric, ServiceNotFoundError
-from repro.rpc.errors import RemoteInvocationError
+from repro.rpc.errors import RemoteInvocationError, RpcTimeout
 from repro.sim import Delay, EventLoop, Process
 
 
@@ -268,7 +268,7 @@ def test_virtual_endpoint():
 
 #: sha256 of the event shape of the scenario below; recomputed only when
 #: a change is meant to move when, or in how many events, a call settles.
-RPC_EVENT_SHAPE_SHA256 = "c03c2251e3b822f59449014df0ccc3befb80092a0098a270201eecde08a0c748"
+RPC_EVENT_SHAPE_SHA256 = "6a49bb023e66d749d5a9f7a155c478f555d5ed14585ed1aad69c5ff3798e2022"
 
 
 class _ShapeService:
@@ -331,3 +331,39 @@ def test_rpc_event_shape_is_pinned():
     ))
     digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
     assert digest == RPC_EVENT_SHAPE_SHA256, rows
+
+
+def test_answered_call_cancels_its_deadline():
+    loop = EventLoop()
+    fabric = RpcFabric(loop, latency=0.001)
+    fabric.register("server", "svc", _ShapeService())
+    seen = []
+
+    def caller():
+        response = yield fabric.call("client", "server", "svc", "echo", "ok", rpc_timeout=5.0)
+        seen.append((response.value, loop.now, loop.pending_events))
+
+    Process(loop, caller())
+    loop.run()
+    assert seen == [("ok", 0.002, 0)]
+    assert loop.now == 0.002
+    assert fabric.calls_timed_out == 0
+
+
+def test_reply_landing_at_its_deadline_loses_to_the_earlier_scheduled_deadline():
+    loop = EventLoop()
+    fabric = RpcFabric(loop, latency=0.5)
+    fabric.register("server", "svc", _ShapeService())
+    seen = []
+
+    def caller():
+        response = yield fabric.call("client", "server", "svc", "echo", "ok", rpc_timeout=1.0)
+        seen.append((response.ok, response.error_type, loop.now))
+
+    Process(loop, caller())
+    loop.run()
+    # The deadline was scheduled before the reply, so it fires first at
+    # t=1.0; the reply settling in the same instant is dropped.
+    assert seen == [(False, RpcTimeout, 1.0)]
+    assert loop.now == 1.0
+    assert (fabric.calls_timed_out, fabric.calls_failed) == (1, 1)

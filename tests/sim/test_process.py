@@ -195,3 +195,101 @@ def test_invalid_directive_fails_process():
 def test_negative_delay_directive_rejected():
     with pytest.raises(SimulationError):
         Delay(-1.0)
+
+
+def test_signal_fired_from_a_callback_resumes_its_waiter_in_that_event():
+    loop = EventLoop()
+    sig = Signal(loop)
+    woke = []
+
+    def waiter():
+        payload = yield sig
+        woke.append((payload, loop.now, loop.events_processed))
+
+    Process(loop, waiter())
+    loop.call_at(1.0, sig.fire, "reply")
+    loop.run()
+    # Event 1 starts the process, event 2 fires the signal and resumes it.
+    assert woke == [("reply", 1.0, 2)]
+    assert loop.events_processed == 2
+    assert not loop.in_process_step
+
+
+def test_signal_fired_inside_a_step_never_resumes_a_waiter_in_that_step():
+    loop = EventLoop()
+    sig = Signal(loop)
+    trace = []
+
+    def waiter():
+        yield sig
+        trace.append(("waiter", loop.events_processed))
+
+    def firer():
+        yield Delay(1.0)
+        sig.fire()
+        trace.append(("firer", loop.events_processed))
+
+    Process(loop, waiter())
+    Process(loop, firer())
+    loop.run()
+    assert trace == [("firer", 3), ("waiter", 4)]
+
+
+def test_nested_children_start_in_construction_order():
+    loop = EventLoop()
+    trace = []
+
+    def child(tag):
+        trace.append((tag, loop.events_processed))
+        yield Delay(1.0)
+
+    def parent():
+        first = Process(loop, child("first"))
+        second = Process(loop, child("second"))
+        trace.append(("parent", loop.events_processed))
+        yield first
+        yield second
+
+    def plain_callback():
+        Process(loop, child("top-level"))
+        trace.append(("callback", loop.events_processed))
+
+    Process(loop, parent())
+    loop.call_at(5.0, plain_callback)
+    loop.run()
+    # Both children run inside the parent's first event; the process a
+    # plain callback (event 6) constructs waits for its own kick-off.
+    assert trace == [
+        ("first", 1), ("second", 1), ("parent", 1),
+        ("callback", 6), ("top-level", 7),
+    ]
+
+
+def test_several_waiters_resume_in_registration_order():
+    loop = EventLoop()
+    sig = Signal(loop)
+    woke = []
+
+    def waiter(tag):
+        yield sig
+        woke.append(tag)
+
+    for tag in ("c", "a", "b"):
+        Process(loop, waiter(tag))
+    loop.call_at(1.0, sig.fire)
+    loop.run()
+    assert woke == ["c", "a", "b"]
+
+
+def test_labels_are_joined_when_read():
+    loop = EventLoop()
+
+    def body():
+        yield Delay(1.0)
+
+    proc = Process(loop, body(), ("svc", ".", "stat", "@", "h1"))
+    assert proc.name == "svc.stat@h1"
+    assert proc.done_signal.name == "done:svc.stat@h1"
+    loop.run()
+    with pytest.raises(SimulationError, match=r"^signal 'done:svc.stat@h1' fired twice$"):
+        proc.done_signal.fire()

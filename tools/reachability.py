@@ -151,6 +151,11 @@ KEPT = {
         "fallback for a non-positive or negative demand",
     ("src/repro/net/switch.py", "Switch.attached_hosts"):
         "tests/net/test_switch.py checks rack membership through it",
+    ("src/repro/rpc/fabric.py", "_Call.expire"):
+        "runs only when a deadline passes unanswered (a reply cancels it); "
+        "no consumer run times out, tests/rpc does",
+    ("src/repro/sim/process.py", "Signal.name"):
+        "a label is joined only when read: by the fired-twice error and tests",
 }
 
 
