@@ -10,7 +10,7 @@ orders appends.
 from __future__ import annotations
 
 import uuid as uuid_module
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Tuple
 
 #: Default chunk size (bytes): 256 MB, the paper's default block size (§5).
@@ -68,7 +68,9 @@ class FileMetadata:
 
     def with_size(self, size_bytes: int) -> "FileMetadata":
         """A copy with an updated size (after an append)."""
-        return replace(self, size_bytes=size_bytes)
+        return FileMetadata(
+            self.name, self.file_id, size_bytes, self.chunk_bytes, self.replicas
+        )
 
     def to_json_dict(self) -> dict:
         return {

@@ -206,7 +206,10 @@ class Dataserver:
     def rename_file(self, file_id: str, new_name: str) -> bool:
         """Update the local metadata's name after a namespace move."""
         stored = self._stored(file_id)
-        stored.metadata = replace(stored.metadata, name=new_name)
+        old = stored.metadata
+        stored.metadata = FileMetadata(
+            new_name, old.file_id, old.size_bytes, old.chunk_bytes, old.replicas
+        )
         return True
 
     def file_size(self, file_id: str) -> int:

@@ -106,20 +106,24 @@ class _Call:
                 HostDownError,
             ))
             return
-        handler = fabric._services.get((dst, service))
-        if handler is None:
-            self.respond(RpcResponse(
-                False, None, f"no service {service!r} at {dst!r}",
-                ServiceNotFoundError,
-            ))
-            return
-        bound = getattr(handler, method, None)
-        if bound is None or method.startswith("_") or not callable(bound):
-            self.respond(RpcResponse(
-                False, None, f"service {service!r} has no method {method!r}",
-                ServiceNotFoundError,
-            ))
-            return
+        key = (dst, service, method)
+        bound = fabric._bound.get(key)
+        if bound is None:
+            handler = fabric._services.get((dst, service))
+            if handler is None:
+                self.respond(RpcResponse(
+                    False, None, f"no service {service!r} at {dst!r}",
+                    ServiceNotFoundError,
+                ))
+                return
+            bound = getattr(handler, method, None)
+            if bound is None or method.startswith("_") or not callable(bound):
+                self.respond(RpcResponse(
+                    False, None, f"service {service!r} has no method {method!r}",
+                    ServiceNotFoundError,
+                ))
+                return
+            fabric._bound[key] = bound
         try:
             result = bound(*self.args, **self.kwargs)
         except Exception as err:  # noqa: BLE001 - shipped to caller
@@ -214,6 +218,9 @@ class RpcFabric:
         self.jitter = jitter
         self._jitter_rng = seeded_rng(seed ^ 0x52504A)
         self._services: Dict[Tuple[str, str], Any] = {}
+        #: (endpoint, service, method) -> the handler's bound method, filled
+        #: on the first call that resolves it; any (un)registration clears it.
+        self._bound: Dict[Tuple[str, str, str], Any] = {}
         self._down: Set[str] = set()
         #: Multiplier on control-message latency (fault injection: an
         #: ``rpc_delay_spike`` raises it temporarily; 1.0 = nominal).
@@ -251,9 +258,11 @@ class RpcFabric:
         if key in self._services:
             raise ValueError(f"service {service!r} already registered at {endpoint!r}")
         self._services[key] = handler
+        self._bound.clear()
 
     def unregister(self, endpoint: str, service: str) -> None:
         self._services.pop((endpoint, service), None)
+        self._bound.clear()
 
     def set_down(self, endpoint: str, down: bool = True) -> None:
         """Mark an endpoint unreachable (calls fail with HostDownError)."""

@@ -1,5 +1,7 @@
 """Unit tests for file/chunk metadata."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -86,6 +88,11 @@ class TestFileMetadata:
         assert bigger.size_bytes == 600 * MB
         assert meta.size_bytes == 300 * MB
         assert bigger.replicas == meta.replicas
+
+    def test_with_size_equals_dataclasses_replace(self):
+        meta = self.make()
+        for size in (0, 1, 600 * MB):
+            assert meta.with_size(size) == dataclasses.replace(meta, size_bytes=size)
 
     def test_json_round_trip(self):
         meta = self.make()

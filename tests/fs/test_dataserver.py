@@ -1,5 +1,6 @@
 """Unit tests for the dataserver (appends, relays, reads, locking)."""
 
+import dataclasses
 import tracemalloc
 
 import pytest
@@ -63,6 +64,17 @@ def test_create_is_idempotent(mini_cluster):
     ds = mini_cluster.dataservers[meta.primary]
     assert ds.create_file(meta.to_json_dict()) == meta.file_id
     assert ds.has_file(meta.file_id)
+
+
+def test_rename_file_equals_dataclasses_replace(mini_cluster):
+    meta = create_everywhere(mini_cluster)
+    for replica in meta.replicas:
+        ds = mini_cluster.dataservers[replica]
+        before = ds._stored(meta.file_id).metadata
+        assert ds.rename_file(meta.file_id, "moved/f1") is True
+        after = ds._stored(meta.file_id).metadata
+        assert after == dataclasses.replace(before, name="moved/f1")
+        assert type(after) is FileMetadata
 
 
 def test_delete_file(mini_cluster):

@@ -9,6 +9,7 @@ node-name sequence, i.e. ``sorted(nx.all_shortest_paths(...))``.
 
 import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -193,3 +194,76 @@ def test_prefix_named_switches_and_a_multi_homed_host():
         ("g10->s1", "s1->a"), ("g10->s10", "s10->a"),
         ("g1x->s1", "s1->a"), ("g1x->s10", "s10->a"),
     ]
+
+
+def _switch_graph(edges, hosts):
+    """A hand-built fabric: switch cables ``edges``, ``hosts`` -> their switches."""
+    topo = Topology()
+    for switch_id in sorted({s for edge in edges for s in edge}):
+        topo.add_switch(SwitchNode(switch_id, Tier.EDGE, pod="p"))
+    for a, b in edges:
+        topo.add_cable(a, b, 1e9)
+    for host_id, racks in hosts.items():
+        topo.add_host(Host(host_id, rack=racks[0], pod="p"))
+        for rack in racks:
+            topo.add_cable(host_id, rack, 1e9, LinkDirection.UP)
+    return topo
+
+
+def test_odd_switch_distance_meets_mid_way():
+    """Three switch links between ``a`` and ``d``: the two frontiers meet
+    one level short of either end, and every branch is kept."""
+    topo = _switch_graph(
+        [("a", "b1"), ("a", "b2"), ("b1", "c1"), ("b2", "c1"), ("b2", "c2"),
+         ("c1", "d"), ("c2", "d"), ("b1", "x"), ("x", "y")],
+        {"h": ["a"], "g": ["d"], "k": ["y"]},
+    )
+    assert assert_matches_oracle(topo, all_pairs(topo)) == 6
+    assert [p.link_ids[1:-1] for p in RoutingTable(topo).paths("h", "g")] == [
+        ("a->b1", "b1->c1", "c1->d"),
+        ("a->b2", "b2->c1", "c1->d"),
+        ("a->b2", "b2->c2", "c2->d"),
+    ]
+    assert [p.link_ids[1:-1] for p in RoutingTable(topo).paths("g", "h")] == [
+        ("d->c1", "c1->b1", "b1->a"),
+        ("d->c1", "c1->b2", "b2->a"),
+        ("d->c2", "c2->b2", "b2->a"),
+    ]
+
+
+def test_dual_homed_destination_at_unequal_distances():
+    """``m`` hangs off ``e1`` (one hop from ``a``'s switch) and ``e2`` (two
+    hops): routes into ``m`` use only the nearer delivering switch."""
+    topo = _switch_graph(
+        [("sa", "e1"), ("sa", "x"), ("x", "e2"), ("e1", "z"), ("z", "e2")],
+        {"a": ["sa"], "b": ["e2"], "m": ["e1", "e2"]},
+    )
+    assert assert_matches_oracle(topo, all_pairs(topo)) == 6
+    table = RoutingTable(topo)
+    assert [p.link_ids for p in table.paths("a", "m")] == [("a->sa", "sa->e1", "e1->m")]
+    assert [p.link_ids for p in table.paths("m", "a")] == [("m->e1", "e1->sa", "sa->a")]
+    assert [p.link_ids for p in table.paths("b", "m")] == [("b->e2", "e2->m")]
+
+
+def test_retained_state_grows_with_the_pairs_asked_not_the_fabric():
+    """500 cross-pod pairs at 1024 hosts keep well under 4 MiB.  A table
+    holding a breadth-first DAG of all 290 switches per source switch
+    would keep about 10 MiB here."""
+    topo = three_tier(pods=16, racks_per_pod=16, hosts_per_rack=4)
+    hosts = sorted(topo.hosts)
+    rng = random.Random(500)
+    pairs = []
+    while len(pairs) < 500:
+        src, dst = rng.sample(hosts, 2)
+        if topo.hosts[src].pod != topo.hosts[dst].pod:
+            pairs.append((src, dst))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = RoutingTable(topo)
+        for src, dst in pairs:
+            assert len(table.paths(src, dst)) == 8
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4 * 2**20, retained

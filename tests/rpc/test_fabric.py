@@ -367,3 +367,67 @@ def test_reply_landing_at_its_deadline_loses_to_the_earlier_scheduled_deadline()
     assert seen == [(False, RpcTimeout, 1.0)]
     assert loop.now == 1.0
     assert (fabric.calls_timed_out, fabric.calls_failed) == (1, 1)
+
+
+def _responses(loop, fabric, *calls):
+    """Send ``calls`` (service, method, args) one after another; their responses."""
+    seen = []
+
+    def caller():
+        for service, method, args in calls:
+            seen.append((yield fabric.call("c", "server", service, method, *args)))
+
+    Process(loop, caller())
+    loop.run()
+    return seen
+
+
+def test_unregistered_service_fails_after_a_resolved_call(env):
+    loop, fabric = env
+    first, = _responses(loop, fabric, ("echo", "echo", (1,)))
+    fabric.unregister("server", "echo")
+    second, third = _responses(
+        loop, fabric, ("echo", "echo", (1,)), ("echo", "missing", ()))
+    assert first.value == 1
+    assert (second.ok, second.error_type, second.error) == (
+        False, ServiceNotFoundError, "no service 'echo' at 'server'")
+    assert third.error == "no service 'echo' at 'server'"
+
+
+def test_failed_lookups_keep_their_messages(env):
+    loop, fabric = env
+    failing = [("echo", "missing", ()), ("echo", "_private", ()), ("nope", "echo", (1,))]
+    responses = _responses(loop, fabric, *failing * 2)
+    assert [r.error for r in responses] == [
+        "service 'echo' has no method 'missing'",
+        "service 'echo' has no method '_private'",
+        "no service 'nope' at 'server'",
+    ] * 2
+    assert {r.error_type for r in responses} == {ServiceNotFoundError}
+
+
+def test_reregistered_handler_is_the_one_that_runs(env):
+    loop, fabric = env
+
+    class Loud(Echo):
+        def echo(self, value):
+            return f"{value}!"
+
+    first, = _responses(loop, fabric, ("echo", "echo", ("hi",)))
+    fabric.unregister("server", "echo")
+    fabric.register("server", "echo", Loud())
+    second, = _responses(loop, fabric, ("echo", "echo", ("hi",)))
+    assert (first.value, second.value) == ("hi", "hi!")
+
+
+def test_down_endpoint_wins_over_a_resolved_handler(env):
+    loop, fabric = env
+    first, = _responses(loop, fabric, ("echo", "echo", (1,)))
+    fabric.set_down("server")
+    second, = _responses(loop, fabric, ("echo", "echo", (1,)))
+    fabric.set_down("server", down=False)
+    third, = _responses(loop, fabric, ("echo", "echo", (2,)))
+    assert first.value == 1
+    assert (second.ok, second.error_type, second.error) == (
+        False, HostDownError, "endpoint server is down")
+    assert third.value == 2
