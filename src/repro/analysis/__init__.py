@@ -61,7 +61,6 @@ from repro.analysis.explore import (
 )
 from repro.analysis.protocheck import (
     ProtocolGraph,
-    analyze_paths,
     analyze_sources,
     build_graph,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "SimSanError",
     "SimSanitizer",
     "SimlintConfig",
-    "analyze_paths",
     "analyze_sources",
     "arm",
     "build_graph",

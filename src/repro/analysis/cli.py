@@ -24,8 +24,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.config import SimlintConfig
-from repro.analysis.simlint import lint_paths, rule_inventory
+from repro.analysis.config import ALL_RULES, SimlintConfig
+from repro.analysis.simlint import lint_paths
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -74,14 +74,14 @@ def _simlint_main(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule, description in sorted(rule_inventory().items()):
+        for rule, description in sorted(ALL_RULES.items()):
             print(f"{rule}  {description}")
         return 0
 
     config = SimlintConfig()
     if args.select:
         selected = {r.strip() for r in args.select.split(",") if r.strip()}
-        unknown = selected - set(rule_inventory())
+        unknown = selected - set(ALL_RULES)
         if unknown:
             print(f"unknown rule(s): {', '.join(sorted(unknown))}", file=sys.stderr)
             return 2
@@ -166,14 +166,14 @@ def _protocheck_main(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule, description in sorted(protocheck.rule_inventory().items()):
+        for rule, description in sorted(protocheck.PROTOCHECK_RULES.items()):
             print(f"{rule}  {description}")
         return 0
 
     select = None
     if args.select:
         select = {r.strip() for r in args.select.split(",") if r.strip()}
-        unknown = select - set(protocheck.rule_inventory())
+        unknown = select - set(protocheck.PROTOCHECK_RULES)
         if unknown:
             print(f"unknown rule(s): {', '.join(sorted(unknown))}", file=sys.stderr)
             return 2

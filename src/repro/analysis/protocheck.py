@@ -133,11 +133,6 @@ _ANNOTATION_NAMES = frozenset({"fenced", "entrypoint", "exempt"})
 _SUPPRESS_RE = re.compile(r"#\s*protocheck:\s*ignore(?:\[([A-Za-z0-9_,\s]+)\])?")
 
 
-def rule_inventory() -> Dict[str, str]:
-    """Rule id -> one-line description."""
-    return dict(PROTOCHECK_RULES)
-
-
 def _suppressions(source: str) -> Dict[int, Optional[Set[str]]]:
     """Line -> suppressed protocheck rule ids (``None`` = all)."""
     result: Dict[int, Optional[Set[str]]] = {}
@@ -898,13 +893,6 @@ def load_sources(paths: Sequence[Path]) -> Dict[str, str]:
     return sources
 
 
-def analyze_paths(
-    paths: Sequence[Path], select: Optional[Iterable[str]] = None
-) -> List[Finding]:
-    """Run every protocheck rule over files/directories on disk."""
-    return analyze_sources(load_sources(paths), select=select)
-
-
 __all__ = [
     "FENCED_ATTRS",
     "FENCE_CALL_NAMES",
@@ -912,9 +900,7 @@ __all__ = [
     "PROTOCHECK_RULES",
     "Finding",
     "ProtocolGraph",
-    "analyze_paths",
     "analyze_sources",
     "build_graph",
     "load_sources",
-    "rule_inventory",
 ]

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.config import (
-    ALL_RULES,
     FLOAT_NAME_RE,
     RACE_ATTRS,
     RNG_ALLOW,
@@ -774,8 +773,3 @@ def lint_paths(
             continue
         findings.extend(lint_source(source, str(file_path), config))
     return findings
-
-
-def rule_inventory() -> Dict[str, str]:
-    """Rule id -> description (for ``--list-rules``)."""
-    return dict(ALL_RULES)

@@ -140,7 +140,7 @@ class SimSanitizer:
         problems = controller.verify_tables_consistent()
         if problems:
             raise SimSanError(
-                f"simsan[t={controller.now:.6f}]: flow tables inconsistent: "
+                f"simsan[t={controller.network.loop.now:.6f}]: flow tables inconsistent: "
                 + "; ".join(problems)
             )
 

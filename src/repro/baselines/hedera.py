@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.net.routing import RoutingTable
-from repro.net.view import FlowView
+from repro.net.simulator import Flow
 from repro.sdn.controller import Controller
 from repro.sim.engine import EventLoop, PeriodicTimer
 
@@ -71,7 +71,7 @@ class HederaScheduler:
     def schedule_round(self) -> int:
         """Run global first fit once; returns the number of re-routes."""
         self.rounds += 1
-        network = self._controller.view
+        network = self._controller.network
         flows = list(network.active_flows.values())
         elephants = [
             f for f in flows if f.remaining_bits > self.elephant_threshold_bits
@@ -113,7 +113,7 @@ class HederaScheduler:
     # Internals
     # ------------------------------------------------------------------
 
-    def _estimate_demands(self, flows: List[FlowView]) -> Dict[str, float]:
+    def _estimate_demands(self, flows: List[Flow]) -> Dict[str, float]:
         """Host-limited demand: edge capacity over flows sharing the uplink."""
         sharing: Dict[str, int] = {}
         for flow in flows:

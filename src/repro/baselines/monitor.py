@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.net.view import NetworkView
+from repro.net.simulator import FlowNetwork
 from repro.sim.engine import EventLoop, PeriodicTimer
 
 
@@ -33,7 +33,7 @@ class EndHostMonitor:
     def __init__(
         self,
         loop: EventLoop,
-        network: NetworkView,
+        network: FlowNetwork,
         sample_interval: float = 1.0,
         auto_start: bool = True,
     ):
@@ -70,10 +70,6 @@ class EndHostMonitor:
     # ------------------------------------------------------------------
     # Views consumed by Sinbad-R
     # ------------------------------------------------------------------
-
-    def host_uplink_bps(self, host_id: str) -> float:
-        """Last sampled transmit rate of the host's edge uplink."""
-        return self._host_tx_bps[host_id]
 
     def host_uplink_fraction(self, host_id: str) -> float:
         """Utilization as a fraction of the edge link capacity."""

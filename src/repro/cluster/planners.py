@@ -104,8 +104,8 @@ class FlowserverFanoutPlanner(WriteFanoutPlanner):
     """Mayflower write path: the Flowserver picks the fan-out shape.
 
     One RPC per append returns a
-    :class:`~repro.core.fanout.FanoutPlan` priced against the
-    controller's live :class:`NetworkView`; the Flowserver itself falls
+    :class:`~repro.core.fanout.FanoutPlan` priced against the flows the
+    Flowserver tracks from its stats polls; the Flowserver itself falls
     back to the static chain when its view is degraded, so this planner
     never has to guess.
     """

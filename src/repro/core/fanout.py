@@ -8,7 +8,7 @@ each hop's transfer time in sequence, while a **tree** (here: a one-level
 star, primary → every secondary in parallel) finishes in one
 generation but contends for the primary's uplink.  This module does the
 shape arithmetic; the Flowserver supplies the per-edge bandwidth
-estimates (its max-min probe shares over ``NetworkView`` state) and owns
+estimates (its max-min probe shares over the flows it tracks) and owns
 the degraded-mode fallback.
 
 Completion-time model for ``d`` bits with per-edge estimated shares

@@ -202,9 +202,6 @@ class FlowStateTable:
         self._forget_links(flow)
         return flow
 
-    def get(self, flow_id: str) -> Optional[TrackedFlow]:
-        return self.flows.get(flow_id)
-
     def flows_on_link(self, link_id: str) -> List[TrackedFlow]:
         """Tracked flows traversing ``link_id``, in flow-id order."""
         flows = self.flows

@@ -583,9 +583,6 @@ class Flowserver:
     # Introspection
     # ------------------------------------------------------------------
 
-    def tracked_flow(self, flow_id: str) -> Optional[TrackedFlow]:
-        return self.state.get(flow_id)
-
     def tracked_flow_count(self) -> int:
         return len(self.state)
 

@@ -102,9 +102,6 @@ class FaultPlan:
         ordered = tuple(sorted(self.events, key=lambda e: (e.time, e.kind, e.target)))
         object.__setattr__(self, "events", ordered)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def merged(self, other: "FaultPlan") -> "FaultPlan":
         return FaultPlan(self.events + other.events)
 

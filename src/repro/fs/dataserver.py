@@ -556,10 +556,6 @@ class Dataserver:
         stored.metadata = replace(stored.metadata, replicas=tuple(replicas))
         return True
 
-    def held_lease(self, file_id: str) -> Optional[LeaseGrant]:
-        """The live locally-cached lease for a file, if any (introspection)."""
-        return self._held_leases.valid(file_id)
-
     def revoke_leases(self) -> int:
         """Drop every cached lease grant (revocation fault delivery).
 
@@ -894,12 +890,6 @@ class Dataserver:
             raise InvalidRequestError(f"size must be non-negative, got {size_bytes}")
         if size_bytes > 0:
             self._commit_append(stored, size_bytes, None)
-
-    def stat(self, file_id: str) -> Tuple[int, int]:
-        """(size_bytes, num_chunks) of the local replica."""
-        stored = self._stored(file_id)
-        num_chunks = -(-stored.size_bytes // stored.metadata.chunk_bytes)
-        return stored.size_bytes, num_chunks
 
     # ------------------------------------------------------------------
     # Internals

@@ -287,10 +287,6 @@ class HeldLeaseTable:
             return None
         return grant
 
-    def epoch(self, file_id: str) -> int:
-        grant = self._held.get(file_id)
-        return grant.epoch if grant is not None else 0
-
     def drop(self, file_id: str) -> None:
         self._held.pop(file_id, None)
 

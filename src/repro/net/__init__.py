@@ -14,9 +14,7 @@ Provides everything Mayflower's evaluation network needs:
   flow counters to the SDN controller;
 * :mod:`repro.net.ecmp` — hash-based equal-cost multi-path selection;
 * :mod:`repro.net.rate_engine` — incremental max-min solver with scoped
-  (connected-component) recomputation;
-* :mod:`repro.net.view` — the read-only :class:`NetworkView` protocol the
-  baselines, switches and telemetry probes consume.
+  (connected-component) recomputation.
 """
 
 from repro.net.ecmp import EcmpHasher
@@ -29,7 +27,6 @@ from repro.net.rate_engine import IncrementalRateEngine, RateEngineStats
 from repro.net.routing import Path, RoutingTable
 from repro.net.simulator import Flow, FlowAborted, FlowNetwork
 from repro.net.switch import Switch
-from repro.net.view import FlowView, NetworkView
 from repro.net.topology import (
     Host,
     SwitchNode,
@@ -44,12 +41,10 @@ __all__ = [
     "Flow",
     "FlowAborted",
     "FlowNetwork",
-    "FlowView",
     "Host",
     "IncrementalRateEngine",
     "Link",
     "LinkDirection",
-    "NetworkView",
     "Path",
     "RateEngineStats",
     "RoutingTable",

@@ -68,14 +68,3 @@ class Link:
         #: the simulator aborts flows traversing it when it fails and
         #: refuses to start new flows over it until it comes back up.
         self.up = True
-
-    @property
-    def flow_count(self) -> int:
-        """Number of active flows currently routed over this link."""
-        return len(self.flows)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Link({self.link_id!r}, {self.capacity_bps / 1e9:.3f} Gbps, "
-            f"{self.flow_count} flows)"
-        )

@@ -230,15 +230,8 @@ class IncrementalRateEngine:
         """Current rate of every registered flow (read-only view)."""
         return self._rates
 
-    def rate_bps(self, flow_id: str) -> float:
-        return self._rates[flow_id]
-
     def flow_count(self) -> int:
         return len(self._index)
-
-    def flows_on_link(self, link_id: str) -> List[str]:
-        """Flow ids currently traversing ``link_id``, sorted."""
-        return self._index.flows_on(link_id)
 
     def link_utilization_bps(self, link_id: str) -> float:
         """Instantaneous load on a link (sum of member rates).

@@ -25,17 +25,6 @@ class Path:
     dst: str
     link_ids: Tuple[str, ...]
 
-    @property
-    def hop_count(self) -> int:
-        """Number of links traversed."""
-        return len(self.link_ids)
-
-    def __iter__(self):
-        return iter(self.link_ids)
-
-    def __len__(self) -> int:
-        return len(self.link_ids)
-
 
 #: A switch-level route: (first switch, the link ids between switches,
 #: last switch).  The ids are empty when the first switch is the last.
@@ -66,10 +55,6 @@ class RoutingTable:
         self._routes_by_switches: Dict[
             Tuple[Tuple[str, ...], Tuple[str, ...]], List[Tuple[str, ...]]
         ] = {}
-
-    @property
-    def topology(self) -> Topology:
-        return self._topo
 
     def paths(self, src: str, dst: str) -> List[Path]:
         """All shortest paths from host ``src`` to host ``dst``.
@@ -226,7 +211,7 @@ class RoutingTable:
         """Length (in links) of the shortest path between two hosts."""
         if src == dst:
             return 0
-        return self.paths(src, dst)[0].hop_count
+        return len(self.paths(src, dst)[0].link_ids)
 
 
 def _step(

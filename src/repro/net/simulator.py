@@ -143,13 +143,6 @@ class Flow:
     def dst(self) -> str:
         return self.path.dst
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Flow({self.flow_id!r}, {self.src}->{self.dst}, "
-            f"{self.remaining_bits / 8e6:.1f}/{self.size_bits / 8e6:.1f} MB, "
-            f"{self.rate_bps / 1e6:.1f} Mbps)"
-        )
-
 
 class FlowNetwork:
     """Fluid max-min network simulation bound to an event loop.
@@ -197,11 +190,6 @@ class FlowNetwork:
     def active_flows(self) -> Dict[str, Flow]:
         """Live view of active flows keyed by flow id (do not mutate)."""
         return self._flows
-
-    def flows_on_link(self, link_id: str) -> List[Flow]:
-        """Active flows currently traversing ``link_id``."""
-        link = self._topo.links[link_id]
-        return [self._flows[fid] for fid in sorted(link.flows)]
 
     def start_flow(
         self,
@@ -338,9 +326,6 @@ class FlowNetwork:
             if link.src == node_id or link.dst == node_id:
                 link.up = True
                 self.down_links.discard(link.link_id)
-
-    def link_is_up(self, link_id: str) -> bool:
-        return self._topo.links[link_id].up
 
     def path_is_up(self, path: Path) -> bool:
         """Whether every link along ``path`` is currently up."""

@@ -10,19 +10,19 @@ Counters are ground truth pulled from the flow simulator at query time; a
 rack whose access links carry no flow answers at once.  The controller sees
 byte counts, never rates, and infers bandwidth by differencing polls.
 
-Switches observe, never mutate: they type against the read-only
-:class:`~repro.net.view.NetworkView` protocol rather than the concrete
-simulator.
+Switches observe, never mutate: they read the
+:class:`~repro.net.simulator.FlowNetwork`'s flows and counters, and
+change nothing.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 from repro.net.links import Link
-from repro.net.topology import SwitchNode, Tier
-from repro.net.view import NetworkView
+from repro.net.simulator import FlowNetwork
+from repro.net.topology import SwitchNode
 
 
 class FlowStat(NamedTuple):
@@ -39,7 +39,7 @@ class FlowStat(NamedTuple):
 class Switch:
     """Stats-serving view over one switch in the simulated network."""
 
-    def __init__(self, node: SwitchNode, network: NetworkView):
+    def __init__(self, node: SwitchNode, network: FlowNetwork):
         self._node = node
         self._network = network
         self._topo = network.topology
@@ -47,14 +47,6 @@ class Switch:
     @property
     def switch_id(self) -> str:
         return self._node.switch_id
-
-    @property
-    def tier(self) -> Tier:
-        return self._node.tier
-
-    @property
-    def pod(self) -> Optional[str]:
-        return self._node.pod
 
     def attached_hosts(self) -> List[str]:
         """Hosts hanging off this switch (non-empty only for edge switches)."""
@@ -107,7 +99,7 @@ class Switch:
         return stats
 
 
-def build_switches(network: NetworkView) -> Dict[str, Switch]:
+def build_switches(network: FlowNetwork) -> Dict[str, Switch]:
     """Instantiate a :class:`Switch` for every switch node in the topology."""
     return {
         node.switch_id: Switch(node, network)

@@ -33,9 +33,6 @@ class Host:
     rack: str
     pod: str
 
-    def __str__(self) -> str:  # pragma: no cover - debug aid
-        return self.host_id
-
 
 @dataclass(frozen=True)
 class SwitchNode:
@@ -340,11 +337,6 @@ def leaf_spine(
             topo.add_host(Host(host_id, rack=leaf, pod=leaf))
             topo.add_cable(host_id, leaf, edge_bps, LinkDirection.UP)
     return topo
-
-
-def host_ids(topo: Topology) -> List[str]:
-    """Sorted list of all host ids (deterministic iteration order)."""
-    return sorted(topo.hosts)
 
 
 def edge_links_of_hosts(topo: Topology, hosts: Iterable[str]) -> List[Link]:

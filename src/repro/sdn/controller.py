@@ -20,7 +20,6 @@ from repro.net.routing import Path
 from repro.net.simulator import Flow, FlowAborted, FlowNetwork
 from repro.net.switch import Switch, build_switches
 from repro.net.topology import Tier
-from repro.net.view import NetworkView
 from repro.sim import instrument
 from repro.sdn.flowtable import FlowTable
 from repro.sdn.openflow import FlowRemoved, FlowStatsReply
@@ -76,34 +75,12 @@ class Controller:
     def network(self) -> FlowNetwork:
         return self._network
 
-    @property
-    def view(self) -> NetworkView:
-        """Observation-only surface of the controlled network.
-
-        Schedulers and monitors that read (never mutate) network state
-        should take this rather than :attr:`network`: the protocol type
-        makes accidental mutation a type error and lets tests substitute
-        replay/mock networks.
-        """
-        return self._network
-
-    @property
-    def now(self) -> float:
-        return self._loop.now
-
-    def switch(self, switch_id: str) -> Switch:
-        return self._switches[switch_id]
-
     def flow_table(self, switch_id: str) -> FlowTable:
         return self._tables[switch_id]
 
     def edge_switch_ids(self) -> Tuple[str, ...]:
         """Every edge switch, sorted by id."""
         return self._edge_switch_ids
-
-    def installed_flows(self) -> Dict[str, FlowRecord]:
-        """Live view of currently installed flows (do not mutate)."""
-        return self._records
 
     # ------------------------------------------------------------------
     # Flow programming
@@ -304,12 +281,6 @@ class Controller:
     def recover_host(self, host_id: str) -> None:
         """Restore a host's access links."""
         self._network.restore_node_links(host_id)
-
-    def link_is_up(self, link_id: str) -> bool:
-        return self._network.link_is_up(link_id)
-
-    def switch_is_up(self, switch_id: str) -> bool:
-        return switch_id not in self._down_switches
 
     def all_paths_up(self) -> bool:
         """Whether no link and no switch is down, so that

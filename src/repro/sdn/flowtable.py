@@ -44,9 +44,3 @@ class FlowTable:
     def entries(self) -> List[FlowTableEntry]:
         """All rules, sorted by flow id (deterministic)."""
         return [self._entries[fid] for fid in sorted(self._entries)]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, flow_id: str) -> bool:
-        return flow_id in self._entries

@@ -56,10 +56,6 @@ class EventHandle:
         self.callback = None
         self.args = ()
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<EventHandle t={self.time:.6f} seq={self.seq} {state}>"
-
 
 class EventLoop:
     """A deterministic discrete-event scheduler.

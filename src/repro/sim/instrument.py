@@ -123,11 +123,6 @@ def unsubscribe(sub: Subscription) -> None:
     _rebuild()
 
 
-def hooks_armed() -> bool:
-    """Whether any post-event observer (sanitizer or other) is live."""
-    return bool(POST_EVENT_HOOKS)
-
-
 def set_telemetry(sink: Optional[Any]) -> None:
     """Publish (or clear, with ``None``) the active telemetry sink."""
     global TELEMETRY

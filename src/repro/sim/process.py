@@ -43,9 +43,6 @@ class Delay:
             raise SimulationError(f"delay must be non-negative, got {seconds!r}")
         self.seconds = seconds
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Delay({self.seconds!r})"
-
 
 class Signal:
     """A one-shot broadcast event processes can wait on.
@@ -67,14 +64,6 @@ class Signal:
     @property
     def name(self) -> str:
         return _joined(self._name)
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
-
-    @property
-    def payload(self) -> Any:
-        return self._payload
 
     def fire(self, payload: Any = None) -> None:
         """Fire the signal, waking every waiter with ``payload``."""

@@ -113,6 +113,3 @@ class RandomStreams:
         return [
             (name, rng, rng.draws) for name, rng in sorted(self._streams.items())
         ]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"RandomStreams(seed={self.seed})"

@@ -64,7 +64,6 @@ from repro.telemetry.session import (
     uninstall,
 )
 from repro.telemetry.tracer import (
-    TraceError,
     TraceEvent,
     Tracer,
     pair_async_spans,
@@ -85,7 +84,6 @@ __all__ = [
     "Telemetry",
     "TimeSeriesSampler",
     "TraceContext",
-    "TraceError",
     "TraceEvent",
     "Tracer",
     "active",

@@ -59,13 +59,6 @@ class Span:
             return None
         return self.end - self.start
 
-    def closed_descendants(self) -> int:
-        total = 0
-        for child in self.children:
-            total += (1 if child.end is not None else 0)
-            total += child.closed_descendants()
-        return total
-
     def walk(self) -> Iterator["Span"]:
         """This span and every descendant, preorder."""
         yield self

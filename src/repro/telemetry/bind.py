@@ -19,8 +19,8 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Any, Callable, List, Optional, Tuple
 
+from repro.net.simulator import FlowNetwork
 from repro.net.topology import Topology
-from repro.net.view import NetworkView
 from repro.telemetry.metrics import MetricsRegistry, TimeSeriesSampler
 
 def _frozen_flow_count(flowserver: Any) -> float:
@@ -31,7 +31,7 @@ def _frozen_flow_count(flowserver: Any) -> float:
 def bind_standard_probes(
     sampler: TimeSeriesSampler,
     *,
-    network: Optional[NetworkView] = None,
+    network: Optional[FlowNetwork] = None,
     topology: Optional[Topology] = None,
     flowserver: Optional[Any] = None,
 ) -> List[str]:
@@ -42,11 +42,8 @@ def bind_standard_probes(
     tracked/frozen flow-count probes.  Missing components simply skip
     their probes, so call sites pass whatever the scheme under test has.
 
-    ``network`` is typed as the read-only
-    :class:`~repro.net.view.NetworkView`; when the concrete network also
-    carries an incremental rate engine (:class:`FlowNetwork` does), its
-    solver counters are exposed too, as is the Flowserver's cost-model
-    cache hit rate.
+    With ``network``, the rate engine's solver counters are exposed
+    too, as is the Flowserver's cost-model cache hit rate.
     """
     added: List[str] = []
 
@@ -75,9 +72,8 @@ def bind_standard_probes(
         sampler.add_probe("link_utilization_max", _max_util)
         added += ["link_utilization_mean", "link_utilization_max"]
 
-    engine = getattr(network, "rate_engine", None)
-    if engine is not None:
-        stats = engine.stats
+    if network is not None:
+        stats = network.rate_engine.stats
         sampler.add_probe("rate_engine_solves", lambda: float(stats.solves))
         sampler.add_probe(
             "rate_engine_last_dirty_flows", lambda: float(stats.last_dirty_flows)

@@ -8,9 +8,9 @@ extends to its observability layer).
 * **JSONL** — one compact JSON object per line, keys sorted; the
   canonical on-disk form and the input to ``python -m repro.telemetry``.
 * **Chrome trace JSON** — the Trace Event Format consumed by Perfetto
-  (https://ui.perfetto.dev) and ``chrome://tracing``; sync spans map to
-  ``B``/``E``, cross-event spans to async ``b``/``e`` (correlated by
-  ``cat`` + ``id``), probes to ``C`` counter series.  Timestamps convert
+  (https://ui.perfetto.dev) and ``chrome://tracing``; spans map to
+  async ``b``/``e`` (correlated by ``cat`` + ``id``), probes to ``C``
+  counter series.  Timestamps convert
   from simulated seconds to integer-friendly microseconds.
 * **Prometheus** — text exposition of the metrics registry, for diffing
   runs or scraping a long-lived experiment driver.
@@ -209,7 +209,7 @@ def write_chrome_trace(
 
 #: Valid phases in an exported Chrome trace (M = metadata we add;
 #: s/t/f = flow start/step/finish arrows for parent/child span links).
-CHROME_PHASES = frozenset({"i", "B", "E", "b", "e", "C", "M", "s", "t", "f"})
+CHROME_PHASES = frozenset({"i", "b", "e", "C", "M", "s", "t", "f"})
 
 
 def validate_chrome_trace(payload: Dict[str, object]) -> List[str]:
@@ -222,7 +222,6 @@ def validate_chrome_trace(payload: Dict[str, object]) -> List[str]:
     events = payload.get("traceEvents")
     if not isinstance(events, list):
         return ["traceEvents missing or not a list"]
-    open_sync: Dict[int, List[str]] = {}
     #: async begin-event ids (targets of `args.parent` references).
     begin_ids = {
         str(item["id"])
@@ -279,19 +278,6 @@ def validate_chrome_trace(payload: Dict[str, object]) -> List[str]:
             problems.append(f"{where}: instant without a valid scope 's'")
         if ph == "C" and not isinstance(item.get("args"), dict):
             problems.append(f"{where}: counter without args dict")
-        tid = item.get("tid")
-        if isinstance(tid, int) and ph in ("B", "E"):
-            stack = open_sync.setdefault(tid, [])
-            name = str(item.get("name"))
-            if ph == "B":
-                stack.append(name)
-            elif not stack or stack[-1] != name:
-                problems.append(f"{where}: unbalanced E on tid {tid}")
-            else:
-                stack.pop()
-    for tid, stack in open_sync.items():
-        if stack:
-            problems.append(f"tid {tid}: {len(stack)} sync span(s) left open")
     for flow_id in sorted(set(flow_starts) | set(flow_finishes)):
         starts = flow_starts.get(flow_id, 0)
         finishes = flow_finishes.get(flow_id, 0)

@@ -113,10 +113,6 @@ class FlightRecorder:
         elif event.ph == "e":
             self._open.pop((event.cat, event.id), None)
 
-    def open_spans(self) -> int:
-        """Number of begun-but-not-ended async spans currently indexed."""
-        return len(self._open)
-
     def trigger(self, ts: float, reason: str, **details: object) -> FlightDump:
         """Freeze a snapshot of the rings plus every open span's begin."""
         merged: Dict[int, TraceEvent] = {}

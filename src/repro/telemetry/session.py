@@ -22,7 +22,7 @@ manager, which tests prefer) to arm and disarm.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, ContextManager, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.sim import instrument
 from repro.sim.engine import EventLoop
@@ -35,7 +35,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     TimeSeriesSampler,
 )
-from repro.telemetry.tracer import Clock, Tracer
+from repro.telemetry.tracer import Tracer
 from repro.sim.instrument import TraceContext
 
 
@@ -74,10 +74,6 @@ class Telemetry:
             track: str = "sim", **args: object) -> None:
         self.tracer.end(ts, name, cat, span_id, track, **args)
 
-    def span(self, clock: Clock, name: str, cat: str, track: str = "sim",
-             **args: object) -> ContextManager[None]:
-        return self.tracer.span(clock, name, cat, track, **args)
-
     def start_span(self, ts: float, name: str, cat: str, track: str = "sim",
                    span_id: Optional[str] = None, **args: object) -> TraceContext:
         return self.tracer.start_span(ts, name, cat, track, span_id, **args)
@@ -98,20 +94,11 @@ class Telemetry:
         recorder: Optional[FlightRecorder] = None,
         capacity_per_track: int = DEFAULT_CAPACITY,
     ) -> FlightRecorder:
-        """Arm a flight recorder as a tracer observer (replacing any)."""
-        self.detach_flight()
+        """Arm a flight recorder as a tracer observer (once per session)."""
         if recorder is None:
             recorder = FlightRecorder(capacity_per_track=capacity_per_track)
         self.flight = recorder
         self.tracer.add_observer(recorder.record)
-        return recorder
-
-    def detach_flight(self) -> Optional[FlightRecorder]:
-        """Disarm the flight recorder; its dumps stay readable."""
-        recorder = self.flight
-        if recorder is not None:
-            self.tracer.remove_observer(recorder.record)
-            self.flight = None
         return recorder
 
     # ------------------------------------------------------------------

@@ -4,13 +4,10 @@ Every timestamp a :class:`Tracer` records comes from the caller (who reads
 it off an :class:`~repro.sim.engine.EventLoop`), never from the host
 clock, so two runs with the same seed produce byte-identical traces.
 
-Three event shapes cover the whole taxonomy:
+Two event shapes cover the whole taxonomy:
 
 * **instants** (``ph="i"``) — a point in simulated time (a selection
   decision, a fault firing, a poll cycle, a freeze transition);
-* **sync spans** (``ph="B"``/``"E"``) — a lexically scoped region that
-  runs inside one engine event and never yields (``with tracer.span(...)``;
-  nesting is enforced per track);
 * **async spans** (``ph="b"``/``"e"``) — a region that crosses engine
   events (a flow transfer, an RPC round trip, a client read), correlated
   by ``(cat, id)`` exactly as Chrome trace events are.
@@ -22,23 +19,11 @@ time-series panes in Perfetto.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.sim import instrument
 from repro.sim.instrument import TraceContext
-
-#: The Chrome trace-event phases this tracer emits.
-PHASES = ("i", "B", "E", "b", "e", "C")
-
-
-class Clock(Protocol):
-    """Anything with a ``now`` in simulated seconds (an ``EventLoop``)."""
-
-    @property
-    def now(self) -> float: ...
-
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -68,17 +53,6 @@ class TraceEvent:
         return out
 
 
-class TraceError(RuntimeError):
-    """Misuse of the tracer (unbalanced sync spans, bad phase)."""
-
-
-@dataclass
-class _OpenSpan:
-    name: str
-    cat: str
-    track: str
-
-
 class Tracer:
     """An append-only, in-memory event buffer on the sim clock.
 
@@ -89,8 +63,6 @@ class Tracer:
 
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
-        #: Per-track stack of open sync spans (nesting enforcement).
-        self._open: Dict[str, List[_OpenSpan]] = {}
         self._id_seqs: Dict[str, "itertools.count[int]"] = {}
         #: Event observers (the flight recorder); called per recorded
         #: event, after it is appended.  Tuple so fan-out never sees a
@@ -200,33 +172,6 @@ class Tracer:
         """Close the span :meth:`start_span` opened for ``ctx``."""
         self.end(ts, name, cat, ctx.span_id, track, **args)
 
-    @contextmanager
-    def span(
-        self, clock: Clock, name: str, cat: str, track: str = "sim", **args: object
-    ) -> Iterator[None]:
-        """A lexically scoped sync span (must not yield to the engine).
-
-        Nesting is enforced per track: spans close strictly LIFO, so the
-        B/E pairs always form a well-formed tree in the exported trace.
-        """
-        self._record(
-            TraceEvent(ts=clock.now, ph="B", cat=cat, name=name, track=track,
-                       args=args or None)
-        )
-        stack = self._open.setdefault(track, [])
-        stack.append(_OpenSpan(name=name, cat=cat, track=track))
-        try:
-            yield
-        finally:
-            if not stack or stack[-1].name != name:
-                raise TraceError(
-                    f"sync span {name!r} on track {track!r} closed out of order"
-                )
-            stack.pop()
-            self._record(
-                TraceEvent(ts=clock.now, ph="E", cat=cat, name=name, track=track)
-            )
-
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
@@ -242,24 +187,6 @@ class Tracer:
     def add_observer(self, observer: Callable[[TraceEvent], None]) -> None:
         """Register a per-event observer (e.g. a flight recorder)."""
         self._observers = self._observers + (observer,)
-
-    def remove_observer(self, observer: Callable[[TraceEvent], None]) -> None:
-        """Remove a registered observer (idempotent).
-
-        Compares by equality, not identity, so a bound method (a fresh
-        object per attribute access, e.g. ``recorder.record``) unregisters
-        correctly.
-        """
-        self._observers = tuple(o for o in self._observers if o != observer)
-
-    def open_sync_spans(self) -> int:
-        """Number of sync spans currently open (0 in a settled trace)."""
-        return sum(len(stack) for stack in self._open.values())
-
-    def clear(self) -> None:
-        """Drop every recorded event (id counters keep counting)."""
-        self.events.clear()
-        self._open.clear()
 
     def __len__(self) -> int:
         return len(self.events)

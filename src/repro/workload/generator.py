@@ -130,10 +130,6 @@ class Workload:
     files: List[FileSpec]
     jobs: List[ReadJob]
 
-    @property
-    def duration(self) -> float:
-        return self.jobs[-1].arrival_time if self.jobs else 0.0
-
 
 def generate_workload(
     topology: Topology,

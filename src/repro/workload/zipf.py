@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 from random import Random
-from typing import List, Sequence
+from typing import List
 
 
 class ZipfSampler:
@@ -45,9 +45,3 @@ class ZipfSampler:
             raise IndexError(f"rank {rank} out of range 0..{self.n - 1}")
         low = self._cdf[rank - 1] if rank > 0 else 0.0
         return self._cdf[rank] - low
-
-
-def zipf_probabilities(n: int, skew: float = 1.1) -> Sequence[float]:
-    """The full probability vector (testing/plotting aid)."""
-    sampler = ZipfSampler(n, skew)
-    return [sampler.probability(k) for k in range(n)]

@@ -15,11 +15,9 @@ import pytest
 
 from repro.analysis.protocheck import (
     PROTOCHECK_RULES,
-    analyze_paths,
     analyze_sources,
     build_graph,
     load_sources,
-    rule_inventory,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -352,12 +350,11 @@ def test_annotations_are_runtime_noops():
 
 
 def test_rule_inventory_matches_registry():
-    assert rule_inventory() == PROTOCHECK_RULES
-    assert set(rule_inventory()) == {"FENCE001", "FENCE002", "PROTO001"}
+    assert set(PROTOCHECK_RULES) == {"FENCE001", "FENCE002", "PROTO001"}
 
 
 def test_repo_fs_tree_analyzes_clean():
-    findings = analyze_paths([REPO_ROOT / "src" / "repro"])
+    findings = analyze_sources(load_sources([REPO_ROOT / "src" / "repro"]))
     assert findings == [], "\n" + "\n".join(f.render() for f in findings)
 
 

@@ -46,10 +46,10 @@ def build_env():
 def test_arm_is_idempotent_and_disarm_clears_hooks(sanitizer):
     assert simsan.arm() is sanitizer
     assert simsan.get_active() is sanitizer
-    assert instrument.hooks_armed()
+    assert instrument.POST_EVENT_HOOKS
     simsan.disarm()
     assert simsan.get_active() is None
-    assert not instrument.hooks_armed()
+    assert not instrument.POST_EVENT_HOOKS
 
 
 def test_components_register_through_instrument(sanitizer):

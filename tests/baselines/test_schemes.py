@@ -84,7 +84,7 @@ def test_mayflower_scheme_registers_with_flowserver(env):
         "pod0-rack0-h0", ["pod1-rack0-h0", "pod2-rack0-h0"], 256 * MB
     )
     for a in assignments:
-        assert flowserver.tracked_flow(a.flow_id) is not None
+        assert a.flow_id in flowserver.state.flows
 
 
 def test_path_only_scheme_respects_preselected_replica(env):

@@ -47,7 +47,7 @@ def test_stale_counters_trigger_ecmp_fallback():
     assert fs.degraded_selections == 1
     assert fs.degraded_entries == 1
     # the flow is still tracked so cleanup and later estimates work
-    assert fs.tracked_flow(a.flow_id) is not None
+    assert a.flow_id in fs.state.flows
 
 
 def test_recovery_repromotes_and_records_time():

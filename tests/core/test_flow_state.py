@@ -24,7 +24,7 @@ class TestTable:
         table = FlowStateTable()
         flow = make_flow()
         table.add(flow)
-        assert table.get("f") is flow
+        assert table.flows["f"] is flow
         assert "f" in table
         assert len(table) == 1
 
@@ -92,7 +92,7 @@ class TestFreezeDiscipline:
         table = FlowStateTable()
         table.add(make_flow(size=100.0, bw=10.0))
         table.set_bw("f", 20.0, now=50.0)
-        flow = table.get("f")
+        flow = table.flows["f"]
         assert flow.bw_bps == 20.0
         assert flow.freezed
         assert flow.freeze_until == pytest.approx(55.0)  # 100 bits / 20 bps
@@ -103,7 +103,7 @@ class TestFreezeDiscipline:
         table.set_bw("f", 20.0, now=0.0)
         applied = table.update_bw_from_stats("f", 5.0, now=2.0)
         assert applied is False
-        assert table.get("f").bw_bps == 20.0
+        assert table.flows["f"].bw_bps == 20.0
 
     def test_update_bw_applies_after_freeze_expires(self):
         table = FlowStateTable()
@@ -111,7 +111,7 @@ class TestFreezeDiscipline:
         table.set_bw("f", 20.0, now=0.0)  # freeze until t=5
         applied = table.update_bw_from_stats("f", 7.0, now=6.0)
         assert applied is True
-        flow = table.get("f")
+        flow = table.flows["f"]
         assert flow.bw_bps == 7.0
         assert not flow.freezed
 
@@ -119,7 +119,7 @@ class TestFreezeDiscipline:
         table = FlowStateTable()
         table.add(make_flow(bw=10.0))
         assert table.update_bw_from_stats("f", 3.0, now=1.0) is True
-        assert table.get("f").bw_bps == 3.0
+        assert table.flows["f"].bw_bps == 3.0
 
     def test_update_bw_unknown_flow_ignored(self):
         table = FlowStateTable()
@@ -130,13 +130,13 @@ class TestFreezeDiscipline:
         table.add(make_flow(size=100.0, bw=10.0))
         table.set_bw("f", 20.0, now=0.0)
         table.update_remaining("f", 40.0)
-        assert table.get("f").remaining_bits == 40.0
+        assert table.flows["f"].remaining_bits == 40.0
 
     def test_update_remaining_clamps_negative(self):
         table = FlowStateTable()
         table.add(make_flow())
         table.update_remaining("f", -5.0)
-        assert table.get("f").remaining_bits == 0.0
+        assert table.flows["f"].remaining_bits == 0.0
 
 
 class TestTrackedFlow:

@@ -48,7 +48,7 @@ def test_remote_read_selects_and_registers_flow():
     (a,) = result.assignments
     assert a.replica == "pod0-rack0-h1"
     assert a.path is not None
-    assert fs.tracked_flow(a.flow_id) is not None
+    assert a.flow_id in fs.state.flows
     assert a.est_bw_bps == pytest.approx(1e9)
 
 
@@ -194,7 +194,7 @@ def test_estimates_track_reality_through_polling():
     truth = net.ground_truth_rates()
     assert truth  # flows still running
     for flow_id, true_rate in truth.items():
-        tracked = fs.tracked_flow(flow_id)
+        tracked = fs.state.flows[flow_id]
         est = tracked.bw_bps
         # frozen estimates may lag; unfrozen ones must match measurements
         if not tracked.freezed or loop.now > tracked.freeze_until:

@@ -55,7 +55,7 @@ def test_commit_registers_new_flow(fig2_env):
     )
     tracked = commit_choice(best, "new", 9 * MBPS, fig2_env.state, now=0.0, job_id="job1")
     assert tracked.job_id == "job1"
-    assert fig2_env.state.get("new") is tracked
+    assert fig2_env.state.flows["new"] is tracked
     assert tracked.path_link_ids == best.path.link_ids
     assert tracked.remaining_bits == 9 * MBPS
 

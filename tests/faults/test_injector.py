@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.faults import EVENT_KINDS, FaultEvent, FaultInjector, FaultPlan
 from repro.fs.retry import RetryPolicy
+from repro.sdn.controller import SwitchUnreachableError
 
 
 @pytest.fixture()
@@ -37,9 +38,9 @@ def test_link_down_then_auto_recovery(cluster):
     injector = cluster.inject_faults(plan)
 
     cluster.loop.run(until=1.5)
-    assert not cluster.controller.link_is_up(trunk)
+    assert not cluster.topology.links[trunk].up
     cluster.loop.run(until=3.5)
-    assert cluster.controller.link_is_up(trunk)
+    assert cluster.topology.links[trunk].up
     assert injector.events_applied == 2
     assert [e.kind for e in injector.journal] == ["link_down", "link_up"]
 
@@ -50,7 +51,8 @@ def test_switch_fail_marks_adjacent_links_down(cluster):
     cluster.inject_faults(plan)
 
     cluster.loop.run(until=1.5)
-    assert not cluster.controller.switch_is_up(switch)
+    with pytest.raises(SwitchUnreachableError):
+        cluster.controller.query_flow_stats(switch)
     adjacent = [
         lid
         for lid, link in cluster.topology.links.items()
@@ -58,11 +60,11 @@ def test_switch_fail_marks_adjacent_links_down(cluster):
     ]
     assert adjacent
     for lid in adjacent:
-        assert not cluster.controller.link_is_up(lid)
+        assert not cluster.topology.links[lid].up
     cluster.loop.run(until=3.5)
-    assert cluster.controller.switch_is_up(switch)
+    cluster.controller.query_flow_stats(switch)  # reachable again
     for lid in adjacent:
-        assert cluster.controller.link_is_up(lid)
+        assert cluster.topology.links[lid].up
 
 
 def test_dataserver_crash_takes_endpoint_down(cluster):

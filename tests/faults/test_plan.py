@@ -76,7 +76,7 @@ class TestFaultPlan:
         a = FaultPlan((FaultEvent(2.0, "link_down", "a->b"),))
         b = FaultPlan((FaultEvent(1.0, "switch_fail", "s1"),))
         merged = a.merged(b)
-        assert len(merged) == 2
+        assert len(merged.events) == 2
         assert merged.events[0].kind == "switch_fail"
 
 

@@ -71,7 +71,7 @@ def test_property_rates_feasible_under_add_remove_and_failure(seed):
                 net.cancel_flow(victim)
         elif action < 0.85 and len(failed) < 4:
             link_id = rng.choice(trunks)
-            if net.link_is_up(link_id):
+            if net.topology.links[link_id].up:
                 net.fail_link(link_id)
                 failed.append(link_id)
         elif failed:

@@ -57,14 +57,14 @@ class TestRouting:
         table = RoutingTable(topo)
         paths = table.paths("leaf0-h0", "leaf1-h0")
         assert len(paths) == 4  # one via each spine
-        assert all(p.hop_count == 4 for p in paths)
+        assert all(len(p.link_ids) == 4 for p in paths)
 
     def test_same_leaf_single_path(self):
         topo = leaf_spine()
         table = RoutingTable(topo)
         paths = table.paths("leaf0-h0", "leaf0-h1")
         assert len(paths) == 1
-        assert paths[0].hop_count == 2
+        assert len(paths[0].link_ids) == 2
 
 
 class TestMayflowerOnLeafSpine:

@@ -11,7 +11,7 @@ def test_link_attributes():
     assert link.dst == "b"
     assert link.capacity_bps == 1e9
     assert link.direction is LinkDirection.UP
-    assert link.flow_count == 0
+    assert len(link.flows) == 0
 
 
 def test_invalid_capacity_rejected():
@@ -25,9 +25,9 @@ def test_flow_registry():
     link = Link("a->b", "a", "b", 1e9)
     link.flows.add("f1")
     link.flows.add("f2")
-    assert link.flow_count == 2
+    assert len(link.flows) == 2
     link.flows.discard("f1")
-    assert link.flow_count == 1
+    assert len(link.flows) == 1
 
 
 def test_direction_default_is_flat():

@@ -13,7 +13,7 @@ def table():
 def test_same_rack_single_two_hop_path(table):
     paths = table.paths("pod0-rack0-h0", "pod0-rack0-h1")
     assert len(paths) == 1
-    assert paths[0].hop_count == 2
+    assert len(paths[0].link_ids) == 2
     assert paths[0].link_ids == (
         "pod0-rack0-h0->pod0-rack0",
         "pod0-rack0->pod0-rack0-h1",
@@ -23,7 +23,7 @@ def test_same_rack_single_two_hop_path(table):
 def test_same_pod_four_hop_paths_one_per_agg(table):
     paths = table.paths("pod0-rack0-h0", "pod0-rack1-h0")
     assert len(paths) == 2  # one via each aggregation switch
-    assert all(p.hop_count == 4 for p in paths)
+    assert all(len(p.link_ids) == 4 for p in paths)
     aggs = {p.link_ids[1].split("->")[1] for p in paths}
     assert aggs == {"pod0-agg0", "pod0-agg1"}
 
@@ -32,7 +32,7 @@ def test_cross_pod_six_hop_paths(table):
     paths = table.paths("pod0-rack0-h0", "pod1-rack0-h0")
     # 2 aggs (src pod) x 2 cores x 2 aggs (dst pod) = 8
     assert len(paths) == 8
-    assert all(p.hop_count == 6 for p in paths)
+    assert all(len(p.link_ids) == 6 for p in paths)
 
 
 def test_path_hop_lengths_are_2_4_or_6(table):
@@ -42,7 +42,7 @@ def test_path_hop_lengths_are_2_4_or_6(table):
         ("pod0-rack0-h0", "pod0-rack3-h0"),
         ("pod0-rack0-h0", "pod3-rack3-h3"),
     ]
-    lengths = {table.paths(a, b)[0].hop_count for a, b in pairs}
+    lengths = {len(table.paths(a, b)[0].link_ids) for a, b in pairs}
     assert lengths == {2, 4, 6}
 
 

@@ -70,7 +70,7 @@ def test_sampled_pairs_at_1024_hosts_cover_every_locality_class():
         for src, dst in by_distance[distance][:20]:
             found = table.paths(src, dst)
             assert len(found) == expected_paths
-            assert {p.hop_count for p in found} == {distance}
+            assert {len(p.link_ids) for p in found} == {distance}
 
 
 def test_every_pair_on_leaf_spine():
@@ -158,7 +158,7 @@ def test_no_path_transits_a_third_host():
     table = RoutingTable(topo)
     assert [p.link_ids for p in table.paths("a", "m")] == [("a->m",)]
     assert [p.link_ids for p in table.paths("m", "a")] == [("m->a",)]
-    assert [p.hop_count for p in table.paths("a", "b")] == [5]
+    assert [len(p.link_ids) for p in table.paths("a", "b")] == [5]
     for src, dst in all_pairs(topo):
         for path in table.paths(src, dst):
             interior = {link_id.split("->")[1] for link_id in path.link_ids[:-1]}

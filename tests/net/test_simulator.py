@@ -171,8 +171,7 @@ def test_flows_on_link(env):
     loop, net, table = env
     path = table.paths("pod0-rack0-h0", "pod0-rack0-h1")[0]
     net.start_flow("f", path, GB)
-    flows = net.flows_on_link(path.link_ids[0])
-    assert [f.flow_id for f in flows] == ["f"]
+    assert net.topology.links[path.link_ids[0]].flows == {"f"}
 
 
 def test_link_utilization_ground_truth(env):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.net import FlowNetwork, RoutingTable, Tier, three_tier
+from repro.net import FlowNetwork, RoutingTable, three_tier
 from repro.net.routing import Path
 from repro.net.switch import FlowStat, build_switches
 from repro.sim import EventLoop
@@ -24,10 +24,7 @@ def env():
 
 def test_every_switch_materialized(env):
     _, net, _, switches = env
-    assert len(switches) == len(net.topology.switches)
-    assert switches["core0"].tier == Tier.CORE
-    assert switches["pod0-agg0"].tier == Tier.AGGREGATION
-    assert switches["pod0-rack0"].tier == Tier.EDGE
+    assert sorted(switches) == sorted(net.topology.switches)
 
 
 def test_attached_hosts_only_for_edge(env):

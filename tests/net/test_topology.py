@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import Host, LinkDirection, Tier, Topology, three_tier
-from repro.net.topology import SwitchNode, edge_links_of_hosts, host_ids
+from repro.net.topology import SwitchNode, edge_links_of_hosts
 
 
 class TestGenericTopology:
@@ -65,7 +65,7 @@ class TestThreeTier:
 
     def test_edge_links_are_1gbps(self):
         topo = three_tier()
-        host = host_ids(topo)[0]
+        host = sorted(topo.hosts)[0]
         link = topo.link_between(host, topo.edge_switch_of(host))
         assert link.capacity_bps == 1e9
 
@@ -118,7 +118,7 @@ class TestThreeTier:
 
     def test_network_distance(self):
         topo = three_tier()
-        h = host_ids(topo)
+        h = sorted(topo.hosts)
         assert topo.network_distance(h[0], h[0]) == 0
         assert topo.network_distance("pod0-rack0-h0", "pod0-rack0-h1") == 2
         assert topo.network_distance("pod0-rack0-h0", "pod0-rack1-h0") == 4

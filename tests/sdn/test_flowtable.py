@@ -7,8 +7,7 @@ def test_install_and_lookup():
     table = FlowTable("s1")
     table.install("f1", "s1->s2", now=1.0)
     assert table.lookup("f1") == "s1->s2"
-    assert "f1" in table
-    assert len(table) == 1
+    assert [e.flow_id for e in table.entries()] == ["f1"]
 
 
 def test_lookup_miss_returns_none():
@@ -21,7 +20,7 @@ def test_overwrite_updates_entry():
     table.install("f1", "s1->s2", now=1.0)
     table.install("f1", "s1->s3", now=2.0)
     assert table.lookup("f1") == "s1->s3"
-    assert len(table) == 1
+    assert len(table.entries()) == 1
 
 
 def test_remove():

@@ -83,16 +83,16 @@ def test_validate_catches_problems():
     )
     assert any("bad phase" in p for p in problems)
     assert any("async event without 'id'" in p for p in problems)
-    assert any("unbalanced E" in p for p in problems)
+    assert "event 2 ('z'): bad phase 'E'" in problems
 
 
-def test_validate_catches_open_sync_span():
+def test_validate_reports_stray_sync_span_phase():
     problems = validate_chrome_trace(
         {"traceEvents": [
             {"name": "x", "ph": "B", "pid": 1, "tid": 3, "ts": 0, "cat": "c"}
         ]}
     )
-    assert problems == ["tid 3: 1 sync span(s) left open"]
+    assert problems == ["event 0 ('x'): bad phase 'B'"]
 
 
 def test_write_prometheus(tmp_path):

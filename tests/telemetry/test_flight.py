@@ -130,15 +130,3 @@ def test_flight_dump_deterministic_across_same_seed_runs():
     dumps_a = [d.to_json_dict() for d in tel_a.flight.dumps]
     dumps_b = [d.to_json_dict() for d in tel_b.flight.dumps]
     assert dumps_a == dumps_b
-
-
-def test_detach_flight_stops_recording():
-    with telemetry.session() as tel:
-        recorder = tel.attach_flight()
-        tel.tracer.instant(0.0, "a", "c")
-        detached = tel.detach_flight()
-        assert detached is recorder
-        tel.tracer.instant(1.0, "b", "c")
-    dump = recorder.trigger(2.0, "after")
-    names = [e.name for e in dump.events]
-    assert names == ["a"]

@@ -1,9 +1,6 @@
 """Unit tests for the span/event recorder."""
 
-import pytest
-
-from repro.sim.engine import EventLoop
-from repro.telemetry import TraceError, Tracer, pair_async_spans
+from repro.telemetry import Tracer, pair_async_spans
 
 
 def test_instant_records_point_event():
@@ -41,53 +38,8 @@ def test_unmatched_begin_is_dropped_by_pairing():
     assert [b.id for b, _ in pair_async_spans(tracer.events)] == ["f1"]
 
 
-def test_sync_span_nests_lifo():
-    loop = EventLoop()
-    tracer = Tracer()
-    with tracer.span(loop, "outer", "sim"):
-        with tracer.span(loop, "inner", "sim"):
-            pass
-    assert [(e.ph, e.name) for e in tracer.events] == [
-        ("B", "outer"), ("B", "inner"), ("E", "inner"), ("E", "outer")
-    ]
-    assert tracer.open_sync_spans() == 0
-
-
-def test_sync_span_out_of_order_close_raises():
-    loop = EventLoop()
-    tracer = Tracer()
-    outer = tracer.span(loop, "outer", "sim")
-    inner = tracer.span(loop, "inner", "sim")
-    outer.__enter__()
-    inner.__enter__()
-    with pytest.raises(TraceError, match="out of order"):
-        outer.__exit__(None, None, None)
-
-
-def test_sync_spans_independent_per_track():
-    loop = EventLoop()
-    tracer = Tracer()
-    a = tracer.span(loop, "a", "sim", track="t1")
-    b = tracer.span(loop, "b", "sim", track="t2")
-    a.__enter__()
-    b.__enter__()
-    # Closing a before b is fine: they live on different tracks.
-    a.__exit__(None, None, None)
-    b.__exit__(None, None, None)
-    assert tracer.open_sync_spans() == 0
-
-
 def test_next_id_is_deterministic_per_prefix():
     tracer = Tracer()
     assert [tracer.next_id("read") for _ in range(3)] == ["read0", "read1", "read2"]
     assert tracer.next_id("rpc") == "rpc0"
     assert tracer.next_id("read") == "read3"
-
-
-def test_clear_drops_events_but_keeps_id_sequence():
-    tracer = Tracer()
-    tracer.instant(0.0, "x", "sim")
-    first = tracer.next_id("read")
-    tracer.clear()
-    assert len(tracer) == 0
-    assert tracer.next_id("read") != first

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.workload.zipf import ZipfSampler, zipf_probabilities
+from repro.workload.zipf import ZipfSampler
+
+
+def zipf_probabilities(n, skew):
+    sampler = ZipfSampler(n, skew)
+    return [sampler.probability(k) for k in range(n)]
 
 
 def test_probabilities_sum_to_one():

@@ -106,7 +106,8 @@ def consumers(tree: Path, work: Path) -> List[Tuple[str, List[str]]]:
          [py, str(tree / "benchmarks/ledger/run.py"), "--reps", "1",
           "--scale", "0.05", "--out", str(work / "ledger" / "record.json")]),
         ("simlint", [py, "-m", "repro.analysis", str(tree / "src"),
-                     str(tree / "examples"), str(tree / "benchmarks")]),
+                     str(tree / "examples"), str(tree / "benchmarks"),
+                     str(tree / "tools")]),
         ("protocheck", [py, "-m", "repro.analysis", "protocheck",
                         str(tree / "src/repro")]),
         ("protocheck --format json",
@@ -122,38 +123,166 @@ def consumers(tree: Path, work: Path) -> List[Tuple[str, List[str]]]:
 #: Unreached functions kept on purpose, and why: ``(path, qualname)`` or a
 #: whole file ``(path, None)``.
 KEPT = {
-    ("src/repro/net/simulator.py", "FlowNetwork.cancel_flow"):
-        "four property tests drive flow churn with it",
-    ("src/repro/core/cost.py", "LinkShareCache.members"):
-        "seam of the share-cache differential test (kills three mutants)",
-    ("src/repro/core/cost.py", "LinkShareCache.probe_share"):
-        "seam of the share-cache differential test (kills three mutants)",
-    ("src/repro/core/cost.py", "LinkShareCache.newcomer_allocation"):
-        "seam of the share-cache differential test (kills three mutants)",
-    ("src/repro/core/fanout.py", "FanoutPlan.edges"):
-        "ground truth of tests/telemetry/test_causal.py",
-    ("src/repro/core/fanout.py", "FanoutPlan.edges.<locals>.visit"):
-        "ground truth of tests/telemetry/test_causal.py",
-    ("src/repro/core/flowserver.py", "Flowserver.__enter__"):
-        "tests/telemetry/test_integration.py runs under the context manager",
-    ("src/repro/core/flowserver.py", "Flowserver.__exit__"):
-        "tests/telemetry/test_integration.py runs under the context manager",
+    # failure paths: they run only when a checker finds something
+    ("src/repro/analysis/cli.py", "_finding_json"):
+        "renders findings for --format json, so only when a checker finds "
+        "one (tests/analysis/test_cli.py::test_json_format)",
+    ("src/repro/analysis/cli.py", "_replay"):
+        "explore --replay re-runs a counterexample trace, which only a "
+        "failed exploration writes (the CI explorer step uploads it)",
+    ("src/repro/analysis/explore.py", "counterexample_trace"):
+        "counterexample write/replay: runs only when the explorer finds a "
+        "violation; tests/analysis/test_explore.py drives it with a seeded bug",
+    ("src/repro/analysis/explore.py", "write_trace"):
+        "counterexample write/replay: runs only when the explorer finds a "
+        "violation; tests/analysis/test_explore.py drives it with a seeded bug",
+    ("src/repro/analysis/explore.py", "load_trace"):
+        "counterexample write/replay: runs only when the explorer finds a "
+        "violation; tests/analysis/test_explore.py drives it with a seeded bug",
+    ("src/repro/analysis/explore.py", "replay_trace"):
+        "counterexample write/replay: runs only when the explorer finds a "
+        "violation; tests/analysis/test_explore.py drives it with a seeded bug",
+    ("src/repro/analysis/explore.py", "FailoverScenario.config_dict"):
+        "recorded in a counterexample trace, so it is written with one "
+        "(tests/analysis/test_explore.py)",
+    ("src/repro/analysis/explore.py", "FailoverScenario._apply_bug"):
+        "seeds the bugs tests/analysis/test_explore.py checks the explorer "
+        "catches",
+    ("src/repro/analysis/explore.py",
+     "FailoverScenario._apply_bug.<locals>.unfenced_lease"):
+        "seeds the bugs tests/analysis/test_explore.py checks the explorer "
+        "catches",
+    ("src/repro/analysis/explore.py",
+     "FailoverScenario._apply_bug.<locals>.unfenced_validate"):
+        "seeds the bugs tests/analysis/test_explore.py checks the explorer "
+        "catches",
+    ("src/repro/analysis/protocheck.py", "_Checker._report"):
+        "protocheck's failure path: runs only when a rule fires "
+        "(tests/analysis/test_protocheck.py)",
+    ("src/repro/analysis/simlint.py", "Finding.render"):
+        "a checker's failure path: formats a finding only when there is one "
+        "(tests/analysis/test_protocheck.py::test_repo_fs_tree_analyzes_clean "
+        "prints it on failure)",
+    ("src/repro/analysis/simlint.py", "_SetOrderChecker._describe"):
+        "simlint's failure path: runs only when DET003 fires "
+        "(tests/analysis/test_simlint_rules.py)",
+    ("src/repro/analysis/simlint.py", "_SetOrderChecker._flag"):
+        "simlint's failure path: runs only when DET003 fires "
+        "(tests/analysis/test_simlint_rules.py)",
+    ("src/repro/analysis/simsan.py", None):
+        "reached by pytest --simsan, a CI step over the test suite",
     ("src/repro/fs/dataserver.py", "Dataserver.serve_catch_up"):
         "fault repair; ROADMAP item 15 gives it a seeded storm",
     ("src/repro/fs/dataserver.py", "Dataserver._catch_up"):
         "fault repair; ROADMAP item 15 gives it a seeded storm",
     ("src/repro/fs/dataserver.py", "Dataserver._truncate"):
         "fault repair; ROADMAP item 15 gives it a seeded storm",
-    ("src/repro/analysis/simsan.py", None):
-        "reached by pytest --simsan, a CI step over the test suite",
-    ("src/repro/net/fairshare.py", "single_link_fair_allocation"):
-        "the reference every LinkMemo fill is tested against, and its "
-        "fallback for a non-positive or negative demand",
-    ("src/repro/net/switch.py", "Switch.attached_hosts"):
-        "tests/net/test_switch.py checks rack membership through it",
+    ("src/repro/rpc/errors.py", "RpcTimeout.__init__"):
+        "raised only when a call's deadline passes unanswered; "
+        "tests/rpc/test_fabric.py times calls out",
     ("src/repro/rpc/fabric.py", "_Call.expire"):
         "runs only when a deadline passes unanswered (a reply cancels it); "
         "no consumer run times out, tests/rpc does",
+    # run by pytest --simsan, a CI step over the test suite
+    ("src/repro/core/flowserver.py", "Flowserver.loop"):
+        "SimSanitizer.register and check_flowserver read it under pytest "
+        "--simsan, a CI step",
+    ("src/repro/sdn/flowtable.py", "FlowTable.lookup"):
+        "Controller.verify_tables_consistent calls it, which pytest --simsan "
+        "(a CI step) runs after every event",
+    ("src/repro/sim/randomness.py", "RandomStreams.stream_snapshot"):
+        "SimSanitizer.check_streams reads it under pytest --simsan, a CI step",
+    # typing: layer interfaces and annotation stubs
+    ("src/repro/baselines/selectors.py", "ReplicaSelector.select_replica"):
+        "interface stub: schemes.py and cluster/planners.py call it through "
+        "the ReplicaSelector type; every selector overrides it",
+    ("src/repro/fs/client.py", "ReadPlanner.plan"):
+        "layer-order interface stub: repro.fs types against it, the cluster "
+        "layer implements it (tests/test_import_hygiene.py)",
+    ("src/repro/fs/client.py", "WriteFanoutPlanner.plan"):
+        "layer-order interface stub: repro.fs types against it, the cluster "
+        "layer implements it (tests/test_import_hygiene.py)",
+    ("src/repro/fs/dataserver.py", "DataPlane.transfer"):
+        "layer-order interface stub: repro.fs types against it, the cluster "
+        "layer implements it (tests/test_import_hygiene.py)",
+    ("src/repro/fs/placement.py", "PlacementPolicy.place"):
+        "interface stub: the nameserver types against it; every placement "
+        "policy overrides it",
+    ("src/repro/fs/annotations.py", None):
+        "protocheck's annotation vocabulary: the @overload stubs type it for "
+        "the mypy --strict CI step, and no src function carries "
+        "@entrypoint yet (test_entrypoint_annotation_promotes_function does)",
+    # oracles and seams of tests
+    ("src/repro/net/topology.py", "Topology.to_networkx"):
+        "the routing oracle: tests/net/test_routing_oracle.py checks every "
+        "route against networkx",
+    ("src/repro/net/topology.py", "Topology.hosts_in_pod"):
+        "tests/fs/placement_oracle.py, the placement oracle, lists a pod's "
+        "hosts with it",
+    ("src/repro/net/topology.py", "Topology.pods"):
+        "tests/fs/placement_oracle.py, the placement oracle, counts pods with "
+        "it",
+    ("src/repro/workload/zipf.py", "ZipfSampler.probability"):
+        "oracle of tests/workload/test_zipf.py's sampling-frequency check",
+    ("src/repro/core/flow_state.py", "FlowStateTable.flows_on_path"):
+        "tests/core/eq2_oracle.py, the Eq. 2 oracle, gathers a path's "
+        "competing flows with it",
+    ("src/repro/net/fairshare.py", "single_link_fair_allocation"):
+        "the reference every LinkMemo fill is tested against, and its "
+        "fallback for a non-positive or negative demand",
+    ("src/repro/net/rate_engine.py", "IncrementalRateEngine.rates"):
+        "tests/net/test_rate_engine_properties.py compares it with the "
+        "max-min oracle after every event",
+    ("src/repro/telemetry/analyze.py", "Span.duration"):
+        "tests/telemetry/test_causal.py checks the critical path's length "
+        "against it",
+    ("src/repro/telemetry/analyze.py", "Span.walk"):
+        "tests/telemetry/test_causal.py finds the spans of an operation tree "
+        "with it",
+    ("src/repro/core/fanout.py", "FanoutPlan.edges"):
+        "ground truth of tests/telemetry/test_causal.py",
+    ("src/repro/core/fanout.py", "FanoutPlan.edges.<locals>.visit"):
+        "ground truth of tests/telemetry/test_causal.py",
+    ("src/repro/fs/nameserver.py", "Nameserver.exists"):
+        "one of the handlers tests/fs/test_nameserver.py::"
+        "test_namespace_replay_is_pinned drives and pins",
+    ("src/repro/fs/dataserver.py", "Dataserver.file_size"):
+        "tests/fs/test_ledger_model.py and test_promotion_property.py check "
+        "each replica's stored length against their model through it",
+    ("src/repro/analysis/protocheck.py", "ProtocolGraph.to_json_dict"):
+        "protocheck --dump-graph; tests/analysis/test_protocheck.py::"
+        "test_graph_dump_covers_the_write_path reads the effect graph with it",
+    ("src/repro/analysis/protocheck.py", "_func_json"):
+        "protocheck --dump-graph; tests/analysis/test_protocheck.py::"
+        "test_graph_dump_covers_the_write_path reads the effect graph with it",
+    ("src/repro/workload/trace.py", None):
+        "the encoding of tests/workload/test_generator.py's workload pin; "
+        "ROADMAP item 3 removes it",
+    ("src/repro/net/simulator.py", "FlowNetwork.cancel_flow"):
+        "four property tests drive flow churn with it",
+    ("src/repro/core/cost.py", "LinkShareCache._entry"):
+        "the memo lookup of the members/newcomer_allocation seams below",
+    ("src/repro/core/cost.py", "LinkShareCache.members"):
+        "seam of the share-cache differential test (kills three mutants)",
+    ("src/repro/core/cost.py", "LinkShareCache.probe_share"):
+        "seam of the share-cache differential test (kills three mutants)",
+    ("src/repro/core/cost.py", "LinkShareCache.newcomer_allocation"):
+        "seam of the share-cache differential test (kills three mutants)",
+    ("src/repro/core/flowserver.py", "Flowserver.__enter__"):
+        "tests/telemetry/test_integration.py runs under the context manager",
+    ("src/repro/core/flowserver.py", "Flowserver.__exit__"):
+        "tests/telemetry/test_integration.py runs under the context manager",
+    ("src/repro/net/switch.py", "Switch.switch_id"):
+        "tests/net/test_switch.py's poll recorder names the switch a poll "
+        "reached with it",
+    ("src/repro/net/switch.py", "Switch.attached_hosts"):
+        "tests/net/test_switch.py checks rack membership through it",
+    ("src/repro/rpc/fabric.py", "RpcFabric.unregister"):
+        "seam: tests/fs/test_retry.py unregisters the nameserver to fail its "
+        "calls; tests/rpc/test_fabric.py checks it drops the handler memo",
+    ("src/repro/sdn/controller.py", "Controller.flow_table"):
+        "seam: tests/sdn/test_verify_tables.py and tests/analysis/"
+        "test_simsan.py corrupt one switch's table through it",
     ("src/repro/sim/process.py", "Signal.name"):
         "a label is joined only when read: by the fired-twice error and tests",
 }
