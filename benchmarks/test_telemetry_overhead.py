@@ -61,7 +61,7 @@ def test_enabled_telemetry_overhead(benchmark, fig4_style_workload):
     assert tel.metrics.value("flowserver_requests_total") > 0
 
 
-def _pipelined_append_run(seed, with_flight=False):
+def _pipelined_append_run(seed):
     """A propagation-heavy workload: traced two-phase replicated appends."""
     from repro.cluster.cluster import Cluster, ClusterConfig
 
@@ -70,9 +70,6 @@ def _pipelined_append_run(seed, with_flight=False):
             pods=2, racks_per_pod=2, hosts_per_rack=2, seed=seed,
         )
     )
-    tel = instrument.TELEMETRY
-    if with_flight and tel is not None:
-        tel.attach_flight()
     client = cluster.client(sorted(cluster.topology.hosts)[-1])
 
     def body():
@@ -95,16 +92,15 @@ def test_disabled_propagation_overhead(benchmark):
 
 
 def test_enabled_propagation_overhead(benchmark):
-    """Same appends traced with the flight recorder attached.
+    """Same appends traced.
 
-    Covers the full propagation path: span derivation per rpc, ambient
-    context save/restore per process resume, and the per-event ring
-    append of the flight observer.
+    Covers the full propagation path: span derivation per rpc and
+    ambient context save/restore per process resume.
     """
 
     def run():
         with telemetry.session() as tel:
-            completion = _pipelined_append_run(BENCH_SEED, with_flight=True)
+            completion = _pipelined_append_run(BENCH_SEED)
         return tel, completion
 
     tel, _ = benchmark(run)
@@ -112,14 +108,13 @@ def test_enabled_propagation_overhead(benchmark):
         e.ph == "b" and e.args and e.args.get("trace")
         for e in tel.tracer.events
     )
-    assert tel.flight is not None
 
 
 def test_propagation_does_not_change_the_timeline():
     """Append completion times agree with tracing off, on, and re-off."""
     baseline = _pipelined_append_run(BENCH_SEED)
     with telemetry.session():
-        traced = _pipelined_append_run(BENCH_SEED, with_flight=True)
+        traced = _pipelined_append_run(BENCH_SEED)
     again = _pipelined_append_run(BENCH_SEED)
     assert traced == baseline
     assert again == baseline

@@ -23,7 +23,7 @@ from pathlib import Path
 import repro.telemetry as telemetry
 from repro.experiments.runner import run_scheme_on_workload
 from repro.net import three_tier
-from repro.telemetry import pair_async_spans
+from repro.telemetry import build_spans
 from repro.workload import LocalityDistribution, WorkloadConfig, generate_workload
 
 OUT_DIR = Path(__file__).resolve().parent / "telemetry_tour_out"
@@ -60,12 +60,14 @@ def main():
               f"{args['kind'].upper():<7} -> {' + '.join(args['chosen'])} "
               f"({args['candidates']} paths evaluated)")
 
-    transfers = pair_async_spans(
-        [e for e in tel.tracer.events if e.cat == "transfer"]
-    )
-    slowest = max(transfers, key=lambda pair: pair[1].ts - pair[0].ts)
+    transfers = [
+        span for span in build_spans(
+            [e for e in tel.tracer.events if e.cat == "transfer"])
+        if span.end is not None
+    ]
+    slowest = max(transfers, key=lambda span: span.duration)
     print(f"\ntransfer spans closed: {len(transfers)}; slowest "
-          f"{slowest[0].id} took {slowest[1].ts - slowest[0].ts:.3f}s")
+          f"{slowest.span_id} took {slowest.duration:.3f}s")
 
     # -- the metrics registry -------------------------------------------
     m = tel.metrics

@@ -187,15 +187,6 @@ def explore(
             max_arity = max(max_arity, len(decision.ready))
         if violations and violation is None:
             violation = result
-            # Snapshot the flight recorder (if one is armed) at the
-            # counterexample, tagged with the schedule that found it.
-            from repro.sim import instrument
-
-            instrument.flight_trigger(
-                0.0, "explore.counterexample",
-                choices=list(result.choices),
-                violations=list(violations),
-            )
             if stop_on_violation:
                 break
         base = result.choices

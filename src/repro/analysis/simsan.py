@@ -85,28 +85,17 @@ class SimSanitizer:
     def after_event(self, loop: Any) -> None:
         """Verify every invariant scoped to ``loop`` (streams are global)."""
         self.events_checked += 1
-        try:
-            for network in list(self._networks):
-                if network.loop is loop:
-                    self.check_network(network)
-            for controller in list(self._controllers):
-                if controller.network.loop is loop:
-                    self.check_controller(controller)
-            for flowserver in list(self._flowservers):
-                if flowserver.loop is loop:
-                    self.check_flowserver(flowserver)
-            for streams in list(self._streams):
-                self.check_streams(streams)
-        except SimSanError as err:
-            # Snapshot the flight recorder (when one is armed) at the
-            # exact event that broke the invariant, then re-raise.
-            from repro.sim import instrument
-
-            instrument.flight_trigger(
-                getattr(loop, "now", 0.0), "simsan.violation",
-                error=str(err),
-            )
-            raise
+        for network in list(self._networks):
+            if network.loop is loop:
+                self.check_network(network)
+        for controller in list(self._controllers):
+            if controller.network.loop is loop:
+                self.check_controller(controller)
+        for flowserver in list(self._flowservers):
+            if flowserver.loop is loop:
+                self.check_flowserver(flowserver)
+        for streams in list(self._streams):
+            self.check_streams(streams)
 
     # ------------------------------------------------------------------
     # Individual invariants (callable directly from tests)

@@ -28,7 +28,7 @@ from repro.core.fanout import (
 )
 from repro.core.flow_state import FlowStateTable, TrackedFlow
 from repro.core.multireplica import MultiReplicaPlanner, SubflowPlan
-from repro.core.selection import PathChoice, select_replica_and_path
+from repro.core.selection import select_replica_and_path
 from repro.core.stats import FlowStatsCollector
 from repro.net.ecmp import EcmpHasher
 from repro.net.routing import Path, RoutingTable

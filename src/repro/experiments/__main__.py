@@ -158,12 +158,8 @@ def main(argv=None) -> int:
             tel.tracer, trace_dir / "trace.json", registry=tel.metrics
         )
         telemetry.write_prometheus(tel.metrics, trace_dir / "metrics.prom")
-        dumps = tel.flight.dumps if tel.flight is not None else []
-        for i, dump in enumerate(dumps):
-            telemetry.write_flight_dump(dump, trace_dir / f"flight-{i:04d}.json")
-        extra = f", {len(dumps)} flight dump(s)" if dumps else ""
         print(f"trace written to {trace_dir}/ "
-              f"({len(tel.tracer)} events{extra}; open trace.json in "
+              f"({len(tel.tracer)} events; open trace.json in "
               "https://ui.perfetto.dev)")
     return 0
 

@@ -10,8 +10,7 @@ crossovers) without matplotlib:
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 _MARKERS = "ox+*#@%&"
 

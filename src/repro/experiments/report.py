@@ -8,7 +8,7 @@ become columns — so a terminal diff against EXPERIMENTS.md is easy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

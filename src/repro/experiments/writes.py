@@ -5,9 +5,8 @@ append path (push_data + commit_append over an SDN-planned fan-out)
 on a small 3-replica cluster — the workload the causal-tracing stack is
 exercised against.  Run with ``--trace`` it produces one trace tree per
 append (client → rpc → push/commit → relay hops) for
-``python -m repro.telemetry analyze``, arms a flight recorder, and
-schedules a small mid-run fault so every run ships at least one flight
-dump.
+``python -m repro.telemetry analyze``, and a small mid-run fault whose
+``fault.*`` instant marks where it hit.
 
 Everything is a pure function of the seed: same seed, same append
 latencies, same trace, byte for byte.
@@ -21,7 +20,7 @@ from repro.experiments.metrics import summarize
 
 #: Mid-run fault: a transient control-plane delay spike.  It perturbs no
 #: data transfer (so the workload always completes) but exercises the
-#: injector, and its application snapshots the flight recorder.
+#: injector, and its application lands in the trace.
 FAULT_TIME_S = 0.05
 FAULT_DURATION_S = 0.2
 FAULT_MAGNITUDE = 3.0
@@ -43,7 +42,6 @@ def run_writes(
     from repro.cluster import Cluster, ClusterConfig
     from repro.faults.plan import FaultEvent, FaultPlan
     from repro.fs.retry import RetryPolicy
-    from repro.sim import instrument
 
     cluster = Cluster(
         ClusterConfig(
@@ -55,12 +53,6 @@ def run_writes(
             retry=RetryPolicy(),
         )
     )
-    tel = instrument.TELEMETRY
-    if tel is not None and tel.flight is None:
-        # Arm the flight recorder so the fault below freezes a snapshot
-        # of whatever the workload had in flight.
-        tel.attach_flight()
-
     injector = cluster.inject_faults(
         FaultPlan(
             events=(
@@ -112,8 +104,6 @@ def run_writes(
     cluster.run_loop()  # drain (fault recovery, stragglers)
     cluster.shutdown()
 
-    tel = instrument.TELEMETRY
-    flight_dumps = len(tel.flight.dumps) if tel is not None and tel.flight else 0
     return {
         "figure": "writes",
         "config": {
@@ -131,7 +121,6 @@ def run_writes(
              "detail": e.detail}
             for e in injector.journal
         ],
-        "flight_dumps": flight_dumps,
     }
 
 
@@ -159,5 +148,4 @@ def render_writes(result: dict) -> str:
             lines.append(
                 f"    t={f['time']:.3f} {f['kind']} {f['target']}{detail}"
             )
-    lines.append(f"  flight dumps recorded: {result['flight_dumps']}")
     return "\n".join(lines)

@@ -147,13 +147,6 @@ class FaultInjector:
         if tel is not None:
             tel.instant(self._loop.now, f"fault.{event.kind}", "fault",
                         target=event.target, detail=detail)
-        # Freeze a flight-recorder snapshot (when one is armed) so the
-        # fault ships with the causally-linked spans of every operation
-        # it caught in flight.
-        instrument.flight_trigger(
-            self._loop.now, f"fault.{event.kind}",
-            target=event.target, detail=detail,
-        )
 
     def _do_link_down(self, event: FaultEvent) -> str:
         victims = self._controller.fail_link(event.target)

@@ -102,9 +102,6 @@ class FaultPlan:
         ordered = tuple(sorted(self.events, key=lambda e: (e.time, e.kind, e.target)))
         object.__setattr__(self, "events", ordered)
 
-    def merged(self, other: "FaultPlan") -> "FaultPlan":
-        return FaultPlan(self.events + other.events)
-
     def expanded(self) -> Tuple[FaultEvent, ...]:
         """Events plus auto-generated recoveries for timed failures."""
         out: List[FaultEvent] = []

@@ -18,7 +18,7 @@ Standard GFS/HDFS-shaped components (§3.3):
   fencing, the authority substrate of the two-phase write pipeline.
 """
 
-from repro.fs.chunks import FileMetadata, chunk_count, chunk_ranges
+from repro.fs.chunks import FileMetadata, chunk_count
 from repro.fs.client import MayflowerClient, ReadResult
 from repro.fs.consistency import ConsistencyMode
 from repro.fs.dataserver import Dataserver, LedgerEntry
@@ -63,5 +63,4 @@ __all__ = [
     "ReplicaUnavailableError",
     "StaleEpochError",
     "chunk_count",
-    "chunk_ranges",
 ]

@@ -9,9 +9,8 @@ orders appends.
 
 from __future__ import annotations
 
-import uuid as uuid_module
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 #: Default chunk size (bytes): 256 MB, the paper's default block size (§5).
 DEFAULT_CHUNK_BYTES = 256 * 1024 * 1024
@@ -27,16 +26,6 @@ def chunk_count(size_bytes: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> int:
     if chunk_bytes <= 0:
         raise ValueError(f"chunk size must be positive, got {chunk_bytes}")
     return -(-size_bytes // chunk_bytes)
-
-
-def chunk_ranges(
-    size_bytes: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES
-) -> List[Tuple[int, int]]:
-    """Byte ranges ``[(start, end), ...]`` of each chunk (end exclusive)."""
-    return [
-        (start, min(start + chunk_bytes, size_bytes))
-        for start in range(0, size_bytes, chunk_bytes)
-    ]
 
 
 @dataclass(frozen=True)
@@ -90,8 +79,3 @@ class FileMetadata:
             chunk_bytes=obj["chunk_bytes"],
             replicas=tuple(obj["replicas"]),
         )
-
-
-def new_file_id() -> str:
-    """Fresh UUID for a new file (the dataserver directory name, §3.3.2)."""
-    return str(uuid_module.uuid4())

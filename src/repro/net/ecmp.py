@@ -10,7 +10,7 @@ parallel uplink idles.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.net.routing import Path
 
@@ -54,20 +54,3 @@ class EcmpHasher:
         ECMP buckets.
         """
         return self.pick(paths, src_port=32768 + (flow_seq % 28232), dst_port=9000)
-
-
-def spread_evenly(paths: Sequence[Path], flow_seq: int) -> Path:
-    """Round-robin selection (an idealized, collision-free ECMP variant).
-
-    Used in tests and ablations as an upper bound on what static spreading
-    can achieve.
-    """
-    if not paths:
-        raise ValueError("requires at least one candidate path")
-    return paths[flow_seq % len(paths)]
-
-
-def all_link_ids(paths: Sequence[Path]) -> List[str]:
-    """Union of link ids across candidate paths (sorted, deduplicated)."""
-    seen = {lid for p in paths for lid in p.link_ids}
-    return sorted(seen)

@@ -207,12 +207,6 @@ class RoutingTable:
             candidates.extend(self.paths(replica, client))
         return candidates
 
-    def shortest_hop_count(self, src: str, dst: str) -> int:
-        """Length (in links) of the shortest path between two hosts."""
-        if src == dst:
-            return 0
-        return len(self.paths(src, dst)[0].link_ids)
-
 
 def _step(
     levels: List[Set[str]], adjacency: Dict[str, Dict[str, str]], seen: Set[str]

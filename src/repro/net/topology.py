@@ -337,8 +337,3 @@ def leaf_spine(
             topo.add_host(Host(host_id, rack=leaf, pod=leaf))
             topo.add_cable(host_id, leaf, edge_bps, LinkDirection.UP)
     return topo
-
-
-def edge_links_of_hosts(topo: Topology, hosts: Iterable[str]) -> List[Link]:
-    """The host->rack edge links for the given hosts (upload direction)."""
-    return [topo.link_between(h, topo.edge_switch_of(h)) for h in hosts]

@@ -12,7 +12,7 @@ all randomness is drawn from explicitly seeded streams.
 """
 
 from repro.sim.engine import EventHandle, EventLoop, PeriodicTimer, SimulationError
-from repro.sim.process import Delay, Process, Signal, WaitSignal
+from repro.sim.process import Delay, Process, Signal
 from repro.sim.randomness import RandomStreams
 
 __all__ = [
@@ -24,5 +24,4 @@ __all__ = [
     "RandomStreams",
     "Signal",
     "SimulationError",
-    "WaitSignal",
 ]

@@ -147,22 +147,6 @@ def derive_context(span_id: str) -> TraceContext:
     )
 
 
-def flight_trigger(ts: float, reason: str, **details: Any) -> Optional[Any]:
-    """Snapshot the active flight recorder, if one is armed.
-
-    Fault injection, invariant violations and explorer counterexamples
-    call this (duck typed, so none of them import the telemetry
-    package); returns the dump, or ``None`` when no recorder is live.
-    """
-    tel = TELEMETRY
-    if tel is None:
-        return None
-    flight = getattr(tel, "flight", None)
-    if flight is None:
-        return None
-    return flight.trigger(ts, reason, **details)
-
-
 def notify_component(kind: str, component: Any) -> None:
     if _component_hooks:
         for hook in _component_hooks:

@@ -3,7 +3,7 @@
 A *process* is a Python generator that yields scheduling directives:
 
 * ``Delay(seconds)`` — resume after a simulated delay;
-* ``Signal`` or ``WaitSignal(signal)`` — resume with the signal's payload;
+* a ``Signal`` — resume with its payload;
 * another ``Process`` — resume with its return value (or its exception).
 
 This gives RPC handlers and server loops a linear, readable style on a plain
@@ -92,15 +92,6 @@ class Signal:
             self._waiters.append(callback)
 
 
-class WaitSignal:
-    """Directive: explicit wrapper to wait on a :class:`Signal`."""
-
-    __slots__ = ("signal",)
-
-    def __init__(self, signal: Signal):
-        self.signal = signal
-
-
 class Process:
     """Drives a generator as a cooperative simulated process.
 
@@ -172,8 +163,6 @@ class Process:
                 loop.call_in(directive.seconds, self._advance, None)
             elif isinstance(directive, Signal):
                 directive.add_waiter(self._advance)
-            elif isinstance(directive, WaitSignal):
-                directive.signal.add_waiter(self._advance)
             elif isinstance(directive, Process):
                 self._child = directive
                 directive._done_signal.add_waiter(self._child_done)

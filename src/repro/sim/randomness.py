@@ -99,11 +99,6 @@ class RandomStreams:
         """The dedicated fault-injection stream (see :data:`FAULTS_STREAM`)."""
         return self.stream(FAULTS_STREAM)
 
-    def fork(self, name: str) -> "RandomStreams":
-        """Derive a child family, e.g. one per simulation replication."""
-        digest = hashlib.sha256(f"{self.seed}/fork/{name}".encode("utf-8")).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))
-
     def stream_snapshot(self) -> List[Tuple[str, random.Random, int]]:
         """(name, generator, draw count) for every materialized stream.
 

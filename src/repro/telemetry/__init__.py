@@ -24,6 +24,7 @@ from repro.telemetry.analyze import (
     PathSegment,
     Span,
     StageStats,
+    build_spans,
     build_trees,
     critical_path,
     operations,
@@ -31,12 +32,6 @@ from repro.telemetry.analyze import (
     stage_profile,
 )
 from repro.telemetry.bind import bind_standard_probes
-from repro.telemetry.flight import (
-    FlightDump,
-    FlightRecorder,
-    read_flight_dump,
-    write_flight_dump,
-)
 from repro.telemetry.exporters import (
     read_jsonl,
     render_prometheus,
@@ -63,17 +58,11 @@ from repro.telemetry.session import (
     session,
     uninstall,
 )
-from repro.telemetry.tracer import (
-    TraceEvent,
-    Tracer,
-    pair_async_spans,
-)
+from repro.telemetry.tracer import TraceEvent, Tracer
 
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
-    "FlightDump",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricError",
@@ -88,12 +77,11 @@ __all__ = [
     "Tracer",
     "active",
     "bind_standard_probes",
+    "build_spans",
     "build_trees",
     "critical_path",
     "install",
     "operations",
-    "pair_async_spans",
-    "read_flight_dump",
     "read_jsonl",
     "render_prometheus",
     "render_report",
@@ -104,7 +92,6 @@ __all__ = [
     "uninstall",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "write_flight_dump",
     "write_jsonl",
     "write_prometheus",
 ]

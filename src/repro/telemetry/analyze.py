@@ -29,7 +29,7 @@ analyzes to byte-identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.telemetry.tracer import TraceEvent
 
@@ -81,7 +81,10 @@ class PathSegment:
 
 
 def build_spans(events: Sequence[TraceEvent]) -> List[Span]:
-    """Pair ``b``/``e`` events by ``(cat, id)`` into spans, record order."""
+    """Pair ``b``/``e`` events by ``(cat, id)`` into spans, begin order.
+
+    A begin with no matching end stays open (``end is None``).
+    """
     spans: List[Span] = []
     open_spans: Dict[Tuple[str, Optional[str]], Span] = {}
     for event in events:

@@ -28,7 +28,6 @@ from repro.sim import instrument
 from repro.sim.engine import EventLoop
 
 from repro.telemetry.bind import bind_counters
-from repro.telemetry.flight import DEFAULT_CAPACITY, FlightRecorder
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
     Histogram,
@@ -50,9 +49,6 @@ class Telemetry:
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._sampler: Optional[TimeSeriesSampler] = None
-        #: Armed flight recorder, reachable by the failure hooks through
-        #: ``instrument.flight_trigger`` (None unless attached).
-        self.flight: Optional[FlightRecorder] = None
         #: Components announced on the bus while installed, by kind; the
         #: registry's counters read their attributes.
         self.components: Dict[str, List[Any]] = {}
@@ -84,22 +80,6 @@ class Telemetry:
 
     def next_id(self, prefix: str) -> str:
         return self.tracer.next_id(prefix)
-
-    # ------------------------------------------------------------------
-    # Flight recorder
-    # ------------------------------------------------------------------
-
-    def attach_flight(
-        self,
-        recorder: Optional[FlightRecorder] = None,
-        capacity_per_track: int = DEFAULT_CAPACITY,
-    ) -> FlightRecorder:
-        """Arm a flight recorder as a tracer observer (once per session)."""
-        if recorder is None:
-            recorder = FlightRecorder(capacity_per_track=capacity_per_track)
-        self.flight = recorder
-        self.tracer.add_observer(recorder.record)
-        return recorder
 
     # ------------------------------------------------------------------
     # Metrics

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from repro.sim import instrument
 from repro.sim.instrument import TraceContext
@@ -64,10 +64,6 @@ class Tracer:
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
         self._id_seqs: Dict[str, "itertools.count[int]"] = {}
-        #: Event observers (the flight recorder); called per recorded
-        #: event, after it is appended.  Tuple so fan-out never sees a
-        #: half-updated list.
-        self._observers: Tuple[Callable[[TraceEvent], None], ...] = ()
 
     # ------------------------------------------------------------------
     # Recording
@@ -75,9 +71,6 @@ class Tracer:
 
     def _record(self, event: TraceEvent) -> None:
         self.events.append(event)
-        if self._observers:
-            for observer in self._observers:
-                observer(event)
 
     def instant(
         self, ts: float, name: str, cat: str, track: str = "sim", **args: object
@@ -184,30 +177,6 @@ class Tracer:
             self._id_seqs[prefix] = seq
         return f"{prefix}{next(seq)}"
 
-    def add_observer(self, observer: Callable[[TraceEvent], None]) -> None:
-        """Register a per-event observer (e.g. a flight recorder)."""
-        self._observers = self._observers + (observer,)
-
     def __len__(self) -> int:
         return len(self.events)
 
-
-def pair_async_spans(
-    events: List[TraceEvent],
-) -> List[Tuple[TraceEvent, TraceEvent]]:
-    """Match ``b``/``e`` events by ``(cat, id)`` in record order.
-
-    Unmatched begins (still-open spans at export time) are dropped;
-    used by the CLI's duration statistics.
-    """
-    open_spans: Dict[Tuple[str, Optional[str]], TraceEvent] = {}
-    pairs: List[Tuple[TraceEvent, TraceEvent]] = []
-    for event in events:
-        key = (event.cat, event.id)
-        if event.ph == "b":
-            open_spans[key] = event
-        elif event.ph == "e":
-            begin = open_spans.pop(key, None)
-            if begin is not None:
-                pairs.append((begin, event))
-    return pairs

@@ -36,9 +36,6 @@ class ZipfSampler:
         """Draw one rank."""
         return bisect.bisect_left(self._cdf, rng.random())
 
-    def sample_many(self, rng: Random, count: int) -> List[int]:
-        return [self.sample(rng) for _ in range(count)]
-
     def probability(self, rank: int) -> float:
         """Exact probability of one rank."""
         if not 0 <= rank < self.n:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.baselines.hedera import HederaScheduler
 from repro.net import FlowNetwork, RoutingTable, three_tier
-from repro.net.ecmp import spread_evenly
 from repro.sdn import Controller
 from repro.sim import EventLoop
 

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.cluster import Cluster, ClusterConfig
 from repro.sim import Delay
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.flow_state import FlowStateTable, TrackedFlow
 from repro.core.multireplica import MultiReplicaPlanner
-from repro.net import LinkDirection, RoutingTable, Tier, Topology
+from repro.net import RoutingTable, Tier, Topology
 from repro.net.topology import Host, SwitchNode
 
 MBPS = 1e6

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.flow_state import FlowStateTable, TrackedFlow
+from repro.core.flow_state import FlowStateTable
 from repro.core.selection import (
     best_candidate,
     commit_choice,

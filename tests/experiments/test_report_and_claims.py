@@ -1,7 +1,5 @@
 """Unit tests for report rendering and headline-claim checking."""
 
-import pytest
-
 from repro.experiments.claims import (
     check_headline_claims,
     check_ordering,

@@ -72,13 +72,6 @@ class TestFaultPlan:
         plan = FaultPlan((FaultEvent(2.0, "link_down", "a->b"),))
         assert len(plan.expanded()) == 1
 
-    def test_merged(self):
-        a = FaultPlan((FaultEvent(2.0, "link_down", "a->b"),))
-        b = FaultPlan((FaultEvent(1.0, "switch_fail", "s1"),))
-        merged = a.merged(b)
-        assert len(merged.events) == 2
-        assert merged.events[0].kind == "switch_fail"
-
 
 class TestBuildStorm:
     def test_same_seed_same_storm(self):

@@ -3,15 +3,11 @@
 import dataclasses
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.fs.chunks import (
     DEFAULT_CHUNK_BYTES,
     FileMetadata,
     chunk_count,
-    chunk_ranges,
-    new_file_id,
 )
 
 MB = 1024 * 1024
@@ -20,7 +16,6 @@ MB = 1024 * 1024
 class TestChunkArithmetic:
     def test_empty_file_has_no_chunks(self):
         assert chunk_count(0) == 0
-        assert chunk_ranges(0) == []
 
     def test_exact_multiple(self):
         assert chunk_count(512 * MB, 256 * MB) == 2
@@ -31,12 +26,6 @@ class TestChunkArithmetic:
     def test_single_byte(self):
         assert chunk_count(1, 256 * MB) == 1
 
-    def test_ranges_cover_file_exactly(self):
-        ranges = chunk_ranges(600 * MB, 256 * MB)
-        assert ranges[0] == (0, 256 * MB)
-        assert ranges[1] == (256 * MB, 512 * MB)
-        assert ranges[2] == (512 * MB, 600 * MB)
-
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             chunk_count(-1)
@@ -44,22 +33,6 @@ class TestChunkArithmetic:
     def test_zero_chunk_size_rejected(self):
         with pytest.raises(ValueError):
             chunk_count(100, 0)
-
-    @given(
-        st.integers(min_value=0, max_value=10**7),
-        st.integers(min_value=10**3, max_value=10**7),
-    )
-    def test_property_ranges_partition_file(self, size, chunk):
-        ranges = chunk_ranges(size, chunk)
-        assert len(ranges) == chunk_count(size, chunk)
-        if ranges:
-            assert ranges[0][0] == 0
-            assert ranges[-1][1] == size
-            for (_, end_a), (start_b, _) in zip(ranges, ranges[1:]):
-                assert end_a == start_b
-            for start, end in ranges:
-                assert 0 < end - start <= chunk
-
 
 class TestFileMetadata:
     def make(self, size=300 * MB):
@@ -100,10 +73,3 @@ class TestFileMetadata:
 
     def test_default_chunk_is_256mb(self):
         assert DEFAULT_CHUNK_BYTES == 256 * MB
-
-
-def test_new_file_id_is_uuid_shaped():
-    fid = new_file_id()
-    parts = fid.split("-")
-    assert [len(p) for p in parts] == [8, 4, 4, 4, 12]
-    assert new_file_id() != fid

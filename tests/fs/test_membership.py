@@ -1,15 +1,9 @@
 """Tests for heartbeat-driven failure detection and re-replication."""
 
-import random
-
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.fs.membership import (
-    HeartbeatSender,
-    MembershipTracker,
-    ReplicaManager,
-)
+from repro.fs.membership import HeartbeatSender, MembershipTracker
 from repro.rpc import RpcFabric
 from repro.sim import EventLoop
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.net import EcmpHasher, RoutingTable, three_tier
-from repro.net.ecmp import all_link_ids, spread_evenly
 
 
 @pytest.fixture(scope="module")
@@ -53,21 +52,3 @@ def test_pick_for_flow_varies_with_sequence(paths):
     hasher = EcmpHasher()
     chosen = {hasher.pick_for_flow(paths, seq).link_ids for seq in range(100)}
     assert len(chosen) >= 6
-
-
-def test_spread_evenly_round_robin(paths):
-    seen = [spread_evenly(paths, i) for i in range(len(paths))]
-    assert len({p.link_ids for p in seen}) == len(paths)
-    assert spread_evenly(paths, 0) == spread_evenly(paths, len(paths))
-
-
-def test_spread_evenly_empty_rejected():
-    with pytest.raises(ValueError):
-        spread_evenly([], 0)
-
-
-def test_all_link_ids_dedup(paths):
-    ids = all_link_ids(paths)
-    assert ids == sorted(set(ids))
-    # the shared first hop appears once
-    assert "pod0-rack0-h0->pod0-rack0" in ids

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.net import FlowNetwork, RoutingTable, three_tier
 from repro.net.fairshare import max_min_fair_rates
-from repro.net.simulator import FlowAborted
 from repro.sim import EventLoop
 
 MB = 8e6

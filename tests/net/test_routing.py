@@ -87,9 +87,3 @@ def test_paths_from_replicas_skips_local(table):
     # 1 same-rack path + 8 cross-pod paths, local replica contributes none
     assert len(candidates) == 9
     assert all(p.dst == client for p in candidates)
-
-
-def test_shortest_hop_count(table):
-    assert table.shortest_hop_count("pod0-rack0-h0", "pod0-rack0-h0") == 0
-    assert table.shortest_hop_count("pod0-rack0-h0", "pod0-rack0-h1") == 2
-    assert table.shortest_hop_count("pod0-rack0-h0", "pod1-rack0-h0") == 6

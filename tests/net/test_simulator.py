@@ -1,7 +1,5 @@
 """Unit tests for the fluid flow-level network simulator."""
 
-import math
-
 import pytest
 
 from repro.net import FlowNetwork, RoutingTable, three_tier

@@ -1,6 +1,5 @@
 """Property-based tests of the fluid network simulator's invariants."""
 
-import math
 import random
 
 import pytest

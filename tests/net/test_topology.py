@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import Host, LinkDirection, Tier, Topology, three_tier
-from repro.net.topology import SwitchNode, edge_links_of_hosts
+from repro.net.topology import SwitchNode
 
 
 class TestGenericTopology:
@@ -132,11 +132,6 @@ class TestThreeTier:
         topo = three_tier()
         assert len(topo.hosts_in_rack("pod0-rack0")) == 4
         assert len(topo.hosts_in_pod("pod0")) == 16
-
-    def test_edge_links_of_hosts_helper(self):
-        topo = three_tier()
-        links = edge_links_of_hosts(topo, ["pod0-rack0-h0"])
-        assert links[0].link_id == "pod0-rack0-h0->pod0-rack0"
 
     def test_custom_shape(self):
         topo = three_tier(pods=2, racks_per_pod=2, hosts_per_rack=2, aggs_per_pod=1, cores=1)

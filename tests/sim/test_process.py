@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Delay, EventLoop, Process, Signal, SimulationError, WaitSignal
+from repro.sim import Delay, EventLoop, Process, Signal, SimulationError
 
 
 def test_process_runs_to_completion():
@@ -62,21 +62,6 @@ def test_signal_wakes_waiter_with_payload():
     loop.call_at(3.0, sig.fire, "hello")
     loop.run()
     assert received == [("hello", 3.0)]
-
-
-def test_wait_signal_directive_equivalent():
-    loop = EventLoop()
-    sig = Signal(loop)
-    received = []
-
-    def waiter():
-        payload = yield WaitSignal(sig)
-        received.append(payload)
-
-    Process(loop, waiter())
-    loop.call_at(1.0, sig.fire, 7)
-    loop.run()
-    assert received == [7]
 
 
 def test_already_fired_signal_resumes_immediately():

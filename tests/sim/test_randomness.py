@@ -35,20 +35,6 @@ def test_draw_order_does_not_couple_streams():
     assert seq1 == seq2
 
 
-def test_fork_derives_new_family():
-    base = RandomStreams(42)
-    child1 = base.fork("rep0")
-    child2 = base.fork("rep1")
-    assert child1.seed != child2.seed
-    assert child1.stream("a").random() != child2.stream("a").random()
-
-
-def test_fork_is_deterministic():
-    a = RandomStreams(42).fork("rep0").stream("x").random()
-    b = RandomStreams(42).fork("rep0").stream("x").random()
-    assert a == b
-
-
 @given(st.integers(min_value=0, max_value=2**31), st.text(min_size=1, max_size=20))
 def test_streams_deterministic_property(seed, name):
     s1 = RandomStreams(seed).stream(name)

@@ -2,11 +2,10 @@
 
 import math
 
-import pytest
-
 import repro.telemetry as telemetry
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.core.fanout import static_chain_plan
+from repro.faults import FaultEvent, FaultPlan
 from repro.fs.retry import RetryPolicy
 from repro.telemetry import (
     build_trees,
@@ -179,6 +178,79 @@ def test_render_report_names_client_observed_latency():
     report = telemetry.render_report(tel.tracer.events, op="client.append")
     assert "client-observed latency" in report
     assert "ds.push_data" in report
+
+
+def crashed_append_run(seed=3):
+    """Appends racing a primary crash; returns (tel, aborted, committed)."""
+    with telemetry.session() as tel:
+        cluster = Cluster(
+            ClusterConfig(
+                pods=2,
+                racks_per_pod=2,
+                hosts_per_rack=2,
+                seed=seed,
+            )
+        )
+        hosts = sorted(cluster.topology.hosts)
+        client = cluster.client(hosts[-1])
+        metadatas = {}
+
+        def setup():
+            for i in range(3):
+                metadatas[f"/crash/f{i}"] = yield from client.create(
+                    f"/crash/f{i}", replication=3
+                )
+
+        cluster.run(setup())
+        victim = metadatas["/crash/f0"].replicas[0]
+        t0 = cluster.loop.now
+        cluster.inject_faults(
+            FaultPlan(
+                events=(
+                    FaultEvent(time=t0 + 0.01, kind="dataserver_crash",
+                               target=victim),
+                    FaultEvent(time=t0 + 0.02, kind="rpc_delay_spike",
+                               magnitude=2.0, duration=0.1),
+                )
+            )
+        )
+        procs = {
+            name: cluster.spawn(
+                client.append(name, 8 * 1024 * 1024), name=f"ap-{name}"
+            )
+            for name in sorted(metadatas)
+        }
+        cluster.run_loop()
+        cluster.shutdown()
+    aborted = {n for n, p in procs.items() if p.exception is not None}
+    committed = set(procs) - aborted
+    return tel, aborted, committed
+
+
+def test_fault_storm_trace_links_every_aborted_operation():
+    """Every append the crash aborts is open at the fault's instant in
+    the trace, with its root span and a causally linked child."""
+    tel, aborted, committed = crashed_append_run()
+    # The crashed primary takes down at least the append to its file.
+    assert "/crash/f0" in aborted
+    assert committed  # other files' pipelines survive
+    crashes = [
+        e.ts for e in tel.tracer.events
+        if e.ph == "i" and e.name == "fault.dataserver_crash"
+    ]
+    assert len(crashes) == 1
+    crash_ts = crashes[0]
+
+    roots, _ = build_trees(tel.tracer.events)
+    by_file = {
+        root.args["file"]: root for root in roots
+        if root.name == "client.append"
+    }
+    for name in aborted:
+        root = by_file[name]
+        assert root.start < crash_ts
+        assert root.end is None or root.end >= crash_ts
+        assert any(child.parent_id == root.span_id for child in root.children)
 
 
 def test_disabled_path_has_no_trace_context():

@@ -11,7 +11,7 @@ from repro.experiments.runner import (
     build_environment,
     run_scheme_on_workload,
 )
-from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.faults import FaultEvent, FaultPlan
 from repro.net import RoutingTable, three_tier
 from repro.sim import instrument
 from repro.telemetry import to_jsonl, validate_chrome_trace, to_chrome_trace

@@ -1,6 +1,6 @@
 """Unit tests for the span/event recorder."""
 
-from repro.telemetry import Tracer, pair_async_spans
+from repro.telemetry import Tracer, build_spans
 
 
 def test_instant_records_point_event():
@@ -26,16 +26,18 @@ def test_async_span_pairing_by_cat_and_id():
     tracer.begin(2.0, "transfer", "transfer", "f2")
     tracer.end(4.0, "transfer", "transfer", "f2", outcome="completed")
     tracer.end(9.0, "transfer", "transfer", "f1", outcome="completed")
-    pairs = pair_async_spans(tracer.events)
-    assert [(b.id, e.ts - b.ts) for b, e in pairs] == [("f2", 2.0), ("f1", 8.0)]
+    spans = build_spans(tracer.events)
+    assert [(s.span_id, s.duration) for s in spans] == [("f1", 8.0), ("f2", 2.0)]
+    assert spans[0].args == {"outcome": "completed"}
 
 
-def test_unmatched_begin_is_dropped_by_pairing():
+def test_unmatched_begin_stays_open():
     tracer = Tracer()
     tracer.begin(1.0, "transfer", "transfer", "f1")
     tracer.begin(2.0, "transfer", "transfer", "f2")
     tracer.end(3.0, "transfer", "transfer", "f1")
-    assert [b.id for b, _ in pair_async_spans(tracer.events)] == ["f1"]
+    spans = build_spans(tracer.events)
+    assert [(s.span_id, s.end) for s in spans] == [("f1", 3.0), ("f2", None)]
 
 
 def test_next_id_is_deterministic_per_prefix():

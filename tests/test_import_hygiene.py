@@ -1,4 +1,5 @@
-"""Import hygiene: the layer order, and networkx/scipy/numpy stay unloaded.
+"""Import hygiene: the layer order, networkx/scipy/numpy stay unloaded, and
+no module imports a name it never reads.
 
 networkx is a test-only dependency (the routing oracle), scipy serves two
 confidence-interval helpers and numpy only the statistics helpers; any of
@@ -80,3 +81,77 @@ def test_an_upward_import_is_caught(tmp_path):
         "def f():\n    from repro.fs.errors import InvalidRequestError\n"
     )
     assert upward_imports(tmp_path) == ["core/bad.py:2 repro.fs.errors"]
+
+
+#: Trees whose Python files the unused-import scan covers.
+SCANNED = ("src", "tests", "examples", "benchmarks", "tools")
+
+
+def _annotation_names(node):
+    """Names read by an annotation, string annotations parsed."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                parsed = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            yield from _annotation_names(parsed)
+
+
+def unused_imports(source: str, filename: str = "<string>"):
+    """``lineno name`` of each name an import binds that nothing reads.
+
+    A name is read by a ``Name`` node, by an annotation (string
+    annotations are parsed) or by a string listed in ``__all__``.
+    """
+    tree = ast.parse(source, filename)
+    bound = []
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                name = alias.asname or alias.name.split(".")[0]
+                bound.append((node.lineno, name))
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            read.update(_annotation_names(node.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            read.update(_annotation_names(node.returns))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(
+                elt.value for elt in ast.walk(node.value)
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+            )
+    return [f"{lineno} {name}" for lineno, name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    root = SRC.parent
+    found = []
+    for top in SCANNED:
+        for path in sorted((root / top).rglob("*.py")):
+            for entry in unused_imports(path.read_text(), str(path)):
+                found.append(f"{path.relative_to(root)}:{entry}")
+    assert found == []
+
+
+def test_an_unused_import_is_caught():
+    source = (
+        "import math\n"
+        "import os.path\n"
+        "from typing import List, Optional, Sequence\n"
+        "from a import b as c, d\n"
+        "__all__ = ['d']\n"
+        "def f(x: 'Optional[int]') -> List[int]:\n"
+        "    return os.path.sep\n"
+    )
+    assert unused_imports(source) == ["1 math", "3 Sequence", "4 c"]

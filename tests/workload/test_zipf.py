@@ -71,9 +71,3 @@ def test_property_samples_in_range(n, skew):
     rng = random.Random(0)
     for _ in range(50):
         assert 0 <= sampler.sample(rng) < n
-
-
-def test_sample_many():
-    sampler = ZipfSampler(10, 1.1)
-    samples = sampler.sample_many(random.Random(3), 100)
-    assert len(samples) == 100

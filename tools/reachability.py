@@ -95,9 +95,6 @@ def consumers(tree: Path, work: Path) -> List[Tuple[str, List[str]]]:
         ("telemetry analyze",
          [py, "-m", "repro.telemetry", "analyze", str(writes / "trace.jsonl"),
           "--op", "client.append", "-n", "3"]),
-        ("telemetry flight",
-         [py, "-m", "repro.telemetry", "flight",
-          str(writes / "flight-0000.json")]),
         ("benchmarks/test_*.py",
          [py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
           str(tree / "benchmarks"), "--ignore", str(tree / "benchmarks/ledger"),
@@ -233,9 +230,6 @@ KEPT = {
     ("src/repro/net/rate_engine.py", "IncrementalRateEngine.rates"):
         "tests/net/test_rate_engine_properties.py compares it with the "
         "max-min oracle after every event",
-    ("src/repro/telemetry/analyze.py", "Span.duration"):
-        "tests/telemetry/test_causal.py checks the critical path's length "
-        "against it",
     ("src/repro/telemetry/analyze.py", "Span.walk"):
         "tests/telemetry/test_causal.py finds the spans of an operation tree "
         "with it",
@@ -277,6 +271,12 @@ KEPT = {
         "reached with it",
     ("src/repro/net/switch.py", "Switch.attached_hosts"):
         "tests/net/test_switch.py checks rack membership through it",
+    ("src/repro/rpc/fabric.py", "RpcFabric.is_down"):
+        "tests/faults/test_injector.py::test_dataserver_crash_takes_endpoint_"
+        "down reads a crashed dataserver's endpoint going down and up with it",
+    ("src/repro/core/flowserver.py", "Flowserver.degraded"):
+        "tests/core/test_degraded_mode.py reads degraded-mode entry and "
+        "recovery through it",
     ("src/repro/rpc/fabric.py", "RpcFabric.unregister"):
         "seam: tests/fs/test_retry.py unregisters the nameserver to fail its "
         "calls; tests/rpc/test_fabric.py checks it drops the handler memo",
@@ -389,7 +389,7 @@ def render(result: Result, base: Optional[Tuple[str, Result]] = None) -> str:
         "Regenerate: python tools/reachability.py --out tools/REACHABILITY.txt"
         + (f" --base {base[0]}" if base else ""),
         "Consumers: examples/*.py, python -m repro.experiments (all targets,",
-        "fig4 --trace, writes --trace), telemetry summarize/analyze/flight,",
+        "fig4 --trace, writes --trace), telemetry summarize/analyze,",
         "validate_chrome_trace, benchmarks/test_*.py --benchmark-disable,",
         "benchmarks/ledger/run.py --reps 1 --scale 0.05, simlint, protocheck",
         "(text and json) and the explorer smoke.",
