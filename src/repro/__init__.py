@@ -17,7 +17,7 @@ Listed in layer order: a package imports only the packages above it
 ``repro.net``          datacenter topologies, routing, max-min fair
                        sharing, the fluid flow-level network simulator,
                        switch counters, ECMP
-``repro.sdn``          OpenFlow-style controller and flow tables
+``repro.sdn``          OpenFlow-style controller: routes, flow stats
 ``repro.core``         **the paper's contribution**: the Flowserver —
                        Eq. 2 cost model, Pseudocode 1/2 selection with
                        update-freeze, §4.3 split reads, stats collection —

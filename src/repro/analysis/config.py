@@ -38,7 +38,7 @@ WALLCLOCK_ALLOW: Tuple[str, ...] = ("repro/experiments/wallclock.py",)
 RNG_ALLOW: Tuple[str, ...] = ("repro/sim/randomness.py",)
 
 #: Terminal attribute names treated as shared mutable simulation state by
-#: RACE001 (flow tables, FlowState fields, link rate maps).
+#: RACE001 (flow maps, FlowState fields, link rate maps).
 RACE_ATTRS: FrozenSet[str] = frozenset(
     {
         "flows",
@@ -49,8 +49,6 @@ RACE_ATTRS: FrozenSet[str] = frozenset(
         "remaining_bits",
         "freezed",
         "freeze_until",
-        "tables",
-        "_tables",
         "_link_index",
         "rates",
         "link_rates",

@@ -6,8 +6,9 @@ cross-layer invariants **after every engine event**:
 
 1. **Capacity feasibility** — the fluid simulator's max-min rates never
    oversubscribe any link (ground truth must stay physical).
-2. **Table consistency** — ``Controller.verify_tables_consistent()``
-   holds between the controller's flow records and the switch tables.
+2. **Route consistency** — ``Controller.verify_tables_consistent()``
+   finds every installed route on a flow the network carries, over the
+   flow's own path.
 3. **Freeze discipline** (Pseudocode 2) — a flow frozen by ``SETBW``
    never regresses to unfrozen while its freeze is still live, except
    through a stats poll after expiry (or the ``enable_freeze=False``
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import os
 import weakref
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Relative tolerance for capacity feasibility (float water-filling).
 _CAPACITY_REL_TOL = 1e-6
@@ -111,25 +112,30 @@ class SimSanitizer:
                     f"simsan[t={network.loop.now:.6f}]: flow {flow_id!r} has "
                     f"negative rate {rate!r}"
                 )
-        for link_id, link in network.topology.links.items():
-            if not link.flows:
-                continue
-            load = sum(rates.get(fid, 0.0) for fid in link.flows)
-            if load > link.capacity_bps * (1.0 + _CAPACITY_REL_TOL):
+        # Loads come from the flows' own paths, not from the network's
+        # per-link index, so a leak in that index cannot hide a breach.
+        on_link: Dict[str, List[str]] = {}
+        for flow_id, flow in sorted(network.active_flows.items()):
+            for link_id in dict.fromkeys(flow.path.link_ids):
+                on_link.setdefault(link_id, []).append(flow_id)
+        links = network.topology.links
+        for link_id, flow_ids in on_link.items():
+            capacity = links[link_id].capacity_bps
+            load = sum(rates[fid] for fid in flow_ids)
+            if load > capacity * (1.0 + _CAPACITY_REL_TOL):
                 raise SimSanError(
                     f"simsan[t={network.loop.now:.6f}]: link {link_id} "
                     f"oversubscribed: {load:.1f} bps allocated over "
-                    f"{link.capacity_bps:.1f} bps capacity "
-                    f"({sorted(link.flows)})"
+                    f"{capacity:.1f} bps capacity ({flow_ids})"
                 )
 
     def check_controller(self, controller: Any) -> None:
-        """Invariant 2: controller records and switch tables agree."""
+        """Invariant 2: the controller's routes match the network's flows."""
         self.checks_run += 1
         problems = controller.verify_tables_consistent()
         if problems:
             raise SimSanError(
-                f"simsan[t={controller.network.loop.now:.6f}]: flow tables inconsistent: "
+                f"simsan[t={controller.network.loop.now:.6f}]: routes inconsistent: "
                 + "; ".join(problems)
             )
 

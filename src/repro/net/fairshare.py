@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from typing import (
+    AbstractSet,
     Callable,
     Dict,
     Iterable,
@@ -83,6 +84,8 @@ class LinkIndex:
     capacity is read and checked then; a link's capacity never changes
     after.  Flows keep int paths and links keep member sets of flow ids,
     so :meth:`solve` walks and fills on ints with nothing to translate.
+    A link keeps one member set for the life of the index, which
+    :attr:`link_flows` also reads by link id.
     Each flow also keeps its *fold*, brought up to date whenever a link's
     membership crosses 1 ↔ 2: its shared links (those carrying another
     flow too, in path order), and the least capacity and the count of
@@ -99,8 +102,10 @@ class LinkIndex:
         self._capacity_of = capacity_of
         self._index: Dict[str, int] = {}
         self._capacity: List[float] = []
-        #: Flows on each link that carries any.
-        self._members: Dict[int, Set[str]] = {}
+        #: Flows on each link, by link int.
+        self._members: List[Set[str]] = []
+        #: The same sets, by link id.
+        self._link_flows: Dict[str, Set[str]] = {}
         self._paths: Dict[str, Tuple[int, ...]] = {}
         #: Each flow's links that carry another flow too, in path order.
         self._shared: Dict[str, Tuple[int, ...]] = {}
@@ -151,10 +156,11 @@ class LinkIndex:
         """Links on a flow's path, counting a repeated link each time."""
         return len(self._paths[flow_id])
 
-    def flows_on(self, link_id: str) -> List[str]:
-        """The flows on ``link_id``, sorted (empty for an unknown link)."""
-        k = self._index.get(link_id)
-        return sorted(self._members.get(k, ())) if k is not None else []
+    @property
+    def link_flows(self) -> Mapping[str, AbstractSet[str]]:
+        """The flows on every link a flow has named, by link id: live
+        sets, not copies (do not mutate)."""
+        return self._link_flows
 
     def flow_links(self) -> Dict[str, List[str]]:
         """Every flow's path as link ids, the dict API's ``flow_links``."""
@@ -184,6 +190,9 @@ class LinkIndex:
         for link_id, capacity in fresh.items():
             index[link_id] = len(self._capacity)
             self._capacity.append(capacity)
+            on_link: Set[str] = set()
+            self._members.append(on_link)
+            self._link_flows[link_id] = on_link
         return tuple([index[link_id] for link_id in link_ids])
 
     def _link(self, flow_id: str, path: Tuple[int, ...]) -> None:
@@ -192,10 +201,8 @@ class LinkIndex:
         #: Flows that were alone on a link this flow joins.
         joined: Dict[str, None] = {}
         for k in path:
-            on_link = members.get(k)
-            if on_link is None:
-                members[k] = {flow_id}
-            elif flow_id not in on_link:
+            on_link = members[k]
+            if flow_id not in on_link:
                 if len(on_link) == 1:
                     (other,) = on_link
                     joined[other] = None
@@ -213,15 +220,13 @@ class LinkIndex:
         #: Flows left alone on a link this flow leaves.
         stranded: Dict[str, None] = {}
         for k in path:
-            on_link = members.get(k)
-            if on_link is None or flow_id not in on_link:
+            on_link = members[k]
+            if flow_id not in on_link:
                 continue
             on_link.remove(flow_id)
             if len(on_link) == 1:
                 (other,) = on_link
                 stranded[other] = None
-            elif not on_link:
-                del members[k]
         for other in stranded:
             self._refold(other)
         return path
@@ -290,9 +295,7 @@ class LinkIndex:
             for k in frontier:
                 if k in unfrozen:
                     continue
-                on_link = members.get(k)
-                if on_link is None:
-                    continue
+                on_link = members[k]
                 n = len(on_link)
                 if n > 1:
                     c = capacity[k]

@@ -3,15 +3,14 @@
 Every physical cable in the topology is modelled as two independent
 :class:`Link` objects, one per direction, because datacenter links are
 full-duplex: a read flow from a dataserver consumes only the
-dataserver-to-client direction.  A link knows its capacity, whether it is
-up and which flows cross it; byte counters are kept per flow, not per
-link.
+dataserver-to-client direction.  A link knows its capacity and whether it
+is up, and carries no per-flow state: which flows cross it is
+:meth:`repro.net.simulator.FlowNetwork.flows_on`.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Set
 
 
 class LinkDirection(enum.Enum):
@@ -44,7 +43,6 @@ class Link:
         "dst",
         "capacity_bps",
         "direction",
-        "flows",
         "up",
     )
 
@@ -63,7 +61,6 @@ class Link:
         self.dst = dst
         self.capacity_bps = float(capacity_bps)
         self.direction = direction
-        self.flows: Set[str] = set()
         #: Administrative/physical state.  A down link carries no flows:
         #: the simulator aborts flows traversing it when it fails and
         #: refuses to start new flows over it until it comes back up.

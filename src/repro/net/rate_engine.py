@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.net.fairshare import LinkIndex, max_min_fair_rates
 from repro.sim import instrument
@@ -233,6 +233,12 @@ class IncrementalRateEngine:
     def flow_count(self) -> int:
         return len(self._index)
 
+    @property
+    def link_flows(self) -> Mapping[str, AbstractSet[str]]:
+        """The flows on every link a flow has named, by link id (live
+        sets: do not mutate)."""
+        return self._index.link_flows
+
     def link_utilization_bps(self, link_id: str) -> float:
         """Instantaneous load on a link (sum of member rates).
 
@@ -240,7 +246,8 @@ class IncrementalRateEngine:
         independent of the process hash seed — the same contract the
         simulator's original implementation kept.
         """
-        return sum(self._rates[fid] for fid in self._index.flows_on(link_id))
+        members = self._index.link_flows.get(link_id, ())
+        return sum(self._rates[fid] for fid in sorted(members))
 
     def verify_against_batch(self) -> List[str]:
         """Differential self-check: compare with a from-scratch solve.

@@ -20,9 +20,8 @@ update-freeze, local-path-only recomputation).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Set
 
-from repro.net.links import Link
 from repro.net.rate_engine import IncrementalRateEngine
 from repro.net.routing import Path
 from repro.net.topology import Topology
@@ -31,6 +30,8 @@ from repro.sim.engine import EventHandle, EventLoop
 
 # Flows whose remaining volume falls below this many bits are complete.
 _COMPLETION_EPSILON_BITS = 1e-3
+
+_NO_FLOWS: FrozenSet[str] = frozenset()
 
 
 class FlowAborted(Exception):
@@ -80,12 +81,10 @@ class Flow:
     Attributes
     ----------
     flow_id:
-        Unique identifier (also the key in switch flow tables).
+        Unique identifier (also the key of the controller's routes).
     path:
         The current route: assigned at start time, replaced only by
         :meth:`FlowNetwork.reroute_flow`.
-    links:
-        The :class:`Link` objects of ``path``, in path order.
     size_bits / remaining_bits:
         Total and outstanding volume.
     rate_bps:
@@ -97,7 +96,6 @@ class Flow:
     __slots__ = (
         "flow_id",
         "path",
-        "links",
         "size_bits",
         "remaining_bits",
         "rate_bps",
@@ -118,13 +116,11 @@ class Flow:
         on_complete: Optional[Callable[["Flow"], None]] = None,
         on_abort: Optional[Callable[["Flow", FlowAborted], None]] = None,
         job_id: Optional[str] = None,
-        links: Tuple[Link, ...] = (),
     ):
         if size_bits <= 0:
             raise ValueError(f"flow size must be positive, got {size_bits}")
         self.flow_id = flow_id
         self.path = path
-        self.links = links
         self.size_bits = float(size_bits)
         self.remaining_bits = float(size_bits)
         self.rate_bps = 0.0
@@ -164,6 +160,7 @@ class FlowNetwork:
         self._engine = IncrementalRateEngine(
             lambda link_id: topology.links[link_id].capacity_bps
         )
+        self._link_flows = self._engine.link_flows
         #: Ids of the links that are down; every writer of ``Link.up``
         #: below keeps it current, so "no link is down" is one test.
         self.down_links: Set[str] = {
@@ -191,6 +188,14 @@ class FlowNetwork:
         """Live view of active flows keyed by flow id (do not mutate)."""
         return self._flows
 
+    def flows_on(self, link_id: str) -> AbstractSet[str]:
+        """Ids of the active flows crossing ``link_id``.
+
+        A live set, unordered and not a copy: sort it before relying on
+        its order, and copy it before starting or ending a flow over it.
+        """
+        return self._link_flows.get(link_id, _NO_FLOWS)
+
     def start_flow(
         self,
         flow_id: str,
@@ -213,7 +218,7 @@ class FlowNetwork:
         """
         if flow_id in self._flows:
             raise ValueError(f"duplicate flow id {flow_id!r}")
-        links = self._links_up(flow_id, path)
+        self._check_up(flow_id, path)
         self._advance_progress()
         flow = Flow(
             flow_id,
@@ -223,11 +228,8 @@ class FlowNetwork:
             on_complete=on_complete,
             on_abort=on_abort,
             job_id=job_id,
-            links=links,
         )
         self._flows[flow_id] = flow
-        for link in links:
-            link.flows.add(flow_id)
         self._engine.add_flow(flow_id, path.link_ids)
         self._recompute_rates()
         return flow
@@ -256,14 +258,9 @@ class FlowNetwork:
                 f"reroute must keep endpoints: {flow.src}->{flow.dst} vs "
                 f"{new_path.src}->{new_path.dst}"
             )
-        links = self._links_up(flow_id, new_path)
+        self._check_up(flow_id, new_path)
         self._advance_progress()
-        for link in flow.links:
-            link.flows.discard(flow_id)
         flow.path = new_path
-        flow.links = links
-        for link in links:
-            link.flows.add(flow_id)
         self._engine.reroute_flow(flow_id, new_path.link_ids)
         self._recompute_rates()
         return flow
@@ -286,7 +283,7 @@ class FlowNetwork:
         self._advance_progress()
         link.up = False
         self.down_links.add(link_id)
-        victims = [self._flows[fid] for fid in sorted(link.flows)]
+        victims = [self._flows[fid] for fid in sorted(self.flows_on(link_id))]
         return self._abort(victims, link_id=link_id, reason="link failure")
 
     def restore_link(self, link_id: str) -> None:
@@ -310,7 +307,7 @@ class FlowNetwork:
                 continue
             link.up = False
             self.down_links.add(link.link_id)
-            for fid in link.flows:
+            for fid in self.flows_on(link.link_id):
                 victim_ids.setdefault(fid, link.link_id)
         victims = [self._flows[fid] for fid in sorted(victim_ids)]
         return self._abort(
@@ -333,13 +330,12 @@ class FlowNetwork:
             return True
         return all(self._topo.links[lid].up for lid in path.link_ids)
 
-    def _links_up(self, flow_id: str, path: Path) -> Tuple[Link, ...]:
-        """The links of ``path``; raises :class:`FlowAborted` if one is down."""
-        links = tuple(self._topo.links[link_id] for link_id in path.link_ids)
-        for link in links:
-            if not link.up:
-                raise FlowAborted(flow_id, link_id=link.link_id, bytes_delivered=0.0)
-        return links
+    def _check_up(self, flow_id: str, path: Path) -> None:
+        """Raise :class:`FlowAborted` if a link of ``path`` is down."""
+        links = self._topo.links
+        for link_id in path.link_ids:
+            if not links[link_id].up:
+                raise FlowAborted(flow_id, link_id=link_id, bytes_delivered=0.0)
 
     def _abort(
         self,
@@ -368,8 +364,6 @@ class FlowNetwork:
         return victims
 
     def _remove(self, flow: Flow) -> None:
-        for link in flow.links:
-            link.flows.discard(flow.flow_id)
         del self._flows[flow.flow_id]
         self._engine.remove_flow(flow.flow_id)
 

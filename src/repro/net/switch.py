@@ -7,7 +7,7 @@ attached to this edge switch*.  Eq. 2 reads nothing else, so port counters
 are not modelled.
 
 Counters are ground truth pulled from the flow simulator at query time; a
-rack whose access links carry no flow answers at once.  The controller sees
+rack whose hosts' uplinks carry no flow answers at once.  The controller sees
 byte counts, never rates, and infers bandwidth by differencing polls.
 
 Switches observe, never mutate: they read the
@@ -20,7 +20,6 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
-from repro.net.links import Link
 from repro.net.simulator import FlowNetwork
 from repro.net.topology import SwitchNode
 
@@ -63,16 +62,14 @@ class Switch:
     def _host_set(self) -> FrozenSet[str]:
         return frozenset(self._hosts)
 
-    # A flow sourced at a host is registered on the link it leaves that
-    # host by, so these links name every local flow without a scan of the
-    # whole network.
+    # A flow sourced at a host crosses the link it leaves that host by,
+    # so the flows on these links include every local flow without a scan
+    # of the whole network.
     @cached_property
-    def _access_links(self) -> Tuple[Link, ...]:
-        topo = self._topo
+    def _access_link_ids(self) -> Tuple[str, ...]:
+        adjacency = self._topo.adjacency
         return tuple(
-            topo.links[link_id]
-            for host_id in self._hosts
-            for link_id in topo.adjacency[host_id]
+            link_id for host_id in self._hosts for link_id in adjacency[host_id]
         )
 
     def flow_stats(self) -> List[FlowStat]:
@@ -82,14 +79,19 @@ class Switch:
         originate from dataservers attached to the edge switch being
         queried."
         """
-        self._network.snapshot_progress()
-        busy = [link.flows for link in self._access_links if link.flows]
-        if not busy:  # most racks source nothing at a given instant
+        network = self._network
+        network.snapshot_progress()
+        flows_on = network.flows_on
+        for link_id in self._access_link_ids:
+            if flows_on(link_id):
+                break
+        else:  # most racks source nothing at a given instant
             return []
         local_hosts = self._host_set
-        active = self._network.active_flows
+        active = network.active_flows
         stats = []
-        for flow_id in sorted(set().union(*busy)):
+        busy = set().union(*map(flows_on, self._access_link_ids))
+        for flow_id in sorted(busy):
             flow = active.get(flow_id)
             if flow is not None and flow.src in local_hosts:
                 stats.append(FlowStat(

@@ -1,19 +1,18 @@
 """The SDN controller.
 
 Plays the role Floodlight plays in the paper's prototype: it owns the
-switch connections, programs flow tables along assigned paths, relays
-flow-statistics requests, and fans FlowRemoved notifications out to
-registered listeners (the Flowserver chief among them).
+switch connections, installs the route of every transfer it starts,
+relays flow-statistics requests, and fans FlowRemoved notifications out
+to registered listeners (the Flowserver chief among them).
 
-The controller also owns the binding between a *routed* flow (a path
-installed in switch tables) and the *fluid* flow in the network simulator:
-:meth:`Controller.start_transfer` installs rules and starts the transfer
-atomically, and tears the rules down when the transfer completes.
+Forwarding itself is the network's ``Flow.path``; the controller keeps
+one installed route per flow.  :meth:`Controller.start_transfer` installs
+the route and starts the transfer atomically, and drops the route when
+the transfer completes or aborts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.routing import Path
@@ -21,22 +20,11 @@ from repro.net.simulator import Flow, FlowAborted, FlowNetwork
 from repro.net.switch import Switch, build_switches
 from repro.net.topology import Tier
 from repro.sim import instrument
-from repro.sdn.flowtable import FlowTable
 from repro.sdn.openflow import FlowRemoved, FlowStatsReply
 
 
 class SwitchUnreachableError(RuntimeError):
     """A statistics request was sent to a failed/disconnected switch."""
-
-
-@dataclass
-class FlowRecord:
-    """Controller-side bookkeeping for one installed flow."""
-
-    flow_id: str
-    path: Path
-    size_bits: float
-    installed_at: float
 
 
 class Controller:
@@ -52,10 +40,8 @@ class Controller:
         self._network = network
         self._loop = network.loop
         self._switches: Dict[str, Switch] = build_switches(network)
-        self._tables: Dict[str, FlowTable] = {
-            sid: FlowTable(sid) for sid in self._switches
-        }
-        self._records: Dict[str, FlowRecord] = {}
+        #: The installed route of every transfer in flight.
+        self._routes: Dict[str, Path] = {}
         self._removed_listeners: List[Callable[[FlowRemoved], None]] = []
         self._down_switches: Set[str] = set()
         # The topology is static once built, so the poll order is too.
@@ -75,9 +61,6 @@ class Controller:
     def network(self) -> FlowNetwork:
         return self._network
 
-    def flow_table(self, switch_id: str) -> FlowTable:
-        return self._tables[switch_id]
-
     def edge_switch_ids(self) -> Tuple[str, ...]:
         """Every edge switch, sorted by id."""
         return self._edge_switch_ids
@@ -85,33 +68,6 @@ class Controller:
     # ------------------------------------------------------------------
     # Flow programming
     # ------------------------------------------------------------------
-
-    def install_path(self, flow_id: str, path: Path, size_bits: float) -> None:
-        """Program flow-table entries on every switch along ``path``."""
-        if flow_id in self._records:
-            raise ValueError(f"flow {flow_id!r} already installed")
-        topo = self._network.topology
-        for link_id in path.link_ids:
-            link = topo.links[link_id]
-            if link.src in self._tables:
-                self._tables[link.src].install(flow_id, link_id, self._loop.now)
-        self._records[flow_id] = FlowRecord(
-            flow_id=flow_id,
-            path=path,
-            size_bits=size_bits,
-            installed_at=self._loop.now,
-        )
-
-    def uninstall_path(self, flow_id: str) -> None:
-        """Remove the flow's entries from every switch (idempotent)."""
-        record = self._records.pop(flow_id, None)
-        if record is None:
-            return
-        topo = self._network.topology
-        for link_id in record.path.link_ids:
-            link = topo.links[link_id]
-            if link.src in self._tables:
-                self._tables[link.src].remove(flow_id)
 
     def start_transfer(
         self,
@@ -122,15 +78,19 @@ class Controller:
         on_abort: Optional[Callable[[Flow, FlowAborted], None]] = None,
         job_id: Optional[str] = None,
     ) -> Flow:
-        """Install rules and start the data transfer.
+        """Install the route and start the data transfer.
 
-        When the transfer completes the controller uninstalls the rules,
-        emits a :class:`FlowRemoved` to all listeners, and then invokes
+        When the transfer completes the controller drops the route, emits
+        a :class:`FlowRemoved` to all listeners, and then invokes
         ``on_complete``.  If a link on the path fails mid-transfer the
-        rules are likewise uninstalled, a :class:`FlowRemoved` with
+        route is likewise dropped, a :class:`FlowRemoved` with
         ``aborted=True`` is emitted, and ``on_abort`` (if any) runs.
+        A duplicate ``flow_id`` raises ``ValueError`` and leaves the
+        first flow's route in place.
         """
-        self.install_path(flow_id, path, size_bits)
+        if flow_id in self._routes:
+            raise ValueError(f"flow {flow_id!r} already installed")
+        self._routes[flow_id] = path
         self.transfers_started += 1
         tel = instrument.TELEMETRY
         if tel is not None:
@@ -139,7 +99,7 @@ class Controller:
                       size_bits=size_bits)
 
         def _finished(flow: Flow) -> None:
-            self.uninstall_path(flow_id)
+            del self._routes[flow_id]
             removed = FlowRemoved(
                 flow_id=flow.flow_id,
                 src=flow.src,
@@ -159,7 +119,7 @@ class Controller:
                 on_complete(flow)
 
         def _aborted(flow: Flow, exc: FlowAborted) -> None:
-            self.uninstall_path(flow_id)
+            del self._routes[flow_id]
             self.flows_aborted += 1
             removed = FlowRemoved(
                 flow_id=flow.flow_id,
@@ -192,30 +152,20 @@ class Controller:
             if tel is not None:
                 tel.end(self._loop.now, "transfer", "transfer", flow_id,
                         track="transfers", outcome="failed-to-start")
-            self.uninstall_path(flow_id)
+            del self._routes[flow_id]
             raise
 
     def reroute_transfer(self, flow_id: str, new_path: Path) -> None:
-        """Move an in-flight transfer to a new path, updating flow tables.
+        """Move an in-flight transfer to a new path, replacing its route.
 
         This is the primitive a centralized flow scheduler (Hedera/MicroTE
-        style) uses: old rules are removed, new rules installed, and the
-        fluid flow continues with its remaining volume on the new route.
+        style) uses: the fluid flow continues with its remaining volume
+        on the new route.
         """
-        record = self._records.get(flow_id)
-        if record is None:
+        if flow_id not in self._routes:
             raise KeyError(f"flow {flow_id!r} is not installed")
         self._network.reroute_flow(flow_id, new_path)
-        topo = self._network.topology
-        for link_id in record.path.link_ids:
-            link = topo.links[link_id]
-            if link.src in self._tables:
-                self._tables[link.src].remove(flow_id)
-        for link_id in new_path.link_ids:
-            link = topo.links[link_id]
-            if link.src in self._tables:
-                self._tables[link.src].install(flow_id, link_id, self._loop.now)
-        record.path = new_path
+        self._routes[flow_id] = new_path
 
     # ------------------------------------------------------------------
     # Notifications
@@ -319,25 +269,19 @@ class Controller:
         )
 
     def verify_tables_consistent(self) -> List[str]:
-        """Sanity check: every active flow has entries along its whole path.
+        """Audit the installed routes against the flows the network carries.
 
-        Returns a list of human-readable problems (empty when consistent);
-        used by tests and failure-injection experiments.
+        A route is *stale* when the network no longer carries its flow,
+        and *differs* when its links are not the flow's path.  Returns
+        human-readable problems (empty when consistent); used by tests,
+        the SimSanitizer and failure-injection experiments.
         """
         problems = []
-        topo = self._network.topology
-        for flow_id, record in self._records.items():
-            for link_id in record.path.link_ids:
-                link = topo.links[link_id]
-                if link.src in self._tables:
-                    if self._tables[link.src].lookup(flow_id) != link_id:
-                        problems.append(
-                            f"flow {flow_id}: switch {link.src} missing entry for {link_id}"
-                        )
-        for switch_id, table in self._tables.items():
-            for entry in table.entries():
-                if entry.flow_id not in self._records:
-                    problems.append(
-                        f"switch {switch_id}: stale entry for {entry.flow_id}"
-                    )
+        active = self._network.active_flows
+        for flow_id in sorted(self._routes):
+            flow = active.get(flow_id)
+            if flow is None:
+                problems.append(f"flow {flow_id}: stale route, no such flow in the network")
+            elif flow.path.link_ids != self._routes[flow_id].link_ids:
+                problems.append(f"flow {flow_id}: route differs from the flow's path")
         return problems

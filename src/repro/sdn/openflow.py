@@ -1,11 +1,12 @@
 """OpenFlow-style control messages.
 
-A deliberately small subset of the protocol — exactly the messages the
-Mayflower Flowserver exchanges with switches through the controller:
-FlowMod (add/delete), FlowRemoved notifications, and the flow-stats
-reply.  Port counters are not modelled: Eq. 2 reads flow stats only.
-Messages are immutable (a ``FlowStat`` and the per-poll ``FlowStatsReply``
-are named tuples); the wire is in-process.
+A deliberately small subset of the protocol — the messages the
+Mayflower Flowserver reads from switches through the controller:
+FlowRemoved notifications and the flow-stats reply.  Routes are
+installed by :meth:`~repro.sdn.controller.Controller.start_transfer`,
+not by messages.  Port counters are not modelled: Eq. 2 reads flow stats
+only.  Messages are immutable (a ``FlowStat`` and the per-poll
+``FlowStatsReply`` are named tuples); the wire is in-process.
 """
 
 from __future__ import annotations
@@ -17,29 +18,8 @@ from repro.net.switch import FlowStat
 
 
 @dataclass(frozen=True)
-class FlowModAdd:
-    """Install a forwarding entry for ``flow_id`` on ``switch_id``.
-
-    ``out_link_id`` is the directed link the switch must forward the flow
-    onto (the OpenFlow "output port" action).
-    """
-
-    switch_id: str
-    flow_id: str
-    out_link_id: str
-
-
-@dataclass(frozen=True)
-class FlowModDelete:
-    """Remove the forwarding entry for ``flow_id`` from ``switch_id``."""
-
-    switch_id: str
-    flow_id: str
-
-
-@dataclass(frozen=True)
 class FlowRemoved:
-    """Switch-to-controller notification that a flow's entry was removed.
+    """Switch-to-controller notification that a flow's route was removed.
 
     Emitted when a data transfer completes (or is torn down); the
     Flowserver uses these to drop its tracked-flow state immediately

@@ -1,6 +1,6 @@
 """Runtime tests for the SimSanitizer.
 
-Covers the five invariants (capacity feasibility, table consistency,
+Covers the five invariants (capacity feasibility, route consistency,
 freeze discipline, RNG stream isolation, link-memo validity), the
 arm/disarm lifecycle, and
 the engine post-event hook wiring — including proof that a *healthy*
@@ -115,7 +115,7 @@ def test_negative_rate_detected(sanitizer):
 
 
 # ----------------------------------------------------------------------
-# Invariant 2: table consistency
+# Invariant 2: route consistency
 # ----------------------------------------------------------------------
 
 
@@ -126,11 +126,10 @@ def test_table_inconsistency_detected(sanitizer):
     controller.start_transfer("f", path, 500 * MB)
     loop.run(until=0.01)
 
-    # Drop one switch's entry behind the controller's back.
-    first_switch = net.topology.links[path.link_ids[1]].src
-    controller.flow_table(first_switch).remove("f")
+    # End the flow behind the controller's back: its route goes stale.
+    net.cancel_flow("f")
     loop.call_in(0.001, lambda: None)
-    with pytest.raises(SimSanError, match="tables inconsistent"):
+    with pytest.raises(SimSanError, match="routes inconsistent"):
         loop.run()
 
 

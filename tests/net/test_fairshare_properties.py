@@ -30,7 +30,7 @@ def assert_feasible(topo, net):
     for rate in rates.values():
         assert rate >= 0
     for link in topo.links.values():
-        load = sum(rates[fid] for fid in link.flows if fid in rates)
+        load = sum(rates[fid] for fid in net.flows_on(link.link_id) if fid in rates)
         assert load <= link.capacity_bps * (1 + 1e-6), link.link_id
 
 
@@ -86,7 +86,7 @@ def test_property_rates_feasible_under_add_remove_and_failure(seed):
     # aborted flows left the registries entirely
     for fid in aborted:
         assert fid not in net.active_flows
-    referenced = {fid for link in topo.links.values() for fid in link.flows}
+    referenced = {fid for link_id in topo.links for fid in net.flows_on(link_id)}
     assert referenced == set(net.active_flows)
 
     # heal everything and drain: the survivors all finish

@@ -11,7 +11,6 @@ def test_link_attributes():
     assert link.dst == "b"
     assert link.capacity_bps == 1e9
     assert link.direction is LinkDirection.UP
-    assert len(link.flows) == 0
 
 
 def test_invalid_capacity_rejected():
@@ -19,15 +18,6 @@ def test_invalid_capacity_rejected():
         Link("a->b", "a", "b", 0)
     with pytest.raises(ValueError):
         Link("a->b", "a", "b", -1e9)
-
-
-def test_flow_registry():
-    link = Link("a->b", "a", "b", 1e9)
-    link.flows.add("f1")
-    link.flows.add("f2")
-    assert len(link.flows) == 2
-    link.flows.discard("f1")
-    assert len(link.flows) == 1
 
 
 def test_direction_default_is_flat():

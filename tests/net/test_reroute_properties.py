@@ -63,5 +63,5 @@ def test_property_reroutes_preserve_volume_and_feasibility(seed):
     assert len(completed) == 12
     for fid, flow in completed.items():
         assert flow.bytes_sent == pytest.approx(sizes[fid] / 8, rel=1e-6)
-    referenced = {fid for link in topo.links.values() for fid in link.flows}
+    referenced = {fid for link_id in topo.links for fid in net.flows_on(link_id)}
     assert referenced == set()

@@ -169,7 +169,10 @@ def test_flows_on_link(env):
     loop, net, table = env
     path = table.paths("pod0-rack0-h0", "pod0-rack0-h1")[0]
     net.start_flow("f", path, GB)
-    assert net.topology.links[path.link_ids[0]].flows == {"f"}
+    assert net.flows_on(path.link_ids[0]) == {"f"}
+    assert net.flows_on("pod1-rack0-h0->pod1-rack0") == set()
+    net.cancel_flow("f")
+    assert net.flows_on(path.link_ids[0]) == set()
 
 
 def test_link_utilization_ground_truth(env):

@@ -129,7 +129,7 @@ def test_property_cancel_never_corrupts(seed):
             loop.run(until=loop.now + rng.uniform(0, 0.3))
             live = [f for f in live if f in net.active_flows]
     # registry invariant: links reference exactly the active flows
-    referenced = {fid for link in topo.links.values() for fid in link.flows}
+    referenced = {fid for link_id in topo.links for fid in net.flows_on(link_id)}
     assert referenced == set(net.active_flows)
     loop.run()
     assert not net.active_flows

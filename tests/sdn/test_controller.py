@@ -19,44 +19,13 @@ def env():
     return loop, net, table, controller
 
 
-def test_install_path_programs_switches_along_route(env):
-    loop, net, table, ctl = env
-    path = table.paths("pod0-rack0-h0", "pod1-rack0-h0")[0]
-    ctl.install_path("f", path, GB)
-    # the path traverses rack0 -> agg -> core -> agg -> rack; every switch
-    # hop must have an entry, hosts have none
-    switch_hops = [
-        net.topology.links[lid].src
-        for lid in path.link_ids
-        if net.topology.links[lid].src in net.topology.switches
-    ]
-    assert len(switch_hops) == 5
-    for switch_id, link_id in zip(switch_hops, path.link_ids[1:]):
-        assert ctl.flow_table(switch_id).lookup("f") == link_id
-    assert ctl.verify_tables_consistent() == []
-
-
 def test_double_install_rejected(env):
     _, _, table, ctl = env
     path = table.paths("pod0-rack0-h0", "pod0-rack0-h1")[0]
-    ctl.install_path("f", path, GB)
+    ctl.start_transfer("f", path, GB)
     with pytest.raises(ValueError):
-        ctl.install_path("f", path, GB)
-
-
-def test_uninstall_clears_entries(env):
-    _, _, table, ctl = env
-    path = table.paths("pod0-rack0-h0", "pod1-rack0-h0")[0]
-    ctl.install_path("f", path, GB)
-    ctl.uninstall_path("f")
-    for switch_id in ctl.edge_switch_ids():
-        assert ctl.flow_table(switch_id).lookup("f") is None
-    assert ctl.verify_tables_consistent() == []
-
-
-def test_uninstall_unknown_flow_is_noop(env):
-    _, _, _, ctl = env
-    ctl.uninstall_path("ghost")
+        ctl.start_transfer("f", path, GB)
+    assert ctl.transfers_started == 1
 
 
 def test_start_transfer_runs_and_cleans_up(env):
@@ -64,10 +33,11 @@ def test_start_transfer_runs_and_cleans_up(env):
     path = table.paths("pod0-rack0-h0", "pod0-rack0-h1")[0]
     done = []
     ctl.start_transfer("f", path, GB, on_complete=lambda f: done.append(loop.now))
-    assert ctl.flow_table("pod0-rack0").lookup("f") == path.link_ids[1]
+    assert net.active_flows["f"].path is path
+    assert ctl.verify_tables_consistent() == []
     loop.run()
     assert done == [pytest.approx(8.0)]
-    assert ctl.flow_table("pod0-rack0").lookup("f") is None
+    assert not net.active_flows
     assert ctl.verify_tables_consistent() == []
 
 
@@ -98,12 +68,11 @@ def test_flow_removed_fires_before_on_complete(env):
 def test_duplicate_transfer_leaves_no_stale_rules(env):
     loop, net, table, ctl = env
     path = table.paths("pod0-rack0-h0", "pod0-rack0-h1")[0]
-    ctl.start_transfer("f", path, GB)
-    ctl.uninstall_path("f")  # simulate out-of-band rule loss
+    net.start_flow("f", path, GB)  # out of band: the controller has no route
     with pytest.raises(ValueError):
-        # network still has the flow, so restart must fail and not leave rules
+        # the network already has the flow, so the start fails and must
+        # not leave a route behind
         ctl.start_transfer("f", path, GB)
-    assert ctl.flow_table("pod0-rack0").lookup("f") is None
     assert ctl.verify_tables_consistent() == []
 
 

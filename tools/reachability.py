@@ -184,9 +184,6 @@ KEPT = {
     ("src/repro/core/flowserver.py", "Flowserver.loop"):
         "SimSanitizer.register and check_flowserver read it under pytest "
         "--simsan, a CI step",
-    ("src/repro/sdn/flowtable.py", "FlowTable.lookup"):
-        "Controller.verify_tables_consistent calls it, which pytest --simsan "
-        "(a CI step) runs after every event",
     ("src/repro/sim/randomness.py", "RandomStreams.stream_snapshot"):
         "SimSanitizer.check_streams reads it under pytest --simsan, a CI step",
     # typing: layer interfaces and annotation stubs
@@ -280,9 +277,6 @@ KEPT = {
     ("src/repro/rpc/fabric.py", "RpcFabric.unregister"):
         "seam: tests/fs/test_retry.py unregisters the nameserver to fail its "
         "calls; tests/rpc/test_fabric.py checks it drops the handler memo",
-    ("src/repro/sdn/controller.py", "Controller.flow_table"):
-        "seam: tests/sdn/test_verify_tables.py and tests/analysis/"
-        "test_simsan.py corrupt one switch's table through it",
     ("src/repro/sim/process.py", "Signal.name"):
         "a label is joined only when read: by the fired-twice error and tests",
 }
